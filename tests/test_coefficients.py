@@ -2,10 +2,14 @@
 
 import concurrent.futures
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 from partition_asymptotics import (
+    PrecisionContext,
+    PrecisionError,
     certified_abs_less,
     coeff_asymptotic,
     coeff_bound,
@@ -14,6 +18,28 @@ from partition_asymptotics import (
     coeff_sequence,
     darboux_approximant,
 )
+from partition_asymptotics import coefficients
+
+
+def _exact_terms(m):
+    """The closed form's pi-power coefficients, built directly from the formula."""
+    return {
+        m - 2 * k: Fraction(comb(m + 1, k) * (m + 1 - k), factorial(m + 1 - 2 * k)) * Fraction(1, 6) ** (m - 2 * k)
+        for k in range((m + 1) // 2 + 1)
+    }
+
+
+def _pi_sum(m, mp):
+    """(4*sqrt(6))^m * |c_m| evaluated term by term in the mpmath context mp."""
+    return sum(mp.mpf(q.numerator) / q.denominator * mp.pi**e for e, q in _exact_terms(m).items())
+
+
+def _closed_form(m, dps):
+    """c_m from the exact pi-polynomial, evaluated in a fresh mpmath context."""
+    mp = MPContext()
+    mp.dps = dps
+    magnitude = _pi_sum(m, mp) / mp.sqrt(96) ** m
+    return -magnitude if m % 2 else magnitude
 
 
 def test_exact_terms_first_three():
@@ -61,6 +87,79 @@ def test_certified_comparison_direction():
     assert not certified_abs_less(0, 1)
     assert certified_abs_less(2, 1)
     assert certified_abs_less(100, 99)
+
+
+CERTIFY_PAIRS = ((0, 2), (2, 0), (3, 1), (1, 3), (7, 2), (401, 400))
+
+
+def _oracle_abs_less(m, other):
+    return abs(_closed_form(m, 100)) < abs(_closed_form(other, 100))
+
+
+def test_certified_comparison_pairs():
+    for m, other in CERTIFY_PAIRS:
+        assert certified_abs_less(m, other) == _oracle_abs_less(m, other), (m, other)
+
+
+def test_certified_comparison_equal_index():
+    assert not certified_abs_less(5, 5)
+    assert not certified_abs_less(0, 0)
+    with pytest.raises(ValueError):
+        certified_abs_less(-1, -1)
+
+
+def test_certified_comparison_escalates(monkeypatch):
+    widths = []
+    bracket = coefficients._bracket
+
+    def loosened(m, bits):
+        # still an enclosure, but below 64 bits too wide to separate any pair
+        widths.append(bits)
+        lo, hi = bracket(m, bits)
+        return (lo // 4, hi * 4) if bits < 64 else (lo, hi)
+
+    monkeypatch.setattr(coefficients, "_CERTIFY_START_BITS", 8)
+    monkeypatch.setattr(coefficients, "_bracket", loosened)
+    for m, other in CERTIFY_PAIRS + ((100, 99),):
+        assert certified_abs_less(m, other) == _oracle_abs_less(m, other), (m, other)
+    assert sorted(set(widths)) == [8, 16, 32, 64]
+
+
+def test_certified_comparison_undecided_raises(monkeypatch):
+    monkeypatch.setattr(coefficients, "_CERTIFY_MAX_BITS", 1024)
+    monkeypatch.setattr(coefficients, "_bracket", lambda m, bits: (0, 1 << (bits + 4000)))
+    with pytest.raises(PrecisionError):
+        certified_abs_less(3, 2)
+
+
+def test_bracket_encloses_exact_value():
+    mp = MPContext()
+    mp.dps = 200
+    for m in (0, 1, 2, 7, 60, 301):
+        denominator = coefficients._integer_form(m)[1]
+        exact = mp.pi * _pi_sum(m, mp) * denominator
+        for bits in (8, 64, 256):
+            lo, hi = coefficients._bracket(m, bits)
+            assert lo <= mp.ldexp(exact, bits) <= hi, (m, bits)
+            assert lo < hi
+
+
+def test_integer_form_reproduces_exact_terms():
+    for m in range(61):
+        numerators, denominator = coefficients._integer_form(m)
+        assert all(isinstance(a, int) and a > 0 for a in numerators)
+        from_integers = {m - 2 * k: Fraction(a, denominator) for k, a in enumerate(numerators)}
+        assert from_integers == _exact_terms(m) == coeff_exact(m).terms
+
+
+def test_values_within_one_ulp_of_closed_form():
+    contexts = [PrecisionContext(digits) for digits in (50, 80, 160)]
+    for m in range(401):
+        oracle = _closed_form(m, 2 * 160)
+        for ctx in contexts:
+            value = coeff_c(m, ctx)
+            ulp = ctx.mp.ldexp(1, ctx.mp.mag(value) - ctx.mp.prec)
+            assert abs(oracle - value) <= ulp, (m, ctx.digits)
 
 
 def test_step_ratio_bounds(ctx80):
