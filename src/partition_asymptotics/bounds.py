@@ -15,11 +15,11 @@ those reports always carry valid=False and exist for width comparisons only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .coefficients import coeff_c
+from .coefficients import coeff_c, coeff_envelope
 from .errors import DomainError
 from .expansion import exp_error_term
 from .precision import PrecisionContext, context, lambert_w_minus1
@@ -63,36 +63,13 @@ def thm1_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     return BoundsReport(n=n, N=N, lower=lower, upper=upper, theorem="T1", valid=True)
 
 
-def _envelope_factor(N: int, n: int, ctx: PrecisionContext):
-    """Proven |c_N| envelope with n folded in: bound(N) / n^(N/2), split so the
-    even/odd shape matches the bound formulas exactly."""
-    mp = ctx.mp
-    base = 6 * mp.sqrt(2) / mp.pi ** mp.mpf("1.5")
-    root24n = mp.sqrt(mp.mpf(24 * n))
-    if N % 2 == 0:
-        j = N // 2
-        return (
-            base
-            * mp.sinh(mp.pi / 6)
-            * mp.sqrt(2 * j + 1)
-            / root24n ** (2 * j)
-            * mp.sqrt(1 + mp.mpf(1) / (4 * j + 1))
-        )
-    j = (N - 1) // 2
-    return (
-        base
-        * mp.cosh(mp.pi / 6)
-        * mp.sqrt(2 * j + 2)
-        / root24n ** (2 * j + 1)
-        * mp.sqrt(1 - mp.mpf(1) / (4 * j + 5))
-    )
-
-
 def thm2_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     """Coefficient-free enclosure: T1 with c_N relaxed to its proven envelope."""
     _require(n, N)
+    mp = ctx.mp
     E = exp_error_term(n, ctx)
-    envelope = _envelope_factor(N, n, ctx)
+    amplitude, shape, correction = coeff_envelope(N, ctx)
+    envelope = amplitude * shape / mp.sqrt(mp.mpf(24 * n)) ** N * correction
     if N % 2 == 0:
         lower, upper = -E, envelope + E
     else:
@@ -100,26 +77,21 @@ def thm2_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     return BoundsReport(n=n, N=N, lower=lower, upper=upper, theorem="T2", valid=True)
 
 
-def _exact_constant(C, ctx: PrecisionContext):
-    """Convert a bound constant exactly; strings mean exact decimals."""
-    if isinstance(C, (Fraction, int, str)):
-        return ctx.real(C if not isinstance(C, str) else Fraction(C))
-    return ctx.real(C)
-
-
+@functools.lru_cache(maxsize=None)
 def nu(N: int, C, ctx: PrecisionContext) -> int:
     """Smallest n from which the T3 bounds with constant C hold:
 
         nu_N(C) = ceil( (3/2) * ( (2N/pi) * W_-1(-(pi/(12N)) (C sqrt(N+1))^(1/N)) )^2 )
 
     Raises DomainError when the W_-1 argument falls below -1/e (no threshold
-    exists for that (N, C) pair).
+    exists for that (N, C) pair).  Results are cached per (N, C, digits), so C
+    must be hashable.
     """
     if N < 1:
         raise DomainError(f"N must be positive, got {N}")
     work = context(2 * ctx.digits + 10)
     mp = work.mp
-    c_val = _exact_constant(C, work)
+    c_val = work.real(C)
     if not c_val > 0:
         raise DomainError(f"C must be positive, got {C!r}")
     argument = -(mp.pi / (12 * N)) * (c_val * mp.sqrt(N + 1)) ** (mp.mpf(1) / N)
@@ -149,20 +121,15 @@ def thm3_bounds(n: int, N: int, C, ctx: PrecisionContext) -> BoundsReport:
     if N < 1:
         raise DomainError(f"T3 bounds need N >= 1, got N={N}")
     mp = ctx.mp
-    c_val = _exact_constant(C, ctx)
+    c_val = ctx.real(C)
     if not c_val > 0:
         raise DomainError(f"C must be positive, got {C!r}")
-    base = 6 * mp.sqrt(2) / mp.pi ** mp.mpf("1.5")
-    root24n = mp.sqrt(mp.mpf(24 * n))
+    amplitude, shape, correction = coeff_envelope(N, ctx)
+    factor = shape / mp.sqrt(mp.mpf(24 * n)) ** N
+    widening = amplitude * correction
     if N % 2 == 0:
-        j = N // 2
-        factor = mp.sqrt(2 * j + 1) / root24n ** (2 * j)
-        widening = base * mp.sinh(mp.pi / 6) * mp.sqrt(1 + mp.mpf(1) / (4 * j + 1))
         lower, upper = -c_val * factor, (c_val + widening) * factor
     else:
-        j = (N - 1) // 2
-        factor = mp.sqrt(2 * j + 2) / root24n ** (2 * j + 1)
-        widening = base * mp.cosh(mp.pi / 6) * mp.sqrt(1 - mp.mpf(1) / (4 * j + 5))
         lower, upper = -(c_val + widening) * factor, c_val * factor
     valid = n >= nu(N, C, ctx)
     return BoundsReport(n=n, N=N, lower=lower, upper=upper, theorem="T3", valid=valid, C=c_val)

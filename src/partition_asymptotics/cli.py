@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bounds import banerjee_bounds, nu, thm1_bounds, thm2_bounds, thm3_bounds
 from .coefficients import coeff_asymptotic, coeff_bound, coeff_c
@@ -26,13 +25,13 @@ from .verify import SUITE_NAMES, run_suite
 
 CACHE_ENV_VAR = "PARTITION_ASYMPTOTICS_CACHE"
 
-TABLE1_CASES = ((200, 4), (500, 6), (200, 5), (500, 7))
-TABLE2_CASES = (
-    (500, 6, "1/4", Fraction(1, 4)),
-    (1000, 10, "5839", 5839),
-    (500, 7, "24", 24),
-    (1000, 11, "866061", 866061),
-)
+# reference tables: (n, N) cases with T1 bounds, (n, N, C) cases with T3 bounds,
+# C an exact decimal or rational string as on the command line
+TABLE_CASES = {
+    "table1": ((200, 4), (500, 6), (200, 5), (500, 7)),
+    "table2": ((500, 6, "1/4"), (1000, 10, "5839"), (500, 7, "24"), (1000, 11, "866061")),
+}
+TABLE_BOUNDS = {"table1": thm1_bounds, "table2": thm3_bounds}
 TABLE_MIN_DIGITS = 50
 
 
@@ -93,10 +92,18 @@ def _resolve_cache_path(explicit: str | None) -> str | None:
 
 
 def _obtain_table(n_needed: int, cache_path: str | None) -> PartitionTable:
+    """The cached table if it covers ``n_needed``, else a fresh one written back.
+
+    An unreadable cache file is reported on stderr and rebuilt, never served.
+    """
     if cache_path and os.path.exists(cache_path):
-        table = load_table(cache_path)
-        if table.n_max >= n_needed:
-            return table
+        try:
+            table = load_table(cache_path)
+        except ValueError as exc:
+            print(f"warning: rebuilding unreadable cache: {exc}", file=sys.stderr)
+        else:
+            if table.n_max >= n_needed:
+                return table
     table = partition_pentagonal(n_needed)
     if cache_path:
         save_table(table, cache_path)
@@ -191,31 +198,18 @@ def _table_block(report, exact, ctx: PrecisionContext) -> dict:
     }
 
 
-def cmd_table1(args, ctx: PrecisionContext) -> list:
+def cmd_table(args, ctx: PrecisionContext) -> list:
     if ctx.digits < TABLE_MIN_DIGITS:
         raise DomainError(f"table commands need --digits >= {TABLE_MIN_DIGITS}")
-    table = _obtain_table(max(n for n, _ in TABLE1_CASES), _resolve_cache_path(args.cache))
+    cases, bound = TABLE_CASES[args.command], TABLE_BOUNDS[args.command]
+    table = _obtain_table(max(case[0] for case in cases), _resolve_cache_path(args.cache))
     records = []
-    for n, N in TABLE1_CASES:
+    for n, N, *constant in cases:
         exact = remainder_exact(n, N, table, ctx).remainder
-        report = thm1_bounds(n, N, ctx)
-        payload = {"n": str(n), "N": str(N)}
+        report = bound(n, N, *constant, ctx)
+        payload = dict(zip(("n", "N", "C"), (str(n), str(N), *constant)))
         payload.update(_table_block(report, exact, ctx))
-        records.append(OutputRecord(kind="table1_row", payload=payload))
-    return records
-
-
-def cmd_table2(args, ctx: PrecisionContext) -> list:
-    if ctx.digits < TABLE_MIN_DIGITS:
-        raise DomainError(f"table commands need --digits >= {TABLE_MIN_DIGITS}")
-    table = _obtain_table(max(n for n, _, _, _ in TABLE2_CASES), _resolve_cache_path(args.cache))
-    records = []
-    for n, N, c_label, c_exact in TABLE2_CASES:
-        exact = remainder_exact(n, N, table, ctx).remainder
-        report = thm3_bounds(n, N, c_exact, ctx)
-        payload = {"n": str(n), "N": str(N), "C": c_label}
-        payload.update(_table_block(report, exact, ctx))
-        records.append(OutputRecord(kind="table2_row", payload=payload))
+        records.append(OutputRecord(kind=f"{args.command}_row", payload=payload))
     return records
 
 
@@ -315,8 +309,8 @@ COMMANDS = {
     "remainder": cmd_remainder,
     "bounds": cmd_bounds,
     "nu": cmd_nu,
-    "table1": cmd_table1,
-    "table2": cmd_table2,
+    "table1": cmd_table,
+    "table2": cmd_table,
 }
 
 

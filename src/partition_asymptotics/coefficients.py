@@ -41,14 +41,6 @@ class PiPolynomial:
     scale_exponent: int
 
 
-@dataclass(frozen=True)
-class CoefficientSeq:
-    """Coefficients c_0..c_m as Reals bound to one context."""
-
-    entries: tuple
-    context: PrecisionContext
-
-
 @functools.lru_cache(maxsize=None)
 def _integer_form(m: int) -> tuple:
     """(a_0, ..., a_K) and D_m with D_m * pi * (4*sqrt(6))^m * |c_m| = sum_k a_k * pi^(m+1-2k).
@@ -112,10 +104,6 @@ def coeff_c(m: int, ctx: PrecisionContext):
     return ctx.real(_coeff_value(m, ctx.digits))
 
 
-def coeff_sequence(m_max: int, ctx: PrecisionContext) -> CoefficientSeq:
-    return CoefficientSeq(entries=tuple(coeff_c(m, ctx) for m in range(m_max + 1)), context=ctx)
-
-
 @functools.lru_cache(maxsize=None)
 def _even_odd_prefactor(digits: int):
     mp = context(digits).mp
@@ -123,37 +111,37 @@ def _even_odd_prefactor(digits: int):
     return base * mp.sinh(mp.pi / 6), base * mp.cosh(mp.pi / 6)
 
 
-def coeff_bound(m: int, ctx: PrecisionContext):
-    """Proven upper bound for |c_m|.
+def coeff_envelope(m: int, ctx: PrecisionContext) -> tuple:
+    """(amplitude, shape, correction) of the proven envelope
+    |c_m| <= amplitude * shape / sqrt(24)^m * correction.
 
-    Even m = 2j:  (6*sqrt(2)/pi^(3/2)) sinh(pi/6) sqrt(2j+1)/sqrt(24)^(2j) * sqrt(1 + 1/(4j+1))
-    Odd  m = 2j+1: same with cosh, sqrt(2j+2)/sqrt(24)^(2j+1), sqrt(1 - 1/(4j+5)).
+    Even m = 2j:   (6*sqrt(2)/pi^(3/2)) sinh(pi/6), sqrt(2j+1), sqrt(1 + 1/(4j+1)).
+    Odd  m = 2j+1: (6*sqrt(2)/pi^(3/2)) cosh(pi/6), sqrt(2j+2), sqrt(1 - 1/(4j+5)).
+    The amplitudes are computed once per digit count.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     mp = ctx.mp
-    even_pref, odd_pref = map(ctx.real, _even_odd_prefactor(ctx.digits))
-    root24 = mp.sqrt(24)
+    even_pref, odd_pref = _even_odd_prefactor(ctx.digits)
+    j = m // 2
     if m % 2 == 0:
-        j = m // 2
-        return even_pref * mp.sqrt(2 * j + 1) / root24 ** (2 * j) * mp.sqrt(1 + mp.mpf(1) / (4 * j + 1))
-    j = (m - 1) // 2
-    return odd_pref * mp.sqrt(2 * j + 2) / root24 ** (2 * j + 1) * mp.sqrt(1 - mp.mpf(1) / (4 * j + 5))
+        return ctx.real(even_pref), mp.sqrt(2 * j + 1), mp.sqrt(1 + mp.mpf(1) / (4 * j + 1))
+    return ctx.real(odd_pref), mp.sqrt(2 * j + 2), mp.sqrt(1 - mp.mpf(1) / (4 * j + 5))
+
+
+def coeff_bound(m: int, ctx: PrecisionContext):
+    """Proven upper bound for |c_m|: the full envelope of :func:`coeff_envelope`."""
+    amplitude, shape, correction = coeff_envelope(m, ctx)
+    return amplitude * shape / ctx.mp.sqrt(24) ** m * correction
 
 
 def coeff_asymptotic(m: int, ctx: PrecisionContext):
     """Leading large-m approximation of c_m (signed): the bound without its
     sqrt(1 +- ...) correction factor."""
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    mp = ctx.mp
-    even_pref, odd_pref = map(ctx.real, _even_odd_prefactor(ctx.digits))
-    root24 = mp.sqrt(24)
-    if m % 2 == 0:
-        j = m // 2
-        return even_pref * mp.sqrt(2 * j + 1) / root24 ** (2 * j)
-    j = (m - 1) // 2
-    return -odd_pref * mp.sqrt(2 * j + 2) / root24 ** (2 * j + 1)
+    amplitude, shape, _ = coeff_envelope(m, ctx)
+    if m % 2:
+        amplitude = -amplitude
+    return amplitude * shape / ctx.mp.sqrt(24) ** m
 
 
 def darboux_approximant(m: int, ctx: PrecisionContext):

@@ -7,6 +7,7 @@ algorithm that shares no code or ideas with it.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .errors import ResourceError
@@ -81,10 +82,20 @@ def partition_dp(n: int, cap: int = DP_CAP) -> int:
 
 
 def save_table(table: PartitionTable, path: str) -> None:
-    """Write the table as one "n<TAB>p(n)" line per entry, in decimal."""
-    with open(path, "w", encoding="ascii") as fh:
-        for n, value in enumerate(table.values):
-            fh.write(f"{n}\t{value}\n")
+    """Write the table as one "n<TAB>p(n)" line per entry, in decimal.
+
+    The lines go to a temporary file beside ``path``, which then replaces it
+    in one step, so a concurrent reader never sees a partly written table.
+    """
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="ascii") as fh:
+            for n, value in enumerate(table.values):
+                fh.write(f"{n}\t{value}\n")
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):
+            os.remove(temporary)
 
 
 def load_table(path: str) -> PartitionTable:

@@ -1,4 +1,4 @@
-"""Precision-context real arithmetic and the special functions used everywhere else.
+"""Precision-context real arithmetic, the Lambert W branch -1 and a rational pi enclosure.
 
 A :class:`PrecisionContext` fixes the number of decimal significant digits for
 all real arithmetic derived from it.  Values are mpmath floats bound to the
@@ -75,53 +75,11 @@ class PrecisionContext:
             return mp.mpf(raw)
         raise DomainError(f"cannot interpret {value!r} as a real number")
 
-    def is_finite(self, x) -> bool:
-        return self._mp.isfinite(x)
-
 
 @functools.lru_cache(maxsize=None)
 def context(digits: int) -> PrecisionContext:
     """Shared context instance per digit count (used by internal caches)."""
     return PrecisionContext(digits)
-
-
-def _check_finite(ctx: PrecisionContext, x, what: str):
-    if not ctx.mp.isfinite(x):
-        raise DomainError(f"{what} produced a non-finite value")
-    return x
-
-
-def const_pi(ctx: PrecisionContext):
-    """pi, correct to context precision."""
-    return ctx.mp.pi
-
-
-def sqrt_real(x, ctx: PrecisionContext):
-    x = ctx.real(x)
-    if x < 0:
-        raise DomainError(f"sqrt of negative value {x}")
-    return _check_finite(ctx, ctx.mp.sqrt(x), "sqrt")
-
-
-def exp_real(x, ctx: PrecisionContext):
-    return _check_finite(ctx, ctx.mp.exp(ctx.real(x)), "exp")
-
-
-def sinh_real(x, ctx: PrecisionContext):
-    return _check_finite(ctx, ctx.mp.sinh(ctx.real(x)), "sinh")
-
-
-def cosh_real(x, ctx: PrecisionContext):
-    return _check_finite(ctx, ctx.mp.cosh(ctx.real(x)), "cosh")
-
-
-def ulp(x, ctx: PrecisionContext):
-    """One unit in the last place of ``x`` at context precision (of 1 if x == 0)."""
-    mp = ctx.mp
-    x = ctx.real(x)
-    if x == 0:
-        return mp.mpf(10) ** (1 - ctx.digits)
-    return mp.mpf(2) ** (mp.mag(x) - mp.prec)
 
 
 def lambert_w_minus1(x, ctx: PrecisionContext):

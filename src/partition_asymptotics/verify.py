@@ -1,7 +1,9 @@
 """Sweep-style verification of every inequality the toolkit implements.
 
-Each suite checks one family of claims over a parameter grid and reports the
-first counterexample if any.  The CLI ``verify`` subcommand dispatches here;
+Each suite is a generator over one family of claims on a parameter grid: it
+yields once per check, ``None`` when the check holds and the counterexample
+message when it fails.  One driver, :func:`run_suite`, counts the checks and
+stops at the first message.  The CLI ``verify`` subcommand dispatches here;
 the test suite runs the same sweeps through pytest.
 """
 
@@ -29,9 +31,12 @@ from .expansion import (
     t_bound_simple,
     t_bound_simple_bracket,
 )
-from .partitions import PartitionTable, partition_dp_row, partition_pentagonal
+from .partitions import partition_dp_row, partition_pentagonal
 from .precision import PrecisionContext, context
 from .series import gf_coefficients, gf_reference
+
+# the enclosure sweeps check every N in 0..ENCLOSURE_N_MAX at each n
+ENCLOSURE_N_MAX = 12
 
 
 @dataclass(frozen=True)
@@ -42,35 +47,23 @@ class VerifyResult:
     counterexample: Optional[str] = None
 
 
-def _result(suite: str, checked: int, counterexample: Optional[str]) -> VerifyResult:
-    return VerifyResult(suite=suite, checked=checked, ok=counterexample is None, counterexample=counterexample)
-
-
-def _table_for(n_max: int, table: Optional[PartitionTable]) -> PartitionTable:
-    if table is not None and table.n_max >= n_max:
-        return table
-    return partition_pentagonal(n_max)
-
-
-def verify_lemma1(m_max: int = 400, ctx: Optional[PrecisionContext] = None) -> VerifyResult:
+def _lemma1(m_max: int, ctx: PrecisionContext):
     """|c_m| strictly decreasing (certified), signs alternating, step ratios bounded."""
-    ctx = ctx or context(50)
     mp = ctx.mp
-    checked = 0
     even_ratio_cap = (mp.pi / 2) / (4 * mp.sqrt(6))
     odd_ratio_cap = (mp.pi / 6 + 12 / mp.pi) / (4 * mp.sqrt(6))
     for m in range(1, m_max + 1):
-        checked += 1
-        if not certified_abs_less(m, m - 1):
-            return _result("lemma1", checked, f"|c_{m}| >= |c_{m - 1}|")
         value = coeff_c(m, ctx)
-        if (value > 0) != (m % 2 == 0):
-            return _result("lemma1", checked, f"sign of c_{m} is not (-1)^{m}")
         ratio = abs(value / coeff_c(m - 1, ctx))
         cap = even_ratio_cap if m % 2 == 0 else odd_ratio_cap
-        if ratio > cap:
-            return _result("lemma1", checked, f"|c_{m}/c_{m - 1}| = {mp.nstr(ratio, 12)} exceeds {mp.nstr(cap, 12)}")
-    return _result("lemma1", checked, None)
+        if not certified_abs_less(m, m - 1):
+            yield f"|c_{m}| >= |c_{m - 1}|"
+        elif (value > 0) != (m % 2 == 0):
+            yield f"sign of c_{m} is not (-1)^{m}"
+        elif ratio > cap:
+            yield f"|c_{m}/c_{m - 1}| = {mp.nstr(ratio, 12)} exceeds {mp.nstr(cap, 12)}"
+        else:
+            yield None
 
 
 def _weierstrass_holds(m: int, k: int) -> bool:
@@ -84,118 +77,88 @@ def _weierstrass_holds(m: int, k: int) -> bool:
     return lhs >= rhs
 
 
-def verify_lemma2(m_max: int = 400, ctx: Optional[PrecisionContext] = None) -> VerifyResult:
+def _lemma2(m_max: int, ctx: PrecisionContext):
     """|c_m| <= coeff_bound(m), plus the two inequalities its proof rests on."""
-    ctx = ctx or context(80)
     mp = ctx.mp
-    checked = 0
     binom = 1  # binom(2m, m), updated incrementally
     for m in range(m_max + 1):
-        checked += 1
-        if abs(coeff_c(m, ctx)) > coeff_bound(m, ctx):
-            return _result("lemma2", checked, f"|c_{m}| exceeds its bound")
         if m > 0:
             binom = binom * (2 * m) * (2 * m - 1) // (m * m)
-        if binom * mp.sqrt(mp.pi * (m + mp.mpf(1) / 4)) > 2 ** (2 * m):
-            return _result("lemma2", checked, f"central binomial inequality fails at m={m}")
+        if abs(coeff_c(m, ctx)) > coeff_bound(m, ctx):
+            yield f"|c_{m}| exceeds its bound"
+        elif binom * mp.sqrt(mp.pi * (m + mp.mpf(1) / 4)) > 2 ** (2 * m):
+            yield f"central binomial inequality fails at m={m}"
+        else:
+            yield None
     for m in range(0, min(m_max, 200) + 1):
         for k in range(0, m + 1):
-            checked += 1
-            if not _weierstrass_holds(m, k):
-                return _result("lemma2", checked, f"product inequality fails at m={m}, k={k}")
-    return _result("lemma2", checked, None)
+            yield None if _weierstrass_holds(m, k) else f"product inequality fails at m={m}, k={k}"
 
 
-def verify_lemma3(
-    n_max: int = 500,
-    ctx: Optional[PrecisionContext] = None,
-    table: Optional[PartitionTable] = None,
-) -> VerifyResult:
+def _lemma3(n_max: int, ctx: PrecisionContext):
     """|r_hat(n)| <= exp(-(pi/2) sqrt(2n/3)), envelope shape, and proof chain."""
-    ctx = ctx or context(80)
     mp = ctx.mp
-    table = _table_for(n_max, table)
-    checked = 0
+    table = partition_pentagonal(n_max)
     for n in range(1, n_max + 1):
-        checked += 1
-        if abs(r_hat(n, table, ctx)) > exp_error_term(n, ctx):
-            return _result("lemma3", checked, f"|r_hat({n})| exceeds the exponential envelope")
+        bad = abs(r_hat(n, table, ctx)) > exp_error_term(n, ctx)
+        yield f"|r_hat({n})| exceeds the exponential envelope" if bad else None
     if not t_bound_simple_bracket(432, ctx) < mp.mpf("0.97"):
-        return _result("lemma3", checked, "simple bracket at n=432 is not below 0.97")
+        yield "simple bracket at n=432 is not below 0.97"  # counted only when it fails
     previous = t_bound_simple_bracket(8, ctx)
     for n in range(9, 5001):
-        checked += 1
         current = t_bound_simple_bracket(n, ctx)
-        if not current < previous:
-            return _result("lemma3", checked, f"simple bracket not decreasing at n={n}")
+        yield None if current < previous else f"simple bracket not decreasing at n={n}"
         previous = current
     for n in range(1, 1001):
-        checked += 1
-        if t_bound_full(n, ctx) > t_bound_simple(n, ctx):
-            return _result("lemma3", checked, f"full envelope exceeds simple envelope at n={n}")
         # (24n/(24n-1)) * exp(mu - pi sqrt(2n/3)) <= 1
         damping = (
             mp.mpf(24 * n)
             / (24 * n - 1)
             * mp.exp(mu(n, ctx) - mp.pi * mp.sqrt(mp.mpf(2 * n) / 3))
         )
-        if damping > 1:
-            return _result("lemma3", checked, f"damping factor exceeds 1 at n={n}")
         # 0.97 * exp((pi/12)/(sqrt(24n-1)+sqrt(24n))) < 1
         wiggle = mp.mpf("0.97") * mp.exp(
             (mp.pi / 12) / (mp.sqrt(mp.mpf(24 * n - 1)) + mp.sqrt(mp.mpf(24 * n)))
         )
-        if not wiggle < 1:
-            return _result("lemma3", checked, f"0.97 absorption fails at n={n}")
+        if t_bound_full(n, ctx) > t_bound_simple(n, ctx):
+            yield f"full envelope exceeds simple envelope at n={n}"
+        elif damping > 1:
+            yield f"damping factor exceeds 1 at n={n}"
+        elif not wiggle < 1:
+            yield f"0.97 absorption fails at n={n}"
+        else:
+            yield None
     for i in range(1, 1001):
-        checked += 1
         x = mp.mpf(i) / 4000  # grid over (0, 1/4]
-        if mp.exp(-mp.pi * x / 12) / (1 - x**2) > 1:
-            return _result("lemma3", checked, f"exp(-pi x/12)/(1-x^2) exceeds 1 at x={mp.nstr(x, 6)}")
-    return _result("lemma3", checked, None)
+        bad = mp.exp(-mp.pi * x / 12) / (1 - x**2) > 1
+        yield f"exp(-pi x/12)/(1-x^2) exceeds 1 at x={mp.nstr(x, 6)}" if bad else None
 
 
-def verify_thm1(
-    n_max: int = 500,
-    N_max: int = 12,
-    ctx: Optional[PrecisionContext] = None,
-    table: Optional[PartitionTable] = None,
-) -> VerifyResult:
+def _thm1(n_max: int, ctx: PrecisionContext):
     """Strict enclosure of the exact remainder by the T1 interval."""
-    ctx = ctx or context(80)
-    table = _table_for(n_max, table)
-    checked = 0
+    table = partition_pentagonal(n_max)
     for n in range(1, n_max + 1):
-        for N in range(0, N_max + 1):
-            checked += 1
+        for N in range(ENCLOSURE_N_MAX + 1):
             report = thm1_bounds(n, N, ctx)
             remainder = remainder_exact(n, N, table, ctx).remainder
-            if not (report.lower < remainder < report.upper):
-                return _result("thm1", checked, f"T1 enclosure fails at n={n}, N={N}")
-    return _result("thm1", checked, None)
+            enclosed = report.lower < remainder < report.upper
+            yield None if enclosed else f"T1 enclosure fails at n={n}, N={N}"
 
 
-def verify_thm2(
-    n_max: int = 500,
-    N_max: int = 12,
-    ctx: Optional[PrecisionContext] = None,
-    table: Optional[PartitionTable] = None,
-) -> VerifyResult:
+def _thm2(n_max: int, ctx: PrecisionContext):
     """Strict T2 enclosure plus nesting: the T1 interval sits inside T2."""
-    ctx = ctx or context(80)
-    table = _table_for(n_max, table)
-    checked = 0
+    table = partition_pentagonal(n_max)
     for n in range(1, n_max + 1):
-        for N in range(0, N_max + 1):
-            checked += 1
+        for N in range(ENCLOSURE_N_MAX + 1):
             t1 = thm1_bounds(n, N, ctx)
             t2 = thm2_bounds(n, N, ctx)
             remainder = remainder_exact(n, N, table, ctx).remainder
             if not (t2.lower < remainder < t2.upper):
-                return _result("thm2", checked, f"T2 enclosure fails at n={n}, N={N}")
-            if not (t2.lower <= t1.lower and t1.upper <= t2.upper):
-                return _result("thm2", checked, f"T1 interval not inside T2 at n={n}, N={N}")
-    return _result("thm2", checked, None)
+                yield f"T2 enclosure fails at n={n}, N={N}"
+            elif not (t2.lower <= t1.lower and t1.upper <= t2.upper):
+                yield f"T1 interval not inside T2 at n={n}, N={N}"
+            else:
+                yield None
 
 
 THM3_REFERENCE_PAIRS = (
@@ -205,50 +168,38 @@ THM3_REFERENCE_PAIRS = (
     (10, 5839),
     (11, 866061),
 )
+THM3_SPAN = 200
 
 
-def verify_thm3(
-    span: int = 200,
-    ctx: Optional[PrecisionContext] = None,
-    table: Optional[PartitionTable] = None,
-) -> VerifyResult:
-    """T3 enclosure from each reference threshold up through threshold + span."""
-    ctx = ctx or context(80)
-    checked = 0
+def _thm3(_size, ctx: PrecisionContext):
+    """T3 enclosure from each reference threshold up through threshold + THM3_SPAN."""
     thresholds = [(N, C, max(nu(N, C, ctx), 1)) for N, C in THM3_REFERENCE_PAIRS]
-    table = _table_for(max(t + span for _, _, t in thresholds), table)
+    table = partition_pentagonal(max(start for _, _, start in thresholds) + THM3_SPAN)
     for N, C, start in thresholds:
-        for n in range(start, start + span + 1):
-            checked += 1
+        for n in range(start, start + THM3_SPAN + 1):
             report = thm3_bounds(n, N, C, ctx)
             if not report.valid:
-                return _result("thm3", checked, f"threshold not honored at n={n}, N={N}, C={C}")
-            remainder = remainder_exact(n, N, table, ctx).remainder
-            if not (report.lower < remainder < report.upper):
-                return _result("thm3", checked, f"T3 enclosure fails at n={n}, N={N}, C={C}")
-    return _result("thm3", checked, None)
+                yield f"threshold not honored at n={n}, N={N}, C={C}"
+            elif not (report.lower < remainder_exact(n, N, table, ctx).remainder < report.upper):
+                yield f"T3 enclosure fails at n={n}, N={N}, C={C}"
+            else:
+                yield None
 
 
-def verify_gf(order: int = 100, ctx: Optional[PrecisionContext] = None) -> VerifyResult:
+def _gf(order: int, ctx: PrecisionContext):
     """Series route equals closed-form route for the scaled coefficients."""
-    ctx = ctx or context(60)
     mp = ctx.mp
     tolerance = mp.mpf(10) ** (-(ctx.digits - 15))
     produced = gf_coefficients(order, ctx)
     reference = gf_reference(order, ctx)
-    checked = 0
     for m in range(order + 1):
-        checked += 1
         deviation = abs(produced[m] - reference[m]) / abs(reference[m])
-        if deviation > tolerance:
-            return _result("gf", checked, f"relative deviation {mp.nstr(deviation, 6)} at m={m}")
-    return _result("gf", checked, None)
+        yield f"relative deviation {mp.nstr(deviation, 6)} at m={m}" if deviation > tolerance else None
 
 
-def verify_asymptotics(ctx: Optional[PrecisionContext] = None) -> VerifyResult:
+def _asymptotics(_size, ctx: PrecisionContext):
     """Large-m behaviour: approximants converge onto c_m from both routes."""
-    ctx = ctx or context(80)
-    checked = 0
+    small, tight = ctx.mp.mpf("0.05"), ctx.mp.mpf("0.01")
 
     def leading_dev(m: int):
         return abs(coeff_c(m, ctx) / coeff_asymptotic(m, ctx) - 1)
@@ -256,32 +207,38 @@ def verify_asymptotics(ctx: Optional[PrecisionContext] = None) -> VerifyResult:
     def singularity_dev(m: int):
         return abs(darboux_approximant(m, ctx) / coeff_c(m, ctx) - 1)
 
-    checks = [
-        (leading_dev(300) < leading_dev(50), "leading-order deviation not smaller at m=300 than m=50"),
-        (leading_dev(300) < ctx.mp.mpf("0.05"), "leading-order deviation at m=300 not below 0.05"),
-        (singularity_dev(300) < singularity_dev(50), "approximant deviation not smaller at m=300 than m=50"),
-    ]
+    ok = leading_dev(300) < leading_dev(50)
+    yield None if ok else "leading-order deviation not smaller at m=300 than m=50"
+    yield None if leading_dev(300) < small else "leading-order deviation at m=300 not below 0.05"
+    ok = singularity_dev(300) < singularity_dev(50)
+    yield None if ok else "approximant deviation not smaller at m=300 than m=50"
     for m in range(100, 401, 2):
-        checks.append((leading_dev(m) < ctx.mp.mpf("0.05"), f"deviation at even m={m} not below 0.05"))
+        yield None if leading_dev(m) < small else f"deviation at even m={m} not below 0.05"
     for m in range(200, 401, 2):
-        checks.append((leading_dev(m) < ctx.mp.mpf("0.01"), f"deviation at even m={m} not below 0.01"))
-    for ok, message in checks:
-        checked += 1
-        if not ok:
-            return _result("asymptotics", checked, message)
-    return _result("asymptotics", checked, None)
+        yield None if leading_dev(m) < tight else f"deviation at even m={m} not below 0.01"
 
 
-def verify_oracle(n_max: int = 2000, table: Optional[PartitionTable] = None) -> VerifyResult:
+def _oracle(n_max: int, _ctx):
     """Pentagonal-recurrence values equal part-counting DP values."""
-    table = _table_for(n_max, table)
+    table = partition_pentagonal(n_max)
     oracle = partition_dp_row(n_max)
-    checked = 0
     for n in range(n_max + 1):
-        checked += 1
-        if table.p(n) != oracle[n]:
-            return _result("oracle", checked, f"p({n}) differs between the two algorithms")
-    return _result("oracle", checked, None)
+        yield None if table.p(n) == oracle[n] else f"p({n}) differs between the two algorithms"
+
+
+# name -> (sweep, grid argument of run_suite or None, default grid size, default digits)
+SUITES = {
+    "lemma1": (_lemma1, "m_max", 400, 50),
+    "lemma2": (_lemma2, "m_max", 400, 80),
+    "lemma3": (_lemma3, "n_max", 500, 80),
+    "thm1": (_thm1, "n_max", 500, 80),
+    "thm2": (_thm2, "n_max", 500, 80),
+    "thm3": (_thm3, None, None, 80),
+    "gf": (_gf, "m_max", 100, 60),
+    "asymptotics": (_asymptotics, None, None, 80),
+    "oracle": (_oracle, "n_max", 2000, 80),
+}
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(
@@ -290,26 +247,18 @@ def run_suite(
     m_max: Optional[int] = None,
     ctx: Optional[PrecisionContext] = None,
 ) -> VerifyResult:
-    """Dispatch a named suite with its spec defaults unless overridden."""
-    if name == "lemma1":
-        return verify_lemma1(m_max or 400, ctx)
-    if name == "lemma2":
-        return verify_lemma2(m_max or 400, ctx)
-    if name == "lemma3":
-        return verify_lemma3(n_max or 500, ctx)
-    if name == "thm1":
-        return verify_thm1(n_max or 500, ctx=ctx)
-    if name == "thm2":
-        return verify_thm2(n_max or 500, ctx=ctx)
-    if name == "thm3":
-        return verify_thm3(ctx=ctx)
-    if name == "gf":
-        return verify_gf(m_max or 100, ctx or context(60))
-    if name == "asymptotics":
-        return verify_asymptotics(ctx)
-    if name == "oracle":
-        return verify_oracle(n_max or 2000)
-    raise ValueError(f"unknown suite {name!r}")
+    """Run a named suite at its default grid size and digits unless overridden.
 
-
-SUITE_NAMES = ("lemma1", "lemma2", "lemma3", "thm1", "thm2", "thm3", "gf", "asymptotics", "oracle")
+    ``n_max`` or ``m_max`` resizes the suites whose grid it names and is
+    ignored by the others.  The result counts every check made, up to and
+    including the first that fails.
+    """
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    sweep, grid, size, digits = SUITES[name]
+    size = {"n_max": n_max, "m_max": m_max}.get(grid) or size
+    checked = 0
+    for checked, counterexample in enumerate(sweep(size, ctx or context(digits)), 1):
+        if counterexample is not None:
+            return VerifyResult(name, checked, False, counterexample)
+    return VerifyResult(name, checked, True)

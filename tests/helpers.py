@@ -1,0 +1,10 @@
+"""Numeric helpers shared by the tests."""
+
+
+def ulp(x, ctx):
+    """One unit in the last place of ``x`` at context precision (of 1 if x == 0)."""
+    mp = ctx.mp
+    x = ctx.real(x)
+    if x == 0:
+        return mp.mpf(10) ** (1 - ctx.digits)
+    return mp.mpf(2) ** (mp.mag(x) - mp.prec)

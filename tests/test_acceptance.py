@@ -15,21 +15,11 @@ from partition_asymptotics import (
     nu,
     r_hat,
     remainder_exact,
+    run_suite,
     theta,
     thm3_bounds,
 )
 from partition_asymptotics.cli import format_at_exponent, normalized_exponent
-from partition_asymptotics.verify import (
-    verify_gf,
-    verify_lemma1,
-    verify_lemma2,
-    verify_lemma3,
-    verify_oracle,
-    verify_thm1,
-    verify_thm2,
-    verify_thm3,
-)
-
 # Frozen reference strings for the table1/table2 outputs.  Per block
 # (n, N[, C]): exact remainder, lower bound, upper bound, all three sharing
 # the exponent of the block's largest entry.
@@ -150,40 +140,45 @@ def test_criterion_04_quartic_corollary(ctx80, table):
     assert _report("4 quartic remainder corollary", constants_ok and enclosed)
 
 
-def test_criterion_05_t1_enclosure_sweep(ctx80, table):
+def test_criterion_05_t1_enclosure_sweep(ctx80):
     started = time.monotonic()
-    result = verify_thm1(n_max=500, N_max=12, ctx=ctx80, table=table)
+    result = run_suite("thm1", n_max=500, ctx=ctx80)
     elapsed = time.monotonic() - started
-    ok = result.ok and elapsed < 120
+    ok = result.ok and result.checked == 6500 and elapsed < 120
     detail = f"{result.checked} cases, {elapsed:.1f}s"
     if result.counterexample:
         detail += f", {result.counterexample}"
     assert _report("5 T1 enclosure sweep", ok, detail)
 
 
-def test_criterion_06_t2_enclosure_and_nesting(ctx80, table):
-    result = verify_thm2(n_max=500, N_max=12, ctx=ctx80, table=table)
-    assert _report("6 T2 enclosure and nesting", result.ok, result.counterexample or "")
+def test_criterion_06_t2_enclosure_and_nesting(ctx80):
+    result = run_suite("thm2", n_max=500, ctx=ctx80)
+    ok = result.ok and result.checked == 6500
+    assert _report("6 T2 enclosure and nesting", ok, result.counterexample or "")
 
 
 def test_criterion_07_coefficients_decreasing_certified():
-    result = verify_lemma1(m_max=400)
-    assert _report("7 |c_m| strictly decreasing (certified)", result.ok, result.counterexample or "")
+    result = run_suite("lemma1", m_max=400)
+    ok = result.ok and result.checked == 400
+    assert _report("7 |c_m| strictly decreasing (certified)", ok, result.counterexample or "")
 
 
 def test_criterion_08_coefficient_bound(ctx80):
-    result = verify_lemma2(m_max=400, ctx=ctx80)
-    assert _report("8 coefficient envelope", result.ok, result.counterexample or "")
+    result = run_suite("lemma2", m_max=400, ctx=ctx80)
+    ok = result.ok and result.checked == 20702
+    assert _report("8 coefficient envelope", ok, result.counterexample or "")
 
 
-def test_criterion_09_residual_envelope(ctx80, table):
-    result = verify_lemma3(n_max=500, ctx=ctx80, table=table)
-    assert _report("9 residual envelope and brackets", result.ok, result.counterexample or "")
+def test_criterion_09_residual_envelope(ctx80):
+    result = run_suite("lemma3", n_max=500, ctx=ctx80)
+    ok = result.ok and result.checked == 7492
+    assert _report("9 residual envelope and brackets", ok, result.counterexample or "")
 
 
 def test_criterion_10_generating_function(ctx60):
-    result = verify_gf(order=100, ctx=ctx60)
-    deviation_ok = result.ok  # tolerance inside the sweep is 10^-(60-15) = 1e-45
+    result = run_suite("gf", m_max=100, ctx=ctx60)
+    # tolerance inside the sweep is 10^-(60-15) = 1e-45
+    deviation_ok = result.ok and result.checked == 101
     assert _report("10 generating-function identity", deviation_ok, result.counterexample or "")
 
 
@@ -206,9 +201,10 @@ def test_criterion_11_coefficient_asymptotics(ctx80):
     )
 
 
-def test_criterion_12_oracle_equivalence(table):
-    result = verify_oracle(n_max=2000, table=table)
-    assert _report("12 two-algorithm equivalence", result.ok, f"{result.checked} values")
+def test_criterion_12_oracle_equivalence():
+    result = run_suite("oracle", n_max=2000)
+    ok = result.ok and result.checked == 2001
+    assert _report("12 two-algorithm equivalence", ok, f"{result.checked} values")
 
 
 def test_criterion_13_tail_mediant_identity(ctx80, table):
@@ -234,7 +230,8 @@ def test_criterion_13_tail_mediant_identity(ctx80, table):
     assert _report("13 tail mediant identity", ok, detail)
 
 
-def test_criterion_bonus_t3_threshold_sweeps(ctx80, table):
+def test_criterion_bonus_t3_threshold_sweeps(ctx80):
     # T3 enclosure from each reference threshold upward (supports criteria 2-4)
-    result = verify_thm3(span=200, ctx=ctx80, table=table)
-    assert _report("T3 threshold sweeps", result.ok, result.counterexample or "")
+    result = run_suite("thm3", ctx=ctx80)
+    ok = result.ok and result.checked == 1005
+    assert _report("T3 threshold sweeps", ok, result.counterexample or "")

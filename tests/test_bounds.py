@@ -15,9 +15,10 @@ from partition_asymptotics import (
     thm1_bounds,
     thm2_bounds,
     thm3_bounds,
-    ulp,
 )
 from partition_asymptotics.cli import format_at_exponent, format_scientific
+
+from helpers import ulp
 
 
 def test_t1_structure(ctx80):

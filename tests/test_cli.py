@@ -1,9 +1,12 @@
 """CLI behaviour: outputs, formats, determinism, caching, precision gates."""
 
+import argparse
 import io
 import json
 
-from partition_asymptotics.cli import run
+import partition_asymptotics
+from partition_asymptotics import load_table, verify
+from partition_asymptotics.cli import build_parser, run
 
 TABLE1_GOLDEN = """\
 n = 200
@@ -153,8 +156,30 @@ def test_cache_env_fallback(tmp_path, monkeypatch):
     assert status == 0 and cache.exists()
 
 
-def test_corrupt_cache_rejected(tmp_path):
+def _assert_rebuilt(cache, capsys):
+    # a bad cache file is never served: one warning, then rebuilt and rewritten
+    status, out = invoke("--cache", str(cache), "partition", "2")
+    assert status == 0
+    assert out == "n = 2\np = 2\n\n"
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 1 and warnings[0].startswith("warning: ")
+    assert load_table(str(cache)).values == (1, 1, 2)
+
+
+def test_corrupt_cache_rejected(tmp_path, capsys):
     cache = tmp_path / "broken.tsv"
     cache.write_text("0\t1\n1\t1\n2\t1\n")  # not strictly increasing
-    status, _ = invoke("--cache", str(cache), "partition", "2")
-    assert status == 2
+    _assert_rebuilt(cache, capsys)
+
+
+def test_truncated_cache_rebuilt(tmp_path, capsys):
+    cache = tmp_path / "truncated.tsv"
+    cache.write_text("0\t1\n1\t1\n2\t2\n3\t3\n4\t")  # cut off mid-line
+    _assert_rebuilt(cache, capsys)
+
+
+def test_public_surface():
+    assert all(hasattr(partition_asymptotics, name) for name in partition_asymptotics.__all__)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == verify.SUITE_NAMES

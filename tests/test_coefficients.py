@@ -15,10 +15,11 @@ from partition_asymptotics import (
     coeff_bound,
     coeff_c,
     coeff_exact,
-    coeff_sequence,
     darboux_approximant,
 )
 from partition_asymptotics import coefficients
+
+from helpers import ulp
 
 
 def _exact_terms(m):
@@ -188,6 +189,29 @@ def test_bound_values(ctx80):
     assert mp.almosteq(coeff_bound(1, ctx80), expected_1, rel_eps=mp.mpf(10) ** -70)
 
 
+def test_envelope_pieces(ctx80):
+    mp = ctx80.mp
+    even_amplitude = coefficients.coeff_envelope(0, ctx80)[0]
+    odd_amplitude = coefficients.coeff_envelope(1, ctx80)[0]
+    for m in range(0, 41):
+        amplitude, shape, correction = coefficients.coeff_envelope(m, ctx80)
+        j = m // 2
+        if m % 2 == 0:
+            assert amplitude == even_amplitude
+            assert shape == mp.sqrt(2 * j + 1)
+            expected = mp.sqrt(mp.mpf(4 * j + 2) / (4 * j + 1))
+        else:
+            assert amplitude == odd_amplitude
+            assert shape == mp.sqrt(2 * j + 2)
+            expected = mp.sqrt(mp.mpf(4 * j + 4) / (4 * j + 5))
+        assert abs(correction - expected) <= 2 * ulp(expected, ctx80)
+        scaled = amplitude * shape / mp.sqrt(24) ** m
+        assert coeff_bound(m, ctx80) == scaled * correction
+        assert coeff_asymptotic(m, ctx80) == (scaled if m % 2 == 0 else -scaled)
+    with pytest.raises(ValueError):
+        coefficients.coeff_envelope(-1, ctx80)
+
+
 def test_bound_dominates(ctx80):
     for m in range(0, 401):
         assert abs(coeff_c(m, ctx80)) <= coeff_bound(m, ctx80)
@@ -217,14 +241,6 @@ def test_darboux_signs_and_convergence(ctx80):
         assert (darboux_approximant(m, ctx80) > 0) == (m % 2 == 0)
     deviation = abs(darboux_approximant(300, ctx80) / coeff_c(300, ctx80) - 1)
     assert deviation < mp.mpf("0.02")
-
-
-def test_sequence_type(ctx80):
-    seq = coeff_sequence(20, ctx80)
-    assert len(seq.entries) == 21
-    assert seq.context == ctx80
-    assert seq.entries[0] == 1
-    assert seq.entries[3] == coeff_c(3, ctx80)
 
 
 def test_memo_consistent_under_threads(ctx80):

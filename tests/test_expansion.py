@@ -18,9 +18,10 @@ from partition_asymptotics import (
     t_bound_simple,
     t_bound_simple_bracket,
     theta,
-    ulp,
 )
 from partition_asymptotics.cli import format_scientific
+
+from helpers import ulp
 
 
 def test_mu_values(ctx80):

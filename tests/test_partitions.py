@@ -6,6 +6,7 @@ import math
 import pytest
 
 from partition_asymptotics import (
+    PartitionTable,
     ResourceError,
     load_table,
     partition_dp,
@@ -100,6 +101,18 @@ def test_save_load_round_trip(tmp_path):
     save_table(table, str(path))
     loaded = load_table(str(path))
     assert loaded == table
+
+
+def test_save_replaces_atomically(tmp_path):
+    # a write that fails part-way leaves the previous file whole and no temp file
+    table = partition_pentagonal(50)
+    path = tmp_path / "table.tsv"
+    save_table(table, str(path))
+    unwritable = PartitionTable(values=("\u00e9",) + table.values[1:], n_max=50)
+    with pytest.raises(UnicodeEncodeError):
+        save_table(unwritable, str(path))
+    assert load_table(str(path)) == table
+    assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]
 
 
 def test_loader_validates(tmp_path):

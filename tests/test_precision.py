@@ -1,4 +1,4 @@
-"""Context arithmetic, special functions, and the Lambert W branch."""
+"""Context arithmetic, the rational pi enclosure, and the Lambert W branch."""
 
 from fractions import Fraction
 
@@ -7,15 +7,12 @@ import pytest
 from partition_asymptotics import (
     DomainError,
     PrecisionContext,
-    const_pi,
-    cosh_real,
-    exp_real,
     lambert_w_minus1,
     pi_enclosure,
-    sinh_real,
-    sqrt_real,
-    ulp,
 )
+from partition_asymptotics.coefficients import coeff_envelope
+
+from helpers import ulp
 
 # pi truncated after 50 decimal places (published digits; the next ones are 582...)
 PI_TRUNCATED = Fraction("3.14159265358979323846264338327950288419716939937510")
@@ -42,19 +39,22 @@ def test_real_exact_decimal_strings(ctx80):
 
 def test_pi_thirty_digits():
     ctx = PrecisionContext(30)
-    assert ctx.mp.nstr(const_pi(ctx), 30) == "3.14159265358979323846264338328"
+    lo, hi = pi_enclosure(30)
+    assert ctx.mp.nstr(ctx.real((lo + hi) / 2), 30) == "3.14159265358979323846264338328"
 
 
 def test_pi_refinement_consistency():
-    ctx30 = PrecisionContext(30)
-    ctx60 = PrecisionContext(60)
-    refined = ctx30.real(const_pi(ctx60))
-    assert abs(refined - const_pi(ctx30)) <= 2 * ulp(const_pi(ctx30), ctx30)
+    # a finer enclosure sits inside a coarser one
+    lo30, hi30 = pi_enclosure(30)
+    lo60, hi60 = pi_enclosure(60)
+    assert lo30 <= lo60 < hi60 <= hi30
 
 
 def test_pi_sin_is_zero():
+    # sin changes sign across the enclosure, so pi lies inside it
     ctx = PrecisionContext(80)
-    assert abs(ctx.mp.sin(const_pi(ctx))) < ctx.mp.mpf(10) ** -78
+    lo, hi = pi_enclosure(60)
+    assert ctx.mp.sin(ctx.real(lo)) > 0 > ctx.mp.sin(ctx.real(hi))
 
 
 def test_pi_against_rational_enclosure(ctx80):
@@ -62,49 +62,40 @@ def test_pi_against_rational_enclosure(ctx80):
     assert hi - lo < Fraction(1, 10**60)
     # the enclosure sits inside the window pinned by the known 50-digit prefix
     assert PI_TRUNCATED < lo < hi < PI_TRUNCATED + Fraction(1, 10**50)
-    pi_val = const_pi(ctx80)
+    pi_val = ctx80.mp.pi
     assert ctx80.real(lo) <= pi_val <= ctx80.real(hi)
 
 
-def test_sqrt_negative_rejected(ctx80):
-    with pytest.raises(DomainError):
-        sqrt_real(-1, ctx80)
-
-
-def test_hyperbolic_trivial_values(ctx80):
-    assert sinh_real(0, ctx80) == 0
-    assert cosh_real(0, ctx80) == 1
+def _hyperbolic_pi_over_six(ctx):
+    # sinh(pi/6) and cosh(pi/6) as src computes them: the even and odd
+    # amplitudes of the coefficient envelope over 6*sqrt(2)/pi^(3/2)
+    mp = ctx.mp
+    base = 6 * mp.sqrt(2) / mp.pi ** mp.mpf("1.5")
+    return coeff_envelope(0, ctx)[0] / base, coeff_envelope(1, ctx)[0] / base
 
 
 def test_sinh_pi_over_six_against_taylor(ctx80):
-    # independent oracle: 30 Taylor terms of sinh at pi/6
+    # independent oracle: 30 Taylor terms each of sinh and cosh at pi/6
     mp = ctx80.mp
-    x = const_pi(ctx80) / 6
-    total = mp.mpf(0)
-    term = x
+    x = mp.pi / 6
+    sinh_sum, cosh_sum = mp.mpf(0), mp.mpf(0)
+    odd_term, even_term = x, mp.mpf(1)
     for k in range(30):
-        total += term
-        term = term * x * x / ((2 * k + 2) * (2 * k + 3))
-    value = sinh_real(x, ctx80)
-    assert abs(value - total) <= 32 * ulp(value, ctx80)
-    assert mp.nstr(value, 10) == "0.5478534739"
+        sinh_sum += odd_term
+        cosh_sum += even_term
+        odd_term = odd_term * x * x / ((2 * k + 2) * (2 * k + 3))
+        even_term = even_term * x * x / ((2 * k + 1) * (2 * k + 2))
+    sinh_value, cosh_value = _hyperbolic_pi_over_six(ctx80)
+    assert abs(sinh_value - sinh_sum) <= 32 * ulp(sinh_value, ctx80)
+    assert abs(cosh_value - cosh_sum) <= 32 * ulp(cosh_value, ctx80)
+    assert mp.nstr(sinh_value, 10) == "0.5478534739"
 
 
-def test_hyperbolic_pythagorean_identity(ctx80):
-    mp = ctx80.mp
-    for i in range(0, 51):
-        x = mp.mpf(i) / 10
-        c, s = cosh_real(x, ctx80), sinh_real(x, ctx80)
-        assert abs(c**2 - s**2 - 1) <= 8 * ulp(c**2, ctx80)
-
-
-@pytest.mark.parametrize("fn", [exp_real, sinh_real, cosh_real, sqrt_real])
-def test_refinement_consistency(fn, ctx80):
-    fine = PrecisionContext(160)
-    for value in ("0.1", "1.5", "3.25", "4.875"):
-        coarse_result = fn(ctx80.real(value), ctx80)
-        fine_result = ctx80.real(fn(fine.real(value), fine))
-        assert abs(coarse_result - fine_result) <= 2 * ulp(coarse_result, ctx80)
+def test_hyperbolic_pythagorean_identity():
+    for digits in (30, 50, 80, 160):
+        ctx = PrecisionContext(digits)
+        s, c = _hyperbolic_pi_over_six(ctx)
+        assert abs(c**2 - s**2 - 1) <= 8 * ulp(c**2, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +118,12 @@ def _bisect_w(x, ctx):
 
 
 def test_lambert_branch_point(ctx80):
-    x = -exp_real(-1, ctx80)
+    x = -ctx80.mp.exp(-1)
     assert lambert_w_minus1(x, ctx80) == -1
 
 
 def test_lambert_exact_point(ctx80):
-    x = ctx80.real(-2) * exp_real(-2, ctx80)
+    x = ctx80.real(-2) * ctx80.mp.exp(-2)
     w = lambert_w_minus1(x, ctx80)
     assert abs(w + 2) <= 4 * ulp(w, ctx80)
 
@@ -140,7 +131,7 @@ def test_lambert_exact_point(ctx80):
 def test_lambert_against_bisection(ctx80):
     # the argument that reproduces the threshold value 116 downstream
     mp = ctx80.mp
-    x = -(const_pi(ctx80) / 48) * (ctx80.real("3.474") * mp.sqrt(5)) ** ctx80.real(Fraction(1, 4))
+    x = -(mp.pi / 48) * (ctx80.real("3.474") * mp.sqrt(5)) ** ctx80.real(Fraction(1, 4))
     assert mp.nstr(x, 5) == "-0.10927"
     w = lambert_w_minus1(x, ctx80)
     assert abs(w - _bisect_w(x, ctx80)) <= 4 * ulp(w, ctx80)
@@ -152,10 +143,10 @@ def _lambert_grid(ctx):
     mp = ctx.mp
     xs = []
     for k in range(2, 12):
-        xs.append(-exp_real(-1, ctx) + mp.mpf(10) ** -k)
+        xs.append(-mp.exp(-1) + mp.mpf(10) ** -k)
     for k in range(1, 13):
         xs.append(-mp.mpf(10) ** (-mp.mpf(k) / 2))
-    return sorted(x for x in xs if -exp_real(-1, ctx) <= x < 0)
+    return sorted(x for x in xs if -mp.exp(-1) <= x < 0)
 
 
 def test_lambert_residual_and_branch_on_grid(ctx80):

@@ -15,8 +15,9 @@ from partition_asymptotics import (
     series_binomial_power,
     series_exp,
     series_mul,
-    ulp,
 )
+
+from helpers import ulp
 
 
 def test_mul_identity(ctx60):
