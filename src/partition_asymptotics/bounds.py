@@ -19,10 +19,10 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .coefficients import coeff_c, coeff_envelope
+from .coefficients import coeff_envelope
 from .errors import DomainError
-from .expansion import exp_error_term
-from .precision import PrecisionContext, context, lambert_w_minus1
+from .expansion import _term, exp_error_term
+from .precision import PrecisionContext, lambert_w_minus1
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def thm1_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     _require(n, N)
     mp = ctx.mp
     E = exp_error_term(n, ctx)
-    first_omitted = coeff_c(N, ctx) / mp.sqrt(mp.mpf(n)) ** N
+    first_omitted = _term(N, mp.sqrt(mp.mpf(n)), ctx)
     if N % 2 == 0:
         lower, upper = -E, first_omitted + E
     else:
@@ -89,7 +89,7 @@ def nu(N: int, C, ctx: PrecisionContext) -> int:
     """
     if N < 1:
         raise DomainError(f"N must be positive, got {N}")
-    work = context(2 * ctx.digits + 10)
+    work = PrecisionContext(2 * ctx.digits + 10)
     mp = work.mp
     c_val = work.real(C)
     if not c_val > 0:

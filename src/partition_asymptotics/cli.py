@@ -323,7 +323,7 @@ def run(argv=None, stream=None) -> int:
             records, status = cmd_verify(args, ctx)
         else:
             records, status = COMMANDS[args.command](args, ctx), 0
-    except (DomainError, PrecisionError, ResourceError, ValueError) as exc:
+    except (DomainError, PrecisionError, ResourceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     EMITTERS[args.format](records, stream)

@@ -19,26 +19,11 @@ are its midpoint.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from .errors import PrecisionError
-from .precision import PrecisionContext, context, pi_enclosure
-
-
-@dataclass(frozen=True)
-class PiPolynomial:
-    """Exact value of (4*sqrt(6))^m * |c_m| as sum of q_e * pi^e terms.
-
-    ``terms`` maps the integer exponent e (m, m-2, ..., down to 0 for even m
-    and to -1 for odd m) to its positive rational coefficient;
-    ``scale_exponent`` is m.  The signed coefficient is
-    (-1)^m * (sum of terms) / (4*sqrt(6))^m.
-    """
-
-    terms: dict
-    scale_exponent: int
+from .precision import PrecisionContext, pi_enclosure
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,13 +41,6 @@ def _integer_form(m: int) -> tuple:
         for k in range((m + 1) // 2 + 1)
     )
     return numerators, top * 6**m
-
-
-def coeff_exact(m: int) -> PiPolynomial:
-    """Exact pi-polynomial form of (4*sqrt(6))^m * |c_m|."""
-    numerators, denominator = _integer_form(m)
-    terms = {m - 2 * k: Fraction(a, denominator) for k, a in enumerate(numerators)}
-    return PiPolynomial(terms=terms, scale_exponent=m)
 
 
 def _bracket(m: int, bits: int) -> tuple:
@@ -90,23 +68,23 @@ def _bracket(m: int, bits: int) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _coeff_value(m: int, digits: int):
-    mp = context(digits + 10).mp
+    mp = PrecisionContext(digits + 10).mp
     bits = (digits + 10) * 10 // 3 + 64
     lo, hi = _bracket(m, bits)
     denominator = _integer_form(m)[1]
     magnitude = mp.ldexp(lo + hi, -bits - 1) / (mp.pi * denominator * mp.sqrt(96) ** m)
     signed = -magnitude if m % 2 else magnitude
-    return context(digits).real(signed)
+    return PrecisionContext(digits).real(signed)
 
 
 def coeff_c(m: int, ctx: PrecisionContext):
     """c_m at context precision.  Memoized per (m, digits)."""
-    return ctx.real(_coeff_value(m, ctx.digits))
+    return _coeff_value(m, ctx.digits)
 
 
 @functools.lru_cache(maxsize=None)
 def _even_odd_prefactor(digits: int):
-    mp = context(digits).mp
+    mp = PrecisionContext(digits).mp
     base = 6 * mp.sqrt(2) / mp.pi ** mp.mpf("1.5")
     return base * mp.sinh(mp.pi / 6), base * mp.cosh(mp.pi / 6)
 
@@ -125,8 +103,8 @@ def coeff_envelope(m: int, ctx: PrecisionContext) -> tuple:
     even_pref, odd_pref = _even_odd_prefactor(ctx.digits)
     j = m // 2
     if m % 2 == 0:
-        return ctx.real(even_pref), mp.sqrt(2 * j + 1), mp.sqrt(1 + mp.mpf(1) / (4 * j + 1))
-    return ctx.real(odd_pref), mp.sqrt(2 * j + 2), mp.sqrt(1 - mp.mpf(1) / (4 * j + 5))
+        return even_pref, mp.sqrt(2 * j + 1), mp.sqrt(1 + mp.mpf(1) / (4 * j + 1))
+    return odd_pref, mp.sqrt(2 * j + 2), mp.sqrt(1 - mp.mpf(1) / (4 * j + 5))
 
 
 def coeff_bound(m: int, ctx: PrecisionContext):

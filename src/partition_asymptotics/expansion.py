@@ -16,12 +16,14 @@ and the tail mediant theta_N(n) = (full tail) / (first omitted term).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .coefficients import coeff_c
+from .coefficients import coeff_c, coeff_envelope
 from .errors import PrecisionError, PrecisionWarning
 from .partitions import PartitionTable
 from .precision import PrecisionContext
@@ -60,16 +62,26 @@ def prefactor(n: int, ctx: PrecisionContext):
     return mp.exp(mp.pi * mp.sqrt(mp.mpf(2 * n) / 3)) / (4 * mp.sqrt(3) * n)
 
 
+def _term(m: int, root_n, ctx: PrecisionContext):
+    """c_m / n^(m/2), the m-th term of the expansion, given root_n = sqrt(n)."""
+    return coeff_c(m, ctx) / root_n**m
+
+
+def _partial_sums(n: int, ctx: PrecisionContext):
+    """The running partial sums S_0 = 0, S_1, S_2, ... at n (unbounded)."""
+    mp = ctx.mp
+    root_n = mp.sqrt(mp.mpf(n))
+    total = mp.mpf(0)
+    for m in itertools.count():
+        yield total
+        total += _term(m, root_n, ctx)
+
+
 def partial_sum(n: int, N: int, ctx: PrecisionContext):
     """sum_{m=0}^{N-1} c_m / n^(m/2); zero when N == 0."""
     if n < 1 or N < 0:
         raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
-    mp = ctx.mp
-    root_n = mp.sqrt(mp.mpf(n))
-    total = mp.mpf(0)
-    for m in range(N):
-        total += coeff_c(m, ctx) / root_n**m
-    return total
+    return next(itertools.islice(_partial_sums(n, ctx), N, None))
 
 
 def normalized_partition(n: int, table: PartitionTable, ctx: PrecisionContext):
@@ -94,10 +106,12 @@ def _warn_if_low_precision(n: int, ctx: PrecisionContext) -> None:
         )
 
 
-def _guard_cancellation(result, scale, ctx: PrecisionContext, what: str):
-    """Reject results whose surviving significant digits fall below the floor."""
+def _subtract(lhs, series, ctx: PrecisionContext, what: str):
+    """lhs - series, rejected when fewer than _MIN_SIG_DIGITS significant digits survive."""
+    result = lhs - series
     if result == 0:
         raise PrecisionError(f"{what}: complete cancellation at digits={ctx.digits}")
+    scale = max(abs(lhs), abs(series), ctx.mp.mpf(1))
     lost = float(ctx.mp.log10(scale / abs(result)))
     remaining = ctx.digits - _ERROR_MARGIN_DIGITS - lost
     if remaining < _MIN_SIG_DIGITS:
@@ -123,49 +137,66 @@ def remainder_exact(
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
     _warn_if_low_precision(n, ctx)
-    mp = ctx.mp
     lhs = normalized_partition(n, table, ctx)
     partial = partial_sum(n, N, ctx)
-    remainder = lhs - partial
-    scale = max(abs(lhs), abs(partial), mp.mpf(1))
-    _guard_cancellation(remainder, scale, ctx, f"remainder_exact(n={n}, N={N})")
     return RemainderResult(
         n=n,
         N=N,
-        remainder=remainder,
+        remainder=_subtract(lhs, partial, ctx, f"remainder_exact(n={n}, N={N})"),
         partial_sum=partial,
         prefactor=prefactor(n, ctx),
         theta=theta(n, N, ctx) if include_theta else None,
     )
 
 
+def remainder_row(n: int, N_max: int, table: PartitionTable, ctx: PrecisionContext):
+    """Yield remainder_exact(n, N, table, ctx) for N = 0..N_max, bit for bit.
+
+    P(n) and the prefactor are evaluated once and the partial sums accumulate
+    term by term.  Each entry is guarded against cancellation as it is
+    yielded, so a PrecisionError arrives at the first N that remainder_exact
+    rejects and no earlier.
+    """
+    if n < 1 or N_max < 0:
+        raise ValueError(f"need n >= 1 and N_max >= 0, got n={n}, N_max={N_max}")
+    _warn_if_low_precision(n, ctx)
+    lhs = normalized_partition(n, table, ctx)
+    factor = prefactor(n, ctx)
+    for N, partial in zip(range(N_max + 1), _partial_sums(n, ctx)):
+        remainder = _subtract(lhs, partial, ctx, f"remainder_row(n={n}, N={N})")
+        yield RemainderResult(n=n, N=N, remainder=remainder, partial_sum=partial, prefactor=factor)
+
+
+@functools.lru_cache(maxsize=None)
 def full_sum(n: int, ctx: PrecisionContext):
     """sum_{m=0}^{inf} c_m / n^(m/2), summed to context precision.
 
-    |c_m| decays like sqrt(m)/sqrt(24)^m, so the terms fall geometrically for
-    every n >= 1; summation stops after three consecutive terms below
-    10^-(digits+5) relative to the running sum (three in a row, in case a
-    single term is accidentally small).
+    The partial sum of the first ``_series_length(n, ctx)`` terms, memoized
+    per (n, digits) since there is one context per digit count.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    mp = ctx.mp
-    root_n = mp.sqrt(mp.mpf(n))
-    cutoff = mp.mpf(10) ** (-(ctx.digits + 5))
-    total = mp.mpf(0)
-    consecutive_small = 0
-    m = 0
-    while consecutive_small < 3:
-        term = coeff_c(m, ctx) / root_n**m
-        total += term
-        if abs(term) < cutoff * max(abs(total), mp.mpf(1)):
-            consecutive_small += 1
-        else:
-            consecutive_small = 0
-        m += 1
-        if m > 10000:
-            raise PrecisionError(f"full_sum(n={n}): tail did not fall below cutoff")
-    return total
+    return partial_sum(n, _series_length(n, ctx), ctx)
+
+
+def _series_length(n: int, ctx: PrecisionContext) -> int:
+    """The first M whose proven tail bound is below 10^-(digits+5).
+
+    With q = sqrt(24n) and A the odd (cosh) amplitude of ``coeff_envelope``,
+    the envelope gives |c_m| / n^(m/2) <= A sqrt(2(m+1)) q^(-m) for every m,
+    so the tail after M terms is at most A sqrt(2(M+1)) q^(-M) / (1 - 1/q)^2.
+    The terms alternate in sign and shrink, so every partial sum after S_0
+    lies in (0, 1] and the cutoff is also relative to the sum.  The bound is
+    compared in double-precision logarithms, whose rounding the 1e-6 margin
+    dwarfs.
+    """
+    log_q = math.log(24 * n) / 2
+    log_scale = math.log(coeff_envelope(1, ctx)[0]) - 2 * math.log(1 - math.exp(-log_q))
+    goal = -(ctx.digits + 5) * math.log(10) - 1e-6
+    M = 0
+    while log_scale + math.log(2 * (M + 1)) / 2 - M * log_q >= goal:
+        M += 1
+    return M
 
 
 def theta(n: int, N: int, ctx: PrecisionContext):
@@ -173,20 +204,14 @@ def theta(n: int, N: int, ctx: PrecisionContext):
     if n < 1 or N < 0:
         raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
     mp = ctx.mp
-    tail = full_sum(n, ctx) - partial_sum(n, N, ctx)
-    first_omitted = coeff_c(N, ctx) / mp.sqrt(mp.mpf(n)) ** N
-    return tail / first_omitted
+    return (full_sum(n, ctx) - partial_sum(n, N, ctx)) / _term(N, mp.sqrt(mp.mpf(n)), ctx)
 
 
 def r_hat(n: int, table: PartitionTable, ctx: PrecisionContext):
     """Residual of the full convergent series against the normalized p(n)."""
     _warn_if_low_precision(n, ctx)
-    mp = ctx.mp
     lhs = normalized_partition(n, table, ctx)
-    series = full_sum(n, ctx)
-    residual = lhs - series
-    scale = max(abs(lhs), abs(series), mp.mpf(1))
-    return _guard_cancellation(residual, scale, ctx, f"r_hat(n={n})")
+    return _subtract(lhs, full_sum(n, ctx), ctx, f"r_hat(n={n})")
 
 
 def t_bound_full(n: int, ctx: PrecisionContext):

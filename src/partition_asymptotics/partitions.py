@@ -76,11 +76,6 @@ def partition_dp_row(n: int, cap: int = DP_CAP) -> list:
     return ways
 
 
-def partition_dp(n: int, cap: int = DP_CAP) -> int:
-    """p(n) by the counting dynamic program; independent of the recurrence path."""
-    return partition_dp_row(n, cap=cap)[n]
-
-
 def save_table(table: PartitionTable, path: str) -> None:
     """Write the table as one "n<TAB>p(n)" line per entry, in decimal.
 

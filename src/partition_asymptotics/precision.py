@@ -2,8 +2,8 @@
 
 A :class:`PrecisionContext` fixes the number of decimal significant digits for
 all real arithmetic derived from it.  Values are mpmath floats bound to the
-context that produced them; contexts are independent objects, so two different
-precisions never interfere and nothing global is mutated.
+context that produced them; there is one shared context per digit count, so
+two different precisions never interfere and nothing global is mutated.
 """
 
 from __future__ import annotations
@@ -26,27 +26,27 @@ class PrecisionContext:
 
     Settings below ``MIN_DIGITS`` are rejected: the toolkit refuses to run in a
     regime where its own guard margins are larger than the precision itself.
-    Two contexts with equal ``digits`` are interchangeable.
+    ``PrecisionContext(d)`` returns one shared instance per ``d``, so equal
+    digits mean the same object.
     """
 
     __slots__ = ("digits", "_mp")
+    _shared: dict = {}
 
-    def __init__(self, digits: int):
+    def __new__(cls, digits: int):
         if not isinstance(digits, int) or digits < MIN_DIGITS:
             raise DomainError(f"digits must be an integer >= {MIN_DIGITS}, got {digits!r}")
-        object.__setattr__(self, "digits", digits)
-        mp = MPContext()
-        mp.dps = digits
-        object.__setattr__(self, "_mp", mp)
+        if digits not in cls._shared:
+            self = object.__new__(cls)
+            object.__setattr__(self, "digits", digits)
+            mp = MPContext()
+            mp.dps = digits
+            object.__setattr__(self, "_mp", mp)
+            cls._shared.setdefault(digits, self)
+        return cls._shared[digits]
 
     def __setattr__(self, name, value):
         raise AttributeError("PrecisionContext is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, PrecisionContext) and other.digits == self.digits
-
-    def __hash__(self):
-        return hash(("PrecisionContext", self.digits))
 
     def __repr__(self):
         return f"PrecisionContext(digits={self.digits})"
@@ -76,12 +76,6 @@ class PrecisionContext:
         raise DomainError(f"cannot interpret {value!r} as a real number")
 
 
-@functools.lru_cache(maxsize=None)
-def context(digits: int) -> PrecisionContext:
-    """Shared context instance per digit count (used by internal caches)."""
-    return PrecisionContext(digits)
-
-
 def lambert_w_minus1(x, ctx: PrecisionContext):
     """Branch -1 of the Lambert W function: the solution w <= -1 of w*e^w = x.
 
@@ -89,7 +83,7 @@ def lambert_w_minus1(x, ctx: PrecisionContext):
     the log-log asymptote elsewhere, then refines by Halley iteration at twice
     the working precision, so the returned value is correctly rounded.
     """
-    hi = context(2 * ctx.digits + _GUARD_DIGITS).mp
+    hi = PrecisionContext(2 * ctx.digits + _GUARD_DIGITS).mp
     x = hi.mpf(ctx.real(x)._mpf_)
     if x >= 0:
         raise DomainError(f"lambert_w_minus1 requires x < 0, got {x}")

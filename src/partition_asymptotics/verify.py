@@ -27,12 +27,13 @@ from .expansion import (
     mu,
     r_hat,
     remainder_exact,
+    remainder_row,
     t_bound_full,
     t_bound_simple,
     t_bound_simple_bracket,
 )
 from .partitions import partition_dp_row, partition_pentagonal
-from .precision import PrecisionContext, context
+from .precision import PrecisionContext
 from .series import gf_coefficients, gf_reference
 
 # the enclosure sweeps check every N in 0..ENCLOSURE_N_MAX at each n
@@ -138,21 +139,20 @@ def _thm1(n_max: int, ctx: PrecisionContext):
     """Strict enclosure of the exact remainder by the T1 interval."""
     table = partition_pentagonal(n_max)
     for n in range(1, n_max + 1):
-        for N in range(ENCLOSURE_N_MAX + 1):
-            report = thm1_bounds(n, N, ctx)
-            remainder = remainder_exact(n, N, table, ctx).remainder
-            enclosed = report.lower < remainder < report.upper
-            yield None if enclosed else f"T1 enclosure fails at n={n}, N={N}"
+        for row in remainder_row(n, ENCLOSURE_N_MAX, table, ctx):
+            report = thm1_bounds(n, row.N, ctx)
+            enclosed = report.lower < row.remainder < report.upper
+            yield None if enclosed else f"T1 enclosure fails at n={n}, N={row.N}"
 
 
 def _thm2(n_max: int, ctx: PrecisionContext):
     """Strict T2 enclosure plus nesting: the T1 interval sits inside T2."""
     table = partition_pentagonal(n_max)
     for n in range(1, n_max + 1):
-        for N in range(ENCLOSURE_N_MAX + 1):
+        for row in remainder_row(n, ENCLOSURE_N_MAX, table, ctx):
+            N, remainder = row.N, row.remainder
             t1 = thm1_bounds(n, N, ctx)
             t2 = thm2_bounds(n, N, ctx)
-            remainder = remainder_exact(n, N, table, ctx).remainder
             if not (t2.lower < remainder < t2.upper):
                 yield f"T2 enclosure fails at n={n}, N={N}"
             elif not (t2.lower <= t1.lower and t1.upper <= t2.upper):
@@ -250,15 +250,20 @@ def run_suite(
     """Run a named suite at its default grid size and digits unless overridden.
 
     ``n_max`` or ``m_max`` resizes the suites whose grid it names and is
-    ignored by the others.  The result counts every check made, up to and
+    ignored by the others; only ``None`` selects the default, and a negative
+    size raises ValueError.  The result counts every check made, up to and
     including the first that fails.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    sweep, grid, size, digits = SUITES[name]
-    size = {"n_max": n_max, "m_max": m_max}.get(grid) or size
+    sweep, grid, default, digits = SUITES[name]
+    size = {"n_max": n_max, "m_max": m_max}.get(grid)
+    if size is None:
+        size = default
+    elif size < 0:
+        raise ValueError(f"{grid} must be nonnegative, got {size}")
     checked = 0
-    for checked, counterexample in enumerate(sweep(size, ctx or context(digits)), 1):
+    for checked, counterexample in enumerate(sweep(size, ctx or PrecisionContext(digits)), 1):
         if counterexample is not None:
             return VerifyResult(name, checked, False, counterexample)
     return VerifyResult(name, checked, True)

@@ -178,6 +178,12 @@ def test_truncated_cache_rebuilt(tmp_path, capsys):
     _assert_rebuilt(cache, capsys)
 
 
+def test_directory_as_cache_is_an_error(tmp_path, capsys):
+    status, out = invoke("--cache", str(tmp_path), "partition", "5")
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_public_surface():
     assert all(hasattr(partition_asymptotics, name) for name in partition_asymptotics.__all__)
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

@@ -14,7 +14,6 @@ from partition_asymptotics import (
     coeff_asymptotic,
     coeff_bound,
     coeff_c,
-    coeff_exact,
     darboux_approximant,
 )
 from partition_asymptotics import coefficients
@@ -28,6 +27,12 @@ def _exact_terms(m):
         m - 2 * k: Fraction(comb(m + 1, k) * (m + 1 - k), factorial(m + 1 - 2 * k)) * Fraction(1, 6) ** (m - 2 * k)
         for k in range((m + 1) // 2 + 1)
     }
+
+
+def _integer_terms(m):
+    """The same pi-power coefficients, read back from the integer kernel's form."""
+    numerators, denominator = coefficients._integer_form(m)
+    return {m - 2 * k: Fraction(a, denominator) for k, a in enumerate(numerators)}
 
 
 def _pi_sum(m, mp):
@@ -44,18 +49,18 @@ def _closed_form(m, dps):
 
 
 def test_exact_terms_first_three():
-    assert coeff_exact(0).terms == {0: Fraction(1)}
-    assert coeff_exact(1).terms == {1: Fraction(1, 6), -1: Fraction(12)}
-    assert coeff_exact(2).terms == {2: Fraction(1, 72), 0: Fraction(6)}
-    assert coeff_exact(7).scale_exponent == 7
+    assert _integer_terms(0) == {0: Fraction(1)}
+    assert _integer_terms(1) == {1: Fraction(1, 6), -1: Fraction(12)}
+    assert _integer_terms(2) == {2: Fraction(1, 72), 0: Fraction(6)}
+    assert max(_integer_terms(7)) == 7
 
 
 def test_exact_exponent_structure():
     for m in (0, 1, 2, 5, 12, 33):
-        poly = coeff_exact(m)
+        terms = _integer_terms(m)
         expected = {m - 2 * k for k in range((m + 1) // 2 + 1)}
-        assert set(poly.terms) == expected
-        assert all(q > 0 for q in poly.terms.values())
+        assert set(terms) == expected
+        assert all(q > 0 for q in terms.values())
 
 
 def test_values_first_three(ctx80):
@@ -148,9 +153,8 @@ def test_bracket_encloses_exact_value():
 def test_integer_form_reproduces_exact_terms():
     for m in range(61):
         numerators, denominator = coefficients._integer_form(m)
-        assert all(isinstance(a, int) and a > 0 for a in numerators)
-        from_integers = {m - 2 * k: Fraction(a, denominator) for k, a in enumerate(numerators)}
-        assert from_integers == _exact_terms(m) == coeff_exact(m).terms
+        assert all(isinstance(a, int) and a > 0 for a in numerators + (denominator,))
+        assert _integer_terms(m) == _exact_terms(m)
 
 
 def test_values_within_one_ulp_of_closed_form():
@@ -252,6 +256,6 @@ def test_memo_consistent_under_threads(ctx80):
 
 def test_negative_m_rejected(ctx80):
     with pytest.raises(ValueError):
-        coeff_exact(-1)
+        coefficients._integer_form(-1)
     with pytest.raises(ValueError):
         coeff_bound(-1, ctx80)

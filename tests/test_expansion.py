@@ -11,14 +11,17 @@ from partition_asymptotics import (
     full_sum,
     mu,
     partial_sum,
+    partition_pentagonal,
     prefactor,
     r_hat,
     remainder_exact,
+    remainder_row,
     t_bound_full,
     t_bound_simple,
     t_bound_simple_bracket,
     theta,
 )
+from partition_asymptotics import coefficients, expansion
 from partition_asymptotics.cli import format_scientific
 
 from helpers import ulp
@@ -64,6 +67,42 @@ def test_remainder_reference_values(ctx80, table):
     assert format_scientific(remainder_exact(1000, 10, table, ctx80).remainder, ctx80) == "0.1676334056e-17"
 
 
+def _bits(result):
+    return [value._mpf_ for value in (result.remainder, result.partial_sum, result.prefactor)]
+
+
+def test_remainder_row_matches_remainder_exact(ctx80, table):
+    cases = [(n, ctx80, table) for n in (1, 2, 3, 10, 57, 200, 499, 1000, 2000)]
+    large = partition_pentagonal(15013)
+    for n in (10007, 15013):
+        cases.append((n, PrecisionContext(expansion.recommended_digits(n)), large))
+    for n, ctx, source in cases:
+        row = list(remainder_row(n, 12, source, ctx))
+        assert [result.N for result in row] == list(range(13))
+        for N, result in enumerate(row):
+            exact = remainder_exact(n, N, source, ctx)
+            assert (result.n, result.theta) == (n, None)
+            assert _bits(result) == _bits(exact), (n, N)
+
+
+def test_remainder_row_guards_only_the_entry_it_yields(table):
+    low = PrecisionContext(30)
+    failing = []
+    with pytest.warns(PrecisionWarning):
+        for N in range(13):
+            try:
+                remainder_exact(1000, N, table, low)
+            except PrecisionError:
+                failing.append(N)
+    assert failing and failing[0] > 0
+    row = remainder_row(1000, 12, table, low)
+    with pytest.warns(PrecisionWarning):
+        for N in range(failing[0]):
+            assert _bits(next(row)) == _bits(remainder_exact(1000, N, table, low))
+        with pytest.raises(PrecisionError):
+            next(row)
+
+
 def test_reconstruction(ctx80, table):
     # p(n) = prefactor * (partial_sum + remainder) to relative 10^-(digits-12)
     mp = ctx80.mp
@@ -101,6 +140,29 @@ def test_full_sum_mediates(ctx80):
     lhs = full_sum(1, ctx80)
     rhs = partial_sum(1, 0, ctx80) + theta(1, 0, ctx80) * coeff_c(0, ctx80)
     assert abs(lhs - rhs) <= 8 * ulp(lhs, ctx80)
+
+
+def test_full_sum_stop_bounds_the_true_tail():
+    # the proven tail bound after M terms dominates the tail of a sum at twice the
+    # digits, and the stop is the first M where it falls below 10^-(digits+5)
+    for n, digits in ((1, 30), (2, 50), (37, 80), (500, 80), (12345, 160)):
+        stop = expansion._series_length(n, PrecisionContext(digits))
+        wide = PrecisionContext(2 * digits)
+        mp = wide.mp
+        q = mp.sqrt(mp.mpf(24 * n))
+        amplitude = coefficients.coeff_envelope(1, wide)[0]
+
+        def bound(M):
+            return amplitude * mp.sqrt(2 * (M + 1)) / q**M / (1 - 1 / q) ** 2
+
+        reference = full_sum(n, wide)
+        for M in (0, 1, stop // 2, stop - 1, stop):
+            assert abs(reference - partial_sum(n, M, wide)) <= bound(M), (n, digits, M)
+        assert bound(stop) < mp.mpf(10) ** (-(digits + 5)) <= bound(stop - 1)
+
+
+def test_full_sum_is_shared_per_n_and_digits(ctx80):
+    assert full_sum(123, ctx80) is full_sum(123, PrecisionContext(80))
 
 
 def test_r_hat_envelope_and_pin(ctx100, table):

@@ -9,7 +9,6 @@ from partition_asymptotics import (
     PartitionTable,
     ResourceError,
     load_table,
-    partition_dp,
     partition_dp_row,
     partition_pentagonal,
     save_table,
@@ -43,14 +42,14 @@ def test_small_values_by_enumeration():
 
 
 def test_dp_small_values():
-    assert partition_dp(0) == 1
-    assert partition_dp(1) == 1
-    assert partition_dp(10) == 42
+    assert partition_dp_row(0)[0] == 1
+    assert partition_dp_row(1)[1] == 1
+    assert partition_dp_row(10)[10] == 42
 
 
 def test_p100_both_algorithms():
     assert partition_pentagonal(100).p(100) == 190569292
-    assert partition_dp(100) == 190569292
+    assert partition_dp_row(100)[100] == 190569292
 
 
 def test_algorithms_agree_to_300():
@@ -88,11 +87,11 @@ def test_caps():
     with pytest.raises(ResourceError):
         partition_pentagonal(101, cap=100)
     with pytest.raises(ResourceError):
-        partition_dp(101, cap=100)
+        partition_dp_row(101, cap=100)
     with pytest.raises(ResourceError):
         partition_pentagonal(-1)
     with pytest.raises(ResourceError):
-        partition_dp(-1)
+        partition_dp_row(-1)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -19,16 +19,19 @@ PI_TRUNCATED = Fraction("3.14159265358979323846264338327950288419716939937510")
 
 
 def test_context_rejects_low_digits():
-    with pytest.raises(DomainError):
-        PrecisionContext(29)
-    with pytest.raises(DomainError):
-        PrecisionContext(0)
+    for bad in (29, 0, 40.0, "40"):
+        with pytest.raises(DomainError):
+            PrecisionContext(bad)
+        with pytest.raises(DomainError):
+            PrecisionContext(bad)  # a rejected setting is not remembered
 
 
 def test_context_equality_and_hash():
+    assert PrecisionContext(40) is PrecisionContext(40)
     assert PrecisionContext(40) == PrecisionContext(40)
     assert hash(PrecisionContext(40)) == hash(PrecisionContext(40))
     assert PrecisionContext(40) != PrecisionContext(41)
+    assert PrecisionContext(40).mp is PrecisionContext(40).mp
 
 
 def test_real_exact_decimal_strings(ctx80):

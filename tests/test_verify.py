@@ -71,3 +71,12 @@ def test_grid_overrides_apply_only_to_their_suites(ctx80):
     # n_max does not resize an m_max suite, nor m_max an n_max suite
     assert run_suite("gf", n_max=5, ctx=ctx80).checked == 101
     assert run_suite("oracle", m_max=5).checked == 2001
+
+
+def test_grid_size_zero_is_honoured_and_negative_rejected(ctx80):
+    assert run_suite("oracle", n_max=0).checked == 1
+    assert run_suite("thm1", n_max=0, ctx=ctx80) == verify.VerifyResult("thm1", 0, True)
+    with pytest.raises(ValueError):
+        run_suite("oracle", n_max=-1)
+    with pytest.raises(ValueError):
+        run_suite("lemma1", m_max=-1)
