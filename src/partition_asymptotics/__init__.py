@@ -38,16 +38,7 @@ from .precision import (
     lambert_w_minus1,
     pi_enclosure,
 )
-from .series import (
-    PowerSeries,
-    gf_coefficients,
-    gf_reference,
-    power_series,
-    series_add,
-    series_binomial_power,
-    series_exp,
-    series_mul,
-)
+from .series import gf_coefficients, gf_reference
 from .verify import SUITE_NAMES, VerifyResult, run_suite
 
 __version__ = "0.1.0"
@@ -57,7 +48,6 @@ __all__ = [
     "DomainError",
     "MIN_DIGITS",
     "PartitionTable",
-    "PowerSeries",
     "PrecisionContext",
     "PrecisionError",
     "PrecisionWarning",
@@ -83,7 +73,6 @@ __all__ = [
     "partition_dp_row",
     "partition_pentagonal",
     "pi_enclosure",
-    "power_series",
     "prefactor",
     "r_hat",
     "recommended_digits",
@@ -91,10 +80,6 @@ __all__ = [
     "remainder_row",
     "run_suite",
     "save_table",
-    "series_add",
-    "series_binomial_power",
-    "series_exp",
-    "series_mul",
     "t_bound_full",
     "t_bound_simple",
     "t_bound_simple_bracket",

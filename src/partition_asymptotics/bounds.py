@@ -45,6 +45,17 @@ def _require(n: int, N: int) -> None:
         raise DomainError(f"N must be nonnegative, got {N}")
 
 
+def _enclosure(theorem, n, N, below, above, valid=True, C=None) -> BoundsReport:
+    """-below < R_N(n) < above for even N; the mirror -above < R_N(n) < below for odd N.
+
+    Every family encloses R_N(n) between an exponentially small or algebraic
+    part and the first omitted term (or its envelope), on the side of c_N's
+    sign (-1)^N, so each passes only its even-N pair.
+    """
+    lower, upper = (-below, above) if N % 2 == 0 else (-above, below)
+    return BoundsReport(n=n, N=N, lower=lower, upper=upper, theorem=theorem, valid=valid, C=C)
+
+
 def thm1_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     """First-omitted-term enclosure, valid for all n >= 1, N >= 0.
 
@@ -56,11 +67,7 @@ def thm1_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     mp = ctx.mp
     E = exp_error_term(n, ctx)
     first_omitted = _term(N, mp.sqrt(mp.mpf(n)), ctx)
-    if N % 2 == 0:
-        lower, upper = -E, first_omitted + E
-    else:
-        lower, upper = first_omitted - E, E
-    return BoundsReport(n=n, N=N, lower=lower, upper=upper, theorem="T1", valid=True)
+    return _enclosure("T1", n, N, E, abs(first_omitted) + E)
 
 
 def thm2_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
@@ -70,11 +77,7 @@ def thm2_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     E = exp_error_term(n, ctx)
     amplitude, shape, correction = coeff_envelope(N, ctx)
     envelope = amplitude * shape / mp.sqrt(mp.mpf(24 * n)) ** N * correction
-    if N % 2 == 0:
-        lower, upper = -E, envelope + E
-    else:
-        lower, upper = -envelope - E, E
-    return BoundsReport(n=n, N=N, lower=lower, upper=upper, theorem="T2", valid=True)
+    return _enclosure("T2", n, N, E, envelope + E)
 
 
 @functools.lru_cache(maxsize=None)
@@ -127,12 +130,8 @@ def thm3_bounds(n: int, N: int, C, ctx: PrecisionContext) -> BoundsReport:
     amplitude, shape, correction = coeff_envelope(N, ctx)
     factor = shape / mp.sqrt(mp.mpf(24 * n)) ** N
     widening = amplitude * correction
-    if N % 2 == 0:
-        lower, upper = -c_val * factor, (c_val + widening) * factor
-    else:
-        lower, upper = -(c_val + widening) * factor, c_val * factor
     valid = n >= nu(N, C, ctx)
-    return BoundsReport(n=n, N=N, lower=lower, upper=upper, theorem="T3", valid=valid, C=c_val)
+    return _enclosure("T3", n, N, c_val * factor, (c_val + widening) * factor, valid, c_val)
 
 
 def banerjee_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
@@ -150,14 +149,6 @@ def banerjee_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     if N < 2:
         raise DomainError(f"comparison bounds are stated for N >= 2, got N={N}")
     mp = ctx.mp
-    six_over_pi = 6 / mp.pi
-    root24n = mp.sqrt(mp.mpf(24 * n))
-    if N % 2 == 0:
-        j = N // 2
-        factor = six_over_pi ** (2 * j) * mp.sqrt(j + 1) / root24n ** (2 * j)
-        lower, upper = -13 * factor, 16 * factor
-    else:
-        j = (N - 1) // 2
-        factor = six_over_pi ** (2 * j + 1) * mp.sqrt(j + 2) / root24n ** (2 * j + 1)
-        lower, upper = -21 * factor, 11 * factor
-    return BoundsReport(n=n, N=N, lower=lower, upper=upper, theorem="Banerjee", valid=False)
+    factor = (6 / mp.pi) ** N * mp.sqrt(N // 2 + 1 + N % 2) / mp.sqrt(mp.mpf(24 * n)) ** N
+    below, above = (13, 16) if N % 2 == 0 else (11, 21)
+    return _enclosure("Banerjee", n, N, below * factor, above * factor, valid=False)

@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .bounds import banerjee_bounds, nu, thm1_bounds, thm2_bounds, thm3_bounds
 from .coefficients import coeff_asymptotic, coeff_bound, coeff_c
@@ -31,16 +30,10 @@ TABLE_CASES = {
     "table1": ((200, 4), (500, 6), (200, 5), (500, 7)),
     "table2": ((500, 6, "1/4"), (1000, 10, "5839"), (500, 7, "24"), (1000, 11, "866061")),
 }
-TABLE_BOUNDS = {"table1": thm1_bounds, "table2": thm3_bounds}
+# --theorem name -> bound family; t3 alone takes the constant C
+THEOREMS = {"t1": thm1_bounds, "t2": thm2_bounds, "t3": thm3_bounds, "banerjee": banerjee_bounds}
+TABLE_BOUNDS = {"table1": THEOREMS["t1"], "table2": THEOREMS["t3"]}
 TABLE_MIN_DIGITS = 50
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    """One emitted row: a kind tag plus an ordered key -> string payload."""
-
-    kind: str
-    payload: dict
 
 
 # ---------------------------------------------------------------------------
@@ -117,24 +110,19 @@ def _obtain_table(n_needed: int, cache_path: str | None) -> PartitionTable:
 
 def cmd_partition(args, ctx: PrecisionContext) -> list:
     table = _obtain_table(args.n, _resolve_cache_path(args.cache))
-    return [OutputRecord(kind="value", payload={"n": str(args.n), "p": str(table.p(args.n))})]
+    return [{"n": str(args.n), "p": str(table.p(args.n))}]
 
 
 def cmd_coeff(args, ctx: PrecisionContext) -> list:
-    records = []
-    for m in range(args.max_m + 1):
-        records.append(
-            OutputRecord(
-                kind="coeff_row",
-                payload={
-                    "m": str(m),
-                    "c_m": format_scientific(coeff_c(m, ctx), ctx, sig=30),
-                    "bound": format_scientific(coeff_bound(m, ctx), ctx, sig=30),
-                    "asymptotic": format_scientific(coeff_asymptotic(m, ctx), ctx, sig=30),
-                },
-            )
-        )
-    return records
+    return [
+        {
+            "m": str(m),
+            "c_m": format_scientific(coeff_c(m, ctx), ctx, sig=30),
+            "bound": format_scientific(coeff_bound(m, ctx), ctx, sig=30),
+            "asymptotic": format_scientific(coeff_asymptotic(m, ctx), ctx, sig=30),
+        }
+        for m in range(args.max_m + 1)
+    ]
 
 
 def cmd_remainder(args, ctx: PrecisionContext) -> list:
@@ -149,20 +137,16 @@ def cmd_remainder(args, ctx: PrecisionContext) -> list:
     }
     if result.theta is not None:
         payload["theta"] = format_scientific(result.theta, ctx)
-    return [OutputRecord(kind="value", payload=payload)]
+    return [payload]
 
 
 def cmd_bounds(args, ctx: PrecisionContext) -> list:
-    if args.theorem == "t1":
-        report = thm1_bounds(args.n, args.N, ctx)
-    elif args.theorem == "t2":
-        report = thm2_bounds(args.n, args.N, ctx)
-    elif args.theorem == "t3":
+    constant = ()
+    if args.theorem == "t3":
         if args.constant is None:
             raise DomainError("t3 bounds need --constant C")
-        report = thm3_bounds(args.n, args.N, args.constant, ctx)
-    else:
-        report = banerjee_bounds(args.n, args.N, ctx)
+        constant = (args.constant,)
+    report = THEOREMS[args.theorem](args.n, args.N, *constant, ctx)
     payload = {
         "n": str(args.n),
         "N": str(args.N),
@@ -177,14 +161,12 @@ def cmd_bounds(args, ctx: PrecisionContext) -> list:
             "valid": "true" if report.valid else "false",
         }
     )
-    return [OutputRecord(kind="value", payload=payload)]
+    return [payload]
 
 
 def cmd_nu(args, ctx: PrecisionContext) -> list:
     value = nu(args.N, args.C, ctx)
-    return [
-        OutputRecord(kind="value", payload={"N": str(args.N), "C": args.C, "nu": str(value)})
-    ]
+    return [{"N": str(args.N), "C": args.C, "nu": str(value)}]
 
 
 def _table_block(report, exact, ctx: PrecisionContext) -> dict:
@@ -209,21 +191,18 @@ def cmd_table(args, ctx: PrecisionContext) -> list:
         report = bound(n, N, *constant, ctx)
         payload = dict(zip(("n", "N", "C"), (str(n), str(N), *constant)))
         payload.update(_table_block(report, exact, ctx))
-        records.append(OutputRecord(kind=f"{args.command}_row", payload=payload))
+        records.append(payload)
     return records
 
 
 def cmd_verify(args, ctx: PrecisionContext) -> tuple[list, int]:
     result = run_suite(args.suite, n_max=args.n_max, m_max=args.m_max, ctx=ctx)
-    record = OutputRecord(
-        kind="sweep_result",
-        payload={
-            "suite": result.suite,
-            "checked": str(result.checked),
-            "ok": "true" if result.ok else "false",
-            "counterexample": result.counterexample or "",
-        },
-    )
+    record = {
+        "suite": result.suite,
+        "checked": str(result.checked),
+        "ok": "true" if result.ok else "false",
+        "counterexample": result.counterexample or "",
+    }
     return [record], 0 if result.ok else 1
 
 
@@ -234,7 +213,7 @@ def cmd_verify(args, ctx: PrecisionContext) -> tuple[list, int]:
 
 def _emit_human(records: list, stream) -> None:
     for record in records:
-        for key, value in record.payload.items():
+        for key, value in record.items():
             stream.write(f"{key} = {value}\n")
         stream.write("\n")
 
@@ -243,14 +222,14 @@ def _emit_csv(records: list, stream) -> None:
     if not records:
         return
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(records[0].payload.keys())
+    writer.writerow(records[0].keys())
     for record in records:
-        writer.writerow(record.payload.values())
+        writer.writerow(record.values())
 
 
 def _emit_json(records: list, stream) -> None:
     for record in records:
-        stream.write(json.dumps(record.payload) + "\n")
+        stream.write(json.dumps(record) + "\n")
 
 
 EMITTERS = {"human": _emit_human, "csv": _emit_csv, "json": _emit_json}
@@ -285,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="remainder bounds for one (n, N)")
     p.add_argument("n", type=int)
     p.add_argument("N", type=int)
-    p.add_argument("--theorem", choices=("t1", "t2", "t3", "banerjee"), default="t1")
+    p.add_argument("--theorem", choices=tuple(THEOREMS), default="t1")
     p.add_argument("--constant", default=None, help="C for t3 (exact decimal or rational)")
 
     p = sub.add_parser("nu", help="validity threshold nu_N(C)")
@@ -332,3 +311,7 @@ def run(argv=None, stream=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -54,12 +54,18 @@ def mu(n: int, ctx: PrecisionContext):
     return mp.pi / 6 * mp.sqrt(mp.mpf(24 * n - 1))
 
 
+def _exponent(n: int, ctx: PrecisionContext):
+    """pi*sqrt(2n/3), the exponent of the growth of p(n)."""
+    mp = ctx.mp
+    return mp.pi * mp.sqrt(mp.mpf(2 * n) / 3)
+
+
 def prefactor(n: int, ctx: PrecisionContext):
     """exp(pi*sqrt(2n/3)) / (4*sqrt(3)*n)."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     mp = ctx.mp
-    return mp.exp(mp.pi * mp.sqrt(mp.mpf(2 * n) / 3)) / (4 * mp.sqrt(3) * n)
+    return mp.exp(_exponent(n, ctx)) / (4 * mp.sqrt(3) * n)
 
 
 def _term(m: int, root_n, ctx: PrecisionContext):
@@ -87,7 +93,7 @@ def partial_sum(n: int, N: int, ctx: PrecisionContext):
 def normalized_partition(n: int, table: PartitionTable, ctx: PrecisionContext):
     """4*sqrt(3)*n*p(n)*exp(-pi*sqrt(2n/3)), the quantity the series approximates."""
     mp = ctx.mp
-    return 4 * mp.sqrt(3) * n * table.p(n) * mp.exp(-mp.pi * mp.sqrt(mp.mpf(2 * n) / 3))
+    return 4 * mp.sqrt(3) * n * table.p(n) * mp.exp(-_exponent(n, ctx))
 
 
 def recommended_digits(n: int) -> int:
@@ -145,7 +151,7 @@ def remainder_exact(
         remainder=_subtract(lhs, partial, ctx, f"remainder_exact(n={n}, N={N})"),
         partial_sum=partial,
         prefactor=prefactor(n, ctx),
-        theta=theta(n, N, ctx) if include_theta else None,
+        theta=_theta(n, N, partial, ctx) if include_theta else None,
     )
 
 
@@ -203,8 +209,13 @@ def theta(n: int, N: int, ctx: PrecisionContext):
     """Tail mediant: (sum_{m>=N} c_m/n^(m/2)) / (c_N/n^(N/2)); lies in (0, 1)."""
     if n < 1 or N < 0:
         raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
+    return _theta(n, N, partial_sum(n, N, ctx), ctx)
+
+
+def _theta(n: int, N: int, partial, ctx: PrecisionContext):
+    """theta_N(n) from the partial sum S_N already formed at n."""
     mp = ctx.mp
-    return (full_sum(n, ctx) - partial_sum(n, N, ctx)) / _term(N, mp.sqrt(mp.mpf(n)), ctx)
+    return (full_sum(n, ctx) - partial) / _term(N, mp.sqrt(mp.mpf(n)), ctx)
 
 
 def r_hat(n: int, table: PartitionTable, ctx: PrecisionContext):
@@ -246,7 +257,11 @@ def t_bound_simple(n: int, ctx: PrecisionContext):
     return t_bound_simple_bracket(n, ctx) * ctx.mp.exp(-mu(n, ctx) / 2)
 
 
+@functools.lru_cache(maxsize=None)
 def exp_error_term(n: int, ctx: PrecisionContext):
-    """exp(-(pi/2) * sqrt(2n/3)): the exponentially small part of every bound."""
-    mp = ctx.mp
-    return mp.exp(-(mp.pi / 2) * mp.sqrt(mp.mpf(2 * n) / 3))
+    """exp(-(pi/2) * sqrt(2n/3)): the exponentially small part of every bound.
+
+    Memoized per (n, digits), like :func:`full_sum`: the T1 and T2 bounds
+    take it once for every N at the same n.
+    """
+    return ctx.mp.exp(-_exponent(n, ctx) / 2)

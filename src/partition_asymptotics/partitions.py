@@ -29,7 +29,7 @@ class PartitionTable:
         return self.values[n]
 
 
-def partition_pentagonal(n_max: int, cap: int = PENTAGONAL_CAP) -> PartitionTable:
+def partition_pentagonal(n_max: int) -> PartitionTable:
     """Table of p(0)..p(n_max) via the pentagonal-number recurrence.
 
     p(n) = sum_{k>=1} (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)],
@@ -37,8 +37,8 @@ def partition_pentagonal(n_max: int, cap: int = PENTAGONAL_CAP) -> PartitionTabl
     """
     if n_max < 0:
         raise ResourceError(f"n_max must be nonnegative, got {n_max}")
-    if n_max > cap:
-        raise ResourceError(f"n_max={n_max} exceeds cap {cap}")
+    if n_max > PENTAGONAL_CAP:
+        raise ResourceError(f"n_max={n_max} exceeds cap {PENTAGONAL_CAP}")
     values = [0] * (n_max + 1)
     values[0] = 1
     for n in range(1, n_max + 1):
@@ -58,7 +58,7 @@ def partition_pentagonal(n_max: int, cap: int = PENTAGONAL_CAP) -> PartitionTabl
     return PartitionTable(values=tuple(values), n_max=n_max)
 
 
-def partition_dp_row(n: int, cap: int = DP_CAP) -> list:
+def partition_dp_row(n: int) -> list:
     """p(0)..p(n) via the part-counting dynamic program (test oracle).
 
     ways[j] after processing parts 1..k counts partitions of j into parts
@@ -66,8 +66,8 @@ def partition_dp_row(n: int, cap: int = DP_CAP) -> list:
     """
     if n < 0:
         raise ResourceError(f"n must be nonnegative, got {n}")
-    if n > cap:
-        raise ResourceError(f"n={n} exceeds cap {cap}")
+    if n > DP_CAP:
+        raise ResourceError(f"n={n} exceeds cap {DP_CAP}")
     ways = [0] * (n + 1)
     ways[0] = 1
     for part in range(1, n + 1):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError
 
 MIN_DIGITS = 30
 
@@ -79,9 +79,9 @@ class PrecisionContext:
 def lambert_w_minus1(x, ctx: PrecisionContext):
     """Branch -1 of the Lambert W function: the solution w <= -1 of w*e^w = x.
 
-    Defined for -1/e <= x < 0.  Seeds with the series at the branch point or
-    the log-log asymptote elsewhere, then refines by Halley iteration at twice
-    the working precision, so the returned value is correctly rounded.
+    Defined for -1/e <= x < 0; an x within 10^-digits of -1/e is taken as the
+    branch point itself, where w = -1.  Elsewhere mpmath's ``lambertw`` solves
+    at twice the working precision and the result is rounded back once.
     """
     hi = PrecisionContext(2 * ctx.digits + _GUARD_DIGITS).mp
     x = hi.mpf(ctx.real(x)._mpf_)
@@ -93,23 +93,7 @@ def lambert_w_minus1(x, ctx: PrecisionContext):
         return ctx.real(-1)
     if t < 0:
         raise DomainError(f"lambert_w_minus1 requires x >= -1/e, got {x}")
-    if t < hi.mpf("0.05"):
-        w = -1 - hi.sqrt(2 * t)
-        if hi.sqrt(2 * t) < hi.mpf(10) ** (-ctx.digits - 2):
-            return ctx.real(w)
-    else:
-        log_neg_x = hi.log(-x)
-        w = log_neg_x - hi.log(-log_neg_x)
-    tol = hi.mpf(10) ** (-2 * ctx.digits - 2)
-    for _ in range(300):
-        ew = hi.exp(w)
-        f = w * ew - x
-        wp1 = w + 1
-        dw = f / (ew * wp1 - (w + 2) * f / (2 * wp1))
-        w -= dw
-        if abs(dw) <= abs(w) * tol:
-            return ctx.real(w)
-    raise PrecisionError(f"lambert_w_minus1 did not converge for x={x}")
+    return ctx.real(hi.lambertw(x, -1))
 
 
 @functools.lru_cache(maxsize=None)

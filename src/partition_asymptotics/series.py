@@ -1,108 +1,57 @@
 """Truncated formal power series, enough to rebuild the coefficient generator.
 
-Only the operations the generating-function check needs: coefficientwise sum,
-Cauchy product, exp of a series with zero constant term, and real powers of a
-series with unit constant term.  Everything is dense, index 0..order.
+A series is a dense list of Maclaurin coefficients 0..order, mpmath floats of
+one precision context.  Only the operations the generating-function check
+needs are here: Cauchy product, exp of a series with zero constant term, and
+real powers of a series with unit constant term; sums, scalings and shifts by
+z are written inline where they are used.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .coefficients import coeff_c
 from .errors import DomainError
 from .precision import PrecisionContext
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Maclaurin coefficients 0..order at a fixed precision context."""
-
-    coeffs: tuple
-    order: int
-    context: PrecisionContext
-
-
-def power_series(values, ctx: PrecisionContext, order: int | None = None) -> PowerSeries:
-    """Series from a coefficient list, zero-padded or truncated to ``order``."""
-    converted = [ctx.real(v) for v in values]
-    if order is None:
-        order = len(converted) - 1
-    if order < 0:
-        raise DomainError("order must be nonnegative")
-    zero = ctx.mp.mpf(0)
-    converted = (converted + [zero] * (order + 1))[: order + 1]
-    return PowerSeries(coeffs=tuple(converted), order=order, context=ctx)
-
-
-def _common_order(a: PowerSeries, b: PowerSeries) -> int:
-    if a.context != b.context:
-        raise DomainError("series have different precision contexts")
-    return min(a.order, b.order)
-
-
-def series_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    order = _common_order(a, b)
-    coeffs = tuple(a.coeffs[i] + b.coeffs[i] for i in range(order + 1))
-    return PowerSeries(coeffs=coeffs, order=order, context=a.context)
-
-
-def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated at min(a.order, b.order)."""
-    order = _common_order(a, b)
-    mp = a.context.mp
+def _mul(a: list, b: list, mp) -> list:
+    """Cauchy product truncated at the shorter of the two orders."""
+    order = min(len(a), len(b)) - 1
     out = [mp.mpf(0)] * (order + 1)
     for i in range(order + 1):
-        ai = a.coeffs[i]
+        ai = a[i]
         if ai == 0:
             continue
         for j in range(order + 1 - i):
-            out[i + j] += ai * b.coeffs[j]
-    return PowerSeries(coeffs=tuple(out), order=order, context=a.context)
+            out[i + j] += ai * b[j]
+    return out
 
 
-def _scale(a: PowerSeries, factor) -> PowerSeries:
-    factor = a.context.real(factor)
-    return PowerSeries(
-        coeffs=tuple(c * factor for c in a.coeffs), order=a.order, context=a.context
-    )
-
-
-def _shift(a: PowerSeries) -> PowerSeries:
-    """Multiply by z (drops the top coefficient to keep the order)."""
-    mp = a.context.mp
-    coeffs = (mp.mpf(0),) + a.coeffs[: a.order]
-    return PowerSeries(coeffs=coeffs, order=a.order, context=a.context)
-
-
-def series_exp(a: PowerSeries) -> PowerSeries:
+def _exp(a: list, mp) -> list:
     """exp of a series with zero constant term, via (exp a)' = a' * exp a."""
-    if a.coeffs[0] != 0:
-        raise DomainError("series_exp needs a zero constant term")
-    mp = a.context.mp
-    out = [mp.mpf(1)] + [mp.mpf(0)] * a.order
-    for k in range(1, a.order + 1):
+    if a[0] != 0:
+        raise DomainError("series exp needs a zero constant term")
+    out = [mp.mpf(1)] + [mp.mpf(0)] * (len(a) - 1)
+    for k in range(1, len(a)):
         acc = mp.mpf(0)
         for i in range(1, k + 1):
-            acc += i * a.coeffs[i] * out[k - i]
+            acc += i * a[i] * out[k - i]
         out[k] = acc / k
-    return PowerSeries(coeffs=tuple(out), order=a.order, context=a.context)
+    return out
 
 
-def series_binomial_power(base: PowerSeries, alpha) -> PowerSeries:
+def _power(base: list, alpha, mp) -> list:
     """base^alpha for a series with unit constant term, via (f^a)' f = a f' f^a."""
-    if base.coeffs[0] != 1:
-        raise DomainError("series_binomial_power needs a unit constant term")
-    ctx = base.context
-    mp = ctx.mp
-    alpha = ctx.real(alpha)
-    out = [mp.mpf(1)] + [mp.mpf(0)] * base.order
-    for k in range(1, base.order + 1):
+    if base[0] != 1:
+        raise DomainError("series power needs a unit constant term")
+    alpha = mp.mpf(alpha)
+    out = [mp.mpf(1)] + [mp.mpf(0)] * (len(base) - 1)
+    for k in range(1, len(base)):
         acc = mp.mpf(0)
         for i in range(1, k + 1):
-            acc += ((alpha + 1) * i - k) * base.coeffs[i] * out[k - i]
+            acc += ((alpha + 1) * i - k) * base[i] * out[k - i]
         out[k] = acc / k
-    return PowerSeries(coeffs=tuple(out), order=base.order, context=ctx)
+    return out
 
 
 def gf_coefficients(order: int, ctx: PrecisionContext) -> list:
@@ -116,16 +65,21 @@ def gf_coefficients(order: int, ctx: PrecisionContext) -> list:
     if order < 0:
         raise DomainError("order must be nonnegative")
     mp = ctx.mp
-    one_minus_z2 = power_series([1, 0, -1], ctx, order)
-    root = series_binomial_power(one_minus_z2, mp.mpf(1) / 2)  # sqrt(1-z^2)
+    half = mp.mpf(1) / 2
+    one_minus_z2 = [mp.mpf(c) for c in ([1, 0, -1] + [0] * order)[: order + 1]]
+    root = _power(one_minus_z2, half, mp)  # sqrt(1-z^2)
     # z / (sqrt(1-z^2) + 1): normalize the constant term to 1 before inverting
-    half_root_plus_1 = _scale(series_add(root, power_series([1], ctx, order)), mp.mpf(1) / 2)
-    inner = _shift(_scale(series_binomial_power(half_root_plus_1, -1), mp.mpf(1) / 2))
-    exp_part = series_exp(_scale(inner, -mp.pi / 6))
-    inv = series_binomial_power(one_minus_z2, -1)  # 1/(1-z^2)
-    inv_32 = series_binomial_power(one_minus_z2, -mp.mpf(3) / 2)  # (1-z^2)^(-3/2)
-    bracket = series_add(inv, _scale(_shift(inv_32), -6 / mp.pi))
-    return list(series_mul(exp_part, bracket).coeffs)
+    half_root_plus_1 = [(root[0] + 1) * half] + [c * half for c in root[1:]]
+    inverse = [c * half for c in _power(half_root_plus_1, -1, mp)]
+    inner = [mp.mpf(0)] + inverse[:order]
+    rate = -mp.pi / 6
+    exp_part = _exp([c * rate for c in inner], mp)
+    inv = _power(one_minus_z2, -1, mp)  # 1/(1-z^2)
+    inv_32 = _power(one_minus_z2, -mp.mpf(3) / 2, mp)  # (1-z^2)^(-3/2)
+    # 1/(1-z^2) - (6/pi) z (1-z^2)^(-3/2), the shift by z written as an offset
+    weight = -6 / mp.pi
+    bracket = inv[:1] + [c + d * weight for c, d in zip(inv[1:], inv_32)]
+    return _mul(exp_part, bracket, mp)
 
 
 def gf_reference(order: int, ctx: PrecisionContext) -> list:

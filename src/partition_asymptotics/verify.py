@@ -23,6 +23,7 @@ from .coefficients import (
     darboux_approximant,
 )
 from .expansion import (
+    _exponent,
     exp_error_term,
     mu,
     r_hat,
@@ -115,7 +116,7 @@ def _lemma3(n_max: int, ctx: PrecisionContext):
         damping = (
             mp.mpf(24 * n)
             / (24 * n - 1)
-            * mp.exp(mu(n, ctx) - mp.pi * mp.sqrt(mp.mpf(2 * n) / 3))
+            * mp.exp(mu(n, ctx) - _exponent(n, ctx))
         )
         # 0.97 * exp((pi/12)/(sqrt(24n-1)+sqrt(24n))) < 1
         wiggle = mp.mpf("0.97") * mp.exp(

@@ -3,6 +3,9 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 
 import partition_asymptotics
 from partition_asymptotics import load_table, verify
@@ -64,6 +67,30 @@ def test_nu_value():
     status, out = invoke("nu", "4", "3.474")
     assert status == 0
     assert "nu = 116" in out
+
+
+def test_nu_near_the_branch_point():
+    # C within ~1e-100 of the constant where the W_-1 argument reaches -1/e
+    C = (
+        "4.5600871932171545379084591843063288439868540175423599525308748872320733952357305970"
+        "417766558681033302559880945"
+    )
+    status, out = invoke("nu", "2", C)
+    assert status == 0
+    assert "nu = 3" in out
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(partition_asymptotics.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "partition_asymptotics.cli", "nu", "4", "3.474"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "N = 4\nC = 3.474\nnu = 116\n\n", "")
 
 
 def test_table1_golden():

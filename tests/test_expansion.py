@@ -118,6 +118,7 @@ def test_remainder_result_fields(ctx80, table):
     result = remainder_exact(200, 4, table, ctx80, include_theta=True)
     assert result.n == 200 and result.N == 4
     assert 0 < result.theta < 1
+    assert result.theta == theta(200, 4, ctx80)  # same helper, same partial sum
     plain = remainder_exact(200, 4, table, ctx80)
     assert plain.theta is None
 
@@ -163,6 +164,7 @@ def test_full_sum_stop_bounds_the_true_tail():
 
 def test_full_sum_is_shared_per_n_and_digits(ctx80):
     assert full_sum(123, ctx80) is full_sum(123, PrecisionContext(80))
+    assert exp_error_term(123, ctx80) is exp_error_term(123, PrecisionContext(80))
 
 
 def test_r_hat_envelope_and_pin(ctx100, table):

@@ -13,6 +13,7 @@ from partition_asymptotics import (
     partition_pentagonal,
     save_table,
 )
+from partition_asymptotics.partitions import DP_CAP, PENTAGONAL_CAP
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,9 +86,9 @@ def test_out_of_range_lookup(table):
 
 def test_caps():
     with pytest.raises(ResourceError):
-        partition_pentagonal(101, cap=100)
+        partition_pentagonal(PENTAGONAL_CAP + 1)  # rejected before any work
     with pytest.raises(ResourceError):
-        partition_dp_row(101, cap=100)
+        partition_dp_row(DP_CAP + 1)
     with pytest.raises(ResourceError):
         partition_pentagonal(-1)
     with pytest.raises(ResourceError):

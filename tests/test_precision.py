@@ -142,10 +142,10 @@ def test_lambert_against_bisection(ctx80):
 
 
 def _lambert_grid(ctx):
-    # dense near the branch point, log-spaced toward zero
+    # dense near the branch point (down to 10^-79 above it), log-spaced toward zero
     mp = ctx.mp
     xs = []
-    for k in range(2, 12):
+    for k in range(2, 80):
         xs.append(-mp.exp(-1) + mp.mpf(10) ** -k)
     for k in range(1, 13):
         xs.append(-mp.mpf(10) ** (-mp.mpf(k) / 2))

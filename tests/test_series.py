@@ -5,70 +5,54 @@ from fractions import Fraction
 
 import pytest
 
-from partition_asymptotics import (
-    DomainError,
-    darboux_approximant,
-    gf_coefficients,
-    gf_reference,
-    power_series,
-    series_add,
-    series_binomial_power,
-    series_exp,
-    series_mul,
-)
+from partition_asymptotics import DomainError, darboux_approximant, gf_coefficients, gf_reference
+from partition_asymptotics.series import _exp, _mul, _power
 
 from helpers import ulp
 
 
+def power_series(values, ctx, order=None):
+    """A series from a coefficient list, zero-padded or truncated to ``order``."""
+    converted = [ctx.real(v) for v in values]
+    if order is None:
+        order = len(converted) - 1
+    return (converted + [ctx.mp.mpf(0)] * (order + 1))[: order + 1]
+
+
 def test_mul_identity(ctx60):
     a = power_series([3, 1, 4, 1, 5], ctx60)
-    one = power_series([1], ctx60, order=a.order)
-    assert series_mul(a, one).coeffs == a.coeffs
+    one = power_series([1], ctx60, order=len(a) - 1)
+    assert _mul(a, one, ctx60.mp) == a
 
 
 def test_mul_difference_of_squares(ctx60):
     plus = power_series([1, 1], ctx60, order=4)
     minus = power_series([1, -1], ctx60, order=4)
-    product = series_mul(plus, minus)
-    assert [float(c) for c in product.coeffs] == [1.0, 0.0, -1.0, 0.0, 0.0]
+    product = _mul(plus, minus, ctx60.mp)
+    assert [float(c) for c in product] == [1.0, 0.0, -1.0, 0.0, 0.0]
 
 
 def test_mul_commutes_on_random_inputs(ctx60):
     rng = random.Random(20240)
     a = power_series([Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(21)], ctx60)
     b = power_series([Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(21)], ctx60)
-    ab, ba = series_mul(a, b), series_mul(b, a)
-    for x, y in zip(ab.coeffs, ba.coeffs):
+    ab, ba = _mul(a, b, ctx60.mp), _mul(b, a, ctx60.mp)
+    for x, y in zip(ab, ba):
         # reassociating a k-term convolution moves the result by up to ~k ulps
-        assert abs(x - y) <= (a.order + 1) * ulp(max(abs(x), abs(y), 1), ctx60)
-
-
-def test_add_truncates_to_common_order(ctx60):
-    a = power_series([1, 2, 3], ctx60)
-    b = power_series([1, 1, 1, 1, 1], ctx60)
-    total = series_add(a, b)
-    assert total.order == 2
-    assert [float(c) for c in total.coeffs] == [2.0, 3.0, 4.0]
-
-
-def test_context_mismatch_rejected(ctx60, ctx80):
-    a = power_series([1, 2], ctx60)
-    b = power_series([1, 2], ctx80)
-    with pytest.raises(DomainError):
-        series_add(a, b)
+        assert abs(x - y) <= len(a) * ulp(max(abs(x), abs(y), 1), ctx60)
 
 
 def test_exp_of_zero(ctx60):
     z = power_series([0], ctx60, order=6)
-    result = series_exp(z)
-    assert [float(c) for c in result.coeffs] == [1.0] + [0.0] * 6
+    result = _exp(z, ctx60.mp)
+    assert [float(c) for c in result] == [1.0] + [0.0] * 6
 
 
 def test_exp_of_z(ctx60):
     z = power_series([0, 1], ctx60, order=5)
-    result = series_exp(z)
+    result = _exp(z, ctx60.mp)
     expected = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 6), Fraction(1, 24), Fraction(1, 120)]
-    for got, want in zip(result.coeffs, expected):
+    for got, want in zip(result, expected):
         assert abs(got - ctx60.real(want)) <= 4 * ulp(ctx60.real(want), ctx60)
 
 
@@ -77,41 +61,42 @@ def test_exp_group_law(ctx60):
     values = [0] + [Fraction(rng.randint(-50, 50), 100) for _ in range(30)]
     a = power_series(values, ctx60)
     minus_a = power_series([-v for v in values], ctx60)
-    product = series_mul(series_exp(a), series_exp(minus_a))
-    assert abs(product.coeffs[0] - 1) <= 8 * ulp(product.coeffs[0], ctx60)
-    for c in product.coeffs[1:]:
+    mp = ctx60.mp
+    product = _mul(_exp(a, mp), _exp(minus_a, mp), mp)
+    assert abs(product[0] - 1) <= 8 * ulp(product[0], ctx60)
+    for c in product[1:]:
         assert abs(c) <= 8 * ulp(ctx60.real(1), ctx60)
 
 
 def test_exp_requires_zero_constant(ctx60):
     with pytest.raises(DomainError):
-        series_exp(power_series([1, 1], ctx60))
+        _exp(power_series([1, 1], ctx60), ctx60.mp)
 
 
 def test_binomial_power_alpha_zero(ctx60):
     base = power_series([1, 5, -2, 7], ctx60)
-    result = series_binomial_power(base, 0)
-    assert [float(c) for c in result.coeffs] == [1.0, 0.0, 0.0, 0.0]
+    result = _power(base, 0, ctx60.mp)
+    assert [float(c) for c in result] == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_binomial_power_geometric(ctx60):
     base = power_series([1, -1], ctx60, order=4)
-    result = series_binomial_power(base, -1)
-    for c in result.coeffs:
+    result = _power(base, -1, ctx60.mp)
+    for c in result:
         assert abs(c - 1) <= 4 * ulp(ctx60.real(1), ctx60)
 
 
 def test_binomial_power_inverse_sqrt(ctx60):
     base = power_series([1, 0, -1], ctx60, order=4)
-    result = series_binomial_power(base, ctx60.real(Fraction(-1, 2)))
+    result = _power(base, ctx60.real(Fraction(-1, 2)), ctx60.mp)
     expected = [Fraction(1), Fraction(0), Fraction(1, 2), Fraction(0), Fraction(3, 8)]
-    for got, want in zip(result.coeffs, expected):
+    for got, want in zip(result, expected):
         assert abs(got - ctx60.real(want)) <= 4 * ulp(ctx60.real(max(want, 1)), ctx60)
 
 
 def test_binomial_power_requires_unit_constant(ctx60):
     with pytest.raises(DomainError):
-        series_binomial_power(power_series([2, 1], ctx60), 2)
+        _power(power_series([2, 1], ctx60), 2, ctx60.mp)
 
 
 def test_gf_first_coefficients(ctx60):
