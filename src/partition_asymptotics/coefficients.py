@@ -9,11 +9,13 @@ so (4*sqrt(6))^m * |c_m| is a finite sum of positive rationals times integer
 powers of pi, with exponents m, m-2, ... down to 0 for even m and to -1 for
 odd m.  One integer kernel serves every use of that exact form: multiplied
 by pi * D_m, with D_m = (m+1)! * 6^m, it is a polynomial in pi with positive
-integer coefficients and exponents >= 0, evaluated by fixed-point Horner in
-pi^2 from both ends of the rational ``pi_enclosure`` bracket.  Strict
-inequalities between coefficients are decided in integer arithmetic on that
-outward-rounded enclosure, never on rounded floats, and the rounded values
-are its midpoint.
+integer coefficients a_k, each built from the one before by an exact integer
+ratio, and exponents >= 0.  It is evaluated by Horner in pi^2 from both ends
+of the rational ``pi_enclosure`` bracket, in fixed point of a given width
+with one pi and pi^2 per width, on an accumulator bounded to that width plus
+a few guard bits and rounded outward at every step.  Strict inequalities
+between coefficients are decided in integer arithmetic on that enclosure,
+never on rounded floats, and the rounded values are its midpoint.
 """
 
 from __future__ import annotations
@@ -31,38 +33,69 @@ def _integer_form(m: int) -> tuple:
     """(a_0, ..., a_K) and D_m with D_m * pi * (4*sqrt(6))^m * |c_m| = sum_k a_k * pi^(m+1-2k).
 
     a_k = binom(m+1, k) * (m+1-k) * 6^(2k) * (m+1)! / (m+1-2k)! and
-    D_m = (m+1)! * 6^m are positive integers; K = floor((m+1)/2).
+    D_m = (m+1)! * 6^m are positive integers; K = floor((m+1)/2).  The a_k are
+    built from a_0 = m+1 by their exact integer ratio,
+    a_{k+1} = a_k * 36 * (m-k) * (m+1-2k) * (m-2k) / (k+1).
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    top = factorial(m + 1)
-    numerators = tuple(
-        comb(m + 1, k) * (m + 1 - k) * 36**k * (top // factorial(m + 1 - 2 * k))
-        for k in range((m + 1) // 2 + 1)
-    )
-    return numerators, top * 6**m
+    numerators = [m + 1]
+    for k in range((m + 1) // 2):
+        numerators.append(numerators[-1] * 36 * (m - k) * (m + 1 - 2 * k) * (m - 2 * k) // (k + 1))
+    return tuple(numerators), factorial(m + 1) * 6**m
+
+
+# guard bits of the Horner accumulator beyond the fixed-point width
+_GUARD_BITS = 16
+
+
+def _shift(value: int, places: int, sign: int) -> int:
+    """value / 2^places, floored with sign 1 and ceiled with sign -1 (exact if places <= 0)."""
+    if places <= 0:
+        return value << -places
+    return sign * (sign * value >> places)
+
+
+@functools.lru_cache(maxsize=None)
+def _pi_fixed(bits: int) -> tuple:
+    """(pi_fixed, x) at each end of ``pi_enclosure``, shared by every m at this width.
+
+    pi_fixed is 2^bits * pi and x is pi_fixed^2 / 2^bits, rounded down at the
+    lower end and up at the upper end, so each end stays on its side of pi.
+    """
+    ends = []
+    for pi_q, sign in zip(pi_enclosure(bits // 3 + 1), (1, -1)):
+        pi_fixed = sign * ((sign * pi_q.numerator << bits) // pi_q.denominator)
+        ends.append((pi_fixed, _shift(pi_fixed * pi_fixed, bits, sign)))
+    return tuple(ends)
 
 
 def _bracket(m: int, bits: int) -> tuple:
     """Integers lo <= 2^bits * sum_k a_k * pi^(m+1-2k) <= hi (see ``_integer_form``).
 
-    Horner in x = pi^2 on bits-bit fixed-point values, once from the lower end
-    of ``pi_enclosure`` rounding every step down and once from the upper end
-    rounding every step up.  All coefficients and exponents are nonnegative, so
-    each step is monotone in pi and the two results enclose the exact value.
+    Horner in x = pi^2 from the two ends of ``_pi_fixed``, once rounding every
+    step down and once rounding every step up.  The accumulator is bounded:
+    after step k it is a mantissa times 2^e_k, with e_k = len(a_k) - bits -
+    ``_GUARD_BITS``.  Each a_k is at least 72 > pi^2 times a_(k-1), so the
+    mantissa stays near bits + guard bits and every product is about
+    bits x bits wide, whatever the size of a_k.  All coefficients and
+    exponents are nonnegative, so each step is monotone in pi and in the
+    accumulator, and the two results enclose the exact value.
     """
     numerators = _integer_form(m)[0]
+    exponents = [a.bit_length() - bits - _GUARD_BITS for a in numerators]
+    # e_k > e_(k-1), so every product is shifted right by more than bits places
+    steps = [bits + e - previous for previous, e in zip(exponents, exponents[1:])]
     bracket = []
-    # sign 1 floors every shift; sign -1 ceils it, as -((-v) >> bits)
-    for pi_q, sign in zip(pi_enclosure(bits // 3 + 1), (1, -1)):
-        pi_fixed = sign * ((sign * pi_q.numerator << bits) // pi_q.denominator)
-        x = sign * (sign * pi_fixed * pi_fixed >> bits)
-        acc = 0
-        for a in numerators:
-            acc = sign * (sign * acc * x >> bits) + (a << bits)
+    for (pi_fixed, x), sign in zip(_pi_fixed(bits), (1, -1)):
+        addends = [_shift(a, e, sign) for a, e in zip(numerators, exponents)]
+        mantissa = addends[0]
+        for addend, step in zip(addends[1:], steps):
+            mantissa = sign * (sign * mantissa * x >> step) + addend  # _shift, inlined
+        exponent = exponents[-1]
         if m % 2 == 0:  # even m: the exponents m+1-2k are odd
-            acc = sign * (sign * acc * pi_fixed >> bits)
-        bracket.append(acc)
+            mantissa, exponent = mantissa * pi_fixed, exponent - bits
+        bracket.append(_shift(mantissa, -exponent - bits, sign))
     return tuple(bracket)
 
 
@@ -95,12 +128,17 @@ def coeff_envelope(m: int, ctx: PrecisionContext) -> tuple:
 
     Even m = 2j:   (6*sqrt(2)/pi^(3/2)) sinh(pi/6), sqrt(2j+1), sqrt(1 + 1/(4j+1)).
     Odd  m = 2j+1: (6*sqrt(2)/pi^(3/2)) cosh(pi/6), sqrt(2j+2), sqrt(1 - 1/(4j+5)).
-    The amplitudes are computed once per digit count.
+    Memoized per (m, digits); the amplitudes are computed once per digit count.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    mp = ctx.mp
-    even_pref, odd_pref = _even_odd_prefactor(ctx.digits)
+    return _envelope(m, ctx.digits)
+
+
+@functools.lru_cache(maxsize=None)
+def _envelope(m: int, digits: int) -> tuple:
+    mp = PrecisionContext(digits).mp
+    even_pref, odd_pref = _even_odd_prefactor(digits)
     j = m // 2
     if m % 2 == 0:
         return even_pref, mp.sqrt(2 * j + 1), mp.sqrt(1 + mp.mpf(1) / (4 * j + 1))

@@ -9,6 +9,7 @@ two different precisions never interfere and nothing global is mutated.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
@@ -102,24 +103,29 @@ def pi_enclosure(digits: int) -> tuple[Fraction, Fraction]:
 
     Machin's identity pi = 16*arctan(1/5) - 4*arctan(1/239), with each arctan
     bracketed by consecutive partial sums of its alternating series.  Entirely
-    Fraction arithmetic, so the enclosure is independent of any float library.
+    integer arithmetic, so the enclosure is independent of any float library.
     """
 
-    def arctan_inv_bounds(q: int) -> tuple[Fraction, Fraction]:
-        # partial sums of sum_k (-1)^k / ((2k+1) q^(2k+1)) alternate around the limit
-        target = Fraction(1, 10 ** (digits + 4))
-        s = Fraction(0)
-        k = 0
-        power = Fraction(1, q)
-        while True:
-            term = power / (2 * k + 1)
-            if term < target and k % 2 == 0:
-                # the pending term is positive, so s undershoots and s + term overshoots
-                return s, s + term
-            s += term if k % 2 == 0 else -term
-            power /= q * q
-            k += 1
+    def arctan_inv_bounds(q: int) -> tuple[int, int, int]:
+        # partial sums of sum_k (-1)^k / ((2k+1) q^(2k+1)) alternate around the
+        # limit; stop at the first even k whose term is below 10^-(digits+4)
+        target = 10 ** (digits + 4)
+        k, power = 0, q  # power = q^(2k+1)
+        while k % 2 or (2 * k + 1) * power <= target:
+            k, power = k + 1, power * q * q
+        # over the common denominator lcm(1, 3, ..., 2k+1) * q^(2k+1) the first
+        # k terms sum to s (Horner in q^2), and the pending term k is lcm / (2k+1);
+        # it is positive, so s undershoots and s + term overshoots
+        lcm = math.lcm(*range(1, 2 * k + 2, 2))
+        s = 0
+        for j in range(k):
+            s = (s + (-1) ** j * (lcm // (2 * j + 1))) * q * q
+        return s, s + lcm // (2 * k + 1), lcm * power
 
-    a_lo, a_hi = arctan_inv_bounds(5)
-    b_lo, b_hi = arctan_inv_bounds(239)
-    return 16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo
+    a_lo, a_hi, a_den = arctan_inv_bounds(5)
+    b_lo, b_hi, b_den = arctan_inv_bounds(239)
+    den = a_den * b_den
+    return (
+        Fraction(16 * a_lo * b_den - 4 * b_hi * a_den, den),
+        Fraction(16 * a_hi * b_den - 4 * b_lo * a_den, den),
+    )

@@ -49,7 +49,8 @@ def _power(base: list, alpha, mp) -> list:
     for k in range(1, len(base)):
         acc = mp.mpf(0)
         for i in range(1, k + 1):
-            acc += ((alpha + 1) * i - k) * base[i] * out[k - i]
+            if base[i] != 0:
+                acc += ((alpha + 1) * i - k) * base[i] * out[k - i]
         out[k] = acc / k
     return out
 

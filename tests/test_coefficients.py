@@ -1,6 +1,7 @@
 """Coefficient values, exact pi-polynomial structure, bounds, and asymptotics."""
 
 import concurrent.futures
+import functools
 from fractions import Fraction
 from math import comb, factorial
 
@@ -35,17 +36,42 @@ def _integer_terms(m):
     return {m - 2 * k: Fraction(a, denominator) for k, a in enumerate(numerators)}
 
 
+def _factorial_form(m):
+    """``_integer_form`` as binomials and factorials: a_k = binom(m+1, k) * (m+1-k)
+    * 36^k * (m+1)! / (m+1-2k)! and D_m = (m+1)! * 6^m."""
+    top = factorial(m + 1)
+    numerators = tuple(
+        comb(m + 1, k) * (m + 1 - k) * 36**k * (top // factorial(m + 1 - 2 * k))
+        for k in range((m + 1) // 2 + 1)
+    )
+    return numerators, top * 6**m
+
+
 def _pi_sum(m, mp):
     """(4*sqrt(6))^m * |c_m| evaluated term by term in the mpmath context mp."""
     return sum(mp.mpf(q.numerator) / q.denominator * mp.pi**e for e, q in _exact_terms(m).items())
 
 
-def _closed_form(m, dps):
-    """c_m from the exact pi-polynomial, evaluated in a fresh mpmath context."""
+@functools.lru_cache(maxsize=None)
+def _closed_forms(m_max, dps):
+    """c_0 .. c_{m_max} term by term from the closed form, in one mpmath context.
+
+    Term k of (4*sqrt(6))^m * |c_m| is binom(m+1, k) * (m+1-k) * w_{m+1-2k}, with
+    w_j = (pi/6)^(j-1) / j!; the w_j are built once, from powers of pi built by
+    repeated multiplication.
+    """
     mp = MPContext()
     mp.dps = dps
-    magnitude = _pi_sum(m, mp) / mp.sqrt(96) ** m
-    return -magnitude if m % 2 else magnitude
+    pi_powers = [1 / mp.pi, mp.mpf(1)]  # pi^(j-1) for j = 0, 1, ...
+    while len(pi_powers) < m_max + 2:
+        pi_powers.append(pi_powers[-1] * mp.pi)
+    weights = [6 * pi_powers[j] / (factorial(j) * 6**j) for j in range(m_max + 2)]
+    values = []
+    for m in range(m_max + 1):
+        terms = (comb(m + 1, k) * (m + 1 - k) * weights[m + 1 - 2 * k] for k in range((m + 1) // 2 + 1))
+        magnitude = mp.fsum(terms) / mp.sqrt(96) ** m
+        values.append(-magnitude if m % 2 else magnitude)
+    return tuple(values)
 
 
 def test_exact_terms_first_three():
@@ -99,7 +125,8 @@ CERTIFY_PAIRS = ((0, 2), (2, 0), (3, 1), (1, 3), (7, 2), (401, 400))
 
 
 def _oracle_abs_less(m, other):
-    return abs(_closed_form(m, 100)) < abs(_closed_form(other, 100))
+    values = _closed_forms(401, 100)
+    return abs(values[m]) < abs(values[other])
 
 
 def test_certified_comparison_pairs():
@@ -138,29 +165,46 @@ def test_certified_comparison_undecided_raises(monkeypatch):
         certified_abs_less(3, 2)
 
 
+def test_certified_comparison_consecutive_without_escalation(monkeypatch):
+    widths = []
+    bracket = coefficients._bracket
+
+    def recorded(m, bits):
+        widths.append(bits)
+        return bracket(m, bits)
+
+    monkeypatch.setattr(coefficients, "_bracket", recorded)
+    for m in range(1, 401):
+        assert certified_abs_less(m, m - 1), m
+    assert set(widths) == {256}
+
+
 def test_bracket_encloses_exact_value():
     mp = MPContext()
     mp.dps = 200
-    for m in (0, 1, 2, 7, 60, 301):
+    for m in (0, 1, 2, 7, 60, 301, 400):
         denominator = coefficients._integer_form(m)[1]
         exact = mp.pi * _pi_sum(m, mp) * denominator
-        for bits in (8, 64, 256):
+        # 256 starts the certified comparisons; 264, 297 and 364 serve coeff_c at 50, 60 and 80 digits
+        for bits in (8, 64, 256, 264, 297, 364):
             lo, hi = coefficients._bracket(m, bits)
             assert lo <= mp.ldexp(exact, bits) <= hi, (m, bits)
-            assert lo < hi
+            # tight: the relative width stays below (m + 2) * 2^-bits
+            assert 0 < (hi - lo) << bits <= (m + 2) * lo, (m, bits)
 
 
 def test_integer_form_reproduces_exact_terms():
-    for m in range(61):
+    for m in range(401):
         numerators, denominator = coefficients._integer_form(m)
         assert all(isinstance(a, int) and a > 0 for a in numerators + (denominator,))
-        assert _integer_terms(m) == _exact_terms(m)
+        assert (numerators, denominator) == _factorial_form(m), m
+        if m <= 60:
+            assert _integer_terms(m) == _exact_terms(m)
 
 
 def test_values_within_one_ulp_of_closed_form():
     contexts = [PrecisionContext(digits) for digits in (50, 80, 160)]
-    for m in range(401):
-        oracle = _closed_form(m, 2 * 160)
+    for m, oracle in enumerate(_closed_forms(400, 2 * 160)):
         for ctx in contexts:
             value = coeff_c(m, ctx)
             ulp = ctx.mp.ldexp(1, ctx.mp.mag(value) - ctx.mp.prec)
@@ -214,6 +258,17 @@ def test_envelope_pieces(ctx80):
         assert coeff_asymptotic(m, ctx80) == (scaled if m % 2 == 0 else -scaled)
     with pytest.raises(ValueError):
         coefficients.coeff_envelope(-1, ctx80)
+
+
+def test_envelope_memoized_per_m_and_digits(ctx80):
+    first = coefficients.coeff_envelope(17, ctx80)
+    assert coefficients.coeff_envelope(17, ctx80) is first
+    assert coefficients.coeff_envelope(17, PrecisionContext(50)) is not first
+    cached = coefficients._envelope.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            coefficients.coeff_envelope(-3, ctx80)
+    assert coefficients._envelope.cache_info().currsize == cached
 
 
 def test_bound_dominates(ctx80):

@@ -69,6 +69,33 @@ def test_pi_against_rational_enclosure(ctx80):
     assert ctx80.real(lo) <= pi_val <= ctx80.real(hi)
 
 
+def _fraction_pi_enclosure(digits):
+    """Machin's enclosure summed term by term in Fractions, stopping at the
+    first even k whose arctan term is below 10^-(digits+4)."""
+
+    def arctan_inv_bounds(q):
+        target = Fraction(1, 10 ** (digits + 4))
+        s, k, power = Fraction(0), 0, Fraction(1, q)
+        while True:
+            term = power / (2 * k + 1)
+            if term < target and k % 2 == 0:
+                return s, s + term
+            s += term if k % 2 == 0 else -term
+            power /= q * q
+            k += 1
+
+    a_lo, a_hi = arctan_inv_bounds(5)
+    b_lo, b_hi = arctan_inv_bounds(239)
+    return 16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo
+
+
+def test_pi_enclosure_equals_fraction_series():
+    for digits in (3, 30, 86, 122, 230, 1200):
+        lo, hi = pi_enclosure(digits)
+        assert (lo, hi) == _fraction_pi_enclosure(digits), digits
+        assert hi - lo < Fraction(1, 10**digits)
+
+
 def _hyperbolic_pi_over_six(ctx):
     # sinh(pi/6) and cosh(pi/6) as src computes them: the even and odd
     # amplitudes of the coefficient envelope over 6*sqrt(2)/pi^(3/2)

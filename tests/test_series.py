@@ -94,6 +94,33 @@ def test_binomial_power_inverse_sqrt(ctx60):
         assert abs(got - ctx60.real(want)) <= 4 * ulp(ctx60.real(max(want, 1)), ctx60)
 
 
+def _dense_power(base, alpha, mp):
+    """The power recurrence with every term added, zero coefficients included."""
+    alpha = mp.mpf(alpha)
+    out = [mp.mpf(1)] + [mp.mpf(0)] * (len(base) - 1)
+    for k in range(1, len(base)):
+        acc = mp.mpf(0)
+        for i in range(1, k + 1):
+            acc += ((alpha + 1) * i - k) * base[i] * out[k - i]
+        out[k] = acc / k
+    return out
+
+
+def test_power_matches_dense_recurrence_bit_for_bit(ctx60):
+    mp = ctx60.mp
+    rng = random.Random(11)
+    dense = [1] + [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(30)]
+    bases = (
+        power_series([1, 0, -1], ctx60, order=40),  # 1 - z^2, as gf_coefficients passes it
+        power_series([1, 0, 0, Fraction(2, 7), 0, -3], ctx60, order=25),
+        power_series(dense, ctx60),
+    )
+    for base in bases:
+        for alpha in (mp.mpf(1) / 2, -1, -mp.mpf(3) / 2, mp.pi):
+            got, want = _power(base, alpha, mp), _dense_power(base, alpha, mp)
+            assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+
 def test_binomial_power_requires_unit_constant(ctx60):
     with pytest.raises(DomainError):
         _power(power_series([2, 1], ctx60), 2, ctx60.mp)
