@@ -43,36 +43,50 @@ TABLE_MIN_DIGITS = 50
 
 def normalized_exponent(x, ctx: PrecisionContext) -> int:
     """Exponent e with |x| / 10^e in [0.1, 1)."""
+    return 0 if x == 0 else _exponent_of(abs(x), ctx)
+
+
+def _exponent_of(magnitude, ctx: PrecisionContext) -> int:
+    """:func:`normalized_exponent` of a positive magnitude, one power of ten per exponent tried."""
     mp = ctx.mp
-    if x == 0:
-        return 0
-    e = int(mp.floor(mp.log10(abs(x)))) + 1
-    while abs(x) / mp.mpf(10) ** e >= 1:
+    e = int(mp.floor(mp.log10(magnitude))) + 1
+    power = mp.mpf(10) ** e
+    while magnitude / power >= 1:
         e += 1
-    while abs(x) / mp.mpf(10) ** e < mp.mpf("0.1"):
+        power = mp.mpf(10) ** e
+    while magnitude / power < mp.mpf("0.1"):
         e -= 1
+        power = mp.mpf(10) ** e
     return e
+
+
+def _mantissa(magnitude, e10: int, ctx: PrecisionContext, sig: int) -> int:
+    """magnitude * 10^(sig - e10), rounded to the nearest integer (ties to even)."""
+    mp = ctx.mp
+    return int(mp.nint(magnitude * mp.mpf(10) ** (sig - e10)))
+
+
+def _render(x, mantissa: int, e10: int, sig: int) -> str:
+    sign = "-" if x < 0 else ""
+    return f"{sign}0.{str(mantissa).rjust(sig, '0')}e{e10}"
 
 
 def format_at_exponent(x, e10: int, ctx: PrecisionContext, sig: int = 10) -> str:
     """Render x as [-]0.<sig digits>e<e10> (round to nearest, ties to even)."""
-    mp = ctx.mp
-    scaled = abs(x) * mp.mpf(10) ** (sig - e10)
-    rounded = int(mp.nint(scaled))
-    digits = str(rounded).rjust(sig, "0")
-    sign = "-" if x < 0 else ""
-    return f"{sign}0.{digits}e{e10}"
+    return _render(x, _mantissa(abs(x), e10, ctx, sig), e10, sig)
 
 
 def format_scientific(x, ctx: PrecisionContext, sig: int = 10) -> str:
     """Self-normalized rendering with mantissa in [0.1, 1)."""
     if x == 0:
         return "0." + "0" * sig + "e0"
-    e10 = normalized_exponent(x, ctx)
-    mp = ctx.mp
-    if int(mp.nint(abs(x) * mp.mpf(10) ** (sig - e10))) >= 10**sig:
-        e10 += 1  # rounding pushed the mantissa up to 1.0
-    return format_at_exponent(x, e10, ctx, sig)
+    magnitude = abs(x)
+    e10 = _exponent_of(magnitude, ctx)
+    mantissa = _mantissa(magnitude, e10, ctx, sig)
+    if mantissa >= 10**sig:  # rounding pushed the mantissa up to 1.0
+        e10 += 1
+        mantissa = _mantissa(magnitude, e10, ctx, sig)
+    return _render(x, mantissa, e10, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +101,9 @@ def _resolve_cache_path(explicit: str | None) -> str | None:
 def _obtain_table(n_needed: int, cache_path: str | None) -> PartitionTable:
     """The cached table if it covers ``n_needed``, else a fresh one written back.
 
-    An unreadable cache file is reported on stderr and rebuilt, never served.
+    A cache file that ``load_table`` rejects (unreadable, without the versioned
+    header, or failing its checksum or invariants) is reported on stderr and
+    rebuilt, never served.
     """
     if cache_path and os.path.exists(cache_path):
         try:

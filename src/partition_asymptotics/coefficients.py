@@ -100,12 +100,18 @@ def _bracket(m: int, bits: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
+def _root(k: int, digits: int):
+    """sqrt(k) at ``digits``, taken once per digit count and shared by every m."""
+    return PrecisionContext(digits).mp.sqrt(k)
+
+
+@functools.lru_cache(maxsize=None)
 def _coeff_value(m: int, digits: int):
     mp = PrecisionContext(digits + 10).mp
     bits = (digits + 10) * 10 // 3 + 64
     lo, hi = _bracket(m, bits)
     denominator = _integer_form(m)[1]
-    magnitude = mp.ldexp(lo + hi, -bits - 1) / (mp.pi * denominator * mp.sqrt(96) ** m)
+    magnitude = mp.ldexp(lo + hi, -bits - 1) / (mp.pi * denominator * _root(96, digits + 10) ** m)
     signed = -magnitude if m % 2 else magnitude
     return PrecisionContext(digits).real(signed)
 
@@ -148,7 +154,7 @@ def _envelope(m: int, digits: int) -> tuple:
 def coeff_bound(m: int, ctx: PrecisionContext):
     """Proven upper bound for |c_m|: the full envelope of :func:`coeff_envelope`."""
     amplitude, shape, correction = coeff_envelope(m, ctx)
-    return amplitude * shape / ctx.mp.sqrt(24) ** m * correction
+    return amplitude * shape / _root(24, ctx.digits) ** m * correction
 
 
 def coeff_asymptotic(m: int, ctx: PrecisionContext):
@@ -157,7 +163,7 @@ def coeff_asymptotic(m: int, ctx: PrecisionContext):
     amplitude, shape, _ = coeff_envelope(m, ctx)
     if m % 2:
         amplitude = -amplitude
-    return amplitude * shape / ctx.mp.sqrt(24) ** m
+    return amplitude * shape / _root(24, ctx.digits) ** m
 
 
 def darboux_approximant(m: int, ctx: PrecisionContext):
@@ -174,7 +180,7 @@ def darboux_approximant(m: int, ctx: PrecisionContext):
     mp = ctx.mp
     half_binom = Fraction((2 * m + 1) * comb(2 * m, m), 4**m)  # binom(m+1/2, m)
     amplitude = 3 / (mp.sqrt(2) * mp.pi) * ((-1) ** m * mp.exp(mp.pi / 6) - mp.exp(-mp.pi / 6))
-    return amplitude * mp.mpf(half_binom.numerator) / half_binom.denominator / mp.sqrt(24) ** m
+    return amplitude * mp.mpf(half_binom.numerator) / half_binom.denominator / _root(24, ctx.digits) ** m
 
 
 _CERTIFY_START_BITS = 256

@@ -32,6 +32,7 @@ from .precision import PrecisionContext
 # floor; below it the subtraction has cancelled too much to report a result
 _MIN_SIG_DIGITS = 10
 _ERROR_MARGIN_DIGITS = 12
+_LOG10_2 = math.log10(2)
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,14 @@ def _subtract(lhs, series, ctx: PrecisionContext, what: str):
     result = lhs - series
     if result == 0:
         raise PrecisionError(f"{what}: complete cancellation at digits={ctx.digits}")
-    scale = max(abs(lhs), abs(series), ctx.mp.mpf(1))
-    lost = float(ctx.mp.log10(scale / abs(result)))
+    mp = ctx.mp
+    # |x| < 2^mag(x) <= 2|x|, so fewer than ``bound`` digits were lost; a
+    # result that keeps a digit to spare even then needs no logarithm
+    bound = (max(mp.mag(lhs), mp.mag(series), 1) - mp.mag(result) + 1) * _LOG10_2
+    if ctx.digits - _ERROR_MARGIN_DIGITS - bound >= _MIN_SIG_DIGITS + 1:
+        return result
+    scale = max(abs(lhs), abs(series), mp.mpf(1))
+    lost = float(mp.log10(scale / abs(result)))
     remaining = ctx.digits - _ERROR_MARGIN_DIGITS - lost
     if remaining < _MIN_SIG_DIGITS:
         raise PrecisionError(

@@ -8,12 +8,14 @@ algorithm that shares no code or ideas with it.
 from __future__ import annotations
 
 import os
+import zlib
 from dataclasses import dataclass
 
 from .errors import ResourceError
 
 PENTAGONAL_CAP = 10**6
 DP_CAP = 5 * 10**4
+_FORMAT_VERSION = "v1"
 
 
 @dataclass(frozen=True)
@@ -34,27 +36,31 @@ def partition_pentagonal(n_max: int) -> PartitionTable:
 
     p(n) = sum_{k>=1} (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)],
     with p(j) = 0 for j < 0.
+
+    The table grows as a list, so while p(n) is formed ``values[-g]`` is
+    p(n - g).  Each generalized pentagonal number g = k(3k-1)/2, k(3k+1)/2
+    joins the offsets of its sign, ``-g`` in ``plus`` for odd k and in
+    ``minus`` for even k, once n reaches it, and every entry is the gather
+    ``sum(values[-g] for g in plus) - sum(values[-g] for g in minus)``, run
+    by ``map`` and ``sum`` without a Python-level step per term.
     """
     if n_max < 0:
         raise ResourceError(f"n_max must be nonnegative, got {n_max}")
     if n_max > PENTAGONAL_CAP:
         raise ResourceError(f"n_max={n_max} exceeds cap {PENTAGONAL_CAP}")
-    values = [0] * (n_max + 1)
-    values[0] = 1
-    for n in range(1, n_max + 1):
-        acc = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > n:
-                break
-            sign = 1 if k % 2 == 1 else -1
-            acc += sign * values[n - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= n:
-                acc += sign * values[n - g2]
-            k += 1
-        values[n] = acc
+    values = [1]
+    get = values.__getitem__
+    plus, minus = [], []
+    k = 0
+    while len(values) <= n_max:
+        k += 1
+        offsets = plus if k % 2 else minus
+        # k's two pentagonal numbers, and k+1's first, where the next one starts
+        low, high, following = k * (3 * k - 1) // 2, k * (3 * k + 1) // 2, (k + 1) * (3 * k + 2) // 2
+        for g, end in ((low, high), (high, following)):
+            offsets.append(-g)
+            for _ in range(g, min(end, n_max + 1)):
+                values.append(sum(map(get, plus)) - sum(map(get, minus)))
     return PartitionTable(values=tuple(values), n_max=n_max)
 
 
@@ -76,17 +82,32 @@ def partition_dp_row(n: int) -> list:
     return ways
 
 
-def save_table(table: PartitionTable, path: str) -> None:
-    """Write the table as one "n<TAB>p(n)" line per entry, in decimal.
+def _header(crc: int) -> bytes:
+    """The first line of a table file: format, version and the body's CRC-32."""
+    return f"# partition-table {_FORMAT_VERSION} crc32={crc:08x}\n".encode("ascii")
 
-    The lines go to a temporary file beside ``path``, which then replaces it
-    in one step, so a concurrent reader never sees a partly written table.
+
+def save_table(table: PartitionTable, path: str) -> None:
+    """Write the table as a header line and one "n<TAB>p(n)" line per entry, in decimal.
+
+    The header ``# partition-table v1 crc32=<8 hex digits>`` carries the
+    CRC-32 of every line after it.  The body is checksummed as it is written,
+    and the header, whose length does not depend on the checksum, is written
+    over a placeholder at the end.  The lines go to a temporary file beside
+    ``path``, which then replaces it in one step, so a concurrent reader never
+    sees a partly written table.
     """
     temporary = f"{path}.{os.getpid()}.tmp"
+    crc = 0
     try:
-        with open(temporary, "w", encoding="ascii") as fh:
+        with open(temporary, "wb") as fh:
+            fh.write(_header(crc))
             for n, value in enumerate(table.values):
-                fh.write(f"{n}\t{value}\n")
+                line = f"{n}\t{value}\n".encode("ascii")
+                crc = zlib.crc32(line, crc)
+                fh.write(line)
+            fh.seek(0)
+            fh.write(_header(crc))
         os.replace(temporary, path)
     finally:
         if os.path.exists(temporary):
@@ -94,20 +115,35 @@ def save_table(table: PartitionTable, path: str) -> None:
 
 
 def load_table(path: str) -> PartitionTable:
-    """Read a table written by :func:`save_table`, validating its invariants."""
+    """Read a table written by :func:`save_table`, validating its header,
+    checksum and invariants.
+
+    A missing header, another format version, a body whose CRC-32 differs
+    from the header's, a malformed line or a broken invariant is a
+    ``ValueError``; nothing read from such a file is returned.
+    """
     values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh):
+    crc = 0
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("ascii").split()
+        if len(header) != 4 or header[:2] != ["#", "partition-table"]:
+            raise ValueError(f"{path}: missing '# partition-table <version> crc32=<hex>' header")
+        if header[2] != _FORMAT_VERSION:
+            raise ValueError(f"{path}: unknown table format {header[2]!r}")
+        for lineno, line in enumerate(fh, start=2):
+            crc = zlib.crc32(line, crc)
             line = line.strip()
             if not line:
                 continue
-            parts = line.split("\t")
+            parts = line.split(b"\t")
             if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno + 1}: expected 'n<TAB>p(n)'")
+                raise ValueError(f"{path}:{lineno}: expected 'n<TAB>p(n)'")
             n, value = int(parts[0]), int(parts[1])
             if n != len(values):
-                raise ValueError(f"{path}:{lineno + 1}: indices must be consecutive from 0")
+                raise ValueError(f"{path}:{lineno}: indices must be consecutive from 0")
             values.append(value)
+    if header[3] != f"crc32={crc:08x}":
+        raise ValueError(f"{path}: checksum mismatch")
     if not values or values[0] != 1:
         raise ValueError(f"{path}: table must start with p(0) = 1")
     for n in range(2, len(values)):

@@ -1,4 +1,6 @@
-"""Numeric helpers shared by the tests."""
+"""Helpers shared by the tests."""
+
+import zlib
 
 
 def ulp(x, ctx):
@@ -8,3 +10,8 @@ def ulp(x, ctx):
     if x == 0:
         return mp.mpf(10) ** (1 - ctx.digits)
     return mp.mpf(2) ** (mp.mag(x) - mp.prec)
+
+
+def with_header(body):
+    """A partition-table file holding ``body`` under a correct header."""
+    return f"# partition-table v1 crc32={zlib.crc32(body.encode('ascii')):08x}\n{body}"

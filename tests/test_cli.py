@@ -11,6 +11,8 @@ import partition_asymptotics
 from partition_asymptotics import load_table, verify
 from partition_asymptotics.cli import build_parser, run
 
+from helpers import with_header
+
 TABLE1_GOLDEN = """\
 n = 200
 N = 4
@@ -195,14 +197,33 @@ def _assert_rebuilt(cache, capsys):
 
 def test_corrupt_cache_rejected(tmp_path, capsys):
     cache = tmp_path / "broken.tsv"
-    cache.write_text("0\t1\n1\t1\n2\t1\n")  # not strictly increasing
+    cache.write_text(with_header("0\t1\n1\t1\n2\t1\n"))  # not strictly increasing
     _assert_rebuilt(cache, capsys)
 
 
 def test_truncated_cache_rebuilt(tmp_path, capsys):
     cache = tmp_path / "truncated.tsv"
-    cache.write_text("0\t1\n1\t1\n2\t2\n3\t3\n4\t")  # cut off mid-line
+    cache.write_text(with_header("0\t1\n1\t1\n2\t2\n3\t3\n4\t5\n")[:-3])  # cut off mid-line
     _assert_rebuilt(cache, capsys)
+
+
+def test_flipped_digit_cache_rebuilt(tmp_path, capsys):
+    # a file that parses and is increasing but holds a wrong p(n) is caught by its checksum
+    cache = tmp_path / "flipped.tsv"
+    status, _ = invoke("--cache", str(cache), "partition", "40")
+    assert status == 0
+    text = cache.read_text()
+    assert "\n40\t37338\n" in text
+    cache.write_text(text.replace("\n40\t37338\n", "\n40\t37339\n"))
+    _assert_rebuilt(cache, capsys)
+
+
+def test_headerless_cache_rebuilt_once(tmp_path, capsys):
+    cache = tmp_path / "old.tsv"
+    cache.write_text("0\t1\n1\t1\n2\t2\n")  # the format before the header
+    _assert_rebuilt(cache, capsys)
+    status, out = invoke("--cache", str(cache), "partition", "2")
+    assert (status, out, capsys.readouterr().err) == (0, "n = 2\np = 2\n\n", "")
 
 
 def test_directory_as_cache_is_an_error(tmp_path, capsys):

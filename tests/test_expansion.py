@@ -103,6 +103,35 @@ def test_remainder_row_guards_only_the_entry_it_yields(table):
             next(row)
 
 
+def _logarithmic_guard(lhs, series, ctx):
+    """Significant digits left by lhs - series, by the full-precision log10 alone."""
+    scale = max(abs(lhs), abs(series), ctx.mp.mpf(1))
+    return ctx.digits - 12 - float(ctx.mp.log10(scale / abs(lhs - series)))
+
+
+def test_cancellation_guard_decides_as_the_logarithm(ctx50):
+    # the binary-magnitude shortcut may only accept what the log10 test
+    # accepts; every result from a digit beyond the threshold to well inside
+    # it, at several scales and mantissas, gets the same verdict and text
+    mp = ctx50.mp
+    threshold = ctx50.digits - 12 - 10  # digits lost at which a result is rejected
+    for lhs in (mp.mpf("0.37"), mp.mpf(1), mp.mpf(3), mp.mpf("1e5"), mp.mpf(-2)):
+        for step in range(-300, 101):
+            lost = threshold + step / 100
+            result = abs(lhs) * mp.mpf(10) ** -lost * (1 + mp.mpf(step % 7) / 10)
+            series = lhs - result
+            remaining = _logarithmic_guard(lhs, series, ctx50)
+            if remaining < 10:
+                with pytest.raises(PrecisionError) as caught:
+                    expansion._subtract(lhs, series, ctx50, "probe")
+                assert str(caught.value) == (
+                    f"probe: cancellation leaves ~{remaining:.1f} significant digits "
+                    f"at digits={ctx50.digits}; raise the context precision"
+                )
+            else:
+                assert expansion._subtract(lhs, series, ctx50, "probe") == lhs - series
+
+
 def test_reconstruction(ctx80, table):
     # p(n) = prefactor * (partial_sum + remainder) to relative 10^-(digits-12)
     mp = ctx80.mp

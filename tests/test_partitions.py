@@ -15,6 +15,8 @@ from partition_asymptotics import (
 )
 from partition_asymptotics.partitions import DP_CAP, PENTAGONAL_CAP
 
+from helpers import with_header
+
 
 @functools.lru_cache(maxsize=None)
 def _count_with_max_part(n, max_part):
@@ -40,6 +42,51 @@ def test_small_values_by_enumeration():
     assert table.p(10) == 42 == brute_partition_count(10)
     for n in range(31):
         assert table.p(n) == brute_partition_count(n)
+
+
+def _term_by_term(n_max):
+    """The recurrence with one interpreted step per term, as it was first written."""
+    values = [0] * (n_max + 1)
+    values[0] = 1
+    for n in range(1, n_max + 1):
+        acc = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            if g1 > n:
+                break
+            sign = 1 if k % 2 == 1 else -1
+            acc += sign * values[n - g1]
+            g2 = k * (3 * k + 1) // 2
+            if g2 <= n:
+                acc += sign * values[n - g2]
+            k += 1
+        values[n] = acc
+    return tuple(values)
+
+
+def test_gather_matches_term_by_term_recurrence():
+    assert partition_pentagonal(3000).values == _term_by_term(3000)
+
+
+def test_smallest_tables_against_dp():
+    # below n = 5 the minus offsets are empty, and each size up to 8 stops
+    # inside a different stretch between pentagonal numbers
+    for k in range(9):
+        assert partition_pentagonal(k).values == tuple(partition_dp_row(k))
+
+
+def test_tables_are_prefixes_of_larger_tables():
+    largest = partition_pentagonal(2200).values
+    for a in (0, 1, 2, 4, 5, 6, 7, 11, 12, 14, 15, 100, 2199):
+        assert partition_pentagonal(a).values == largest[: a + 1]
+
+
+def test_large_entries_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    table = partition_pentagonal(2 * 10**4)
+    for n in (10**4, 2 * 10**4):
+        assert table.p(n) == int(sympy.partition(n))
 
 
 def test_dp_small_values():
@@ -115,21 +162,45 @@ def test_save_replaces_atomically(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]
 
 
+def test_file_starts_with_versioned_checksum(tmp_path):
+    path = tmp_path / "table.tsv"
+    save_table(partition_pentagonal(3), str(path))
+    assert path.read_text() == with_header("0\t1\n1\t1\n2\t2\n3\t3\n")
+
+
 def test_loader_validates(tmp_path):
     path = tmp_path / "bad.tsv"
+    cases = (
+        ("0\t1\n2\t2\n", "consecutive"),
+        ("0\t2\n1\t3\n", "p\\(0\\) = 1"),
+        ("0\t1\n1\t1\n2\t2\n3\t2\n", "strictly increasing"),
+        ("0\t1\nnot a row\n", "expected"),
+    )
+    for body, message in cases:
+        path.write_text(with_header(body))
+        with pytest.raises(ValueError, match=message):
+            load_table(str(path))
 
-    path.write_text("0\t1\n2\t2\n")
-    with pytest.raises(ValueError):
-        load_table(str(path))  # nonconsecutive indices
 
-    path.write_text("0\t2\n1\t3\n")
-    with pytest.raises(ValueError):
-        load_table(str(path))  # p(0) != 1
+def test_loader_checks_header_and_checksum(tmp_path):
+    path = tmp_path / "bad.tsv"
+    body = "0\t1\n1\t1\n2\t2\n"
 
-    path.write_text("0\t1\n1\t1\n2\t2\n3\t2\n")
-    with pytest.raises(ValueError):
-        load_table(str(path))  # not strictly increasing from index 1
+    path.write_text(body)
+    with pytest.raises(ValueError, match="missing"):
+        load_table(str(path))  # a headerless file, as tables were first written
 
-    path.write_text("0\t1\nnot a row\n")
-    with pytest.raises(ValueError):
+    path.write_text(with_header(body).replace("v1", "v2", 1))
+    with pytest.raises(ValueError, match="unknown table format 'v2'"):
+        load_table(str(path))
+
+    path.write_text(with_header(body).replace("crc32=", "adler32=", 1))
+    with pytest.raises(ValueError, match="checksum"):
+        load_table(str(path))
+
+    save_table(partition_pentagonal(30), str(path))
+    text = path.read_text()
+    assert "\t5604\n" in text  # p(30)
+    path.write_text(text.replace("\t5604\n", "\t5614\n"))  # increasing, parses, wrong
+    with pytest.raises(ValueError, match="checksum"):
         load_table(str(path))
