@@ -21,7 +21,7 @@ from typing import Optional
 
 from .coefficients import coeff_envelope
 from .errors import DomainError
-from .expansion import _term, exp_error_term
+from .expansion import _row, exp_error_term
 from .precision import PrecisionContext, lambert_w_minus1
 
 
@@ -64,9 +64,8 @@ def thm1_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     with E = exp(-(pi/2) sqrt(2n/3)).
     """
     _require(n, N)
-    mp = ctx.mp
     E = exp_error_term(n, ctx)
-    first_omitted = _term(N, mp.sqrt(mp.mpf(n)), ctx)
+    first_omitted = _row(n, ctx).term(N)
     return _enclosure("T1", n, N, E, abs(first_omitted) + E)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -34,6 +35,10 @@ TABLE_CASES = {
 THEOREMS = {"t1": thm1_bounds, "t2": thm2_bounds, "t3": thm3_bounds, "banerjee": banerjee_bounds}
 TABLE_BOUNDS = {"table1": THEOREMS["t1"], "table2": THEOREMS["t3"]}
 TABLE_MIN_DIGITS = 50
+_LOG10_2 = math.log10(2)
+# relative distance from an integer below which a double log10 is not trusted
+# to floor as the exact one (its error is below 1e-12 for any realistic value)
+_TIE_MARGIN = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +52,23 @@ def normalized_exponent(x, ctx: PrecisionContext) -> int:
 
 
 def _exponent_of(magnitude, ctx: PrecisionContext) -> int:
-    """:func:`normalized_exponent` of a positive magnitude, one power of ten per exponent tried."""
+    """:func:`normalized_exponent` of a positive magnitude, one power of ten per exponent tried.
+
+    The first exponent tried is floor(log10(magnitude)) + 1, from a double
+    log10 of the binary mantissa and exponent.  Its error is far below
+    ``_TIE_MARGIN``, so away from an integer it floors as the exact
+    logarithm does.  Near one the value may lie within an ulp of a power of
+    ten, where the two loops settle on either of two exponents depending on
+    where they start, so there the first exponent comes from the
+    full-precision log10.
+    """
     mp = ctx.mp
-    e = int(mp.floor(mp.log10(magnitude))) + 1
+    mantissa, exponent = mp.mpf(magnitude).man_exp
+    guess = math.log10(mantissa) + exponent * _LOG10_2
+    if abs(guess - round(guess)) > _TIE_MARGIN * (1 + abs(guess)):
+        e = math.floor(guess) + 1
+    else:
+        e = int(mp.floor(mp.log10(magnitude))) + 1
     power = mp.mpf(10) ** e
     while magnitude / power >= 1:
         e += 1

@@ -17,10 +17,10 @@ and the tail mediant theta_N(n) = (full tail) / (first omitted term).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 from .coefficients import coeff_c, coeff_envelope
@@ -47,12 +47,111 @@ class RemainderResult:
     theta: Optional[object] = None
 
 
-def mu(n: int, ctx: PrecisionContext):
-    """(pi/6) * sqrt(24n - 1)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+class _PerN:
+    """The reals at one n and precision that every evaluation at that n shares.
+
+    Each is formed on first use and kept: mu(n) and e^(-mu/2), and with
+    x = pi*sqrt(2n/3) the prefactor e^x/(4*sqrt(3)*n), e^(-x) and e^(-x/2).
+    The arithmetic is the same as without the memo, so every value is too.
+    """
+
+    def __init__(self, n: int, ctx: PrecisionContext):
+        self.n, self.ctx = n, ctx
+
+    @functools.cached_property
+    def mu(self):
+        """(pi/6) * sqrt(24n - 1)."""
+        mp = self.ctx.mp
+        return _constants(self.ctx).pi_6 * mp.sqrt(mp.mpf(24 * self.n - 1))
+
+    @functools.cached_property
+    def mu_decay(self):
+        """e^(-mu/2)."""
+        return self.ctx.mp.exp(-self.mu / 2)
+
+    @functools.cached_property
+    def prefactor(self):
+        """exp(pi*sqrt(2n/3)) / (4*sqrt(3)*n)."""
+        ctx = self.ctx
+        return ctx.mp.exp(_exponent(self.n, ctx)) / (_constants(ctx).four_sqrt3 * self.n)
+
+    @functools.cached_property
+    def decay(self):
+        """exp(-pi*sqrt(2n/3))."""
+        return self.ctx.mp.exp(-_exponent(self.n, self.ctx))
+
+    @functools.cached_property
+    def error_term(self):
+        """exp(-(pi/2)*sqrt(2n/3))."""
+        return self.ctx.mp.exp(-_exponent(self.n, self.ctx) / 2)
+
+
+class _Row:
+    """The series at one n: the terms c_m/n^(m/2) asked for, the running sums
+    S_0 = 0, S_1, ... up to the longest one asked for, and the full sum.
+
+    Each term c_m / n^(m/2) and each running sum is formed in one place, here.
+    """
+
+    def __init__(self, n: int, ctx: PrecisionContext):
+        self.n, self.ctx = n, ctx
+        self.root_n = ctx.mp.sqrt(ctx.mp.mpf(n))
+        self._terms = {}
+        self._sums = [ctx.mp.mpf(0)]
+
+    def term(self, m: int):
+        """c_m / n^(m/2)."""
+        value = self._terms.get(m)
+        if value is None:
+            value = self._terms[m] = coeff_c(m, self.ctx) / self.root_n**m
+        return value
+
+    def partial_sum(self, N: int):
+        """S_N, the running sum of the first N terms."""
+        sums = self._sums
+        while len(sums) <= N:
+            sums.append(sums[-1] + self.term(len(sums) - 1))
+        return sums[N]
+
+    @functools.cached_property
+    def full_sum(self):
+        """S_M for M = _series_length(n, ctx)."""
+        return self.partial_sum(_series_length(self.n, self.ctx))
+
+    def theta(self, N: int):
+        """(full_sum - S_N) / (c_N / n^(N/2))."""
+        return (self.full_sum - self.partial_sum(N)) / self.term(N)
+
+
+# The sweeps come back to an n within one check (the thirteen N of a
+# remainder row and their bounds, the lemma 3 envelopes) and, across the
+# overlapping ranges of the thm3 sweep, about 200 n later.  The scalars of
+# 256 n cover both in about 0.3 MB at 80 digits.  A row is reused only within
+# its n and holds up to twice its series length in reals (250 at n = 1 and
+# 80 digits), so only two rows are kept.
+@functools.lru_cache(maxsize=256)
+def _per_n(n: int, ctx: PrecisionContext) -> _PerN:
+    return _PerN(n, ctx)
+
+
+@functools.lru_cache(maxsize=2)
+def _row(n: int, ctx: PrecisionContext) -> _Row:
+    return _Row(n, ctx)
+
+
+@functools.lru_cache(maxsize=None)
+def _constants(ctx: PrecisionContext) -> SimpleNamespace:
+    """The reals the per-n formulas share at one precision, formed once per context."""
     mp = ctx.mp
-    return mp.pi / 6 * mp.sqrt(mp.mpf(24 * n - 1))
+    return SimpleNamespace(
+        pi_6=mp.pi / 6,
+        four_sqrt3=4 * mp.sqrt(3),
+        sqrt2=mp.sqrt(2),
+        inv_sqrt2=1 / mp.sqrt(2),
+        twelve_cbrt2=12 * mp.cbrt(2),
+        cbrt4=mp.cbrt(4),
+        two_thirds=mp.mpf(2) / 3,
+    )
 
 
 def _exponent(n: int, ctx: PrecisionContext):
@@ -61,40 +160,37 @@ def _exponent(n: int, ctx: PrecisionContext):
     return mp.pi * mp.sqrt(mp.mpf(2 * n) / 3)
 
 
-def prefactor(n: int, ctx: PrecisionContext):
-    """exp(pi*sqrt(2n/3)) / (4*sqrt(3)*n)."""
+def _positive(n: int) -> int:
+    """n, once checked to be >= 1, so that no other n is memoized."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    mp = ctx.mp
-    return mp.exp(_exponent(n, ctx)) / (4 * mp.sqrt(3) * n)
+    return n
 
 
-def _term(m: int, root_n, ctx: PrecisionContext):
-    """c_m / n^(m/2), the m-th term of the expansion, given root_n = sqrt(n)."""
-    return coeff_c(m, ctx) / root_n**m
+def mu(n: int, ctx: PrecisionContext):
+    """(pi/6) * sqrt(24n - 1)."""
+    return _per_n(_positive(n), ctx).mu
 
 
-def _partial_sums(n: int, ctx: PrecisionContext):
-    """The running partial sums S_0 = 0, S_1, S_2, ... at n (unbounded)."""
-    mp = ctx.mp
-    root_n = mp.sqrt(mp.mpf(n))
-    total = mp.mpf(0)
-    for m in itertools.count():
-        yield total
-        total += _term(m, root_n, ctx)
+def prefactor(n: int, ctx: PrecisionContext):
+    """exp(pi*sqrt(2n/3)) / (4*sqrt(3)*n)."""
+    return _per_n(_positive(n), ctx).prefactor
+
+
+def _check_n_N(n: int, N: int) -> None:
+    if n < 1 or N < 0:
+        raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
 
 
 def partial_sum(n: int, N: int, ctx: PrecisionContext):
     """sum_{m=0}^{N-1} c_m / n^(m/2); zero when N == 0."""
-    if n < 1 or N < 0:
-        raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
-    return next(itertools.islice(_partial_sums(n, ctx), N, None))
+    _check_n_N(n, N)
+    return _row(n, ctx).partial_sum(N)
 
 
 def normalized_partition(n: int, table: PartitionTable, ctx: PrecisionContext):
     """4*sqrt(3)*n*p(n)*exp(-pi*sqrt(2n/3)), the quantity the series approximates."""
-    mp = ctx.mp
-    return 4 * mp.sqrt(3) * n * table.p(n) * mp.exp(-_exponent(n, ctx))
+    return _constants(ctx).four_sqrt3 * n * table.p(n) * _per_n(n, ctx).decay
 
 
 def recommended_digits(n: int) -> int:
@@ -144,52 +240,54 @@ def remainder_exact(
 ) -> RemainderResult:
     """Exact remainder after N retained terms, solved from the exact p(n).
 
-    Raises PrecisionError when the subtraction cancels so much that fewer
-    than 10 significant digits survive at the context precision.
+    Entry N of the row at n, read from the per-n memo: P(n), S_N and the
+    prefactor are formed once per n however many N are asked for.  Raises
+    PrecisionError when the subtraction cancels so much that fewer than 10
+    significant digits survive at the context precision.
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
     _warn_if_low_precision(n, ctx)
+    _check_n_N(n, N)
     lhs = normalized_partition(n, table, ctx)
-    partial = partial_sum(n, N, ctx)
+    row = _row(n, ctx)
+    partial = row.partial_sum(N)
     return RemainderResult(
         n=n,
         N=N,
         remainder=_subtract(lhs, partial, ctx, f"remainder_exact(n={n}, N={N})"),
         partial_sum=partial,
         prefactor=prefactor(n, ctx),
-        theta=_theta(n, N, partial, ctx) if include_theta else None,
+        theta=row.theta(N) if include_theta else None,
     )
 
 
 def remainder_row(n: int, N_max: int, table: PartitionTable, ctx: PrecisionContext):
     """Yield remainder_exact(n, N, table, ctx) for N = 0..N_max, bit for bit.
 
-    P(n) and the prefactor are evaluated once and the partial sums accumulate
-    term by term.  Each entry is guarded against cancellation as it is
-    yielded, so a PrecisionError arrives at the first N that remainder_exact
-    rejects and no earlier.
+    Each entry is guarded against cancellation as it is yielded, so a
+    PrecisionError arrives at the first N that remainder_exact rejects and
+    no earlier.
     """
     if n < 1 or N_max < 0:
         raise ValueError(f"need n >= 1 and N_max >= 0, got n={n}, N_max={N_max}")
     _warn_if_low_precision(n, ctx)
     lhs = normalized_partition(n, table, ctx)
     factor = prefactor(n, ctx)
-    for N, partial in zip(range(N_max + 1), _partial_sums(n, ctx)):
+    row = _row(n, ctx)
+    for N in range(N_max + 1):
+        partial = row.partial_sum(N)
         remainder = _subtract(lhs, partial, ctx, f"remainder_row(n={n}, N={N})")
         yield RemainderResult(n=n, N=N, remainder=remainder, partial_sum=partial, prefactor=factor)
 
 
-@functools.lru_cache(maxsize=None)
 def full_sum(n: int, ctx: PrecisionContext):
     """sum_{m=0}^{inf} c_m / n^(m/2), summed to context precision.
 
-    The partial sum of the first ``_series_length(n, ctx)`` terms, memoized
-    per (n, digits) since there is one context per digit count.
+    The partial sum of the first ``_series_length(n, ctx)`` terms, kept in
+    the per-n memo.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return partial_sum(n, _series_length(n, ctx), ctx)
+    return _row(_positive(n), ctx).full_sum
 
 
 def _series_length(n: int, ctx: PrecisionContext) -> int:
@@ -214,22 +312,16 @@ def _series_length(n: int, ctx: PrecisionContext) -> int:
 
 def theta(n: int, N: int, ctx: PrecisionContext):
     """Tail mediant: (sum_{m>=N} c_m/n^(m/2)) / (c_N/n^(N/2)); lies in (0, 1)."""
-    if n < 1 or N < 0:
-        raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
-    return _theta(n, N, partial_sum(n, N, ctx), ctx)
-
-
-def _theta(n: int, N: int, partial, ctx: PrecisionContext):
-    """theta_N(n) from the partial sum S_N already formed at n."""
-    mp = ctx.mp
-    return (full_sum(n, ctx) - partial) / _term(N, mp.sqrt(mp.mpf(n)), ctx)
+    _check_n_N(n, N)
+    return _row(n, ctx).theta(N)
 
 
 def r_hat(n: int, table: PartitionTable, ctx: PrecisionContext):
     """Residual of the full convergent series against the normalized p(n)."""
     _warn_if_low_precision(n, ctx)
+    series = full_sum(n, ctx)
     lhs = normalized_partition(n, table, ctx)
-    return _subtract(lhs, full_sum(n, ctx), ctx, f"r_hat(n={n})")
+    return _subtract(lhs, series, ctx, f"r_hat(n={n})")
 
 
 def t_bound_full(n: int, ctx: PrecisionContext):
@@ -239,36 +331,36 @@ def t_bound_full(n: int, ctx: PrecisionContext):
       + (1/sqrt(2) + (2 - 12*2^(1/3))/mu) e^(-mu) + (1 + 1/mu) e^(-3mu/2) ] * e^(-mu/2)
     """
     mp = ctx.mp
-    m = mu(n, ctx)
-    twelve_cbrt2 = 12 * mp.cbrt(2)
-    inv_sqrt2 = 1 / mp.sqrt(2)
+    state = _per_n(_positive(n), ctx)
+    m, decay = state.mu, state.mu_decay
+    c = _constants(ctx)
     bracket = (
-        inv_sqrt2
-        + (twelve_cbrt2 - mp.sqrt(2)) / m
-        + (m**2 / mp.cbrt(4) - twelve_cbrt2) * mp.exp(-m / 2)
-        + (inv_sqrt2 + (2 - twelve_cbrt2) / m) * mp.exp(-m)
+        c.inv_sqrt2
+        + (c.twelve_cbrt2 - c.sqrt2) / m
+        + (m**2 / c.cbrt4 - c.twelve_cbrt2) * decay
+        + (c.inv_sqrt2 + (2 - c.twelve_cbrt2) / m) * mp.exp(-m)
         + (1 + 1 / m) * mp.exp(-3 * m / 2)
     )
-    return bracket * mp.exp(-m / 2)
+    return bracket * decay
 
 
 def t_bound_simple_bracket(n: int, ctx: PrecisionContext):
     """1/sqrt(2) + 14/mu + ((2/3) mu^2 - 13) e^(-mu/2); decreasing for n >= 8."""
-    mp = ctx.mp
-    m = mu(n, ctx)
-    return 1 / mp.sqrt(2) + 14 / m + (mp.mpf(2) / 3 * m**2 - 13) * mp.exp(-m / 2)
+    state = _per_n(_positive(n), ctx)
+    m = state.mu
+    c = _constants(ctx)
+    return c.inv_sqrt2 + 14 / m + (c.two_thirds * m**2 - 13) * state.mu_decay
 
 
 def t_bound_simple(n: int, ctx: PrecisionContext):
     """Coarser envelope: t_bound_simple_bracket(n) * e^(-mu/2)."""
-    return t_bound_simple_bracket(n, ctx) * ctx.mp.exp(-mu(n, ctx) / 2)
+    return t_bound_simple_bracket(n, ctx) * _per_n(n, ctx).mu_decay
 
 
-@functools.lru_cache(maxsize=None)
 def exp_error_term(n: int, ctx: PrecisionContext):
     """exp(-(pi/2) * sqrt(2n/3)): the exponentially small part of every bound.
 
-    Memoized per (n, digits), like :func:`full_sum`: the T1 and T2 bounds
-    take it once for every N at the same n.
+    Kept in the per-n memo, like :func:`full_sum`: the T1 and T2 bounds take
+    it once for every N at the same n.
     """
-    return ctx.mp.exp(-_exponent(n, ctx) / 2)
+    return _per_n(n, ctx).error_term

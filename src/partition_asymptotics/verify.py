@@ -100,11 +100,12 @@ def _lemma2(m_max: int, ctx: PrecisionContext):
 def _lemma3(n_max: int, ctx: PrecisionContext):
     """|r_hat(n)| <= exp(-(pi/2) sqrt(2n/3)), envelope shape, and proof chain."""
     mp = ctx.mp
+    ninety_seven, pi_12 = mp.mpf("0.97"), mp.pi / 12
     table = partition_pentagonal(n_max)
     for n in range(1, n_max + 1):
         bad = abs(r_hat(n, table, ctx)) > exp_error_term(n, ctx)
         yield f"|r_hat({n})| exceeds the exponential envelope" if bad else None
-    if not t_bound_simple_bracket(432, ctx) < mp.mpf("0.97"):
+    if not t_bound_simple_bracket(432, ctx) < ninety_seven:
         yield "simple bracket at n=432 is not below 0.97"  # counted only when it fails
     previous = t_bound_simple_bracket(8, ctx)
     for n in range(9, 5001):
@@ -119,8 +120,8 @@ def _lemma3(n_max: int, ctx: PrecisionContext):
             * mp.exp(mu(n, ctx) - _exponent(n, ctx))
         )
         # 0.97 * exp((pi/12)/(sqrt(24n-1)+sqrt(24n))) < 1
-        wiggle = mp.mpf("0.97") * mp.exp(
-            (mp.pi / 12) / (mp.sqrt(mp.mpf(24 * n - 1)) + mp.sqrt(mp.mpf(24 * n)))
+        wiggle = ninety_seven * mp.exp(
+            pi_12 / (mp.sqrt(mp.mpf(24 * n - 1)) + mp.sqrt(mp.mpf(24 * n)))
         )
         if t_bound_full(n, ctx) > t_bound_simple(n, ctx):
             yield f"full envelope exceeds simple envelope at n={n}"

@@ -8,10 +8,10 @@ import subprocess
 import sys
 
 import partition_asymptotics
-from partition_asymptotics import load_table, verify
-from partition_asymptotics.cli import build_parser, run
+from partition_asymptotics import PrecisionContext, load_table, verify
+from partition_asymptotics.cli import _exponent_of, build_parser, run
 
-from helpers import with_header
+from helpers import ulp, with_header
 
 TABLE1_GOLDEN = """\
 n = 200
@@ -237,3 +237,34 @@ def test_public_surface():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
     assert tuple(suite.choices) == verify.SUITE_NAMES
+
+
+def _settle(magnitude, e, ctx):
+    """The exponent search of normalized_exponent, started at exponent e."""
+    mp = ctx.mp
+    power = mp.mpf(10) ** e
+    while magnitude / power >= 1:
+        e += 1
+        power = mp.mpf(10) ** e
+    while magnitude / power < mp.mpf("0.1"):
+        e -= 1
+        power = mp.mpf(10) ** e
+    return e
+
+
+def test_exponent_guess_settles_as_the_full_logarithm():
+    # within a few ulps of 10^k the search can settle on either of two
+    # exponents depending on where it starts; the cheap first guess must
+    # settle where the full-precision log10 guess does
+    ties = 0
+    for digits in (30, 50, 80):
+        ctx = PrecisionContext(digits)
+        mp = ctx.mp
+        for k in range(-60, 61):
+            center = mp.mpf(10) ** k
+            for j in range(-4, 5):
+                x = center + j * ulp(center, ctx)
+                expected = _settle(x, int(mp.floor(mp.log10(x))) + 1, ctx)
+                assert _exponent_of(x, ctx) == expected, (digits, k, j)
+                ties += {_settle(x, expected - 1, ctx), _settle(x, expected + 1, ctx)} != {expected}
+    assert ties  # the sample reaches the values where the start decides

@@ -1,5 +1,7 @@
 """Remainders, tail sums, the tail mediant, and the residual envelopes."""
 
+import functools
+
 import pytest
 
 from partition_asymptotics import (
@@ -20,6 +22,7 @@ from partition_asymptotics import (
     t_bound_simple,
     t_bound_simple_bracket,
     theta,
+    thm1_bounds,
 )
 from partition_asymptotics import coefficients, expansion
 from partition_asymptotics.cli import format_scientific
@@ -276,3 +279,164 @@ def test_invalid_arguments(ctx80, table):
         remainder_exact(10, -1, table, ctx80)
     with pytest.raises(ValueError):
         theta(1, -1, ctx80)
+
+
+# ---------------------------------------------------------------------------
+# the per-n memo: every value as the plain formulas give it, bit for bit
+# ---------------------------------------------------------------------------
+
+MEMO_NS = list(range(1, 25)) + list(range(25, 1201, 53)) + [1200, 10007, 20000]
+
+
+@functools.lru_cache(maxsize=None)
+def _table_20000():
+    return partition_pentagonal(20000)
+
+
+def _plain_values(n, p, ctx):
+    """The per-n reals with every formula written out and formed afresh."""
+    mp = ctx.mp
+    exponent = mp.pi * mp.sqrt(mp.mpf(2 * n) / 3)
+    m = mp.pi / 6 * mp.sqrt(mp.mpf(24 * n - 1))
+    twelve_cbrt2 = 12 * mp.cbrt(2)
+    inv_sqrt2 = 1 / mp.sqrt(2)
+    bracket = (
+        inv_sqrt2
+        + (twelve_cbrt2 - mp.sqrt(2)) / m
+        + (m**2 / mp.cbrt(4) - twelve_cbrt2) * mp.exp(-m / 2)
+        + (inv_sqrt2 + (2 - twelve_cbrt2) / m) * mp.exp(-m)
+        + (1 + 1 / m) * mp.exp(-3 * m / 2)
+    )
+    simple_bracket = 1 / mp.sqrt(2) + 14 / m + (mp.mpf(2) / 3 * m**2 - 13) * mp.exp(-m / 2)
+    root_n = mp.sqrt(mp.mpf(n))
+    terms = [coeff_c(k, ctx) / root_n**k for k in range(max(expansion._series_length(n, ctx) + 3, 13))]
+    sums = [mp.mpf(0)]
+    for term in terms:
+        sums.append(sums[-1] + term)
+    return {
+        "mu": m,
+        "t_bound_full": bracket * mp.exp(-m / 2),
+        "t_bound_simple_bracket": simple_bracket,
+        "t_bound_simple": simple_bracket * mp.exp(-m / 2),
+        "prefactor": mp.exp(exponent) / (4 * mp.sqrt(3) * n),
+        "P": 4 * mp.sqrt(3) * n * p * mp.exp(-exponent),
+        "E": mp.exp(-exponent / 2),
+        "terms": terms,
+        "sums": sums,
+        "full": sums[expansion._series_length(n, ctx)],
+    }
+
+
+def _memo_values(n, table, ctx, order):
+    """The same reals through the public functions, the memo filled in ``order``."""
+    expansion._per_n.cache_clear()
+    expansion._row.cache_clear()
+    out = {"rows": {}}
+
+    def rows():
+        for N in range(13):
+            try:
+                out["rows"][N] = remainder_exact(n, N, table, ctx, include_theta=True)
+            except PrecisionError as exc:
+                out["rows"][N] = str(exc)
+
+    def bounds():
+        out["T1"] = [thm1_bounds(n, N, ctx) for N in range(13)]
+
+    def scalars():
+        out.update(
+            mu=mu(n, ctx),
+            t_bound_full=t_bound_full(n, ctx),
+            t_bound_simple_bracket=t_bound_simple_bracket(n, ctx),
+            t_bound_simple=t_bound_simple(n, ctx),
+            prefactor=prefactor(n, ctx),
+            P=expansion.normalized_partition(n, table, ctx),
+            E=exp_error_term(n, ctx),
+        )
+
+    def series():
+        out["full"] = full_sum(n, ctx)
+        out["theta"] = [theta(n, N, ctx) for N in range(13)]
+        out["partial"] = [partial_sum(n, N, ctx) for N in range(13)]
+
+    def beyond():
+        # partial sums past the series length, kept before the full sum is formed
+        out["beyond"] = partial_sum(n, expansion._series_length(n, ctx) + 2, ctx)
+
+    steps = {"rows": rows, "bounds": bounds, "scalars": scalars, "series": series, "beyond": beyond}
+    for step in order:
+        steps[step]()
+    return out
+
+
+def test_memo_is_bit_identical_to_the_plain_formulas():
+    import warnings
+
+    orders = (
+        ("series", "bounds", "rows", "scalars", "beyond"),
+        ("rows", "scalars", "bounds", "series", "beyond"),
+        ("beyond", "series", "rows", "bounds", "scalars"),
+    )
+    for digits in (50, 80, 160):
+        ctx = PrecisionContext(digits)
+        for n in MEMO_NS:
+            table = _table_20000()
+            plain = _plain_values(n, table.p(n), ctx)
+            for order in orders:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", PrecisionWarning)
+                    memo = _memo_values(n, table, ctx, order)
+                where = (n, digits, order)
+                for key in ("mu", "t_bound_full", "t_bound_simple_bracket", "t_bound_simple", "prefactor", "P", "E", "full"):
+                    assert memo[key]._mpf_ == plain[key]._mpf_, (key, where)
+                beyond = plain["sums"][expansion._series_length(n, ctx) + 2]
+                assert memo["beyond"]._mpf_ == beyond._mpf_, where
+                for N in range(13):
+                    term, partial = plain["terms"][N], plain["sums"][N]
+                    assert memo["partial"][N]._mpf_ == partial._mpf_, (N, where)
+                    assert memo["theta"][N]._mpf_ == ((plain["full"] - partial) / term)._mpf_, (N, where)
+                    E = plain["E"]
+                    even = (-E, abs(term) + E)
+                    lower, upper = even if N % 2 == 0 else (-even[1], -even[0])
+                    report = memo["T1"][N]
+                    assert (report.lower._mpf_, report.upper._mpf_) == (lower._mpf_, upper._mpf_), (N, where)
+                    try:
+                        remainder = expansion._subtract(plain["P"], partial, ctx, f"remainder_exact(n={n}, N={N})")
+                    except PrecisionError as exc:
+                        assert memo["rows"][N] == str(exc), (N, where)
+                        continue
+                    row = memo["rows"][N]
+                    assert row.remainder._mpf_ == remainder._mpf_, (N, where)
+                    assert row.partial_sum._mpf_ == partial._mpf_, (N, where)
+                    assert row.prefactor._mpf_ == plain["prefactor"]._mpf_, (N, where)
+                    assert row.theta._mpf_ == memo["theta"][N]._mpf_, (N, where)
+
+
+def test_per_n_caches_are_bounded():
+    for cache in (expansion._per_n, expansion._row):
+        assert isinstance(cache.cache_info().maxsize, int)
+    # every other cache in the module is per context, not per n
+    cached = {name for name, value in vars(expansion).items() if hasattr(value, "cache_info")}
+    assert cached == {"_per_n", "_row", "_constants"}
+
+
+def test_invalid_n_is_not_memoized(ctx80, table):
+    sizes = (expansion._per_n.cache_info().currsize, expansion._row.cache_info().currsize)
+    calls = (
+        lambda: mu(0, ctx80),
+        lambda: mu(-3, ctx80),
+        lambda: prefactor(0, ctx80),
+        lambda: partial_sum(0, 1, ctx80),
+        lambda: full_sum(0, ctx80),
+        lambda: theta(0, 2, ctx80),
+        lambda: t_bound_full(0, ctx80),
+        lambda: t_bound_simple(0, ctx80),
+        lambda: t_bound_simple_bracket(0, ctx80),
+        lambda: remainder_exact(0, 3, table, ctx80),
+        lambda: next(remainder_row(0, 3, table, ctx80)),
+        lambda: r_hat(0, table, ctx80),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    assert (expansion._per_n.cache_info().currsize, expansion._row.cache_info().currsize) == sizes

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import zlib
 
 import pytest
 
@@ -13,6 +14,7 @@ from partition_asymptotics import (
     partition_pentagonal,
     save_table,
 )
+from partition_asymptotics import partitions
 from partition_asymptotics.partitions import DP_CAP, PENTAGONAL_CAP
 
 from helpers import with_header
@@ -204,3 +206,92 @@ def test_loader_checks_header_and_checksum(tmp_path):
     path.write_text(text.replace("\t5604\n", "\t5614\n"))  # increasing, parses, wrong
     with pytest.raises(ValueError, match="checksum"):
         load_table(str(path))
+
+
+def _save_line_by_line(table):
+    """The table file as written one line at a time."""
+    return with_header("".join(f"{n}\t{value}\n" for n, value in enumerate(table.values))).encode("ascii")
+
+
+def _load_line_by_line(path):
+    """load_table's validation, one line at a time: the value or the ValueError text."""
+    values, crc = [], 0
+    try:
+        with open(path, "rb") as fh:
+            header = fh.readline().decode("ascii").split()
+            if len(header) != 4 or header[:2] != ["#", "partition-table"]:
+                raise ValueError(f"{path}: missing '# partition-table <version> crc32=<hex>' header")
+            if header[2] != "v1":
+                raise ValueError(f"{path}: unknown table format {header[2]!r}")
+            for lineno, line in enumerate(fh, start=2):
+                crc = zlib.crc32(line, crc)
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(b"\t")
+                if len(parts) != 2:
+                    raise ValueError(f"{path}:{lineno}: expected 'n<TAB>p(n)'")
+                n, value = int(parts[0]), int(parts[1])
+                if n != len(values):
+                    raise ValueError(f"{path}:{lineno}: indices must be consecutive from 0")
+                values.append(value)
+        if header[3] != f"crc32={crc:08x}":
+            raise ValueError(f"{path}: checksum mismatch")
+        if not values or values[0] != 1:
+            raise ValueError(f"{path}: table must start with p(0) = 1")
+        for n in range(2, len(values)):
+            if values[n] <= values[n - 1]:
+                raise ValueError(f"{path}: values must be strictly increasing from index 1")
+        if any(v < 0 for v in values):
+            raise ValueError(f"{path}: negative entry")
+    except ValueError as exc:
+        return str(exc)
+    return PartitionTable(values=tuple(values), n_max=len(values) - 1)
+
+
+def test_blocks_keep_bytes_and_messages(tmp_path):
+    # tables of many blocks are written as one line at a time would write
+    # them, and every damaged file, however far into it the damage lies,
+    # gets the verdict and message of a line-by-line reader
+    path = tmp_path / "table.tsv"
+    table = partition_pentagonal(3000)
+    save_table(table, str(path))
+    data = path.read_bytes()
+    assert data == _save_line_by_line(table)
+    assert len(data) > 4 * partitions._BLOCK_BYTES and len(table.values) > 4 * partitions._BLOCK_LINES
+    header, body = data.split(b"\n", 1)
+    lines = body.split(b"\n")
+
+    def variant(edit, rehash=True):
+        edited = edit(list(lines))
+        edited = edited if isinstance(edited, bytes) else b"\n".join(edited)
+        top = with_header(edited.decode("ascii")).encode("ascii").split(b"\n", 1)[0] if rehash else header
+        return top + b"\n" + edited
+
+    def replace(index, line):
+        return lambda ls: ls[:index] + [line] + ls[index + 1 :]
+
+    variants = [
+        data,
+        variant(lambda ls: b"\n".join(ls).rstrip(b"\n")),
+        variant(lambda ls: b"\r\n".join(ls)),
+        variant(lambda ls: ls[:1700] + [b"", b"  "] + ls[1700:]),
+        variant(lambda ls: ls[:1500]),
+        data.rstrip(b"\n"),
+        variant(replace(1700, b"")),
+        variant(replace(1700, b"1700 123")),
+        variant(replace(2999, b"2999\tx")),
+        variant(replace(2500, lines[2500] + b"\t7")),
+        variant(replace(2500, b"2500\t1")),
+        variant(replace(1700, b"1700 123"), rehash=False),
+        variant(replace(2000, lines[2000][:-1] + b"9"), rehash=False),
+    ]
+    for index, content in enumerate(variants):
+        path.write_bytes(content)
+        expected = _load_line_by_line(str(path))
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as caught:
+                load_table(str(path))
+            assert str(caught.value) == expected, index
+        else:
+            assert load_table(str(path)) == expected, index
