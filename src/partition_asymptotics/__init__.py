@@ -19,7 +19,6 @@ from .expansion import (
     r_hat,
     recommended_digits,
     remainder_exact,
-    remainder_row,
     t_bound_full,
     t_bound_simple,
     t_bound_simple_bracket,
@@ -77,7 +76,6 @@ __all__ = [
     "r_hat",
     "recommended_digits",
     "remainder_exact",
-    "remainder_row",
     "run_suite",
     "save_table",
     "t_bound_full",

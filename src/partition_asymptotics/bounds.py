@@ -21,7 +21,7 @@ from typing import Optional
 
 from .coefficients import coeff_envelope
 from .errors import DomainError
-from .expansion import _row, exp_error_term
+from .expansion import _per_n, exp_error_term
 from .precision import PrecisionContext, lambert_w_minus1
 
 
@@ -65,17 +65,16 @@ def thm1_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     """
     _require(n, N)
     E = exp_error_term(n, ctx)
-    first_omitted = _row(n, ctx).term(N)
+    first_omitted = _per_n(n, ctx).term(N)
     return _enclosure("T1", n, N, E, abs(first_omitted) + E)
 
 
 def thm2_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     """Coefficient-free enclosure: T1 with c_N relaxed to its proven envelope."""
     _require(n, N)
-    mp = ctx.mp
     E = exp_error_term(n, ctx)
     amplitude, shape, correction = coeff_envelope(N, ctx)
-    envelope = amplitude * shape / mp.sqrt(mp.mpf(24 * n)) ** N * correction
+    envelope = amplitude * shape / _per_n(n, ctx).q ** N * correction
     return _enclosure("T2", n, N, E, envelope + E)
 
 
@@ -122,12 +121,11 @@ def thm3_bounds(n: int, N: int, C, ctx: PrecisionContext) -> BoundsReport:
     _require(n, N)
     if N < 1:
         raise DomainError(f"T3 bounds need N >= 1, got N={N}")
-    mp = ctx.mp
     c_val = ctx.real(C)
     if not c_val > 0:
         raise DomainError(f"C must be positive, got {C!r}")
     amplitude, shape, correction = coeff_envelope(N, ctx)
-    factor = shape / mp.sqrt(mp.mpf(24 * n)) ** N
+    factor = shape / _per_n(n, ctx).q ** N
     widening = amplitude * correction
     valid = n >= nu(N, C, ctx)
     return _enclosure("T3", n, N, c_val * factor, (c_val + widening) * factor, valid, c_val)
@@ -148,6 +146,6 @@ def banerjee_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     if N < 2:
         raise DomainError(f"comparison bounds are stated for N >= 2, got N={N}")
     mp = ctx.mp
-    factor = (6 / mp.pi) ** N * mp.sqrt(N // 2 + 1 + N % 2) / mp.sqrt(mp.mpf(24 * n)) ** N
+    factor = (6 / mp.pi) ** N * mp.sqrt(N // 2 + 1 + N % 2) / _per_n(n, ctx).q ** N
     below, above = (13, 16) if N % 2 == 0 else (11, 21)
     return _enclosure("Banerjee", n, N, below * factor, above * factor, valid=False)

@@ -50,13 +50,17 @@ class RemainderResult:
 class _PerN:
     """The reals at one n and precision that every evaluation at that n shares.
 
-    Each is formed on first use and kept: mu(n) and e^(-mu/2), and with
-    x = pi*sqrt(2n/3) the prefactor e^x/(4*sqrt(3)*n), e^(-x) and e^(-x/2).
+    Each is formed on first use and kept: mu(n) and e^(-mu/2); with
+    x = pi*sqrt(2n/3) the prefactor e^x/(4*sqrt(3)*n), e^(-x) and e^(-x/2);
+    sqrt(n) and sqrt(24n); the terms c_m/n^(m/2) asked for, the running sums
+    S_0 = 0, S_1, ... up to the longest one asked for, and the full sum.
     The arithmetic is the same as without the memo, so every value is too.
     """
 
     def __init__(self, n: int, ctx: PrecisionContext):
         self.n, self.ctx = n, ctx
+        self._terms = {}
+        self._sums = [ctx.mp.mpf(0)]
 
     @functools.cached_property
     def mu(self):
@@ -85,19 +89,15 @@ class _PerN:
         """exp(-(pi/2)*sqrt(2n/3))."""
         return self.ctx.mp.exp(-_exponent(self.n, self.ctx) / 2)
 
+    @functools.cached_property
+    def root_n(self):
+        """sqrt(n)."""
+        return self.ctx.mp.sqrt(self.ctx.mp.mpf(self.n))
 
-class _Row:
-    """The series at one n: the terms c_m/n^(m/2) asked for, the running sums
-    S_0 = 0, S_1, ... up to the longest one asked for, and the full sum.
-
-    Each term c_m / n^(m/2) and each running sum is formed in one place, here.
-    """
-
-    def __init__(self, n: int, ctx: PrecisionContext):
-        self.n, self.ctx = n, ctx
-        self.root_n = ctx.mp.sqrt(ctx.mp.mpf(n))
-        self._terms = {}
-        self._sums = [ctx.mp.mpf(0)]
+    @functools.cached_property
+    def q(self):
+        """sqrt(24n), the base of the powers in the T2, T3 and comparison bounds."""
+        return self.ctx.mp.sqrt(self.ctx.mp.mpf(24 * self.n))
 
     def term(self, m: int):
         """c_m / n^(m/2)."""
@@ -123,20 +123,11 @@ class _Row:
         return (self.full_sum - self.partial_sum(N)) / self.term(N)
 
 
-# The sweeps come back to an n within one check (the thirteen N of a
-# remainder row and their bounds, the lemma 3 envelopes) and, across the
-# overlapping ranges of the thm3 sweep, about 200 n later.  The scalars of
-# 256 n cover both in about 0.3 MB at 80 digits.  A row is reused only within
-# its n and holds up to twice its series length in reals (250 at n = 1 and
-# 80 digits), so only two rows are kept.
-@functools.lru_cache(maxsize=256)
+# Every sweep finishes one n before it moves to the next, and the reference
+# tables alternate between two n, so two records cover all the reuse there is.
+@functools.lru_cache(maxsize=2)
 def _per_n(n: int, ctx: PrecisionContext) -> _PerN:
     return _PerN(n, ctx)
-
-
-@functools.lru_cache(maxsize=2)
-def _row(n: int, ctx: PrecisionContext) -> _Row:
-    return _Row(n, ctx)
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,41 +151,47 @@ def _exponent(n: int, ctx: PrecisionContext):
     return mp.pi * mp.sqrt(mp.mpf(2 * n) / 3)
 
 
-def _positive(n: int) -> int:
-    """n, once checked to be >= 1, so that no other n is memoized."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return n
+def _check(n: int, N: Optional[int] = None) -> None:
+    """The argument check every public function makes before a cache or warning sees n.
+
+    A function of n alone needs n >= 1; one of (n, N) needs N >= 0 as well.
+    """
+    if N is None:
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+    elif N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
+    elif n < 1:
+        raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
 
 
 def mu(n: int, ctx: PrecisionContext):
     """(pi/6) * sqrt(24n - 1)."""
-    return _per_n(_positive(n), ctx).mu
+    _check(n)
+    return _per_n(n, ctx).mu
 
 
 def prefactor(n: int, ctx: PrecisionContext):
     """exp(pi*sqrt(2n/3)) / (4*sqrt(3)*n)."""
-    return _per_n(_positive(n), ctx).prefactor
-
-
-def _check_n_N(n: int, N: int) -> None:
-    if n < 1 or N < 0:
-        raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
+    _check(n)
+    return _per_n(n, ctx).prefactor
 
 
 def partial_sum(n: int, N: int, ctx: PrecisionContext):
     """sum_{m=0}^{N-1} c_m / n^(m/2); zero when N == 0."""
-    _check_n_N(n, N)
-    return _row(n, ctx).partial_sum(N)
+    _check(n, N)
+    return _per_n(n, ctx).partial_sum(N)
 
 
 def normalized_partition(n: int, table: PartitionTable, ctx: PrecisionContext):
     """4*sqrt(3)*n*p(n)*exp(-pi*sqrt(2n/3)), the quantity the series approximates."""
+    _check(n)
     return _constants(ctx).four_sqrt3 * n * table.p(n) * _per_n(n, ctx).decay
 
 
 def recommended_digits(n: int) -> int:
     """Digits needed so the exponential prefactor leaves ~30 digits of headroom."""
+    _check(n)
     return 30 + math.ceil(math.pi * math.sqrt(2 * n / 3) / math.log(10))
 
 
@@ -240,54 +237,34 @@ def remainder_exact(
 ) -> RemainderResult:
     """Exact remainder after N retained terms, solved from the exact p(n).
 
-    Entry N of the row at n, read from the per-n memo: P(n), S_N and the
-    prefactor are formed once per n however many N are asked for.  Raises
-    PrecisionError when the subtraction cancels so much that fewer than 10
-    significant digits survive at the context precision.
+    S_N, the prefactor and θ are read from the per-n record, so they are
+    formed once per n however many N are asked for.  Raises PrecisionError
+    when the subtraction cancels so much that fewer than 10 significant digits
+    survive at the context precision.
     """
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
+    _check(n, N)
     _warn_if_low_precision(n, ctx)
-    _check_n_N(n, N)
     lhs = normalized_partition(n, table, ctx)
-    row = _row(n, ctx)
-    partial = row.partial_sum(N)
+    per = _per_n(n, ctx)
+    partial = per.partial_sum(N)
     return RemainderResult(
         n=n,
         N=N,
         remainder=_subtract(lhs, partial, ctx, f"remainder_exact(n={n}, N={N})"),
         partial_sum=partial,
-        prefactor=prefactor(n, ctx),
-        theta=row.theta(N) if include_theta else None,
+        prefactor=per.prefactor,
+        theta=per.theta(N) if include_theta else None,
     )
-
-
-def remainder_row(n: int, N_max: int, table: PartitionTable, ctx: PrecisionContext):
-    """Yield remainder_exact(n, N, table, ctx) for N = 0..N_max, bit for bit.
-
-    Each entry is guarded against cancellation as it is yielded, so a
-    PrecisionError arrives at the first N that remainder_exact rejects and
-    no earlier.
-    """
-    if n < 1 or N_max < 0:
-        raise ValueError(f"need n >= 1 and N_max >= 0, got n={n}, N_max={N_max}")
-    _warn_if_low_precision(n, ctx)
-    lhs = normalized_partition(n, table, ctx)
-    factor = prefactor(n, ctx)
-    row = _row(n, ctx)
-    for N in range(N_max + 1):
-        partial = row.partial_sum(N)
-        remainder = _subtract(lhs, partial, ctx, f"remainder_row(n={n}, N={N})")
-        yield RemainderResult(n=n, N=N, remainder=remainder, partial_sum=partial, prefactor=factor)
 
 
 def full_sum(n: int, ctx: PrecisionContext):
     """sum_{m=0}^{inf} c_m / n^(m/2), summed to context precision.
 
     The partial sum of the first ``_series_length(n, ctx)`` terms, kept in
-    the per-n memo.
+    the per-n record.
     """
-    return _row(_positive(n), ctx).full_sum
+    _check(n)
+    return _per_n(n, ctx).full_sum
 
 
 def _series_length(n: int, ctx: PrecisionContext) -> int:
@@ -312,12 +289,13 @@ def _series_length(n: int, ctx: PrecisionContext) -> int:
 
 def theta(n: int, N: int, ctx: PrecisionContext):
     """Tail mediant: (sum_{m>=N} c_m/n^(m/2)) / (c_N/n^(N/2)); lies in (0, 1)."""
-    _check_n_N(n, N)
-    return _row(n, ctx).theta(N)
+    _check(n, N)
+    return _per_n(n, ctx).theta(N)
 
 
 def r_hat(n: int, table: PartitionTable, ctx: PrecisionContext):
     """Residual of the full convergent series against the normalized p(n)."""
+    _check(n)
     _warn_if_low_precision(n, ctx)
     series = full_sum(n, ctx)
     lhs = normalized_partition(n, table, ctx)
@@ -330,8 +308,9 @@ def t_bound_full(n: int, ctx: PrecisionContext):
     [ 1/sqrt(2) + (12*2^(1/3) - sqrt(2))/mu + (mu^2/2^(2/3) - 12*2^(1/3)) e^(-mu/2)
       + (1/sqrt(2) + (2 - 12*2^(1/3))/mu) e^(-mu) + (1 + 1/mu) e^(-3mu/2) ] * e^(-mu/2)
     """
+    _check(n)
     mp = ctx.mp
-    state = _per_n(_positive(n), ctx)
+    state = _per_n(n, ctx)
     m, decay = state.mu, state.mu_decay
     c = _constants(ctx)
     bracket = (
@@ -346,7 +325,8 @@ def t_bound_full(n: int, ctx: PrecisionContext):
 
 def t_bound_simple_bracket(n: int, ctx: PrecisionContext):
     """1/sqrt(2) + 14/mu + ((2/3) mu^2 - 13) e^(-mu/2); decreasing for n >= 8."""
-    state = _per_n(_positive(n), ctx)
+    _check(n)
+    state = _per_n(n, ctx)
     m = state.mu
     c = _constants(ctx)
     return c.inv_sqrt2 + 14 / m + (c.two_thirds * m**2 - 13) * state.mu_decay
@@ -360,7 +340,8 @@ def t_bound_simple(n: int, ctx: PrecisionContext):
 def exp_error_term(n: int, ctx: PrecisionContext):
     """exp(-(pi/2) * sqrt(2n/3)): the exponentially small part of every bound.
 
-    Kept in the per-n memo, like :func:`full_sum`: the T1 and T2 bounds take
+    Kept in the per-n record, like :func:`full_sum`: the T1 and T2 bounds take
     it once for every N at the same n.
     """
+    _check(n)
     return _per_n(n, ctx).error_term

@@ -28,7 +28,6 @@ from .expansion import (
     mu,
     r_hat,
     remainder_exact,
-    remainder_row,
     t_bound_full,
     t_bound_simple,
     t_bound_simple_bracket,
@@ -107,30 +106,33 @@ def _lemma3(n_max: int, ctx: PrecisionContext):
         yield f"|r_hat({n})| exceeds the exponential envelope" if bad else None
     if not t_bound_simple_bracket(432, ctx) < ninety_seven:
         yield "simple bracket at n=432 is not below 0.97"  # counted only when it fails
-    previous = t_bound_simple_bracket(8, ctx)
-    for n in range(9, 5001):
-        current = t_bound_simple_bracket(n, ctx)
-        yield None if current < previous else f"simple bracket not decreasing at n={n}"
-        previous = current
-    for n in range(1, 1001):
-        # (24n/(24n-1)) * exp(mu - pi sqrt(2n/3)) <= 1
-        damping = (
-            mp.mpf(24 * n)
-            / (24 * n - 1)
-            * mp.exp(mu(n, ctx) - _exponent(n, ctx))
-        )
-        # 0.97 * exp((pi/12)/(sqrt(24n-1)+sqrt(24n))) < 1
-        wiggle = ninety_seven * mp.exp(
-            pi_12 / (mp.sqrt(mp.mpf(24 * n - 1)) + mp.sqrt(mp.mpf(24 * n)))
-        )
-        if t_bound_full(n, ctx) > t_bound_simple(n, ctx):
-            yield f"full envelope exceeds simple envelope at n={n}"
-        elif damping > 1:
-            yield f"damping factor exceeds 1 at n={n}"
-        elif not wiggle < 1:
-            yield f"0.97 absorption fails at n={n}"
-        else:
-            yield None
+    # one pass over n: the envelope chain for n <= 1000, and the decrease of
+    # the simple bracket from n = 8 on
+    for n in range(1, 5001):
+        if n <= 1000:
+            # (24n/(24n-1)) * exp(mu - pi sqrt(2n/3)) <= 1
+            damping = (
+                mp.mpf(24 * n)
+                / (24 * n - 1)
+                * mp.exp(mu(n, ctx) - _exponent(n, ctx))
+            )
+            # 0.97 * exp((pi/12)/(sqrt(24n-1)+sqrt(24n))) < 1
+            wiggle = ninety_seven * mp.exp(
+                pi_12 / (mp.sqrt(mp.mpf(24 * n - 1)) + mp.sqrt(mp.mpf(24 * n)))
+            )
+            if t_bound_full(n, ctx) > t_bound_simple(n, ctx):
+                yield f"full envelope exceeds simple envelope at n={n}"
+            elif damping > 1:
+                yield f"damping factor exceeds 1 at n={n}"
+            elif not wiggle < 1:
+                yield f"0.97 absorption fails at n={n}"
+            else:
+                yield None
+        if n >= 8:
+            current = t_bound_simple_bracket(n, ctx)
+            if n > 8:
+                yield None if current < previous else f"simple bracket not decreasing at n={n}"
+            previous = current
     for i in range(1, 1001):
         x = mp.mpf(i) / 4000  # grid over (0, 1/4]
         bad = mp.exp(-mp.pi * x / 12) / (1 - x**2) > 1
@@ -141,18 +143,18 @@ def _thm1(n_max: int, ctx: PrecisionContext):
     """Strict enclosure of the exact remainder by the T1 interval."""
     table = partition_pentagonal(n_max)
     for n in range(1, n_max + 1):
-        for row in remainder_row(n, ENCLOSURE_N_MAX, table, ctx):
-            report = thm1_bounds(n, row.N, ctx)
-            enclosed = report.lower < row.remainder < report.upper
-            yield None if enclosed else f"T1 enclosure fails at n={n}, N={row.N}"
+        for N in range(ENCLOSURE_N_MAX + 1):
+            report = thm1_bounds(n, N, ctx)
+            enclosed = report.lower < remainder_exact(n, N, table, ctx).remainder < report.upper
+            yield None if enclosed else f"T1 enclosure fails at n={n}, N={N}"
 
 
 def _thm2(n_max: int, ctx: PrecisionContext):
     """Strict T2 enclosure plus nesting: the T1 interval sits inside T2."""
     table = partition_pentagonal(n_max)
     for n in range(1, n_max + 1):
-        for row in remainder_row(n, ENCLOSURE_N_MAX, table, ctx):
-            N, remainder = row.N, row.remainder
+        for N in range(ENCLOSURE_N_MAX + 1):
+            remainder = remainder_exact(n, N, table, ctx).remainder
             t1 = thm1_bounds(n, N, ctx)
             t2 = thm2_bounds(n, N, ctx)
             if not (t2.lower < remainder < t2.upper):
@@ -174,11 +176,18 @@ THM3_SPAN = 200
 
 
 def _thm3(_size, ctx: PrecisionContext):
-    """T3 enclosure from each reference threshold up through threshold + THM3_SPAN."""
+    """T3 enclosure from each reference threshold up through threshold + THM3_SPAN.
+
+    The sweep visits each n once and checks there every pair whose range covers it.
+    """
     thresholds = [(N, C, max(nu(N, C, ctx), 1)) for N, C in THM3_REFERENCE_PAIRS]
-    table = partition_pentagonal(max(start for _, _, start in thresholds) + THM3_SPAN)
-    for N, C, start in thresholds:
-        for n in range(start, start + THM3_SPAN + 1):
+    first = min(start for _, _, start in thresholds)
+    last = max(start for _, _, start in thresholds) + THM3_SPAN
+    table = partition_pentagonal(last)
+    for n in range(first, last + 1):
+        for N, C, start in thresholds:
+            if not start <= n <= start + THM3_SPAN:
+                continue
             report = thm3_bounds(n, N, C, ctx)
             if not report.valid:
                 yield f"threshold not honored at n={n}, N={N}, C={C}"

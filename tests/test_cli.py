@@ -226,6 +226,16 @@ def test_headerless_cache_rebuilt_once(tmp_path, capsys):
     assert (status, out, capsys.readouterr().err) == (0, "n = 2\np = 2\n\n", "")
 
 
+def test_invalid_n_with_a_covering_cache(tmp_path, capsys):
+    # a cache covering the table makes remainder reach the argument check itself
+    cache = tmp_path / "partitions.tsv"
+    assert invoke("--cache", str(cache), "partition", "50")[0] == 0
+    capsys.readouterr()
+    status, out = invoke("--cache", str(cache), "remainder", "-5", "2")
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == "error: need n >= 1 and N >= 0, got n=-5, N=2\n"
+
+
 def test_directory_as_cache_is_an_error(tmp_path, capsys):
     status, out = invoke("--cache", str(tmp_path), "partition", "5")
     assert (status, out) == (2, "")

@@ -1,6 +1,8 @@
 """Remainders, tail sums, the tail mediant, and the residual envelopes."""
 
 import functools
+import inspect
+import warnings
 
 import pytest
 
@@ -17,12 +19,14 @@ from partition_asymptotics import (
     prefactor,
     r_hat,
     remainder_exact,
-    remainder_row,
     t_bound_full,
     t_bound_simple,
     t_bound_simple_bracket,
     theta,
+    banerjee_bounds,
     thm1_bounds,
+    thm2_bounds,
+    thm3_bounds,
 )
 from partition_asymptotics import coefficients, expansion
 from partition_asymptotics.cli import format_scientific
@@ -70,25 +74,9 @@ def test_remainder_reference_values(ctx80, table):
     assert format_scientific(remainder_exact(1000, 10, table, ctx80).remainder, ctx80) == "0.1676334056e-17"
 
 
-def _bits(result):
-    return [value._mpf_ for value in (result.remainder, result.partial_sum, result.prefactor)]
-
-
-def test_remainder_row_matches_remainder_exact(ctx80, table):
-    cases = [(n, ctx80, table) for n in (1, 2, 3, 10, 57, 200, 499, 1000, 2000)]
-    large = partition_pentagonal(15013)
-    for n in (10007, 15013):
-        cases.append((n, PrecisionContext(expansion.recommended_digits(n)), large))
-    for n, ctx, source in cases:
-        row = list(remainder_row(n, 12, source, ctx))
-        assert [result.N for result in row] == list(range(13))
-        for N, result in enumerate(row):
-            exact = remainder_exact(n, N, source, ctx)
-            assert (result.n, result.theta) == (n, None)
-            assert _bits(result) == _bits(exact), (n, N)
-
-
-def test_remainder_row_guards_only_the_entry_it_yields(table):
+def test_low_precision_rejects_only_from_a_positive_N(table):
+    # at 30 digits the cancellation guard turns n = 1000 away from some N on,
+    # but never at N = 0, where nothing is subtracted
     low = PrecisionContext(30)
     failing = []
     with pytest.warns(PrecisionWarning):
@@ -98,12 +86,6 @@ def test_remainder_row_guards_only_the_entry_it_yields(table):
             except PrecisionError:
                 failing.append(N)
     assert failing and failing[0] > 0
-    row = remainder_row(1000, 12, table, low)
-    with pytest.warns(PrecisionWarning):
-        for N in range(failing[0]):
-            assert _bits(next(row)) == _bits(remainder_exact(1000, N, table, low))
-        with pytest.raises(PrecisionError):
-            next(row)
 
 
 def _logarithmic_guard(lhs, series, ctx):
@@ -262,8 +244,6 @@ def test_cancellation_guard(table):
 
 
 def test_low_precision_warning_only_when_needed(table):
-    import warnings
-
     high = PrecisionContext(80)
     with warnings.catch_warnings():
         warnings.simplefilter("error", PrecisionWarning)
@@ -309,6 +289,11 @@ def _plain_values(n, p, ctx):
     )
     simple_bracket = 1 / mp.sqrt(2) + 14 / m + (mp.mpf(2) / 3 * m**2 - 13) * mp.exp(-m / 2)
     root_n = mp.sqrt(mp.mpf(n))
+    q = mp.sqrt(mp.mpf(24 * n))
+    E = mp.exp(-exponent / 2)
+    half = mp.mpf("0.5")
+    envelopes = [coefficients.coeff_envelope(N, ctx) for N in range(13)]
+    comparison = [(6 / mp.pi) ** N * mp.sqrt(N // 2 + 1 + N % 2) / q**N for N in range(13)]
     terms = [coeff_c(k, ctx) / root_n**k for k in range(max(expansion._series_length(n, ctx) + 3, 13))]
     sums = [mp.mpf(0)]
     for term in terms:
@@ -320,17 +305,20 @@ def _plain_values(n, p, ctx):
         "t_bound_simple": simple_bracket * mp.exp(-m / 2),
         "prefactor": mp.exp(exponent) / (4 * mp.sqrt(3) * n),
         "P": 4 * mp.sqrt(3) * n * p * mp.exp(-exponent),
-        "E": mp.exp(-exponent / 2),
+        "E": E,
         "terms": terms,
         "sums": sums,
         "full": sums[expansion._series_length(n, ctx)],
+        # the even-N pair (below, above) of T2, T3 with C = 1/2, and the comparison family
+        "T2": [(E, a * s / q**N * c + E) for N, (a, s, c) in enumerate(envelopes)],
+        "T3": [(half * (s / q**N), (half + a * c) * (s / q**N)) for N, (a, s, c) in enumerate(envelopes)],
+        "Banerjee": [(13 * f, 16 * f) if N % 2 == 0 else (11 * f, 21 * f) for N, f in enumerate(comparison)],
     }
 
 
 def _memo_values(n, table, ctx, order):
     """The same reals through the public functions, the memo filled in ``order``."""
     expansion._per_n.cache_clear()
-    expansion._row.cache_clear()
     out = {"rows": {}}
 
     def rows():
@@ -342,6 +330,9 @@ def _memo_values(n, table, ctx, order):
 
     def bounds():
         out["T1"] = [thm1_bounds(n, N, ctx) for N in range(13)]
+        out["T2"] = [thm2_bounds(n, N, ctx) for N in range(13)]
+        out["T3"] = [None] + [thm3_bounds(n, N, "0.5", ctx) for N in range(1, 13)]
+        out["Banerjee"] = [None, None] + [banerjee_bounds(n, N, ctx) for N in range(2, 13)]
 
     def scalars():
         out.update(
@@ -370,8 +361,6 @@ def _memo_values(n, table, ctx, order):
 
 
 def test_memo_is_bit_identical_to_the_plain_formulas():
-    import warnings
-
     orders = (
         ("series", "bounds", "rows", "scalars", "beyond"),
         ("rows", "scalars", "bounds", "series", "beyond"),
@@ -400,6 +389,14 @@ def test_memo_is_bit_identical_to_the_plain_formulas():
                     lower, upper = even if N % 2 == 0 else (-even[1], -even[0])
                     report = memo["T1"][N]
                     assert (report.lower._mpf_, report.upper._mpf_) == (lower._mpf_, upper._mpf_), (N, where)
+                    for family in ("T2", "T3", "Banerjee"):
+                        report = memo[family][N]
+                        if report is None:
+                            continue
+                        below, above = plain[family][N]
+                        even = (-below, above)
+                        lower, upper = even if N % 2 == 0 else (-even[1], -even[0])
+                        assert (report.lower._mpf_, report.upper._mpf_) == (lower._mpf_, upper._mpf_), (family, N, where)
                     try:
                         remainder = expansion._subtract(plain["P"], partial, ctx, f"remainder_exact(n={n}, N={N})")
                     except PrecisionError as exc:
@@ -413,30 +410,31 @@ def test_memo_is_bit_identical_to_the_plain_formulas():
 
 
 def test_per_n_caches_are_bounded():
-    for cache in (expansion._per_n, expansion._row):
-        assert isinstance(cache.cache_info().maxsize, int)
+    assert isinstance(expansion._per_n.cache_info().maxsize, int)
     # every other cache in the module is per context, not per n
     cached = {name for name, value in vars(expansion).items() if hasattr(value, "cache_info")}
-    assert cached == {"_per_n", "_row", "_constants"}
+    assert cached == {"_per_n", "_constants"}
 
 
 def test_invalid_n_is_not_memoized(ctx80, table):
-    sizes = (expansion._per_n.cache_info().currsize, expansion._row.cache_info().currsize)
-    calls = (
-        lambda: mu(0, ctx80),
-        lambda: mu(-3, ctx80),
-        lambda: prefactor(0, ctx80),
-        lambda: partial_sum(0, 1, ctx80),
-        lambda: full_sum(0, ctx80),
-        lambda: theta(0, 2, ctx80),
-        lambda: t_bound_full(0, ctx80),
-        lambda: t_bound_simple(0, ctx80),
-        lambda: t_bound_simple_bracket(0, ctx80),
-        lambda: remainder_exact(0, 3, table, ctx80),
-        lambda: next(remainder_row(0, 3, table, ctx80)),
-        lambda: r_hat(0, table, ctx80),
-    )
-    for call in calls:
-        with pytest.raises(ValueError):
-            call()
-    assert (expansion._per_n.cache_info().currsize, expansion._row.cache_info().currsize) == sizes
+    # every public function of n in the module, so that a new one cannot skip
+    # the argument check; it must reject n before a cache or a warning sees it
+    functions = {
+        name: value
+        for name, value in vars(expansion).items()
+        if inspect.isfunction(value)
+        and value.__module__ == expansion.__name__
+        and not name.startswith("_")
+        and "n" in inspect.signature(value).parameters
+    }
+    assert {"mu", "normalized_partition", "recommended_digits", "remainder_exact", "r_hat"} <= set(functions)
+    for n in (0, -3):
+        arguments = {"n": n, "N": 3, "table": table, "ctx": ctx80}
+        for name, function in functions.items():
+            before = expansion._per_n.cache_info()
+            params = inspect.signature(function).parameters
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"^(n must be positive|need n >= 1)"):
+                    function(**{key: arguments[key] for key in params if key in arguments})
+            assert expansion._per_n.cache_info() == before, (name, n)
