@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coefficients import coeff_envelope
-from .errors import DomainError
-from .expansion import _per_n, exp_error_term
+from .errors import DomainError, PrecisionError
+from .expansion import _check, _per_n
 from .precision import PrecisionContext, lambert_w_minus1
 
 
@@ -36,13 +36,6 @@ class BoundsReport:
     theorem: str
     valid: bool
     C: Optional[object] = None
-
-
-def _require(n: int, N: int) -> None:
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
-    if N < 0:
-        raise DomainError(f"N must be nonnegative, got {N}")
 
 
 def _enclosure(theorem, n, N, below, above, valid=True, C=None) -> BoundsReport:
@@ -63,18 +56,19 @@ def thm1_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     Odd  N = 2j+1: c_{2j+1}/n^(j+1/2) - E < R_N(n) < E
     with E = exp(-(pi/2) sqrt(2n/3)).
     """
-    _require(n, N)
-    E = exp_error_term(n, ctx)
-    first_omitted = _per_n(n, ctx).term(N)
-    return _enclosure("T1", n, N, E, abs(first_omitted) + E)
+    _check(n, N)
+    per = _per_n(n, ctx)
+    E = per.error_term
+    return _enclosure("T1", n, N, E, abs(per.term(N)) + E)
 
 
 def thm2_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     """Coefficient-free enclosure: T1 with c_N relaxed to its proven envelope."""
-    _require(n, N)
-    E = exp_error_term(n, ctx)
+    _check(n, N)
+    per = _per_n(n, ctx)
+    E = per.error_term
     amplitude, shape, correction = coeff_envelope(N, ctx)
-    envelope = amplitude * shape / _per_n(n, ctx).q ** N * correction
+    envelope = amplitude * shape / per.q ** N * correction
     return _enclosure("T2", n, N, E, envelope + E)
 
 
@@ -85,8 +79,9 @@ def nu(N: int, C, ctx: PrecisionContext) -> int:
         nu_N(C) = ceil( (3/2) * ( (2N/pi) * W_-1(-(pi/(12N)) (C sqrt(N+1))^(1/N)) )^2 )
 
     Raises DomainError when the W_-1 argument falls below -1/e (no threshold
-    exists for that (N, C) pair).  Results are cached per (N, C, digits), so C
-    must be hashable.
+    exists for that (N, C) pair), and PrecisionError when the value is within
+    10^-digits of an integer, where its ceiling is undecided.  Results are
+    cached per (N, C, digits), so C must be hashable.
     """
     if N < 1:
         raise DomainError(f"N must be positive, got {N}")
@@ -103,7 +98,11 @@ def nu(N: int, C, ctx: PrecisionContext) -> int:
     value = mp.mpf(3) / 2 * ((2 * N / mp.pi) * w) ** 2
     nearest = mp.nint(value)
     if abs(value - nearest) < mp.mpf(10) ** (-ctx.digits):
-        return int(nearest)
+        # the true threshold may lie on either side of the integer
+        raise PrecisionError(
+            f"nu(N={N}, C={C!r}) is within 10^-{ctx.digits} of {int(nearest)}; "
+            "raise the precision to decide its ceiling"
+        )
     return int(mp.ceil(value))
 
 
@@ -118,16 +117,14 @@ def thm3_bounds(n: int, N: int, C, ctx: PrecisionContext) -> BoundsReport:
     Holds once n >= nu_N(C); below the threshold the report is returned with
     valid=False rather than raising, so sweeps can cross the boundary.
     """
-    _require(n, N)
+    _check(n, N)
     if N < 1:
         raise DomainError(f"T3 bounds need N >= 1, got N={N}")
+    valid = n >= nu(N, C, ctx)  # nu also rejects C <= 0
     c_val = ctx.real(C)
-    if not c_val > 0:
-        raise DomainError(f"C must be positive, got {C!r}")
     amplitude, shape, correction = coeff_envelope(N, ctx)
     factor = shape / _per_n(n, ctx).q ** N
     widening = amplitude * correction
-    valid = n >= nu(N, C, ctx)
     return _enclosure("T3", n, N, c_val * factor, (c_val + widening) * factor, valid, c_val)
 
 
@@ -142,7 +139,7 @@ def banerjee_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     Its validity threshold is not computable from the inputs available here,
     so valid is always False; the report exists for width comparisons.
     """
-    _require(n, N)
+    _check(n, N)
     if N < 2:
         raise DomainError(f"comparison bounds are stated for N >= 2, got N={N}")
     mp = ctx.mp

@@ -106,19 +106,15 @@ def _root(k: int, digits: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _coeff_value(m: int, digits: int):
+def coeff_c(m: int, ctx: PrecisionContext):
+    """c_m at context precision.  Memoized per (m, context), that is per (m, digits)."""
+    digits = ctx.digits
     mp = PrecisionContext(digits + 10).mp
     bits = (digits + 10) * 10 // 3 + 64
     lo, hi = _bracket(m, bits)
     denominator = _integer_form(m)[1]
     magnitude = mp.ldexp(lo + hi, -bits - 1) / (mp.pi * denominator * _root(96, digits + 10) ** m)
-    signed = -magnitude if m % 2 else magnitude
-    return PrecisionContext(digits).real(signed)
-
-
-def coeff_c(m: int, ctx: PrecisionContext):
-    """c_m at context precision.  Memoized per (m, digits)."""
-    return _coeff_value(m, ctx.digits)
+    return ctx.real(-magnitude if m % 2 else magnitude)
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,23 +124,19 @@ def _even_odd_prefactor(digits: int):
     return base * mp.sinh(mp.pi / 6), base * mp.cosh(mp.pi / 6)
 
 
+@functools.lru_cache(maxsize=None)
 def coeff_envelope(m: int, ctx: PrecisionContext) -> tuple:
     """(amplitude, shape, correction) of the proven envelope
     |c_m| <= amplitude * shape / sqrt(24)^m * correction.
 
     Even m = 2j:   (6*sqrt(2)/pi^(3/2)) sinh(pi/6), sqrt(2j+1), sqrt(1 + 1/(4j+1)).
     Odd  m = 2j+1: (6*sqrt(2)/pi^(3/2)) cosh(pi/6), sqrt(2j+2), sqrt(1 - 1/(4j+5)).
-    Memoized per (m, digits); the amplitudes are computed once per digit count.
+    Memoized per (m, context); the amplitudes are computed once per digit count.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    return _envelope(m, ctx.digits)
-
-
-@functools.lru_cache(maxsize=None)
-def _envelope(m: int, digits: int) -> tuple:
-    mp = PrecisionContext(digits).mp
-    even_pref, odd_pref = _even_odd_prefactor(digits)
+    mp = ctx.mp
+    even_pref, odd_pref = _even_odd_prefactor(ctx.digits)
     j = m // 2
     if m % 2 == 0:
         return even_pref, mp.sqrt(2 * j + 1), mp.sqrt(1 + mp.mpf(1) / (4 * j + 1))

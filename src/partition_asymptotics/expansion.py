@@ -24,7 +24,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .coefficients import coeff_c, coeff_envelope
-from .errors import PrecisionError, PrecisionWarning
+from .errors import DomainError, PrecisionError, PrecisionWarning
 from .partitions import PartitionTable
 from .precision import PrecisionContext
 
@@ -50,23 +50,35 @@ class RemainderResult:
 class _PerN:
     """The reals at one n and precision that every evaluation at that n shares.
 
-    Each is formed on first use and kept: mu(n) and e^(-mu/2); with
-    x = pi*sqrt(2n/3) the prefactor e^x/(4*sqrt(3)*n), e^(-x) and e^(-x/2);
-    sqrt(n) and sqrt(24n); the terms c_m/n^(m/2) asked for, the running sums
-    S_0 = 0, S_1, ... up to the longest one asked for, and the full sum.
-    The arithmetic is the same as without the memo, so every value is too.
+    Each is formed on first use and kept: x = pi*sqrt(2n/3), the prefactor
+    e^x/(4*sqrt(3)*n) and e^(-x/2); sqrt(24n - 1), mu(n), e^(-mu/2) and the
+    simple bracket; sqrt(n) and sqrt(24n); the terms c_m/n^(m/2) asked for,
+    the running sums S_0 = 0, S_1, ... up to the longest one asked for, and
+    the full sum; and P(n) for the last p(n) it was given.  The arithmetic is
+    the same as without the memo, so every value is too.
     """
 
     def __init__(self, n: int, ctx: PrecisionContext):
         self.n, self.ctx = n, ctx
         self._terms = {}
         self._sums = [ctx.mp.mpf(0)]
+        self._p = self._normalized = None
+
+    @functools.cached_property
+    def x(self):
+        """pi*sqrt(2n/3), the exponent of the growth of p(n)."""
+        mp = self.ctx.mp
+        return mp.pi * mp.sqrt(mp.mpf(2 * self.n) / 3)
+
+    @functools.cached_property
+    def r(self):
+        """sqrt(24n - 1)."""
+        return self.ctx.mp.sqrt(self.ctx.mp.mpf(24 * self.n - 1))
 
     @functools.cached_property
     def mu(self):
         """(pi/6) * sqrt(24n - 1)."""
-        mp = self.ctx.mp
-        return _constants(self.ctx).pi_6 * mp.sqrt(mp.mpf(24 * self.n - 1))
+        return _constants(self.ctx).pi_6 * self.r
 
     @functools.cached_property
     def mu_decay(self):
@@ -74,20 +86,20 @@ class _PerN:
         return self.ctx.mp.exp(-self.mu / 2)
 
     @functools.cached_property
-    def prefactor(self):
-        """exp(pi*sqrt(2n/3)) / (4*sqrt(3)*n)."""
-        ctx = self.ctx
-        return ctx.mp.exp(_exponent(self.n, ctx)) / (_constants(ctx).four_sqrt3 * self.n)
+    def simple_bracket(self):
+        """1/sqrt(2) + 14/mu + ((2/3) mu^2 - 13) e^(-mu/2)."""
+        c = _constants(self.ctx)
+        return c.inv_sqrt2 + 14 / self.mu + (c.two_thirds * self.mu**2 - 13) * self.mu_decay
 
     @functools.cached_property
-    def decay(self):
-        """exp(-pi*sqrt(2n/3))."""
-        return self.ctx.mp.exp(-_exponent(self.n, self.ctx))
+    def prefactor(self):
+        """exp(pi*sqrt(2n/3)) / (4*sqrt(3)*n)."""
+        return self.ctx.mp.exp(self.x) / (_constants(self.ctx).four_sqrt3 * self.n)
 
     @functools.cached_property
     def error_term(self):
         """exp(-(pi/2)*sqrt(2n/3))."""
-        return self.ctx.mp.exp(-_exponent(self.n, self.ctx) / 2)
+        return self.ctx.mp.exp(-self.x / 2)
 
     @functools.cached_property
     def root_n(self):
@@ -98,6 +110,17 @@ class _PerN:
     def q(self):
         """sqrt(24n), the base of the powers in the T2, T3 and comparison bounds."""
         return self.ctx.mp.sqrt(self.ctx.mp.mpf(24 * self.n))
+
+    def normalized(self, p: int):
+        """P(n) = 4*sqrt(3)*n*p*exp(-x), the quantity the series approximates, for p = p(n).
+
+        Kept for the last p only and formed again for any other, so two
+        tables that disagree at n each get their own P(n).
+        """
+        if p != self._p:
+            constant = _constants(self.ctx).four_sqrt3
+            self._p, self._normalized = p, constant * self.n * p * self.ctx.mp.exp(-self.x)
+        return self._normalized
 
     def term(self, m: int):
         """c_m / n^(m/2)."""
@@ -145,12 +168,6 @@ def _constants(ctx: PrecisionContext) -> SimpleNamespace:
     )
 
 
-def _exponent(n: int, ctx: PrecisionContext):
-    """pi*sqrt(2n/3), the exponent of the growth of p(n)."""
-    mp = ctx.mp
-    return mp.pi * mp.sqrt(mp.mpf(2 * n) / 3)
-
-
 def _check(n: int, N: Optional[int] = None) -> None:
     """The argument check every public function makes before a cache or warning sees n.
 
@@ -158,11 +175,11 @@ def _check(n: int, N: Optional[int] = None) -> None:
     """
     if N is None:
         if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
+            raise DomainError(f"n must be positive, got {n}")
     elif N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
+        raise DomainError(f"N must be nonnegative, got {N}")
     elif n < 1:
-        raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
+        raise DomainError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
 
 
 def mu(n: int, ctx: PrecisionContext):
@@ -181,12 +198,6 @@ def partial_sum(n: int, N: int, ctx: PrecisionContext):
     """sum_{m=0}^{N-1} c_m / n^(m/2); zero when N == 0."""
     _check(n, N)
     return _per_n(n, ctx).partial_sum(N)
-
-
-def normalized_partition(n: int, table: PartitionTable, ctx: PrecisionContext):
-    """4*sqrt(3)*n*p(n)*exp(-pi*sqrt(2n/3)), the quantity the series approximates."""
-    _check(n)
-    return _constants(ctx).four_sqrt3 * n * table.p(n) * _per_n(n, ctx).decay
 
 
 def recommended_digits(n: int) -> int:
@@ -237,16 +248,15 @@ def remainder_exact(
 ) -> RemainderResult:
     """Exact remainder after N retained terms, solved from the exact p(n).
 
-    S_N, the prefactor and θ are read from the per-n record, so they are
-    formed once per n however many N are asked for.  Raises PrecisionError
+    P(n), S_N, the prefactor and θ are read from the per-n record, so they
+    are formed once per n however many N are asked for.  Raises PrecisionError
     when the subtraction cancels so much that fewer than 10 significant digits
     survive at the context precision.
     """
     _check(n, N)
     _warn_if_low_precision(n, ctx)
-    lhs = normalized_partition(n, table, ctx)
     per = _per_n(n, ctx)
-    partial = per.partial_sum(N)
+    lhs, partial = per.normalized(table.p(n)), per.partial_sum(N)
     return RemainderResult(
         n=n,
         N=N,
@@ -297,9 +307,8 @@ def r_hat(n: int, table: PartitionTable, ctx: PrecisionContext):
     """Residual of the full convergent series against the normalized p(n)."""
     _check(n)
     _warn_if_low_precision(n, ctx)
-    series = full_sum(n, ctx)
-    lhs = normalized_partition(n, table, ctx)
-    return _subtract(lhs, series, ctx, f"r_hat(n={n})")
+    per = _per_n(n, ctx)
+    return _subtract(per.normalized(table.p(n)), per.full_sum, ctx, f"r_hat(n={n})")
 
 
 def t_bound_full(n: int, ctx: PrecisionContext):
@@ -326,10 +335,7 @@ def t_bound_full(n: int, ctx: PrecisionContext):
 def t_bound_simple_bracket(n: int, ctx: PrecisionContext):
     """1/sqrt(2) + 14/mu + ((2/3) mu^2 - 13) e^(-mu/2); decreasing for n >= 8."""
     _check(n)
-    state = _per_n(n, ctx)
-    m = state.mu
-    c = _constants(ctx)
-    return c.inv_sqrt2 + 14 / m + (c.two_thirds * m**2 - 13) * state.mu_decay
+    return _per_n(n, ctx).simple_bracket
 
 
 def t_bound_simple(n: int, ctx: PrecisionContext):

@@ -23,9 +23,8 @@ from .coefficients import (
     darboux_approximant,
 )
 from .expansion import (
-    _exponent,
+    _per_n,
     exp_error_term,
-    mu,
     r_hat,
     remainder_exact,
     t_bound_full,
@@ -110,16 +109,11 @@ def _lemma3(n_max: int, ctx: PrecisionContext):
     # the simple bracket from n = 8 on
     for n in range(1, 5001):
         if n <= 1000:
+            per = _per_n(n, ctx)
             # (24n/(24n-1)) * exp(mu - pi sqrt(2n/3)) <= 1
-            damping = (
-                mp.mpf(24 * n)
-                / (24 * n - 1)
-                * mp.exp(mu(n, ctx) - _exponent(n, ctx))
-            )
+            damping = mp.mpf(24 * n) / (24 * n - 1) * mp.exp(per.mu - per.x)
             # 0.97 * exp((pi/12)/(sqrt(24n-1)+sqrt(24n))) < 1
-            wiggle = ninety_seven * mp.exp(
-                pi_12 / (mp.sqrt(mp.mpf(24 * n - 1)) + mp.sqrt(mp.mpf(24 * n)))
-            )
+            wiggle = ninety_seven * mp.exp(pi_12 / (per.r + per.q))
             if t_bound_full(n, ctx) > t_bound_simple(n, ctx):
                 yield f"full envelope exceeds simple envelope at n={n}"
             elif damping > 1:

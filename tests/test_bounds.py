@@ -6,6 +6,8 @@ import pytest
 
 from partition_asymptotics import (
     DomainError,
+    PrecisionContext,
+    PrecisionError,
     banerjee_bounds,
     coeff_bound,
     coeff_c,
@@ -18,7 +20,7 @@ from partition_asymptotics import (
 )
 from partition_asymptotics.cli import format_at_exponent, format_scientific
 
-from helpers import ulp
+from helpers import near_tie_constant, ulp
 
 
 def test_t1_structure(ctx80):
@@ -84,6 +86,18 @@ def test_nu_reference_value(ctx80):
     assert nu(4, Fraction(3474, 1000), ctx80) == 116
     assert nu(4, "0.0001", ctx80) > 116  # smaller constants push the threshold up
     assert nu(2, 1, ctx80) == 19
+
+
+def test_nu_near_an_integer_is_undecided(ctx80):
+    # the true nu_4(C) is 200 + epsilon with epsilon < 10^-80, so its ceiling
+    # is 201; at 80 digits that cannot be told from 200, and snapping to the
+    # nearest integer would certify T3 at n = 200, one below the threshold
+    C = near_tie_constant()
+    with pytest.raises(PrecisionError, match=r"^nu\(N=4, C='0\.1366994983"):
+        nu(4, C, ctx80)
+    with pytest.raises(PrecisionError):
+        thm3_bounds(200, 4, C, ctx80)
+    assert nu(4, C, PrecisionContext(400)) == 201
 
 
 def test_nu_nonincreasing_in_constant(ctx80):

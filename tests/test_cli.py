@@ -11,7 +11,7 @@ import partition_asymptotics
 from partition_asymptotics import PrecisionContext, load_table, verify
 from partition_asymptotics.cli import _exponent_of, build_parser, run
 
-from helpers import ulp, with_header
+from helpers import near_tie_constant, ulp, with_header
 
 TABLE1_GOLDEN = """\
 n = 200
@@ -80,6 +80,14 @@ def test_nu_near_the_branch_point():
     status, out = invoke("nu", "2", C)
     assert status == 0
     assert "nu = 3" in out
+
+
+def test_nu_near_an_integer_is_an_error(capsys):
+    C = near_tie_constant()
+    status, out = invoke("nu", "4", C)
+    assert (status, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: nu(N=4, C='{C}') is within 10^-80 of 200; ")
 
 
 def test_module_entry_point():
@@ -151,6 +159,16 @@ def test_bounds_theorems():
 def test_bounds_t3_needs_constant():
     status, _ = invoke("bounds", "200", "4", "--theorem", "t3")
     assert status == 2
+
+
+def test_bounds_invalid_arguments(capsys):
+    # the bound families share the argument check of the expansion
+    for argv, text in (
+        (("bounds", "0", "4"), "need n >= 1 and N >= 0, got n=0, N=4"),
+        (("bounds", "0", "-1"), "N must be nonnegative, got -1"),
+    ):
+        assert invoke(*argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {text}\n"
 
 
 def test_verify_exit_code():

@@ -264,11 +264,11 @@ def test_envelope_memoized_per_m_and_digits(ctx80):
     first = coefficients.coeff_envelope(17, ctx80)
     assert coefficients.coeff_envelope(17, ctx80) is first
     assert coefficients.coeff_envelope(17, PrecisionContext(50)) is not first
-    cached = coefficients._envelope.cache_info().currsize
+    cached = coefficients.coeff_envelope.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ValueError):
             coefficients.coeff_envelope(-3, ctx80)
-    assert coefficients._envelope.cache_info().currsize == cached
+    assert coefficients.coeff_envelope.cache_info().currsize == cached
 
 
 def test_bound_dominates(ctx80):

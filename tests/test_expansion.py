@@ -7,6 +7,8 @@ import warnings
 import pytest
 
 from partition_asymptotics import (
+    DomainError,
+    PartitionTable,
     PrecisionContext,
     PrecisionError,
     PrecisionWarning,
@@ -28,7 +30,7 @@ from partition_asymptotics import (
     thm2_bounds,
     thm3_bounds,
 )
-from partition_asymptotics import coefficients, expansion
+from partition_asymptotics import bounds, coefficients, expansion
 from partition_asymptotics.cli import format_scientific
 
 from helpers import ulp
@@ -341,7 +343,7 @@ def _memo_values(n, table, ctx, order):
             t_bound_simple_bracket=t_bound_simple_bracket(n, ctx),
             t_bound_simple=t_bound_simple(n, ctx),
             prefactor=prefactor(n, ctx),
-            P=expansion.normalized_partition(n, table, ctx),
+            P=expansion._per_n(n, ctx).normalized(table.p(n)),
             E=exp_error_term(n, ctx),
         )
 
@@ -411,30 +413,64 @@ def test_memo_is_bit_identical_to_the_plain_formulas():
 
 def test_per_n_caches_are_bounded():
     assert isinstance(expansion._per_n.cache_info().maxsize, int)
-    # every other cache in the module is per context, not per n
-    cached = {name for name, value in vars(expansion).items() if hasattr(value, "cache_info")}
+    # every other cache the module defines is per context, not per n
+    cached = {
+        name
+        for name, value in vars(expansion).items()
+        if hasattr(value, "cache_info") and value.__module__ == expansion.__name__
+    }
     assert cached == {"_per_n", "_constants"}
 
 
 def test_invalid_n_is_not_memoized(ctx80, table):
-    # every public function of n in the module, so that a new one cannot skip
-    # the argument check; it must reject n before a cache or a warning sees it
+    # every public function of n in expansion and bounds, so that a new one
+    # cannot skip the one argument check; it must reject n or N with the
+    # check's own text before a cache or a warning sees it
     functions = {
         name: value
-        for name, value in vars(expansion).items()
+        for module in (expansion, bounds)
+        for name, value in vars(module).items()
         if inspect.isfunction(value)
-        and value.__module__ == expansion.__name__
+        and value.__module__ == module.__name__
         and not name.startswith("_")
         and "n" in inspect.signature(value).parameters
     }
-    assert {"mu", "normalized_partition", "recommended_digits", "remainder_exact", "r_hat"} <= set(functions)
-    for n in (0, -3):
-        arguments = {"n": n, "N": 3, "table": table, "ctx": ctx80}
+    assert {"mu", "recommended_digits", "remainder_exact", "r_hat"} <= set(functions)
+    assert {"thm1_bounds", "thm2_bounds", "thm3_bounds", "banerjee_bounds"} <= set(functions)
+    for n, N in ((0, 3), (-3, 3), (5, -1)):
+        arguments = {"n": n, "N": N, "C": "3.474", "table": table, "ctx": ctx80}
         for name, function in functions.items():
-            before = expansion._per_n.cache_info()
             params = inspect.signature(function).parameters
+            if "N" in params:
+                if N < 0:
+                    text = f"N must be nonnegative, got {N}"
+                else:
+                    text = f"need n >= 1 and N >= 0, got n={n}, N={N}"
+            elif n < 1:
+                text = f"n must be positive, got {n}"
+            else:
+                continue  # a function of n alone has no N to reject
+            before = expansion._per_n.cache_info()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ValueError, match=r"^(n must be positive|need n >= 1)"):
+                with pytest.raises(DomainError) as caught:
                     function(**{key: arguments[key] for key in params if key in arguments})
-            assert expansion._per_n.cache_info() == before, (name, n)
+            assert str(caught.value) == text, (name, n, N)
+            assert expansion._per_n.cache_info() == before, (name, n, N)
+
+
+def test_normalized_partition_is_kept_per_p(ctx80, table):
+    # two tables that differ only at p(n): alternating between them, each call
+    # must subtract the series from its own table's P(n), never the other's
+    n = 200
+    values = list(table.values[: n + 1])
+    values[n] += 1
+    other = PartitionTable(values=tuple(values), n_max=n)
+    mp = ctx80.mp
+    decay = mp.exp(-mp.pi * mp.sqrt(mp.mpf(2 * n) / 3))
+    for _ in range(2):
+        for source in (table, other, other, table):
+            P = 4 * mp.sqrt(3) * n * source.p(n) * decay
+            result = remainder_exact(n, 4, source, ctx80)
+            assert result.remainder._mpf_ == (P - partial_sum(n, 4, ctx80))._mpf_
+            assert r_hat(n, source, ctx80)._mpf_ == (P - full_sum(n, ctx80))._mpf_
