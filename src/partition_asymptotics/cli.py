@@ -149,6 +149,7 @@ def cmd_partition(args, ctx: PrecisionContext) -> list:
 
 
 def cmd_coeff(args, ctx: PrecisionContext) -> list:
+    coeff_c(args.max_m, ctx)  # the last index first: it checks max_m and grows the source once
     return [
         {
             "m": str(m),

@@ -139,7 +139,9 @@ class _PerN:
     @functools.cached_property
     def full_sum(self):
         """S_M for M = _series_length(n, ctx)."""
-        return self.partial_sum(_series_length(self.n, self.ctx))
+        M = _series_length(self.n, self.ctx)
+        coeff_c(M - 1, self.ctx)  # the last index first, so the coefficient source grows once
+        return self.partial_sum(M)
 
     def theta(self, N: int):
         """(full_sum - S_N) / (c_N / n^(N/2))."""
@@ -256,6 +258,8 @@ def remainder_exact(
     _check(n, N)
     _warn_if_low_precision(n, ctx)
     per = _per_n(n, ctx)
+    # θ first: its full sum asks for the last coefficient, so the source grows once
+    theta = per.theta(N) if include_theta else None
     lhs, partial = per.normalized(table.p(n)), per.partial_sum(N)
     return RemainderResult(
         n=n,
@@ -263,7 +267,7 @@ def remainder_exact(
         remainder=_subtract(lhs, partial, ctx, f"remainder_exact(n={n}, N={N})"),
         partial_sum=partial,
         prefactor=per.prefactor,
-        theta=per.theta(N) if include_theta else None,
+        theta=theta,
     )
 
 

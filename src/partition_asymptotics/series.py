@@ -84,7 +84,7 @@ def gf_coefficients(order: int, ctx: PrecisionContext) -> list:
 
 
 def gf_reference(order: int, ctx: PrecisionContext) -> list:
-    """The same coefficients from the closed form: sqrt(24)^m * c_m."""
-    mp = ctx.mp
-    root24 = mp.sqrt(24)
-    return [root24**m * coeff_c(m, ctx) for m in range(order + 1)]
+    """The same coefficients from :func:`coefficients.coeff_c`: sqrt(24)^m * c_m."""
+    root24 = ctx.mp.sqrt(24)
+    # the last index first, so the coefficient source grows once
+    return [root24**m * coeff_c(m, ctx) for m in reversed(range(order + 1))][::-1]

@@ -52,6 +52,7 @@ def _lemma1(m_max: int, ctx: PrecisionContext):
     mp = ctx.mp
     even_ratio_cap = (mp.pi / 2) / (4 * mp.sqrt(6))
     odd_ratio_cap = (mp.pi / 6 + 12 / mp.pi) / (4 * mp.sqrt(6))
+    coeff_c(m_max, ctx)  # the last index first, so the coefficient source grows once
     for m in range(1, m_max + 1):
         value = coeff_c(m, ctx)
         ratio = abs(value / coeff_c(m - 1, ctx))
@@ -81,6 +82,7 @@ def _lemma2(m_max: int, ctx: PrecisionContext):
     """|c_m| <= coeff_bound(m), plus the two inequalities its proof rests on."""
     mp = ctx.mp
     binom = 1  # binom(2m, m), updated incrementally
+    coeff_c(m_max, ctx)  # the last index first, so the coefficient source grows once
     for m in range(m_max + 1):
         if m > 0:
             binom = binom * (2 * m) * (2 * m - 1) // (m * m)
@@ -205,6 +207,7 @@ def _gf(order: int, ctx: PrecisionContext):
 def _asymptotics(_size, ctx: PrecisionContext):
     """Large-m behaviour: approximants converge onto c_m from both routes."""
     small, tight = ctx.mp.mpf("0.05"), ctx.mp.mpf("0.01")
+    coeff_c(400, ctx)  # the last index first, so the coefficient source grows once
 
     def leading_dev(m: int):
         return abs(coeff_c(m, ctx) / coeff_asymptotic(m, ctx) - 1)

@@ -1,6 +1,7 @@
 """CLI behaviour: outputs, formats, determinism, caching, precision gates."""
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -136,6 +137,30 @@ def test_coeff_rows():
     assert lines[0] == "m,c_m,bound,asymptotic"
     assert len(lines) == 4
     assert lines[1].startswith("0,0.1000000000")
+
+
+def test_coeff_negative_is_an_error(capsys):
+    for fmt in ("human", "csv", "json"):
+        assert invoke("--format", fmt, "coeff", "-1") == (2, "")
+        assert capsys.readouterr().err == "error: m must be nonnegative, got -1\n"
+
+
+# SHA-256 of the stdout of ``coeff``, recorded before the coefficients were
+# read from the recurrence: the printed c_m, bounds and approximants stay
+# byte-identical.
+COEFF_DIGESTS = {
+    ("--format", "human", "coeff", "400"): "f6b51d0e77f3ea0240300e11559d4854d0a027cd50ac9d0bce6e34e3ac378e1e",
+    ("--format", "csv", "coeff", "400"): "1418819d879a4a5fa2b714330b49764b7f455c0986eb3c6a6455410c036308b4",
+    ("--format", "json", "coeff", "400"): "0784b718abcbecaed114539cbe7624717264ab8b131693c822c3c57adcb78198",
+    ("--digits", "160", "coeff", "120"): "64eda75f93d4f9fb8c57a3e917289086eb4f083a620066e8dccf76514249608b",
+}
+
+
+def test_coeff_output_digests():
+    for argv, digest in COEFF_DIGESTS.items():
+        status, out = invoke(*argv)
+        assert status == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest, argv
 
 
 def test_remainder_with_theta():

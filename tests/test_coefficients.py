@@ -2,6 +2,10 @@
 
 import concurrent.futures
 import functools
+import io
+import random
+import sys
+from collections import defaultdict
 from fractions import Fraction
 from math import comb, factorial
 
@@ -17,7 +21,7 @@ from partition_asymptotics import (
     coeff_c,
     darboux_approximant,
 )
-from partition_asymptotics import coefficients
+from partition_asymptotics import cli, coefficients, expansion, series, verify
 
 from helpers import ulp
 
@@ -202,6 +206,74 @@ def test_integer_form_reproduces_exact_terms():
             assert _integer_terms(m) == _exact_terms(m)
 
 
+def _scaled_g(j, scale):
+    """scale * g_j as {power of pi: integer}, for a multiple ``scale`` of 2^j * D_j.
+
+    g_j = sqrt(24)^j * c_j = (-1)^j * H_j / (2^j * pi * D_j), with H_j and D_j
+    from ``_integer_form``.
+    """
+    numerators, denominator = coefficients._integer_form(j)
+    factor, rest = divmod(scale, 2**j * denominator)
+    assert rest == 0
+    return {j - 2 * k: (-1) ** j * factor * a for k, a in enumerate(numerators)}
+
+
+def test_recurrence_holds_exactly_on_the_closed_form():
+    """36 * 2^(m+3) * D_(m+3) times the recurrence, with a = pi/6, is an identity of
+    Laurent polynomials in pi for every m <= 397, that is up to g_400; the seeds
+    are g_0 = 1, g_1 = -(pi/12 + 6/pi) and g_2 = pi^2/288 + 3/2."""
+    seeds = ({0: 1}, {1: Fraction(-1, 12), -1: -6}, {2: Fraction(1, 288), 0: Fraction(3, 2)})
+    for j, seed in enumerate(seeds):
+        scale = 2**j * coefficients._integer_form(j)[1]
+        assert {power: Fraction(c, scale) for power, c in _scaled_g(j, scale).items()} == seed
+    for m in range(398):
+        scale = 2 ** (m + 3) * coefficients._integer_form(m + 3)[1]
+        g = [_scaled_g(m + j, scale) for j in range(4)]
+        # (each power of pi it multiplies, integer factor) per g_(m+j)
+        factors = (
+            ((0, 36 * (m + 2) * (m + 4)),),
+            ((1, -6 * (2 * m + 7)),),
+            ((0, -36 * (m + 1) * (m + 4)), (2, 1)),
+            ((1, 6 * (2 * m + 6)),),
+        )
+        total = defaultdict(int)
+        for poly, pairs in zip(g, factors):
+            for shift, factor in pairs:
+                for power, coefficient in poly.items():
+                    total[power + shift] += factor * coefficient
+        assert not any(total.values()), m
+
+
+def test_recurrence_proven_symbolically():
+    """The generating function e^(-a u) (1/(1-z^2) - (z/a) (1-z^2)^(-3/2)),
+    u = z/(1+sqrt(1-z^2)), satisfies the ODE that the recurrence is, for any a."""
+    sp = pytest.importorskip("sympy")
+    t, a, x = sp.symbols("t a x", positive=True)
+    z = 2 * t / (1 + t**2)  # then u = t and sqrt(1-z^2) = (1-t^2)/(1+t^2)
+    stretch = t * (1 + t**2) / (1 - t**2)  # theta = z d/dz = stretch * d/dt
+    rational = (1 + t**2) ** 2 / (1 - t**2) ** 2 - (2 * t / a) * (1 + t**2) ** 2 / (1 - t**2) ** 3
+    # P_k(m) multiplies g_(m+k); the seeds g_0, g_1, g_2
+    P = (
+        (x + 2) * (x + 4),
+        -a * (2 * x + 7),
+        -((x + 1) * (x + 4) - a**2),
+        a * (2 * x + 6),
+    )
+    seeds = (sp.Integer(1), -(a / 2 + 1 / a), a**2 / 8 + sp.Rational(3, 2))
+    # theta^j F = e^(-at) * powers[j], from theta(e^(-at) S) = e^(-at) * stretch * (S' - a S)
+    powers = [rational]
+    for _ in range(2):
+        powers.append(sp.cancel(stretch * (sp.diff(powers[-1], t) - a * powers[-1])))
+    # sum_k z^(3-k) P_k(theta - k) (F - F_<k): its e^(-at) part and its rational part
+    exponential_part = rational_part = 0
+    for k in range(4):
+        operator = sp.Poly(sp.expand(P[k].subs(x, x - k)), x)
+        exponential_part += z ** (3 - k) * sum(c * powers[j] for (j,), c in operator.terms())
+        rational_part -= z ** (3 - k) * sum(P[k].subs(x, j - k) * seeds[j] * z**j for j in range(k))
+    assert sp.cancel(sp.together(exponential_part)) == 0
+    assert sp.expand(rational_part) == 0
+
+
 def test_values_within_one_ulp_of_closed_form():
     contexts = [PrecisionContext(digits) for digits in (50, 80, 160)]
     for m, oracle in enumerate(_closed_forms(400, 2 * 160)):
@@ -309,7 +381,93 @@ def test_memo_consistent_under_threads(ctx80):
     assert serial == threaded
 
 
-def test_negative_m_rejected(ctx80):
+def _cold_source(monkeypatch):
+    """Empty the recurrence source and the coeff_c memo; the old source returns after the test."""
+    monkeypatch.setattr(coefficients, "_source", (0, ()))
+    coeff_c.cache_clear()
+
+
+def test_cold_source_grows_consistently_under_threads(monkeypatch):
+    requests = [(m, digits) for m in range(121) for digits in (50, 80, 160)]
+    random.Random(11).shuffle(requests)
+
+    def value(request):
+        m, digits = request
+        return coeff_c(m, PrecisionContext(digits))._mpf_
+
+    _cold_source(monkeypatch)
+    serial = [value(request) for request in requests]
+    _cold_source(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(value, request) for request in requests]
+            threaded = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    held, values = coefficients._source
+    assert held >= 160 and len(values) > 120
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(size, digits, guard) of every build attempt of the recurrence source."""
+    seen = []
+    attempt = coefficients._attempt
+
+    def recorded(size, digits, guard):
+        seen.append((size, digits, guard))
+        return attempt(size, digits, guard)
+
+    monkeypatch.setattr(coefficients, "_attempt", recorded)
+    return seen
+
+
+def test_source_guard_passes_its_check_first_time(monkeypatch, builds):
+    for size, digits in ((32, 30), (120, 300), (400, 80)):
+        _cold_source(monkeypatch)
+        builds.clear()
+        coeff_c(size, PrecisionContext(digits))
+        assert builds == [(size, digits, coefficients._guard_digits(size))]
+    expected = [coeff_c(m, PrecisionContext(80)) for m in range(121)]
+    # a guard too small for the error bound fails the check and is doubled until it passes
+    monkeypatch.setattr(coefficients, "_guard_digits", lambda size: 8)
+    _cold_source(monkeypatch)
+    builds.clear()
+    assert [coeff_c(m, PrecisionContext(80)) for m in range(120, -1, -1)][::-1] == expected
+    guards = [guard for _, _, guard in builds]
+    assert guards[:3] == [8, 16, 32] and len(guards) > 3
+
+
+def test_range_readers_grow_the_source_once(monkeypatch, builds, ctx80, table):
+    readers = (
+        lambda: cli.run(["coeff", "60"], stream=io.StringIO()),
+        lambda: verify.run_suite("lemma1", m_max=60),
+        lambda: verify.run_suite("lemma2", m_max=60),
+        lambda: verify.run_suite("asymptotics"),
+        lambda: series.gf_reference(60, ctx80),
+        lambda: expansion.full_sum(10, ctx80),
+        lambda: expansion.remainder_exact(10, 3, table, ctx80, include_theta=True),
+    )
+    for read in readers:
+        _cold_source(monkeypatch)
+        expansion._per_n.cache_clear()
+        builds.clear()
+        read()
+        assert len(builds) == 1, read
+
+
+def test_negative_m_rejected(ctx80, monkeypatch):
+    def untouched(m, digits):
+        raise AssertionError("the source was asked for a negative index")
+
+    monkeypatch.setattr(coefficients, "_coefficients", untouched)
+    cached = coeff_c.cache_info().currsize
+    with pytest.raises(ValueError, match="m must be nonnegative, got -1"):
+        coeff_c(-1, ctx80)
+    assert coeff_c.cache_info().currsize == cached
     with pytest.raises(ValueError):
         coefficients._integer_form(-1)
     with pytest.raises(ValueError):
