@@ -1,4 +1,4 @@
-"""Expansion coefficients: exact pi-polynomial form, numeric values, bounds.
+"""Expansion coefficients: closed form, recurrence, values, bounds.
 
 The m-th coefficient of the expansion is
 
@@ -7,7 +7,7 @@ The m-th coefficient of the expansion is
 
 so (4*sqrt(6))^m * |c_m| is a finite sum of positive rationals times integer
 powers of pi, with exponents m, m-2, ... down to 0 for even m and to -1 for
-odd m.
+odd m.  The tests keep this closed form as their oracle.
 
 Values.  With a = pi/6, the numbers g_m = sqrt(24)^m * c_m satisfy
 
@@ -30,19 +30,22 @@ Run forward, the recurrence is unstable: an error in g_m, g_{m+1}, g_{m+2}
 reaches g_{m+3} multiplied by at most rho_m = (|(m+1)(m+4) - a^2| + a(2m+7)
 + (m+2)(m+4)) / (a(2m+6)), which grows like m.  One process-wide source holds
 c_0..c_M, each rounded to D + 10 digits, where D is the largest digit count
-asked for so far; it runs the recurrence at D + 10 + ceil(log10 prod rho_m)
-+ 6 digits and grows by a factor 1.25 in M or D when a request goes past
-it.  ``coeff_c`` rounds the stored c_m once more to the context's digits.
+asked for so far, and grows by a factor 1.25 in M or D when a request goes
+past it, up to M = COEFF_CAP.  A build runs the recurrence on integers
+scaled by 2^P, with P a few bits above (D + 10 + ceil(log10 prod rho_m) + 6)
+log2 10, and carries with each g_m an integer radius that bounds its error: every
+floor and the errors of the fixed-point a and 1/a are counted, and the
+radius recurrence is written in ``_attempt``.  It divides g_m by 24^j once
+to give c_m and checks that each c_m is within 10^-(D+10) of its own size
+before it is rounded.  ``coeff_c`` rounds the stored c_m once more to the
+context's digits.
 
-Comparisons.  One integer kernel decides strict inequalities between the
-|c_m| (``certified_abs_less``): multiplied by pi * D_m, with D_m = (m+1)! * 6^m,
-(4*sqrt(6))^m * |c_m| is a polynomial in pi with positive integer
-coefficients a_k, each built from the one before by an exact integer ratio,
-and exponents >= 0.  It is evaluated by Horner in pi^2 from both ends of the
-rational ``pi_enclosure`` bracket, in fixed point of a given width with one
-pi and pi^2 per width, on an accumulator bounded to that width plus a few
-guard bits and rounded outward at every step, and the comparison is made in
-integer arithmetic on that enclosure, never on rounded floats.
+Comparisons.  ``certified_abs_less`` decides |c_m| < |c_other| from the
+same stored values: each lies within a proven relative radius of c_m, the
+build's 10^-(D+10) plus the rounding to D + 10 digits, and the two balls are
+compared in integer arithmetic on their mantissas and exponents, never on
+rounded floats.  Balls that overlap are undecided, and the source is rebuilt
+at twice the digits until they separate.
 """
 
 from __future__ import annotations
@@ -51,83 +54,12 @@ import functools
 import math
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
-from mpmath.ctx_mp import MPContext
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
-from .errors import PrecisionError
-from .precision import PrecisionContext, pi_enclosure
-
-
-@functools.lru_cache(maxsize=None)
-def _integer_form(m: int) -> tuple:
-    """(a_0, ..., a_K) and D_m with D_m * pi * (4*sqrt(6))^m * |c_m| = sum_k a_k * pi^(m+1-2k).
-
-    a_k = binom(m+1, k) * (m+1-k) * 6^(2k) * (m+1)! / (m+1-2k)! and
-    D_m = (m+1)! * 6^m are positive integers; K = floor((m+1)/2).  The a_k are
-    built from a_0 = m+1 by their exact integer ratio,
-    a_{k+1} = a_k * 36 * (m-k) * (m+1-2k) * (m-2k) / (k+1).
-    """
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    numerators = [m + 1]
-    for k in range((m + 1) // 2):
-        numerators.append(numerators[-1] * 36 * (m - k) * (m + 1 - 2 * k) * (m - 2 * k) // (k + 1))
-    return tuple(numerators), factorial(m + 1) * 6**m
-
-
-# guard bits of the Horner accumulator beyond the fixed-point width
-_GUARD_BITS = 16
-
-
-def _shift(value: int, places: int, sign: int) -> int:
-    """value / 2^places, floored with sign 1 and ceiled with sign -1 (exact if places <= 0)."""
-    if places <= 0:
-        return value << -places
-    return sign * (sign * value >> places)
-
-
-@functools.lru_cache(maxsize=None)
-def _pi_fixed(bits: int) -> tuple:
-    """(pi_fixed, x) at each end of ``pi_enclosure``, shared by every m at this width.
-
-    pi_fixed is 2^bits * pi and x is pi_fixed^2 / 2^bits, rounded down at the
-    lower end and up at the upper end, so each end stays on its side of pi.
-    """
-    ends = []
-    for pi_q, sign in zip(pi_enclosure(bits // 3 + 1), (1, -1)):
-        pi_fixed = sign * ((sign * pi_q.numerator << bits) // pi_q.denominator)
-        ends.append((pi_fixed, _shift(pi_fixed * pi_fixed, bits, sign)))
-    return tuple(ends)
-
-
-def _bracket(m: int, bits: int) -> tuple:
-    """Integers lo <= 2^bits * sum_k a_k * pi^(m+1-2k) <= hi (see ``_integer_form``).
-
-    Horner in x = pi^2 from the two ends of ``_pi_fixed``, once rounding every
-    step down and once rounding every step up.  The accumulator is bounded:
-    after step k it is a mantissa times 2^e_k, with e_k = len(a_k) - bits -
-    ``_GUARD_BITS``.  Each a_k is at least 72 > pi^2 times a_(k-1), so the
-    mantissa stays near bits + guard bits and every product is about
-    bits x bits wide, whatever the size of a_k.  All coefficients and
-    exponents are nonnegative, so each step is monotone in pi and in the
-    accumulator, and the two results enclose the exact value.
-    """
-    numerators = _integer_form(m)[0]
-    exponents = [a.bit_length() - bits - _GUARD_BITS for a in numerators]
-    # e_k > e_(k-1), so every product is shifted right by more than bits places
-    steps = [bits + e - previous for previous, e in zip(exponents, exponents[1:])]
-    bracket = []
-    for (pi_fixed, x), sign in zip(_pi_fixed(bits), (1, -1)):
-        addends = [_shift(a, e, sign) for a, e in zip(numerators, exponents)]
-        mantissa = addends[0]
-        for addend, step in zip(addends[1:], steps):
-            mantissa = sign * (sign * mantissa * x >> step) + addend  # _shift, inlined
-        exponent = exponents[-1]
-        if m % 2 == 0:  # even m: the exponents m+1-2k are odd
-            mantissa, exponent = mantissa * pi_fixed, exponent - bits
-        bracket.append(_shift(mantissa, -exponent - bits, sign))
-    return tuple(bracket)
+from .errors import PrecisionError, ResourceError
+from .precision import MIN_DIGITS, PrecisionContext, pi_enclosure
 
 
 @functools.lru_cache(maxsize=None)
@@ -138,18 +70,21 @@ def _root(k: int, digits: int):
 
 # a = pi/6 = 0.52359877... lies between _A_LO / _A_SCALE and _A_HI / _A_SCALE.
 _A_LO, _A_HI, _A_SCALE = 5235, 5236, 10000
-# Units of 2^-prec that bound the rounding of one step, relative to the sum
-# of the step's |terms| over a(2m+6): about 11.1 counted, from nine
-# round-to-nearest operations and the errors of a, a^2 and 1/a.
-_STEP_ROUNDING = 16
 # Digits beyond log10 of the error growth, for the rounding and the size of g_m.
 _GUARD_MARGIN = 6
+# Bits of the fixed-point scale beyond (digits + 10 + guard) * log2(10),
+# about one more digit.
+_SCALE_MARGIN = 4
 # The fewest terms the source holds, and its growth factor in terms and digits.
 _SOURCE_FLOOR = 16
 _SOURCE_GROWTH = 1.25
+# The largest index the source serves: enough for the full sum at n = 1 and
+# 2000 digits (2909 terms).  The build to c_3000 at 2000 digits takes 9 s and
+# 24 MB on a 2-core machine; c_(10^5) would take about 20 GB.
+COEFF_CAP = 3000
 
-# (D, (c_0, ..., c_M)), the values rounded to D + 10 digits.  A build is
-# published by assigning a new tuple, so a reader sees one whole build.
+# (D, (c_0, ..., c_M)), the values as raw mpf tuples rounded to D + 10 digits.
+# A build is published by assigning a new tuple, so a reader sees one whole build.
 _source = (0, ())
 _source_lock = threading.Lock()
 
@@ -172,68 +107,89 @@ def _guard_digits(size: int) -> int:
 
 
 def _attempt(size: int, digits: int, guard: int):
-    """c_0..c_size rounded to digits + 10, from the recurrence at digits + 10 + guard.
+    """c_0..c_size as raw mpf rounded to digits + 10, from the recurrence in fixed point.
 
-    Every operation rounds to nearest, by at most u = 2^-prec relative.  The
-    error of g_{m+3} is bounded, in integers counting u, by rho_m times the
-    largest error of g_m, g_{m+1}, g_{m+2} plus _STEP_ROUNDING u times the sum
-    of the step's |terms| over a(2m+6); scaling by sqrt(24)^-m adds at most
-    3m + 2 roundings of |g_m|.  Returns None unless |g_m| exceeds
-    10^(digits+10) times that total for every m, so that each c_m is within
-    10^-(digits+10) of its own size before it is stored.
+    With P = ceil((digits + 10 + guard) log2 10) + _SCALE_MARGIN, the integers
+    A = floor(2^P lo / 6) and B = floor(6 * 2^P / hi), from ``pi_enclosure``
+    with hi - lo < 2^-P, satisfy |A - 2^P a| < 2 and |B - 2^P / a| < 2.  Each
+    step forms, with G_m the integer standing for 2^P g_m,
+
+        S = (m+1)(m+4) G_{m+2} - (m+2)(m+4) G_m                  (exact)
+        G_{m+3} = floor((floor(S B / 2^P) - floor(A G_{m+2} / 2^P) + (2m+7) G_{m+1}) / (2m+6)).
+
+    If |2^P g_k - G_k| <= E_k for k = m, m+1, m+2, the three errors reach
+    G_{m+3} multiplied by at most rho_m in all, the errors of A and B add under
+    2 (|S| + |G_{m+2}|) / 2^P, the two inner floors under 1 and the outer floor
+    under 1 more, so
+
+        E_{m+3} = ceil((top * max(E_m, E_{m+1}, E_{m+2}) + _A_LO * F) / bottom) + 1,
+        F = floor((|S| + |G_{m+2}|) / 2^(P-1)) + 2,
+
+    with (top, bottom) from ``_growth`` and E_0, E_1, E_2 = 0, 4, 2 for the
+    seeds 2^P, -(floor(A/2) + B) and floor(A^2 / 2^(P+3)) + 3 * 2^(P-1).
+    Then W_m = floor(G_m / 24^j) for m = 2j and W_m = floor(floor(G_m R / 2^P)
+    / 24^j) for m = 2j+1, with R = floor(2^P / sqrt(24)) from ``math.isqrt``,
+    is within e_m = floor((E_m + floor(|G_m| / 2^P) + 2) / 24^j) + 2 of
+    2^P c_m.  Returns None unless |W_m| > (10^(digits+10) + 1) e_m for every
+    m, so that each W_m / 2^P is within 10^-(digits+10) |c_m| of c_m before
+    it is rounded to nearest.
     """
-    mp = MPContext()  # a throwaway precision, kept out of the shared contexts
-    mp.dps = digits + 10 + guard
-    a = mp.pi / 6
-    a2, inverse_a = a * a, 1 / a
-    g = [mp.mpf(1), -(a / 2 + inverse_a), a2 / 8 + mp.mpf(3) / 2]
-    sizes = [int(abs(value)) + 1 for value in g]  # integers above |g_m|
-    errors = [0, 3 * _STEP_ROUNDING, 2 * _STEP_ROUNDING]  # the seeds round by under 9u and 2u
+    bits = math.ceil((digits + 10 + guard) * math.log2(10)) + _SCALE_MARGIN
+    lo, hi = pi_enclosure(bits // 3 + 1)
+    a = (lo.numerator << bits) // (6 * lo.denominator)
+    inverse_a = (6 * hi.denominator << bits) // hi.numerator
+    g = [1 << bits, -((a >> 1) + inverse_a), (a * a >> bits + 3) + (3 << bits - 1)]
+    radii = [0, 4, 2]
     for m in range(size - 2):
         g0, g1, g2 = g[-3:]
-        b0, b1, b2 = sizes[-3:]
-        step = ((m + 1) * (m + 4) - a2) * g2 + a * (2 * m + 7) * g1 - (m + 2) * (m + 4) * g0
-        g.append(step * inverse_a / (2 * m + 6))
-        sizes.append(int(abs(g[-1])) + 1)
-        terms = _A_SCALE * ((m + 1) * (m + 4) * b2 + (m + 2) * (m + 4) * b0) + _A_HI * (2 * m + 7) * b1
+        step = (m + 1) * (m + 4) * g2 - (m + 2) * (m + 4) * g0
+        g.append(((step * inverse_a >> bits) - (a * g2 >> bits) + (2 * m + 7) * g1) // (2 * m + 6))
         top, bottom = _growth(m)
-        errors.append(-(-(top * max(errors[-3:]) + _STEP_ROUNDING * terms) // bottom))
-    target = 10 ** (digits + 10)
-    inverse_root, scale, values = 1 / mp.sqrt(24), mp.mpf(1), []
-    for m, (value, bound, error) in enumerate(zip(g, sizes, errors)):
-        if mp.ldexp(abs(value), mp.prec) <= target * (error + (3 * m + 2) * bound):
+        floors = (abs(step) + abs(g2) >> bits - 1) + 2
+        radii.append(-(-(top * max(radii[-3:]) + _A_LO * floors) // bottom) + 1)
+    target = 10 ** (digits + 10) + 1
+    prec = dps_to_prec(digits + 10)
+    inverse_root = math.isqrt((1 << 2 * bits) // 24)
+    values, power = [], 1  # power = 24^j
+    for m, (value, radius) in enumerate(zip(g, radii)):
+        scaled = (value * inverse_root >> bits if m % 2 else value) // power
+        if abs(scaled) <= target * ((radius + (abs(value) >> bits) + 2) // power + 2):
             return None
-        values.append(mp.mpf(value * scale, dps=digits + 10))
-        scale *= inverse_root
+        values.append(from_man_exp(scaled, -bits, prec, round_nearest))
+        power *= 24 if m % 2 else 1
     return tuple(values)
 
 
 def _coefficients(m: int, digits: int) -> tuple:
-    """The source's values, c_0..c_M with M >= m, rounded to D + 10 >= digits + 10.
+    """The source (D, (c_0, ..., c_M)) with M >= m and D >= digits.
 
     A request past the source rebuilds it, with M and D each raised to at
     least _SOURCE_GROWTH times what was held if it is exceeded, and M to at
-    least _SOURCE_FLOOR; a build whose error check fails is repeated with
-    twice the guard digits.
+    least _SOURCE_FLOOR but at most COEFF_CAP; a build whose error check fails
+    is repeated with twice the guard digits.  An m past COEFF_CAP raises
+    ResourceError before any build.
     """
     global _source
-    held, values = _source
-    if m < len(values) and digits <= held:
-        return values
+    source = _source
+    if m < len(source[1]) and digits <= source[0]:
+        return source
+    if m > COEFF_CAP:
+        raise ResourceError(f"m={m} exceeds cap {COEFF_CAP}")
     with _source_lock:
-        held, values = _source
+        source = _source
+        held, values = source
         if m < len(values) and digits <= held:
-            return values
+            return source
         size = len(values) - 1
         if m > size:
-            size = max(m, _SOURCE_FLOOR, math.ceil(_SOURCE_GROWTH * size))
+            size = min(max(m, _SOURCE_FLOOR, math.ceil(_SOURCE_GROWTH * size)), COEFF_CAP)
         if digits > held:
             held = max(digits, math.ceil(_SOURCE_GROWTH * held))
         guard = _guard_digits(size)
         while (values := _attempt(size, held, guard)) is None:
             guard *= 2
-        _source = (held, values)
-    return values
+        _source = source = (held, values)
+    return source
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,7 +201,7 @@ def coeff_c(m: int, ctx: PrecisionContext):
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    return ctx.real(_coefficients(m, ctx.digits)[m])
+    return ctx.mp.mpf(_coefficients(m, ctx.digits)[1][m])
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,35 +262,44 @@ def darboux_approximant(m: int, ctx: PrecisionContext):
     return amplitude * mp.mpf(half_binom.numerator) / half_binom.denominator / _root(24, ctx.digits) ** m
 
 
-_CERTIFY_START_BITS = 256
-_CERTIFY_MAX_BITS = 1 << 16
+# The most digits a certified comparison rebuilds the source at.
+_CERTIFY_MAX_DIGITS = 1 << 12
 
 
 def certified_abs_less(m: int, other: int) -> bool:
     """Decide |c_m| < |c_other| exactly.
 
-    With H_m = sum_k a_k * pi^(m+1-2k) from ``_integer_form``,
-    |c_m| = H_m / (pi * D_m * sqrt(96)^m), so squaring both sides and clearing
-    the common pi turns the comparison into
-    H_m^2 * D_other^2 < 96^(m-other) * H_other^2 * D_m^2, with the power of 96
-    moved to the left when m < other.  Both H are enclosed by ``_bracket`` and
-    the two sides compared in integers, doubling the bit width until the
-    enclosures separate, so rounding can never decide a near-tie the wrong way.
+    A stored value x of the source at D digits satisfies |c - x| <= r |x|
+    with r = 10^-(D+10) + 2^(1-prec), prec the bits of D + 10 digits: the
+    build's relative error, the half-ulp 2^-prec of rounding to nearest, and
+    one more 2^-prec for their product.  The answer is True when
+    |x_m| (1 + r) < |x_other| (1 - r) and False when
+    |x_m| (1 - r) >= |x_other| (1 + r), compared in integers on the
+    mantissas and exponents.  Otherwise the source is rebuilt at twice the
+    digits, up to _CERTIFY_MAX_DIGITS, so rounding can never decide a
+    near-tie the wrong way.
     """
-    d_m, d_other = _integer_form(m)[1], _integer_form(other)[1]
+    if min(m, other) < 0:
+        raise ValueError(f"m must be nonnegative, got {m if m < 0 else other}")
     if m == other:
         return False
-    left = d_other**2 * 96 ** max(other - m, 0)
-    right = d_m**2 * 96 ** max(m - other, 0)
-    bits = _CERTIFY_START_BITS
-    while bits <= _CERTIFY_MAX_BITS:
-        lo_m, hi_m = _bracket(m, bits)
-        lo_other, hi_other = _bracket(other, bits)
-        if hi_m**2 * left < lo_other**2 * right:
+    held, values = _source
+    digits = max(held, MIN_DIGITS)
+    while True:
+        if max(m, other) >= len(values) or digits > held:
+            held, values = _coefficients(max(m, other), digits)
+        decimal, binary = 10 ** (held + 10), 1 << dps_to_prec(held + 10) - 1
+        # (1 + r) and (1 - r) times decimal * binary, for r = 1/decimal + 1/binary
+        wide, narrow = decimal * binary + binary + decimal, decimal * binary - binary - decimal
+        _, mantissa, exponent, _ = values[m]
+        _, other_mantissa, other_exponent, _ = values[other]
+        low = min(exponent, other_exponent)
+        mantissa <<= exponent - low
+        other_mantissa <<= other_exponent - low
+        if mantissa * wide < other_mantissa * narrow:
             return True
-        if lo_m**2 * left >= hi_other**2 * right:
+        if mantissa * narrow >= other_mantissa * wide:
             return False
-        bits *= 2
-    raise PrecisionError(
-        f"could not separate |c_{m}| and |c_{other}| below {_CERTIFY_MAX_BITS} bits"
-    )
+        if digits >= _CERTIFY_MAX_DIGITS:
+            raise PrecisionError(f"could not separate |c_{m}| and |c_{other}| at {held} digits")
+        digits = min(2 * digits, _CERTIFY_MAX_DIGITS)

@@ -44,13 +44,15 @@ def _power(base: list, alpha, mp) -> list:
     """base^alpha for a series with unit constant term, via (f^a)' f = a f' f^a."""
     if base[0] != 1:
         raise DomainError("series power needs a unit constant term")
-    alpha = mp.mpf(alpha)
+    alpha_plus_1 = mp.mpf(alpha) + 1
+    support = [i for i in range(1, len(base)) if base[i] != 0]
     out = [mp.mpf(1)] + [mp.mpf(0)] * (len(base) - 1)
     for k in range(1, len(base)):
         acc = mp.mpf(0)
-        for i in range(1, k + 1):
-            if base[i] != 0:
-                acc += ((alpha + 1) * i - k) * base[i] * out[k - i]
+        for i in support:
+            if i > k:
+                break
+            acc += (alpha_plus_1 * i - k) * base[i] * out[k - i]
         out[k] = acc / k
     return out
 

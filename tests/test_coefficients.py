@@ -11,10 +11,12 @@ from math import comb, factorial
 
 import pytest
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import dps_to_prec
 
 from partition_asymptotics import (
     PrecisionContext,
     PrecisionError,
+    ResourceError,
     certified_abs_less,
     coeff_asymptotic,
     coeff_bound,
@@ -34,21 +36,23 @@ def _exact_terms(m):
     }
 
 
-def _integer_terms(m):
-    """The same pi-power coefficients, read back from the integer kernel's form."""
-    numerators, denominator = coefficients._integer_form(m)
-    return {m - 2 * k: Fraction(a, denominator) for k, a in enumerate(numerators)}
-
-
+@functools.lru_cache(maxsize=None)
 def _factorial_form(m):
-    """``_integer_form`` as binomials and factorials: a_k = binom(m+1, k) * (m+1-k)
-    * 36^k * (m+1)! / (m+1-2k)! and D_m = (m+1)! * 6^m."""
+    """(a_0, ..., a_K) and D_m with D_m * pi * (4*sqrt(6))^m * |c_m| = sum_k a_k * pi^(m+1-2k):
+    a_k = binom(m+1, k) * (m+1-k) * 36^k * (m+1)! / (m+1-2k)! and D_m = (m+1)! * 6^m,
+    positive integers, with K = floor((m+1)/2)."""
     top = factorial(m + 1)
     numerators = tuple(
         comb(m + 1, k) * (m + 1 - k) * 36**k * (top // factorial(m + 1 - 2 * k))
         for k in range((m + 1) // 2 + 1)
     )
     return numerators, top * 6**m
+
+
+def _integer_terms(m):
+    """The same pi-power coefficients, read back from ``_factorial_form``."""
+    numerators, denominator = _factorial_form(m)
+    return {m - 2 * k: Fraction(a, denominator) for k, a in enumerate(numerators)}
 
 
 def _pi_sum(m, mp):
@@ -91,6 +95,7 @@ def test_exact_exponent_structure():
         expected = {m - 2 * k for k in range((m + 1) // 2 + 1)}
         assert set(terms) == expected
         assert all(q > 0 for q in terms.values())
+        assert terms == _exact_terms(m)
 
 
 def test_values_first_three(ctx80):
@@ -145,74 +150,13 @@ def test_certified_comparison_equal_index():
         certified_abs_less(-1, -1)
 
 
-def test_certified_comparison_escalates(monkeypatch):
-    widths = []
-    bracket = coefficients._bracket
-
-    def loosened(m, bits):
-        # still an enclosure, but below 64 bits too wide to separate any pair
-        widths.append(bits)
-        lo, hi = bracket(m, bits)
-        return (lo // 4, hi * 4) if bits < 64 else (lo, hi)
-
-    monkeypatch.setattr(coefficients, "_CERTIFY_START_BITS", 8)
-    monkeypatch.setattr(coefficients, "_bracket", loosened)
-    for m, other in CERTIFY_PAIRS + ((100, 99),):
-        assert certified_abs_less(m, other) == _oracle_abs_less(m, other), (m, other)
-    assert sorted(set(widths)) == [8, 16, 32, 64]
-
-
-def test_certified_comparison_undecided_raises(monkeypatch):
-    monkeypatch.setattr(coefficients, "_CERTIFY_MAX_BITS", 1024)
-    monkeypatch.setattr(coefficients, "_bracket", lambda m, bits: (0, 1 << (bits + 4000)))
-    with pytest.raises(PrecisionError):
-        certified_abs_less(3, 2)
-
-
-def test_certified_comparison_consecutive_without_escalation(monkeypatch):
-    widths = []
-    bracket = coefficients._bracket
-
-    def recorded(m, bits):
-        widths.append(bits)
-        return bracket(m, bits)
-
-    monkeypatch.setattr(coefficients, "_bracket", recorded)
-    for m in range(1, 401):
-        assert certified_abs_less(m, m - 1), m
-    assert set(widths) == {256}
-
-
-def test_bracket_encloses_exact_value():
-    mp = MPContext()
-    mp.dps = 200
-    for m in (0, 1, 2, 7, 60, 301, 400):
-        denominator = coefficients._integer_form(m)[1]
-        exact = mp.pi * _pi_sum(m, mp) * denominator
-        # 256 starts the certified comparisons; 264, 297 and 364 serve coeff_c at 50, 60 and 80 digits
-        for bits in (8, 64, 256, 264, 297, 364):
-            lo, hi = coefficients._bracket(m, bits)
-            assert lo <= mp.ldexp(exact, bits) <= hi, (m, bits)
-            # tight: the relative width stays below (m + 2) * 2^-bits
-            assert 0 < (hi - lo) << bits <= (m + 2) * lo, (m, bits)
-
-
-def test_integer_form_reproduces_exact_terms():
-    for m in range(401):
-        numerators, denominator = coefficients._integer_form(m)
-        assert all(isinstance(a, int) and a > 0 for a in numerators + (denominator,))
-        assert (numerators, denominator) == _factorial_form(m), m
-        if m <= 60:
-            assert _integer_terms(m) == _exact_terms(m)
-
-
 def _scaled_g(j, scale):
     """scale * g_j as {power of pi: integer}, for a multiple ``scale`` of 2^j * D_j.
 
     g_j = sqrt(24)^j * c_j = (-1)^j * H_j / (2^j * pi * D_j), with H_j and D_j
-    from ``_integer_form``.
+    from ``_factorial_form``.
     """
-    numerators, denominator = coefficients._integer_form(j)
+    numerators, denominator = _factorial_form(j)
     factor, rest = divmod(scale, 2**j * denominator)
     assert rest == 0
     return {j - 2 * k: (-1) ** j * factor * a for k, a in enumerate(numerators)}
@@ -224,10 +168,10 @@ def test_recurrence_holds_exactly_on_the_closed_form():
     are g_0 = 1, g_1 = -(pi/12 + 6/pi) and g_2 = pi^2/288 + 3/2."""
     seeds = ({0: 1}, {1: Fraction(-1, 12), -1: -6}, {2: Fraction(1, 288), 0: Fraction(3, 2)})
     for j, seed in enumerate(seeds):
-        scale = 2**j * coefficients._integer_form(j)[1]
+        scale = 2**j * _factorial_form(j)[1]
         assert {power: Fraction(c, scale) for power, c in _scaled_g(j, scale).items()} == seed
     for m in range(398):
-        scale = 2 ** (m + 3) * coefficients._integer_form(m + 3)[1]
+        scale = 2 ** (m + 3) * _factorial_form(m + 3)[1]
         g = [_scaled_g(m + j, scale) for j in range(4)]
         # (each power of pi it multiplies, integer factor) per g_(m+j)
         factors = (
@@ -469,6 +413,79 @@ def test_negative_m_rejected(ctx80, monkeypatch):
         coeff_c(-1, ctx80)
     assert coeff_c.cache_info().currsize == cached
     with pytest.raises(ValueError):
-        coefficients._integer_form(-1)
-    with pytest.raises(ValueError):
         coeff_bound(-1, ctx80)
+
+
+def test_certified_comparison_consecutive_without_escalation(monkeypatch, builds):
+    _cold_source(monkeypatch)
+    assert certified_abs_less(400, 399)  # the last index first, as lemma1 asks for it
+    for m in range(1, 400):
+        assert certified_abs_less(m, m - 1), m
+    assert builds == [(400, 30, coefficients._guard_digits(400))]
+
+
+def _radius(held, mp):
+    """The proven relative radius of the source's values at ``held`` digits."""
+    return mp.mpf(10) ** -(held + 10) + mp.ldexp(1, 1 - dps_to_prec(held + 10))
+
+
+def test_certified_comparison_escalates(monkeypatch, builds):
+    mp = MPContext()
+    mp.dps = 100
+    for m, other in CERTIFY_PAIRS + ((100, 99),):
+        _cold_source(monkeypatch)
+        held, values = coefficients._coefficients(max(m, other), 40)
+        # |c_m| moved to the wrong side of |c_other|, by a quarter of the radius
+        step = -1 if _oracle_abs_less(m, other) else 1
+        moved = abs(mp.mpf(values[other])) * (1 + step * _radius(held, mp) / 4)
+        tied = list(values)
+        tied[m] = (-moved if m % 2 else moved)._mpf_
+        monkeypatch.setattr(coefficients, "_source", (held, tuple(tied)))
+        builds.clear()
+        assert certified_abs_less(m, other) == _oracle_abs_less(m, other), (m, other)
+        assert [digits for _, digits, _ in builds] == [2 * held], (m, other)
+
+
+def test_certified_comparison_undecided_raises(monkeypatch):
+    built = []
+
+    def tied(size, digits, guard):
+        # every value is 1, so no radius separates two of them
+        built.append(digits)
+        return ((0, 1, 0, 1),) * (size + 1)
+
+    monkeypatch.setattr(coefficients, "_attempt", tied)
+    monkeypatch.setattr(coefficients, "_CERTIFY_MAX_DIGITS", 200)
+    _cold_source(monkeypatch)
+    with pytest.raises(PrecisionError, match=r"\|c_3\| and \|c_2\|"):
+        certified_abs_less(3, 2)
+    assert built == [30, 60, 120, 200]
+
+
+def test_source_values_within_their_radius(monkeypatch):
+    for size, digits in ((200, 50), (400, 80), (120, 187)):
+        _cold_source(monkeypatch)
+        held, values = coefficients._coefficients(size, digits)
+        assert (held, len(values)) == (digits, size + 1)
+        mp = MPContext()
+        mp.dps = digits + 30
+        radius = _radius(digits, mp)
+        for m, (raw, exact) in enumerate(zip(values, _closed_forms(size, digits + 30))):
+            value = mp.mpf(raw)
+            assert abs(exact - value) <= radius * abs(value), (size, digits, m)
+
+
+def test_source_request_past_the_cap_raises_before_any_build(monkeypatch, capsys):
+    def refused(size, digits, guard):
+        raise AssertionError("a request past the cap started a build")
+
+    monkeypatch.setattr(coefficients, "_attempt", refused)
+    cap = coefficients.COEFF_CAP
+    with pytest.raises(ResourceError, match=f"m={cap + 1} exceeds cap {cap}"):
+        coeff_c(cap + 1, PrecisionContext(30))
+    with pytest.raises(ResourceError):
+        certified_abs_less(cap + 1, cap)
+    for argv in (["coeff", "100000"], ["verify", "lemma1", "--m-max", "100000"]):
+        stream = io.StringIO()
+        assert cli.run(argv, stream=stream) == 2
+        assert (stream.getvalue(), capsys.readouterr().err) == ("", f"error: m=100000 exceeds cap {cap}\n")
