@@ -63,7 +63,7 @@ def gf_coefficients(order: int, ctx: PrecisionContext) -> list:
     Assembles exp(-(pi/6) * z/(sqrt(1-z^2)+1)) * (1/(1-z^2)
     - (6/pi) * z/(1-z^2)^(3/2)) from the series primitives; coefficient m
     equals sqrt(24)^m * c_m, which is what :func:`coefficients.coeff_c`
-    produces from the closed form, so comparing the two routes checks both.
+    produces from its recurrence source, so comparing the two routes checks both.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")

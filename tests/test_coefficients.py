@@ -55,11 +55,6 @@ def _integer_terms(m):
     return {m - 2 * k: Fraction(a, denominator) for k, a in enumerate(numerators)}
 
 
-def _pi_sum(m, mp):
-    """(4*sqrt(6))^m * |c_m| evaluated term by term in the mpmath context mp."""
-    return sum(mp.mpf(q.numerator) / q.denominator * mp.pi**e for e, q in _exact_terms(m).items())
-
-
 @functools.lru_cache(maxsize=None)
 def _closed_forms(m_max, dps):
     """c_0 .. c_{m_max} term by term from the closed form, in one mpmath context.
