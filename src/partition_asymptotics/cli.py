@@ -4,6 +4,8 @@ Output is deterministic: identical invocations produce byte-identical output.
 Decimal rendering is explicit everywhere, with mantissas printed as
 ``[-]0.<digits>e<exponent>``; reference-table blocks share one exponent per
 block (that of the largest entry), which is how regression strings are pinned.
+Every printed number is the exact binary value of its float, ``man * 2^exp``,
+rounded half to even once, in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -11,14 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
 from .bounds import banerjee_bounds, nu, thm1_bounds, thm2_bounds, thm3_bounds
 from .coefficients import coeff_asymptotic, coeff_bound, coeff_c
 from .errors import DomainError, PrecisionError, ResourceError
-from .expansion import remainder_exact
+from .expansion import _check, remainder_exact
 from .partitions import PartitionTable, load_table, partition_pentagonal, save_table
 from .precision import PrecisionContext
 from .verify import SUITE_NAMES, run_suite
@@ -35,10 +36,6 @@ TABLE_CASES = {
 THEOREMS = {"t1": thm1_bounds, "t2": thm2_bounds, "t3": thm3_bounds, "banerjee": banerjee_bounds}
 TABLE_BOUNDS = {"table1": THEOREMS["t1"], "table2": THEOREMS["t3"]}
 TABLE_MIN_DIGITS = 50
-_LOG10_2 = math.log10(2)
-# relative distance from an integer below which a double log10 is not trusted
-# to floor as the exact one (its error is below 1e-12 for any realistic value)
-_TIE_MARGIN = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -46,66 +43,43 @@ _TIE_MARGIN = 1e-9
 # ---------------------------------------------------------------------------
 
 
-def normalized_exponent(x, ctx: PrecisionContext) -> int:
-    """Exponent e with |x| / 10^e in [0.1, 1)."""
-    return 0 if x == 0 else _exponent_of(abs(x), ctx)
+def _divide(man: int, exp: int, k: int) -> tuple:
+    """Floor, remainder and denominator of man * 2^exp * 10^k, by one exact integer division."""
+    num, den = man * 10 ** max(k, 0) << max(exp, 0), 10 ** max(-k, 0) << max(-exp, 0)
+    return (*divmod(num, den), den)
 
 
-def _exponent_of(magnitude, ctx: PrecisionContext) -> int:
-    """:func:`normalized_exponent` of a positive magnitude, one power of ten per exponent tried.
-
-    The first exponent tried is floor(log10(magnitude)) + 1, from a double
-    log10 of the binary mantissa and exponent.  Its error is far below
-    ``_TIE_MARGIN``, so away from an integer it floors as the exact
-    logarithm does.  Near one the value may lie within an ulp of a power of
-    ten, where the two loops settle on either of two exponents depending on
-    where they start, so there the first exponent comes from the
-    full-precision log10.
-    """
-    mp = ctx.mp
-    mantissa, exponent = mp.mpf(magnitude).man_exp
-    guess = math.log10(mantissa) + exponent * _LOG10_2
-    if abs(guess - round(guess)) > _TIE_MARGIN * (1 + abs(guess)):
-        e = math.floor(guess) + 1
-    else:
-        e = int(mp.floor(mp.log10(magnitude))) + 1
-    power = mp.mpf(10) ** e
-    while magnitude / power >= 1:
+def normalized_exponent(x) -> int:
+    """The e with 10^(e-1) <= |x| < 10^e (0 for zero), so that |x| / 10^e lies in [0.1, 1)."""
+    _, man, exp, bc = x._mpf_
+    if not man:
+        return 0
+    bits = exp + bc - 1  # 2^bits <= |x|, and 1233/4096 < log10(2) < 1234/4096
+    e = (bits * (1233 if bits >= 0 else 1234) >> 12) + 1
+    while _divide(man, exp, -e)[0]:  # counted up from that lower bound while |x| >= 10^e
         e += 1
-        power = mp.mpf(10) ** e
-    while magnitude / power < mp.mpf("0.1"):
-        e -= 1
-        power = mp.mpf(10) ** e
     return e
 
 
-def _mantissa(magnitude, e10: int, ctx: PrecisionContext, sig: int) -> int:
-    """magnitude * 10^(sig - e10), rounded to the nearest integer (ties to even)."""
-    mp = ctx.mp
-    return int(mp.nint(magnitude * mp.mpf(10) ** (sig - e10)))
+def _mantissa(x, e10: int, sig: int) -> int:
+    """|x| * 10^(sig - e10) from the exact value of x, rounded to the nearest integer (ties to even)."""
+    _, man, exp, _ = x._mpf_
+    quotient, rest, den = _divide(man, exp, sig - e10)
+    return quotient + (2 * rest > den or (2 * rest == den and quotient & 1))
 
 
-def _render(x, mantissa: int, e10: int, sig: int) -> str:
-    sign = "-" if x < 0 else ""
-    return f"{sign}0.{str(mantissa).rjust(sig, '0')}e{e10}"
-
-
-def format_at_exponent(x, e10: int, ctx: PrecisionContext, sig: int = 10) -> str:
+def format_at_exponent(x, e10: int, sig: int = 10) -> str:
     """Render x as [-]0.<sig digits>e<e10> (round to nearest, ties to even)."""
-    return _render(x, _mantissa(abs(x), e10, ctx, sig), e10, sig)
+    sign = "-" if x._mpf_[0] else ""
+    return f"{sign}0.{str(_mantissa(x, e10, sig)).rjust(sig, '0')}e{e10}"
 
 
-def format_scientific(x, ctx: PrecisionContext, sig: int = 10) -> str:
+def format_scientific(x, sig: int = 10) -> str:
     """Self-normalized rendering with mantissa in [0.1, 1)."""
-    if x == 0:
-        return "0." + "0" * sig + "e0"
-    magnitude = abs(x)
-    e10 = _exponent_of(magnitude, ctx)
-    mantissa = _mantissa(magnitude, e10, ctx, sig)
-    if mantissa >= 10**sig:  # rounding pushed the mantissa up to 1.0
+    e10 = normalized_exponent(x)
+    if _mantissa(x, e10, sig) == 10**sig:  # rounding carried the mantissa into the next decade
         e10 += 1
-        mantissa = _mantissa(magnitude, e10, ctx, sig)
-    return _render(x, mantissa, e10, sig)
+    return format_at_exponent(x, e10, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +118,8 @@ def _obtain_table(n_needed: int, cache_path: str | None) -> PartitionTable:
 
 
 def cmd_partition(args, ctx: PrecisionContext) -> list:
+    if args.n < 0:
+        raise DomainError(f"n must be nonnegative, got {args.n}")
     table = _obtain_table(args.n, _resolve_cache_path(args.cache))
     return [{"n": str(args.n), "p": str(table.p(args.n))}]
 
@@ -153,26 +129,27 @@ def cmd_coeff(args, ctx: PrecisionContext) -> list:
     return [
         {
             "m": str(m),
-            "c_m": format_scientific(coeff_c(m, ctx), ctx, sig=30),
-            "bound": format_scientific(coeff_bound(m, ctx), ctx, sig=30),
-            "asymptotic": format_scientific(coeff_asymptotic(m, ctx), ctx, sig=30),
+            "c_m": format_scientific(coeff_c(m, ctx), sig=30),
+            "bound": format_scientific(coeff_bound(m, ctx), sig=30),
+            "asymptotic": format_scientific(coeff_asymptotic(m, ctx), sig=30),
         }
         for m in range(args.max_m + 1)
     ]
 
 
 def cmd_remainder(args, ctx: PrecisionContext) -> list:
+    _check(args.n, args.N)  # before the cache, so that the error does not depend on it
     table = _obtain_table(args.n, _resolve_cache_path(args.cache))
     result = remainder_exact(args.n, args.N, table, ctx, include_theta=args.theta)
     payload = {
         "n": str(args.n),
         "N": str(args.N),
-        "remainder": format_scientific(result.remainder, ctx),
-        "partial_sum": format_scientific(result.partial_sum, ctx),
-        "prefactor": format_scientific(result.prefactor, ctx),
+        "remainder": format_scientific(result.remainder),
+        "partial_sum": format_scientific(result.partial_sum),
+        "prefactor": format_scientific(result.prefactor),
     }
     if result.theta is not None:
-        payload["theta"] = format_scientific(result.theta, ctx)
+        payload["theta"] = format_scientific(result.theta)
     return [payload]
 
 
@@ -192,8 +169,8 @@ def cmd_bounds(args, ctx: PrecisionContext) -> list:
         payload["C"] = args.constant
     payload.update(
         {
-            "lower": format_scientific(report.lower, ctx),
-            "upper": format_scientific(report.upper, ctx),
+            "lower": format_scientific(report.lower),
+            "upper": format_scientific(report.upper),
             "valid": "true" if report.valid else "false",
         }
     )
@@ -205,14 +182,12 @@ def cmd_nu(args, ctx: PrecisionContext) -> list:
     return [{"N": str(args.N), "C": args.C, "nu": str(value)}]
 
 
-def _table_block(report, exact, ctx: PrecisionContext) -> dict:
-    e10 = max(
-        normalized_exponent(v, ctx) for v in (exact, report.lower, report.upper) if v != 0
-    )
+def _table_block(report, exact) -> dict:
+    e10 = max(normalized_exponent(v) for v in (exact, report.lower, report.upper) if v != 0)
     return {
-        "exact": format_at_exponent(exact, e10, ctx),
-        "lower": format_at_exponent(report.lower, e10, ctx),
-        "upper": format_at_exponent(report.upper, e10, ctx),
+        "exact": format_at_exponent(exact, e10),
+        "lower": format_at_exponent(report.lower, e10),
+        "upper": format_at_exponent(report.upper, e10),
     }
 
 
@@ -226,7 +201,7 @@ def cmd_table(args, ctx: PrecisionContext) -> list:
         exact = remainder_exact(n, N, table, ctx).remainder
         report = bound(n, N, *constant, ctx)
         payload = dict(zip(("n", "N", "C"), (str(n), str(N), *constant)))
-        payload.update(_table_block(report, exact, ctx))
+        payload.update(_table_block(report, exact))
         records.append(payload)
     return records
 

@@ -87,6 +87,8 @@ def gf_coefficients(order: int, ctx: PrecisionContext) -> list:
 
 def gf_reference(order: int, ctx: PrecisionContext) -> list:
     """The same coefficients from :func:`coefficients.coeff_c`: sqrt(24)^m * c_m."""
+    if order < 0:
+        raise DomainError("order must be nonnegative")
     root24 = ctx.mp.sqrt(24)
     # the last index first, so the coefficient source grows once
     return [root24**m * coeff_c(m, ctx) for m in reversed(range(order + 1))][::-1]

@@ -197,8 +197,8 @@ def _gf(order: int, ctx: PrecisionContext):
     """Series route equals closed-form route for the scaled coefficients."""
     mp = ctx.mp
     tolerance = mp.mpf(10) ** (-(ctx.digits - 15))
+    reference = gf_reference(order, ctx)  # first: it checks order against the coefficient cap
     produced = gf_coefficients(order, ctx)
-    reference = gf_reference(order, ctx)
     for m in range(order + 1):
         deviation = abs(produced[m] - reference[m]) / abs(reference[m])
         yield f"relative deviation {mp.nstr(deviation, 6)} at m={m}" if deviation > tolerance else None

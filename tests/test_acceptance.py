@@ -58,12 +58,12 @@ def _report(criterion: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _block_strings(n, N, lower, upper, exact, ctx):
-    e10 = max(normalized_exponent(v, ctx) for v in (exact, lower, upper))
+def _block_strings(n, N, lower, upper, exact):
+    e10 = max(normalized_exponent(v) for v in (exact, lower, upper))
     return (
-        format_at_exponent(exact, e10, ctx),
-        format_at_exponent(lower, e10, ctx),
-        format_at_exponent(upper, e10, ctx),
+        format_at_exponent(exact, e10),
+        format_at_exponent(lower, e10),
+        format_at_exponent(upper, e10),
     )
 
 
@@ -75,7 +75,7 @@ def test_criterion_01_table1_strings(ctx80, table):
     for n, N in TABLE1_REFERENCE:
         report = thm1_bounds(n, N, ctx80)
         exact = remainder_exact(n, N, table, ctx80).remainder
-        produced[(n, N)] = _block_strings(n, N, report.lower, report.upper, exact, ctx80)
+        produced[(n, N)] = _block_strings(n, N, report.lower, report.upper, exact)
     elapsed = time.monotonic() - started
     ok = produced == TABLE1_REFERENCE and elapsed < 10
     assert _report("1 first-table reproduction", ok, f"{elapsed:.2f}s")
@@ -86,7 +86,7 @@ def _table2_strings(ctx, table):
     for n, N, C in TABLE2_REFERENCE:
         report = thm3_bounds(n, N, C, ctx)
         exact = remainder_exact(n, N, table, ctx).remainder
-        produced[(n, N, C)] = _block_strings(n, N, report.lower, report.upper, exact, ctx)
+        produced[(n, N, C)] = _block_strings(n, N, report.lower, report.upper, exact)
     return produced
 
 

@@ -43,8 +43,8 @@ def test_t1_reference_strings(ctx80):
     }
     for (n, N), (e10, lower, upper) in cases.items():
         report = thm1_bounds(n, N, ctx80)
-        assert format_at_exponent(report.lower, e10, ctx80) == lower
-        assert format_at_exponent(report.upper, e10, ctx80) == upper
+        assert format_at_exponent(report.lower, e10) == lower
+        assert format_at_exponent(report.upper, e10) == upper
 
 
 def test_t2_relaxes_t1(ctx80, table):
@@ -66,8 +66,8 @@ def test_t2_even_upper_is_coeff_bound_plus_exponential(ctx80):
 
 def test_t2_pinned_values(ctx50):
     report = thm2_bounds(200, 4, ctx50)
-    assert format_scientific(report.lower, ctx50) == "-0.1326689978e-7"
-    assert format_scientific(report.upper, ctx50) == "0.9867265388e-7"
+    assert format_scientific(report.lower) == "-0.1326689978e-7"
+    assert format_scientific(report.upper) == "0.9867265388e-7"
 
 
 def test_t2_width_approaches_t1_width(ctx80):
@@ -142,8 +142,8 @@ def test_t3_reference_strings(ctx80):
     for n, N, C, e10, lower, upper in cases:
         report = thm3_bounds(n, N, C, ctx80)
         assert report.valid, (n, N, C)
-        assert format_at_exponent(report.lower, e10, ctx80) == lower
-        assert format_at_exponent(report.upper, e10, ctx80) == upper
+        assert format_at_exponent(report.lower, e10) == lower
+        assert format_at_exponent(report.upper, e10) == upper
 
 
 def test_t3_validity_flag(ctx80):

@@ -5,12 +5,20 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import partition_asymptotics
 from partition_asymptotics import PrecisionContext, load_table, verify
-from partition_asymptotics.cli import _exponent_of, build_parser, run
+from partition_asymptotics.cli import (
+    build_parser,
+    format_at_exponent,
+    format_scientific,
+    normalized_exponent,
+    run,
+)
 
 from helpers import near_tie_constant, ulp, with_header
 
@@ -270,13 +278,20 @@ def test_headerless_cache_rebuilt_once(tmp_path, capsys):
 
 
 def test_invalid_n_with_a_covering_cache(tmp_path, capsys):
-    # a cache covering the table makes remainder reach the argument check itself
+    # the argument check comes before the cache, so a covering cache leaves the error as it is
     cache = tmp_path / "partitions.tsv"
-    assert invoke("--cache", str(cache), "partition", "50")[0] == 0
-    capsys.readouterr()
-    status, out = invoke("--cache", str(cache), "remainder", "-5", "2")
-    assert (status, out) == (2, "")
-    assert capsys.readouterr().err == "error: need n >= 1 and N >= 0, got n=-5, N=2\n"
+    cases = {
+        ("partition", "-3"): "error: n must be nonnegative, got -3\n",
+        ("remainder", "-5", "2"): "error: need n >= 1 and N >= 0, got n=-5, N=2\n",
+    }
+    for cached in (False, True):
+        if cached:
+            assert invoke("--cache", str(cache), "partition", "50")[0] == 0
+            capsys.readouterr()
+        for argv, err in cases.items():
+            status, out = invoke("--cache", str(cache), *argv) if cached else invoke(*argv)
+            assert (status, out, capsys.readouterr().err) == (2, "", err), (cached, argv)
+        assert cache.exists() == cached
 
 
 def test_directory_as_cache_is_an_error(tmp_path, capsys):
@@ -285,39 +300,125 @@ def test_directory_as_cache_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+PUBLIC_NAMES = [
+    "BoundsReport",
+    "DomainError",
+    "MIN_DIGITS",
+    "PartitionTable",
+    "PrecisionContext",
+    "PrecisionError",
+    "PrecisionWarning",
+    "RemainderResult",
+    "ResourceError",
+    "SUITE_NAMES",
+    "VerifyResult",
+    "banerjee_bounds",
+    "certified_abs_less",
+    "coeff_asymptotic",
+    "coeff_bound",
+    "coeff_c",
+    "darboux_approximant",
+    "exp_error_term",
+    "full_sum",
+    "gf_coefficients",
+    "gf_reference",
+    "lambert_w_minus1",
+    "load_table",
+    "mu",
+    "nu",
+    "partial_sum",
+    "partition_dp_row",
+    "partition_pentagonal",
+    "pi_enclosure",
+    "prefactor",
+    "r_hat",
+    "recommended_digits",
+    "remainder_exact",
+    "run_suite",
+    "save_table",
+    "t_bound_full",
+    "t_bound_simple",
+    "t_bound_simple_bracket",
+    "theta",
+    "thm1_bounds",
+    "thm2_bounds",
+    "thm3_bounds",
+]
+
+
 def test_public_surface():
+    # a new public name has to be added here as well, deliberately
+    assert sorted(partition_asymptotics.__all__) == PUBLIC_NAMES
     assert all(hasattr(partition_asymptotics, name) for name in partition_asymptotics.__all__)
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
     assert tuple(suite.choices) == verify.SUITE_NAMES
 
 
-def _settle(magnitude, e, ctx):
-    """The exponent search of normalized_exponent, started at exponent e."""
-    mp = ctx.mp
-    power = mp.mpf(10) ** e
-    while magnitude / power >= 1:
+def _rounded(x, k):
+    """|x| * 10^k from the exact binary value of x, rounded half to even by Fraction."""
+    _, man, exp, _ = x._mpf_
+    return round(Fraction(man) * Fraction(2) ** exp * Fraction(10) ** k)
+
+
+def _oracle_exponent(x):
+    """The e with 10^(e-1) <= |x| < 10^e, from the decimal lengths of the exact fraction."""
+    if x == 0:
+        return 0
+    _, man, exp, _ = x._mpf_
+    magnitude = Fraction(man) * Fraction(2) ** exp
+    e = len(str(magnitude.numerator)) - len(str(magnitude.denominator))
+    while magnitude >= Fraction(10) ** e:
         e += 1
-        power = mp.mpf(10) ** e
-    while magnitude / power < mp.mpf("0.1"):
+    while magnitude < Fraction(10) ** (e - 1):
         e -= 1
-        power = mp.mpf(10) ** e
     return e
 
 
-def test_exponent_guess_settles_as_the_full_logarithm():
-    # within a few ulps of 10^k the search can settle on either of two
-    # exponents depending on where it starts; the cheap first guess must
-    # settle where the full-precision log10 guess does
-    ties = 0
-    for digits in (30, 50, 80):
+def _oracle_string(x, e, sig):
+    return f"{'-' if x < 0 else ''}0.{str(_rounded(x, sig - e)).rjust(sig, '0')}e{e}"
+
+
+def _check_renderers(x, sig):
+    e = _oracle_exponent(x)
+    assert normalized_exponent(x) == e, (x, sig)
+    for shift in (-1, 0, 1):
+        assert format_at_exponent(x, e + shift, sig) == _oracle_string(x, e + shift, sig), (x, sig)
+    if _rounded(x, sig - e) == 10**sig:
+        e += 1
+    assert format_scientific(x, sig) == _oracle_string(x, e, sig), (x, sig)
+
+
+def test_renderers_round_the_exact_binary_value():
+    for digits in (30, 50, 80):  # a few ulps around each power of ten, where the exponent turns
         ctx = PrecisionContext(digits)
-        mp = ctx.mp
         for k in range(-60, 61):
-            center = mp.mpf(10) ** k
+            center = ctx.mp.mpf(10) ** k
             for j in range(-4, 5):
-                x = center + j * ulp(center, ctx)
-                expected = _settle(x, int(mp.floor(mp.log10(x))) + 1, ctx)
-                assert _exponent_of(x, ctx) == expected, (digits, k, j)
-                ties += {_settle(x, expected - 1, ctx), _settle(x, expected + 1, ctx)} != {expected}
-    assert ties  # the sample reaches the values where the start decides
+                _check_renderers(center + j * ulp(center, ctx), 10)
+    rng = random.Random(20261018)
+    for _ in range(400):
+        ctx = PrecisionContext(rng.randint(30, 300))
+        x = ctx.mp.mpf((rng.choice((-1, 1)) * rng.getrandbits(ctx.mp.prec), rng.randint(-1200, 1200)))
+        for sig in (10, 30):
+            _check_renderers(x, sig)
+    mp = PrecisionContext(30).mp
+    for x in (mp.mpf(0), -mp.pi, mp.mpf("-0.99999999996"), mp.mpf(1) / 2**15, mp.mpf(3) / 2**15):
+        for sig in (1, 10, 30):
+            _check_renderers(x, sig)
+    # exact ties go to the even neighbour, and a carry moves to the next exponent
+    assert format_scientific(mp.mpf(1) / 2**15) == "0.3051757812e-4"
+    assert format_scientific(mp.mpf(3) / 2**15) == "0.9155273438e-4"
+    assert format_scientific(mp.mpf("0.99999999996")) == "0.1000000000e1"
+    assert format_scientific(-mp.mpf("0.99999999996")) == "-0.1000000000e1"
+    assert format_scientific(mp.mpf(0), 3) == "0.000e0"
+
+
+def test_coeff_row_is_the_exact_value_rounded_once():
+    # the binary c_10 at 30 digits lies 0.487 of a unit above ...933 in the 30th digit
+    status, out = invoke("--digits", "30", "--format", "csv", "coeff", "10")
+    assert status == 0
+    assert out.splitlines()[-1] == (
+        "10,0.353013872628818170118773787933e-6,"
+        "0.355916142722251799164578778332e-6,0.347733068580433125360150395082e-6"
+    )

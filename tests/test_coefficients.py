@@ -480,7 +480,12 @@ def test_source_request_past_the_cap_raises_before_any_build(monkeypatch, capsys
         coeff_c(cap + 1, PrecisionContext(30))
     with pytest.raises(ResourceError):
         certified_abs_less(cap + 1, cap)
-    for argv in (["coeff", "100000"], ["verify", "lemma1", "--m-max", "100000"]):
+    for argv in (
+        ["coeff", "100000"],
+        ["verify", "lemma1", "--m-max", "100000"],
+        ["verify", "lemma2", "--m-max", "100000"],
+        ["verify", "gf", "--m-max", "100000"],
+    ):
         stream = io.StringIO()
         assert cli.run(argv, stream=stream) == 2
         assert (stream.getvalue(), capsys.readouterr().err) == ("", f"error: m=100000 exceeds cap {cap}\n")

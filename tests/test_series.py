@@ -164,3 +164,5 @@ def test_order_zero(ctx60):
     assert len(coeffs) == 1
     with pytest.raises(DomainError):
         gf_coefficients(-1, ctx60)
+    with pytest.raises(DomainError, match="order must be nonnegative"):
+        gf_reference(-1, ctx60)
