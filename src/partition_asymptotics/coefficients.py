@@ -38,7 +38,9 @@ floor and the errors of the fixed-point a and 1/a are counted, and the
 radius recurrence is written in ``_attempt``.  It divides g_m by 24^j once
 to give c_m and checks that each c_m is within 10^-(D+10) of its own size
 before it is rounded.  ``coeff_c`` rounds the stored c_m once more to the
-context's digits.
+context's digits.  ``_horner`` sums the stored c_m against the powers of a
+u in (0, 1] by Horner on integers scaled by 2^P, and its result is proved
+to lie within 3N units of 2^P times the sum of the first N terms.
 
 Comparisons.  ``certified_abs_less`` decides |c_m| < |c_other| from the
 same stored values: each lies within a proven relative radius of c_m, the
@@ -190,6 +192,31 @@ def _coefficients(m: int, digits: int) -> tuple:
             guard *= 2
         _source = source = (held, values)
     return source
+
+
+def _horner(N: int, P: int, U: int, digits: int) -> int:
+    """An integer within 3N of 2^P sum_{m<N} x_m u^m, for U = floor(2^P u), 0 < u <= 1.
+
+    The x_m are the source's c_m at ``digits`` or more.  With C_m =
+    floor(2^P x_m), Horner runs acc = floor(acc U / 2^P) + C_m over
+    m = N-1, ..., 0 from acc = 0.  Write T_k = sum_{k<=m<N} x_m u^(m-k) and
+    e_k = acc_k - 2^P T_k, so e_N = 0, and U = 2^P u - d with 0 <= d < 1.
+    With f, f' in [0, 1) the two floors of step k,
+
+        e_k = u e_{k+1} - d acc_{k+1} / 2^P - f - f'.
+
+    ``coeff_envelope`` gives |c_m| <= 1.7376 sqrt(m+1) / sqrt(24)^m for every
+    m >= 1, so sum_{m>=1} |c_m| < 0.67; each x_m is within a relative
+    10^-(digits+9) of c_m (see ``certified_abs_less``), so |T_k| < 0.7 for
+    k >= 1 and |acc_{k+1}| < 0.7 * 2^P + |e_{k+1}|.  Hence |e_k| < |e_{k+1}| (1 + 2^-P) + 2.7, and by induction
+    |e_k| < 3(N - k) whenever 10N <= 2^P.
+    """
+    acc = 0
+    if N:
+        for sign, mantissa, exponent, _ in reversed(_coefficients(N - 1, digits)[1][:N]):
+            value, shift = -mantissa if sign else mantissa, exponent + P
+            acc = (acc * U >> P) + (value << shift if shift >= 0 else value >> -shift)
+    return acc
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,6 +12,13 @@ against a value that does not depend on the bounds themselves.  The full
     r_hat(n) = P(n) - sum_{m=0}^{inf} c_m / n^(m/2)
 
 and the tail mediant theta_N(n) = (full tail) / (first omitted term).
+
+Every S_N, and so the full sum, theta_N and r_hat, takes one route: an
+integer Horner pass over the coefficient source in fixed point, with guard
+bits taken from its proven error bound, rounded once to nearest.  A single
+term c_m/n^(m/2), which needs relative rather than absolute accuracy, is
+c_m times u^m, read from a ladder of powers of u = 1/sqrt(n) that the per-n
+record keeps.
 """
 
 from __future__ import annotations
@@ -23,7 +30,9 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
 
-from .coefficients import coeff_c, coeff_envelope
+from mpmath.libmp import from_man_exp, round_nearest
+
+from .coefficients import COEFF_CAP, _horner, coeff_c, coeff_envelope
 from .errors import DomainError, PrecisionError, PrecisionWarning
 from .partitions import PartitionTable
 from .precision import PrecisionContext
@@ -33,6 +42,9 @@ from .precision import PrecisionContext
 _MIN_SIG_DIGITS = 10
 _ERROR_MARGIN_DIGITS = 12
 _LOG10_2 = math.log10(2)
+# Bits of the fixed point beyond the precision: _horner errs by under 3N units
+# and N <= COEFF_CAP, so 3N * 2^-(prec + _GUARD_BITS) < 2^-(prec + 4).
+_GUARD_BITS = (3 * COEFF_CAP).bit_length() + 4
 
 
 @dataclass(frozen=True)
@@ -52,16 +64,15 @@ class _PerN:
 
     Each is formed on first use and kept: x = pi*sqrt(2n/3), the prefactor
     e^x/(4*sqrt(3)*n) and e^(-x/2); sqrt(24n - 1), mu(n), e^(-mu/2) and the
-    simple bracket; sqrt(n) and sqrt(24n); the terms c_m/n^(m/2) asked for,
-    the running sums S_0 = 0, S_1, ... up to the longest one asked for, and
-    the full sum; and P(n) for the last p(n) it was given.  The arithmetic is
-    the same as without the memo, so every value is too.
+    simple bracket; sqrt(24n); u = 1/sqrt(n) and the powers of u asked for so
+    far; the fixed point (P, U) of the sums and the full sum; and P(n) for the
+    last p(n) it was given.  A partial sum is not kept: each is one integer
+    Horner pass, rounded once.
     """
 
     def __init__(self, n: int, ctx: PrecisionContext):
         self.n, self.ctx = n, ctx
-        self._terms = {}
-        self._sums = [ctx.mp.mpf(0)]
+        self._powers = [ctx.mp.mpf(1)]
         self._p = self._normalized = None
 
     @functools.cached_property
@@ -102,9 +113,9 @@ class _PerN:
         return self.ctx.mp.exp(-self.x / 2)
 
     @functools.cached_property
-    def root_n(self):
-        """sqrt(n)."""
-        return self.ctx.mp.sqrt(self.ctx.mp.mpf(self.n))
+    def u(self):
+        """1/sqrt(n), the base of the powers in the terms."""
+        return 1 / self.ctx.mp.sqrt(self.n)
 
     @functools.cached_property
     def q(self):
@@ -123,29 +134,40 @@ class _PerN:
         return self._normalized
 
     def term(self, m: int):
-        """c_m / n^(m/2)."""
-        value = self._terms.get(m)
-        if value is None:
-            value = self._terms[m] = coeff_c(m, self.ctx) / self.root_n**m
-        return value
+        """c_m u^m, with u^m from the ladder u, u^2, ... that grows by one product per power."""
+        powers = self._powers
+        while len(powers) <= m:
+            powers.append(powers[-1] * self.u)
+        return coeff_c(m, self.ctx) * powers[m]
+
+    @functools.cached_property
+    def scale(self):
+        """(P, U): the fixed point 2^P of every S_N, P = prec + _GUARD_BITS, and U = floor(2^P/sqrt(n))."""
+        P = self.ctx.mp.prec + _GUARD_BITS
+        return P, math.isqrt((1 << 2 * P) // self.n)
 
     def partial_sum(self, N: int):
-        """S_N, the running sum of the first N terms."""
-        sums = self._sums
-        while len(sums) <= N:
-            sums.append(sums[-1] + self.term(len(sums) - 1))
-        return sums[N]
+        """S_N = sum_{m<N} c_m u^m, from one fixed-point Horner pass rounded once to nearest.
+
+        ``_horner`` is within 3N units of 2^P times the sum of the source's
+        values, which lies within 10^-(digits+9) of S_N.  Every S_N with
+        N >= 1 lies in [1/2, 1] (the terms alternate in sign and shrink, and
+        S_2 = 1 + c_1/sqrt(n) > 1/2), so its ulp is at least 2^-prec, and
+        _GUARD_BITS keep the error before rounding under 1/8 ulp.  S_0 = 0
+        and S_1 = 1 exactly.
+        """
+        P, U = self.scale
+        acc = _horner(N, P, U, self.ctx.digits)
+        return self.ctx.mp.make_mpf(from_man_exp(acc, -P, self.ctx.mp.prec, round_nearest))
 
     @functools.cached_property
     def full_sum(self):
         """S_M for M = _series_length(n, ctx)."""
-        M = _series_length(self.n, self.ctx)
-        coeff_c(M - 1, self.ctx)  # the last index first, so the coefficient source grows once
-        return self.partial_sum(M)
+        return self.partial_sum(_series_length(self.n, self.ctx))
 
-    def theta(self, N: int):
-        """(full_sum - S_N) / (c_N / n^(N/2))."""
-        return (self.full_sum - self.partial_sum(N)) / self.term(N)
+    def theta(self, N: int, partial):
+        """(full_sum - S_N) / (c_N / n^(N/2)), for partial = S_N."""
+        return (self.full_sum - partial) / self.term(N)
 
 
 # Every sweep finishes one n before it moves to the next, and the reference
@@ -250,16 +272,17 @@ def remainder_exact(
 ) -> RemainderResult:
     """Exact remainder after N retained terms, solved from the exact p(n).
 
-    P(n), S_N, the prefactor and θ are read from the per-n record, so they
-    are formed once per n however many N are asked for.  Raises PrecisionError
+    P(n), the prefactor and the full sum are read from the per-n record, so
+    they are formed once per n however many N are asked for; S_N is one
+    Horner pass, shared with θ.  Raises PrecisionError
     when the subtraction cancels so much that fewer than 10 significant digits
     survive at the context precision.
     """
     _check(n, N)
     _warn_if_low_precision(n, ctx)
     per = _per_n(n, ctx)
-    # θ first: its full sum asks for the last coefficient, so the source grows once
-    theta = per.theta(N) if include_theta else None
+    if include_theta:
+        per.full_sum  # first: it asks for the last coefficient, so the source grows once
     lhs, partial = per.normalized(table.p(n)), per.partial_sum(N)
     return RemainderResult(
         n=n,
@@ -267,7 +290,7 @@ def remainder_exact(
         remainder=_subtract(lhs, partial, ctx, f"remainder_exact(n={n}, N={N})"),
         partial_sum=partial,
         prefactor=per.prefactor,
-        theta=theta,
+        theta=per.theta(N, partial) if include_theta else None,
     )
 
 
@@ -304,7 +327,8 @@ def _series_length(n: int, ctx: PrecisionContext) -> int:
 def theta(n: int, N: int, ctx: PrecisionContext):
     """Tail mediant: (sum_{m>=N} c_m/n^(m/2)) / (c_N/n^(N/2)); lies in (0, 1)."""
     _check(n, N)
-    return _per_n(n, ctx).theta(N)
+    per = _per_n(n, ctx)
+    return per.theta(N, per.partial_sum(N))
 
 
 def r_hat(n: int, table: PartitionTable, ctx: PrecisionContext):

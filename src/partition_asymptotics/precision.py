@@ -87,13 +87,13 @@ def lambert_w_minus1(x, ctx: PrecisionContext):
     hi = PrecisionContext(2 * ctx.digits + _GUARD_DIGITS).mp
     x = hi.mpf(ctx.real(x)._mpf_)
     if x >= 0:
-        raise DomainError(f"lambert_w_minus1 requires x < 0, got {x}")
+        raise DomainError(f"lambert_w_minus1 requires x < 0, got {hi.nstr(x, 15)}")
     t = 1 + hi.e * x  # distance above the branch point -1/e
     if abs(t) <= hi.mpf(10) ** (-ctx.digits):
         # x is the branch point up to representation noise at ctx precision
         return ctx.real(-1)
     if t < 0:
-        raise DomainError(f"lambert_w_minus1 requires x >= -1/e, got {x}")
+        raise DomainError(f"lambert_w_minus1 requires x >= -1/e, got {hi.nstr(x, 15)}")
     return ctx.real(hi.lambertw(x, -1))
 
 

@@ -99,17 +99,50 @@ def test_nu_near_an_integer_is_an_error(capsys):
     assert err.startswith(f"error: nu(N=4, C='{C}') is within 10^-80 of 200; ")
 
 
-def test_module_entry_point():
+def _module(*argv):
+    """One fresh ``python -m partition_asymptotics.cli`` process, with Python's own warning display."""
     src = os.path.dirname(os.path.dirname(partition_asymptotics.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "partition_asymptotics.cli", "nu", "4", "3.474"],
+    return subprocess.run(
+        [sys.executable, "-m", "partition_asymptotics.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_module_entry_point():
+    proc = _module("nu", "4", "3.474")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "N = 4\nC = 3.474\nnu = 116\n\n", "")
+
+
+LOW_PRECISION = (
+    "warning: digits={} is below the recommended {} for n={}; cancellation may leave few significant digits\n"
+)
+
+
+def test_precision_warnings_print_once_each_without_a_location(capsys):
+    # each distinct warning once, as "warning: <message>", with no path or
+    # line of cli.py; table1 warns at (500, 6) and (500, 7) with one message
+    proc = _module("--digits", "50", "table1")
+    assert (proc.returncode, proc.stderr) == (0, LOW_PRECISION.format(50, 55, 500))
+    proc = _module("--digits", "30", "remainder", "100", "2")
+    expected = "n = 100\nN = 2\nremainder = 0.6136115333e-3\npartial_sum = 0.9556712023e0\nprefactor = 0.1992808933e9\n\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, LOW_PRECISION.format(30, 42, 100))
+    # in one process, every run reports its own warnings again
+    for _ in range(2):
+        assert invoke("--digits", "30", "remainder", "100", "2") == (0, expected)
+        assert capsys.readouterr().err == LOW_PRECISION.format(30, 42, 100)
+
+
+def test_nu_domain_error_is_one_short_line(capsys):
+    # the W_-1 argument is shown to 15 digits, not at the working precision
+    status, out = invoke("nu", "3", "1e5")
+    err = capsys.readouterr().err
+    assert (status, out) == (2, "")
+    assert err == "error: nu(N=3, C='1e5'): lambert_w_minus1 requires x >= -1/e, got -5.10337369185321\n"
+    assert len(err) < 160
 
 
 def test_table1_golden():

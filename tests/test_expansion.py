@@ -2,7 +2,9 @@
 
 import functools
 import inspect
+import math
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -178,6 +180,32 @@ def test_full_sum_stop_bounds_the_true_tail():
         assert bound(stop) < mp.mpf(10) ** (-(digits + 5)) <= bound(stop - 1)
 
 
+@pytest.mark.parametrize("digits", (30, 50, 80, 160))
+def test_sums_and_terms_against_a_wider_plain_sum(digits):
+    # every S_N (and the full sum) within one ulp, and every term within
+    # (3m + 3) 2^-prec relative, of plain mpmath sums and products formed
+    # at 2 digits + 20 from the coefficients at that width
+    ctx, wide = PrecisionContext(digits), PrecisionContext(2 * digits + 20)
+    mp = wide.mp
+    relative = (mp.mpf(2) ** -ctx.mp.prec) * 3
+    for n in (1, 2, 3, 7, 150, 1000, 20000):
+        M = expansion._series_length(n, ctx)
+        u = 1 / mp.sqrt(n)
+        exact = [coeff_c(m, wide) * u**m for m in range(M + 2)]
+        reference = [mp.mpf(0)]
+        for term in exact:
+            reference.append(reference[-1] + term)
+        assert partial_sum(n, 0, ctx)._mpf_ == ctx.mp.mpf(0)._mpf_
+        for N in (*range(1, 14), M, M + 2):
+            error = abs(mp.mpf(partial_sum(n, N, ctx)) - reference[N])
+            assert error <= ulp(reference[N], ctx), (n, digits, N)
+        assert abs(mp.mpf(full_sum(n, ctx)) - reference[M]) <= ulp(reference[M], ctx), (n, digits)
+        per = expansion._per_n(n, ctx)
+        for m in range(14):
+            error = abs(mp.mpf(per.term(m)) - exact[m])
+            assert error <= (m + 1) * relative * abs(exact[m]), (n, digits, m)
+
+
 def test_full_sum_is_shared_per_n_and_digits(ctx80):
     assert full_sum(123, ctx80) is full_sum(123, PrecisionContext(80))
     assert exp_error_term(123, ctx80) is exp_error_term(123, PrecisionContext(80))
@@ -290,16 +318,32 @@ def _plain_values(n, p, ctx):
         + (1 + 1 / m) * mp.exp(-3 * m / 2)
     )
     simple_bracket = 1 / mp.sqrt(2) + 14 / m + (mp.mpf(2) / 3 * m**2 - 13) * mp.exp(-m / 2)
-    root_n = mp.sqrt(mp.mpf(n))
     q = mp.sqrt(mp.mpf(24 * n))
     E = mp.exp(-exponent / 2)
     half = mp.mpf("0.5")
     envelopes = [coefficients.coeff_envelope(N, ctx) for N in range(13)]
     comparison = [(6 / mp.pi) ** N * mp.sqrt(N // 2 + 1 + N % 2) / q**N for N in range(13)]
-    terms = [coeff_c(k, ctx) / root_n**k for k in range(max(expansion._series_length(n, ctx) + 3, 13))]
-    sums = [mp.mpf(0)]
-    for term in terms:
-        sums.append(sums[-1] + term)
+    M = expansion._series_length(n, ctx)
+    length = max(M + 3, 13)
+    # terms: c_m times u^m from the ladder u^m = u^(m-1) * u, u = 1/sqrt(n)
+    u = 1 / mp.sqrt(n)
+    powers = [mp.mpf(1)]
+    while len(powers) < length:
+        powers.append(powers[-1] * u)
+    terms = [coeff_c(k, ctx) * powers[k] for k in range(length)]
+    # sums: Horner on the source's values floored to 2^-P, with U = floor(2^P/sqrt(n)),
+    # P = prec + bit_length(3 COEFF_CAP) + 4, and the integer rounded once to nearest
+    stored = coefficients._coefficients(length - 1, ctx.digits)[1]
+    P = mp.prec + (3 * coefficients.COEFF_CAP).bit_length() + 4
+    U = math.isqrt(4**P // n)
+
+    def horner(N):
+        acc = 0
+        for sign, mantissa, exponent_2, _ in reversed(stored[:N]):
+            acc = acc * U // 2**P + math.floor(Fraction((-1) ** sign * mantissa) * Fraction(2) ** (exponent_2 + P))
+        return mp.ldexp(mp.mpf(acc), -P)
+
+    sums = {N: horner(N) for N in (*range(13), M, M + 2)}
     return {
         "mu": m,
         "t_bound_full": bracket * mp.exp(-m / 2),
@@ -310,7 +354,7 @@ def _plain_values(n, p, ctx):
         "E": E,
         "terms": terms,
         "sums": sums,
-        "full": sums[expansion._series_length(n, ctx)],
+        "full": sums[M],
         # the even-N pair (below, above) of T2, T3 with C = 1/2, and the comparison family
         "T2": [(E, a * s / q**N * c + E) for N, (a, s, c) in enumerate(envelopes)],
         "T3": [(half * (s / q**N), (half + a * c) * (s / q**N)) for N, (a, s, c) in enumerate(envelopes)],

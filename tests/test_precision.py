@@ -211,3 +211,15 @@ def test_lambert_domain_errors(ctx80):
         lambert_w_minus1(ctx80.real(0), ctx80)
     with pytest.raises(DomainError):
         lambert_w_minus1(ctx80.real("0.1"), ctx80)
+
+
+def test_lambert_domain_errors_show_x_to_15_digits(ctx80):
+    for x, text in (
+        (-ctx80.mp.pi / 8, "x >= -1/e, got -0.392699081698724"),
+        (ctx80.real("-0.4"), "x >= -1/e, got -0.4"),
+        (ctx80.real(0), "x < 0, got 0.0"),
+        (ctx80.real("0.1"), "x < 0, got 0.1"),
+    ):
+        with pytest.raises(DomainError) as caught:
+            lambert_w_minus1(x, ctx80)
+        assert str(caught.value) == f"lambert_w_minus1 requires {text}"
