@@ -161,6 +161,8 @@ def cmd_bounds(args, ctx: PrecisionContext) -> list:
         if args.constant is None:
             raise DomainError("t3 bounds need --constant C")
         constant = (args.constant,)
+    elif args.constant is not None:
+        raise DomainError("--constant applies only to --theorem t3")
     report = THEOREMS[args.theorem](args.n, args.N, *constant, ctx)
     payload = {
         "n": str(args.n),

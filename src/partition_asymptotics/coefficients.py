@@ -29,25 +29,25 @@ the closed form for m <= 400.
 Run forward, the recurrence is unstable: an error in g_m, g_{m+1}, g_{m+2}
 reaches g_{m+3} multiplied by at most rho_m = (|(m+1)(m+4) - a^2| + a(2m+7)
 + (m+2)(m+4)) / (a(2m+6)), which grows like m.  One process-wide source holds
-c_0..c_M, each rounded to D + 10 digits, where D is the largest digit count
+c_0..c_M as integers W_m at scale 2^-P, each with an integer radius e_m,
+|W_m - 2^P c_m| <= e_m.  It is built for D digits, the largest digit count
 asked for so far, and grows by a factor 1.25 in M or D when a request goes
 past it, up to M = COEFF_CAP.  A build runs the recurrence on integers
 scaled by 2^P, with P a few bits above (D + 10 + ceil(log10 prod rho_m) + 6)
 log2 10, and carries with each g_m an integer radius that bounds its error: every
 floor and the errors of the fixed-point a and 1/a are counted, and the
 radius recurrence is written in ``_attempt``.  It divides g_m by 24^j once
-to give c_m and checks that each c_m is within 10^-(D+10) of its own size
-before it is rounded.  ``coeff_c`` rounds the stored c_m once more to the
-context's digits.  ``_horner`` sums the stored c_m against the powers of a
-u in (0, 1] by Horner on integers scaled by 2^P, and its result is proved
-to lie within 3N units of 2^P times the sum of the first N terms.
+to give W_m and checks |W_m| > (10^(D+10) + 1) e_m, so that W_m / 2^P is
+within 10^-(D+10) of c_m relative to its size.  ``coeff_c`` rounds W_m / 2^P
+once to the context's digits.  ``_horner`` sums the W_m, floored to a
+coarser scale, against the powers of a u in (0, 1] by Horner on integers,
+and its result is proved to lie within 3N units of the sum of the first N
+terms at that scale.
 
 Comparisons.  ``certified_abs_less`` decides |c_m| < |c_other| from the
-same stored values: each lies within a proven relative radius of c_m, the
-build's 10^-(D+10) plus the rounding to D + 10 digits, and the two balls are
-compared in integer arithmetic on their mantissas and exponents, never on
-rounded floats.  Balls that overlap are undecided, and the source is rebuilt
-at twice the digits until they separate.
+same integers: |c_m| lies in the ball |W_m| +- e_m at scale 2^-P, and two
+balls are compared exactly.  Balls that overlap are undecided, and the
+source is rebuilt at twice the digits until they separate.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import threading
 from fractions import Fraction
 from math import comb
 
-from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import PrecisionError, ResourceError
 from .precision import MIN_DIGITS, PrecisionContext, pi_enclosure
@@ -81,13 +81,14 @@ _SCALE_MARGIN = 4
 _SOURCE_FLOOR = 16
 _SOURCE_GROWTH = 1.25
 # The largest index the source serves: enough for the full sum at n = 1 and
-# 2000 digits (2909 terms).  The build to c_3000 at 2000 digits takes 9 s and
-# 24 MB on a 2-core machine; c_(10^5) would take about 20 GB.
+# 2000 digits (2909 terms).  The build to c_3000 at 2000 digits takes about
+# 8 s on a 2-core machine, in a process that peaks at 42 MB resident;
+# c_(10^5) would take about 20 GB.
 COEFF_CAP = 3000
 
-# (D, (c_0, ..., c_M)), the values as raw mpf tuples rounded to D + 10 digits.
+# (D, P, (W_0, ..., W_M), (e_0, ..., e_M)): |W_m - 2^P c_m| <= e_m, built for D digits.
 # A build is published by assigning a new tuple, so a reader sees one whole build.
-_source = (0, ())
+_source = (0, 0, (), ())
 _source_lock = threading.Lock()
 
 
@@ -109,7 +110,7 @@ def _guard_digits(size: int) -> int:
 
 
 def _attempt(size: int, digits: int, guard: int):
-    """c_0..c_size as raw mpf rounded to digits + 10, from the recurrence in fixed point.
+    """(P, W, e): c_0..c_size as integers W_m within e_m of 2^P c_m, from the recurrence in fixed point.
 
     With P = ceil((digits + 10 + guard) log2 10) + _SCALE_MARGIN, the integers
     A = floor(2^P lo / 6) and B = floor(6 * 2^P / hi), from ``pi_enclosure``
@@ -132,9 +133,10 @@ def _attempt(size: int, digits: int, guard: int):
     Then W_m = floor(G_m / 24^j) for m = 2j and W_m = floor(floor(G_m R / 2^P)
     / 24^j) for m = 2j+1, with R = floor(2^P / sqrt(24)) from ``math.isqrt``,
     is within e_m = floor((E_m + floor(|G_m| / 2^P) + 2) / 24^j) + 2 of
-    2^P c_m.  Returns None unless |W_m| > (10^(digits+10) + 1) e_m for every
-    m, so that each W_m / 2^P is within 10^-(digits+10) |c_m| of c_m before
-    it is rounded to nearest.
+    2^P c_m.  W_m and e_m overwrite G_m and E_m in place, so a build holds
+    one integer pair per m.  Returns None unless
+    |W_m| > (10^(digits+10) + 1) e_m for every m, so that each W_m / 2^P is
+    within 10^-(digits+10) |c_m| of c_m.
     """
     bits = math.ceil((digits + 10 + guard) * math.log2(10)) + _SCALE_MARGIN
     lo, hi = pi_enclosure(bits // 3 + 1)
@@ -150,20 +152,19 @@ def _attempt(size: int, digits: int, guard: int):
         floors = (abs(step) + abs(g2) >> bits - 1) + 2
         radii.append(-(-(top * max(radii[-3:]) + _A_LO * floors) // bottom) + 1)
     target = 10 ** (digits + 10) + 1
-    prec = dps_to_prec(digits + 10)
     inverse_root = math.isqrt((1 << 2 * bits) // 24)
-    values, power = [], 1  # power = 24^j
+    power = 1  # power = 24^j
     for m, (value, radius) in enumerate(zip(g, radii)):
-        scaled = (value * inverse_root >> bits if m % 2 else value) // power
-        if abs(scaled) <= target * ((radius + (abs(value) >> bits) + 2) // power + 2):
+        g[m] = (value * inverse_root >> bits if m % 2 else value) // power
+        radii[m] = (radius + (abs(value) >> bits) + 2) // power + 2
+        if abs(g[m]) <= target * radii[m]:
             return None
-        values.append(from_man_exp(scaled, -bits, prec, round_nearest))
         power *= 24 if m % 2 else 1
-    return tuple(values)
+    return bits, tuple(g), tuple(radii)
 
 
 def _coefficients(m: int, digits: int) -> tuple:
-    """The source (D, (c_0, ..., c_M)) with M >= m and D >= digits.
+    """The source (D, P, W, e) with M >= m and D >= digits.
 
     A request past the source rebuilds it, with M and D each raised to at
     least _SOURCE_GROWTH times what was held if it is exceeded, and M to at
@@ -173,13 +174,13 @@ def _coefficients(m: int, digits: int) -> tuple:
     """
     global _source
     source = _source
-    if m < len(source[1]) and digits <= source[0]:
+    if m < len(source[2]) and digits <= source[0]:
         return source
     if m > COEFF_CAP:
         raise ResourceError(f"m={m} exceeds cap {COEFF_CAP}")
     with _source_lock:
         source = _source
-        held, values = source
+        held, _, values, _ = source
         if m < len(values) and digits <= held:
             return source
         size = len(values) - 1
@@ -188,47 +189,50 @@ def _coefficients(m: int, digits: int) -> tuple:
         if digits > held:
             held = max(digits, math.ceil(_SOURCE_GROWTH * held))
         guard = _guard_digits(size)
-        while (values := _attempt(size, held, guard)) is None:
+        while (built := _attempt(size, held, guard)) is None:
             guard *= 2
-        _source = source = (held, values)
+        _source = source = (held, *built)
     return source
 
 
 def _horner(N: int, P: int, U: int, digits: int) -> int:
     """An integer within 3N of 2^P sum_{m<N} x_m u^m, for U = floor(2^P u), 0 < u <= 1.
 
-    The x_m are the source's c_m at ``digits`` or more.  With C_m =
-    floor(2^P x_m), Horner runs acc = floor(acc U / 2^P) + C_m over
-    m = N-1, ..., 0 from acc = 0.  Write T_k = sum_{k<=m<N} x_m u^(m-k) and
-    e_k = acc_k - 2^P T_k, so e_N = 0, and U = 2^P u - d with 0 <= d < 1.
-    With f, f' in [0, 1) the two floors of step k,
+    The x_m = W_m / 2^bits are the source's values at ``digits`` or more;
+    bits >= (digits + 16) log2 10 + 4 is more than 53 past the precision of
+    ``digits``, so for P up to that, C_m = floor(2^P x_m) is W_m >> (bits - P).
+    Horner runs acc = floor(acc U / 2^P) + C_m over m = N-1, ..., 0 from
+    acc = 0.  Write T_k = sum_{k<=m<N} x_m u^(m-k) and e_k = acc_k - 2^P T_k,
+    so e_N = 0, and U = 2^P u - d with 0 <= d < 1.  With f, f' in [0, 1) the
+    two floors of step k,
 
         e_k = u e_{k+1} - d acc_{k+1} / 2^P - f - f'.
 
     ``coeff_envelope`` gives |c_m| <= 1.7376 sqrt(m+1) / sqrt(24)^m for every
     m >= 1, so sum_{m>=1} |c_m| < 0.67; each x_m is within a relative
-    10^-(digits+9) of c_m (see ``certified_abs_less``), so |T_k| < 0.7 for
-    k >= 1 and |acc_{k+1}| < 0.7 * 2^P + |e_{k+1}|.  Hence |e_k| < |e_{k+1}| (1 + 2^-P) + 2.7, and by induction
-    |e_k| < 3(N - k) whenever 10N <= 2^P.
+    10^-(digits+10) of c_m (see ``_attempt``), so |T_k| < 0.7 for k >= 1 and
+    |acc_{k+1}| < 0.7 * 2^P + |e_{k+1}|.  Hence |e_k| < |e_{k+1}| (1 + 2^-P)
+    + 2.7, and by induction |e_k| < 3(N - k) whenever 10N <= 2^P.
     """
     acc = 0
     if N:
-        for sign, mantissa, exponent, _ in reversed(_coefficients(N - 1, digits)[1][:N]):
-            value, shift = -mantissa if sign else mantissa, exponent + P
-            acc = (acc * U >> P) + (value << shift if shift >= 0 else value >> -shift)
+        _, bits, values, _ = _coefficients(N - 1, digits)
+        for value in reversed(values[:N]):
+            acc = (acc * U >> P) + (value >> bits - P)
     return acc
 
 
 @functools.lru_cache(maxsize=None)
 def coeff_c(m: int, ctx: PrecisionContext):
-    """c_m at context precision: the source's c_m, rounded once.
+    """c_m at context precision: the source's W_m / 2^P, rounded once to nearest.
 
     Memoized per (m, context), that is per (m, digits).  A caller that will
     read a range asks for its last index first, so the source grows once.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    return ctx.mp.mpf(_coefficients(m, ctx.digits)[1][m])
+    _, bits, values, _ = _coefficients(m, ctx.digits)
+    return ctx.mp.make_mpf(from_man_exp(values[m], -bits, ctx.mp.prec, round_nearest))
 
 
 @functools.lru_cache(maxsize=None)
@@ -296,36 +300,25 @@ _CERTIFY_MAX_DIGITS = 1 << 12
 def certified_abs_less(m: int, other: int) -> bool:
     """Decide |c_m| < |c_other| exactly.
 
-    A stored value x of the source at D digits satisfies |c - x| <= r |x|
-    with r = 10^-(D+10) + 2^(1-prec), prec the bits of D + 10 digits: the
-    build's relative error, the half-ulp 2^-prec of rounding to nearest, and
-    one more 2^-prec for their product.  The answer is True when
-    |x_m| (1 + r) < |x_other| (1 - r) and False when
-    |x_m| (1 - r) >= |x_other| (1 + r), compared in integers on the
-    mantissas and exponents.  Otherwise the source is rebuilt at twice the
-    digits, up to _CERTIFY_MAX_DIGITS, so rounding can never decide a
-    near-tie the wrong way.
+    The source's integers W and e, from one build at scale 2^-P, put
+    2^P |c_m| in [|W_m| - e_m, |W_m| + e_m].  The answer is True when
+    |W_m| + e_m < |W_other| - e_other and False when
+    |W_m| - e_m >= |W_other| + e_other.  Otherwise the source is rebuilt at
+    twice the digits, up to _CERTIFY_MAX_DIGITS, so rounding can never
+    decide a near-tie the wrong way.
     """
     if min(m, other) < 0:
         raise ValueError(f"m must be nonnegative, got {m if m < 0 else other}")
     if m == other:
         return False
-    held, values = _source
+    held, _, values, radii = _source
     digits = max(held, MIN_DIGITS)
     while True:
         if max(m, other) >= len(values) or digits > held:
-            held, values = _coefficients(max(m, other), digits)
-        decimal, binary = 10 ** (held + 10), 1 << dps_to_prec(held + 10) - 1
-        # (1 + r) and (1 - r) times decimal * binary, for r = 1/decimal + 1/binary
-        wide, narrow = decimal * binary + binary + decimal, decimal * binary - binary - decimal
-        _, mantissa, exponent, _ = values[m]
-        _, other_mantissa, other_exponent, _ = values[other]
-        low = min(exponent, other_exponent)
-        mantissa <<= exponent - low
-        other_mantissa <<= other_exponent - low
-        if mantissa * wide < other_mantissa * narrow:
+            held, _, values, radii = _coefficients(max(m, other), digits)
+        if abs(values[m]) + radii[m] < abs(values[other]) - radii[other]:
             return True
-        if mantissa * narrow >= other_mantissa * wide:
+        if abs(values[m]) - radii[m] >= abs(values[other]) + radii[other]:
             return False
         if digits >= _CERTIFY_MAX_DIGITS:
             raise PrecisionError(f"could not separate |c_{m}| and |c_{other}| at {held} digits")

@@ -68,7 +68,10 @@ class PrecisionContext:
         if isinstance(value, Fraction):
             return mp.mpf(value.numerator) / value.denominator
         if isinstance(value, str):
-            return self.real(Fraction(value))
+            try:
+                return self.real(Fraction(value))
+            except (ValueError, ZeroDivisionError):
+                raise DomainError(f"cannot interpret {value!r} as a real number") from None
         if isinstance(value, (int, float)):
             return mp.mpf(value)
         raw = getattr(value, "_mpf_", None)

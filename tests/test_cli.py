@@ -227,6 +227,18 @@ def test_bounds_t3_needs_constant():
     assert status == 2
 
 
+def test_constant_outside_t3_is_an_error(capsys):
+    for theorem in ("t1", "t2", "banerjee"):
+        assert invoke("bounds", "100", "4", "--theorem", theorem, "--constant", "5") == (2, "")
+        assert capsys.readouterr().err == "error: --constant applies only to --theorem t3\n"
+
+
+def test_constant_that_is_not_a_number_is_one_error_line(capsys):
+    for argv in (("nu", "4", "1/0"), ("bounds", "100", "4", "--theorem", "t3", "--constant", "1/0")):
+        assert invoke(*argv) == (2, "")
+        assert capsys.readouterr().err == "error: cannot interpret '1/0' as a real number\n"
+
+
 def test_bounds_invalid_arguments(capsys):
     # the bound families share the argument check of the expansion
     for argv, text in (

@@ -3,6 +3,7 @@
 import concurrent.futures
 import functools
 import io
+import math
 import random
 import sys
 from collections import defaultdict
@@ -11,7 +12,6 @@ from math import comb, factorial
 
 import pytest
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import dps_to_prec
 
 from partition_asymptotics import (
     PrecisionContext,
@@ -322,7 +322,7 @@ def test_memo_consistent_under_threads(ctx80):
 
 def _cold_source(monkeypatch):
     """Empty the recurrence source and the coeff_c memo; the old source returns after the test."""
-    monkeypatch.setattr(coefficients, "_source", (0, ()))
+    monkeypatch.setattr(coefficients, "_source", (0, 0, (), ()))
     coeff_c.cache_clear()
 
 
@@ -346,8 +346,8 @@ def test_cold_source_grows_consistently_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    held, values = coefficients._source
-    assert held >= 160 and len(values) > 120
+    held, _, values, radii = coefficients._source
+    assert held >= 160 and len(values) == len(radii) > 120
 
 
 @pytest.fixture
@@ -419,23 +419,18 @@ def test_certified_comparison_consecutive_without_escalation(monkeypatch, builds
     assert builds == [(400, 30, coefficients._guard_digits(400))]
 
 
-def _radius(held, mp):
-    """The proven relative radius of the source's values at ``held`` digits."""
-    return mp.mpf(10) ** -(held + 10) + mp.ldexp(1, 1 - dps_to_prec(held + 10))
-
-
 def test_certified_comparison_escalates(monkeypatch, builds):
-    mp = MPContext()
-    mp.dps = 100
     for m, other in CERTIFY_PAIRS + ((100, 99),):
         _cold_source(monkeypatch)
-        held, values = coefficients._coefficients(max(m, other), 40)
-        # |c_m| moved to the wrong side of |c_other|, by a quarter of the radius
-        step = -1 if _oracle_abs_less(m, other) else 1
-        moved = abs(mp.mpf(values[other])) * (1 + step * _radius(held, mp) / 4)
+        held, bits, values, radii = coefficients._coefficients(max(m, other), 40)
+        # |W_m| moved past |W_other| to the wrong side, by a quarter of the two radii:
+        # the midpoints now give the wrong answer, and the balls overlap
+        step = 1 if _oracle_abs_less(m, other) else -1
+        moved = abs(values[other]) + step * ((radii[m] + radii[other]) // 4)
+        assert 0 < abs(moved - abs(values[other])) < radii[m] + radii[other]
         tied = list(values)
-        tied[m] = (-moved if m % 2 else moved)._mpf_
-        monkeypatch.setattr(coefficients, "_source", (held, tuple(tied)))
+        tied[m] = -moved if m % 2 else moved
+        monkeypatch.setattr(coefficients, "_source", (held, bits, tuple(tied), radii))
         builds.clear()
         assert certified_abs_less(m, other) == _oracle_abs_less(m, other), (m, other)
         assert [digits for _, digits, _ in builds] == [2 * held], (m, other)
@@ -445,9 +440,9 @@ def test_certified_comparison_undecided_raises(monkeypatch):
     built = []
 
     def tied(size, digits, guard):
-        # every value is 1, so no radius separates two of them
+        # every value is the ball 1 +- 1, so no two of them separate
         built.append(digits)
-        return ((0, 1, 0, 1),) * (size + 1)
+        return 0, (1,) * (size + 1), (1,) * (size + 1)
 
     monkeypatch.setattr(coefficients, "_attempt", tied)
     monkeypatch.setattr(coefficients, "_CERTIFY_MAX_DIGITS", 200)
@@ -460,14 +455,16 @@ def test_certified_comparison_undecided_raises(monkeypatch):
 def test_source_values_within_their_radius(monkeypatch):
     for size, digits in ((200, 50), (400, 80), (120, 187)):
         _cold_source(monkeypatch)
-        held, values = coefficients._coefficients(size, digits)
-        assert (held, len(values)) == (digits, size + 1)
+        held, bits, values, radii = coefficients._coefficients(size, digits)
+        assert (held, len(values), len(radii)) == (digits, size + 1, size + 1)
+        # the closed form at more than bits + 64 bits leaves an error far below one unit of 2^-bits
+        dps = math.ceil((bits + 65) / math.log2(10)) + 1
         mp = MPContext()
-        mp.dps = digits + 30
-        radius = _radius(digits, mp)
-        for m, (raw, exact) in enumerate(zip(values, _closed_forms(size, digits + 30))):
-            value = mp.mpf(raw)
-            assert abs(exact - value) <= radius * abs(value), (size, digits, m)
+        mp.dps = dps
+        assert mp.prec > bits + 64
+        for m, (value, radius, exact) in enumerate(zip(values, radii, _closed_forms(size, dps))):
+            assert abs(mp.mpf(value) - mp.ldexp(exact, bits)) <= radius, (size, digits, m)
+            assert abs(value) > (10 ** (digits + 10) + 1) * radius, (size, digits, m)
 
 
 def test_source_request_past_the_cap_raises_before_any_build(monkeypatch, capsys):

@@ -331,16 +331,17 @@ def _plain_values(n, p, ctx):
     while len(powers) < length:
         powers.append(powers[-1] * u)
     terms = [coeff_c(k, ctx) * powers[k] for k in range(length)]
-    # sums: Horner on the source's values floored to 2^-P, with U = floor(2^P/sqrt(n)),
-    # P = prec + bit_length(3 COEFF_CAP) + 4, and the integer rounded once to nearest
-    stored = coefficients._coefficients(length - 1, ctx.digits)[1]
+    # sums: Horner on the source's values W_k / 2^bits floored to 2^-P, with
+    # U = floor(2^P/sqrt(n)), P = prec + bit_length(3 COEFF_CAP) + 4, and the
+    # integer rounded once to nearest
+    _, bits, stored, _ = coefficients._coefficients(length - 1, ctx.digits)
     P = mp.prec + (3 * coefficients.COEFF_CAP).bit_length() + 4
     U = math.isqrt(4**P // n)
 
     def horner(N):
         acc = 0
-        for sign, mantissa, exponent_2, _ in reversed(stored[:N]):
-            acc = acc * U // 2**P + math.floor(Fraction((-1) ** sign * mantissa) * Fraction(2) ** (exponent_2 + P))
+        for value in reversed(stored[:N]):
+            acc = acc * U // 2**P + math.floor(Fraction(value, 2**bits) * 2**P)
         return mp.ldexp(mp.mpf(acc), -P)
 
     sums = {N: horner(N) for N in (*range(13), M, M + 2)}

@@ -40,6 +40,13 @@ def test_real_exact_decimal_strings(ctx80):
     assert ctx80.real(7) == 7
 
 
+def test_real_rejects_strings_that_are_not_numbers(ctx80):
+    for text in ("1/0", "0/0", "abc"):
+        with pytest.raises(DomainError) as caught:
+            ctx80.real(text)
+        assert str(caught.value) == f"cannot interpret {text!r} as a real number"
+
+
 def test_pi_thirty_digits():
     ctx = PrecisionContext(30)
     lo, hi = pi_enclosure(30)
