@@ -58,7 +58,16 @@ import threading
 from fractions import Fraction
 from math import comb
 
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    mpf_cosh_sinh,
+    mpf_div,
+    mpf_mul,
+    mpf_pi,
+    mpf_sqrt,
+    round_nearest,
+)
 
 from .errors import PrecisionError, ResourceError
 from .precision import MIN_DIGITS, PrecisionContext, pi_enclosure
@@ -235,11 +244,45 @@ def coeff_c(m: int, ctx: PrecisionContext):
     return ctx.mp.make_mpf(from_man_exp(values[m], -bits, ctx.mp.prec, round_nearest))
 
 
+# Bits beyond the precision at which the envelope amplitudes are formed.
+_AMPLITUDE_GUARD = 32
+
+
 @functools.lru_cache(maxsize=None)
-def _even_odd_prefactor(digits: int):
-    mp = PrecisionContext(digits).mp
-    base = 6 * mp.sqrt(2) / mp.pi ** mp.mpf("1.5")
-    return base * mp.sinh(mp.pi / 6), base * mp.cosh(mp.pi / 6)
+def _even_odd_prefactor(prec: int) -> tuple:
+    """(even, odd): 6 sqrt(2) / pi^(3/2) times sinh(pi/6) and cosh(pi/6), raw mpfs of prec bits.
+
+    Formed from mpmath's low-level functions at w = prec + _AMPLITUDE_GUARD
+    bits, with 6 sqrt(2) = sqrt(72) and pi^(3/2) = pi sqrt(pi).  Each of the
+    seven operations before the last errs by under two units in the last
+    place at w bits, so the exact product of the last multiplication is
+    within 2^-(prec+27) relative of the amplitude, and that multiplication
+    rounds it once to nearest at prec bits: the result is within
+    (1/2 + 2^-25) ulp of the amplitude.  Memoized per width, so every
+    context of the same precision shares them, and no context is built.
+    """
+    wide = prec + _AMPLITUDE_GUARD
+    pi = mpf_pi(wide)
+    base = mpf_div(mpf_sqrt(from_int(72), wide), mpf_mul(pi, mpf_sqrt(pi, wide), wide), wide)
+    cosh, sinh = mpf_cosh_sinh(mpf_div(pi, from_int(6), wide), wide)
+    return mpf_mul(base, sinh, prec, round_nearest), mpf_mul(base, cosh, prec, round_nearest)
+
+
+def _sqrt_ratio(num: int, den: int, prec: int) -> tuple:
+    """sqrt(num / den) for positive integers, correctly rounded to nearest at prec bits, as a raw mpf.
+
+    With s = max(0, prec + 3 - floor((bits(num) - bits(den)) / 2)), the
+    integer r = isqrt(floor(4^s num / den)) = floor(2^s sqrt(num / den)) is
+    at least 2^(prec+2).  The root is exactly r when r^2 den = 4^s num, and
+    lies strictly inside (r, r + 1) otherwise.  Every rounding boundary of a
+    prec-bit number is then an even multiple of 2^-s, so none falls inside
+    that interval, and r + 1/2 (r with a sticky bit) rounds the same way as
+    the root: the result is correctly rounded, from one rounding.
+    """
+    shift = max(0, prec + 3 - (num.bit_length() - den.bit_length()) // 2)
+    scaled = num << 2 * shift
+    root = math.isqrt(scaled // den)
+    return from_man_exp(2 * root + (root * root * den != scaled), -shift - 1, prec, round_nearest)
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,16 +292,22 @@ def coeff_envelope(m: int, ctx: PrecisionContext) -> tuple:
 
     Even m = 2j:   (6*sqrt(2)/pi^(3/2)) sinh(pi/6), sqrt(2j+1), sqrt(1 + 1/(4j+1)).
     Odd  m = 2j+1: (6*sqrt(2)/pi^(3/2)) cosh(pi/6), sqrt(2j+2), sqrt(1 - 1/(4j+5)).
-    Memoized per (m, context); the amplitudes are computed once per digit count.
+    The shape sqrt(m+1) and the correction, sqrt((4j+2)/(4j+1)) or
+    sqrt((4j+4)/(4j+5)), are correctly rounded by ``_sqrt_ratio``; the
+    amplitudes come from ``_even_odd_prefactor``.  Memoized per (m, context).
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     mp = ctx.mp
-    even_pref, odd_pref = _even_odd_prefactor(ctx.digits)
+    prec = mp.prec
+    even, odd = _even_odd_prefactor(prec)
     j = m // 2
     if m % 2 == 0:
-        return even_pref, mp.sqrt(2 * j + 1), mp.sqrt(1 + mp.mpf(1) / (4 * j + 1))
-    return odd_pref, mp.sqrt(2 * j + 2), mp.sqrt(1 - mp.mpf(1) / (4 * j + 5))
+        amplitude, num, den = even, 4 * j + 2, 4 * j + 1
+    else:
+        amplitude, num, den = odd, 4 * j + 4, 4 * j + 5
+    make = mp.make_mpf
+    return make(amplitude), make(_sqrt_ratio(m + 1, 1, prec)), make(_sqrt_ratio(num, den, prec))
 
 
 def coeff_bound(m: int, ctx: PrecisionContext):

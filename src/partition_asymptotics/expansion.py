@@ -27,12 +27,11 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Optional
 
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest, to_float
 
-from .coefficients import COEFF_CAP, _horner, coeff_c, coeff_envelope
+from .coefficients import COEFF_CAP, _even_odd_prefactor, _horner, coeff_c
 from .errors import DomainError, PrecisionError, PrecisionWarning
 from .partitions import PartitionTable
 from .precision import PrecisionContext
@@ -177,19 +176,29 @@ def _per_n(n: int, ctx: PrecisionContext) -> _PerN:
     return _PerN(n, ctx)
 
 
+class _Constants:
+    """The reals the per-n formulas share at one precision, each formed on first use.
+
+    A context that only needs 4 sqrt(3), as the remainders do, never takes
+    the other roots.
+    """
+
+    def __init__(self, ctx: PrecisionContext):
+        self.mp = ctx.mp
+
+    pi_6 = functools.cached_property(lambda self: self.mp.pi / 6)
+    four_sqrt3 = functools.cached_property(lambda self: 4 * self.mp.sqrt(3))
+    sqrt2 = functools.cached_property(lambda self: self.mp.sqrt(2))
+    inv_sqrt2 = functools.cached_property(lambda self: 1 / self.sqrt2)
+    twelve_cbrt2 = functools.cached_property(lambda self: 12 * self.mp.cbrt(2))
+    cbrt4 = functools.cached_property(lambda self: self.mp.cbrt(4))
+    two_thirds = functools.cached_property(lambda self: self.mp.mpf(2) / 3)
+
+
 @functools.lru_cache(maxsize=None)
-def _constants(ctx: PrecisionContext) -> SimpleNamespace:
-    """The reals the per-n formulas share at one precision, formed once per context."""
-    mp = ctx.mp
-    return SimpleNamespace(
-        pi_6=mp.pi / 6,
-        four_sqrt3=4 * mp.sqrt(3),
-        sqrt2=mp.sqrt(2),
-        inv_sqrt2=1 / mp.sqrt(2),
-        twelve_cbrt2=12 * mp.cbrt(2),
-        cbrt4=mp.cbrt(4),
-        two_thirds=mp.mpf(2) / 3,
-    )
+def _constants(ctx: PrecisionContext) -> _Constants:
+    """The shared reals of one context, one record per context."""
+    return _Constants(ctx)
 
 
 def _check(n: int, N: Optional[int] = None) -> None:
@@ -308,6 +317,7 @@ def _series_length(n: int, ctx: PrecisionContext) -> int:
     """The first M whose proven tail bound is below 10^-(digits+5).
 
     With q = sqrt(24n) and A the odd (cosh) amplitude of ``coeff_envelope``,
+    read from ``_even_odd_prefactor`` so that no envelope triple is formed,
     the envelope gives |c_m| / n^(m/2) <= A sqrt(2(m+1)) q^(-m) for every m,
     so the tail after M terms is at most A sqrt(2(M+1)) q^(-M) / (1 - 1/q)^2.
     The terms alternate in sign and shrink, so every partial sum after S_0
@@ -316,7 +326,8 @@ def _series_length(n: int, ctx: PrecisionContext) -> int:
     dwarfs.
     """
     log_q = math.log(24 * n) / 2
-    log_scale = math.log(coeff_envelope(1, ctx)[0]) - 2 * math.log(1 - math.exp(-log_q))
+    amplitude = to_float(_even_odd_prefactor(ctx.mp.prec)[1], rnd=round_nearest)
+    log_scale = math.log(amplitude) - 2 * math.log(1 - math.exp(-log_q))
     goal = -(ctx.digits + 5) * math.log(10) - 1e-6
     M = 0
     while log_scale + math.log(2 * (M + 1)) / 2 - M * log_q >= goal:

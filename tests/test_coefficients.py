@@ -248,8 +248,21 @@ def test_bound_values(ctx80):
     assert mp.almosteq(coeff_bound(1, ctx80), expected_1, rel_eps=mp.mpf(10) ** -70)
 
 
+def _amplitudes(mp):
+    """(even, odd) envelope amplitudes written out in ``mp``'s arithmetic."""
+    base = 6 * mp.sqrt(2) / mp.pi ** mp.mpf("1.5")
+    return base * mp.sinh(mp.pi / 6), base * mp.cosh(mp.pi / 6)
+
+
+def _within_half_ulp(value, reference, ctx):
+    """|value - reference| <= ulp(value) / 2, decided in the reference's (wider) context."""
+    wide = reference.context
+    return abs(wide.mpf(value) - reference) <= wide.mpf(ulp(value, ctx)) / 2
+
+
 def test_envelope_pieces(ctx80):
     mp = ctx80.mp
+    wide = PrecisionContext(2 * ctx80.digits).mp
     even_amplitude = coefficients.coeff_envelope(0, ctx80)[0]
     odd_amplitude = coefficients.coeff_envelope(1, ctx80)[0]
     for m in range(0, 41):
@@ -258,17 +271,59 @@ def test_envelope_pieces(ctx80):
         if m % 2 == 0:
             assert amplitude == even_amplitude
             assert shape == mp.sqrt(2 * j + 1)
-            expected = mp.sqrt(mp.mpf(4 * j + 2) / (4 * j + 1))
+            expected = wide.sqrt(wide.mpf(4 * j + 2) / (4 * j + 1))
         else:
             assert amplitude == odd_amplitude
             assert shape == mp.sqrt(2 * j + 2)
-            expected = mp.sqrt(mp.mpf(4 * j + 4) / (4 * j + 5))
-        assert abs(correction - expected) <= 2 * ulp(expected, ctx80)
+            expected = wide.sqrt(wide.mpf(4 * j + 4) / (4 * j + 5))
+        assert _within_half_ulp(correction, expected, ctx80), m
         scaled = amplitude * shape / mp.sqrt(24) ** m
         assert coeff_bound(m, ctx80) == scaled * correction
         assert coeff_asymptotic(m, ctx80) == (scaled if m % 2 == 0 else -scaled)
     with pytest.raises(ValueError):
         coefficients.coeff_envelope(-1, ctx80)
+
+
+@pytest.mark.parametrize("digits", (30, 31, 80, 166, 1145))
+def test_envelope_against_twice_the_digits(digits):
+    ctx = PrecisionContext(digits)
+    mp, wide = ctx.mp, PrecisionContext(2 * digits).mp
+    references = _amplitudes(wide)
+    for m in (*range(0, 64), 399, 400, 2999, 3000):
+        amplitude, shape, correction = coefficients.coeff_envelope(m, ctx)
+        j = m // 2
+        num, den = (4 * j + 2, 4 * j + 1) if m % 2 == 0 else (4 * j + 4, 4 * j + 5)
+        assert shape._mpf_ == mp.sqrt(m + 1)._mpf_, m
+        assert _within_half_ulp(correction, wide.sqrt(wide.mpf(num) / den), ctx), m
+        assert _within_half_ulp(amplitude, references[m % 2], ctx), m
+
+
+def test_sqrt_ratio_is_correctly_rounded():
+    rng = random.Random(16)
+    exact = {(9, 4): Fraction(3, 2), (49, 64): Fraction(7, 8), (1, 2**60): Fraction(1, 2**30), (10**40, 1): 10**20}
+    pairs = [(k, 1) for k in range(1, 200)] + [(2**61, 1), (3, 10**40), *exact]
+    pairs += [(rng.randint(1, 10**12), rng.randint(1, 10**12)) for _ in range(200)]
+    for digits in (30, 31, 80, 166):
+        ctx = PrecisionContext(digits)
+        mp, wide = ctx.mp, PrecisionContext(2 * digits).mp
+        for num, den in pairs:
+            value = mp.make_mpf(coefficients._sqrt_ratio(num, den, mp.prec))
+            if den == 1:
+                assert value._mpf_ == mp.sqrt(num)._mpf_, (num, digits)
+            if (num, den) in exact:
+                assert value == ctx.real(exact[num, den]), (num, den, digits)
+            assert _within_half_ulp(value, wide.sqrt(wide.mpf(num) / den), ctx), (num, den, digits)
+
+
+def test_amplitudes_do_not_depend_on_the_order_of_digit_counts():
+    digit_counts = (30, 31, 57, 80, 142, 166, 188, 300, 1145)
+
+    def visit(order):
+        coefficients._even_odd_prefactor.cache_clear()
+        return {d: coefficients._even_odd_prefactor(PrecisionContext(d).mp.prec) for d in order}
+
+    ascending = visit(digit_counts)
+    assert visit(reversed(digit_counts)) == ascending
 
 
 def test_envelope_memoized_per_m_and_digits(ctx80):

@@ -4,7 +4,6 @@ import functools
 import inspect
 import math
 import warnings
-from fractions import Fraction
 
 import pytest
 
@@ -341,7 +340,7 @@ def _plain_values(n, p, ctx):
     def horner(N):
         acc = 0
         for value in reversed(stored[:N]):
-            acc = acc * U // 2**P + math.floor(Fraction(value, 2**bits) * 2**P)
+            acc = acc * U // 2**P + value * 2**P // 2**bits
         return mp.ldexp(mp.mpf(acc), -P)
 
     sums = {N: horner(N) for N in (*range(13), M, M + 2)}
@@ -405,6 +404,30 @@ def _memo_values(n, table, ctx, order):
     for step in order:
         steps[step]()
     return out
+
+
+def test_a_fresh_digit_count_builds_one_context(table):
+    """Every bound, remainder and residual at a new digit count shares its one context.
+
+    The T3 threshold nu is solved at 2d + 10 digits, and its Lambert W at
+    twice that plus 10, by design; those two are made first, so that any
+    other context the pass built would show.
+    """
+    shared = PrecisionContext._shared
+    digits = next(d for d in range(171, 1000) if not {d, 2 * d + 10, 4 * d + 30} & set(shared))
+    for wide in (2 * digits + 10, 4 * digits + 30):
+        PrecisionContext(wide)
+    before = set(shared)
+    ctx = PrecisionContext(digits)
+    n = 2000
+    for N in range(13):
+        remainder_exact(n, N, table, ctx, include_theta=True)
+        thm1_bounds(n, N, ctx)
+        thm2_bounds(n, N, ctx)
+        if N:
+            thm3_bounds(n, N, "0.5", ctx)
+    r_hat(n, table, ctx)
+    assert set(shared) - before == {digits}
 
 
 def test_memo_is_bit_identical_to_the_plain_formulas():

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
+from mpmath.ctx_mp import MPContext
+from mpmath.functions.functions import SpecialFunctions
 
 from partition_asymptotics import (
     DomainError,
@@ -32,6 +35,78 @@ def test_context_equality_and_hash():
     assert hash(PrecisionContext(40)) == hash(PrecisionContext(40))
     assert PrecisionContext(40) != PrecisionContext(41)
     assert PrecisionContext(40).mp is PrecisionContext(40).mp
+
+
+def _public(obj):
+    return {name for name in dir(obj) if not name.startswith("_")}
+
+
+def test_context_has_the_public_attributes_of_a_stock_context():
+    assert _public(PrecisionContext(80).mp) == _public(MPContext())
+
+
+# every mpmath function and constant the package reads from a context
+PARITY_CALLS = {
+    "sqrt": lambda mp: [mp.sqrt(k) for k in (2, 3, 24, 2001, mp.mpf(24 * 12345 - 1), mp.mpf(2) / 3)],
+    "cbrt": lambda mp: [mp.cbrt(2), mp.cbrt(4), mp.cbrt(mp.mpf(7) / 3)],
+    "exp": lambda mp: [mp.exp(x) for x in (1, -mp.pi / 6, mp.pi * mp.sqrt(mp.mpf(4000) / 3), -mp.mpf(250) / 7)],
+    "log": lambda mp: [mp.log(x) for x in (2, mp.mpf(10) ** -40, mp.pi)],
+    "log10": lambda mp: [mp.log10(x) for x in (2, mp.mpf(7) ** 90, mp.mpf(1) / 3)],
+    "sinh": lambda mp: [mp.sinh(mp.pi / 6), mp.sinh(mp.mpf(-3) / 7)],
+    "cosh": lambda mp: [mp.cosh(mp.pi / 6), mp.cosh(mp.mpf(5) / 2)],
+    "lambertw": lambda mp: [mp.lambertw(x, -1) for x in (mp.mpf(-1) / 4, -mp.mpf(10) ** -20, -mp.exp(-1) + mp.mpf(10) ** -9)],
+    "nint": lambda mp: [mp.nint(mp.mpf(7) / 2), mp.nint(mp.pi * 1000)],
+    "ceil": lambda mp: [mp.ceil(mp.pi * 10**6), mp.ceil(-mp.e)],
+    "mag": lambda mp: [mp.mag(x) for x in (mp.pi, mp.mpf(10) ** -70, mp.mpf(3) / 1024)],
+    "nstr": lambda mp: [mp.nstr(mp.pi, 15), mp.nstr(mp.e ** 100, 40), mp.nstr(-mp.mpf(1) / 3, mp.dps)],
+    "pi": lambda mp: [+mp.pi, mp.pi / 6, mp.pi ** mp.mpf("1.5")],
+    "e": lambda mp: [+mp.e, mp.e * mp.mpf(10) ** -30],
+}
+
+
+def _bits(values):
+    return [getattr(value, "_mpf_", value) for value in values]
+
+
+@pytest.mark.parametrize("digits", (30, 80, 166, 1145))
+@pytest.mark.parametrize("name", sorted(PARITY_CALLS))
+def test_context_results_are_bit_identical_to_a_stock_context(name, digits):
+    stock = MPContext()
+    stock.dps = digits
+    light = PrecisionContext(digits).mp
+    assert light.prec == stock.prec
+    assert _bits(PARITY_CALLS[name](light)) == _bits(PARITY_CALLS[name](stock))
+
+
+def test_context_skips_only_what_mpmath_has_already_wrapped():
+    """The light context relies on how mpmath 1.3.0 sets up a context.
+
+    Importing mpmath builds its global context, whose constructor sets every
+    special function on the ``MPContext`` class; a later constructor sets the
+    same functions there again, and puts the same names on the instance
+    whether or not it re-wraps.  Any mpmath that does otherwise fails here
+    rather than handing out a context that lacks a function or holds a
+    different one.
+    """
+    names = SpecialFunctions.defined_functions
+    assert isinstance(mpmath.mp, MPContext)
+    assert names and all(name in MPContext.__dict__ for name in names)
+    before = {name: MPContext.__dict__[name] for name in names}
+    stock = MPContext()
+    for name, (f, wrap) in names.items():
+        again = MPContext.__dict__[name]
+        if wrap:
+            # a fresh wrapper around the same function, from the same code
+            assert again.__code__ is before[name].__code__, name
+            assert f in [cell.cell_contents for cell in again.__closure__], name
+        else:
+            assert again is f is before[name], name
+    light = PrecisionContext(80).mp
+    assert type(light) is not MPContext and isinstance(light, MPContext)
+    assert set(vars(light)) == set(vars(stock))
+    assert not set(names) & set(vars(type(light)))
+    for name in names:
+        assert getattr(type(light), name) is MPContext.__dict__[name], name
 
 
 def test_real_exact_decimal_strings(ctx80):
