@@ -13,16 +13,9 @@ from .expansion import (
     RemainderResult,
     exp_error_term,
     full_sum,
-    mu,
-    partial_sum,
-    prefactor,
     r_hat,
     recommended_digits,
     remainder_exact,
-    t_bound_full,
-    t_bound_simple,
-    t_bound_simple_bracket,
-    theta,
 )
 from .partitions import (
     PartitionTable,
@@ -66,22 +59,15 @@ __all__ = [
     "gf_reference",
     "lambert_w_minus1",
     "load_table",
-    "mu",
     "nu",
-    "partial_sum",
     "partition_dp_row",
     "partition_pentagonal",
     "pi_enclosure",
-    "prefactor",
     "r_hat",
     "recommended_digits",
     "remainder_exact",
     "run_suite",
     "save_table",
-    "t_bound_full",
-    "t_bound_simple",
-    "t_bound_simple_bracket",
-    "theta",
     "thm1_bounds",
     "thm2_bounds",
     "thm3_bounds",

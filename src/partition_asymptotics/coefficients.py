@@ -69,7 +69,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .errors import PrecisionError, ResourceError
+from .errors import DomainError, PrecisionError, ResourceError
 from .precision import MIN_DIGITS, PrecisionContext, pi_enclosure
 
 
@@ -239,7 +239,7 @@ def coeff_c(m: int, ctx: PrecisionContext):
     read a range asks for its last index first, so the source grows once.
     """
     if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+        raise DomainError(f"m must be nonnegative, got {m}")
     _, bits, values, _ = _coefficients(m, ctx.digits)
     return ctx.mp.make_mpf(from_man_exp(values[m], -bits, ctx.mp.prec, round_nearest))
 
@@ -297,7 +297,7 @@ def coeff_envelope(m: int, ctx: PrecisionContext) -> tuple:
     amplitudes come from ``_even_odd_prefactor``.  Memoized per (m, context).
     """
     if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+        raise DomainError(f"m must be nonnegative, got {m}")
     mp = ctx.mp
     prec = mp.prec
     even, odd = _even_odd_prefactor(prec)
@@ -335,7 +335,7 @@ def darboux_approximant(m: int, ctx: PrecisionContext):
     divided here by sqrt(24)^m.
     """
     if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+        raise DomainError(f"m must be nonnegative, got {m}")
     mp = ctx.mp
     half_binom = Fraction((2 * m + 1) * comb(2 * m, m), 4**m)  # binom(m+1/2, m)
     amplitude = 3 / (mp.sqrt(2) * mp.pi) * ((-1) ** m * mp.exp(mp.pi / 6) - mp.exp(-mp.pi / 6))
@@ -357,7 +357,7 @@ def certified_abs_less(m: int, other: int) -> bool:
     decide a near-tie the wrong way.
     """
     if min(m, other) < 0:
-        raise ValueError(f"m must be nonnegative, got {m if m < 0 else other}")
+        raise DomainError(f"m must be nonnegative, got {m if m < 0 else other}")
     if m == other:
         return False
     held, _, values, radii = _source

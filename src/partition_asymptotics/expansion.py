@@ -62,17 +62,18 @@ class _PerN:
     """The reals at one n and precision that every evaluation at that n shares.
 
     Each is formed on first use and kept: x = pi*sqrt(2n/3), the prefactor
-    e^x/(4*sqrt(3)*n) and e^(-x/2); sqrt(24n - 1), mu(n), e^(-mu/2) and the
-    simple bracket; sqrt(24n); u = 1/sqrt(n) and the powers of u asked for so
-    far; the fixed point (P, U) of the sums and the full sum; and P(n) for the
-    last p(n) it was given.  A partial sum is not kept: each is one integer
-    Horner pass, rounded once.
+    e^x/(4*sqrt(3)*n) and e^(-x/2); sqrt(24n); u = 1/sqrt(n) and the powers
+    of u asked for so far; the fixed point (P, U) of the sums and the full
+    sum; and P(n) for the last p(n) it was given.  A partial sum is not kept:
+    each is one integer Horner pass, rounded once.  The growing ladder and
+    the last P(n) are each replaced by one new tuple, never changed in place,
+    so threads that share a record read no half-made value.
     """
 
     def __init__(self, n: int, ctx: PrecisionContext):
         self.n, self.ctx = n, ctx
-        self._powers = [ctx.mp.mpf(1)]
-        self._p = self._normalized = None
+        self._powers = (ctx.mp.mpf(1),)
+        self._normalized = None
 
     @functools.cached_property
     def x(self):
@@ -81,30 +82,9 @@ class _PerN:
         return mp.pi * mp.sqrt(mp.mpf(2 * self.n) / 3)
 
     @functools.cached_property
-    def r(self):
-        """sqrt(24n - 1)."""
-        return self.ctx.mp.sqrt(self.ctx.mp.mpf(24 * self.n - 1))
-
-    @functools.cached_property
-    def mu(self):
-        """(pi/6) * sqrt(24n - 1)."""
-        return _constants(self.ctx).pi_6 * self.r
-
-    @functools.cached_property
-    def mu_decay(self):
-        """e^(-mu/2)."""
-        return self.ctx.mp.exp(-self.mu / 2)
-
-    @functools.cached_property
-    def simple_bracket(self):
-        """1/sqrt(2) + 14/mu + ((2/3) mu^2 - 13) e^(-mu/2)."""
-        c = _constants(self.ctx)
-        return c.inv_sqrt2 + 14 / self.mu + (c.two_thirds * self.mu**2 - 13) * self.mu_decay
-
-    @functools.cached_property
     def prefactor(self):
         """exp(pi*sqrt(2n/3)) / (4*sqrt(3)*n)."""
-        return self.ctx.mp.exp(self.x) / (_constants(self.ctx).four_sqrt3 * self.n)
+        return self.ctx.mp.exp(self.x) / (_four_sqrt3(self.ctx) * self.n)
 
     @functools.cached_property
     def error_term(self):
@@ -124,19 +104,26 @@ class _PerN:
     def normalized(self, p: int):
         """P(n) = 4*sqrt(3)*n*p*exp(-x), the quantity the series approximates, for p = p(n).
 
-        Kept for the last p only and formed again for any other, so two
-        tables that disagree at n each get their own P(n).
+        Kept as one pair (p, P(n)) for the last p only and formed again for
+        any other, so two tables that disagree at n each get their own P(n).
         """
-        if p != self._p:
-            constant = _constants(self.ctx).four_sqrt3
-            self._p, self._normalized = p, constant * self.n * p * self.ctx.mp.exp(-self.x)
-        return self._normalized
+        kept = self._normalized
+        if kept is None or kept[0] != p:
+            kept = self._normalized = (p, _four_sqrt3(self.ctx) * self.n * p * self.ctx.mp.exp(-self.x))
+        return kept[1]
 
     def term(self, m: int):
-        """c_m u^m, with u^m from the ladder u, u^2, ... that grows by one product per power."""
+        """c_m u^m, with u^m from the ladder u, u^2, ... that grows by one product per power.
+
+        A longer ladder is grown on a copy and published whole, so a thread
+        that reads the old one meanwhile still reads correct powers.
+        """
         powers = self._powers
-        while len(powers) <= m:
-            powers.append(powers[-1] * self.u)
+        if len(powers) <= m:
+            grown = list(powers)
+            while len(grown) <= m:
+                grown.append(grown[-1] * self.u)
+            self._powers = powers = tuple(grown)
         return coeff_c(m, self.ctx) * powers[m]
 
     @functools.cached_property
@@ -176,29 +163,10 @@ def _per_n(n: int, ctx: PrecisionContext) -> _PerN:
     return _PerN(n, ctx)
 
 
-class _Constants:
-    """The reals the per-n formulas share at one precision, each formed on first use.
-
-    A context that only needs 4 sqrt(3), as the remainders do, never takes
-    the other roots.
-    """
-
-    def __init__(self, ctx: PrecisionContext):
-        self.mp = ctx.mp
-
-    pi_6 = functools.cached_property(lambda self: self.mp.pi / 6)
-    four_sqrt3 = functools.cached_property(lambda self: 4 * self.mp.sqrt(3))
-    sqrt2 = functools.cached_property(lambda self: self.mp.sqrt(2))
-    inv_sqrt2 = functools.cached_property(lambda self: 1 / self.sqrt2)
-    twelve_cbrt2 = functools.cached_property(lambda self: 12 * self.mp.cbrt(2))
-    cbrt4 = functools.cached_property(lambda self: self.mp.cbrt(4))
-    two_thirds = functools.cached_property(lambda self: self.mp.mpf(2) / 3)
-
-
 @functools.lru_cache(maxsize=None)
-def _constants(ctx: PrecisionContext) -> _Constants:
-    """The shared reals of one context, one record per context."""
-    return _Constants(ctx)
+def _four_sqrt3(ctx: PrecisionContext):
+    """4*sqrt(3), the constant of P(n) and of the prefactor, formed once per context."""
+    return 4 * ctx.mp.sqrt(3)
 
 
 def _check(n: int, N: Optional[int] = None) -> None:
@@ -213,24 +181,6 @@ def _check(n: int, N: Optional[int] = None) -> None:
         raise DomainError(f"N must be nonnegative, got {N}")
     elif n < 1:
         raise DomainError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
-
-
-def mu(n: int, ctx: PrecisionContext):
-    """(pi/6) * sqrt(24n - 1)."""
-    _check(n)
-    return _per_n(n, ctx).mu
-
-
-def prefactor(n: int, ctx: PrecisionContext):
-    """exp(pi*sqrt(2n/3)) / (4*sqrt(3)*n)."""
-    _check(n)
-    return _per_n(n, ctx).prefactor
-
-
-def partial_sum(n: int, N: int, ctx: PrecisionContext):
-    """sum_{m=0}^{N-1} c_m / n^(m/2); zero when N == 0."""
-    _check(n, N)
-    return _per_n(n, ctx).partial_sum(N)
 
 
 def recommended_digits(n: int) -> int:
@@ -335,51 +285,12 @@ def _series_length(n: int, ctx: PrecisionContext) -> int:
     return M
 
 
-def theta(n: int, N: int, ctx: PrecisionContext):
-    """Tail mediant: (sum_{m>=N} c_m/n^(m/2)) / (c_N/n^(N/2)); lies in (0, 1)."""
-    _check(n, N)
-    per = _per_n(n, ctx)
-    return per.theta(N, per.partial_sum(N))
-
-
 def r_hat(n: int, table: PartitionTable, ctx: PrecisionContext):
     """Residual of the full convergent series against the normalized p(n)."""
     _check(n)
     _warn_if_low_precision(n, ctx)
     per = _per_n(n, ctx)
     return _subtract(per.normalized(table.p(n)), per.full_sum, ctx, f"r_hat(n={n})")
-
-
-def t_bound_full(n: int, ctx: PrecisionContext):
-    """Five-term envelope for the residual source term, times e^(-mu/2).
-
-    [ 1/sqrt(2) + (12*2^(1/3) - sqrt(2))/mu + (mu^2/2^(2/3) - 12*2^(1/3)) e^(-mu/2)
-      + (1/sqrt(2) + (2 - 12*2^(1/3))/mu) e^(-mu) + (1 + 1/mu) e^(-3mu/2) ] * e^(-mu/2)
-    """
-    _check(n)
-    mp = ctx.mp
-    state = _per_n(n, ctx)
-    m, decay = state.mu, state.mu_decay
-    c = _constants(ctx)
-    bracket = (
-        c.inv_sqrt2
-        + (c.twelve_cbrt2 - c.sqrt2) / m
-        + (m**2 / c.cbrt4 - c.twelve_cbrt2) * decay
-        + (c.inv_sqrt2 + (2 - c.twelve_cbrt2) / m) * mp.exp(-m)
-        + (1 + 1 / m) * mp.exp(-3 * m / 2)
-    )
-    return bracket * decay
-
-
-def t_bound_simple_bracket(n: int, ctx: PrecisionContext):
-    """1/sqrt(2) + 14/mu + ((2/3) mu^2 - 13) e^(-mu/2); decreasing for n >= 8."""
-    _check(n)
-    return _per_n(n, ctx).simple_bracket
-
-
-def t_bound_simple(n: int, ctx: PrecisionContext):
-    """Coarser envelope: t_bound_simple_bracket(n) * e^(-mu/2)."""
-    return t_bound_simple_bracket(n, ctx) * _per_n(n, ctx).mu_decay
 
 
 def exp_error_term(n: int, ctx: PrecisionContext):

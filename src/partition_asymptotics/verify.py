@@ -9,6 +9,7 @@ the test suite runs the same sweeps through pytest.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -22,15 +23,7 @@ from .coefficients import (
     coeff_c,
     darboux_approximant,
 )
-from .expansion import (
-    _per_n,
-    exp_error_term,
-    r_hat,
-    remainder_exact,
-    t_bound_full,
-    t_bound_simple,
-    t_bound_simple_bracket,
-)
+from .expansion import _per_n, exp_error_term, r_hat, remainder_exact
 from .partitions import partition_dp_row, partition_pentagonal
 from .precision import PrecisionContext
 from .series import gf_coefficients, gf_reference
@@ -97,6 +90,44 @@ def _lemma2(m_max: int, ctx: PrecisionContext):
             yield None if _weierstrass_holds(m, k) else f"product inequality fails at m={m}, k={k}"
 
 
+@functools.lru_cache(maxsize=None)
+def _lemma3_constants(ctx: PrecisionContext) -> tuple:
+    """(pi/6, sqrt(2), 1/sqrt(2), 12*2^(1/3), 2^(2/3), 2/3) at one context, formed once."""
+    mp = ctx.mp
+    sqrt2 = mp.sqrt(2)
+    return mp.pi / 6, sqrt2, 1 / sqrt2, 12 * mp.cbrt(2), mp.cbrt(4), mp.mpf(2) / 3
+
+
+def _lemma3_chain(n: int, ctx: PrecisionContext, full: bool = True) -> tuple:
+    """(sqrt(24n-1), mu, e^(-mu/2), simple bracket, full envelope) at one n, mu = (pi/6) sqrt(24n-1).
+
+    The simple bracket 1/sqrt(2) + 14/mu + ((2/3) mu^2 - 13) e^(-mu/2) is
+    decreasing for n >= 8, and times e^(-mu/2) it is the simple envelope.  The
+    five-term envelope of the residual source term,
+
+    [ 1/sqrt(2) + (12*2^(1/3) - sqrt(2))/mu + (mu^2/2^(2/3) - 12*2^(1/3)) e^(-mu/2)
+      + (1/sqrt(2) + (2 - 12*2^(1/3))/mu) e^(-mu) + (1 + 1/mu) e^(-3mu/2) ] * e^(-mu/2),
+
+    is formed only when ``full`` is true, and is None otherwise.
+    """
+    mp = ctx.mp
+    pi_6, sqrt2, inv_sqrt2, twelve_cbrt2, cbrt4, two_thirds = _lemma3_constants(ctx)
+    r = mp.sqrt(mp.mpf(24 * n - 1))
+    mu = pi_6 * r
+    decay = mp.exp(-mu / 2)
+    simple = inv_sqrt2 + 14 / mu + (two_thirds * mu**2 - 13) * decay
+    if not full:
+        return r, mu, decay, simple, None
+    bracket = (
+        inv_sqrt2
+        + (twelve_cbrt2 - sqrt2) / mu
+        + (mu**2 / cbrt4 - twelve_cbrt2) * decay
+        + (inv_sqrt2 + (2 - twelve_cbrt2) / mu) * mp.exp(-mu)
+        + (1 + 1 / mu) * mp.exp(-3 * mu / 2)
+    )
+    return r, mu, decay, simple, bracket * decay
+
+
 def _lemma3(n_max: int, ctx: PrecisionContext):
     """|r_hat(n)| <= exp(-(pi/2) sqrt(2n/3)), envelope shape, and proof chain."""
     mp = ctx.mp
@@ -105,18 +136,19 @@ def _lemma3(n_max: int, ctx: PrecisionContext):
     for n in range(1, n_max + 1):
         bad = abs(r_hat(n, table, ctx)) > exp_error_term(n, ctx)
         yield f"|r_hat({n})| exceeds the exponential envelope" if bad else None
-    if not t_bound_simple_bracket(432, ctx) < ninety_seven:
+    if not _lemma3_chain(432, ctx, full=False)[3] < ninety_seven:
         yield "simple bracket at n=432 is not below 0.97"  # counted only when it fails
     # one pass over n: the envelope chain for n <= 1000, and the decrease of
     # the simple bracket from n = 8 on
     for n in range(1, 5001):
+        r, mu, decay, current, full = _lemma3_chain(n, ctx, full=n <= 1000)
         if n <= 1000:
             per = _per_n(n, ctx)
             # (24n/(24n-1)) * exp(mu - pi sqrt(2n/3)) <= 1
-            damping = mp.mpf(24 * n) / (24 * n - 1) * mp.exp(per.mu - per.x)
+            damping = mp.mpf(24 * n) / (24 * n - 1) * mp.exp(mu - per.x)
             # 0.97 * exp((pi/12)/(sqrt(24n-1)+sqrt(24n))) < 1
-            wiggle = ninety_seven * mp.exp(pi_12 / (per.r + per.q))
-            if t_bound_full(n, ctx) > t_bound_simple(n, ctx):
+            wiggle = ninety_seven * mp.exp(pi_12 / (r + per.q))
+            if full > current * decay:
                 yield f"full envelope exceeds simple envelope at n={n}"
             elif damping > 1:
                 yield f"damping factor exceeds 1 at n={n}"
@@ -125,7 +157,6 @@ def _lemma3(n_max: int, ctx: PrecisionContext):
             else:
                 yield None
         if n >= 8:
-            current = t_bound_simple_bracket(n, ctx)
             if n > 8:
                 yield None if current < previous else f"simple bracket not decreasing at n={n}"
             previous = current

@@ -16,7 +16,6 @@ from partition_asymptotics import (
     r_hat,
     remainder_exact,
     run_suite,
-    theta,
     thm3_bounds,
 )
 from partition_asymptotics.cli import format_at_exponent, normalized_exponent
@@ -216,11 +215,12 @@ def test_criterion_13_tail_mediant_identity(ctx80, table):
         residual = r_hat(n, table, ctx80)
         root_n = mp.sqrt(mp.mpf(n))
         for N in range(0, 11):
-            mediant = theta(n, N, ctx80)
+            row = remainder_exact(n, N, table, ctx80, include_theta=True)
+            mediant = row.theta
             if not (0 < mediant < 1):
                 ok, detail = False, f"mediant out of (0,1) at n={n}, N={N}"
                 break
-            difference = remainder_exact(n, N, table, ctx80).remainder - residual
+            difference = row.remainder - residual
             mediated = mediant * coeff_c(N, ctx80) / root_n**N
             if abs(difference - mediated) > tolerance:
                 ok, detail = False, f"identity off at n={n}, N={N}"

@@ -14,6 +14,7 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 from partition_asymptotics import (
+    DomainError,
     PrecisionContext,
     PrecisionError,
     ResourceError,
@@ -464,6 +465,22 @@ def test_negative_m_rejected(ctx80, monkeypatch):
     assert coeff_c.cache_info().currsize == cached
     with pytest.raises(ValueError):
         coeff_bound(-1, ctx80)
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda ctx: coeff_c(-1, ctx),
+        lambda ctx: coefficients.coeff_envelope(-1, ctx),
+        lambda ctx: darboux_approximant(-1, ctx),
+        lambda ctx: certified_abs_less(-1, 0),
+        lambda ctx: certified_abs_less(0, -1),
+    ),
+    ids=("coeff_c", "coeff_envelope", "darboux_approximant", "certified_abs_less", "certified_abs_less_other"),
+)
+def test_negative_m_is_a_domain_error(call, ctx80):
+    with pytest.raises(DomainError, match="^m must be nonnegative, got -1$"):
+        call(ctx80)
 
 
 def test_certified_comparison_consecutive_without_escalation(monkeypatch, builds):

@@ -1,8 +1,11 @@
 """Remainders, tail sums, the tail mediant, and the residual envelopes."""
 
+import concurrent.futures
 import functools
 import inspect
 import math
+import sys
+import threading
 import warnings
 
 import pytest
@@ -16,59 +19,62 @@ from partition_asymptotics import (
     coeff_c,
     exp_error_term,
     full_sum,
-    mu,
-    partial_sum,
     partition_pentagonal,
-    prefactor,
     r_hat,
     remainder_exact,
-    t_bound_full,
-    t_bound_simple,
-    t_bound_simple_bracket,
-    theta,
     banerjee_bounds,
     thm1_bounds,
     thm2_bounds,
     thm3_bounds,
 )
-from partition_asymptotics import bounds, coefficients, expansion
+from partition_asymptotics import bounds, coefficients, expansion, verify
 from partition_asymptotics.cli import format_scientific
 
 from helpers import ulp
 
 
+def _mu(n, ctx):
+    """mu(n) = (pi/6) sqrt(24n - 1), as the lemma3 sweep forms it."""
+    return verify._lemma3_chain(n, ctx, full=False)[1]
+
+
 def test_mu_values(ctx80):
     mp = ctx80.mp
-    assert mp.almosteq(mu(1, ctx80), mp.pi * mp.sqrt(23) / 6, rel_eps=mp.mpf(10) ** -75)
-    assert mp.nstr(mu(1, ctx80), 5) == "2.5111"
-    assert mp.nstr(mu(1000, ctx80), 4) == "81.11"
+    assert mp.almosteq(_mu(1, ctx80), mp.pi * mp.sqrt(23) / 6, rel_eps=mp.mpf(10) ** -75)
+    assert mp.nstr(_mu(1, ctx80), 5) == "2.5111"
+    assert mp.nstr(_mu(1000, ctx80), 4) == "81.11"
     # mu^2 = pi^2 (24n - 1)/36 exactly as an identity on rationals times pi^2
     for n in (1, 7, 432, 1000):
-        value = mu(n, ctx80) ** 2
+        value = _mu(n, ctx80) ** 2
         expected = mp.pi**2 * (24 * n - 1) / 36
         assert abs(value - expected) <= 8 * ulp(expected, ctx80)
 
 
-def test_prefactor_values(ctx80):
+def test_prefactor_values(ctx80, table):
     mp = ctx80.mp
+
+    def prefactor(n):
+        return remainder_exact(n, 0, table, ctx80).prefactor
+
     expected_1 = mp.exp(mp.pi * mp.sqrt(mp.mpf(2) / 3)) / (4 * mp.sqrt(3))
-    assert mp.almosteq(prefactor(1, ctx80), expected_1, rel_eps=mp.mpf(10) ** -75)
-    assert mp.nstr(prefactor(1, ctx80), 5) == "1.8767"
+    assert mp.almosteq(prefactor(1), expected_1, rel_eps=mp.mpf(10) ** -75)
+    assert mp.nstr(prefactor(1), 5) == "1.8767"
     # at n = 6 the exponent is exactly 2 pi
     expected_6 = mp.exp(2 * mp.pi) / (24 * mp.sqrt(3))
-    assert mp.almosteq(prefactor(6, ctx80), expected_6, rel_eps=mp.mpf(10) ** -75)
+    assert mp.almosteq(prefactor(6), expected_6, rel_eps=mp.mpf(10) ** -75)
     for n in (1, 6, 100, 1000):
-        inverse = prefactor(n, ctx80) * 4 * mp.sqrt(3) * n * mp.exp(-mp.pi * mp.sqrt(mp.mpf(2 * n) / 3))
+        inverse = prefactor(n) * 4 * mp.sqrt(3) * n * mp.exp(-mp.pi * mp.sqrt(mp.mpf(2 * n) / 3))
         assert abs(inverse - 1) <= 4 * ulp(inverse, ctx80)
 
 
-def test_partial_sum_values(ctx80):
+def test_partial_sum_values(ctx80, table):
     mp = ctx80.mp
-    assert partial_sum(5, 0, ctx80) == 0
-    assert partial_sum(5, 1, ctx80) == 1
+    assert remainder_exact(5, 0, table, ctx80).partial_sum == 0
+    assert remainder_exact(5, 1, table, ctx80).partial_sum == 1
     expected = 1 + coeff_c(1, ctx80) / 2
-    assert mp.almosteq(partial_sum(4, 2, ctx80), expected, rel_eps=mp.mpf(10) ** -75)
-    assert mp.nstr(partial_sum(4, 2, ctx80), 4) == "0.7784"
+    S_2 = remainder_exact(4, 2, table, ctx80).partial_sum
+    assert mp.almosteq(S_2, expected, rel_eps=mp.mpf(10) ** -75)
+    assert mp.nstr(S_2, 4) == "0.7784"
 
 
 def test_remainder_reference_values(ctx80, table):
@@ -135,28 +141,34 @@ def test_remainder_result_fields(ctx80, table):
     result = remainder_exact(200, 4, table, ctx80, include_theta=True)
     assert result.n == 200 and result.N == 4
     assert 0 < result.theta < 1
-    assert result.theta == theta(200, 4, ctx80)  # same helper, same partial sum
+    # the tail over the first omitted term, from the same partial sum
+    assert result.theta == (full_sum(200, ctx80) - result.partial_sum) / expansion._per_n(200, ctx80).term(4)
     plain = remainder_exact(200, 4, table, ctx80)
     assert plain.theta is None
 
 
-def test_theta_in_unit_interval(ctx80):
+def _theta(n, N, table, ctx):
+    return remainder_exact(n, N, table, ctx, include_theta=True).theta
+
+
+def test_theta_in_unit_interval(ctx80, table):
     for n in (1, 2, 5, 37, 100, 200):
         for N in range(0, 11):
-            value = theta(n, N, ctx80)
+            value = _theta(n, N, table, ctx80)
             assert 0 < value < 1
 
 
-def test_theta_pinned_value(ctx80):
-    assert ctx80.mp.nstr(theta(100, 3, ctx80), 25) == "0.9884180737712142499929038"
-    assert ctx80.mp.nstr(theta(1, 0, ctx80), 25) == "0.5949167432490240509183246"
+def test_theta_pinned_value(ctx80, table):
+    assert ctx80.mp.nstr(_theta(100, 3, table, ctx80), 25) == "0.9884180737712142499929038"
+    assert ctx80.mp.nstr(_theta(1, 0, table, ctx80), 25) == "0.5949167432490240509183246"
 
 
-def test_full_sum_mediates(ctx80):
-    # full_sum(1) = partial_sum(1, 0) + theta(1, 0) * c_0
+def test_full_sum_mediates(ctx80, table):
+    # full_sum(1) = S_0(1) + theta_0(1) * c_0
     mp = ctx80.mp
     lhs = full_sum(1, ctx80)
-    rhs = partial_sum(1, 0, ctx80) + theta(1, 0, ctx80) * coeff_c(0, ctx80)
+    row = remainder_exact(1, 0, table, ctx80, include_theta=True)
+    rhs = row.partial_sum + row.theta * coeff_c(0, ctx80)
     assert abs(lhs - rhs) <= 8 * ulp(lhs, ctx80)
 
 
@@ -174,8 +186,9 @@ def test_full_sum_stop_bounds_the_true_tail():
             return amplitude * mp.sqrt(2 * (M + 1)) / q**M / (1 - 1 / q) ** 2
 
         reference = full_sum(n, wide)
+        per = expansion._per_n(n, wide)
         for M in (0, 1, stop // 2, stop - 1, stop):
-            assert abs(reference - partial_sum(n, M, wide)) <= bound(M), (n, digits, M)
+            assert abs(reference - per.partial_sum(M)) <= bound(M), (n, digits, M)
         assert bound(stop) < mp.mpf(10) ** (-(digits + 5)) <= bound(stop - 1)
 
 
@@ -194,12 +207,12 @@ def test_sums_and_terms_against_a_wider_plain_sum(digits):
         reference = [mp.mpf(0)]
         for term in exact:
             reference.append(reference[-1] + term)
-        assert partial_sum(n, 0, ctx)._mpf_ == ctx.mp.mpf(0)._mpf_
+        per = expansion._per_n(n, ctx)
+        assert per.partial_sum(0)._mpf_ == ctx.mp.mpf(0)._mpf_
         for N in (*range(1, 14), M, M + 2):
-            error = abs(mp.mpf(partial_sum(n, N, ctx)) - reference[N])
+            error = abs(mp.mpf(per.partial_sum(N)) - reference[N])
             assert error <= ulp(reference[N], ctx), (n, digits, N)
         assert abs(mp.mpf(full_sum(n, ctx)) - reference[M]) <= ulp(reference[M], ctx), (n, digits)
-        per = expansion._per_n(n, ctx)
         for m in range(14):
             error = abs(mp.mpf(per.term(m)) - exact[m])
             assert error <= (m + 1) * relative * abs(exact[m]), (n, digits, m)
@@ -225,15 +238,16 @@ def test_remainder_minus_r_hat_is_theta_term(ctx80, table):
         residual = r_hat(n, table, ctx80)
         root_n = mp.sqrt(mp.mpf(n))
         for N in range(0, 11):
-            difference = remainder_exact(n, N, table, ctx80).remainder - residual
-            mediated = theta(n, N, ctx80) * coeff_c(N, ctx80) / root_n**N
+            row = remainder_exact(n, N, table, ctx80, include_theta=True)
+            difference = row.remainder - residual
+            mediated = row.theta * coeff_c(N, ctx80) / root_n**N
             assert abs(difference - mediated) <= tolerance
 
 
 def test_t_bound_full_matches_term_by_term(ctx80):
     # independent re-evaluation of the five-term envelope at n = 1
     mp = ctx80.mp
-    m = mu(1, ctx80)
+    m = mp.pi / 6 * mp.sqrt(23)
     c = 12 * mp.cbrt(2)
     terms = [
         1 / mp.sqrt(2),
@@ -243,23 +257,23 @@ def test_t_bound_full_matches_term_by_term(ctx80):
         (1 + 1 / m) * mp.exp(-3 * m / 2),
     ]
     expected = sum(terms) * mp.exp(-m / 2)
-    assert mp.almosteq(t_bound_full(1, ctx80), expected, rel_eps=mp.mpf(10) ** -70)
+    assert mp.almosteq(verify._lemma3_chain(1, ctx80)[4], expected, rel_eps=mp.mpf(10) ** -70)
 
 
 def test_t_bound_positive_and_ordered(ctx80):
     for n in range(1, 1001, 7):
-        full_value = t_bound_full(n, ctx80)
+        _, _, decay, bracket, full_value = verify._lemma3_chain(n, ctx80)
         assert full_value > 0
-        assert full_value <= t_bound_simple(n, ctx80)
+        assert full_value <= bracket * decay
 
 
 def test_simple_bracket_threshold(ctx80):
     mp = ctx80.mp
-    at_431 = t_bound_simple_bracket(431, ctx80)
-    at_432 = t_bound_simple_bracket(432, ctx80)
+    at_431 = verify._lemma3_chain(431, ctx80)[3]
+    _, m, _, at_432, full_value = verify._lemma3_chain(432, ctx80)
     assert at_432 < mp.mpf("0.97") < at_431
     assert mp.nstr(at_432, 10) == "0.9697117096"
-    assert t_bound_full(432, ctx80) < mp.mpf("0.97") * mp.exp(-mu(432, ctx80) / 2)
+    assert full_value < mp.mpf("0.97") * mp.exp(-m / 2)
 
 
 def test_cancellation_guard(table):
@@ -281,13 +295,13 @@ def test_low_precision_warning_only_when_needed(table):
 
 def test_invalid_arguments(ctx80, table):
     with pytest.raises(ValueError):
-        mu(0, ctx80)
+        full_sum(0, ctx80)
     with pytest.raises(ValueError):
-        partial_sum(0, 1, ctx80)
+        remainder_exact(0, 1, table, ctx80)
     with pytest.raises(ValueError):
         remainder_exact(10, -1, table, ctx80)
     with pytest.raises(ValueError):
-        theta(1, -1, ctx80)
+        remainder_exact(1, -1, table, ctx80, include_theta=True)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +359,8 @@ def _plain_values(n, p, ctx):
 
     sums = {N: horner(N) for N in (*range(13), M, M + 2)}
     return {
+        "r": mp.sqrt(mp.mpf(24 * n - 1)),
+        "decay": mp.exp(-m / 2),
         "mu": m,
         "t_bound_full": bracket * mp.exp(-m / 2),
         "t_bound_simple_bracket": simple_bracket,
@@ -363,7 +379,8 @@ def _plain_values(n, p, ctx):
 
 
 def _memo_values(n, table, ctx, order):
-    """The same reals through the public functions, the memo filled in ``order``."""
+    """The same reals through the public functions, the per-n record and the
+    lemma3 sweep's chain, the memo filled in ``order``."""
     expansion._per_n.cache_clear()
     out = {"rows": {}}
 
@@ -381,24 +398,28 @@ def _memo_values(n, table, ctx, order):
         out["Banerjee"] = [None, None] + [banerjee_bounds(n, N, ctx) for N in range(2, 13)]
 
     def scalars():
+        r, m, decay, simple_bracket, full = verify._lemma3_chain(n, ctx)
         out.update(
-            mu=mu(n, ctx),
-            t_bound_full=t_bound_full(n, ctx),
-            t_bound_simple_bracket=t_bound_simple_bracket(n, ctx),
-            t_bound_simple=t_bound_simple(n, ctx),
-            prefactor=prefactor(n, ctx),
+            r=r,
+            decay=decay,
+            mu=m,
+            t_bound_full=full,
+            t_bound_simple_bracket=simple_bracket,
+            t_bound_simple=simple_bracket * decay,
+            prefactor=expansion._per_n(n, ctx).prefactor,
             P=expansion._per_n(n, ctx).normalized(table.p(n)),
             E=exp_error_term(n, ctx),
         )
 
     def series():
+        per = expansion._per_n(n, ctx)
         out["full"] = full_sum(n, ctx)
-        out["theta"] = [theta(n, N, ctx) for N in range(13)]
-        out["partial"] = [partial_sum(n, N, ctx) for N in range(13)]
+        out["theta"] = [per.theta(N, per.partial_sum(N)) for N in range(13)]
+        out["partial"] = [per.partial_sum(N) for N in range(13)]
 
     def beyond():
         # partial sums past the series length, kept before the full sum is formed
-        out["beyond"] = partial_sum(n, expansion._series_length(n, ctx) + 2, ctx)
+        out["beyond"] = expansion._per_n(n, ctx).partial_sum(expansion._series_length(n, ctx) + 2)
 
     steps = {"rows": rows, "bounds": bounds, "scalars": scalars, "series": series, "beyond": beyond}
     for step in order:
@@ -446,7 +467,18 @@ def test_memo_is_bit_identical_to_the_plain_formulas():
                     warnings.simplefilter("ignore", PrecisionWarning)
                     memo = _memo_values(n, table, ctx, order)
                 where = (n, digits, order)
-                for key in ("mu", "t_bound_full", "t_bound_simple_bracket", "t_bound_simple", "prefactor", "P", "E", "full"):
+                for key in (
+                    "r",
+                    "decay",
+                    "mu",
+                    "t_bound_full",
+                    "t_bound_simple_bracket",
+                    "t_bound_simple",
+                    "prefactor",
+                    "P",
+                    "E",
+                    "full",
+                ):
                     assert memo[key]._mpf_ == plain[key]._mpf_, (key, where)
                 beyond = plain["sums"][expansion._series_length(n, ctx) + 2]
                 assert memo["beyond"]._mpf_ == beyond._mpf_, where
@@ -487,7 +519,7 @@ def test_per_n_caches_are_bounded():
         for name, value in vars(expansion).items()
         if hasattr(value, "cache_info") and value.__module__ == expansion.__name__
     }
-    assert cached == {"_per_n", "_constants"}
+    assert cached == {"_per_n", "_four_sqrt3"}
 
 
 def test_invalid_n_is_not_memoized(ctx80, table):
@@ -503,7 +535,7 @@ def test_invalid_n_is_not_memoized(ctx80, table):
         and not name.startswith("_")
         and "n" in inspect.signature(value).parameters
     }
-    assert {"mu", "recommended_digits", "remainder_exact", "r_hat"} <= set(functions)
+    assert {"full_sum", "exp_error_term", "recommended_digits", "remainder_exact", "r_hat"} <= set(functions)
     assert {"thm1_bounds", "thm2_bounds", "thm3_bounds", "banerjee_bounds"} <= set(functions)
     for n, N in ((0, 3), (-3, 3), (5, -1)):
         arguments = {"n": n, "N": N, "C": "3.474", "table": table, "ctx": ctx80}
@@ -540,5 +572,38 @@ def test_normalized_partition_is_kept_per_p(ctx80, table):
         for source in (table, other, other, table):
             P = 4 * mp.sqrt(3) * n * source.p(n) * decay
             result = remainder_exact(n, 4, source, ctx80)
-            assert result.remainder._mpf_ == (P - partial_sum(n, 4, ctx80))._mpf_
+            assert result.remainder._mpf_ == (P - expansion._per_n(n, ctx80).partial_sum(4))._mpf_
             assert r_hat(n, source, ctx80)._mpf_ == (P - full_sum(n, ctx80))._mpf_
+
+
+def test_one_record_shared_by_threads(ctx80):
+    # four threads on one fresh record, switching as often as the interpreter
+    # allows: each term comes from a ladder that another thread may be growing,
+    # and each P(n) is read while another thread replaces it for another p; both
+    # must be the values one thread alone gets, and the ladder left behind too
+    n, M, trials = 37, 40, 25
+    alone = expansion._PerN(n, ctx80)
+    terms = [alone.term(m)._mpf_ for m in range(M)]
+    ladder = [power._mpf_ for power in alone._powers]
+    normalized = {p: alone.normalized(p)._mpf_ for p in (21637, 21638)}
+
+    def work(record, start, ps):
+        start.wait(timeout=60)
+        wrong = [m for m in range(M) if record.term(m)._mpf_ != terms[m]]
+        for _ in range(50):
+            wrong += [p for p in ps if record.normalized(p)._mpf_ != normalized[p]]
+        return wrong
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            for trial in range(trials):
+                record, start = expansion._PerN(n, ctx80), threading.Barrier(4)
+                record.u  # formed once first, so the threads race on the ladder alone
+                # two threads alternate the two p in one order, two in the other
+                futures = [pool.submit(work, record, start, sorted(normalized, reverse=i % 2)) for i in range(4)]
+                assert [future.result(timeout=60) for future in futures] == [[]] * 4, trial
+                assert [power._mpf_ for power in record._powers] == ladder, trial
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,4 +1,4 @@
-"""Source hygiene: no unused import and no orphaned private name in the package.
+"""Source hygiene: no unused import, no orphaned private name, no public function only tests call.
 
 Read with the standard library's ``ast`` only, so the check runs wherever the
 tests do.
@@ -6,11 +6,13 @@ tests do.
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "partition_asymptotics"
 MODULES = sorted(PACKAGE.glob("*.py"))
+PERFBENCH = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
 
 
 def _tree(path):
@@ -84,3 +86,40 @@ def test_every_private_name_is_referenced():
         if name not in referenced
     ]
     assert not orphans, f"private names nothing in src/ references: {', '.join(orphans)}"
+
+
+def _taken(tree, home):
+    """The names a package module takes from its sibling ``home``: ``from .home import name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == home:
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a function in __all__ must be imported by another module of the package
+    # (not the one that defines it, not __init__), or be named as
+    # ``<module>.<function>`` in the benchmark, whose harness binds some of
+    # them inside code strings that it runs in a fresh interpreter, so that
+    # is a text search; classes, exceptions and constants are exempt
+    trees = {path.stem: _tree(path) for path in MODULES}
+    home = {
+        alias.name: node.module
+        for node in trees["__init__"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    functions = {
+        name
+        for name in _exported(trees["__init__"])
+        if any(isinstance(node, ast.FunctionDef) and node.name == name for node in trees[home[name]].body)
+    }
+    benchmark = "\n".join(path.read_text(encoding="utf-8") for path in PERFBENCH)
+
+    def called(name):
+        if any(name in set(_taken(tree, home[name])) for stem, tree in trees.items() if stem != "__init__"):
+            return True
+        return re.search(rf"\b{home[name]}\.{name}\b", benchmark) is not None
+
+    assert functions, "no public function found"
+    uncalled = sorted(f"{home[name]}.{name}" for name in functions if not called(name))
+    assert not uncalled, f"public functions only the tests call: {', '.join(uncalled)}"
