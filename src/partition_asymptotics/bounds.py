@@ -11,6 +11,9 @@ R_N(n) on its stated domain:
 The comparison family restates an earlier published result on the same
 remainder ("Banerjee" tag); its validity threshold is not computable here, so
 those reports always carry valid=False and exist for width comparisons only.
+
+Every n-dependent factor in these bounds is the square root of a rational,
+and each is formed as one correctly rounded integer root by ``_sqrt_ratio``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .coefficients import coeff_envelope
+from .coefficients import _correction, _sqrt_ratio, coeff_envelope
 from .errors import DomainError, PrecisionError
 from .expansion import _check, _per_n
 from .precision import PrecisionContext, lambert_w_minus1
@@ -49,6 +52,16 @@ def _enclosure(theorem, n, N, below, above, valid=True, C=None) -> BoundsReport:
     return BoundsReport(n=n, N=N, lower=lower, upper=upper, theorem=theorem, valid=valid, C=C)
 
 
+def _envelope_at(n: int, N: int, ctx: PrecisionContext):
+    """The proven envelope of |c_N| / n^(N/2): amplitude * sqrt((N+1) a / (b (24n)^N)).
+
+    (a, b) is the square of the envelope's correction, so the shape, the
+    correction and the power of sqrt(24n) are one correctly rounded root.
+    """
+    a, b = _correction(N)
+    return coeff_envelope(N, ctx)[0] * _sqrt_ratio((N + 1) * a, b * (24 * n) ** N, ctx)
+
+
 def thm1_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     """First-omitted-term enclosure, valid for all n >= 1, N >= 0.
 
@@ -65,11 +78,8 @@ def thm1_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
 def thm2_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     """Coefficient-free enclosure: T1 with c_N relaxed to its proven envelope."""
     _check(n, N)
-    per = _per_n(n, ctx)
-    E = per.error_term
-    amplitude, shape, correction = coeff_envelope(N, ctx)
-    envelope = amplitude * shape / per.q ** N * correction
-    return _enclosure("T2", n, N, E, envelope + E)
+    E = _per_n(n, ctx).error_term
+    return _enclosure("T2", n, N, E, _envelope_at(n, N, ctx) + E)
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,8 +121,9 @@ def thm3_bounds(n: int, N: int, C, ctx: PrecisionContext) -> BoundsReport:
 
     Even N = 2j (j >= 1):
         -C sqrt(2j+1)/sqrt(24n)^(2j) < R_N(n)
-          < (C + envelope_even(j)) sqrt(2j+1)/sqrt(24n)^(2j)
+          < C sqrt(2j+1)/sqrt(24n)^(2j) + envelope of |c_N|/n^j
     Odd N = 2j+1 (j >= 0): mirrored with sqrt(2j+2) and the odd envelope.
+    The algebraic part is C times the one root sqrt((N+1)/(24n)^N).
 
     Holds once n >= nu_N(C); below the threshold the report is returned with
     valid=False rather than raising, so sweeps can cross the boundary.
@@ -122,10 +133,8 @@ def thm3_bounds(n: int, N: int, C, ctx: PrecisionContext) -> BoundsReport:
         raise DomainError(f"T3 bounds need N >= 1, got N={N}")
     valid = n >= nu(N, C, ctx)  # nu also rejects C <= 0
     c_val = ctx.real(C)
-    amplitude, shape, correction = coeff_envelope(N, ctx)
-    factor = shape / _per_n(n, ctx).q ** N
-    widening = amplitude * correction
-    return _enclosure("T3", n, N, c_val * factor, (c_val + widening) * factor, valid, c_val)
+    algebraic = c_val * _sqrt_ratio(N + 1, (24 * n) ** N, ctx)
+    return _enclosure("T3", n, N, algebraic, algebraic + _envelope_at(n, N, ctx), valid, c_val)
 
 
 def banerjee_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
@@ -142,7 +151,6 @@ def banerjee_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     _check(n, N)
     if N < 2:
         raise DomainError(f"comparison bounds are stated for N >= 2, got N={N}")
-    mp = ctx.mp
-    factor = (6 / mp.pi) ** N * mp.sqrt(N // 2 + 1 + N % 2) / _per_n(n, ctx).q ** N
+    factor = (6 / ctx.mp.pi) ** N * _sqrt_ratio(N // 2 + 1 + N % 2, (24 * n) ** N, ctx)
     below, above = (13, 16) if N % 2 == 0 else (11, 21)
     return _enclosure("Banerjee", n, N, below * factor, above * factor, valid=False)

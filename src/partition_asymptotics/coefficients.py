@@ -73,12 +73,6 @@ from .errors import DomainError, PrecisionError, ResourceError
 from .precision import MIN_DIGITS, PrecisionContext, pi_enclosure
 
 
-@functools.lru_cache(maxsize=None)
-def _root(k: int, digits: int):
-    """sqrt(k) at ``digits``, taken once per digit count and shared by every m."""
-    return PrecisionContext(digits).mp.sqrt(k)
-
-
 # a = pi/6 = 0.52359877... lies between _A_LO / _A_SCALE and _A_HI / _A_SCALE.
 _A_LO, _A_HI, _A_SCALE = 5235, 5236, 10000
 # Digits beyond log10 of the error growth, for the rounding and the size of g_m.
@@ -268,8 +262,8 @@ def _even_odd_prefactor(prec: int) -> tuple:
     return mpf_mul(base, sinh, prec, round_nearest), mpf_mul(base, cosh, prec, round_nearest)
 
 
-def _sqrt_ratio(num: int, den: int, prec: int) -> tuple:
-    """sqrt(num / den) for positive integers, correctly rounded to nearest at prec bits, as a raw mpf.
+def _sqrt_ratio(num: int, den: int, ctx: PrecisionContext):
+    """sqrt(num / den) for positive integers, correctly rounded to nearest at context precision.
 
     With s = max(0, prec + 3 - floor((bits(num) - bits(den)) / 2)), the
     integer r = isqrt(floor(4^s num / den)) = floor(2^s sqrt(num / den)) is
@@ -279,10 +273,17 @@ def _sqrt_ratio(num: int, den: int, prec: int) -> tuple:
     that interval, and r + 1/2 (r with a sticky bit) rounds the same way as
     the root: the result is correctly rounded, from one rounding.
     """
+    prec = ctx.mp.prec
     shift = max(0, prec + 3 - (num.bit_length() - den.bit_length()) // 2)
     scaled = num << 2 * shift
     root = math.isqrt(scaled // den)
-    return from_man_exp(2 * root + (root * root * den != scaled), -shift - 1, prec, round_nearest)
+    return ctx.mp.make_mpf(from_man_exp(2 * root + (root * root * den != scaled), -shift - 1, prec, round_nearest))
+
+
+def _correction(m: int) -> tuple:
+    """(a, b), the square a / b of the envelope's correction: (4j+2, 4j+1) for m = 2j, (4j+4, 4j+5) for m = 2j+1."""
+    j = m // 2
+    return (4 * j + 2, 4 * j + 1) if m % 2 == 0 else (4 * j + 4, 4 * j + 5)
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,22 +299,14 @@ def coeff_envelope(m: int, ctx: PrecisionContext) -> tuple:
     """
     if m < 0:
         raise DomainError(f"m must be nonnegative, got {m}")
-    mp = ctx.mp
-    prec = mp.prec
-    even, odd = _even_odd_prefactor(prec)
-    j = m // 2
-    if m % 2 == 0:
-        amplitude, num, den = even, 4 * j + 2, 4 * j + 1
-    else:
-        amplitude, num, den = odd, 4 * j + 4, 4 * j + 5
-    make = mp.make_mpf
-    return make(amplitude), make(_sqrt_ratio(m + 1, 1, prec)), make(_sqrt_ratio(num, den, prec))
+    amplitude = _even_odd_prefactor(ctx.mp.prec)[m % 2]
+    return ctx.mp.make_mpf(amplitude), _sqrt_ratio(m + 1, 1, ctx), _sqrt_ratio(*_correction(m), ctx)
 
 
 def coeff_bound(m: int, ctx: PrecisionContext):
     """Proven upper bound for |c_m|: the full envelope of :func:`coeff_envelope`."""
     amplitude, shape, correction = coeff_envelope(m, ctx)
-    return amplitude * shape / _root(24, ctx.digits) ** m * correction
+    return amplitude * shape / _sqrt_ratio(24, 1, ctx) ** m * correction
 
 
 def coeff_asymptotic(m: int, ctx: PrecisionContext):
@@ -322,7 +315,7 @@ def coeff_asymptotic(m: int, ctx: PrecisionContext):
     amplitude, shape, _ = coeff_envelope(m, ctx)
     if m % 2:
         amplitude = -amplitude
-    return amplitude * shape / _root(24, ctx.digits) ** m
+    return amplitude * shape / _sqrt_ratio(24, 1, ctx) ** m
 
 
 def darboux_approximant(m: int, ctx: PrecisionContext):
@@ -339,7 +332,7 @@ def darboux_approximant(m: int, ctx: PrecisionContext):
     mp = ctx.mp
     half_binom = Fraction((2 * m + 1) * comb(2 * m, m), 4**m)  # binom(m+1/2, m)
     amplitude = 3 / (mp.sqrt(2) * mp.pi) * ((-1) ** m * mp.exp(mp.pi / 6) - mp.exp(-mp.pi / 6))
-    return amplitude * mp.mpf(half_binom.numerator) / half_binom.denominator / _root(24, ctx.digits) ** m
+    return amplitude * mp.mpf(half_binom.numerator) / half_binom.denominator / _sqrt_ratio(24, 1, ctx) ** m
 
 
 # The most digits a certified comparison rebuilds the source at.

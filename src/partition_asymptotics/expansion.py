@@ -17,8 +17,7 @@ Every S_N, and so the full sum, theta_N and r_hat, takes one route: an
 integer Horner pass over the coefficient source in fixed point, with guard
 bits taken from its proven error bound, rounded once to nearest.  A single
 term c_m/n^(m/2), which needs relative rather than absolute accuracy, is
-c_m times u^m, read from a ladder of powers of u = 1/sqrt(n) that the per-n
-record keeps.
+c_m times the correctly rounded root sqrt(1/n^m).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Optional
 
 from mpmath.libmp import from_man_exp, round_nearest, to_float
 
-from .coefficients import COEFF_CAP, _even_odd_prefactor, _horner, coeff_c
+from .coefficients import COEFF_CAP, _even_odd_prefactor, _horner, _sqrt_ratio, coeff_c
 from .errors import DomainError, PrecisionError, PrecisionWarning
 from .partitions import PartitionTable
 from .precision import PrecisionContext
@@ -62,17 +61,15 @@ class _PerN:
     """The reals at one n and precision that every evaluation at that n shares.
 
     Each is formed on first use and kept: x = pi*sqrt(2n/3), the prefactor
-    e^x/(4*sqrt(3)*n) and e^(-x/2); sqrt(24n); u = 1/sqrt(n) and the powers
-    of u asked for so far; the fixed point (P, U) of the sums and the full
-    sum; and P(n) for the last p(n) it was given.  A partial sum is not kept:
-    each is one integer Horner pass, rounded once.  The growing ladder and
-    the last P(n) are each replaced by one new tuple, never changed in place,
-    so threads that share a record read no half-made value.
+    e^x/(4*sqrt(3)*n) and e^(-x/2); the fixed point (P, U) of the sums and
+    the full sum; and P(n) for the last p(n) it was given.  A partial sum or
+    a term is not kept: each is one integer Horner pass or one integer root,
+    rounded once.  The last P(n) is replaced by one new pair, never changed
+    in place, so threads that share a record read no half-made value.
     """
 
     def __init__(self, n: int, ctx: PrecisionContext):
         self.n, self.ctx = n, ctx
-        self._powers = (ctx.mp.mpf(1),)
         self._normalized = None
 
     @functools.cached_property
@@ -91,16 +88,6 @@ class _PerN:
         """exp(-(pi/2)*sqrt(2n/3))."""
         return self.ctx.mp.exp(-self.x / 2)
 
-    @functools.cached_property
-    def u(self):
-        """1/sqrt(n), the base of the powers in the terms."""
-        return 1 / self.ctx.mp.sqrt(self.n)
-
-    @functools.cached_property
-    def q(self):
-        """sqrt(24n), the base of the powers in the T2, T3 and comparison bounds."""
-        return self.ctx.mp.sqrt(self.ctx.mp.mpf(24 * self.n))
-
     def normalized(self, p: int):
         """P(n) = 4*sqrt(3)*n*p*exp(-x), the quantity the series approximates, for p = p(n).
 
@@ -113,18 +100,8 @@ class _PerN:
         return kept[1]
 
     def term(self, m: int):
-        """c_m u^m, with u^m from the ladder u, u^2, ... that grows by one product per power.
-
-        A longer ladder is grown on a copy and published whole, so a thread
-        that reads the old one meanwhile still reads correct powers.
-        """
-        powers = self._powers
-        if len(powers) <= m:
-            grown = list(powers)
-            while len(grown) <= m:
-                grown.append(grown[-1] * self.u)
-            self._powers = powers = tuple(grown)
-        return coeff_c(m, self.ctx) * powers[m]
+        """c_m / n^(m/2), with sqrt(1/n^m) correctly rounded by ``_sqrt_ratio``."""
+        return coeff_c(m, self.ctx) * _sqrt_ratio(1, self.n**m, self.ctx)
 
     @functools.cached_property
     def scale(self):
@@ -133,7 +110,7 @@ class _PerN:
         return P, math.isqrt((1 << 2 * P) // self.n)
 
     def partial_sum(self, N: int):
-        """S_N = sum_{m<N} c_m u^m, from one fixed-point Horner pass rounded once to nearest.
+        """S_N = sum_{m<N} c_m / n^(m/2), from one fixed-point Horner pass rounded once to nearest.
 
         ``_horner`` is within 3N units of 2^P times the sum of the source's
         values, which lies within 10^-(digits+9) of S_N.  Every S_N with

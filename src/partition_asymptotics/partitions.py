@@ -12,7 +12,7 @@ import os
 import zlib
 from dataclasses import dataclass
 
-from .errors import ResourceError
+from .errors import DomainError, ResourceError
 
 # a table to 10**5 takes about 5 s and 14 MB to build, and the cost grows
 # faster than linearly in n_max
@@ -52,7 +52,7 @@ def partition_pentagonal(n_max: int) -> PartitionTable:
     by ``map`` and ``sum`` without a Python-level step per term.
     """
     if n_max < 0:
-        raise ResourceError(f"n_max must be nonnegative, got {n_max}")
+        raise DomainError(f"n_max must be nonnegative, got {n_max}")
     if n_max > PENTAGONAL_CAP:
         raise ResourceError(f"n_max={n_max} exceeds cap {PENTAGONAL_CAP}")
     values = [1]
@@ -78,7 +78,7 @@ def partition_dp_row(n: int) -> list:
     <= k; once k reaches j that is p(j).
     """
     if n < 0:
-        raise ResourceError(f"n must be nonnegative, got {n}")
+        raise DomainError(f"n must be nonnegative, got {n}")
     if n > DP_CAP:
         raise ResourceError(f"n={n} exceeds cap {DP_CAP}")
     ways = [0] * (n + 1)

@@ -23,7 +23,8 @@ from .coefficients import (
     coeff_c,
     darboux_approximant,
 )
-from .expansion import _per_n, exp_error_term, r_hat, remainder_exact
+from .errors import DomainError
+from .expansion import exp_error_term, r_hat, remainder_exact
 from .partitions import partition_dp_row, partition_pentagonal
 from .precision import PrecisionContext
 from .series import gf_coefficients, gf_reference
@@ -131,6 +132,7 @@ def _lemma3_chain(n: int, ctx: PrecisionContext, full: bool = True) -> tuple:
 def _lemma3(n_max: int, ctx: PrecisionContext):
     """|r_hat(n)| <= exp(-(pi/2) sqrt(2n/3)), envelope shape, and proof chain."""
     mp = ctx.mp
+    pi_6 = _lemma3_constants(ctx)[0]
     ninety_seven, pi_12 = mp.mpf("0.97"), mp.pi / 12
     table = partition_pentagonal(n_max)
     for n in range(1, n_max + 1):
@@ -143,11 +145,11 @@ def _lemma3(n_max: int, ctx: PrecisionContext):
     for n in range(1, 5001):
         r, mu, decay, current, full = _lemma3_chain(n, ctx, full=n <= 1000)
         if n <= 1000:
-            per = _per_n(n, ctx)
-            # (24n/(24n-1)) * exp(mu - pi sqrt(2n/3)) <= 1
-            damping = mp.mpf(24 * n) / (24 * n - 1) * mp.exp(mu - per.x)
+            q = mp.sqrt(mp.mpf(24 * n))
+            # (24n/(24n-1)) * exp(mu - pi sqrt(2n/3)) <= 1, with mu - pi sqrt(2n/3) = (pi/6)(r - q)
+            damping = mp.mpf(24 * n) / (24 * n - 1) * mp.exp(pi_6 * (r - q))
             # 0.97 * exp((pi/12)/(sqrt(24n-1)+sqrt(24n))) < 1
-            wiggle = ninety_seven * mp.exp(pi_12 / (r + per.q))
+            wiggle = ninety_seven * mp.exp(pi_12 / (r + q))
             if full > current * decay:
                 yield f"full envelope exceeds simple envelope at n={n}"
             elif damping > 1:
@@ -289,18 +291,18 @@ def run_suite(
     """Run a named suite at its default grid size and digits unless overridden.
 
     ``n_max`` or ``m_max`` resizes the suites whose grid it names and is
-    ignored by the others; only ``None`` selects the default, and a negative
-    size raises ValueError.  The result counts every check made, up to and
-    including the first that fails.
+    ignored by the others; only ``None`` selects the default.  A negative
+    size or an unknown name raises DomainError.  The result counts every
+    check made, up to and including the first that fails.
     """
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
+        raise DomainError(f"unknown suite {name!r}")
     sweep, grid, default, digits = SUITES[name]
     size = {"n_max": n_max, "m_max": m_max}.get(grid)
     if size is None:
         size = default
     elif size < 0:
-        raise ValueError(f"{grid} must be nonnegative, got {size}")
+        raise DomainError(f"{grid} must be nonnegative, got {size}")
     checked = 0
     for checked, counterexample in enumerate(sweep(size, ctx or PrecisionContext(digits)), 1):
         if counterexample is not None:

@@ -227,3 +227,24 @@ def test_reports_are_proper_intervals(ctx80):
                 # C small enough that the threshold exists for every N >= 1
                 t3 = thm3_bounds(n, N, "0.5", ctx80)
                 assert t3.lower < t3.upper
+
+
+def test_algebraic_factors_are_correctly_rounded():
+    # the T3 factor sqrt((N+1)/(24n)^N) is one correctly rounded root: C = 1/2
+    # scales it exactly, so |lower| (even N) or upper (odd N) over C is the
+    # factor, within half an ulp of the root taken at three times the digits
+    for digits in (30, 80, 166):
+        ctx = PrecisionContext(digits)
+        wide = PrecisionContext(3 * digits + 20).mp
+        for n in (1, 2, 7, 100, 499, 1000, 20000):
+            for N in range(1, 15):
+                report = thm3_bounds(n, N, "0.5", ctx)
+                factor = (-report.lower if N % 2 == 0 else report.upper) / ctx.real("0.5")
+                reference = wide.sqrt(wide.mpf(N + 1) / wide.mpf(24 * n) ** N)
+                assert abs(wide.mpf(factor) - reference) <= wide.mpf(ulp(factor, ctx)) / 2, (n, N, digits)
+    # the comparison factor is (6/pi)^N times the correctly rounded sqrt(k/(24n)^N), k = N//2 + 1 + N%2
+    ctx = PrecisionContext(80)
+    mp, wide = ctx.mp, PrecisionContext(260).mp
+    n, N = 499, 10
+    root = mp.mpf(wide.sqrt(wide.mpf(N // 2 + 1) / wide.mpf(24 * n) ** N))  # rounded once to nearest
+    assert (banerjee_bounds(n, N, ctx).upper / 16)._mpf_ == ((6 / mp.pi) ** N * root)._mpf_

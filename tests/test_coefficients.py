@@ -308,7 +308,7 @@ def test_sqrt_ratio_is_correctly_rounded():
         ctx = PrecisionContext(digits)
         mp, wide = ctx.mp, PrecisionContext(2 * digits).mp
         for num, den in pairs:
-            value = mp.make_mpf(coefficients._sqrt_ratio(num, den, mp.prec))
+            value = coefficients._sqrt_ratio(num, den, ctx)
             if den == 1:
                 assert value._mpf_ == mp.sqrt(num)._mpf_, (num, digits)
             if (num, den) in exact:

@@ -331,19 +331,22 @@ def _plain_values(n, p, ctx):
         + (1 + 1 / m) * mp.exp(-3 * m / 2)
     )
     simple_bracket = 1 / mp.sqrt(2) + 14 / m + (mp.mpf(2) / 3 * m**2 - 13) * mp.exp(-m / 2)
-    q = mp.sqrt(mp.mpf(24 * n))
     E = mp.exp(-exponent / 2)
     half = mp.mpf("0.5")
-    envelopes = [coefficients.coeff_envelope(N, ctx) for N in range(13)]
-    comparison = [(6 / mp.pi) ** N * mp.sqrt(N // 2 + 1 + N % 2) / q**N for N in range(13)]
+    root = coefficients._sqrt_ratio
+    # the envelope of |c_N| / n^(N/2): amplitude times the one root sqrt((N+1) a / (b (24n)^N)),
+    # a / b = (4j+2)/(4j+1) for N = 2j and (4j+4)/(4j+5) for N = 2j+1
+    corrections = [(4 * (N // 2) + 2, 4 * (N // 2) + 1) if N % 2 == 0 else (4 * (N // 2) + 4, 4 * (N // 2) + 5) for N in range(13)]
+    envelopes = [
+        coefficients.coeff_envelope(N, ctx)[0] * root((N + 1) * a, b * (24 * n) ** N, ctx)
+        for N, (a, b) in enumerate(corrections)
+    ]
+    algebraic = [root(N + 1, (24 * n) ** N, ctx) for N in range(13)]
+    comparison = [(6 / mp.pi) ** N * root(N // 2 + 1 + N % 2, (24 * n) ** N, ctx) for N in range(13)]
     M = expansion._series_length(n, ctx)
     length = max(M + 3, 13)
-    # terms: c_m times u^m from the ladder u^m = u^(m-1) * u, u = 1/sqrt(n)
-    u = 1 / mp.sqrt(n)
-    powers = [mp.mpf(1)]
-    while len(powers) < length:
-        powers.append(powers[-1] * u)
-    terms = [coeff_c(k, ctx) * powers[k] for k in range(length)]
+    # terms: c_m times the one root sqrt(1/n^m)
+    terms = [coeff_c(k, ctx) * root(1, n**k, ctx) for k in range(length)]
     # sums: Horner on the source's values W_k / 2^bits floored to 2^-P, with
     # U = floor(2^P/sqrt(n)), P = prec + bit_length(3 COEFF_CAP) + 4, and the
     # integer rounded once to nearest
@@ -372,8 +375,8 @@ def _plain_values(n, p, ctx):
         "sums": sums,
         "full": sums[M],
         # the even-N pair (below, above) of T2, T3 with C = 1/2, and the comparison family
-        "T2": [(E, a * s / q**N * c + E) for N, (a, s, c) in enumerate(envelopes)],
-        "T3": [(half * (s / q**N), (half + a * c) * (s / q**N)) for N, (a, s, c) in enumerate(envelopes)],
+        "T2": [(E, envelope + E) for envelope in envelopes],
+        "T3": [(half * f, half * f + envelope) for f, envelope in zip(algebraic, envelopes)],
         "Banerjee": [(13 * f, 16 * f) if N % 2 == 0 else (11 * f, 21 * f) for N, f in enumerate(comparison)],
     }
 
@@ -578,13 +581,12 @@ def test_normalized_partition_is_kept_per_p(ctx80, table):
 
 def test_one_record_shared_by_threads(ctx80):
     # four threads on one fresh record, switching as often as the interpreter
-    # allows: each term comes from a ladder that another thread may be growing,
-    # and each P(n) is read while another thread replaces it for another p; both
-    # must be the values one thread alone gets, and the ladder left behind too
+    # allows: each term is formed while other threads form theirs, and each
+    # P(n) is read while another thread replaces it for another p; both must
+    # be the values one thread alone gets
     n, M, trials = 37, 40, 25
     alone = expansion._PerN(n, ctx80)
     terms = [alone.term(m)._mpf_ for m in range(M)]
-    ladder = [power._mpf_ for power in alone._powers]
     normalized = {p: alone.normalized(p)._mpf_ for p in (21637, 21638)}
 
     def work(record, start, ps):
@@ -600,10 +602,8 @@ def test_one_record_shared_by_threads(ctx80):
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
             for trial in range(trials):
                 record, start = expansion._PerN(n, ctx80), threading.Barrier(4)
-                record.u  # formed once first, so the threads race on the ladder alone
                 # two threads alternate the two p in one order, two in the other
                 futures = [pool.submit(work, record, start, sorted(normalized, reverse=i % 2)) for i in range(4)]
                 assert [future.result(timeout=60) for future in futures] == [[]] * 4, trial
-                assert [power._mpf_ for power in record._powers] == ladder, trial
     finally:
         sys.setswitchinterval(interval)

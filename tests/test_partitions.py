@@ -7,6 +7,7 @@ import zlib
 import pytest
 
 from partition_asymptotics import (
+    DomainError,
     PartitionTable,
     ResourceError,
     load_table,
@@ -138,9 +139,9 @@ def test_caps():
         partition_pentagonal(PENTAGONAL_CAP + 1)  # rejected before any work
     with pytest.raises(ResourceError):
         partition_dp_row(DP_CAP + 1)
-    with pytest.raises(ResourceError):
+    with pytest.raises(DomainError, match="n_max must be nonnegative, got -1"):
         partition_pentagonal(-1)
-    with pytest.raises(ResourceError):
+    with pytest.raises(DomainError, match="n must be nonnegative, got -1"):
         partition_dp_row(-1)
 
 

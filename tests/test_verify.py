@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from partition_asymptotics import run_suite, verify
+from partition_asymptotics import DomainError, run_suite, verify
 
 
 def test_lemma1_small():
@@ -47,7 +47,7 @@ def test_oracle_small():
 def test_run_suite_dispatch(ctx80):
     result = run_suite("oracle", n_max=100)
     assert result.suite == "oracle" and result.ok
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         run_suite("nonsense")
 
 
@@ -76,7 +76,7 @@ def test_grid_overrides_apply_only_to_their_suites(ctx80):
 def test_grid_size_zero_is_honoured_and_negative_rejected(ctx80):
     assert run_suite("oracle", n_max=0).checked == 1
     assert run_suite("thm1", n_max=0, ctx=ctx80) == verify.VerifyResult("thm1", 0, True)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         run_suite("oracle", n_max=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         run_suite("lemma1", m_max=-1)
