@@ -33,7 +33,10 @@ class PartitionTable:
     n_max: int
 
     def p(self, n: int) -> int:
-        if not 0 <= n <= self.n_max:
+        """p(n); a negative n raises DomainError and an n past n_max ResourceError."""
+        if n < 0:
+            raise DomainError(f"n must be nonnegative, got {n}")
+        if n > self.n_max:
             raise ResourceError(f"p({n}) not in table (n_max={self.n_max})")
         return self.values[n]
 

@@ -1,9 +1,18 @@
-"""Precision-context real arithmetic, the Lambert W branch -1 and a rational pi enclosure.
+"""Precision-context real arithmetic, the Lambert W branch -1, a rational pi enclosure and integer balls.
 
 A :class:`PrecisionContext` fixes the number of decimal significant digits for
 all real arithmetic derived from it.  Values are mpmath floats bound to the
 context that produced them; there is one shared context per digit count, so
 two different precisions never interfere and nothing global is mutated.
+
+Balls.  A ball (M, e) at scale 2^-P is a pair of integers, e >= 0, that
+stands for every real x with |2^P x - M| <= e.  The ``_ball_*`` helpers form
+roots, pi, ln 2, 2^(1/3) and e^-y as balls from integer arithmetic alone,
+and combine balls so that the result encloses every combination of the
+reals the operands enclose; each docstring proves its radius.  A comparison
+of two balls holds, fails or is undecided, and ``_ball_decide`` redoes an
+undecided one at twice the scale, up to _BALL_MAX_BITS, so rounding never
+decides a near-tie the wrong way.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
 
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 
 MIN_DIGITS = 30
 
@@ -148,3 +157,196 @@ def pi_enclosure(digits: int) -> tuple[Fraction, Fraction]:
         Fraction(16 * a_lo * b_den - 4 * b_hi * a_den, den),
         Fraction(16 * a_hi * b_den - 4 * b_lo * a_den, den),
     )
+
+
+# Bits of a ball's scale beyond the context's precision, and the widest scale
+# an undecided comparison is redone at.
+_BALL_GUARD = 32
+_BALL_MAX_BITS = 1 << 14
+
+
+def _ball_bits(ctx: PrecisionContext) -> int:
+    """The scale P of the balls for a context: its precision in bits plus _BALL_GUARD."""
+    return ctx.mp.prec + _BALL_GUARD
+
+
+def _ball_sqrt(k: int, bits: int) -> tuple:
+    """sqrt(k) for an integer k >= 0: (S, 1), S = isqrt(4^bits k) = floor(2^bits sqrt(k)), so 2^bits sqrt(k) is in [S, S + 1)."""
+    return math.isqrt(k << 2 * bits), 1
+
+
+@functools.lru_cache(maxsize=16)
+def _ball_pi(bits: int) -> tuple:
+    """pi: (L + 1, 1), L = floor(2^bits lo) for the enclosure lo < pi < hi of ``pi_enclosure``.
+
+    Its digit count d = ceil(bits log10 2) + 1 gives hi - lo < 10^-d < 2^-bits,
+    so L <= 2^bits lo < 2^bits pi < 2^bits hi < 2^bits lo + 1 < L + 2.
+    """
+    lo, _ = pi_enclosure(math.ceil(bits * math.log10(2)) + 1)
+    return (lo.numerator << bits) // lo.denominator + 1, 1
+
+
+@functools.lru_cache(maxsize=16)
+def _ball_ln2(bits: int) -> tuple:
+    """ln 2: (L + 1, 1), from ln 2 = 2 atanh(1/3) = sum_{j>=0} 2 / ((2j+1) 3^(2j+1)).
+
+    At the finer scale 2^-w, w = bits + g with g = bits.bit_length(), the sum
+    S of the J floors floor(2^(w+1) / ((2j+1) 3^(2j+1))) over j < J, J the
+    first j with 3^(2j+1) > 2^(w+1) (so J >= 1), loses under 1 per floor, and
+    the tail from J on is below (9/8) 2^(w+1) / ((2J+1) 3^(2J+1)) < 3/8: so
+    S <= 2^w ln 2 < S + J + 1.  J < (w+1)/3 + 1 <= bits < 2^g for bits >= 16,
+    so L = floor(S / 2^g) <= 2^bits ln 2 < (S + J + 1) / 2^g < L + 2.
+    """
+    extra = bits.bit_length()
+    top = 1 << bits + extra + 1
+    total, odd, power = 0, 1, 3  # power = 3^odd, odd = 2j + 1
+    while power <= top:
+        total += top // (odd * power)
+        odd, power = odd + 2, power * 9
+    return (total >> extra) + 1, 1
+
+
+def _icbrt(k: int) -> int:
+    """floor(k^(1/3)) for an integer k >= 1, by Newton's method on integers.
+
+    From x = 2^ceil(bits(k)/3) > k^(1/3), each step takes
+    y = floor((2x + floor(k/x^2)) / 3) = floor((2x + k/x^2) / 3), which is at
+    least floor(k^(1/3)) by the mean inequality.  While x > floor(k^(1/3)),
+    x^3 > k gives k/x^2 < x and so y < x; the loop stops at the first y >= x,
+    which is therefore at x = floor(k^(1/3)).
+    """
+    x = 1 << -(-k.bit_length() // 3)
+    while (y := (2 * x + k // (x * x)) // 3) < x:
+        x = y
+    return x
+
+
+@functools.lru_cache(maxsize=16)
+def _ball_cbrt2(bits: int) -> tuple:
+    """2^(1/3): (C, 1), C = floor(2^bits 2^(1/3)), the integer cube root of 2^(3 bits + 1)."""
+    return _icbrt(2 << 3 * bits), 1
+
+
+def _ball_scale(a: tuple, num: int, den: int = 1) -> tuple:
+    """a * num / den for integers num and den > 0.
+
+    The midpoint floor(M num / den) is within 1 of M num / den, and the
+    operand's radius contributes e |num| / den: the radius is
+    floor(e |num| / den) + 2, and exactly e |num| when den = 1.
+    """
+    if den == 1:
+        return a[0] * num, a[1] * abs(num)
+    return a[0] * num // den, a[1] * abs(num) // den + 2
+
+
+def _ball_add(a: tuple, b: tuple) -> tuple:
+    """a + b at one scale: the midpoints and the radii add, exactly."""
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _ball_mul(a: tuple, b: tuple, bits: int) -> tuple:
+    """a * b at scale 2^-bits.
+
+    With X = M_a + d_a and Y = M_b + d_b, |d_a| <= e_a and |d_b| <= e_b,
+    X Y / 2^bits - M_a M_b / 2^bits = (M_a d_b + M_b d_a + d_a d_b) / 2^bits,
+    at most (|M_a| e_b + |M_b| e_a + e_a e_b) / 2^bits in size, and the
+    midpoint floor(M_a M_b / 2^bits) is within 1 more: the radius is that
+    floored, plus 2.
+    """
+    (x, ex), (y, ey) = a, b
+    return x * y >> bits, (abs(x) * ey + abs(y) * ex + ex * ey >> bits) + 2
+
+
+def _ball_div(a: tuple, b: tuple, bits: int) -> tuple:
+    """a / b at scale 2^-bits, for a ball b of positive reals (M_b > e_b).
+
+    With X, Y as in ``_ball_mul``, 2^bits X / Y - 2^bits M_a / M_b =
+    2^bits (d_a M_b - M_a d_b) / (Y M_b), at most
+    2^bits (e_a M_b + |M_a| e_b) / ((M_b - e_b) M_b) in size; the radius is
+    that rounded up, plus 1 for the floor of the midpoint
+    floor(2^bits M_a / M_b).
+    """
+    (x, ex), (y, ey) = a, b
+    return (x << bits) // y, -(-((ex * y + abs(x) * ey) << bits) // ((y - ey) * y)) + 1
+
+
+def _ball_exp(y: tuple, bits: int) -> tuple:
+    """e^-y for a ball y of reals y >= 0, at scale 2^-bits.
+
+    Reduction.  With (L, 1) = ``_ball_ln2(bits)`` and Y = max(M_y, 0) (no
+    farther than M_y from 2^bits y, as y >= 0), k = floor(Y / L) and
+    T = Y - k L in [0, L).  The point z = k ln 2 + T / 2^bits has
+    |2^bits (z - y)| <= k + e_y, and e^-z = 2^-k e^-t with t = T / 2^bits.
+    Halving.  t' = t / 2^s, with h = floor(3 isqrt(bits) / 4) and
+    s = max(0, h - (bits - bitlen(T))) so that t' < 2^-h, is held exactly at
+    the finer scale 2^-w, w = bits + 2h + s + 16, as X = 2^w t'.
+    Series.  The terms tau_j = 2^w t'^j / j! are formed as
+    floor(floor(term_(j-1) X / 2^w) / j), each under tau_j by less than
+    (its predecessor's shortfall) t' / j + 1 < 2, until the first that is 0,
+    at j = J; the alternating sum of the terms before it is within 2J - 2 of
+    the first J terms of 2^w e^-t', and the rest of the series, alternating
+    with decreasing terms, is under tau_J < 2: the error R_0 < 2J.
+    Squaring.  s times V -> floor(V^2 / 2^w): with the true values at most
+    2^w (t >= 0), an error R becomes at most R (2^(w+1) + R) / 2^w + 1, that
+    is 2R + floor(R^2 / 2^w) + 2, computed alongside.
+    Result.  M = floor(V / 2^(w - bits + k)) is within R_s / 2^(w-bits+k) + 1
+    of 2^bits e^-z.  And |e^-y - e^-z| <= e^-z e^d d with d = |y - z| <=
+    (k + e_y) / 2^bits, where e^-z <= 2^-k; while k + e_y < 2^(bits-1) < 2^bits ln 2,
+    e^d < 2, so 2^bits |e^-y - e^-z| < 2 (k + e_y) / 2^k.  The radius is
+    floor(R_s / 2^(w-bits+k)) + 2 + floor(2 (k + e_y) / 2^k) + 1.  A wider
+    argument ball raises PrecisionError.
+    Size.  As s <= h and t' < 2^-h <= 1/2 (bits >= 4), tau_j < 2^(w-j), so
+    J <= w + 1; while R < 2^(w/2) a squaring gives 2R + 2, so
+    R_s < 2^h (2w + 4) < 2^(2h+16) <= 2^(w-bits), and the radius is at most
+    3 + floor(2 (k + e_y) / 2^k) <= 4 + 2 e_y.
+    """
+    middle, radius = y
+    ln2 = _ball_ln2(bits)[0]
+    k, reduced = divmod(max(middle, 0), ln2)
+    if k + radius >= 1 << bits - 1:
+        raise PrecisionError(f"the argument of exp is not known to 1/2 at {bits} bits")
+    small = math.isqrt(bits) * 3 // 4
+    halvings = max(0, small - (bits - reduced.bit_length()))
+    width = bits + 2 * small + halvings + 16
+    x = reduced << width - bits - halvings
+    term = total = 1 << width
+    j = 0
+    while term:
+        j += 1
+        term = (term * x >> width) // j
+        total += -term if j % 2 else term
+    error = 2 * j
+    for _ in range(halvings):
+        total = total * total >> width
+        error = 2 * error + (error * error >> width) + 2
+    shift = width - bits + k
+    return total >> shift, (error >> shift) + 3 + (2 * (k + radius) >> k)
+
+
+def _ball_sign(a: tuple, b: tuple) -> int:
+    """1 when every real of ball a exceeds every real of ball b, -1 for the reverse, 0 when the balls overlap.
+
+    A 0 is undecided, so two balls never decide an exact tie.
+    """
+    if a[0] - a[1] > b[0] + b[1]:
+        return 1
+    if a[0] + a[1] < b[0] - b[1]:
+        return -1
+    return 0
+
+
+def _ball_decide(signs, bits: int) -> list:
+    """signs(P) at P = bits, then at twice the scale while the first nonnegative sign is 0.
+
+    ``signs(P)`` returns the ``_ball_sign`` of each comparison of a group,
+    from balls at scale 2^-P; the group's verdict is read off its first sign
+    that is not -1, so only that one needs deciding.  Past _BALL_MAX_BITS it
+    raises PrecisionError, so an undecided comparison never passes.
+    """
+    while True:
+        found = signs(bits)
+        if next((sign for sign in found if sign != -1), -1):
+            return found
+        if bits >= _BALL_MAX_BITS:
+            raise PrecisionError(f"a ball comparison is undecided at {bits} bits")
+        bits = min(2 * bits, _BALL_MAX_BITS)

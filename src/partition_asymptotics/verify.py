@@ -26,7 +26,20 @@ from .coefficients import (
 from .errors import DomainError
 from .expansion import exp_error_term, r_hat, remainder_exact
 from .partitions import partition_dp_row, partition_pentagonal
-from .precision import PrecisionContext
+from .precision import (
+    PrecisionContext,
+    _ball_add,
+    _ball_bits,
+    _ball_cbrt2,
+    _ball_decide,
+    _ball_div,
+    _ball_exp,
+    _ball_mul,
+    _ball_pi,
+    _ball_scale,
+    _ball_sign,
+    _ball_sqrt,
+)
 from .series import gf_coefficients, gf_reference
 
 # the enclosure sweeps check every N in 0..ENCLOSURE_N_MAX at each n
@@ -91,81 +104,106 @@ def _lemma2(m_max: int, ctx: PrecisionContext):
             yield None if _weierstrass_holds(m, k) else f"product inequality fails at m={m}, k={k}"
 
 
-@functools.lru_cache(maxsize=None)
-def _lemma3_constants(ctx: PrecisionContext) -> tuple:
-    """(pi/6, sqrt(2), 1/sqrt(2), 12*2^(1/3), 2^(2/3), 2/3) at one context, formed once."""
-    mp = ctx.mp
-    sqrt2 = mp.sqrt(2)
-    return mp.pi / 6, sqrt2, 1 / sqrt2, 12 * mp.cbrt(2), mp.cbrt(4), mp.mpf(2) / 3
+def _lemma3_chain(n: int, bits: int, full: bool = True) -> tuple:
+    """Balls at scale 2^-bits for (sqrt(24n-1), mu, e^(-mu/2), simple bracket, full bracket) at one n.
 
+    mu = (pi/6) sqrt(24n-1).  The simple bracket
+    1/sqrt(2) + 14/mu + ((2/3) mu^2 - 13) e^(-mu/2) is decreasing for n >= 8,
+    and times e^(-mu/2) it is the simple envelope.  The full bracket, which
+    times e^(-mu/2) is the five-term envelope of the residual source term,
 
-def _lemma3_chain(n: int, ctx: PrecisionContext, full: bool = True) -> tuple:
-    """(sqrt(24n-1), mu, e^(-mu/2), simple bracket, full envelope) at one n, mu = (pi/6) sqrt(24n-1).
+      1/sqrt(2) + (12*2^(1/3) - sqrt(2))/mu + (mu^2 2^(1/3)/2 - 12*2^(1/3)) e^(-mu/2)
+      + (1/sqrt(2) + (2 - 12*2^(1/3))/mu) e^(-mu) + (1 + 1/mu) e^(-3mu/2),
 
-    The simple bracket 1/sqrt(2) + 14/mu + ((2/3) mu^2 - 13) e^(-mu/2) is
-    decreasing for n >= 8, and times e^(-mu/2) it is the simple envelope.  The
-    five-term envelope of the residual source term,
-
-    [ 1/sqrt(2) + (12*2^(1/3) - sqrt(2))/mu + (mu^2/2^(2/3) - 12*2^(1/3)) e^(-mu/2)
-      + (1/sqrt(2) + (2 - 12*2^(1/3))/mu) e^(-mu) + (1 + 1/mu) e^(-3mu/2) ] * e^(-mu/2),
-
-    is formed only when ``full`` is true, and is None otherwise.
+    is formed by Horner in D = e^(-mu/2) only when ``full`` is true, and is
+    None otherwise.  One exp per n: e^(-mu) = D^2 and e^(-3mu/2) = D^3.
     """
-    mp = ctx.mp
-    pi_6, sqrt2, inv_sqrt2, twelve_cbrt2, cbrt4, two_thirds = _lemma3_constants(ctx)
-    r = mp.sqrt(mp.mpf(24 * n - 1))
-    mu = pi_6 * r
-    decay = mp.exp(-mu / 2)
-    simple = inv_sqrt2 + 14 / mu + (two_thirds * mu**2 - 13) * decay
+    one = (1 << bits, 0)
+    r = _ball_sqrt(24 * n - 1, bits)
+    mu = _ball_scale(_ball_mul(_ball_pi(bits), r, bits), 1, 6)
+    inverse = _ball_div(one, mu, bits)
+    decay = _ball_exp(_ball_scale(mu, 1, 2), bits)
+    square = _ball_mul(mu, mu, bits)
+    sqrt2 = _ball_sqrt(2, bits)
+    root_half = _ball_scale(sqrt2, 1, 2)
+    simple = _ball_add(
+        _ball_add(root_half, _ball_scale(inverse, 14)),
+        _ball_mul(_ball_add(_ball_scale(square, 2, 3), _ball_scale(one, -13)), decay, bits),
+    )
     if not full:
         return r, mu, decay, simple, None
-    bracket = (
-        inv_sqrt2
-        + (twelve_cbrt2 - sqrt2) / mu
-        + (mu**2 / cbrt4 - twelve_cbrt2) * decay
-        + (inv_sqrt2 + (2 - twelve_cbrt2) / mu) * mp.exp(-mu)
-        + (1 + 1 / mu) * mp.exp(-3 * mu / 2)
-    )
-    return r, mu, decay, simple, bracket * decay
+    # bracket = 1/sqrt(2) + a/mu + D (k1 + D (k2 + D k3)), with c = 2^(1/3),
+    # a = 12c - sqrt(2), k1 = mu^2 c/2 - 12c, k2 = 1/sqrt(2) + (2 - 12c)/mu, k3 = 1 + 1/mu
+    cbrt2 = _ball_cbrt2(bits)
+    minus_twelve_cbrt2 = _ball_scale(cbrt2, -12)
+    a = _ball_add(_ball_scale(cbrt2, 12), _ball_scale(sqrt2, -1))
+    k1 = _ball_add(_ball_scale(_ball_mul(square, cbrt2, bits), 1, 2), minus_twelve_cbrt2)
+    k2 = _ball_add(root_half, _ball_mul(_ball_add(_ball_scale(one, 2), minus_twelve_cbrt2), inverse, bits))
+    k3 = _ball_add(one, inverse)
+    horner = _ball_add(k1, _ball_mul(decay, _ball_add(k2, _ball_mul(decay, k3, bits)), bits))
+    bracket = _ball_add(_ball_add(root_half, _ball_mul(a, inverse, bits)), _ball_mul(decay, horner, bits))
+    return r, mu, decay, simple, bracket
 
 
 def _lemma3(n_max: int, ctx: PrecisionContext):
-    """|r_hat(n)| <= exp(-(pi/2) sqrt(2n/3)), envelope shape, and proof chain."""
-    mp = ctx.mp
-    pi_6 = _lemma3_constants(ctx)[0]
-    ninety_seven, pi_12 = mp.mpf("0.97"), mp.pi / 12
+    """|r_hat(n)| <= exp(-(pi/2) sqrt(2n/3)), envelope shape, and proof chain.
+
+    Every claim after the r_hat loop is decided on integer balls from the
+    ``precision`` helpers: each group of comparisons that is undecided at
+    the context's scale is redone at twice the scale, and raises
+    PrecisionError past the widest.  A sign of -1 means the claim holds.
+    """
     table = partition_pentagonal(n_max)
     for n in range(1, n_max + 1):
         bad = abs(r_hat(n, table, ctx)) > exp_error_term(n, ctx)
         yield f"|r_hat({n})| exceeds the exponential envelope" if bad else None
-    if not _lemma3_chain(432, ctx, full=False)[3] < ninety_seven:
+    bits = _ball_bits(ctx)
+
+    @functools.lru_cache(maxsize=4)  # n - 1 and n, at one or two scales
+    def chain(n, P):
+        return _lemma3_chain(n, P, full=n <= 1000)
+
+    def below_097(P):
+        return [_ball_sign(_ball_scale(chain(432, P)[3], 100), (97 << P, 0))]
+
+    def envelope(n, P):
+        # full bracket < simple bracket: the two envelopes share the factor e^(-mu/2) > 0.
+        # With E1 = exp(-(pi/12)/(sqrt(24n-1) + sqrt(24n))) and
+        # mu - pi sqrt(2n/3) = (pi/6)(sqrt(24n-1) - sqrt(24n)) = -(pi/6)/(sqrt(24n-1) + sqrt(24n)),
+        # the damping factor (24n/(24n-1)) exp(mu - pi sqrt(2n/3)) < 1 is 24n E1^2 < 24n - 1,
+        # and the absorption 0.97 exp((pi/12)/(sqrt(24n-1) + sqrt(24n))) < 1 is 0.97 < E1
+        r, _, _, simple, bracket = chain(n, P)
+        E1 = _ball_exp(_ball_div(_ball_pi(P), _ball_scale(_ball_add(r, _ball_sqrt(24 * n, P)), 12), P), P)
+        return [
+            _ball_sign(bracket, simple),
+            _ball_sign(_ball_scale(_ball_mul(E1, E1, P), 24 * n), ((24 * n - 1) << P, 0)),
+            _ball_sign((97 << P, 0), _ball_scale(E1, 100)),
+        ]
+
+    def decrease(n, P):
+        return [_ball_sign(chain(n, P)[3], chain(n - 1, P)[3])]
+
+    def grid(i, P):
+        # exp(-pi x/12) <= 1 - x^2 at x = i/4000, times 4000^2 on both sides
+        value = _ball_exp(_ball_scale(_ball_pi(P), i, 48000), P)
+        return [_ball_sign(_ball_scale(value, 4000**2), ((4000**2 - i * i) << P, 0))]
+
+    if _ball_decide(below_097, bits)[0] > 0:
         yield "simple bracket at n=432 is not below 0.97"  # counted only when it fails
     # one pass over n: the envelope chain for n <= 1000, and the decrease of
     # the simple bracket from n = 8 on
+    messages = ("full envelope exceeds simple envelope", "damping factor exceeds 1", "0.97 absorption fails")
     for n in range(1, 5001):
-        r, mu, decay, current, full = _lemma3_chain(n, ctx, full=n <= 1000)
         if n <= 1000:
-            q = mp.sqrt(mp.mpf(24 * n))
-            # (24n/(24n-1)) * exp(mu - pi sqrt(2n/3)) <= 1, with mu - pi sqrt(2n/3) = (pi/6)(r - q)
-            damping = mp.mpf(24 * n) / (24 * n - 1) * mp.exp(pi_6 * (r - q))
-            # 0.97 * exp((pi/12)/(sqrt(24n-1)+sqrt(24n))) < 1
-            wiggle = ninety_seven * mp.exp(pi_12 / (r + q))
-            if full > current * decay:
-                yield f"full envelope exceeds simple envelope at n={n}"
-            elif damping > 1:
-                yield f"damping factor exceeds 1 at n={n}"
-            elif not wiggle < 1:
-                yield f"0.97 absorption fails at n={n}"
-            else:
-                yield None
-        if n >= 8:
-            if n > 8:
-                yield None if current < previous else f"simple bracket not decreasing at n={n}"
-            previous = current
+            signs = _ball_decide(functools.partial(envelope, n), bits)
+            failed = next((message for message, sign in zip(messages, signs) if sign > 0), None)
+            yield f"{failed} at n={n}" if failed else None
+        if n > 8:
+            fails = _ball_decide(functools.partial(decrease, n), bits)[0] > 0
+            yield f"simple bracket not decreasing at n={n}" if fails else None
     for i in range(1, 1001):
-        x = mp.mpf(i) / 4000  # grid over (0, 1/4]
-        bad = mp.exp(-mp.pi * x / 12) / (1 - x**2) > 1
-        yield f"exp(-pi x/12)/(1-x^2) exceeds 1 at x={mp.nstr(x, 6)}" if bad else None
+        bad = _ball_decide(functools.partial(grid, i), bits)[0] > 0
+        yield f"exp(-pi x/12)/(1-x^2) exceeds 1 at x={i / 4000:.6g}" if bad else None
 
 
 def _thm1(n_max: int, ctx: PrecisionContext):

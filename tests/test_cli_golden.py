@@ -23,7 +23,7 @@ FORMATS = ("human", "csv", "json")
 
 def _commands():
     """The corpus: every subcommand, every format, and the error cases."""
-    commands = [["partition", "100"], ["--format", "json", "partition", "0"]]
+    commands = [["partition", "100"], ["--format", "json", "partition", "0"], ["partition", "-1"]]
     for fmt, digits in zip(FORMATS, ("30", "31", "80")):
         commands.append(["--digits", digits, "--format", fmt, "coeff", "12"])
     turn = 0
@@ -41,6 +41,8 @@ def _commands():
         ["table1"],
         ["--format", "csv", "table2"],
         ["verify", "thm1", "--n-max", "20"],
+        *(["--format", fmt, "verify", "lemma3", "--n-max", "20"] for fmt in FORMATS),
+        ["--digits", "30", "verify", "lemma3", "--n-max", "20"],
         ["--format", "json", "verify", "oracle", "--n-max", "20"],
         ["coeff", "-1"],
         ["bounds", "0", "3"],

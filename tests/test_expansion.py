@@ -27,25 +27,54 @@ from partition_asymptotics import (
     thm2_bounds,
     thm3_bounds,
 )
-from partition_asymptotics import bounds, coefficients, expansion, verify
+from partition_asymptotics import bounds, coefficients, expansion, precision, verify
 from partition_asymptotics.cli import format_scientific
 
 from helpers import ulp
 
 
+def _lemma3_balls(n, ctx):
+    """(P, chain): the lemma3 sweep's balls at n, at the context's scale 2^-P."""
+    bits = precision._ball_bits(ctx)
+    return bits, verify._lemma3_chain(n, bits)
+
+
+def _midpoint(ball, bits, ctx):
+    """A ball's midpoint M / 2^P, rounded once to the context."""
+    return ctx.mp.ldexp(ctx.mp.mpf(ball[0]), -bits)
+
+
+def _assert_encloses(ball, bits, value):
+    """The ball holds ``value``, taken at three times the digits, and its radius is bounded."""
+    middle, radius = ball
+    mp = value.context
+    assert abs(middle - mp.ldexp(value, bits)) <= radius, (ball, value)
+    assert 0 <= radius < 2 ** (precision._BALL_GUARD - 8), ball
+
+
 def _mu(n, ctx):
-    """mu(n) = (pi/6) sqrt(24n - 1), as the lemma3 sweep forms it."""
-    return verify._lemma3_chain(n, ctx, full=False)[1]
+    """(P, mu ball), mu(n) = (pi/6) sqrt(24n - 1), as the lemma3 sweep forms it."""
+    bits, chain = _lemma3_balls(n, ctx)
+    return bits, chain[1]
 
 
 def test_mu_values(ctx80):
     mp = ctx80.mp
-    assert mp.almosteq(_mu(1, ctx80), mp.pi * mp.sqrt(23) / 6, rel_eps=mp.mpf(10) ** -75)
-    assert mp.nstr(_mu(1, ctx80), 5) == "2.5111"
-    assert mp.nstr(_mu(1000, ctx80), 4) == "81.11"
+    hi = PrecisionContext(240).mp
+    for n in (1, 7, 432, 1000, 5000):
+        bits, ball = _mu(n, ctx80)
+        _assert_encloses(ball, bits, hi.pi * hi.sqrt(24 * n - 1) / 6)
+
+    def mu(n):
+        bits, ball = _mu(n, ctx80)
+        return _midpoint(ball, bits, ctx80)
+
+    assert mp.almosteq(mu(1), mp.pi * mp.sqrt(23) / 6, rel_eps=mp.mpf(10) ** -75)
+    assert mp.nstr(mu(1), 5) == "2.5111"
+    assert mp.nstr(mu(1000), 4) == "81.11"
     # mu^2 = pi^2 (24n - 1)/36 exactly as an identity on rationals times pi^2
     for n in (1, 7, 432, 1000):
-        value = _mu(n, ctx80) ** 2
+        value = mu(n) ** 2
         expected = mp.pi**2 * (24 * n - 1) / 36
         assert abs(value - expected) <= 8 * ulp(expected, ctx80)
 
@@ -245,35 +274,51 @@ def test_remainder_minus_r_hat_is_theta_term(ctx80, table):
 
 
 def test_t_bound_full_matches_term_by_term(ctx80):
-    # independent re-evaluation of the five-term envelope at n = 1
+    # independent re-evaluation of the five-term envelope at n = 1, at three times the digits
     mp = ctx80.mp
-    m = mp.pi / 6 * mp.sqrt(23)
-    c = 12 * mp.cbrt(2)
+    hi = PrecisionContext(240).mp
+    m = hi.pi / 6 * hi.sqrt(23)
+    c = 12 * hi.cbrt(2)
     terms = [
-        1 / mp.sqrt(2),
-        (c - mp.sqrt(2)) / m,
-        (m**2 / mp.cbrt(4) - c) * mp.exp(-m / 2),
-        (1 / mp.sqrt(2) + (2 - c) / m) * mp.exp(-m),
-        (1 + 1 / m) * mp.exp(-3 * m / 2),
+        1 / hi.sqrt(2),
+        (c - hi.sqrt(2)) / m,
+        (m**2 / hi.cbrt(4) - c) * hi.exp(-m / 2),
+        (1 / hi.sqrt(2) + (2 - c) / m) * hi.exp(-m),
+        (1 + 1 / m) * hi.exp(-3 * m / 2),
     ]
-    expected = sum(terms) * mp.exp(-m / 2)
-    assert mp.almosteq(verify._lemma3_chain(1, ctx80)[4], expected, rel_eps=mp.mpf(10) ** -70)
+    expected = sum(terms) * hi.exp(-m / 2)
+    bits, (_, _, decay, _, bracket) = _lemma3_balls(1, ctx80)
+    envelope = precision._ball_mul(bracket, decay, bits)
+    _assert_encloses(envelope, bits, expected)
+    assert mp.almosteq(_midpoint(envelope, bits, ctx80), expected, rel_eps=mp.mpf(10) ** -70)
 
 
 def test_t_bound_positive_and_ordered(ctx80):
+    hi = PrecisionContext(240).mp
     for n in range(1, 1001, 7):
-        _, _, decay, bracket, full_value = verify._lemma3_chain(n, ctx80)
-        assert full_value > 0
-        assert full_value <= bracket * decay
+        bits, (_, _, decay, bracket, full_bracket) = _lemma3_balls(n, ctx80)
+        full_value = precision._ball_mul(full_bracket, decay, bits)
+        m = hi.pi * hi.sqrt(24 * n - 1) / 6
+        _assert_encloses(decay, bits, hi.exp(-m / 2))
+        _assert_encloses(bracket, bits, 1 / hi.sqrt(2) + 14 / m + (2 * m**2 / 3 - 13) * hi.exp(-m / 2))
+        assert full_value[0] - full_value[1] > 0
+        assert precision._ball_sign(full_value, precision._ball_mul(bracket, decay, bits)) == -1
 
 
 def test_simple_bracket_threshold(ctx80):
     mp = ctx80.mp
-    at_431 = verify._lemma3_chain(431, ctx80)[3]
-    _, m, _, at_432, full_value = verify._lemma3_chain(432, ctx80)
-    assert at_432 < mp.mpf("0.97") < at_431
-    assert mp.nstr(at_432, 10) == "0.9697117096"
-    assert full_value < mp.mpf("0.97") * mp.exp(-m / 2)
+    hi = PrecisionContext(240).mp
+    bits, at_431 = _lemma3_balls(431, ctx80)
+    _, (_, _, decay, at_432, full_bracket) = _lemma3_balls(432, ctx80)
+    for n, ball in ((431, at_431[3]), (432, at_432)):
+        mu = hi.pi * hi.sqrt(24 * n - 1) / 6
+        _assert_encloses(ball, bits, 1 / hi.sqrt(2) + 14 / mu + (2 * mu**2 / 3 - 13) * hi.exp(-mu / 2))
+    sign, scale = precision._ball_sign, precision._ball_scale
+    threshold = (97 << bits, 0)  # 0.97, times 100
+    assert sign(scale(at_432, 100), threshold) == -1 and sign(threshold, scale(at_431[3], 100)) == -1
+    assert mp.nstr(_midpoint(at_432, bits, ctx80), 10) == "0.9697117096"
+    full_value = precision._ball_mul(full_bracket, decay, bits)
+    assert sign(scale(full_value, 100), scale(decay, 97)) == -1
 
 
 def test_cancellation_guard(table):
@@ -316,10 +361,9 @@ def _table_20000():
     return partition_pentagonal(20000)
 
 
-def _plain_values(n, p, ctx):
-    """The per-n reals with every formula written out and formed afresh."""
+def _plain_lemma3(n, ctx):
+    """The lemma3 sweep's reals at n with every formula written out and formed afresh."""
     mp = ctx.mp
-    exponent = mp.pi * mp.sqrt(mp.mpf(2 * n) / 3)
     m = mp.pi / 6 * mp.sqrt(mp.mpf(24 * n - 1))
     twelve_cbrt2 = 12 * mp.cbrt(2)
     inv_sqrt2 = 1 / mp.sqrt(2)
@@ -331,6 +375,20 @@ def _plain_values(n, p, ctx):
         + (1 + 1 / m) * mp.exp(-3 * m / 2)
     )
     simple_bracket = 1 / mp.sqrt(2) + 14 / m + (mp.mpf(2) / 3 * m**2 - 13) * mp.exp(-m / 2)
+    return {
+        "r": mp.sqrt(mp.mpf(24 * n - 1)),
+        "decay": mp.exp(-m / 2),
+        "mu": m,
+        "t_bound_full": bracket * mp.exp(-m / 2),
+        "t_bound_simple_bracket": simple_bracket,
+        "t_bound_simple": simple_bracket * mp.exp(-m / 2),
+    }
+
+
+def _plain_values(n, p, ctx):
+    """The per-n reals with every formula written out and formed afresh."""
+    mp = ctx.mp
+    exponent = mp.pi * mp.sqrt(mp.mpf(2 * n) / 3)
     E = mp.exp(-exponent / 2)
     half = mp.mpf("0.5")
     root = coefficients._sqrt_ratio
@@ -362,12 +420,6 @@ def _plain_values(n, p, ctx):
 
     sums = {N: horner(N) for N in (*range(13), M, M + 2)}
     return {
-        "r": mp.sqrt(mp.mpf(24 * n - 1)),
-        "decay": mp.exp(-m / 2),
-        "mu": m,
-        "t_bound_full": bracket * mp.exp(-m / 2),
-        "t_bound_simple_bracket": simple_bracket,
-        "t_bound_simple": simple_bracket * mp.exp(-m / 2),
         "prefactor": mp.exp(exponent) / (4 * mp.sqrt(3) * n),
         "P": 4 * mp.sqrt(3) * n * p * mp.exp(-exponent),
         "E": E,
@@ -383,7 +435,7 @@ def _plain_values(n, p, ctx):
 
 def _memo_values(n, table, ctx, order):
     """The same reals through the public functions, the per-n record and the
-    lemma3 sweep's chain, the memo filled in ``order``."""
+    lemma3 sweep's chain (as balls), the memo filled in ``order``."""
     expansion._per_n.cache_clear()
     out = {"rows": {}}
 
@@ -401,14 +453,15 @@ def _memo_values(n, table, ctx, order):
         out["Banerjee"] = [None, None] + [banerjee_bounds(n, N, ctx) for N in range(2, 13)]
 
     def scalars():
-        r, m, decay, simple_bracket, full = verify._lemma3_chain(n, ctx)
+        bits = precision._ball_bits(ctx)
+        r, m, decay, simple_bracket, full = verify._lemma3_chain(n, bits)
         out.update(
             r=r,
             decay=decay,
             mu=m,
-            t_bound_full=full,
+            t_bound_full=precision._ball_mul(full, decay, bits),
             t_bound_simple_bracket=simple_bracket,
-            t_bound_simple=simple_bracket * decay,
+            t_bound_simple=precision._ball_mul(simple_bracket, decay, bits),
             prefactor=expansion._per_n(n, ctx).prefactor,
             P=expansion._per_n(n, ctx).normalized(table.p(n)),
             E=exp_error_term(n, ctx),
@@ -465,23 +518,16 @@ def test_memo_is_bit_identical_to_the_plain_formulas():
         for n in MEMO_NS:
             table = _table_20000()
             plain = _plain_values(n, table.p(n), ctx)
+            # the lemma3 chain's balls hold the plain values at three times the digits
+            lemma3 = _plain_lemma3(n, PrecisionContext(3 * digits))
             for order in orders:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", PrecisionWarning)
                     memo = _memo_values(n, table, ctx, order)
                 where = (n, digits, order)
-                for key in (
-                    "r",
-                    "decay",
-                    "mu",
-                    "t_bound_full",
-                    "t_bound_simple_bracket",
-                    "t_bound_simple",
-                    "prefactor",
-                    "P",
-                    "E",
-                    "full",
-                ):
+                for key, value in lemma3.items():
+                    _assert_encloses(memo[key], precision._ball_bits(ctx), value)
+                for key in ("prefactor", "P", "E", "full"):
                     assert memo[key]._mpf_ == plain[key]._mpf_, (key, where)
                 beyond = plain["sums"][expansion._series_length(n, ctx) + 2]
                 assert memo["beyond"]._mpf_ == beyond._mpf_, where

@@ -123,3 +123,32 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     assert functions, "no public function found"
     uncalled = sorted(f"{home[name]}.{name}" for name in functions if not called(name))
     assert not uncalled, f"public functions only the tests call: {', '.join(uncalled)}"
+
+
+def test_ball_decisions_read_no_mpmath_reals():
+    # the integer ball layer, the lemma-3 chain and the lemma3 sweep decide
+    # on balls alone: pi comes only from pi_enclosure, roots and exp from
+    # integers, so no function among them reads mp.pi, mp.exp, mp.sqrt or
+    # mp.cbrt (or a bare or other attribute of those names)
+    banned = {"pi", "exp", "sqrt", "cbrt"}
+
+    def checked(stem, name):
+        if stem == "precision":
+            return name.startswith("_ball") or name == "_icbrt"
+        return stem == "verify" and name in ("_lemma3_chain", "_lemma3")
+
+    functions = [
+        node
+        for path in MODULES
+        for node in _tree(path).body
+        if isinstance(node, ast.FunctionDef) and checked(path.stem, node.name)
+    ]
+    names = {function.name for function in functions}
+    assert {"_lemma3_chain", "_lemma3", "_ball_exp", "_ball_pi", "_ball_sqrt", "_ball_decide"} <= names, names
+    reads = [
+        f"{function.name}: {getattr(node, 'attr', getattr(node, 'id', ''))} (line {node.lineno})"
+        for function in functions
+        for node in ast.walk(function)
+        if (isinstance(node, ast.Attribute) and node.attr in banned) or (isinstance(node, ast.Name) and node.id in banned)
+    ]
+    assert not reads, f"ball decisions read an mpmath real: {', '.join(reads)}"

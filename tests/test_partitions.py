@@ -130,7 +130,7 @@ def test_growth_rate(table):
 def test_out_of_range_lookup(table):
     with pytest.raises(ResourceError):
         table.p(table.n_max + 1)
-    with pytest.raises(ResourceError):
+    with pytest.raises(DomainError, match="n must be nonnegative, got -1"):
         table.p(-1)
 
 

@@ -1,5 +1,6 @@
-"""Context arithmetic, the rational pi enclosure, and the Lambert W branch."""
+"""Context arithmetic, the rational pi enclosure, the Lambert W branch and the integer ball layer."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -10,8 +11,11 @@ from mpmath.functions.functions import SpecialFunctions
 from partition_asymptotics import (
     DomainError,
     PrecisionContext,
+    PrecisionError,
     lambert_w_minus1,
     pi_enclosure,
+    precision,
+    verify,
 )
 from partition_asymptotics.coefficients import coeff_envelope
 
@@ -305,3 +309,134 @@ def test_lambert_domain_errors_show_x_to_15_digits(ctx80):
         with pytest.raises(DomainError) as caught:
             lambert_w_minus1(x, ctx80)
         assert str(caught.value) == f"lambert_w_minus1 requires {text}"
+
+
+# ---------------------------------------------------------------------------
+# integer balls: (M, e) at scale 2^-P stands for the reals x, |2^P x - M| <= e
+# ---------------------------------------------------------------------------
+
+BALL_DIGITS = (30, 80, 500)
+
+
+def _reference(bits):
+    """An mpmath context at three times the decimal digits of a ball scale."""
+    return PrecisionContext(3 * (int(bits * 0.30103) + 1)).mp
+
+
+def _encloses(ball, bits, value, mp):
+    middle, radius = ball
+    return radius >= 0 and abs(middle - mp.ldexp(value, bits)) <= radius
+
+
+@pytest.mark.parametrize("digits", BALL_DIGITS)
+def test_ball_constants_enclose_their_values(digits):
+    bits = precision._ball_bits(PrecisionContext(digits))
+    mp = _reference(bits)
+    for ball, value in (
+        (precision._ball_pi(bits), mp.pi),
+        (precision._ball_ln2(bits), mp.log(2)),
+        (precision._ball_cbrt2(bits), mp.cbrt(2)),
+        *((precision._ball_sqrt(k, bits), mp.sqrt(k)) for k in (0, 1, 2, 23, 24 * 5000, 10**40 + 1)),
+    ):
+        assert _encloses(ball, bits, value, mp), value
+        assert ball[1] == 1  # each docstring's radius
+
+
+def test_integer_cube_root():
+    for k in (*range(1, 2000), 2 << 900, 10**300, 3**600 - 1, 3**600, 3**600 + 1):
+        root = precision._icbrt(k)
+        assert root**3 <= k < (root + 1) ** 3, k
+
+
+@pytest.mark.parametrize("digits", BALL_DIGITS)
+def test_ball_exp_encloses_every_point_of_its_argument(digits):
+    bits = precision._ball_bits(PrecisionContext(digits))
+    mp = _reference(bits)
+    tiny = mp.ldexp(1, -bits)
+    ln2 = precision._ball_ln2(bits)[0]
+    for y in (0, tiny, mp.mpf(10) ** -30, mp.mpf("0.001"), mp.log(2), 1, mp.mpf("2.5"), 40, 91, 100):
+        for radius in (0, 1, 3):
+            middle = int(mp.floor(mp.ldexp(y, bits)))
+            if middle < radius:
+                continue  # the ball must hold only y >= 0
+            ball = precision._ball_exp((middle, radius), bits)
+            for point in (middle - radius, middle, middle + radius):
+                assert _encloses(ball, bits, mp.exp(-mp.ldexp(point, -bits)), mp), (y, radius, point)
+            k = middle // ln2
+            assert ball[1] <= 3 + (2 * (k + radius) >> k) <= 4 + 2 * radius, (y, radius)  # the docstring's radius
+    with pytest.raises(PrecisionError):
+        precision._ball_exp((1 << bits, 1 << bits - 1), bits)  # y in [1/2, 3/2] is not known to 1/2
+
+
+def test_ball_arithmetic_encloses_every_combination():
+    bits = 301
+    mp = _reference(bits)
+    a, b = (7 << bits, 5), (-(3 << bits) + 12345, 9)
+    c = (math.isqrt(2 << 2 * bits), 1)
+    for x in (a[0] - a[1], a[0] + a[1]):
+        for y in (b[0] - b[1], b[0] + b[1]):
+            for z in (c[0] - c[1], c[0] + c[1]):
+                X, Y, Z = (mp.ldexp(v, -bits) for v in (x, y, z))
+                assert _encloses(precision._ball_add(a, b), bits, X + Y, mp)
+                assert _encloses(precision._ball_mul(a, b, bits), bits, X * Y, mp)
+                assert _encloses(precision._ball_div(b, c, bits), bits, Y / Z, mp)
+                assert _encloses(precision._ball_scale(b, -13, 6), bits, Y * -13 / 6, mp)
+                assert _encloses(precision._ball_scale(b, -13), bits, Y * -13, mp)
+
+
+def test_ball_sign_is_undecided_while_balls_overlap():
+    sign = precision._ball_sign
+    assert sign((10, 2), (5, 2)) == 1
+    assert sign((5, 2), (10, 2)) == -1
+    assert sign((9, 2), (5, 2)) == 0  # 7 is in both
+    assert sign((7, 0), (7, 0)) == 0  # an exact tie is never decided
+
+
+def test_near_tie_is_decided_after_one_escalation(ctx80):
+    """simple bracket(432) < Q / 2^P, with the integer Q between its midpoint and its true value.
+
+    The midpoints answer wrongly at P, and the balls overlap; at 2P the true
+    verdict comes out.  With every radius of the layer set to 0 this fails.
+    """
+    bits = precision._ball_bits(ctx80)
+    mp = _reference(bits)
+    m = mp.pi / 6 * mp.sqrt(24 * 432 - 1)
+    true = mp.ldexp(1 / mp.sqrt(2) + 14 / m + (2 * m**2 / 3 - 13) * mp.exp(-m / 2), bits)
+    middle, radius = verify._lemma3_chain(432, bits)[3]
+    assert abs(true - middle) > 1  # so an integer lies strictly between them
+    target = middle + 1 if true > middle else middle - 1
+    holds = true < target
+    assert (middle < target) != holds  # the midpoints give the wrong answer
+    scales = []
+
+    def signs(P):
+        scales.append(P)
+        return [precision._ball_sign(verify._lemma3_chain(432, P)[3], (target << P - bits, 0))]
+
+    assert precision._ball_decide(signs, bits) == [-1 if holds else 1]
+    assert scales == [bits, 2 * bits]
+
+
+def test_exact_tie_raises_at_the_cap(ctx80):
+    scales = []
+
+    def signs(P):
+        scales.append(P)
+        # sqrt(2) sqrt(8) = 4 exactly
+        return [precision._ball_sign(precision._ball_mul(precision._ball_sqrt(2, P), precision._ball_sqrt(8, P), P), (4 << P, 0))]
+
+    with pytest.raises(PrecisionError):
+        precision._ball_decide(signs, precision._ball_bits(ctx80))
+    assert scales[-1] == precision._BALL_MAX_BITS
+    assert all(later == min(2 * earlier, precision._BALL_MAX_BITS) for earlier, later in zip(scales, scales[1:]))
+
+
+def test_ball_decide_reads_only_the_first_sign_that_is_not_minus_one():
+    calls = []
+
+    def signs(P):
+        calls.append(P)
+        return [-1, 1, 0]  # the group fails at its second claim; the third is not needed
+
+    assert precision._ball_decide(signs, 64) == [-1, 1, 0]
+    assert calls == [64]
