@@ -13,19 +13,22 @@ remainder ("Banerjee" tag); its validity threshold is not computable here, so
 those reports always carry valid=False and exist for width comparisons only.
 
 Every n-dependent factor in these bounds is the square root of a rational,
-and each is formed as one correctly rounded integer root by ``_sqrt_ratio``.
+and each is formed as one correctly rounded integer root by ``_sqrt_ratio``;
+the ``_ball_*`` forms the sweeps decide on take the same root as one integer
+ball.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
-from .coefficients import _correction, _sqrt_ratio, coeff_envelope
+from .coefficients import _ball_amplitude, _correction, _sqrt_ratio, coeff_envelope
 from .errors import DomainError, PrecisionError
 from .expansion import _check, _per_n
-from .precision import PrecisionContext, lambert_w_minus1
+from .precision import PrecisionContext, _ball_add, _ball_mul, _ball_sqrt, lambert_w_minus1
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,21 @@ def _envelope_at(n: int, N: int, ctx: PrecisionContext):
     """
     a, b = _correction(N)
     return coeff_envelope(N, ctx)[0] * _sqrt_ratio((N + 1) * a, b * (24 * n) ** N, ctx)
+
+
+def _ball_enclosure(N: int, below: tuple, above: tuple) -> tuple:
+    """The balls (lower, upper) of ``_enclosure``: (-below, above) for even N, (-above, below) for odd N."""
+    return ((-below[0], below[1]), above) if N % 2 == 0 else ((-above[0], above[1]), below)
+
+
+def _ball_envelope(N: int, power: int, bits: int) -> tuple:
+    """The envelope of ``_envelope_at`` as a ball at scale 2^-bits, for power = (24n)^N.
+
+    The amplitude ball of ``_ball_amplitude`` times the one root ball of
+    (N+1) a / (b power); ``_ball_mul`` proves the radius.
+    """
+    a, b = _correction(N)
+    return _ball_mul(_ball_amplitude(N, bits), _ball_sqrt((N + 1) * a, bits, b * power), bits)
 
 
 def thm1_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
@@ -135,6 +153,17 @@ def thm3_bounds(n: int, N: int, C, ctx: PrecisionContext) -> BoundsReport:
     c_val = ctx.real(C)
     algebraic = c_val * _sqrt_ratio(N + 1, (24 * n) ** N, ctx)
     return _enclosure("T3", n, N, algebraic, algebraic + _envelope_at(n, N, ctx), valid, c_val)
+
+
+def _ball_thm3(n: int, N: int, C, bits: int) -> tuple:
+    """The balls (lower, upper) of ``thm3_bounds`` at scale 2^-bits, for a rational C > 0.
+
+    The algebraic part C sqrt((N+1)/(24n)^N) is one root ball of
+    C^2 (N+1) / (24n)^N, and the envelope shares the integer (24n)^N.
+    """
+    power, C = (24 * n) ** N, Fraction(C)
+    algebraic = _ball_sqrt(C.numerator**2 * (N + 1), bits, C.denominator**2 * power)
+    return _ball_enclosure(N, algebraic, _ball_add(algebraic, _ball_envelope(N, power, bits)))
 
 
 def banerjee_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:

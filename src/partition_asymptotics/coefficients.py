@@ -70,7 +70,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DomainError, PrecisionError, ResourceError
-from .precision import MIN_DIGITS, PrecisionContext, pi_enclosure
+from .precision import MIN_DIGITS, PrecisionContext, _ball_digits, _ball_scale, pi_enclosure
 
 
 # a = pi/6 = 0.52359877... lies between _A_LO / _A_SCALE and _A_HI / _A_SCALE.
@@ -238,6 +238,19 @@ def coeff_c(m: int, ctx: PrecisionContext):
     return ctx.mp.make_mpf(from_man_exp(values[m], -bits, ctx.mp.prec, round_nearest))
 
 
+def _ball_c(m: int, bits: int) -> tuple:
+    """c_m as a ball at scale 2^-bits: the source's (W_m, e_m), floored from its scale 2^-Q by ``_ball_scale``.
+
+    The source holds D >= d = ``_ball_digits(bits)`` digits, so
+    Q >= (d + 16) log2 10 + 4 (see ``_horner``), and as
+    bits <= (d + 3/2) log2 10 + _BALL_GUARD, Q > bits.  Flooring by 2^(Q-bits)
+    moves the midpoint by under 1 and divides the radius: the radius is
+    floor(e_m / 2^(Q-bits)) + 2.
+    """
+    _, source_bits, values, radii = _coefficients(m, _ball_digits(bits))
+    return _ball_scale((values[m], radii[m]), 1, 1 << source_bits - bits)
+
+
 # Bits beyond the precision at which the envelope amplitudes are formed.
 _AMPLITUDE_GUARD = 32
 
@@ -260,6 +273,18 @@ def _even_odd_prefactor(prec: int) -> tuple:
     base = mpf_div(mpf_sqrt(from_int(72), wide), mpf_mul(pi, mpf_sqrt(pi, wide), wide), wide)
     cosh, sinh = mpf_cosh_sinh(mpf_div(pi, from_int(6), wide), wide)
     return mpf_mul(base, sinh, prec, round_nearest), mpf_mul(base, cosh, prec, round_nearest)
+
+
+def _ball_amplitude(m: int, bits: int) -> tuple:
+    """The envelope amplitude of c_m (even or odd m) at scale 2^-bits: (2^bits v, 2), v = ``_even_odd_prefactor(bits)[m % 2]``.
+
+    The amplitudes, 0.835... and 1.737..., lie in [1/2, 2), and so does v,
+    rounded to ``bits`` bits: its ulp is 2^-bits or 2^(1-bits), so 2^bits v
+    is an integer, and v is within (1/2 + 2^-25) 2^(1-bits) < 2^(1-bits) of
+    the amplitude: under 2 units.
+    """
+    _, mantissa, exponent, _ = _even_odd_prefactor(bits)[m % 2]
+    return mantissa << exponent + bits, 2
 
 
 def _sqrt_ratio(num: int, den: int, ctx: PrecisionContext):

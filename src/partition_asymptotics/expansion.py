@@ -18,6 +18,10 @@ integer Horner pass over the coefficient source in fixed point, with guard
 bits taken from its proven error bound, rounded once to nearest.  A single
 term c_m/n^(m/2), which needs relative rather than absolute accuracy, is
 c_m times the correctly rounded root sqrt(1/n^m).
+
+The sweeps read the same quantities as integer balls (the ``_ball_*``
+forms): P(n) and E(n) from one exp per n, S_N and the full sum from the same
+Horner pass with its proven radius.
 """
 
 from __future__ import annotations
@@ -30,10 +34,20 @@ from typing import Optional
 
 from mpmath.libmp import from_man_exp, round_nearest, to_float
 
-from .coefficients import COEFF_CAP, _even_odd_prefactor, _horner, _sqrt_ratio, coeff_c
+from .coefficients import COEFF_CAP, _ball_c, _even_odd_prefactor, _horner, _sqrt_ratio, coeff_c
 from .errors import DomainError, PrecisionError, PrecisionWarning
-from .partitions import PartitionTable
-from .precision import PrecisionContext
+from .partitions import PartitionTable, partition_pentagonal
+from .precision import (
+    PrecisionContext,
+    _ball_add,
+    _ball_digits,
+    _ball_exp,
+    _ball_mul,
+    _ball_pi,
+    _ball_scale,
+    _ball_sqrt,
+    _ball_sqrt3,
+)
 
 # remainder values are trusted only down to this many digits above the noise
 # floor; below it the subtraction has cancelled too much to report a result
@@ -260,6 +274,85 @@ def _series_length(n: int, ctx: PrecisionContext) -> int:
     while log_scale + math.log(2 * (M + 1)) / 2 - M * log_q >= goal:
         M += 1
     return M
+
+
+@functools.lru_cache(maxsize=16)
+def _ball_context(bits: int) -> tuple:
+    """(ctx, source, tail) for sums at scale 2^-bits, with ctx the context of d = ``_ball_digits(bits)`` digits.
+
+    source = ceil(2^(bits+1) / 10^(d+10)) bounds, in units of 2^-bits, the
+    source's share of the error of any S_N or full sum: each of its values
+    x_m is within 10^-(d+10) |c_m| of c_m (see ``_horner``), and
+    sum_m |c_m| n^(-m/2) <= 1 + 0.67 < 2.  tail = ceil(2^bits / 10^(d+5))
+    bounds the tail after the ``_series_length(n, ctx)`` terms of a full sum.
+    """
+    digits = _ball_digits(bits)
+    return PrecisionContext(digits), -(-(2 << bits) // 10 ** (digits + 10)), -(-(1 << bits) // 10 ** (digits + 5))
+
+
+def _ball_per_n(n: int, p: int, bits: int, wide: int) -> tuple:
+    """(P(n), E(n), U) at scale 2^-bits for p = p(n), from one exp at scale 2^-wide; U = floor(2^bits / sqrt(n)).
+
+    The exp is E_w = e^-y for the ball y = pi sqrt(n/6) = x/2 at 2^-wide,
+    so e^-x = E_w^2 and P(n) = 4np sqrt(3) E_w^2; E(n) and P(n) are E_w and
+    that product floored to 2^-bits.  Each step is a ball helper whose
+    docstring proves its radius, so both balls enclose their values.  The
+    width keeps P(n) tight: for wide >= bits + bitlen(4np), 4np < 2^(wide-bits),
+    so the scaling by 4np and the floor leave floor(4np e / 2^(wide-bits)) + 2
+    <= e + 2 units, with e the radius of sqrt(3) E_w^2.  A sweep takes one
+    wide for all its n, so that pi and sqrt(3) are formed once.
+    """
+    decay = _ball_exp(_ball_mul(_ball_pi(wide), _ball_sqrt(n, wide, 6), wide), wide)
+    normalized = _ball_scale(_ball_mul(_ball_sqrt3(wide), _ball_mul(decay, decay, wide), wide), 4 * n * p)
+    down = 1 << wide - bits
+    return _ball_scale(normalized, 1, down), _ball_scale(decay, 1, down), _ball_sqrt(1, bits, n)[0]
+
+
+def _ball_sum(n: int, N: Optional[int], U: int, bits: int) -> tuple:
+    """S_N at scale 2^-bits, or for N None the full sum, for U = floor(2^bits / sqrt(n)).
+
+    The midpoint is ``_horner`` at d = ``_ball_digits(bits)`` digits, within
+    3N units of 2^bits times the sum of the source's values, which is within
+    ``source`` units of 2^bits S_N (see ``_ball_context``).  The full sum is
+    S_M for M = ``_series_length(n, ctx)``, whose tail adds ``tail`` units.
+    So the radius is 3N + source, plus tail for the full sum.
+    """
+    ctx, source, tail = _ball_context(bits)
+    if N is None:
+        N, source = _series_length(n, ctx), source + tail
+    return _horner(N, bits, U, ctx.digits), 3 * N + source
+
+
+def _ball_term(n: int, N: int, bits: int) -> tuple:
+    """|c_N| / n^(N/2) at scale 2^-bits: |c_N| times the root ball of 1 / n^N.
+
+    |c_N| is ``_ball_c`` with its midpoint's sign dropped, which moves no
+    point farther from it than the radius.
+    """
+    middle, radius = _ball_c(N, bits)
+    return _ball_mul((abs(middle), radius), _ball_sqrt(1, bits, n**N), bits)
+
+
+def _ball_memo(n_top: int):
+    """A memo of ``_ball_per_n`` at (n, P) for 1 <= n <= n_top, from one table and one exp width.
+
+    The exp runs at P + bitlen(4 n_top p(n_top)), enough for every n up to
+    n_top (p increases); it keeps n - 1 and n, at one or two scales.
+    """
+    table = partition_pentagonal(n_top)
+    extra = (4 * n_top * table.p(n_top)).bit_length()
+
+    @functools.lru_cache(maxsize=4)
+    def balls(n, P):
+        return _ball_per_n(n, table.p(n), P, P + extra)
+
+    return balls
+
+
+def _ball_remainder(per_n, n: int, N: Optional[int], P: int) -> tuple:
+    """R_N(n) = P(n) - S_N, or r_hat(n) for N None, as a ball at scale 2^-P from the memo of ``_ball_memo``."""
+    normalized, _, U = per_n(n, P)
+    return _ball_add(normalized, _ball_scale(_ball_sum(n, N, U, P), -1))
 
 
 def r_hat(n: int, table: PartitionTable, ctx: PrecisionContext):

@@ -22,6 +22,7 @@ import math
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import prec_to_dps
 
 from .errors import DomainError, PrecisionError
 
@@ -170,9 +171,23 @@ def _ball_bits(ctx: PrecisionContext) -> int:
     return ctx.mp.prec + _BALL_GUARD
 
 
-def _ball_sqrt(k: int, bits: int) -> tuple:
-    """sqrt(k) for an integer k >= 0: (S, 1), S = isqrt(4^bits k) = floor(2^bits sqrt(k)), so 2^bits sqrt(k) is in [S, S + 1)."""
-    return math.isqrt(k << 2 * bits), 1
+def _ball_digits(bits: int) -> int:
+    """The digits of the context whose ball scale is ``bits``; about twice them at twice its scale.
+
+    mpmath's prec_to_dps inverts its dps_to_prec, so at P = ``_ball_bits(ctx)``
+    this is ctx.digits.  For every bits, d + 1 = round((bits - _BALL_GUARD) / log2 10),
+    so 2^(bits - _BALL_GUARD) <= 10^(d + 3/2).
+    """
+    return prec_to_dps(bits - _BALL_GUARD)
+
+
+def _ball_sqrt(num: int, bits: int, den: int = 1) -> tuple:
+    """sqrt(num / den) for integers num >= 0 and den > 0: (S, 1), S = isqrt(floor(4^bits num / den)).
+
+    For an integer k >= 0, k <= sqrt(floor(t)) exactly when k^2 <= t, so
+    S = floor(2^bits sqrt(num / den)) and 2^bits sqrt(num / den) is in [S, S + 1).
+    """
+    return math.isqrt((num << 2 * bits) // den), 1
 
 
 @functools.lru_cache(maxsize=16)
@@ -204,6 +219,12 @@ def _ball_ln2(bits: int) -> tuple:
         total += top // (odd * power)
         odd, power = odd + 2, power * 9
     return (total >> extra) + 1, 1
+
+
+@functools.lru_cache(maxsize=16)
+def _ball_sqrt3(bits: int) -> tuple:
+    """sqrt(3): ``_ball_sqrt(3, bits)``, formed once per scale."""
+    return _ball_sqrt(3, bits)
 
 
 def _icbrt(k: int) -> int:
@@ -258,7 +279,7 @@ def _ball_mul(a: tuple, b: tuple, bits: int) -> tuple:
 
 
 def _ball_div(a: tuple, b: tuple, bits: int) -> tuple:
-    """a / b at scale 2^-bits, for a ball b of positive reals (M_b > e_b).
+    """a / b at scale 2^-bits, for a ball b of positive reals (M_b > e_b); any other b raises PrecisionError.
 
     With X, Y as in ``_ball_mul``, 2^bits X / Y - 2^bits M_a / M_b =
     2^bits (d_a M_b - M_a d_b) / (Y M_b), at most
@@ -267,6 +288,8 @@ def _ball_div(a: tuple, b: tuple, bits: int) -> tuple:
     floor(2^bits M_a / M_b).
     """
     (x, ex), (y, ey) = a, b
+    if y <= ey:
+        raise PrecisionError(f"a divisor ball is not known to be positive at {bits} bits")
     return (x << bits) // y, -(-((ex * y + abs(x) * ey) << bits) // ((y - ey) * y)) + 1
 
 

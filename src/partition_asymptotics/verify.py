@@ -5,6 +5,10 @@ yields once per check, ``None`` when the check holds and the counterexample
 message when it fails.  One driver, :func:`run_suite`, counts the checks and
 stops at the first message.  The CLI ``verify`` subcommand dispatches here;
 the test suite runs the same sweeps through pytest.
+
+The lemma3, thm1, thm2 and thm3 sweeps decide every claim on integer balls
+(see ``precision``), formed per n from one exp; the printed values of the
+bounds and remainders stay on their mpf route.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .bounds import nu, thm1_bounds, thm2_bounds, thm3_bounds
+from .bounds import _ball_enclosure, _ball_envelope, _ball_thm3, nu
 from .coefficients import (
     certified_abs_less,
     coeff_asymptotic,
@@ -24,7 +28,7 @@ from .coefficients import (
     darboux_approximant,
 )
 from .errors import DomainError
-from .expansion import exp_error_term, r_hat, remainder_exact
+from .expansion import _ball_memo, _ball_remainder, _ball_term, _warn_if_low_precision
 from .partitions import partition_dp_row, partition_pentagonal
 from .precision import (
     PrecisionContext,
@@ -148,16 +152,22 @@ def _lemma3_chain(n: int, bits: int, full: bool = True) -> tuple:
 def _lemma3(n_max: int, ctx: PrecisionContext):
     """|r_hat(n)| <= exp(-(pi/2) sqrt(2n/3)), envelope shape, and proof chain.
 
-    Every claim after the r_hat loop is decided on integer balls from the
-    ``precision`` helpers: each group of comparisons that is undecided at
-    the context's scale is redone at twice the scale, and raises
-    PrecisionError past the widest.  A sign of -1 means the claim holds.
+    Every claim is decided on integer balls from the ``precision`` helpers:
+    each group of comparisons that is undecided at the context's scale is
+    redone at twice the scale, and raises PrecisionError past the widest.
+    A sign of -1 means the claim holds.
     """
-    table = partition_pentagonal(n_max)
-    for n in range(1, n_max + 1):
-        bad = abs(r_hat(n, table, ctx)) > exp_error_term(n, ctx)
-        yield f"|r_hat({n})| exceeds the exponential envelope" if bad else None
     bits = _ball_bits(ctx)
+    per_n = _ball_memo(n_max)
+
+    def residual(n, P):
+        middle, radius = _ball_remainder(per_n, n, None, P)
+        return [_ball_sign((abs(middle), radius), per_n(n, P)[1])]
+
+    for n in range(1, n_max + 1):
+        _warn_if_low_precision(n, ctx)
+        bad = _ball_decide(functools.partial(residual, n), bits)[0] > 0
+        yield f"|r_hat({n})| exceeds the exponential envelope" if bad else None
 
     @functools.lru_cache(maxsize=4)  # n - 1 and n, at one or two scales
     def chain(n, P):
@@ -206,27 +216,47 @@ def _lemma3(n_max: int, ctx: PrecisionContext):
         yield f"exp(-pi x/12)/(1-x^2) exceeds 1 at x={i / 4000:.6g}" if bad else None
 
 
+def _inside(remainder: tuple, lower: tuple, upper: tuple) -> list:
+    """lower < R < upper as two signs, -1 each when it holds."""
+    return [_ball_sign(lower, remainder), _ball_sign(remainder, upper)]
+
+
 def _thm1(n_max: int, ctx: PrecisionContext):
-    """Strict enclosure of the exact remainder by the T1 interval."""
-    table = partition_pentagonal(n_max)
+    """Strict enclosure of the exact remainder by the T1 interval, decided on balls."""
+    bits, per_n = _ball_bits(ctx), _ball_memo(n_max)
+
+    def signs(n, N, P):
+        E = per_n(n, P)[1]
+        return _inside(_ball_remainder(per_n, n, N, P), *_ball_enclosure(N, E, _ball_add(_ball_term(n, N, P), E)))
+
     for n in range(1, n_max + 1):
+        _warn_if_low_precision(n, ctx)
         for N in range(ENCLOSURE_N_MAX + 1):
-            report = thm1_bounds(n, N, ctx)
-            enclosed = report.lower < remainder_exact(n, N, table, ctx).remainder < report.upper
+            enclosed = max(_ball_decide(functools.partial(signs, n, N), bits)) < 0
             yield None if enclosed else f"T1 enclosure fails at n={n}, N={N}"
 
 
 def _thm2(n_max: int, ctx: PrecisionContext):
-    """Strict T2 enclosure plus nesting: the T1 interval sits inside T2."""
-    table = partition_pentagonal(n_max)
+    """Strict T2 enclosure plus nesting, decided on balls.
+
+    The T1 and T2 intervals share their E(n) parts, so T1 sits inside T2
+    exactly when |c_N| / n^(N/2) is below its envelope.
+    """
+    bits, per_n = _ball_bits(ctx), _ball_memo(n_max)
+
+    def signs(n, N, P):
+        E = per_n(n, P)[1]
+        envelope = _ball_envelope(N, (24 * n) ** N, P)
+        lower, upper = _ball_enclosure(N, E, _ball_add(envelope, E))
+        return [*_inside(_ball_remainder(per_n, n, N, P), lower, upper), _ball_sign(_ball_term(n, N, P), envelope)]
+
     for n in range(1, n_max + 1):
+        _warn_if_low_precision(n, ctx)
         for N in range(ENCLOSURE_N_MAX + 1):
-            remainder = remainder_exact(n, N, table, ctx).remainder
-            t1 = thm1_bounds(n, N, ctx)
-            t2 = thm2_bounds(n, N, ctx)
-            if not (t2.lower < remainder < t2.upper):
+            found = _ball_decide(functools.partial(signs, n, N), bits)
+            if max(found[:2]) > 0:
                 yield f"T2 enclosure fails at n={n}, N={N}"
-            elif not (t2.lower <= t1.lower and t1.upper <= t2.upper):
+            elif found[2] > 0:
                 yield f"T1 interval not inside T2 at n={n}, N={N}"
             else:
                 yield None
@@ -243,25 +273,24 @@ THM3_SPAN = 200
 
 
 def _thm3(_size, ctx: PrecisionContext):
-    """T3 enclosure from each reference threshold up through threshold + THM3_SPAN.
+    """T3 enclosure from each reference threshold up through threshold + THM3_SPAN, decided on balls.
 
     The sweep visits each n once and checks there every pair whose range covers it.
     """
     thresholds = [(N, C, max(nu(N, C, ctx), 1)) for N, C in THM3_REFERENCE_PAIRS]
     first = min(start for _, _, start in thresholds)
     last = max(start for _, _, start in thresholds) + THM3_SPAN
-    table = partition_pentagonal(last)
+    bits, per_n = _ball_bits(ctx), _ball_memo(last)
+
+    def signs(n, N, C, P):
+        return _inside(_ball_remainder(per_n, n, N, P), *_ball_thm3(n, N, C, P))
+
     for n in range(first, last + 1):
+        _warn_if_low_precision(n, ctx)
         for N, C, start in thresholds:
-            if not start <= n <= start + THM3_SPAN:
-                continue
-            report = thm3_bounds(n, N, C, ctx)
-            if not report.valid:
-                yield f"threshold not honored at n={n}, N={N}, C={C}"
-            elif not (report.lower < remainder_exact(n, N, table, ctx).remainder < report.upper):
-                yield f"T3 enclosure fails at n={n}, N={N}, C={C}"
-            else:
-                yield None
+            if start <= n <= start + THM3_SPAN:
+                enclosed = max(_ball_decide(functools.partial(signs, n, N, C), bits)) < 0
+                yield None if enclosed else f"T3 enclosure fails at n={n}, N={N}, C={C}"
 
 
 def _gf(order: int, ctx: PrecisionContext):

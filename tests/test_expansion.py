@@ -562,13 +562,14 @@ def test_memo_is_bit_identical_to_the_plain_formulas():
 
 def test_per_n_caches_are_bounded():
     assert isinstance(expansion._per_n.cache_info().maxsize, int)
-    # every other cache the module defines is per context, not per n
+    # every other cache the module defines is per context or per ball scale, not per n
     cached = {
         name
         for name, value in vars(expansion).items()
         if hasattr(value, "cache_info") and value.__module__ == expansion.__name__
     }
-    assert cached == {"_per_n", "_four_sqrt3"}
+    assert cached == {"_per_n", "_four_sqrt3", "_ball_context"}
+    assert expansion._ball_context.cache_info().maxsize == 16
 
 
 def test_invalid_n_is_not_memoized(ctx80, table):

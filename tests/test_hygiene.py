@@ -126,16 +126,18 @@ def test_every_public_function_has_a_caller_outside_the_tests():
 
 
 def test_ball_decisions_read_no_mpmath_reals():
-    # the integer ball layer, the lemma-3 chain and the lemma3 sweep decide
-    # on balls alone: pi comes only from pi_enclosure, roots and exp from
-    # integers, so no function among them reads mp.pi, mp.exp, mp.sqrt or
-    # mp.cbrt (or a bare or other attribute of those names)
+    # the integer ball layer, the ball forms of the coefficients, sums and
+    # bounds, and the lemma3, thm1, thm2 and thm3 sweeps decide on balls
+    # alone: pi comes only from pi_enclosure, roots and exp from integers, so
+    # no function among them reads mp.pi, mp.exp, mp.sqrt or mp.cbrt (or a
+    # bare or other attribute of those names)
     banned = {"pi", "exp", "sqrt", "cbrt"}
+    sweeps = ("_lemma3_chain", "_lemma3", "_thm1", "_thm2", "_thm3", "_inside")
 
     def checked(stem, name):
-        if stem == "precision":
-            return name.startswith("_ball") or name == "_icbrt"
-        return stem == "verify" and name in ("_lemma3_chain", "_lemma3")
+        if name.startswith("_ball") or name == "_icbrt":
+            return stem in ("precision", "coefficients", "expansion", "bounds")
+        return stem == "verify" and name in sweeps
 
     functions = [
         node
@@ -144,7 +146,8 @@ def test_ball_decisions_read_no_mpmath_reals():
         if isinstance(node, ast.FunctionDef) and checked(path.stem, node.name)
     ]
     names = {function.name for function in functions}
-    assert {"_lemma3_chain", "_lemma3", "_ball_exp", "_ball_pi", "_ball_sqrt", "_ball_decide"} <= names, names
+    assert {*sweeps, "_ball_exp", "_ball_pi", "_ball_sqrt", "_ball_decide"} <= names, names
+    assert {"_ball_c", "_ball_amplitude", "_ball_per_n", "_ball_sum", "_ball_term", "_ball_envelope", "_ball_thm3", "_ball_memo", "_ball_remainder"} <= names
     reads = [
         f"{function.name}: {getattr(node, 'attr', getattr(node, 'id', ''))} (line {node.lineno})"
         for function in functions

@@ -384,6 +384,18 @@ def test_ball_arithmetic_encloses_every_combination():
                 assert _encloses(precision._ball_scale(b, -13), bits, Y * -13, mp)
 
 
+def test_ball_div_refuses_a_divisor_not_known_to_be_positive():
+    bits = 20
+    assert precision._ball_div((1 << bits, 0), (5 << bits - 2, 1), bits)[1] >= 0
+    for divisor in (
+        (5 << bits - 2, 3 << bits - 1),  # [-0.25, 2.75] holds 0: the radius would come out negative
+        (-(1 << bits), 1 << bits - 1),  # [-1.5, -0.5]: 1/y spans [-2, -2/3], wider than the quotient's radius
+        (1 << bits, 1 << bits),  # [0, 2]
+    ):
+        with pytest.raises(PrecisionError):
+            precision._ball_div((1 << bits, 0), divisor, bits)
+
+
 def test_ball_sign_is_undecided_while_balls_overlap():
     sign = precision._ball_sign
     assert sign((10, 2), (5, 2)) == 1

@@ -1,10 +1,10 @@
 """Smoke runs of the verification sweeps at reduced sizes, and the sweep driver."""
 
-import dataclasses
+import warnings
 
 import pytest
 
-from partition_asymptotics import DomainError, run_suite, verify
+from partition_asymptotics import DomainError, PrecisionContext, PrecisionWarning, expansion, run_suite, verify
 
 
 def test_lemma1_small():
@@ -52,15 +52,14 @@ def test_run_suite_dispatch(ctx80):
 
 
 def test_driver_stops_at_first_counterexample(monkeypatch):
-    original = verify.thm1_bounds
+    original = verify._ball_term
 
-    def broken(n, N, ctx):
-        report = original(n, N, ctx)
+    def broken(n, N, bits):
         if (n, N) == (3, 5):
-            return dataclasses.replace(report, lower=report.upper)  # an empty interval
-        return report
+            return (-1 << bits, 0)  # a first omitted term of -1 lifts the odd-N lower end to 1 - E(3)
+        return original(n, N, bits)
 
-    monkeypatch.setattr(verify, "thm1_bounds", broken)
+    monkeypatch.setattr(verify, "_ball_term", broken)
     result = run_suite("thm1", n_max=5)
     assert not result.ok
     assert result.checked == 2 * 13 + 6  # n = 1, 2 in full, then N = 0..5 at n = 3
@@ -80,3 +79,51 @@ def test_grid_size_zero_is_honoured_and_negative_rejected(ctx80):
         run_suite("oracle", n_max=-1)
     with pytest.raises(DomainError):
         run_suite("lemma1", m_max=-1)
+
+
+@pytest.mark.parametrize(
+    "digits, suite, checked",
+    [(30, "thm1", 6500), (30, "thm2", 6500), (30, "thm3", 1005), (40, "thm3", 1005)],
+)
+def test_low_digit_enclosure_sweeps_decide(digits, suite, checked):
+    # at 30 digits the mpf remainder keeps under 10 digits at n=141, N=4, and
+    # at 40 digits at n=1026, N=10; the balls decide every check, and each n
+    # still warns once that the digits are below its recommendation
+    ctx = PrecisionContext(digits)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", PrecisionWarning)
+        assert run_suite(suite, ctx=ctx) == verify.VerifyResult(suite, checked, True)
+    points = range(1, 501)
+    if suite == "thm3":
+        starts = [verify.nu(N, C, ctx) for N, C in verify.THM3_REFERENCE_PAIRS]
+        points = range(min(starts), max(starts) + verify.THM3_SPAN + 1)
+    expected = [(n, expansion.recommended_digits(n)) for n in points if expansion.recommended_digits(n) > digits]
+    assert expected
+    assert [str(item.message) for item in caught] == [
+        f"digits={digits} is below the recommended {needed} for n={n}; cancellation may leave few significant digits"
+        for n, needed in expected
+    ]
+
+
+def test_perfbench_grids_decide_without_escalation(monkeypatch):
+    # the benchmark's sweep-enclosure grids at 80 digits: the same verdicts
+    # and counts as the mpf route gave, and no group redone at twice the scale
+    scales = []
+    original = verify._ball_decide
+
+    def counting(signs, bits):
+        def at(P):
+            scales.append(P == bits)
+            return signs(P)
+
+        return original(at, bits)
+
+    monkeypatch.setattr(verify, "_ball_decide", counting)
+    for suite, sizes, checked in (
+        ("thm1", {"n_max": 150}, 1950),
+        ("thm2", {"n_max": 150}, 1950),
+        ("thm3", {}, 1005),
+        ("lemma3", {"n_max": 150}, 7142),
+    ):
+        assert run_suite(suite, **sizes) == verify.VerifyResult(suite, checked, True)
+    assert len(scales) == 1950 + 1950 + 1005 + 7143 and all(scales)  # lemma3 decides its 0.97 check unless it fails
