@@ -28,7 +28,6 @@ from .precision import (
     MIN_DIGITS,
     PrecisionContext,
     lambert_w_minus1,
-    pi_enclosure,
 )
 from .series import gf_coefficients, gf_reference
 from .verify import SUITE_NAMES, VerifyResult, run_suite
@@ -62,7 +61,6 @@ __all__ = [
     "nu",
     "partition_dp_row",
     "partition_pentagonal",
-    "pi_enclosure",
     "r_hat",
     "recommended_digits",
     "remainder_exact",

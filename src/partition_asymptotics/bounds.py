@@ -12,10 +12,11 @@ The comparison family restates an earlier published result on the same
 remainder ("Banerjee" tag); its validity threshold is not computable here, so
 those reports always carry valid=False and exist for width comparisons only.
 
-Every n-dependent factor in these bounds is the square root of a rational,
-and each is formed as one correctly rounded integer root by ``_sqrt_ratio``;
-the ``_ball_*`` forms the sweeps decide on take the same root as one integer
-ball.
+Each end of T1, T2 and T3 takes one route: an integer ball (the ``_ball_*``
+forms, which the sweeps decide on) rounded once to the context by
+``_ball_round``, from the scale that fits the end.  The comparison family
+has no sweep and stays in context arithmetic: its n-dependent factor is one
+correctly rounded integer root by ``_sqrt_ratio``.
 """
 
 from __future__ import annotations
@@ -25,10 +26,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .coefficients import _ball_amplitude, _correction, _sqrt_ratio, coeff_envelope
+from .coefficients import _ball_amplitude, _correction, _sqrt_ratio
 from .errors import DomainError, PrecisionError
-from .expansion import _check, _per_n
-from .precision import PrecisionContext, _ball_add, _ball_mul, _ball_sqrt, lambert_w_minus1
+from .expansion import _ball_error_term, _ball_term, _check, _per_n_bits
+from .precision import (
+    _BALL_GUARD,
+    PrecisionContext,
+    _ball_add,
+    _ball_bits,
+    _ball_mul,
+    _ball_round,
+    _ball_sqrt,
+    lambert_w_minus1,
+)
 
 
 @dataclass(frozen=True)
@@ -44,40 +54,41 @@ class BoundsReport:
     C: Optional[object] = None
 
 
-def _enclosure(theorem, n, N, below, above, valid=True, C=None) -> BoundsReport:
-    """-below < R_N(n) < above for even N; the mirror -above < R_N(n) < below for odd N.
+def _ball_enclosure(N: int, below: tuple, above: tuple) -> tuple:
+    """The balls (lower, upper) of -below < R_N(n) < above for even N, and of the mirror -above < R_N(n) < below for odd N.
 
     Every family encloses R_N(n) between an exponentially small or algebraic
     part and the first omitted term (or its envelope), on the side of c_N's
     sign (-1)^N, so each passes only its even-N pair.
     """
-    lower, upper = (-below, above) if N % 2 == 0 else (-above, below)
-    return BoundsReport(n=n, N=N, lower=lower, upper=upper, theorem=theorem, valid=valid, C=C)
-
-
-def _envelope_at(n: int, N: int, ctx: PrecisionContext):
-    """The proven envelope of |c_N| / n^(N/2): amplitude * sqrt((N+1) a / (b (24n)^N)).
-
-    (a, b) is the square of the envelope's correction, so the shape, the
-    correction and the power of sqrt(24n) are one correctly rounded root.
-    """
-    a, b = _correction(N)
-    return coeff_envelope(N, ctx)[0] * _sqrt_ratio((N + 1) * a, b * (24 * n) ** N, ctx)
-
-
-def _ball_enclosure(N: int, below: tuple, above: tuple) -> tuple:
-    """The balls (lower, upper) of ``_enclosure``: (-below, above) for even N, (-above, below) for odd N."""
     return ((-below[0], below[1]), above) if N % 2 == 0 else ((-above[0], above[1]), below)
 
 
-def _ball_envelope(N: int, power: int, bits: int) -> tuple:
-    """The envelope of ``_envelope_at`` as a ball at scale 2^-bits, for power = (24n)^N.
+def _ball_exponential(n: int, N: int, above: tuple, bits: int) -> tuple:
+    """T1's or T2's balls (lower, upper) at 2^-bits: E(n) below and ``above``, the term or its envelope, + E(n) above."""
+    E = _ball_error_term(n, bits)
+    return _ball_enclosure(N, E, _ball_add(above, E))
 
-    The amplitude ball of ``_ball_amplitude`` times the one root ball of
-    (N+1) a / (b power); ``_ball_mul`` proves the radius.
+
+def _ball_envelope(N: int, power: int, bits: int) -> tuple:
+    """The envelope of |c_N| / n^(N/2), amplitude * sqrt((N+1) a / (b power)), as a ball at 2^-bits, for power = (24n)^N.
+
+    (a, b) is the square of the envelope's correction, so the shape, the
+    correction and the power of sqrt(24n) are one root ball at 2^-bits.  The
+    amplitude ball is formed at 2^-s, s = bits less about the bits the root
+    sits below 1 (at least _BALL_GUARD), as wide relative to its value as the
+    root, and ``_ball_mul`` of the two lands at the root's scale.
     """
     a, b = _correction(N)
-    return _ball_mul(_ball_amplitude(N, bits), _ball_sqrt((N + 1) * a, bits, b * power), bits)
+    num, den = (N + 1) * a, b * power
+    coarse = max(bits - (den.bit_length() - num.bit_length()) // 2, _BALL_GUARD)
+    return _ball_mul(_ball_amplitude(N, coarse), _ball_sqrt(num, bits, den), coarse)
+
+
+def _report(theorem: str, n: int, N: int, ends, bits: int, ctx: PrecisionContext, valid=True, C=None) -> BoundsReport:
+    """The report whose lower and upper ends are the balls ``ends(P)``, rounded once to the context from P = bits on."""
+    lower, upper = _ball_round(ends, bits, ctx)
+    return BoundsReport(n=n, N=N, lower=lower, upper=upper, theorem=theorem, valid=valid, C=C)
 
 
 def thm1_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
@@ -88,16 +99,14 @@ def thm1_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     with E = exp(-(pi/2) sqrt(2n/3)).
     """
     _check(n, N)
-    per = _per_n(n, ctx)
-    E = per.error_term
-    return _enclosure("T1", n, N, E, abs(per.term(N)) + E)
+    return _report("T1", n, N, lambda P: _ball_exponential(n, N, _ball_term(n, N, P), P), _per_n_bits(n, ctx), ctx)
 
 
 def thm2_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     """Coefficient-free enclosure: T1 with c_N relaxed to its proven envelope."""
     _check(n, N)
-    E = _per_n(n, ctx).error_term
-    return _enclosure("T2", n, N, E, _envelope_at(n, N, ctx) + E)
+    power = (24 * n) ** N
+    return _report("T2", n, N, lambda P: _ball_exponential(n, N, _ball_envelope(N, power, P), P), _per_n_bits(n, ctx), ctx)
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,13 +144,13 @@ def nu(N: int, C, ctx: PrecisionContext) -> int:
 
 
 def thm3_bounds(n: int, N: int, C, ctx: PrecisionContext) -> BoundsReport:
-    """Purely algebraic enclosure with tunable constant C.
+    """Purely algebraic enclosure with tunable constant C, an exact rational (decimal or fraction string, int or Fraction).
 
     Even N = 2j (j >= 1):
         -C sqrt(2j+1)/sqrt(24n)^(2j) < R_N(n)
           < C sqrt(2j+1)/sqrt(24n)^(2j) + envelope of |c_N|/n^j
     Odd N = 2j+1 (j >= 0): mirrored with sqrt(2j+2) and the odd envelope.
-    The algebraic part is C times the one root sqrt((N+1)/(24n)^N).
+    Both ends start where the algebraic part keeps the context's precision.
 
     Holds once n >= nu_N(C); below the threshold the report is returned with
     valid=False rather than raising, so sweeps can cross the boundary.
@@ -150,13 +159,14 @@ def thm3_bounds(n: int, N: int, C, ctx: PrecisionContext) -> BoundsReport:
     if N < 1:
         raise DomainError(f"T3 bounds need N >= 1, got N={N}")
     valid = n >= nu(N, C, ctx)  # nu also rejects C <= 0
-    c_val = ctx.real(C)
-    algebraic = c_val * _sqrt_ratio(N + 1, (24 * n) ** N, ctx)
-    return _enclosure("T3", n, N, algebraic, algebraic + _envelope_at(n, N, ctx), valid, c_val)
+    exact = Fraction(C)
+    below = (exact.denominator**2 * (24 * n) ** N).bit_length() - (exact.numerator**2 * (N + 1)).bit_length()
+    bits = _ball_bits(ctx) + max(below // 2, 0)
+    return _report("T3", n, N, functools.partial(_ball_thm3, n, N, exact), bits, ctx, valid, ctx.real(C))
 
 
 def _ball_thm3(n: int, N: int, C, bits: int) -> tuple:
-    """The balls (lower, upper) of ``thm3_bounds`` at scale 2^-bits, for a rational C > 0.
+    """The balls (lower, upper) of the T3 enclosure at scale 2^-bits, for a rational C > 0.
 
     The algebraic part C sqrt((N+1)/(24n)^N) is one root ball of
     C^2 (N+1) / (24n)^N, and the envelope shares the integer (24n)^N.
@@ -181,5 +191,5 @@ def banerjee_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     if N < 2:
         raise DomainError(f"comparison bounds are stated for N >= 2, got N={N}")
     factor = (6 / ctx.mp.pi) ** N * _sqrt_ratio(N // 2 + 1 + N % 2, (24 * n) ** N, ctx)
-    below, above = (13, 16) if N % 2 == 0 else (11, 21)
-    return _enclosure("Banerjee", n, N, below * factor, above * factor, valid=False)
+    lower, upper = (-13 * factor, 16 * factor) if N % 2 == 0 else (-21 * factor, 11 * factor)
+    return BoundsReport(n=n, N=N, lower=lower, upper=upper, theorem="Banerjee", valid=False)

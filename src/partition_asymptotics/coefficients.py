@@ -46,8 +46,10 @@ terms at that scale.
 
 Comparisons.  ``certified_abs_less`` decides |c_m| < |c_other| from the
 same integers: |c_m| lies in the ball |W_m| +- e_m at scale 2^-P, and two
-balls are compared exactly.  Balls that overlap are undecided, and the
-source is rebuilt at twice the digits until they separate.
+balls are compared exactly; ``_ratio_within_cap`` decides lemma 1's step
+ratio |c_m / c_(m-1)| against its cap on the same balls.  Balls that overlap
+are undecided, and the source is rebuilt at twice the digits until they
+separate.
 """
 
 from __future__ import annotations
@@ -70,7 +72,18 @@ from mpmath.libmp import (
 )
 
 from .errors import DomainError, PrecisionError, ResourceError
-from .precision import MIN_DIGITS, PrecisionContext, _ball_digits, _ball_scale, pi_enclosure
+from .precision import (
+    MIN_DIGITS,
+    PrecisionContext,
+    _ball_add,
+    _ball_digits,
+    _ball_mul,
+    _ball_pi,
+    _ball_scale,
+    _ball_sign,
+    _ball_sqrt,
+    _width,
+)
 
 
 # a = pi/6 = 0.52359877... lies between _A_LO / _A_SCALE and _A_HI / _A_SCALE.
@@ -115,9 +128,11 @@ def _guard_digits(size: int) -> int:
 def _attempt(size: int, digits: int, guard: int):
     """(P, W, e): c_0..c_size as integers W_m within e_m of 2^P c_m, from the recurrence in fixed point.
 
-    With P = ceil((digits + 10 + guard) log2 10) + _SCALE_MARGIN, the integers
-    A = floor(2^P lo / 6) and B = floor(6 * 2^P / hi), from ``pi_enclosure``
-    with hi - lo < 2^-P, satisfy |A - 2^P a| < 2 and |B - 2^P / a| < 2.  Each
+    With P = ceil((digits + 10 + guard) log2 10) + _SCALE_MARGIN and the ball
+    (Pi, 1) = ``_ball_pi(P)``, so |2^P pi - Pi| <= 1, the integers
+    A = floor((Pi - 1) / 6) and B = floor(6 * 4^P / Pi) satisfy
+    |A - 2^P a| < 1 + 2/6 < 2 and, as 2^P / a = 6 * 4^P / (2^P pi) is within
+    6 * 4^P / (Pi (Pi - 1)) < 1 of 6 * 4^P / Pi, |B - 2^P / a| < 2.  Each
     step forms, with G_m the integer standing for 2^P g_m,
 
         S = (m+1)(m+4) G_{m+2} - (m+2)(m+4) G_m                  (exact)
@@ -142,9 +157,8 @@ def _attempt(size: int, digits: int, guard: int):
     within 10^-(digits+10) |c_m| of c_m.
     """
     bits = math.ceil((digits + 10 + guard) * math.log2(10)) + _SCALE_MARGIN
-    lo, hi = pi_enclosure(bits // 3 + 1)
-    a = (lo.numerator << bits) // (6 * lo.denominator)
-    inverse_a = (6 * hi.denominator << bits) // hi.numerator
+    pi = _ball_pi(bits)[0]
+    a, inverse_a = (pi - 1) // 6, (6 << 2 * bits) // pi
     g = [1 << bits, -((a >> 1) + inverse_a), (a * a >> bits + 3) + (3 << bits - 1)]
     radii = [0, 4, 2]
     for m in range(size - 2):
@@ -276,15 +290,17 @@ def _even_odd_prefactor(prec: int) -> tuple:
 
 
 def _ball_amplitude(m: int, bits: int) -> tuple:
-    """The envelope amplitude of c_m (even or odd m) at scale 2^-bits: (2^bits v, 2), v = ``_even_odd_prefactor(bits)[m % 2]``.
+    """The envelope amplitude of c_m (even or odd m) at scale 2^-bits: (A >> (w - bits), 2), A = 2^w v.
 
-    The amplitudes, 0.835... and 1.737..., lie in [1/2, 2), and so does v,
-    rounded to ``bits`` bits: its ulp is 2^-bits or 2^(1-bits), so 2^bits v
-    is an integer, and v is within (1/2 + 2^-25) 2^(1-bits) < 2^(1-bits) of
-    the amplitude: under 2 units.
+    v = ``_even_odd_prefactor(w)[m % 2]`` at w = ``_width(bits)`` >= bits.  The
+    amplitudes, 0.835... and 1.737..., lie in [1/2, 2), and so does v: its
+    ulp is 2^-w or 2^(1-w), so A is an integer, under (1/2 + 2^-25) 2 < 2
+    units from 2^w times the amplitude; the shift by k = w - bits >= 1 leaves
+    under 2^(1-k) + 1 <= 2.
     """
-    _, mantissa, exponent, _ = _even_odd_prefactor(bits)[m % 2]
-    return mantissa << exponent + bits, 2
+    width = _width(bits)
+    _, mantissa, exponent, _ = _even_odd_prefactor(width)[m % 2]
+    return mantissa << exponent + width >> width - bits, 2
 
 
 def _sqrt_ratio(num: int, den: int, ctx: PrecisionContext):
@@ -364,29 +380,46 @@ def darboux_approximant(m: int, ctx: PrecisionContext):
 _CERTIFY_MAX_DIGITS = 1 << 12
 
 
-def certified_abs_less(m: int, other: int) -> bool:
-    """Decide |c_m| < |c_other| exactly.
+def _certified(top: int, balls, what: str) -> bool:
+    """Whether lhs < rhs for the balls (lhs, rhs) = balls(P, W, e) from the source's integers for c_0..c_top.
 
-    The source's integers W and e, from one build at scale 2^-P, put
-    2^P |c_m| in [|W_m| - e_m, |W_m| + e_m].  The answer is True when
-    |W_m| + e_m < |W_other| - e_other and False when
-    |W_m| - e_m >= |W_other| + e_other.  Otherwise the source is rebuilt at
-    twice the digits, up to _CERTIFY_MAX_DIGITS, so rounding can never
-    decide a near-tie the wrong way.
+    While they overlap, the source is rebuilt at twice the digits, up to _CERTIFY_MAX_DIGITS, then PrecisionError.
     """
+    held, bits, values, radii = _source
+    digits = max(held, MIN_DIGITS)
+    while True:
+        if top >= len(values) or digits > held:
+            held, bits, values, radii = _coefficients(top, digits)
+        sign = _ball_sign(*balls(bits, values, radii))
+        if sign:
+            return sign < 0
+        if digits >= _CERTIFY_MAX_DIGITS:
+            raise PrecisionError(f"could not {what} at {held} digits")
+        digits = min(2 * digits, _CERTIFY_MAX_DIGITS)
+
+
+def certified_abs_less(m: int, other: int) -> bool:
+    """Decide |c_m| < |c_other| exactly: 2^P |c_k| lies in the ball (|W_k|, e_k) of the source's integers at scale 2^-P."""
     if min(m, other) < 0:
         raise DomainError(f"m must be nonnegative, got {m if m < 0 else other}")
     if m == other:
         return False
-    held, _, values, radii = _source
-    digits = max(held, MIN_DIGITS)
-    while True:
-        if max(m, other) >= len(values) or digits > held:
-            held, _, values, radii = _coefficients(max(m, other), digits)
-        if abs(values[m]) + radii[m] < abs(values[other]) - radii[other]:
-            return True
-        if abs(values[m]) - radii[m] >= abs(values[other]) + radii[other]:
-            return False
-        if digits >= _CERTIFY_MAX_DIGITS:
-            raise PrecisionError(f"could not separate |c_{m}| and |c_{other}| at {held} digits")
-        digits = min(2 * digits, _CERTIFY_MAX_DIGITS)
+    what = f"separate |c_{m}| and |c_{other}|"
+    return _certified(max(m, other), lambda _, W, e: ((abs(W[m]), e[m]), (abs(W[other]), e[other])), what)
+
+
+def _ratio_within_cap(m: int) -> bool:
+    """Decide |c_m / c_(m-1)| < cap for m >= 2: pi / (8 sqrt(6)) for even m, (pi/6 + 12/pi) / (4 sqrt(6)) for odd m.
+
+    Cleared of denominators, 8 sqrt(6) |c_m| < pi |c_(m-1)| and 24 sqrt(6) pi |c_m| < (pi^2 + 72) |c_(m-1)|,
+    on the balls (|W_k|, e_k), ``_ball_pi(P)`` and ``_ball_sqrt(6, P)`` at the source's scale 2^-P.
+    """
+
+    def balls(bits, W, e):
+        half_turn, root6, c, previous = _ball_pi(bits), _ball_sqrt(6, bits), (abs(W[m]), e[m]), (abs(W[m - 1]), e[m - 1])
+        if m % 2 == 0:
+            return _ball_scale(_ball_mul(root6, c, bits), 8), _ball_mul(half_turn, previous, bits)
+        lhs = _ball_scale(_ball_mul(half_turn, _ball_mul(root6, c, bits), bits), 24)
+        return lhs, _ball_mul(_ball_add(_ball_mul(half_turn, half_turn, bits), (72 << bits, 0)), previous, bits)
+
+    return _certified(m, balls, f"bound |c_{m}/c_{m - 1}|")

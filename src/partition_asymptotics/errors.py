@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class PrecisionError(ArithmeticError):
-    """Cancellation ate too many digits; retry with a higher-precision context."""
+    """A value or comparison is undecided at the widest precision tried; retry with a higher-precision context."""
 
 
 class ResourceError(RuntimeError):

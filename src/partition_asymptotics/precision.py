@@ -1,4 +1,4 @@
-"""Precision-context real arithmetic, the Lambert W branch -1, a rational pi enclosure and integer balls.
+"""Precision-context real arithmetic, the Lambert W branch -1 and integer balls.
 
 A :class:`PrecisionContext` fixes the number of decimal significant digits for
 all real arithmetic derived from it.  Values are mpmath floats bound to the
@@ -12,7 +12,8 @@ and combine balls so that the result encloses every combination of the
 reals the operands enclose; each docstring proves its radius.  A comparison
 of two balls holds, fails or is undecided, and ``_ball_decide`` redoes an
 undecided one at twice the scale, up to _BALL_MAX_BITS, so rounding never
-decides a near-tie the wrong way.
+decides a near-tie the wrong way.  Every value the toolkit prints from a
+ball is rounded once by ``_ball_round``, in the same doubling loop.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import prec_to_dps
+from mpmath.libmp import from_man_exp, prec_to_dps, round_nearest
 
 from .errors import DomainError, PrecisionError
 
@@ -126,38 +127,36 @@ def lambert_w_minus1(x, ctx: PrecisionContext):
     return ctx.real(hi.lambertw(x, -1))
 
 
-@functools.lru_cache(maxsize=None)
-def pi_enclosure(digits: int) -> tuple[Fraction, Fraction]:
-    """Rational enclosure lo < pi < hi with hi - lo < 10^-digits.
+def _pi_enclosure(digits: int) -> tuple[int, int, int]:
+    """Rational enclosure lo / den < pi < hi / den with (hi - lo) / den < 10^-digits, as integers (lo, hi, den).
 
     Machin's identity pi = 16*arctan(1/5) - 4*arctan(1/239), with each arctan
     bracketed by consecutive partial sums of its alternating series.  Entirely
-    integer arithmetic, so the enclosure is independent of any float library.
+    integer arithmetic, so the enclosure is independent of any float library;
+    the fractions are left unreduced, as their one reader takes a floor.
     """
 
     def arctan_inv_bounds(q: int) -> tuple[int, int, int]:
         # partial sums of sum_k (-1)^k / ((2k+1) q^(2k+1)) alternate around the
         # limit; stop at the first even k whose term is below 10^-(digits+4)
-        target = 10 ** (digits + 4)
-        k, power = 0, q  # power = q^(2k+1)
+        # from below the stop: with t = log_q(target), 2k+1 <= t - log_q(t + 2) has (2k+1) q^(2k+1) <= target
+        target, t = 10 ** (digits + 4), (digits + 4) * math.log(10) / math.log(q)
+        k = max(0, int((t - math.log(t + 2) / math.log(q) - 1) / 2) - 1)  # one k lower for the doubles
+        power = q ** (2 * k + 1)
         while k % 2 or (2 * k + 1) * power <= target:
             k, power = k + 1, power * q * q
         # over the common denominator lcm(1, 3, ..., 2k+1) * q^(2k+1) the first
         # k terms sum to s (Horner in q^2), and the pending term k is lcm / (2k+1);
         # it is positive, so s undershoots and s + term overshoots
-        lcm = math.lcm(*range(1, 2 * k + 2, 2))
+        lcm, square = math.lcm(*range(1, 2 * k + 2, 2)), q * q
         s = 0
         for j in range(k):
-            s = (s + (-1) ** j * (lcm // (2 * j + 1))) * q * q
+            s = (s + (lcm // (2 * j + 1) if j % 2 == 0 else -(lcm // (2 * j + 1)))) * square
         return s, s + lcm // (2 * k + 1), lcm * power
 
     a_lo, a_hi, a_den = arctan_inv_bounds(5)
     b_lo, b_hi, b_den = arctan_inv_bounds(239)
-    den = a_den * b_den
-    return (
-        Fraction(16 * a_lo * b_den - 4 * b_hi * a_den, den),
-        Fraction(16 * a_hi * b_den - 4 * b_lo * a_den, den),
-    )
+    return 16 * a_lo * b_den - 4 * b_hi * a_den, 16 * a_hi * b_den - 4 * b_lo * a_den, a_den * b_den
 
 
 # Bits of a ball's scale beyond the context's precision, and the widest scale
@@ -182,49 +181,74 @@ def _ball_digits(bits: int) -> int:
 
 
 def _ball_sqrt(num: int, bits: int, den: int = 1) -> tuple:
-    """sqrt(num / den) for integers num >= 0 and den > 0: (S, 1), S = isqrt(floor(4^bits num / den)).
+    """sqrt(num / den) for integers num >= 0 and den > 0: (S, e), S = isqrt(floor(4^bits num / den)).
 
     For an integer k >= 0, k <= sqrt(floor(t)) exactly when k^2 <= t, so
-    S = floor(2^bits sqrt(num / den)) and 2^bits sqrt(num / den) is in [S, S + 1).
+    S = floor(2^bits sqrt(num / den)) and 2^bits sqrt(num / den) is in [S, S + 1):
+    e = 1, or 0 when S^2 den = 4^bits num and the root is S exactly.
     """
-    return math.isqrt((num << 2 * bits) // den), 1
+    root = math.isqrt((scaled := num << 2 * bits) // den)
+    return root, int(root * root * den != scaled)
 
 
-@functools.lru_cache(maxsize=16)
-def _ball_pi(bits: int) -> tuple:
-    """pi: (L + 1, 1), L = floor(2^bits lo) for the enclosure lo < pi < hi of ``pi_enclosure``.
+def _width(bits: int) -> int:
+    """bits rounded up to a multiple of a quarter of the power of two at or below it, so constants take few widths."""
+    step = 1 << max(bits.bit_length() - 3, 0)
+    return -(-bits // step) * step
+
+
+def _held(form):
+    """The ball (L' + 1, 1) of a constant c at any scale 2^-bits, from one integer held at the widest scale asked.
+
+    form(w) returns an integer L with L <= 2^w c < L + 2, formed at
+    w = ``_width`` of the scale asked (at least 16) and held until a wider
+    one is asked.  A scale b <= w is L' = L >> (w - b): L' <= 2^b c <
+    (L + 2) / 2^(w-b) <= L' + 1 + 2^-(w-b) <= L' + 2, so the radius stays 1.
+    """
+    widest = (0, 0)
+
+    @functools.wraps(form)
+    def ball(bits: int) -> tuple:
+        nonlocal widest
+        width, lower = widest
+        if bits > width:
+            width = max(16, _width(bits))
+            widest = width, lower = width, form(width)
+        return (lower >> width - bits) + 1, 1
+
+    return ball
+
+
+@_held
+def _ball_pi(bits: int) -> int:
+    """pi: L = floor(2^bits lo) for the enclosure lo < pi < hi of ``_pi_enclosure``.
 
     Its digit count d = ceil(bits log10 2) + 1 gives hi - lo < 10^-d < 2^-bits,
     so L <= 2^bits lo < 2^bits pi < 2^bits hi < 2^bits lo + 1 < L + 2.
     """
-    lo, _ = pi_enclosure(math.ceil(bits * math.log10(2)) + 1)
-    return (lo.numerator << bits) // lo.denominator + 1, 1
+    lo, _, den = _pi_enclosure(math.ceil(bits * math.log10(2)) + 1)
+    return (lo << bits) // den
 
 
-@functools.lru_cache(maxsize=16)
-def _ball_ln2(bits: int) -> tuple:
-    """ln 2: (L + 1, 1), from ln 2 = 2 atanh(1/3) = sum_{j>=0} 2 / ((2j+1) 3^(2j+1)).
+@_held
+def _ball_ln2(bits: int) -> int:
+    """ln 2: L, from ln 2 = 2 atanh(1/3) = sum_{j>=0} 2 / ((2j+1) 3^(2j+1)).
 
     At the finer scale 2^-w, w = bits + g with g = bits.bit_length(), the sum
     S of the J floors floor(2^(w+1) / ((2j+1) 3^(2j+1))) over j < J, J the
     first j with 3^(2j+1) > 2^(w+1) (so J >= 1), loses under 1 per floor, and
     the tail from J on is below (9/8) 2^(w+1) / ((2J+1) 3^(2J+1)) < 3/8: so
     S <= 2^w ln 2 < S + J + 1.  J < (w+1)/3 + 1 <= bits < 2^g for bits >= 16,
-    so L = floor(S / 2^g) <= 2^bits ln 2 < (S + J + 1) / 2^g < L + 2.
+    so L = floor(S / 2^g) <= 2^bits ln 2 < (S + J + 1) / 2^g < L + 2.  Each
+    floor is taken as floor(t_j / (2j+1)) with t_j = floor(2^(w+1) / 3^(2j+1))
+    = floor(t_(j-1) / 9), the same integer, by divisions by small integers.
     """
     extra = bits.bit_length()
-    top = 1 << bits + extra + 1
-    total, odd, power = 0, 1, 3  # power = 3^odd, odd = 2j + 1
-    while power <= top:
-        total += top // (odd * power)
-        odd, power = odd + 2, power * 9
-    return (total >> extra) + 1, 1
-
-
-@functools.lru_cache(maxsize=16)
-def _ball_sqrt3(bits: int) -> tuple:
-    """sqrt(3): ``_ball_sqrt(3, bits)``, formed once per scale."""
-    return _ball_sqrt(3, bits)
+    total, odd, term = 0, 1, (1 << bits + extra + 1) // 3  # term = t_j, odd = 2j + 1
+    while term:
+        total += term // odd
+        odd, term = odd + 2, term // 9
+    return total >> extra
 
 
 def _icbrt(k: int) -> int:
@@ -266,20 +290,20 @@ def _ball_add(a: tuple, b: tuple) -> tuple:
 
 
 def _ball_mul(a: tuple, b: tuple, bits: int) -> tuple:
-    """a * b at scale 2^-bits.
+    """a * b for a ball a at scale 2^-bits: the product lands at b's scale, whatever it is.
 
     With X = M_a + d_a and Y = M_b + d_b, |d_a| <= e_a and |d_b| <= e_b,
     X Y / 2^bits - M_a M_b / 2^bits = (M_a d_b + M_b d_a + d_a d_b) / 2^bits,
     at most (|M_a| e_b + |M_b| e_a + e_a e_b) / 2^bits in size, and the
     midpoint floor(M_a M_b / 2^bits) is within 1 more: the radius is that
-    floored, plus 2.
+    floored, plus 2.  With both at 2^-bits the product is at 2^-bits too.
     """
     (x, ex), (y, ey) = a, b
     return x * y >> bits, (abs(x) * ey + abs(y) * ex + ex * ey >> bits) + 2
 
 
 def _ball_div(a: tuple, b: tuple, bits: int) -> tuple:
-    """a / b at scale 2^-bits, for a ball b of positive reals (M_b > e_b); any other b raises PrecisionError.
+    """a / b at scale 2^-bits, for balls a, b at one scale (any) and b of positive reals (M_b > e_b); else PrecisionError.
 
     With X, Y as in ``_ball_mul``, 2^bits X / Y - 2^bits M_a / M_b =
     2^bits (d_a M_b - M_a d_b) / (Y M_b), at most
@@ -373,3 +397,31 @@ def _ball_decide(signs, bits: int) -> list:
         if bits >= _BALL_MAX_BITS:
             raise PrecisionError(f"a ball comparison is undecided at {bits} bits")
         bits = min(2 * bits, _BALL_MAX_BITS)
+
+
+def _ball_round(balls, bits: int, ctx: PrecisionContext) -> list:
+    """The reals the balls (M, e) = ``balls(P)`` at scale 2^-P enclose, each rounded once to nearest at the context.
+
+    Let r = s m 2^x, m odd of k bits, be M / 2^P rounded.  Every real within
+    h = 2^(x + k - prec - 1), half an ulp of r, of |r| rounds to r, or within
+    h / 2 below it when m = 1 (|r| a power of two).  So with H = h 2^P >= 4
+    and d = |M| - m 2^(x + P), a ball with |d| + e < H, or < H / 2 when m = 1,
+    holds only reals that round to r; a radius 0 is exact.  From P = bits,
+    ``_ball_decide`` redoes the group at twice the scale while any ball fails.
+    """
+    prec, rounded = ctx.mp.prec, []
+
+    def agree(P):
+        rounded[:] = []
+        decided = True
+        for middle, radius in balls(P):
+            raw = from_man_exp(middle, -P, prec, round_nearest)
+            _, man, exponent, count = raw
+            half = exponent + count - prec - 1 + P
+            inside = man and half >= 2 and abs(abs(middle) - (man << exponent + P)) + radius < 1 << half - (man == 1)
+            decided &= not radius or bool(inside)
+            rounded.append(raw)
+        return [-1 if decided else 0]
+
+    _ball_decide(agree, bits)
+    return [ctx.mp.make_mpf(raw) for raw in rounded]

@@ -7,8 +7,9 @@ stops at the first message.  The CLI ``verify`` subcommand dispatches here;
 the test suite runs the same sweeps through pytest.
 
 The lemma3, thm1, thm2 and thm3 sweeps decide every claim on integer balls
-(see ``precision``), formed per n from one exp; the printed values of the
-bounds and remainders stay on their mpf route.
+(see ``precision``), formed per n from one exp: the same balls the printed
+bounds and remainders are rounded from.  lemma1 decides its step ratios on
+the coefficient source's integers.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .bounds import _ball_enclosure, _ball_envelope, _ball_thm3, nu
+from .bounds import _ball_envelope, _ball_exponential, _ball_thm3, nu
 from .coefficients import (
+    _ratio_within_cap,
     certified_abs_less,
     coeff_asymptotic,
     coeff_bound,
@@ -28,7 +30,7 @@ from .coefficients import (
     darboux_approximant,
 )
 from .errors import DomainError
-from .expansion import _ball_memo, _ball_remainder, _ball_term, _warn_if_low_precision
+from .expansion import _ball_error_term, _ball_remainder, _ball_term, _warn_if_low_precision
 from .partitions import partition_dp_row, partition_pentagonal
 from .precision import (
     PrecisionContext,
@@ -59,21 +61,18 @@ class VerifyResult:
 
 
 def _lemma1(m_max: int, ctx: PrecisionContext):
-    """|c_m| strictly decreasing (certified), signs alternating, step ratios bounded."""
-    mp = ctx.mp
-    even_ratio_cap = (mp.pi / 2) / (4 * mp.sqrt(6))
-    odd_ratio_cap = (mp.pi / 6 + 12 / mp.pi) / (4 * mp.sqrt(6))
+    """|c_m| strictly decreasing and step ratios bounded (both certified), signs alternating.
+
+    |c_1/c_0| is the odd cap itself, as g_0 = 1 and g_1 = -(a/2 + 1/a): an identity no rounding can decide.
+    """
     coeff_c(m_max, ctx)  # the last index first, so the coefficient source grows once
     for m in range(1, m_max + 1):
-        value = coeff_c(m, ctx)
-        ratio = abs(value / coeff_c(m - 1, ctx))
-        cap = even_ratio_cap if m % 2 == 0 else odd_ratio_cap
         if not certified_abs_less(m, m - 1):
             yield f"|c_{m}| >= |c_{m - 1}|"
-        elif (value > 0) != (m % 2 == 0):
+        elif (coeff_c(m, ctx) > 0) != (m % 2 == 0):
             yield f"sign of c_{m} is not (-1)^{m}"
-        elif ratio > cap:
-            yield f"|c_{m}/c_{m - 1}| = {mp.nstr(ratio, 12)} exceeds {mp.nstr(cap, 12)}"
+        elif m > 1 and not _ratio_within_cap(m):
+            yield f"|c_{m}/c_{m - 1}| exceeds its cap"
         else:
             yield None
 
@@ -157,12 +156,11 @@ def _lemma3(n_max: int, ctx: PrecisionContext):
     redone at twice the scale, and raises PrecisionError past the widest.
     A sign of -1 means the claim holds.
     """
-    bits = _ball_bits(ctx)
-    per_n = _ball_memo(n_max)
+    bits, table = _ball_bits(ctx), partition_pentagonal(n_max)
 
     def residual(n, P):
-        middle, radius = _ball_remainder(per_n, n, None, P)
-        return [_ball_sign((abs(middle), radius), per_n(n, P)[1])]
+        middle, radius = _ball_remainder(n, None, table.p(n), P)
+        return [_ball_sign((abs(middle), radius), _ball_error_term(n, P))]
 
     for n in range(1, n_max + 1):
         _warn_if_low_precision(n, ctx)
@@ -223,11 +221,10 @@ def _inside(remainder: tuple, lower: tuple, upper: tuple) -> list:
 
 def _thm1(n_max: int, ctx: PrecisionContext):
     """Strict enclosure of the exact remainder by the T1 interval, decided on balls."""
-    bits, per_n = _ball_bits(ctx), _ball_memo(n_max)
+    bits, table = _ball_bits(ctx), partition_pentagonal(n_max)
 
     def signs(n, N, P):
-        E = per_n(n, P)[1]
-        return _inside(_ball_remainder(per_n, n, N, P), *_ball_enclosure(N, E, _ball_add(_ball_term(n, N, P), E)))
+        return _inside(_ball_remainder(n, N, table.p(n), P), *_ball_exponential(n, N, _ball_term(n, N, P), P))
 
     for n in range(1, n_max + 1):
         _warn_if_low_precision(n, ctx)
@@ -242,13 +239,12 @@ def _thm2(n_max: int, ctx: PrecisionContext):
     The T1 and T2 intervals share their E(n) parts, so T1 sits inside T2
     exactly when |c_N| / n^(N/2) is below its envelope.
     """
-    bits, per_n = _ball_bits(ctx), _ball_memo(n_max)
+    bits, table = _ball_bits(ctx), partition_pentagonal(n_max)
 
     def signs(n, N, P):
-        E = per_n(n, P)[1]
         envelope = _ball_envelope(N, (24 * n) ** N, P)
-        lower, upper = _ball_enclosure(N, E, _ball_add(envelope, E))
-        return [*_inside(_ball_remainder(per_n, n, N, P), lower, upper), _ball_sign(_ball_term(n, N, P), envelope)]
+        lower, upper = _ball_exponential(n, N, envelope, P)
+        return [*_inside(_ball_remainder(n, N, table.p(n), P), lower, upper), _ball_sign(_ball_term(n, N, P), envelope)]
 
     for n in range(1, n_max + 1):
         _warn_if_low_precision(n, ctx)
@@ -280,10 +276,10 @@ def _thm3(_size, ctx: PrecisionContext):
     thresholds = [(N, C, max(nu(N, C, ctx), 1)) for N, C in THM3_REFERENCE_PAIRS]
     first = min(start for _, _, start in thresholds)
     last = max(start for _, _, start in thresholds) + THM3_SPAN
-    bits, per_n = _ball_bits(ctx), _ball_memo(last)
+    bits, table = _ball_bits(ctx), partition_pentagonal(last)
 
     def signs(n, N, C, P):
-        return _inside(_ball_remainder(per_n, n, N, P), *_ball_thm3(n, N, C, P))
+        return _inside(_ball_remainder(n, N, table.p(n), P), *_ball_thm3(n, N, C, P))
 
     for n in range(first, last + 1):
         _warn_if_low_precision(n, ctx)

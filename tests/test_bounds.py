@@ -229,6 +229,15 @@ def test_reports_are_proper_intervals(ctx80):
                 assert t3.lower < t3.upper
 
 
+def test_an_exact_algebraic_end_on_a_rounding_boundary_rounds_to_even():
+    # C / 864 = 2^-10 (1 + 2^-prec) is exactly the midpoint between two
+    # numbers of the context: its exact root ball rounds by the tie rule
+    # instead of never deciding
+    ctx = PrecisionContext(30)
+    C = Fraction(864, 1024) * (1 + Fraction(1, 2**ctx.mp.prec))
+    assert thm3_bounds(6, 3, C, ctx).upper == ctx.mp.ldexp(1, -10)
+
+
 def test_algebraic_factors_are_correctly_rounded():
     # the T3 factor sqrt((N+1)/(24n)^N) is one correctly rounded root: C = 1/2
     # scales it exactly, so |lower| (even N) or upper (odd N) over C is the

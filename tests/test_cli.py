@@ -372,7 +372,6 @@ PUBLIC_NAMES = [
     "nu",
     "partition_dp_row",
     "partition_pentagonal",
-    "pi_enclosure",
     "r_hat",
     "recommended_digits",
     "remainder_exact",

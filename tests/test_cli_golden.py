@@ -38,8 +38,12 @@ def _commands():
     for N, C in (("4", "3.474"), ("6", "1/4"), ("7", "24"), ("10", "5839"), ("11", "866061")):
         commands.append(["nu", N, C])
     commands += [
+        ["--digits", "30", "remainder", "141", "4"],
+        ["bounds", "2200", "10000", "--theorem", "t2"],
+        ["bounds", "2200", "10000", "--theorem", "t3", "--constant", "1/4"],
         ["table1"],
         ["--format", "csv", "table2"],
+        ["--digits", "30", "verify", "lemma1"],
         ["verify", "thm1", "--n-max", "20"],
         *(["--format", fmt, "verify", "lemma3", "--n-max", "20"] for fmt in FORMATS),
         ["--digits", "30", "verify", "lemma3", "--n-max", "20"],

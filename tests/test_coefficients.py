@@ -448,10 +448,31 @@ def test_range_readers_grow_the_source_once(monkeypatch, builds, ctx80, table):
     )
     for read in readers:
         _cold_source(monkeypatch)
-        expansion._per_n.cache_clear()
+        expansion._ball_sum.cache_clear()
         builds.clear()
         read()
         assert len(builds) == 1, read
+
+
+def test_lemma1_decides_its_ratios_on_the_source_as_built(monkeypatch, builds):
+    # at lemma1's 50 digits the source is built once, for 50 digits at 2^-1655, and no ratio escalates
+    _cold_source(monkeypatch)
+    assert verify.run_suite("lemma1", m_max=200).ok
+    assert builds == [(200, 50, coefficients._guard_digits(200))]
+    assert coefficients._source[:2] == (50, 1655)
+
+
+def test_step_ratio_decided_on_the_source(monkeypatch):
+    _cold_source(monkeypatch)
+    assert all(coefficients._ratio_within_cap(m) for m in range(2, 401))
+    # |c_2/c_1| is 10% and |c_3/c_2| 2.1% below its cap: lifted past them, the checks fail
+    for m, percent in ((2, 115), (3, 105)):
+        _cold_source(monkeypatch)
+        held, bits, values, radii = coefficients._coefficients(40, 40)
+        lifted = list(values)
+        lifted[m] = values[m] * percent // 100
+        monkeypatch.setattr(coefficients, "_source", (held, bits, tuple(lifted), radii))
+        assert not coefficients._ratio_within_cap(m), m
 
 
 def test_negative_m_rejected(ctx80, monkeypatch):

@@ -3,7 +3,6 @@
 import concurrent.futures
 import functools
 import inspect
-import math
 import sys
 import threading
 import warnings
@@ -14,7 +13,6 @@ from partition_asymptotics import (
     DomainError,
     PartitionTable,
     PrecisionContext,
-    PrecisionError,
     PrecisionWarning,
     coeff_c,
     exp_error_term,
@@ -91,9 +89,11 @@ def test_prefactor_values(ctx80, table):
     # at n = 6 the exponent is exactly 2 pi
     expected_6 = mp.exp(2 * mp.pi) / (24 * mp.sqrt(3))
     assert mp.almosteq(prefactor(6), expected_6, rel_eps=mp.mpf(10) ** -75)
+    # e^x / (4 sqrt(3) n) rounded once: within half an ulp of its value at three times the digits
+    hi = PrecisionContext(240).mp
     for n in (1, 6, 100, 1000):
-        inverse = prefactor(n) * 4 * mp.sqrt(3) * n * mp.exp(-mp.pi * mp.sqrt(mp.mpf(2 * n) / 3))
-        assert abs(inverse - 1) <= 4 * ulp(inverse, ctx80)
+        exact = hi.exp(hi.pi * hi.sqrt(hi.mpf(2 * n) / 3)) / (4 * hi.sqrt(3) * n)
+        assert abs(hi.mpf(prefactor(n)) - exact) <= hi.mpf(ulp(prefactor(n), ctx80)) / 2, n
 
 
 def test_partial_sum_values(ctx80, table):
@@ -112,47 +112,17 @@ def test_remainder_reference_values(ctx80, table):
     assert format_scientific(remainder_exact(1000, 10, table, ctx80).remainder) == "0.1676334056e-17"
 
 
-def test_low_precision_rejects_only_from_a_positive_N(table):
-    # at 30 digits the cancellation guard turns n = 1000 away from some N on,
-    # but never at N = 0, where nothing is subtracted
-    low = PrecisionContext(30)
-    failing = []
+def test_low_precision_remainders_are_the_wide_values_rounded(table):
+    # at 30 digits the remainders of n = 1000 cancel most of the context's
+    # digits from some N on; none is refused, and each row is the same row at
+    # 2 * 30 + 10 digits rounded to 30
+    low, wide = PrecisionContext(30), PrecisionContext(70)
     with pytest.warns(PrecisionWarning):
-        for N in range(13):
-            try:
-                remainder_exact(1000, N, table, low)
-            except PrecisionError:
-                failing.append(N)
-    assert failing and failing[0] > 0
-
-
-def _logarithmic_guard(lhs, series, ctx):
-    """Significant digits left by lhs - series, by the full-precision log10 alone."""
-    scale = max(abs(lhs), abs(series), ctx.mp.mpf(1))
-    return ctx.digits - 12 - float(ctx.mp.log10(scale / abs(lhs - series)))
-
-
-def test_cancellation_guard_decides_as_the_logarithm(ctx50):
-    # the binary-magnitude shortcut may only accept what the log10 test
-    # accepts; every result from a digit beyond the threshold to well inside
-    # it, at several scales and mantissas, gets the same verdict and text
-    mp = ctx50.mp
-    threshold = ctx50.digits - 12 - 10  # digits lost at which a result is rejected
-    for lhs in (mp.mpf("0.37"), mp.mpf(1), mp.mpf(3), mp.mpf("1e5"), mp.mpf(-2)):
-        for step in range(-300, 101):
-            lost = threshold + step / 100
-            result = abs(lhs) * mp.mpf(10) ** -lost * (1 + mp.mpf(step % 7) / 10)
-            series = lhs - result
-            remaining = _logarithmic_guard(lhs, series, ctx50)
-            if remaining < 10:
-                with pytest.raises(PrecisionError) as caught:
-                    expansion._subtract(lhs, series, ctx50, "probe")
-                assert str(caught.value) == (
-                    f"probe: cancellation leaves ~{remaining:.1f} significant digits "
-                    f"at digits={ctx50.digits}; raise the context precision"
-                )
-            else:
-                assert expansion._subtract(lhs, series, ctx50, "probe") == lhs - series
+        rows = [remainder_exact(1000, N, table, low) for N in range(13)]
+    for N, row in enumerate(rows):
+        wide_row = remainder_exact(1000, N, table, wide)
+        for field in ("remainder", "partial_sum", "prefactor"):
+            assert getattr(row, field)._mpf_ == low.real(getattr(wide_row, field))._mpf_, (N, field)
 
 
 def test_reconstruction(ctx80, table):
@@ -170,8 +140,10 @@ def test_remainder_result_fields(ctx80, table):
     result = remainder_exact(200, 4, table, ctx80, include_theta=True)
     assert result.n == 200 and result.N == 4
     assert 0 < result.theta < 1
-    # the tail over the first omitted term, from the same partial sum
-    assert result.theta == (full_sum(200, ctx80) - result.partial_sum) / expansion._per_n(200, ctx80).term(4)
+    # the tail over the first omitted term, formed at three times the digits and rounded once
+    wide = PrecisionContext(240)
+    tail = full_sum(200, wide) - remainder_exact(200, 4, table, wide).partial_sum
+    assert result.theta == ctx80.real(tail / (coeff_c(4, wide) / wide.mp.mpf(200) ** 2))
     plain = remainder_exact(200, 4, table, ctx80)
     assert plain.theta is None
 
@@ -205,7 +177,7 @@ def test_full_sum_stop_bounds_the_true_tail():
     # the proven tail bound after M terms dominates the tail of a sum at twice the
     # digits, and the stop is the first M where it falls below 10^-(digits+5)
     for n, digits in ((1, 30), (2, 50), (37, 80), (500, 80), (12345, 160)):
-        stop = expansion._series_length(n, PrecisionContext(digits))
+        stop = expansion._series_length(n, digits)
         wide = PrecisionContext(2 * digits)
         mp = wide.mp
         q = mp.sqrt(mp.mpf(24 * n))
@@ -215,41 +187,50 @@ def test_full_sum_stop_bounds_the_true_tail():
             return amplitude * mp.sqrt(2 * (M + 1)) / q**M / (1 - 1 / q) ** 2
 
         reference = full_sum(n, wide)
-        per = expansion._per_n(n, wide)
         for M in (0, 1, stop // 2, stop - 1, stop):
-            assert abs(reference - per.partial_sum(M)) <= bound(M), (n, digits, M)
+            partial = mp.fsum(coeff_c(m, wide) / mp.sqrt(n) ** m for m in range(M))
+            assert abs(reference - partial) <= bound(M), (n, digits, M)
         assert bound(stop) < mp.mpf(10) ** (-(digits + 5)) <= bound(stop - 1)
 
 
+def _assert_rounded_once(value, reference, ctx, where):
+    """value is reference, taken at a far wider context, rounded once to ctx: within half an ulp, and a hair."""
+    mp = reference.context
+    half = mp.mpf(ulp(value, ctx)) / 2 if value != 0 else mp.mpf(0)
+    assert abs(mp.mpf(value) - reference) <= half * (1 + mp.mpf(2) ** -40) + abs(reference) * mp.mpf(10) ** (-2 * ctx.digits), where
+
+
+@pytest.mark.filterwarnings("ignore::partition_asymptotics.PrecisionWarning")
 @pytest.mark.parametrize("digits", (30, 50, 80, 160))
 def test_sums_and_terms_against_a_wider_plain_sum(digits):
-    # every S_N (and the full sum) within one ulp, and every term within
-    # (3m + 3) 2^-prec relative, of plain mpmath sums and products formed
-    # at 2 digits + 20 from the coefficients at that width
+    # every S_N, the full sum and every end of T1 (a term plus E(n)) within
+    # half an ulp of plain mpmath sums and products formed at 2 digits + 20
+    # from the coefficients at that width; S_0 = 0 exactly
     ctx, wide = PrecisionContext(digits), PrecisionContext(2 * digits + 20)
     mp = wide.mp
-    relative = (mp.mpf(2) ** -ctx.mp.prec) * 3
     for n in (1, 2, 3, 7, 150, 1000, 20000):
-        M = expansion._series_length(n, ctx)
+        M = expansion._series_length(n, digits)
         u = 1 / mp.sqrt(n)
         exact = [coeff_c(m, wide) * u**m for m in range(M + 2)]
         reference = [mp.mpf(0)]
         for term in exact:
             reference.append(reference[-1] + term)
-        per = expansion._per_n(n, ctx)
-        assert per.partial_sum(0)._mpf_ == ctx.mp.mpf(0)._mpf_
+        E = mp.exp(-mp.pi * mp.sqrt(mp.mpf(2 * n) / 3) / 2)
+        assert remainder_exact(n, 0, _table_20000(), ctx).partial_sum._mpf_ == ctx.mp.mpf(0)._mpf_
         for N in (*range(1, 14), M, M + 2):
-            error = abs(mp.mpf(per.partial_sum(N)) - reference[N])
-            assert error <= ulp(reference[N], ctx), (n, digits, N)
-        assert abs(mp.mpf(full_sum(n, ctx)) - reference[M]) <= ulp(reference[M], ctx), (n, digits)
+            _assert_rounded_once(remainder_exact(n, N, _table_20000(), ctx).partial_sum, reference[N], ctx, (n, digits, N))
+        _assert_rounded_once(full_sum(n, ctx), reference[M], ctx, (n, digits))
         for m in range(14):
-            error = abs(mp.mpf(per.term(m)) - exact[m])
-            assert error <= (m + 1) * relative * abs(exact[m]), (n, digits, m)
+            report = thm1_bounds(n, m, ctx)
+            _assert_rounded_once(report.upper if m % 2 == 0 else -report.lower, abs(exact[m]) + E, ctx, (n, digits, m))
 
 
 def test_full_sum_is_shared_per_n_and_digits(ctx80):
-    assert full_sum(123, ctx80) is full_sum(123, PrecisionContext(80))
-    assert exp_error_term(123, ctx80) is exp_error_term(123, PrecisionContext(80))
+    # a second call at the same digits reads the same balls: no new Horner pass, no new exp
+    first = full_sum(123, ctx80), exp_error_term(123, ctx80)
+    misses = expansion._ball_sum.cache_info().misses, expansion._ball_per_n.cache_info().misses
+    assert (full_sum(123, PrecisionContext(80)), exp_error_term(123, PrecisionContext(80))) == first
+    assert (expansion._ball_sum.cache_info().misses, expansion._ball_per_n.cache_info().misses) == misses
 
 
 def test_r_hat_envelope_and_pin(ctx100, table):
@@ -322,10 +303,14 @@ def test_simple_bracket_threshold(ctx80):
 
 
 def test_cancellation_guard(table):
+    # R_12(1000) is about 2^-115: at 30 digits its P(n) and S_12 cancel more
+    # than the context holds, and it is formed at finer scales until it
+    # rounds, to the value at 2 * 30 + 10 digits rounded once
     low = PrecisionContext(30)
     with pytest.warns(PrecisionWarning):
-        with pytest.raises(PrecisionError):
-            remainder_exact(1000, 12, table, low)
+        result = remainder_exact(1000, 12, table, low)
+    wide = remainder_exact(1000, 12, table, PrecisionContext(70))
+    assert result.remainder._mpf_ == low.real(wide.remainder)._mpf_
     high = PrecisionContext(80)
     result = remainder_exact(1000, 12, table, high)
     assert result.remainder != 0
@@ -385,66 +370,68 @@ def _plain_lemma3(n, ctx):
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _plain_envelope_shapes(digits):
+    """The envelope of |c_N| without its power of sqrt(24n), N = 0..12: amplitude times shape times correction."""
+    mp = PrecisionContext(digits).mp
+    base = 6 * mp.sqrt(2) / mp.pi ** mp.mpf(1.5)
+    return [
+        (base * mp.sinh(mp.pi / 6) * mp.sqrt(1 + mp.mpf(1) / (4 * (N // 2) + 1)) if N % 2 == 0 else base * mp.cosh(mp.pi / 6) * mp.sqrt(1 - mp.mpf(1) / (4 * (N // 2) + 5)))
+        * mp.sqrt(N + 1)
+        for N in range(13)
+    ]
+
+
 def _plain_values(n, p, ctx):
-    """The per-n reals with every formula written out and formed afresh."""
-    mp = ctx.mp
+    """The per-n reals with every formula written out and formed afresh, at three times the digits of ``ctx``."""
+    hi = PrecisionContext(3 * ctx.digits)
+    mp = hi.mp
     exponent = mp.pi * mp.sqrt(mp.mpf(2 * n) / 3)
     E = mp.exp(-exponent / 2)
+    powers = [mp.sqrt(24 * n) ** N for N in range(13)]
+    envelopes = [shape / power for shape, power in zip(_plain_envelope_shapes(hi.digits), powers)]
+    algebraic = [mp.sqrt(N + 1) / power for N, power in enumerate(powers)]
+    comparison = [(6 / ctx.mp.pi) ** N * coefficients._sqrt_ratio(N // 2 + 1 + N % 2, (24 * n) ** N, ctx) for N in range(13)]
+    M = expansion._series_length(n, 3 * ctx.digits)
+    u, power, terms = 1 / mp.sqrt(n), mp.mpf(1), []
+    for k in range(max(M, expansion._series_length(n, ctx.digits) + 2) + 1):
+        terms.append(coeff_c(k, hi) * power)
+        power *= u
+    sums = [mp.mpf(0)]
+    for term in terms:
+        sums.append(sums[-1] + term)
+    P = 4 * mp.sqrt(3) * n * p * mp.exp(-exponent)
     half = mp.mpf("0.5")
-    root = coefficients._sqrt_ratio
-    # the envelope of |c_N| / n^(N/2): amplitude times the one root sqrt((N+1) a / (b (24n)^N)),
-    # a / b = (4j+2)/(4j+1) for N = 2j and (4j+4)/(4j+5) for N = 2j+1
-    corrections = [(4 * (N // 2) + 2, 4 * (N // 2) + 1) if N % 2 == 0 else (4 * (N // 2) + 4, 4 * (N // 2) + 5) for N in range(13)]
-    envelopes = [
-        coefficients.coeff_envelope(N, ctx)[0] * root((N + 1) * a, b * (24 * n) ** N, ctx)
-        for N, (a, b) in enumerate(corrections)
-    ]
-    algebraic = [root(N + 1, (24 * n) ** N, ctx) for N in range(13)]
-    comparison = [(6 / mp.pi) ** N * root(N // 2 + 1 + N % 2, (24 * n) ** N, ctx) for N in range(13)]
-    M = expansion._series_length(n, ctx)
-    length = max(M + 3, 13)
-    # terms: c_m times the one root sqrt(1/n^m)
-    terms = [coeff_c(k, ctx) * root(1, n**k, ctx) for k in range(length)]
-    # sums: Horner on the source's values W_k / 2^bits floored to 2^-P, with
-    # U = floor(2^P/sqrt(n)), P = prec + bit_length(3 COEFF_CAP) + 4, and the
-    # integer rounded once to nearest
-    _, bits, stored, _ = coefficients._coefficients(length - 1, ctx.digits)
-    P = mp.prec + (3 * coefficients.COEFF_CAP).bit_length() + 4
-    U = math.isqrt(4**P // n)
-
-    def horner(N):
-        acc = 0
-        for value in reversed(stored[:N]):
-            acc = acc * U // 2**P + value * 2**P // 2**bits
-        return mp.ldexp(mp.mpf(acc), -P)
-
-    sums = {N: horner(N) for N in (*range(13), M, M + 2)}
     return {
         "prefactor": mp.exp(exponent) / (4 * mp.sqrt(3) * n),
-        "P": 4 * mp.sqrt(3) * n * p * mp.exp(-exponent),
+        "P": P,
         "E": E,
         "terms": terms,
         "sums": sums,
         "full": sums[M],
-        # the even-N pair (below, above) of T2, T3 with C = 1/2, and the comparison family
+        "r_hat": P - sums[M],
+        # the even-N pair (below, above) of T1, T2 and T3 with C = 1/2
+        "T1": [(E, abs(term) + E) for term in terms[:13]],
         "T2": [(E, envelope + E) for envelope in envelopes],
         "T3": [(half * f, half * f + envelope) for f, envelope in zip(algebraic, envelopes)],
+        # the comparison family stays in context arithmetic, so its plain values are at ctx
         "Banerjee": [(13 * f, 16 * f) if N % 2 == 0 else (11 * f, 21 * f) for N, f in enumerate(comparison)],
     }
 
 
+def _clear_memo():
+    for cache in (expansion._ball_per_n, expansion._ball_normalized, expansion._ball_prefactor, expansion._ball_sum, expansion._ball_term):
+        cache.cache_clear()
+
+
 def _memo_values(n, table, ctx, order):
-    """The same reals through the public functions, the per-n record and the
-    lemma3 sweep's chain (as balls), the memo filled in ``order``."""
-    expansion._per_n.cache_clear()
-    out = {"rows": {}}
+    """The same reals through the public functions and the lemma3 sweep's
+    chain (as balls), from a cold memo filled in ``order``."""
+    _clear_memo()
+    out = {}
 
     def rows():
-        for N in range(13):
-            try:
-                out["rows"][N] = remainder_exact(n, N, table, ctx, include_theta=True)
-            except PrecisionError as exc:
-                out["rows"][N] = str(exc)
+        out["rows"] = [remainder_exact(n, N, table, ctx, include_theta=True) for N in range(13)]
 
     def bounds():
         out["T1"] = [thm1_bounds(n, N, ctx) for N in range(13)]
@@ -462,20 +449,16 @@ def _memo_values(n, table, ctx, order):
             t_bound_full=precision._ball_mul(full, decay, bits),
             t_bound_simple_bracket=simple_bracket,
             t_bound_simple=precision._ball_mul(simple_bracket, decay, bits),
-            prefactor=expansion._per_n(n, ctx).prefactor,
-            P=expansion._per_n(n, ctx).normalized(table.p(n)),
             E=exp_error_term(n, ctx),
+            r_hat=r_hat(n, table, ctx),
         )
 
     def series():
-        per = expansion._per_n(n, ctx)
         out["full"] = full_sum(n, ctx)
-        out["theta"] = [per.theta(N, per.partial_sum(N)) for N in range(13)]
-        out["partial"] = [per.partial_sum(N) for N in range(13)]
 
     def beyond():
-        # partial sums past the series length, kept before the full sum is formed
-        out["beyond"] = expansion._per_n(n, ctx).partial_sum(expansion._series_length(n, ctx) + 2)
+        # a partial sum past the series length, formed before the full sum
+        out["beyond"] = remainder_exact(n, expansion._series_length(n, ctx.digits) + 2, table, ctx).partial_sum
 
     steps = {"rows": rows, "bounds": bounds, "scalars": scalars, "series": series, "beyond": beyond}
     for step in order:
@@ -508,6 +491,8 @@ def test_a_fresh_digit_count_builds_one_context(table):
 
 
 def test_memo_is_bit_identical_to_the_plain_formulas():
+    # in every order of filling the memo, each value is its plain formula at
+    # three times the digits rounded once to the context, bit for bit
     orders = (
         ("series", "bounds", "rows", "scalars", "beyond"),
         ("rows", "scalars", "bounds", "series", "beyond"),
@@ -520,6 +505,10 @@ def test_memo_is_bit_identical_to_the_plain_formulas():
             plain = _plain_values(n, table.p(n), ctx)
             # the lemma3 chain's balls hold the plain values at three times the digits
             lemma3 = _plain_lemma3(n, PrecisionContext(3 * digits))
+
+            def rounded(value):
+                return ctx.real(value)._mpf_
+
             for order in orders:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", PrecisionWarning)
@@ -527,49 +516,37 @@ def test_memo_is_bit_identical_to_the_plain_formulas():
                 where = (n, digits, order)
                 for key, value in lemma3.items():
                     _assert_encloses(memo[key], precision._ball_bits(ctx), value)
-                for key in ("prefactor", "P", "E", "full"):
-                    assert memo[key]._mpf_ == plain[key]._mpf_, (key, where)
-                beyond = plain["sums"][expansion._series_length(n, ctx) + 2]
-                assert memo["beyond"]._mpf_ == beyond._mpf_, where
+                for key in ("E", "full", "r_hat"):
+                    assert memo[key]._mpf_ == rounded(plain[key]), (key, where)
+                assert memo["beyond"]._mpf_ == rounded(plain["sums"][expansion._series_length(n, digits) + 2]), where
                 for N in range(13):
-                    term, partial = plain["terms"][N], plain["sums"][N]
-                    assert memo["partial"][N]._mpf_ == partial._mpf_, (N, where)
-                    assert memo["theta"][N]._mpf_ == ((plain["full"] - partial) / term)._mpf_, (N, where)
-                    E = plain["E"]
-                    even = (-E, abs(term) + E)
-                    lower, upper = even if N % 2 == 0 else (-even[1], -even[0])
-                    report = memo["T1"][N]
-                    assert (report.lower._mpf_, report.upper._mpf_) == (lower._mpf_, upper._mpf_), (N, where)
-                    for family in ("T2", "T3", "Banerjee"):
+                    row, term, partial = memo["rows"][N], plain["terms"][N], plain["sums"][N]
+                    assert row.partial_sum._mpf_ == rounded(partial), (N, where)
+                    assert row.remainder._mpf_ == rounded(plain["P"] - partial), (N, where)
+                    assert row.prefactor._mpf_ == rounded(plain["prefactor"]), (N, where)
+                    assert row.theta._mpf_ == rounded((plain["full"] - partial) / term), (N, where)
+                    for family in ("T1", "T2", "T3", "Banerjee"):
                         report = memo[family][N]
                         if report is None:
                             continue
                         below, above = plain[family][N]
-                        even = (-below, above)
-                        lower, upper = even if N % 2 == 0 else (-even[1], -even[0])
-                        assert (report.lower._mpf_, report.upper._mpf_) == (lower._mpf_, upper._mpf_), (family, N, where)
-                    try:
-                        remainder = expansion._subtract(plain["P"], partial, ctx, f"remainder_exact(n={n}, N={N})")
-                    except PrecisionError as exc:
-                        assert memo["rows"][N] == str(exc), (N, where)
-                        continue
-                    row = memo["rows"][N]
-                    assert row.remainder._mpf_ == remainder._mpf_, (N, where)
-                    assert row.partial_sum._mpf_ == partial._mpf_, (N, where)
-                    assert row.prefactor._mpf_ == plain["prefactor"]._mpf_, (N, where)
-                    assert row.theta._mpf_ == memo["theta"][N]._mpf_, (N, where)
+                        lower, upper = (-below, above) if N % 2 == 0 else (-above, below)
+                        if family == "Banerjee":
+                            assert (report.lower._mpf_, report.upper._mpf_) == (lower._mpf_, upper._mpf_), (family, N, where)
+                        else:
+                            assert (report.lower._mpf_, report.upper._mpf_) == (rounded(lower), rounded(upper)), (family, N, where)
 
 
 def test_per_n_caches_are_bounded():
-    assert isinstance(expansion._per_n.cache_info().maxsize, int)
-    # every other cache the module defines is per context or per ball scale, not per n
+    # every cache the module defines is bounded: the one exp per n and
+    # scale, P(n) and the prefactor formed from it, the Horner passes and
+    # the terms per (n, N, scale), and the sums' constants per scale
     cached = {
-        name
+        name: value.cache_info().maxsize
         for name, value in vars(expansion).items()
         if hasattr(value, "cache_info") and value.__module__ == expansion.__name__
     }
-    assert cached == {"_per_n", "_four_sqrt3", "_ball_context"}
-    assert expansion._ball_context.cache_info().maxsize == 16
+    assert cached == {"_ball_per_n": 4, "_ball_normalized": 4, "_ball_prefactor": 4, "_ball_sum": 32, "_ball_term": 32, "_ball_context": 16}
 
 
 def test_invalid_n_is_not_memoized(ctx80, table):
@@ -600,57 +577,75 @@ def test_invalid_n_is_not_memoized(ctx80, table):
                 text = f"n must be positive, got {n}"
             else:
                 continue  # a function of n alone has no N to reject
-            before = expansion._per_n.cache_info()
+            before = [cache.cache_info() for cache in (expansion._ball_per_n, expansion._ball_sum, expansion._ball_term)]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DomainError) as caught:
                     function(**{key: arguments[key] for key in params if key in arguments})
             assert str(caught.value) == text, (name, n, N)
-            assert expansion._per_n.cache_info() == before, (name, n, N)
+            assert [cache.cache_info() for cache in (expansion._ball_per_n, expansion._ball_sum, expansion._ball_term)] == before, (name, n, N)
 
 
 def test_normalized_partition_is_kept_per_p(ctx80, table):
     # two tables that differ only at p(n): alternating between them, each call
-    # must subtract the series from its own table's P(n), never the other's
+    # must subtract the series from its own table's P(n), never the other's,
+    # and give it rounded once from the plain value at three times the digits
     n = 200
     values = list(table.values[: n + 1])
     values[n] += 1
     other = PartitionTable(values=tuple(values), n_max=n)
-    mp = ctx80.mp
-    decay = mp.exp(-mp.pi * mp.sqrt(mp.mpf(2 * n) / 3))
+    wide = PrecisionContext(240)
+    hi = wide.mp
+    decay = hi.exp(-hi.pi * hi.sqrt(hi.mpf(2 * n) / 3))
+    partial, whole = remainder_exact(n, 4, table, wide).partial_sum, full_sum(n, wide)
+    seen = set()
     for _ in range(2):
         for source in (table, other, other, table):
-            P = 4 * mp.sqrt(3) * n * source.p(n) * decay
+            P = 4 * hi.sqrt(3) * n * source.p(n) * decay
             result = remainder_exact(n, 4, source, ctx80)
-            assert result.remainder._mpf_ == (P - expansion._per_n(n, ctx80).partial_sum(4))._mpf_
-            assert r_hat(n, source, ctx80)._mpf_ == (P - full_sum(n, ctx80))._mpf_
+            assert result.remainder._mpf_ == ctx80.real(P - partial)._mpf_
+            assert r_hat(n, source, ctx80)._mpf_ == ctx80.real(P - whole)._mpf_
+            seen.add(result.remainder._mpf_)
+    assert len(seen) == 2
 
 
 def test_one_record_shared_by_threads(ctx80):
-    # four threads on one fresh record, switching as often as the interpreter
-    # allows: each term is formed while other threads form theirs, and each
-    # P(n) is read while another thread replaces it for another p; both must
-    # be the values one thread alone gets
-    n, M, trials = 37, 40, 25
-    alone = expansion._PerN(n, ctx80)
-    terms = [alone.term(m)._mpf_ for m in range(M)]
-    normalized = {p: alone.normalized(p)._mpf_ for p in (21637, 21638)}
+    # four threads on a cold memo, switching as often as the interpreter
+    # allows: each forms the balls of n while the others form, read or evict
+    # theirs, for two values of p(n); every value must be the one a single
+    # thread gets
+    n, trials = 37, 10
+    base = list(partition_pentagonal(n).values)
+    tables = []
+    for p in (21637, 21638):
+        base[n] = p
+        tables.append(PartitionTable(values=tuple(base), n_max=n))
 
-    def work(record, start, ps):
+    def values(order):
+        out = []
+        for table in order:
+            for N in range(0, 13, 3):
+                row = remainder_exact(n, N, table, ctx80, include_theta=True)
+                report = thm1_bounds(n, N, ctx80)
+                out += [row.remainder._mpf_, row.partial_sum._mpf_, row.prefactor._mpf_, row.theta._mpf_, report.lower._mpf_, report.upper._mpf_]
+        return out
+
+    _clear_memo()
+    alone = [values(tables), values(tables[::-1])]
+
+    def work(start, i):
         start.wait(timeout=60)
-        wrong = [m for m in range(M) if record.term(m)._mpf_ != terms[m]]
-        for _ in range(50):
-            wrong += [p for p in ps if record.normalized(p)._mpf_ != normalized[p]]
-        return wrong
+        return values(tables if i % 2 == 0 else tables[::-1])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
             for trial in range(trials):
-                record, start = expansion._PerN(n, ctx80), threading.Barrier(4)
-                # two threads alternate the two p in one order, two in the other
-                futures = [pool.submit(work, record, start, sorted(normalized, reverse=i % 2)) for i in range(4)]
-                assert [future.result(timeout=60) for future in futures] == [[]] * 4, trial
+                _clear_memo()
+                start = threading.Barrier(4)
+                # two threads take the two p in one order, two in the other
+                futures = [pool.submit(work, start, i) for i in range(4)]
+                assert [future.result(timeout=60) for future in futures] == [alone[i % 2] for i in range(4)], trial
     finally:
         sys.setswitchinterval(interval)

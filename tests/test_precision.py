@@ -1,6 +1,7 @@
 """Context arithmetic, the rational pi enclosure, the Lambert W branch and the integer ball layer."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -13,13 +14,18 @@ from partition_asymptotics import (
     PrecisionContext,
     PrecisionError,
     lambert_w_minus1,
-    pi_enclosure,
     precision,
     verify,
 )
 from partition_asymptotics.coefficients import coeff_envelope
 
 from helpers import ulp
+
+def pi_enclosure(digits):
+    """The ball layer's rational enclosure of pi as two Fractions."""
+    lo, hi, den = precision._pi_enclosure(digits)
+    return Fraction(lo, den), Fraction(hi, den)
+
 
 # pi truncated after 50 decimal places (published digits; the next ones are 582...)
 PI_TRUNCATED = Fraction("3.14159265358979323846264338327950288419716939937510")
@@ -332,14 +338,14 @@ def _encloses(ball, bits, value, mp):
 def test_ball_constants_enclose_their_values(digits):
     bits = precision._ball_bits(PrecisionContext(digits))
     mp = _reference(bits)
-    for ball, value in (
-        (precision._ball_pi(bits), mp.pi),
-        (precision._ball_ln2(bits), mp.log(2)),
-        (precision._ball_cbrt2(bits), mp.cbrt(2)),
-        *((precision._ball_sqrt(k, bits), mp.sqrt(k)) for k in (0, 1, 2, 23, 24 * 5000, 10**40 + 1)),
+    for ball, value, radius in (
+        (precision._ball_pi(bits), mp.pi, 1),
+        (precision._ball_ln2(bits), mp.log(2), 1),
+        (precision._ball_cbrt2(bits), mp.cbrt(2), 1),
+        *((precision._ball_sqrt(k, bits), mp.sqrt(k), int(math.isqrt(k) ** 2 != k)) for k in (0, 1, 2, 23, 24 * 5000, 10**40 + 1, 4**40)),
     ):
         assert _encloses(ball, bits, value, mp), value
-        assert ball[1] == 1  # each docstring's radius
+        assert ball[1] == radius  # each docstring's radius: 0 for an exact root
 
 
 def test_integer_cube_root():
@@ -452,3 +458,39 @@ def test_ball_decide_reads_only_the_first_sign_that_is_not_minus_one():
 
     assert precision._ball_decide(signs, 64) == [-1, 1, 0]
     assert calls == [64]
+
+
+@pytest.mark.parametrize("digits", (30, 80))
+def test_ball_round_decides_only_when_both_ends_round_alike(digits):
+    # balls about powers of two, rounding boundaries and ordinary points, of
+    # either sign: whenever a ball is rounded at its first scale, both of its
+    # ends round to the result; past it the ball turns exact at its midpoint,
+    # so every call returns that midpoint rounded
+    ctx = PrecisionContext(digits)
+    prec, P = ctx.mp.prec, ctx.mp.prec + 40
+    rng = random.Random(digits)
+    decided = 0
+    for _ in range(4000):
+        k = rng.choice((P, P + 1, P - 5, P + 70))  # the value is about 2^(k - P)
+        base = 1 << k
+        if rng.random() < 0.5:  # near a rounding boundary of 2^k's binade or the one below
+            base += rng.randint(-4, 4) * (1 << k - prec) + rng.choice((0, 1 << k - prec - 1, 1 << k - prec - 2))
+        else:
+            base += rng.randint(0, 1 << k - 1)
+        middle = rng.choice((1, -1)) * (base + rng.randint(-64, 64))
+        radius = rng.choice((0, 1, 7, 1 << max(k - prec - 3, 0), 1 << max(k - prec - 1, 0)))
+        scales = []
+
+        def balls(Q):
+            scales.append(Q)
+            return [(middle, radius) if Q == P else (middle << Q - P, 0)]
+
+        (value,) = precision._ball_round(balls, P, ctx)
+        exact = precision.from_man_exp(middle, -P, prec, precision.round_nearest)
+        if scales == [P]:
+            decided += 1
+            ends = {precision.from_man_exp(middle + side, -P, prec, precision.round_nearest) for side in (-radius, radius)}
+            assert ends == {value._mpf_}, (middle, radius)
+        else:
+            assert value._mpf_ == exact and scales == [P, 2 * P], (middle, radius)
+    assert 1000 < decided < 4000

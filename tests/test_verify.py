@@ -13,6 +13,13 @@ def test_lemma1_small():
     assert result.checked == 60
 
 
+def test_lemma1_settles_the_equal_first_ratio_at_every_digit_count():
+    # |c_1/c_0| is the odd cap itself, so rounded values decided it by a coin
+    # flip: they failed it at 30, 32 and 81 digits and passed it at 50
+    for digits in (30, 32, 50, 81):
+        assert run_suite("lemma1", ctx=PrecisionContext(digits)) == verify.VerifyResult("lemma1", 400, True)
+
+
 def test_lemma2_small(ctx80):
     result = run_suite("lemma2", m_max=60, ctx=ctx80)
     assert result.ok
