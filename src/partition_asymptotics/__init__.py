@@ -8,7 +8,7 @@ from .coefficients import (
     coeff_c,
     darboux_approximant,
 )
-from .errors import DomainError, PrecisionError, PrecisionWarning, ResourceError
+from .errors import DomainError, PrecisionError, ResourceError
 from .expansion import (
     RemainderResult,
     exp_error_term,
@@ -41,7 +41,6 @@ __all__ = [
     "PartitionTable",
     "PrecisionContext",
     "PrecisionError",
-    "PrecisionWarning",
     "RemainderResult",
     "ResourceError",
     "SUITE_NAMES",

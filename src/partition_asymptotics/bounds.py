@@ -26,15 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .coefficients import _ball_amplitude, _correction, _sqrt_ratio
+from .coefficients import _ball_envelope, _sqrt_ratio
 from .errors import DomainError, PrecisionError
 from .expansion import _ball_error_term, _ball_term, _check, _per_n_bits
 from .precision import (
-    _BALL_GUARD,
     PrecisionContext,
     _ball_add,
     _ball_bits,
-    _ball_mul,
     _ball_round,
     _ball_sqrt,
     lambert_w_minus1,
@@ -68,21 +66,6 @@ def _ball_exponential(n: int, N: int, above: tuple, bits: int) -> tuple:
     """T1's or T2's balls (lower, upper) at 2^-bits: E(n) below and ``above``, the term or its envelope, + E(n) above."""
     E = _ball_error_term(n, bits)
     return _ball_enclosure(N, E, _ball_add(above, E))
-
-
-def _ball_envelope(N: int, power: int, bits: int) -> tuple:
-    """The envelope of |c_N| / n^(N/2), amplitude * sqrt((N+1) a / (b power)), as a ball at 2^-bits, for power = (24n)^N.
-
-    (a, b) is the square of the envelope's correction, so the shape, the
-    correction and the power of sqrt(24n) are one root ball at 2^-bits.  The
-    amplitude ball is formed at 2^-s, s = bits less about the bits the root
-    sits below 1 (at least _BALL_GUARD), as wide relative to its value as the
-    root, and ``_ball_mul`` of the two lands at the root's scale.
-    """
-    a, b = _correction(N)
-    num, den = (N + 1) * a, b * power
-    coarse = max(bits - (den.bit_length() - num.bit_length()) // 2, _BALL_GUARD)
-    return _ball_mul(_ball_amplitude(N, coarse), _ball_sqrt(num, bits, den), coarse)
 
 
 def _report(theorem: str, n: int, N: int, ends, bits: int, ctx: PrecisionContext, valid=True, C=None) -> BoundsReport:
@@ -160,8 +143,7 @@ def thm3_bounds(n: int, N: int, C, ctx: PrecisionContext) -> BoundsReport:
         raise DomainError(f"T3 bounds need N >= 1, got N={N}")
     valid = n >= nu(N, C, ctx)  # nu also rejects C <= 0
     exact = Fraction(C)
-    below = (exact.denominator**2 * (24 * n) ** N).bit_length() - (exact.numerator**2 * (N + 1)).bit_length()
-    bits = _ball_bits(ctx) + max(below // 2, 0)
+    bits = _ball_bits(ctx, exact.numerator**2 * (N + 1), exact.denominator**2 * (24 * n) ** N)
     return _report("T3", n, N, functools.partial(_ball_thm3, n, N, exact), bits, ctx, valid, ctx.real(C))
 
 

@@ -5,8 +5,9 @@ Decimal rendering is explicit everywhere, with mantissas printed as
 ``[-]0.<digits>e<exponent>``; reference-table blocks share one exponent per
 block (that of the largest entry), which is how regression strings are pinned.
 Every printed number is the exact binary value of its float, ``man * 2^exp``,
-rounded half to even once, in integer arithmetic.  Warnings go to stderr as
-``warning: <message>``, each distinct one once, with no path or line number.
+rounded half to even once, in integer arithmetic.  Errors go to stderr as
+``error: <message>``, and a rebuilt cache file is reported there as
+``warning: <message>``.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import csv
 import json
 import os
 import sys
-import warnings
 
 from .bounds import banerjee_bounds, nu, thm1_bounds, thm2_bounds, thm3_bounds
 from .coefficients import coeff_asymptotic, coeff_bound, coeff_c
-from .errors import DomainError, PrecisionError, PrecisionWarning, ResourceError
+from .errors import DomainError, PrecisionError, ResourceError
 from .expansion import _check, remainder_exact
 from .partitions import PartitionTable, load_table, partition_pentagonal, save_table
 from .precision import PrecisionContext
@@ -308,35 +308,17 @@ COMMANDS = {
 }
 
 
-def _report_warnings(caught: list) -> None:
-    """Each distinct PrecisionWarning once, in order, as ``warning: <message>``;
-    any other warning as Python shows it."""
-    printed = set()
-    for item in caught:
-        message = str(item.message)
-        if not issubclass(item.category, PrecisionWarning):
-            warnings.showwarning(item.message, item.category, item.filename, item.lineno)
-        elif message not in printed:
-            printed.add(message)
-            print(f"warning: {message}", file=sys.stderr)
-
-
 def run(argv=None, stream=None) -> int:
     stream = stream or sys.stdout
     args = build_parser().parse_args(argv)
-    failure = None
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            ctx = PrecisionContext(args.digits)
-            if args.command == "verify":
-                records, status = cmd_verify(args, ctx)
-            else:
-                records, status = COMMANDS[args.command](args, ctx), 0
-        except (DomainError, PrecisionError, ResourceError, ValueError, OSError) as exc:
-            failure = exc
-    _report_warnings(caught)
-    if failure is not None:
-        print(f"error: {failure}", file=sys.stderr)
+    try:
+        ctx = PrecisionContext(args.digits)
+        if args.command == "verify":
+            records, status = cmd_verify(args, ctx)
+        else:
+            records, status = COMMANDS[args.command](args, ctx), 0
+    except (DomainError, PrecisionError, ResourceError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     EMITTERS[args.format](records, stream)
     return status

@@ -47,9 +47,14 @@ terms at that scale.
 Comparisons.  ``certified_abs_less`` decides |c_m| < |c_other| from the
 same integers: |c_m| lies in the ball |W_m| +- e_m at scale 2^-P, and two
 balls are compared exactly; ``_ratio_within_cap`` decides lemma 1's step
-ratio |c_m / c_(m-1)| against its cap on the same balls.  Balls that overlap
-are undecided, and the source is rebuilt at twice the digits until they
-separate.
+ratio |c_m / c_(m-1)| against its cap on the same balls, and
+``_within_envelope`` lemma 2's |c_m| < envelope, with the envelope's ball at
+the source's scale.  Balls that overlap are undecided, and the source is
+rebuilt at twice the digits until they separate.
+
+Envelope.  Lemma 2's bound on |c_m| is one ball, ``_ball_envelope``, which
+T2, T3, lemma2 and thm2 decide on; ``coeff_bound`` is it, and
+``coeff_asymptotic`` it without the correction, rounded once to the context.
 """
 
 from __future__ import annotations
@@ -73,12 +78,15 @@ from mpmath.libmp import (
 
 from .errors import DomainError, PrecisionError, ResourceError
 from .precision import (
+    _BALL_GUARD,
     MIN_DIGITS,
     PrecisionContext,
     _ball_add,
+    _ball_bits,
     _ball_digits,
     _ball_mul,
     _ball_pi,
+    _ball_round,
     _ball_scale,
     _ball_sign,
     _ball_sqrt,
@@ -225,7 +233,7 @@ def _horner(N: int, P: int, U: int, digits: int) -> int:
 
         e_k = u e_{k+1} - d acc_{k+1} / 2^P - f - f'.
 
-    ``coeff_envelope`` gives |c_m| <= 1.7376 sqrt(m+1) / sqrt(24)^m for every
+    ``_ball_envelope`` gives |c_m| <= 1.7376 sqrt(m+1) / sqrt(24)^m for every
     m >= 1, so sum_{m>=1} |c_m| < 0.67; each x_m is within a relative
     10^-(digits+10) of c_m (see ``_attempt``), so |T_k| < 0.7 for k >= 1 and
     |acc_{k+1}| < 0.7 * 2^P + |e_{k+1}|.  Hence |e_k| < |e_{k+1}| (1 + 2^-P)
@@ -295,8 +303,8 @@ def _ball_amplitude(m: int, bits: int) -> tuple:
     v = ``_even_odd_prefactor(w)[m % 2]`` at w = ``_width(bits)`` >= bits.  The
     amplitudes, 0.835... and 1.737..., lie in [1/2, 2), and so does v: its
     ulp is 2^-w or 2^(1-w), so A is an integer, under (1/2 + 2^-25) 2 < 2
-    units from 2^w times the amplitude; the shift by k = w - bits >= 1 leaves
-    under 2^(1-k) + 1 <= 2.
+    units from 2^w times the amplitude; a shift by k = w - bits >= 1 leaves
+    under 2^(1-k) + 1 <= 2, and k = 0 (w = bits) none.
     """
     width = _width(bits)
     _, mantissa, exponent, _ = _even_odd_prefactor(width)[m % 2]
@@ -321,42 +329,50 @@ def _sqrt_ratio(num: int, den: int, ctx: PrecisionContext):
     return ctx.mp.make_mpf(from_man_exp(2 * root + (root * root * den != scaled), -shift - 1, prec, round_nearest))
 
 
-def _correction(m: int) -> tuple:
-    """(a, b), the square a / b of the envelope's correction: (4j+2, 4j+1) for m = 2j, (4j+4, 4j+5) for m = 2j+1."""
-    j = m // 2
-    return (4 * j + 2, 4 * j + 1) if m % 2 == 0 else (4 * j + 4, 4 * j + 5)
+def _ball_amplitude_root(m: int, num: int, den: int, bits: int) -> tuple:
+    """The envelope amplitude of c_m (even or odd m) times sqrt(num / den), as a ball at 2^-bits.
 
-
-@functools.lru_cache(maxsize=None)
-def coeff_envelope(m: int, ctx: PrecisionContext) -> tuple:
-    """(amplitude, shape, correction) of the proven envelope
-    |c_m| <= amplitude * shape / sqrt(24)^m * correction.
-
-    Even m = 2j:   (6*sqrt(2)/pi^(3/2)) sinh(pi/6), sqrt(2j+1), sqrt(1 + 1/(4j+1)).
-    Odd  m = 2j+1: (6*sqrt(2)/pi^(3/2)) cosh(pi/6), sqrt(2j+2), sqrt(1 - 1/(4j+5)).
-    The shape sqrt(m+1) and the correction, sqrt((4j+2)/(4j+1)) or
-    sqrt((4j+4)/(4j+5)), are correctly rounded by ``_sqrt_ratio``; the
-    amplitudes come from ``_even_odd_prefactor``.  Memoized per (m, context).
+    The root is one ball at 2^-bits.  The amplitude ball is formed at 2^-s,
+    s = bits less about the bits the root sits below 1 (at least _BALL_GUARD),
+    as wide relative to its value as the root, and ``_ball_mul`` of the two
+    lands at the root's scale.
     """
+    coarse = max(bits - (den.bit_length() - num.bit_length()) // 2, _BALL_GUARD)
+    return _ball_mul(_ball_amplitude(m, coarse), _ball_sqrt(num, bits, den), coarse)
+
+
+def _ball_envelope(m: int, power: int, bits: int) -> tuple:
+    """The proven envelope of |c_m| sqrt(24^m / power) as a ball at 2^-bits: for power = (24n)^m, of |c_m| / n^(m/2).
+
+        Even m = 2j:   |c_m| <= (6 sqrt(2) / pi^(3/2)) sinh(pi/6) sqrt(2j+1) / sqrt(24)^m * sqrt(1 + 1/(4j+1)),
+        Odd  m = 2j+1: |c_m| <= (6 sqrt(2) / pi^(3/2)) cosh(pi/6) sqrt(2j+2) / sqrt(24)^m * sqrt(1 - 1/(4j+5)).
+
+    With a / b = (4j+2) / (4j+1) or (4j+4) / (4j+5), the square of the
+    correction, the shape, the correction and the power are the one root
+    sqrt((m+1) a / (b power)) of ``_ball_amplitude_root``.
+    """
+    j = m // 2
+    a, b = (4 * j + 2, 4 * j + 1) if m % 2 == 0 else (4 * j + 4, 4 * j + 5)
+    return _ball_amplitude_root(m, (m + 1) * a, b * power, bits)
+
+
+def _round_envelope(m: int, ctx: PrecisionContext, ball):
+    """The real of ball(24^m, P) rounded once to the context, from the scale where sqrt((m+1) / 24^m) keeps its precision."""
     if m < 0:
         raise DomainError(f"m must be nonnegative, got {m}")
-    amplitude = _even_odd_prefactor(ctx.mp.prec)[m % 2]
-    return ctx.mp.make_mpf(amplitude), _sqrt_ratio(m + 1, 1, ctx), _sqrt_ratio(*_correction(m), ctx)
+    power = 24**m
+    return _ball_round(lambda P: [ball(power, P)], _ball_bits(ctx, m + 1, power), ctx)[0]
 
 
 def coeff_bound(m: int, ctx: PrecisionContext):
-    """Proven upper bound for |c_m|: the full envelope of :func:`coeff_envelope`."""
-    amplitude, shape, correction = coeff_envelope(m, ctx)
-    return amplitude * shape / _sqrt_ratio(24, 1, ctx) ** m * correction
+    """Proven upper bound for |c_m|: its envelope (``_ball_envelope``), rounded once to the context."""
+    return _round_envelope(m, ctx, functools.partial(_ball_envelope, m))
 
 
 def coeff_asymptotic(m: int, ctx: PrecisionContext):
-    """Leading large-m approximation of c_m (signed): the bound without its
-    sqrt(1 +- ...) correction factor."""
-    amplitude, shape, _ = coeff_envelope(m, ctx)
-    if m % 2:
-        amplitude = -amplitude
-    return amplitude * shape / _sqrt_ratio(24, 1, ctx) ** m
+    """Leading large-m approximation of c_m, (-1)^m amplitude sqrt(m+1) / sqrt(24)^m: the envelope
+    without its correction and with the sign of c_m, rounded once to the context."""
+    return _round_envelope(m, ctx, lambda power, P: _ball_scale(_ball_amplitude_root(m, m + 1, power, P), (-1) ** m))
 
 
 def darboux_approximant(m: int, ctx: PrecisionContext):
@@ -423,3 +439,21 @@ def _ratio_within_cap(m: int) -> bool:
         return lhs, _ball_mul(_ball_add(_ball_mul(half_turn, half_turn, bits), (72 << bits, 0)), previous, bits)
 
     return _certified(m, balls, f"bound |c_{m}/c_{m - 1}|")
+
+
+def _within_envelope(m: int) -> bool:
+    """Decide |c_m| < its envelope, lemma 2's bound, on the source's ball (|W_m|, e_m) and ``_ball_envelope(m, 24^m, .)``.
+
+    Both are taken at the scale 2^-(P-s), s = max(bitlen(W_m) - K, 0) with
+    K = bitlen(W_M) - bitlen(e_M) for the source's last entry M: the ball
+    of |c_m|, floored there by ``_ball_scale``, keeps about the K bits
+    relative to its size that W_M holds, at least (D + 10) log2 10 (see
+    ``_attempt``), and the envelope's root is formed no finer.
+    """
+    power = 24**m
+
+    def balls(bits, W, e):
+        shift = max(abs(W[m]).bit_length() - abs(W[-1]).bit_length() + e[-1].bit_length(), 0)
+        return _ball_scale((abs(W[m]), e[m]), 1, 1 << shift), _ball_envelope(m, power, bits - shift)
+
+    return _certified(m, balls, f"bound |c_{m}| by its envelope")

@@ -11,7 +11,3 @@ class PrecisionError(ArithmeticError):
 
 class ResourceError(RuntimeError):
     """Requested computation exceeds a configured size cap."""
-
-
-class PrecisionWarning(UserWarning):
-    """Working precision is below the recommended level for the request."""

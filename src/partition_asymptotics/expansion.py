@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 from mpmath.libmp import round_nearest, to_float
 
 from .coefficients import _ball_c, _even_odd_prefactor, _horner
-from .errors import DomainError, PrecisionWarning
+from .errors import DomainError
 from .partitions import PartitionTable
 from .precision import (
     PrecisionContext,
@@ -66,7 +65,7 @@ class RemainderResult:
 
 
 def _check(n: int, N: Optional[int] = None) -> None:
-    """The argument check every public function makes before a cache or warning sees n.
+    """The argument check every public function makes before a cache sees n.
 
     A function of n alone needs n >= 1; one of (n, N) needs N >= 0 as well.
     """
@@ -80,28 +79,21 @@ def _check(n: int, N: Optional[int] = None) -> None:
 
 
 def recommended_digits(n: int) -> int:
-    """Digits needed so the exponential prefactor leaves ~30 digits of headroom."""
+    """Digits at which the exponential prefactor leaves ~30 digits of headroom.
+
+    Every value is rounded once from its ball at any digit count; below this
+    one a remainder that cancels costs finer scales, not digits.
+    """
     _check(n)
     return 30 + math.ceil(math.pi * math.sqrt(2 * n / 3) / math.log(10))
-
-
-def _warn_if_low_precision(n: int, ctx: PrecisionContext) -> None:
-    needed = recommended_digits(n)
-    if ctx.digits < needed:
-        warnings.warn(
-            f"digits={ctx.digits} is below the recommended {needed} for n={n}; "
-            "cancellation may leave few significant digits",
-            PrecisionWarning,
-            stacklevel=3,
-        )
 
 
 def _series_length(n: int, digits: int) -> int:
     """The first M whose proven tail bound is below 10^-(digits+5).
 
-    With q = sqrt(24n) and A the odd (cosh) amplitude of ``coeff_envelope``,
-    read from ``_even_odd_prefactor`` so that no envelope triple is formed,
-    the envelope gives |c_m| / n^(m/2) <= A sqrt(2(m+1)) q^(-m) for every m,
+    With q = sqrt(24n) and A the odd (cosh) amplitude of ``_ball_envelope``,
+    read from ``_even_odd_prefactor``, the envelope gives
+    |c_m| / n^(m/2) <= A sqrt(2(m+1)) q^(-m) for every m,
     so the tail after M terms is at most A sqrt(2(M+1)) q^(-M) / (1 - 1/q)^2.
     The terms alternate in sign and shrink, so every partial sum after S_0
     lies in (0, 1] and the cutoff is also relative to the sum.  The bound is
@@ -244,7 +236,6 @@ def remainder_exact(
     remainder that cancels is formed at finer scales until it rounds.
     """
     _check(n, N)
-    _warn_if_low_precision(n, ctx)
     p, bits = table.p(n), _per_n_bits(n, ctx)
     if include_theta:
         bits = max(bits, _ball_bits(ctx) + N * (24 * n).bit_length() // 2)
@@ -267,7 +258,6 @@ def full_sum(n: int, ctx: PrecisionContext):
 def r_hat(n: int, table: PartitionTable, ctx: PrecisionContext):
     """Residual of the full convergent series against the normalized p(n), rounded once to the context."""
     _check(n)
-    _warn_if_low_precision(n, ctx)
     p = table.p(n)
     return _ball_round(lambda P: [_ball_remainder(n, None, p, P)], _per_n_bits(n, ctx), ctx)[0]
 

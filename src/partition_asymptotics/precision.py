@@ -165,9 +165,10 @@ _BALL_GUARD = 32
 _BALL_MAX_BITS = 1 << 14
 
 
-def _ball_bits(ctx: PrecisionContext) -> int:
-    """The scale P of the balls for a context: its precision in bits plus _BALL_GUARD."""
-    return ctx.mp.prec + _BALL_GUARD
+def _ball_bits(ctx: PrecisionContext, num: int = 1, den: int = 1) -> int:
+    """The scale P of the balls for a context: its precision in bits plus _BALL_GUARD,
+    plus about the bits sqrt(num / den) sits below 1, if it does, for a value of about that size."""
+    return ctx.mp.prec + _BALL_GUARD + max((den.bit_length() - num.bit_length()) // 2, 0)
 
 
 def _ball_digits(bits: int) -> int:

@@ -8,8 +8,11 @@ the test suite runs the same sweeps through pytest.
 
 The lemma3, thm1, thm2 and thm3 sweeps decide every claim on integer balls
 (see ``precision``), formed per n from one exp: the same balls the printed
-bounds and remainders are rounded from.  lemma1 decides its step ratios on
-the coefficient source's integers.
+bounds and remainders are rounded from.  lemma1 decides its step ratios, and
+lemma2 each |c_m| against its envelope, on the coefficient source's
+integers; lemma2's central binomial inequality is decided on a ball of pi.
+gf and asymptotics are agreement checks against a tolerance, in context
+arithmetic.
 """
 
 from __future__ import annotations
@@ -20,17 +23,18 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .bounds import _ball_envelope, _ball_exponential, _ball_thm3, nu
+from .bounds import _ball_exponential, _ball_thm3, nu
 from .coefficients import (
+    _ball_envelope,
     _ratio_within_cap,
+    _within_envelope,
     certified_abs_less,
     coeff_asymptotic,
-    coeff_bound,
     coeff_c,
     darboux_approximant,
 )
 from .errors import DomainError
-from .expansion import _ball_error_term, _ball_remainder, _ball_term, _warn_if_low_precision
+from .expansion import _ball_error_term, _ball_remainder, _ball_term
 from .partitions import partition_dp_row, partition_pentagonal
 from .precision import (
     PrecisionContext,
@@ -89,16 +93,23 @@ def _weierstrass_holds(m: int, k: int) -> bool:
 
 
 def _lemma2(m_max: int, ctx: PrecisionContext):
-    """|c_m| <= coeff_bound(m), plus the two inequalities its proof rests on."""
-    mp = ctx.mp
-    binom = 1  # binom(2m, m), updated incrementally
+    """|c_m| below its envelope, plus the two inequalities its proof rests on, each decided on balls or integers.
+
+    The central binomial inequality binom(2m, m) sqrt(pi (m + 1/4)) < 4^m is
+    squared into binom(2m, m)^2 pi (4m+1) < 4 * 16^m, on one ``_ball_pi``.
+    """
+    bits, binom = _ball_bits(ctx), 1  # binom(2m, m), updated incrementally
     coeff_c(m_max, ctx)  # the last index first, so the coefficient source grows once
+
+    def central(m, square, P):
+        return [_ball_sign(_ball_scale(_ball_pi(P), square * (4 * m + 1)), (1 << 4 * m + 2 + P, 0))]
+
     for m in range(m_max + 1):
         if m > 0:
             binom = binom * (2 * m) * (2 * m - 1) // (m * m)
-        if abs(coeff_c(m, ctx)) > coeff_bound(m, ctx):
+        if not _within_envelope(m):
             yield f"|c_{m}| exceeds its bound"
-        elif binom * mp.sqrt(mp.pi * (m + mp.mpf(1) / 4)) > 2 ** (2 * m):
+        elif _ball_decide(functools.partial(central, m, binom * binom), bits)[0] > 0:
             yield f"central binomial inequality fails at m={m}"
         else:
             yield None
@@ -163,7 +174,6 @@ def _lemma3(n_max: int, ctx: PrecisionContext):
         return [_ball_sign((abs(middle), radius), _ball_error_term(n, P))]
 
     for n in range(1, n_max + 1):
-        _warn_if_low_precision(n, ctx)
         bad = _ball_decide(functools.partial(residual, n), bits)[0] > 0
         yield f"|r_hat({n})| exceeds the exponential envelope" if bad else None
 
@@ -227,7 +237,6 @@ def _thm1(n_max: int, ctx: PrecisionContext):
         return _inside(_ball_remainder(n, N, table.p(n), P), *_ball_exponential(n, N, _ball_term(n, N, P), P))
 
     for n in range(1, n_max + 1):
-        _warn_if_low_precision(n, ctx)
         for N in range(ENCLOSURE_N_MAX + 1):
             enclosed = max(_ball_decide(functools.partial(signs, n, N), bits)) < 0
             yield None if enclosed else f"T1 enclosure fails at n={n}, N={N}"
@@ -247,7 +256,6 @@ def _thm2(n_max: int, ctx: PrecisionContext):
         return [*_inside(_ball_remainder(n, N, table.p(n), P), lower, upper), _ball_sign(_ball_term(n, N, P), envelope)]
 
     for n in range(1, n_max + 1):
-        _warn_if_low_precision(n, ctx)
         for N in range(ENCLOSURE_N_MAX + 1):
             found = _ball_decide(functools.partial(signs, n, N), bits)
             if max(found[:2]) > 0:
@@ -282,7 +290,6 @@ def _thm3(_size, ctx: PrecisionContext):
         return _inside(_ball_remainder(n, N, table.p(n), P), *_ball_thm3(n, N, C, P))
 
     for n in range(first, last + 1):
-        _warn_if_low_precision(n, ctx)
         for N, C, start in thresholds:
             if start <= n <= start + THM3_SPAN:
                 enclosed = max(_ball_decide(functools.partial(signs, n, N, C), bits)) < 0

@@ -117,25 +117,6 @@ def test_module_entry_point():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "N = 4\nC = 3.474\nnu = 116\n\n", "")
 
 
-LOW_PRECISION = (
-    "warning: digits={} is below the recommended {} for n={}; cancellation may leave few significant digits\n"
-)
-
-
-def test_precision_warnings_print_once_each_without_a_location(capsys):
-    # each distinct warning once, as "warning: <message>", with no path or
-    # line of cli.py; table1 warns at (500, 6) and (500, 7) with one message
-    proc = _module("--digits", "50", "table1")
-    assert (proc.returncode, proc.stderr) == (0, LOW_PRECISION.format(50, 55, 500))
-    proc = _module("--digits", "30", "remainder", "100", "2")
-    expected = "n = 100\nN = 2\nremainder = 0.6136115333e-3\npartial_sum = 0.9556712023e0\nprefactor = 0.1992808933e9\n\n"
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, LOW_PRECISION.format(30, 42, 100))
-    # in one process, every run reports its own warnings again
-    for _ in range(2):
-        assert invoke("--digits", "30", "remainder", "100", "2") == (0, expected)
-        assert capsys.readouterr().err == LOW_PRECISION.format(30, 42, 100)
-
-
 def test_nu_domain_error_is_one_short_line(capsys):
     # the W_-1 argument is shown to 15 digits, not at the working precision
     status, out = invoke("nu", "3", "1e5")
@@ -352,7 +333,6 @@ PUBLIC_NAMES = [
     "PartitionTable",
     "PrecisionContext",
     "PrecisionError",
-    "PrecisionWarning",
     "RemainderResult",
     "ResourceError",
     "SUITE_NAMES",

@@ -44,6 +44,7 @@ def _commands():
         ["table1"],
         ["--format", "csv", "table2"],
         ["--digits", "30", "verify", "lemma1"],
+        ["--digits", "30", "verify", "lemma2"],
         ["verify", "thm1", "--n-max", "20"],
         *(["--format", fmt, "verify", "lemma3", "--n-max", "20"] for fmt in FORMATS),
         ["--digits", "30", "verify", "lemma3", "--n-max", "20"],

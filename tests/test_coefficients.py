@@ -261,42 +261,29 @@ def _within_half_ulp(value, reference, ctx):
     return abs(wide.mpf(value) - reference) <= wide.mpf(ulp(value, ctx)) / 2
 
 
-def test_envelope_pieces(ctx80):
-    mp = ctx80.mp
-    wide = PrecisionContext(2 * ctx80.digits).mp
-    even_amplitude = coefficients.coeff_envelope(0, ctx80)[0]
-    odd_amplitude = coefficients.coeff_envelope(1, ctx80)[0]
-    for m in range(0, 41):
-        amplitude, shape, correction = coefficients.coeff_envelope(m, ctx80)
-        j = m // 2
-        if m % 2 == 0:
-            assert amplitude == even_amplitude
-            assert shape == mp.sqrt(2 * j + 1)
-            expected = wide.sqrt(wide.mpf(4 * j + 2) / (4 * j + 1))
-        else:
-            assert amplitude == odd_amplitude
-            assert shape == mp.sqrt(2 * j + 2)
-            expected = wide.sqrt(wide.mpf(4 * j + 4) / (4 * j + 5))
-        assert _within_half_ulp(correction, expected, ctx80), m
-        scaled = amplitude * shape / mp.sqrt(24) ** m
-        assert coeff_bound(m, ctx80) == scaled * correction
-        assert coeff_asymptotic(m, ctx80) == (scaled if m % 2 == 0 else -scaled)
-    with pytest.raises(ValueError):
-        coefficients.coeff_envelope(-1, ctx80)
+def test_envelope_pieces():
+    # the even and odd amplitudes within half an ulp of their values at twice the digits
+    for digits in (30, 31, 80, 166, 1145):
+        ctx = PrecisionContext(digits)
+        references = _amplitudes(PrecisionContext(2 * digits).mp)
+        for amplitude, reference in zip(coefficients._even_odd_prefactor(ctx.mp.prec), references):
+            assert _within_half_ulp(ctx.mp.make_mpf(amplitude), reference, ctx), digits
 
 
 @pytest.mark.parametrize("digits", (30, 31, 80, 166, 1145))
 def test_envelope_against_twice_the_digits(digits):
+    # coeff_bound and coeff_asymptotic are the plain formulas at twice the
+    # digits rounded once to the context
     ctx = PrecisionContext(digits)
-    mp, wide = ctx.mp, PrecisionContext(2 * digits).mp
+    wide = PrecisionContext(2 * digits).mp
     references = _amplitudes(wide)
     for m in (*range(0, 64), 399, 400, 2999, 3000):
-        amplitude, shape, correction = coefficients.coeff_envelope(m, ctx)
         j = m // 2
         num, den = (4 * j + 2, 4 * j + 1) if m % 2 == 0 else (4 * j + 4, 4 * j + 5)
-        assert shape._mpf_ == mp.sqrt(m + 1)._mpf_, m
-        assert _within_half_ulp(correction, wide.sqrt(wide.mpf(num) / den), ctx), m
-        assert _within_half_ulp(amplitude, references[m % 2], ctx), m
+        asymptotic = references[m % 2] * wide.sqrt(m + 1) / wide.sqrt(24) ** m
+        bound = asymptotic * wide.sqrt(wide.mpf(num) / den)
+        assert coeff_bound(m, ctx)._mpf_ == ctx.real(bound)._mpf_, m
+        assert coeff_asymptotic(m, ctx)._mpf_ == ctx.real(asymptotic if m % 2 == 0 else -asymptotic)._mpf_, m
 
 
 def test_sqrt_ratio_is_correctly_rounded():
@@ -325,17 +312,6 @@ def test_amplitudes_do_not_depend_on_the_order_of_digit_counts():
 
     ascending = visit(digit_counts)
     assert visit(reversed(digit_counts)) == ascending
-
-
-def test_envelope_memoized_per_m_and_digits(ctx80):
-    first = coefficients.coeff_envelope(17, ctx80)
-    assert coefficients.coeff_envelope(17, ctx80) is first
-    assert coefficients.coeff_envelope(17, PrecisionContext(50)) is not first
-    cached = coefficients.coeff_envelope.cache_info().currsize
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            coefficients.coeff_envelope(-3, ctx80)
-    assert coefficients.coeff_envelope.cache_info().currsize == cached
 
 
 def test_bound_dominates(ctx80):
@@ -475,6 +451,29 @@ def test_step_ratio_decided_on_the_source(monkeypatch):
         assert not coefficients._ratio_within_cap(m), m
 
 
+def test_envelope_decided_on_the_source(monkeypatch):
+    _cold_source(monkeypatch)
+    assert all(coefficients._within_envelope(m) for m in range(0, 401))
+    # |c_0| is 15% and |c_399| 2.8e-5 below its envelope: lifted past them, the checks fail
+    for m, lift in ((0, Fraction(6, 5)), (399, 1 + Fraction(3, 10**5))):
+        _cold_source(monkeypatch)
+        held, bits, values, radii = coefficients._coefficients(400, 40)
+        lifted = list(values)
+        lifted[m] = values[m] * lift.numerator // lift.denominator
+        monkeypatch.setattr(coefficients, "_source", (held, bits, tuple(lifted), radii))
+        assert not coefficients._within_envelope(m), m
+
+
+@pytest.mark.parametrize("digits, scale", ((30, 3416), (31, 3419), (80, 3582)))
+def test_lemma2_decides_on_the_source_as_built(monkeypatch, builds, digits, scale):
+    # every bound and central binomial check decides on the source built for
+    # lemma2's digits, at the first scale: one build, and no rebuild
+    _cold_source(monkeypatch)
+    assert verify.run_suite("lemma2", ctx=PrecisionContext(digits)) == verify.VerifyResult("lemma2", 20702, True)
+    assert builds == [(400, digits, coefficients._guard_digits(400))]
+    assert coefficients._source[:2] == (digits, scale)
+
+
 def test_negative_m_rejected(ctx80, monkeypatch):
     def untouched(m, digits):
         raise AssertionError("the source was asked for a negative index")
@@ -492,12 +491,12 @@ def test_negative_m_rejected(ctx80, monkeypatch):
     "call",
     (
         lambda ctx: coeff_c(-1, ctx),
-        lambda ctx: coefficients.coeff_envelope(-1, ctx),
+        lambda ctx: coeff_asymptotic(-1, ctx),
         lambda ctx: darboux_approximant(-1, ctx),
         lambda ctx: certified_abs_less(-1, 0),
         lambda ctx: certified_abs_less(0, -1),
     ),
-    ids=("coeff_c", "coeff_envelope", "darboux_approximant", "certified_abs_less", "certified_abs_less_other"),
+    ids=("coeff_c", "coeff_asymptotic", "darboux_approximant", "certified_abs_less", "certified_abs_less_other"),
 )
 def test_negative_m_is_a_domain_error(call, ctx80):
     with pytest.raises(DomainError, match="^m must be nonnegative, got -1$"):

@@ -134,10 +134,10 @@ def test_bound_balls_enclose_their_values(digits):
         E = mp.exp(-mp.pi * mp.sqrt(mp.mpf(2 * n) / 3) / 2)
         for N in ORDERS:
             envelope = _sinh_cosh_envelope(n, N, mp)
-            _assert_encloses(bounds._ball_envelope(N, (24 * n) ** N, bits), bits, envelope)
+            _assert_encloses(coefficients._ball_envelope(N, (24 * n) ** N, bits), bits, envelope)
             # the T1 and T2 ends: -E and the term or envelope plus E, mirrored for odd N
             term = abs(values[N]) / mp.mpf(n) ** (mp.mpf(N) / 2)
-            for above, value in ((expansion._ball_term(n, N, bits), term), (bounds._ball_envelope(N, (24 * n) ** N, bits), envelope)):
+            for above, value in ((expansion._ball_term(n, N, bits), term), (coefficients._ball_envelope(N, (24 * n) ** N, bits), envelope)):
                 ends = (-E, value + E) if N % 2 == 0 else (-value - E, E)
                 for ball, end in zip(bounds._ball_exponential(n, N, above, bits), ends):
                     _assert_encloses(ball, bits, end)
@@ -187,7 +187,6 @@ def _inside(value, ball, bits, ctx):
     return abs(exact - Fraction(ball[0], 1 << bits)) <= Fraction(ball[1], 1 << bits) + half
 
 
-@pytest.mark.filterwarnings("ignore::partition_asymptotics.PrecisionWarning")  # 30 digits is below every recommendation here
 @pytest.mark.parametrize("digits", DIGITS)
 def test_printed_route_agrees_with_the_balls(digits):
     """Every printed value lies inside its ball plus half an ulp, and none is refused.
@@ -207,7 +206,7 @@ def test_printed_route_agrees_with_the_balls(digits):
         assert _inside(full_sum(n, ctx), expansion._ball_sum(n, None, bits), bits, ctx)
         assert _inside(r_hat(n, _table(), ctx), expansion._ball_remainder(n, None, p, bits), bits, ctx)
         for N in ORDERS:
-            term, envelope = expansion._ball_term(n, N, bits), bounds._ball_envelope(N, (24 * n) ** N, bits)
+            term, envelope = expansion._ball_term(n, N, bits), coefficients._ball_envelope(N, (24 * n) ** N, bits)
             for report, above in ((thm1_bounds(n, N, ctx), term), (thm2_bounds(n, N, ctx), envelope)):
                 lower, upper = bounds._ball_exponential(n, N, above, bits)
                 assert _inside(report.lower, lower, bits, ctx) and _inside(report.upper, upper, bits, ctx), (n, N)
@@ -223,7 +222,6 @@ def test_printed_route_agrees_with_the_balls(digits):
             assert _inside(row.theta, expansion._ball_theta(n, N, scale), scale, ctx), (n, N)
 
 
-@pytest.mark.filterwarnings("ignore::partition_asymptotics.PrecisionWarning")
 @pytest.mark.parametrize("digits", DIGITS)
 def test_printed_values_are_rounded_once(digits, table):
     """Each printed value is its plain formula at three times the digits rounded once to the context, bit for bit.

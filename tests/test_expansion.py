@@ -13,7 +13,6 @@ from partition_asymptotics import (
     DomainError,
     PartitionTable,
     PrecisionContext,
-    PrecisionWarning,
     coeff_c,
     exp_error_term,
     full_sum,
@@ -117,8 +116,7 @@ def test_low_precision_remainders_are_the_wide_values_rounded(table):
     # digits from some N on; none is refused, and each row is the same row at
     # 2 * 30 + 10 digits rounded to 30
     low, wide = PrecisionContext(30), PrecisionContext(70)
-    with pytest.warns(PrecisionWarning):
-        rows = [remainder_exact(1000, N, table, low) for N in range(13)]
+    rows = [remainder_exact(1000, N, table, low) for N in range(13)]
     for N, row in enumerate(rows):
         wide_row = remainder_exact(1000, N, table, wide)
         for field in ("remainder", "partial_sum", "prefactor"):
@@ -181,7 +179,7 @@ def test_full_sum_stop_bounds_the_true_tail():
         wide = PrecisionContext(2 * digits)
         mp = wide.mp
         q = mp.sqrt(mp.mpf(24 * n))
-        amplitude = coefficients.coeff_envelope(1, wide)[0]
+        amplitude = mp.make_mpf(coefficients._even_odd_prefactor(mp.prec)[1])
 
         def bound(M):
             return amplitude * mp.sqrt(2 * (M + 1)) / q**M / (1 - 1 / q) ** 2
@@ -200,7 +198,6 @@ def _assert_rounded_once(value, reference, ctx, where):
     assert abs(mp.mpf(value) - reference) <= half * (1 + mp.mpf(2) ** -40) + abs(reference) * mp.mpf(10) ** (-2 * ctx.digits), where
 
 
-@pytest.mark.filterwarnings("ignore::partition_asymptotics.PrecisionWarning")
 @pytest.mark.parametrize("digits", (30, 50, 80, 160))
 def test_sums_and_terms_against_a_wider_plain_sum(digits):
     # every S_N, the full sum and every end of T1 (a term plus E(n)) within
@@ -307,20 +304,12 @@ def test_cancellation_guard(table):
     # than the context holds, and it is formed at finer scales until it
     # rounds, to the value at 2 * 30 + 10 digits rounded once
     low = PrecisionContext(30)
-    with pytest.warns(PrecisionWarning):
-        result = remainder_exact(1000, 12, table, low)
+    result = remainder_exact(1000, 12, table, low)
     wide = remainder_exact(1000, 12, table, PrecisionContext(70))
     assert result.remainder._mpf_ == low.real(wide.remainder)._mpf_
     high = PrecisionContext(80)
     result = remainder_exact(1000, 12, table, high)
     assert result.remainder != 0
-
-
-def test_low_precision_warning_only_when_needed(table):
-    high = PrecisionContext(80)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", PrecisionWarning)
-        remainder_exact(500, 4, table, high)  # 80 digits is above the recommendation
 
 
 def test_invalid_arguments(ctx80, table):
@@ -510,9 +499,7 @@ def test_memo_is_bit_identical_to_the_plain_formulas():
                 return ctx.real(value)._mpf_
 
             for order in orders:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", PrecisionWarning)
-                    memo = _memo_values(n, table, ctx, order)
+                memo = _memo_values(n, table, ctx, order)
                 where = (n, digits, order)
                 for key, value in lemma3.items():
                     _assert_encloses(memo[key], precision._ball_bits(ctx), value)

@@ -17,7 +17,7 @@ from partition_asymptotics import (
     precision,
     verify,
 )
-from partition_asymptotics.coefficients import coeff_envelope
+from partition_asymptotics.coefficients import _even_odd_prefactor
 
 from helpers import ulp
 
@@ -193,7 +193,8 @@ def _hyperbolic_pi_over_six(ctx):
     # amplitudes of the coefficient envelope over 6*sqrt(2)/pi^(3/2)
     mp = ctx.mp
     base = 6 * mp.sqrt(2) / mp.pi ** mp.mpf("1.5")
-    return coeff_envelope(0, ctx)[0] / base, coeff_envelope(1, ctx)[0] / base
+    even, odd = _even_odd_prefactor(mp.prec)
+    return mp.make_mpf(even) / base, mp.make_mpf(odd) / base
 
 
 def test_sinh_pi_over_six_against_taylor(ctx80):
