@@ -51,13 +51,23 @@ def _divide(man: int, exp: int, k: int) -> tuple:
     return (*divmod(num, den), den)
 
 
+# floor(2^64 log10 2), so that _LOG10_2 / 2^64 < log10 2 < (_LOG10_2 + 1) / 2^64
+_LOG10_2 = 5553023288523357132
+
+
 def normalized_exponent(x) -> int:
-    """The e with 10^(e-1) <= |x| < 10^e (0 for zero), so that |x| / 10^e lies in [0.1, 1)."""
+    """The e with 10^(e-1) <= |x| < 10^e (0 for zero), so that |x| / 10^e lies in [0.1, 1).
+
+    With 2^bits <= |x| < 2^(bits+1), e is floor(bits log10 2) + 1 or + 2.  The
+    start floor(bits c) + 1, c the end of the bracket of log10 2 that keeps
+    bits c <= bits log10 2, is at most 1 below floor(bits log10 2) + 1 while
+    |bits| < 2^64, so the loop counts up at most twice.
+    """
     _, man, exp, bc = x._mpf_
     if not man:
         return 0
-    bits = exp + bc - 1  # 2^bits <= |x|, and 1233/4096 < log10(2) < 1234/4096
-    e = (bits * (1233 if bits >= 0 else 1234) >> 12) + 1
+    bits = exp + bc - 1
+    e = (bits * (_LOG10_2 + (bits < 0)) >> 64) + 1
     while _divide(man, exp, -e)[0]:  # counted up from that lower bound while |x| >= 10^e
         e += 1
     return e

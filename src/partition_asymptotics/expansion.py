@@ -148,7 +148,9 @@ def _ball_per_n(n: int, bits: int) -> tuple:
     One exp gives D = e^-y, y = pi sqrt(n/6) = x/2, at 2^-w, w = bits + ``_decay_bits(n)`` + bitlen(n) + 8;
     E is D floored to 2^-bits, and Q is D^2, exact at 2^-2w, times ``_ball_sqrt(3, w)``, each step a ball
     helper that proves its radius.  y's radius is under pi + sqrt(n/6) + 3, so D's is under 2^(bitlen(n) + 5),
-    and D and Q are known to about 2^-(bits + 2) relative.  Memoized per (n, scale); p(n) enters later.
+    and D and Q are known to about 2^-(bits + 2) relative.  D is about 2^-``_decay_bits(n)``, so the exp's
+    series runs at about 2^-(bits + bitlen(n) + 8): the decay bits of w cost it nothing.  Memoized per
+    (n, scale); p(n) enters later.
     """
     wide = bits + _decay_bits(n) + n.bit_length() + 8
     decay = _ball_exp(_ball_mul(_ball_pi(wide), _ball_sqrt(n, wide, 6), wide), wide)

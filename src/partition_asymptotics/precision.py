@@ -9,7 +9,10 @@ Balls.  A ball (M, e) at scale 2^-P is a pair of integers, e >= 0, that
 stands for every real x with |2^P x - M| <= e.  The ``_ball_*`` helpers form
 roots, pi, ln 2, 2^(1/3) and e^-y as balls from integer arithmetic alone,
 and combine balls so that the result encloses every combination of the
-reals the operands enclose; each docstring proves its radius.  A comparison
+reals the operands enclose; each docstring proves its radius.  e^-y, about
+2^-k, runs its Taylor series (two terms per multiplication, split into
+even and odd powers) and its squarings only at the scale 2^-(P - k) its
+result needs, plus guard bits, and needs no series below 2^-P.  A comparison
 of two balls holds, fails or is undecided, and ``_ball_decide`` redoes an
 undecided one at twice the scale, up to _BALL_MAX_BITS, so rounding never
 decides a near-tie the wrong way.  Every value the toolkit prints from a
@@ -273,6 +276,12 @@ def _ball_cbrt2(bits: int) -> tuple:
     return _icbrt(2 << 3 * bits), 1
 
 
+@functools.lru_cache(maxsize=16)
+def _ball_sqrt2(bits: int) -> tuple:
+    """sqrt(2): ``_ball_sqrt(2, bits)``, held per scale."""
+    return _ball_sqrt(2, bits)
+
+
 def _ball_scale(a: tuple, num: int, den: int = 1) -> tuple:
     """a * num / den for integers num and den > 0.
 
@@ -324,51 +333,69 @@ def _ball_exp(y: tuple, bits: int) -> tuple:
     Reduction.  With (L, 1) = ``_ball_ln2(bits)`` and Y = max(M_y, 0) (no
     farther than M_y from 2^bits y, as y >= 0), k = floor(Y / L) and
     T = Y - k L in [0, L).  The point z = k ln 2 + T / 2^bits has
-    |2^bits (z - y)| <= k + e_y, and e^-z = 2^-k e^-t with t = T / 2^bits.
-    Halving.  t' = t / 2^s, with h = floor(3 isqrt(bits) / 4) and
-    s = max(0, h - (bits - bitlen(T))) so that t' < 2^-h, is held exactly at
-    the finer scale 2^-w, w = bits + 2h + s + 16, as X = 2^w t'.
-    Series.  The terms tau_j = 2^w t'^j / j! are formed as
-    floor(floor(term_(j-1) X / 2^w) / j), each under tau_j by less than
-    (its predecessor's shortfall) t' / j + 1 < 2, until the first that is 0,
-    at j = J; the alternating sum of the terms before it is within 2J - 2 of
-    the first J terms of 2^w e^-t', and the rest of the series, alternating
-    with decreasing terms, is under tau_J < 2: the error R_0 < 2J.
+    |2^bits (z - y)| <= k + e_y, and 2^bits e^-z = 2^b e^-t with b = bits - k
+    and t = T / 2^bits < ln 2: the series and the squarings run at 2^-b and
+    guard bits, not at 2^-bits.  And |e^-y - e^-z| <= e^-z e^d d with
+    d = |y - z| <= (k + e_y) / 2^bits, where e^-z <= 2^-k; while
+    k + e_y < 2^(bits-1) < 2^bits ln 2, e^d < 2, so 2^bits |e^-y - e^-z| < F + 1,
+    F = floor(2 (k + e_y) / 2^k).  A wider argument ball raises PrecisionError.
+    When k > bits, 0 < 2^bits e^-z <= 1/2, and the ball is (0, F + 2), with no series.
+    Halving.  Else t' = t / 2^s, with h = floor(3 isqrt(b) / 4) and
+    s = max(0, h - (bits - bitlen(T))) so that t' < 2^-h and t' < 1, is read at
+    the finer scale 2^-w, w = b + g, g = 2h + s + 16, as X = floor(2^w t') =
+    floor(T 2^(2h + 16 - k)): exact while k <= 2h + 16, and else truncated, so that
+    x = X / 2^w <= t' has 2^w |e^-x - e^-t'| <= 2^w (t' - x) < 1.
+    Series, split as e^-x = C - x S, C = sum_i x^(2i) / (2i)!, S = sum_i x^(2i) / (2i+1)!.
+    With Q = floor(X^2 / 2^w) > 2^w x^2 - 1 and o_0 = 2^w, pass i = 1, 2, ...
+    forms e_i = floor(floor(o_(i-1) Q / 2^w) / (2i)) and o_i = floor(e_i / (2i+1)),
+    two terms per multiplication, until the first o_I = 0.  Each is under its
+    true term, E_i = 2^w x^(2i) / (2i)! or O_i = E_i / (2i+1), by less than 2:
+    with O_(i-1) <= 2^w, e_i falls short by under (o_(i-1)'s shortfall) x^2 / (2i)
+    + 1/i + 1, which is under 2 at i = 1 (o_0 is exact) and under 2/4 + 3/2 after,
+    and o_i by under 2 / (2i+1) + 1.  Then O_I < 2, and the rest of both
+    series, with term ratios at most 1/12, is under (12/11) O_I / (2I+2) < 3/5.
+    So the sums of the e_i and the o_i fall short of 2^w C and 2^w S by under
+    2I + 3/5, and V = (sum e_i) - floor((sum o_i) X / 2^w) is under 2^w e^-x by
+    less than 2I + 3/5 and over it by less than x (2I + 3/5) + 1: with X's
+    truncation, the error R_0 < 2I + 3.
     Squaring.  s times V -> floor(V^2 / 2^w): with the true values at most
     2^w (t >= 0), an error R becomes at most R (2^(w+1) + R) / 2^w + 1, that
     is 2R + floor(R^2 / 2^w) + 2, computed alongside.
-    Result.  M = floor(V / 2^(w - bits + k)) is within R_s / 2^(w-bits+k) + 1
-    of 2^bits e^-z.  And |e^-y - e^-z| <= e^-z e^d d with d = |y - z| <=
-    (k + e_y) / 2^bits, where e^-z <= 2^-k; while k + e_y < 2^(bits-1) < 2^bits ln 2,
-    e^d < 2, so 2^bits |e^-y - e^-z| < 2 (k + e_y) / 2^k.  The radius is
-    floor(R_s / 2^(w-bits+k)) + 2 + floor(2 (k + e_y) / 2^k) + 1.  A wider
-    argument ball raises PrecisionError.
-    Size.  As s <= h and t' < 2^-h <= 1/2 (bits >= 4), tau_j < 2^(w-j), so
-    J <= w + 1; while R < 2^(w/2) a squaring gives 2R + 2, so
-    R_s < 2^h (2w + 4) < 2^(2h+16) <= 2^(w-bits), and the radius is at most
-    3 + floor(2 (k + e_y) / 2^k) <= 4 + 2 e_y.
+    Result.  M = floor(V / 2^g) is within R_s / 2^g + 1 of 2^b e^-t = 2^bits e^-z.
+    The radius is floor(R_s / 2^g) + 2 + F + 1.
+    Size.  O_i < 2^w / (2i+1)! <= 2^(w - 2i), so I <= w/2 + 1 and R_0 < w + 5;
+    s <= h and w + 7 < 2^(8 + b/2) keep R under 2^(w/2), where a squaring gives
+    2R + 2, so R_s < 2^h (w + 7) < 2^(2h+16) <= 2^g, as b < (4h/3 + 3)^2.  The
+    radius is at most 3 + F <= 4 + 2 e_y.
     """
     middle, radius = y
     ln2 = _ball_ln2(bits)[0]
     k, reduced = divmod(max(middle, 0), ln2)
     if k + radius >= 1 << bits - 1:
         raise PrecisionError(f"the argument of exp is not known to 1/2 at {bits} bits")
-    small = math.isqrt(bits) * 3 // 4
+    far = 2 * (k + radius) >> k
+    if k > bits:
+        return 0, far + 2
+    small = math.isqrt(bits - k) * 3 // 4
     halvings = max(0, small - (bits - reduced.bit_length()))
-    width = bits + 2 * small + halvings + 16
-    x = reduced << width - bits - halvings
-    term = total = 1 << width
-    j = 0
+    guard = 2 * small + halvings + 16
+    width = bits - k + guard
+    lift = 2 * small + 16 - k
+    x = reduced << lift if lift >= 0 else reduced >> -lift
+    square = x * x >> width
+    even = odd = term = 1 << width
+    i = 0
     while term:
-        j += 1
-        term = (term * x >> width) // j
-        total += -term if j % 2 else term
-    error = 2 * j
+        i += 1
+        term = (term * square >> width) // (2 * i)
+        even += term
+        term //= 2 * i + 1
+        odd += term
+    total, error = even - (odd * x >> width), 2 * i + 3
     for _ in range(halvings):
         total = total * total >> width
         error = 2 * error + (error * error >> width) + 2
-    shift = width - bits + k
-    return total >> shift, (error >> shift) + 3 + (2 * (k + radius) >> k)
+    return total >> guard, (error >> guard) + 3 + far
 
 
 def _ball_sign(a: tuple, b: tuple) -> int:

@@ -49,6 +49,7 @@ from .precision import (
     _ball_scale,
     _ball_sign,
     _ball_sqrt,
+    _ball_sqrt2,
 )
 from .series import gf_coefficients, gf_reference
 
@@ -138,7 +139,7 @@ def _lemma3_chain(n: int, bits: int, full: bool = True) -> tuple:
     inverse = _ball_div(one, mu, bits)
     decay = _ball_exp(_ball_scale(mu, 1, 2), bits)
     square = _ball_mul(mu, mu, bits)
-    sqrt2 = _ball_sqrt(2, bits)
+    sqrt2 = _ball_sqrt2(bits)
     root_half = _ball_scale(sqrt2, 1, 2)
     simple = _ball_add(
         _ball_add(root_half, _ball_scale(inverse, 14)),
@@ -201,10 +202,17 @@ def _lemma3(n_max: int, ctx: PrecisionContext):
     def decrease(n, P):
         return [_ball_sign(chain(n, P)[3], chain(n - 1, P)[3])]
 
+    powers = {}  # P -> [q, q^2, ...] for q = exp(-pi/48000) at 2^-P, grown on demand
+
     def grid(i, P):
-        # exp(-pi x/12) <= 1 - x^2 at x = i/4000, times 4000^2 on both sides
-        value = _ball_exp(_ball_scale(_ball_pi(P), i, 48000), P)
-        return [_ball_sign(_ball_scale(value, 4000**2), ((4000**2 - i * i) << P, 0))]
+        # exp(-pi x/12) <= 1 - x^2 at x = i/4000, times 4000^2 on both sides; exp(-pi i/48000) = q^i,
+        # whose radius grows by about e_q + 2 per power
+        if P not in powers:
+            powers[P] = [_ball_exp(_ball_scale(_ball_pi(P), 1, 48000), P)]
+        ladder = powers[P]
+        while len(ladder) < i:
+            ladder.append(_ball_mul(ladder[-1], ladder[0], P))
+        return [_ball_sign(_ball_scale(ladder[i - 1], 4000**2), ((4000**2 - i * i) << P, 0))]
 
     if _ball_decide(below_097, bits)[0] > 0:
         yield "simple bracket at n=432 is not below 0.97"  # counted only when it fails

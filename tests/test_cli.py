@@ -10,8 +10,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
+
 import partition_asymptotics
-from partition_asymptotics import PrecisionContext, load_table, verify
+from partition_asymptotics import PrecisionContext, cli, load_table, verify
 from partition_asymptotics.cli import (
     build_parser,
     format_at_exponent,
@@ -429,6 +431,22 @@ def test_renderers_round_the_exact_binary_value():
     assert format_scientific(mp.mpf("0.99999999996")) == "0.1000000000e1"
     assert format_scientific(-mp.mpf("0.99999999996")) == "-0.1000000000e1"
     assert format_scientific(mp.mpf(0), 3) == "0.000e0"
+
+
+def test_normalized_exponent_counts_up_at_most_twice(monkeypatch):
+    # 2^-(10^7): a start from bits * 1234/4096 counted up about 2400 times, each
+    # step a fresh 10^k of some 10^7 bits.  The stand-in answers each call from
+    # mpmath at 50 digits, so that counting costs no such power.
+    calls = []
+
+    def divide(man, exp, k):
+        calls.append(k)
+        return int(mpmath.floor(mpmath.ldexp(man, exp) * mpmath.mpf(10) ** k)), None, None
+
+    monkeypatch.setattr(cli, "_divide", divide)
+    with mpmath.workdps(50):
+        assert normalized_exponent(PrecisionContext(30).mp.mpf((1, -(10**7)))) == -3010299
+    assert 1 <= len(calls) <= 3
 
 
 def test_coeff_row_is_the_exact_value_rounded_once():

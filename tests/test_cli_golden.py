@@ -41,6 +41,7 @@ def _commands():
         ["--digits", "30", "remainder", "141", "4"],
         ["bounds", "2200", "10000", "--theorem", "t2"],
         ["bounds", "2200", "10000", "--theorem", "t3", "--constant", "1/4"],
+        ["bounds", "2200", "100000", "--theorem", "t3", "--constant", "1/4"],
         ["table1"],
         ["--format", "csv", "table2"],
         ["--digits", "30", "verify", "lemma1"],

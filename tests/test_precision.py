@@ -343,6 +343,7 @@ def test_ball_constants_enclose_their_values(digits):
         (precision._ball_pi(bits), mp.pi, 1),
         (precision._ball_ln2(bits), mp.log(2), 1),
         (precision._ball_cbrt2(bits), mp.cbrt(2), 1),
+        (precision._ball_sqrt2(bits), mp.sqrt(2), 1),
         *((precision._ball_sqrt(k, bits), mp.sqrt(k), int(math.isqrt(k) ** 2 != k)) for k in (0, 1, 2, 23, 24 * 5000, 10**40 + 1, 4**40)),
     ):
         assert _encloses(ball, bits, value, mp), value
@@ -355,20 +356,26 @@ def test_integer_cube_root():
         assert root**3 <= k < (root + 1) ** 3, k
 
 
-@pytest.mark.parametrize("digits", BALL_DIGITS)
+@pytest.mark.parametrize("digits", (30, 80, 166, 500, 2000))
 def test_ball_exp_encloses_every_point_of_its_argument(digits):
     bits = precision._ball_bits(PrecisionContext(digits))
     mp = _reference(bits)
     tiny = mp.ldexp(1, -bits)
     ln2 = precision._ball_ln2(bits)[0]
-    for y in (0, tiny, mp.mpf(10) ** -30, mp.mpf("0.001"), mp.log(2), 1, mp.mpf("2.5"), 40, 91, 100):
+    # y = k ln 2 + t: k = bits / 2 truncates the reduced argument to the result's
+    # narrower scale, k = bits - 1 and bits leave it a few bits, and k > bits needs no series
+    reduced = (mp.log(2) * k + mp.mpf("0.3") for k in (bits // 2, bits - 1, bits, bits + 1, 2 * bits))
+    exact = {}  # point -> e^-(point / 2^bits), each formed once
+    for y in (0, tiny, mp.mpf(10) ** -30, mp.mpf("0.001"), mp.log(2), 1, mp.mpf("2.5"), 40, 91, 100, *reduced):
         for radius in (0, 1, 3):
             middle = int(mp.floor(mp.ldexp(y, bits)))
             if middle < radius:
                 continue  # the ball must hold only y >= 0
             ball = precision._ball_exp((middle, radius), bits)
             for point in (middle - radius, middle, middle + radius):
-                assert _encloses(ball, bits, mp.exp(-mp.ldexp(point, -bits)), mp), (y, radius, point)
+                if point not in exact:
+                    exact[point] = mp.exp(-mp.ldexp(point, -bits))
+                assert _encloses(ball, bits, exact[point], mp), (y, radius, point)
             k = middle // ln2
             assert ball[1] <= 3 + (2 * (k + radius) >> k) <= 4 + 2 * radius, (y, radius)  # the docstring's radius
     with pytest.raises(PrecisionError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from partition_asymptotics import DomainError, PrecisionContext, run_suite, verify
+from partition_asymptotics import DomainError, PrecisionContext, expansion, run_suite, verify
 
 
 def test_lemma1_small():
@@ -118,3 +118,21 @@ def test_perfbench_grids_decide_without_escalation(monkeypatch):
     ):
         assert run_suite(suite, **sizes) == verify.VerifyResult(suite, checked, True)
     assert len(scales) == 1950 + 1950 + 1005 + 7143 and all(scales)  # lemma3 decides its 0.97 check unless it fails
+
+
+def test_lemma3_exp_count(monkeypatch):
+    # one exp per chain (5000, and n = 432 again), per E1 (1000) and per r_hat
+    # record (150), and one for the whole x-grid, whose points are powers of it
+    calls = 0
+    original = verify._ball_exp
+
+    def counting(y, bits):
+        nonlocal calls
+        calls += 1
+        return original(y, bits)
+
+    for module in (verify, expansion):
+        monkeypatch.setattr(module, "_ball_exp", counting)
+    expansion._ball_per_n.cache_clear()
+    assert run_suite("lemma3", n_max=150, ctx=PrecisionContext(80)) == verify.VerifyResult("lemma3", 7142, True)
+    assert calls == 5000 + 1 + 1000 + 1 + 150
