@@ -22,9 +22,8 @@ correctly rounded integer root by ``_sqrt_ratio``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coefficients import _ball_envelope, _sqrt_ratio
 from .errors import DomainError, PrecisionError
@@ -39,8 +38,7 @@ from .precision import (
 )
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """One (lower, upper) enclosure for R_N(n), tagged with its origin."""
 
     n: int

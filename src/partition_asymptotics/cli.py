@@ -13,18 +13,10 @@ rounded half to even once, in integer arithmetic.  Errors go to stderr as
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 
-from .bounds import banerjee_bounds, nu, thm1_bounds, thm2_bounds, thm3_bounds
-from .coefficients import coeff_asymptotic, coeff_bound, coeff_c
-from .errors import DomainError, PrecisionError, ResourceError
-from .expansion import _check, remainder_exact
-from .partitions import PartitionTable, load_table, partition_pentagonal, save_table
-from .precision import PrecisionContext
-from .verify import SUITE_NAMES, run_suite
+from .errors import DomainError, PrecisionError, ResourceError, _check_digits
 
 CACHE_ENV_VAR = "PARTITION_ASYMPTOTICS_CACHE"
 
@@ -34,10 +26,12 @@ TABLE_CASES = {
     "table1": ((200, 4), (500, 6), (200, 5), (500, 7)),
     "table2": ((500, 6, "1/4"), (1000, 10, "5839"), (500, 7, "24"), (1000, 11, "866061")),
 }
-# --theorem name -> bound family; t3 alone takes the constant C
-THEOREMS = {"t1": thm1_bounds, "t2": thm2_bounds, "t3": thm3_bounds, "banerjee": banerjee_bounds}
+# --theorem name -> the name of its bound family in ``bounds``; t3 alone takes the constant C
+THEOREMS = {"t1": "thm1_bounds", "t2": "thm2_bounds", "t3": "thm3_bounds", "banerjee": "banerjee_bounds"}
 TABLE_BOUNDS = {"table1": THEOREMS["t1"], "table2": THEOREMS["t3"]}
 TABLE_MIN_DIGITS = 50
+# ``verify.SUITE_NAMES``, spelled out so that parsing the arguments imports no sweep
+SUITE_NAMES = ("lemma1", "lemma2", "lemma3", "thm1", "thm2", "thm3", "gf", "asymptotics", "oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -46,52 +40,77 @@ TABLE_MIN_DIGITS = 50
 
 
 def _divide(man: int, exp: int, k: int) -> tuple:
-    """Floor, remainder and denominator of man * 2^exp * 10^k, by one exact integer division."""
-    num, den = man * 10 ** max(k, 0) << max(exp, 0), 10 ** max(-k, 0) << max(-exp, 0)
+    """Floor, remainder and denominator of man * 2^exp * 10^k, by one exact integer division.
+
+    10^k is 5^k * 2^k, so the one large power formed is 5^|k|, and 2^k joins the shift.
+    """
+    shift = exp + k
+    num, den = man * 5 ** max(k, 0) << max(shift, 0), 5 ** max(-k, 0) << max(-shift, 0)
     return (*divmod(num, den), den)
+
+
+def _rounded(held: tuple, d: int) -> int:
+    """y * 10^d rounded to the nearest integer (ties to even), y given as a ``_divide`` triple.
+
+    The power formed has |d| digits only, whatever the scale of y.
+    """
+    quotient, rest, den = held
+    if d >= 0:
+        carry, rest = divmod(rest * 10**d, den)
+        quotient = quotient * 10**d + carry
+    else:
+        quotient, rest = divmod(quotient * den + rest, den * 10**-d)
+        den *= 10**-d
+    return quotient + (2 * rest > den or (2 * rest == den and quotient & 1))
 
 
 # floor(2^64 log10 2), so that _LOG10_2 / 2^64 < log10 2 < (_LOG10_2 + 1) / 2^64
 _LOG10_2 = 5553023288523357132
 
 
-def normalized_exponent(x) -> int:
-    """The e with 10^(e-1) <= |x| < 10^e (0 for zero), so that |x| / 10^e lies in [0.1, 1).
+def _exponent(x) -> tuple:
+    """(e, e0, held): the e of normalized_exponent, a start e0 <= e, and |x| / 10^e0 as a ``_divide`` triple.
 
     With 2^bits <= |x| < 2^(bits+1), e is floor(bits log10 2) + 1 or + 2.  The
-    start floor(bits c) + 1, c the end of the bracket of log10 2 that keeps
+    start e0 = floor(bits c) + 1, c the end of the bracket of log10 2 that keeps
     bits c <= bits log10 2, is at most 1 below floor(bits log10 2) + 1 while
-    |bits| < 2^64, so the loop counts up at most twice.
+    |bits| < 2^64.  As 10^j is an integer, |x| >= 10^(e0 + j) exactly when
+    the floor q of |x| / 10^e0 is at least 10^j, so e is e0 plus the number of
+    digits of q (none for q = 0): one division, at most 2 digits.
     """
     _, man, exp, bc = x._mpf_
     if not man:
-        return 0
+        return 0, 0, (0, 0, 1)
     bits = exp + bc - 1
-    e = (bits * (_LOG10_2 + (bits < 0)) >> 64) + 1
-    while _divide(man, exp, -e)[0]:  # counted up from that lower bound while |x| >= 10^e
-        e += 1
-    return e
+    e0 = (bits * (_LOG10_2 + (bits < 0)) >> 64) + 1
+    held = _divide(man, exp, -e0)
+    return (e0 + len(str(held[0])) if held[0] else e0), e0, held
 
 
-def _mantissa(x, e10: int, sig: int) -> int:
-    """|x| * 10^(sig - e10) from the exact value of x, rounded to the nearest integer (ties to even)."""
-    _, man, exp, _ = x._mpf_
-    quotient, rest, den = _divide(man, exp, sig - e10)
-    return quotient + (2 * rest > den or (2 * rest == den and quotient & 1))
+def normalized_exponent(x) -> int:
+    """The e with 10^(e-1) <= |x| < 10^e (0 for zero), so that |x| / 10^e lies in [0.1, 1)."""
+    return _exponent(x)[0]
+
+
+def _render(x, mantissa: int, e10: int, sig: int) -> str:
+    """[-]0.<mantissa, padded to sig digits>e<e10>, with the sign of x."""
+    sign = "-" if x._mpf_[0] else ""
+    return f"{sign}0.{str(mantissa).rjust(sig, '0')}e{e10}"
 
 
 def format_at_exponent(x, e10: int, sig: int = 10) -> str:
-    """Render x as [-]0.<sig digits>e<e10> (round to nearest, ties to even)."""
-    sign = "-" if x._mpf_[0] else ""
-    return f"{sign}0.{str(_mantissa(x, e10, sig)).rjust(sig, '0')}e{e10}"
+    """Render x as [-]0.<sig digits>e<e10>: |x| * 10^(sig - e10) from its exact value, rounded half to even."""
+    _, man, exp, _ = x._mpf_
+    return _render(x, _rounded(_divide(man, exp, sig - e10), 0), e10, sig)
 
 
 def format_scientific(x, sig: int = 10) -> str:
-    """Self-normalized rendering with mantissa in [0.1, 1)."""
-    e10 = normalized_exponent(x)
-    if _mantissa(x, e10, sig) == 10**sig:  # rounding carried the mantissa into the next decade
-        e10 += 1
-    return format_at_exponent(x, e10, sig)
+    """Self-normalized rendering with mantissa in [0.1, 1); it forms one large power, in ``_divide``."""
+    e10, e0, held = _exponent(x)
+    mantissa = _rounded(held, sig - e10 + e0)
+    if mantissa == 10**sig:  # rounding carried into the next decade, where |x| rounds to 10^(sig-1)
+        mantissa, e10 = mantissa // 10, e10 + 1
+    return _render(x, mantissa, e10, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +122,15 @@ def _resolve_cache_path(explicit: str | None) -> str | None:
     return explicit or os.environ.get(CACHE_ENV_VAR) or None
 
 
-def _obtain_table(n_needed: int, cache_path: str | None) -> PartitionTable:
-    """The cached table if it covers ``n_needed``, else a fresh one written back.
+def _obtain_table(n_needed: int, cache_path: str | None):
+    """The cached ``PartitionTable`` if it covers ``n_needed``, else a fresh one written back.
 
     A cache file that ``load_table`` rejects (unreadable, without the versioned
     header, or failing its checksum or invariants) is reported on stderr and
     rebuilt, never served.
     """
+    from .partitions import load_table, partition_pentagonal, save_table
+
     if cache_path and os.path.exists(cache_path):
         try:
             table = load_table(cache_path)
@@ -125,18 +146,36 @@ def _obtain_table(n_needed: int, cache_path: str | None) -> PartitionTable:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each imports the modules it uses, and all but partition build a
+# precision context, so exact p(n) loads no mpmath
 # ---------------------------------------------------------------------------
 
 
-def cmd_partition(args, ctx: PrecisionContext) -> list:
+def _context(args):
+    """The command's ``PrecisionContext``; ``run`` has already checked its digits."""
+    from .precision import PrecisionContext
+
+    return PrecisionContext(args.digits)
+
+
+def _bound_family(name: str):
+    """The bound family that ``THEOREMS`` or ``TABLE_BOUNDS`` names, from ``bounds``."""
+    from . import bounds
+
+    return getattr(bounds, name)
+
+
+def cmd_partition(args) -> list:
     if args.n < 0:
         raise DomainError(f"n must be nonnegative, got {args.n}")
     table = _obtain_table(args.n, _resolve_cache_path(args.cache))
     return [{"n": str(args.n), "p": str(table.p(args.n))}]
 
 
-def cmd_coeff(args, ctx: PrecisionContext) -> list:
+def cmd_coeff(args) -> list:
+    from .coefficients import coeff_asymptotic, coeff_bound, coeff_c
+
+    ctx = _context(args)
     coeff_c(args.max_m, ctx)  # the last index first: it checks max_m and grows the source once
     return [
         {
@@ -149,7 +188,10 @@ def cmd_coeff(args, ctx: PrecisionContext) -> list:
     ]
 
 
-def cmd_remainder(args, ctx: PrecisionContext) -> list:
+def cmd_remainder(args) -> list:
+    from .expansion import _check, remainder_exact
+
+    ctx = _context(args)
     _check(args.n, args.N)  # before the cache, so that the error does not depend on it
     table = _obtain_table(args.n, _resolve_cache_path(args.cache))
     result = remainder_exact(args.n, args.N, table, ctx, include_theta=args.theta)
@@ -165,7 +207,8 @@ def cmd_remainder(args, ctx: PrecisionContext) -> list:
     return [payload]
 
 
-def cmd_bounds(args, ctx: PrecisionContext) -> list:
+def cmd_bounds(args) -> list:
+    ctx = _context(args)
     constant = ()
     if args.theorem == "t3":
         if args.constant is None:
@@ -173,7 +216,7 @@ def cmd_bounds(args, ctx: PrecisionContext) -> list:
         constant = (args.constant,)
     elif args.constant is not None:
         raise DomainError("--constant applies only to --theorem t3")
-    report = THEOREMS[args.theorem](args.n, args.N, *constant, ctx)
+    report = _bound_family(THEOREMS[args.theorem])(args.n, args.N, *constant, ctx)
     payload = {
         "n": str(args.n),
         "N": str(args.N),
@@ -191,8 +234,10 @@ def cmd_bounds(args, ctx: PrecisionContext) -> list:
     return [payload]
 
 
-def cmd_nu(args, ctx: PrecisionContext) -> list:
-    value = nu(args.N, args.C, ctx)
+def cmd_nu(args) -> list:
+    from .bounds import nu
+
+    value = nu(args.N, args.C, _context(args))
     return [{"N": str(args.N), "C": args.C, "nu": str(value)}]
 
 
@@ -205,10 +250,13 @@ def _table_block(report, exact) -> dict:
     }
 
 
-def cmd_table(args, ctx: PrecisionContext) -> list:
+def cmd_table(args) -> list:
+    from .expansion import remainder_exact
+
+    ctx = _context(args)
     if ctx.digits < TABLE_MIN_DIGITS:
         raise DomainError(f"table commands need --digits >= {TABLE_MIN_DIGITS}")
-    cases, bound = TABLE_CASES[args.command], TABLE_BOUNDS[args.command]
+    cases, bound = TABLE_CASES[args.command], _bound_family(TABLE_BOUNDS[args.command])
     table = _obtain_table(max(case[0] for case in cases), _resolve_cache_path(args.cache))
     records = []
     for n, N, *constant in cases:
@@ -220,8 +268,10 @@ def cmd_table(args, ctx: PrecisionContext) -> list:
     return records
 
 
-def cmd_verify(args, ctx: PrecisionContext) -> tuple[list, int]:
-    result = run_suite(args.suite, n_max=args.n_max, m_max=args.m_max, ctx=ctx)
+def cmd_verify(args) -> tuple[list, int]:
+    from .verify import run_suite
+
+    result = run_suite(args.suite, n_max=args.n_max, m_max=args.m_max, ctx=_context(args))
     record = {
         "suite": result.suite,
         "checked": str(result.checked),
@@ -229,6 +279,16 @@ def cmd_verify(args, ctx: PrecisionContext) -> tuple[list, int]:
         "counterexample": result.counterexample or "",
     }
     return [record], 0 if result.ok else 1
+
+
+def __getattr__(name: str):
+    # ``cli.nu`` resolves to ``bounds.nu`` only because perfbench's tracer
+    # test reads it here; no command needs it
+    if name == "nu":
+        from .bounds import nu
+
+        return nu
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +304,8 @@ def _emit_human(records: list, stream) -> None:
 
 
 def _emit_csv(records: list, stream) -> None:
+    import csv
+
     if not records:
         return
     writer = csv.writer(stream, lineterminator="\n")
@@ -253,6 +315,8 @@ def _emit_csv(records: list, stream) -> None:
 
 
 def _emit_json(records: list, stream) -> None:
+    import json
+
     for record in records:
         stream.write(json.dumps(record) + "\n")
 
@@ -322,11 +386,11 @@ def run(argv=None, stream=None) -> int:
     stream = stream or sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        ctx = PrecisionContext(args.digits)
+        _check_digits(args.digits)
         if args.command == "verify":
-            records, status = cmd_verify(args, ctx)
+            records, status = cmd_verify(args)
         else:
-            records, status = COMMANDS[args.command](args, ctx), 0
+            records, status = COMMANDS[args.command](args), 0
     except (DomainError, PrecisionError, ResourceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -76,10 +76,9 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .errors import DomainError, PrecisionError, ResourceError
+from .errors import MIN_DIGITS, DomainError, PrecisionError, ResourceError
 from .precision import (
     _BALL_GUARD,
-    MIN_DIGITS,
     PrecisionContext,
     _ball_add,
     _ball_bits,

@@ -1,4 +1,6 @@
-"""Exception types shared by all modules."""
+"""Exception types shared by all modules, and the one gate on a working precision."""
+
+MIN_DIGITS = 30
 
 
 class DomainError(ValueError):
@@ -11,3 +13,14 @@ class PrecisionError(ArithmeticError):
 
 class ResourceError(RuntimeError):
     """Requested computation exceeds a configured size cap."""
+
+
+def _check_digits(digits) -> None:
+    """Refuse a working precision that is not an integer of at least ``MIN_DIGITS`` decimal digits.
+
+    It is the one gate, here beside the exception it raises, so that the CLI
+    checks ``--digits`` for a command that builds no context, and so imports
+    no mpmath, as ``PrecisionContext`` checks it for every other.
+    """
+    if not isinstance(digits, int) or digits < MIN_DIGITS:
+        raise DomainError(f"digits must be an integer >= {MIN_DIGITS}, got {digits!r}")

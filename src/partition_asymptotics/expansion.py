@@ -29,14 +29,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from mpmath.libmp import round_nearest, to_float
 
 from .coefficients import _ball_c, _even_odd_prefactor, _horner
 from .errors import DomainError
-from .partitions import PartitionTable
 from .precision import (
     PrecisionContext,
     _ball_add,
@@ -51,9 +49,11 @@ from .precision import (
     _ball_sqrt,
 )
 
+if TYPE_CHECKING:  # it only annotates arguments here, so bounds and nu load no partitions code
+    from .partitions import PartitionTable
 
-@dataclass(frozen=True)
-class RemainderResult:
+
+class RemainderResult(NamedTuple):
     """One evaluated truncation: p(n) = prefactor * (partial_sum + remainder)."""
 
     n: int

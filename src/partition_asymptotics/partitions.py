@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import os
 import zlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceError
 
@@ -25,8 +25,7 @@ _BLOCK_LINES = 256
 _BLOCK_BYTES = 1 << 14
 
 
-@dataclass(frozen=True)
-class PartitionTable:
+class PartitionTable(NamedTuple):
     """Exact values p(0)..p(n_max); immutable once built."""
 
     values: tuple
@@ -106,7 +105,8 @@ def save_table(table: PartitionTable, path: str) -> None:
     does not depend on the checksum, is written over a placeholder at the
     end.  The lines go to a temporary file beside ``path``, which then
     replaces it in one step, so a concurrent reader never sees a partly
-    written table.
+    written table.  An ``OSError`` about that file names ``path`` instead,
+    as the temporary name changes from process to process.
     """
     values = table.values
     temporary = f"{path}.{os.getpid()}.tmp"
@@ -123,6 +123,10 @@ def save_table(table: PartitionTable, path: str) -> None:
             fh.seek(0)
             fh.write(_header(crc))
         os.replace(temporary, path)
+    except OSError as exc:
+        if exc.filename != temporary:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     finally:
         if os.path.exists(temporary):
             os.remove(temporary)

@@ -28,9 +28,7 @@ from fractions import Fraction
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import from_man_exp, prec_to_dps, round_nearest
 
-from .errors import DomainError, PrecisionError
-
-MIN_DIGITS = 30
+from .errors import DomainError, PrecisionError, _check_digits
 
 # extra working digits used inside composite operations before rounding back
 _GUARD_DIGITS = 10
@@ -55,8 +53,9 @@ class _LightContext(MPContext):
 class PrecisionContext:
     """Working precision (decimal significant digits) for real arithmetic.
 
-    Settings below ``MIN_DIGITS`` are rejected: the toolkit refuses to run in a
-    regime where its own guard margins are larger than the precision itself.
+    Settings below ``errors.MIN_DIGITS`` are rejected: the toolkit refuses to
+    run in a regime where its own guard margins are larger than the precision
+    itself.
     ``PrecisionContext(d)`` returns one shared instance per ``d``, so equal
     digits mean the same object.
     """
@@ -65,8 +64,7 @@ class PrecisionContext:
     _shared: dict = {}
 
     def __new__(cls, digits: int):
-        if not isinstance(digits, int) or digits < MIN_DIGITS:
-            raise DomainError(f"digits must be an integer >= {MIN_DIGITS}, got {digits!r}")
+        _check_digits(digits)
         if digits not in cls._shared:
             self = object.__new__(cls)
             object.__setattr__(self, "digits", digits)

@@ -18,10 +18,9 @@ arithmetic.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bounds import _ball_exponential, _ball_thm3, nu
 from .coefficients import (
@@ -57,8 +56,7 @@ from .series import gf_coefficients, gf_reference
 ENCLOSURE_N_MAX = 12
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     suite: str
     checked: int
     ok: bool

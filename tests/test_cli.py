@@ -446,7 +446,36 @@ def test_normalized_exponent_counts_up_at_most_twice(monkeypatch):
     monkeypatch.setattr(cli, "_divide", divide)
     with mpmath.workdps(50):
         assert normalized_exponent(PrecisionContext(30).mp.mpf((1, -(10**7)))) == -3010299
-    assert 1 <= len(calls) <= 3
+    assert len(calls) == 1  # the digits of one quotient give the count-ups
+
+
+def test_one_power_of_ten_per_rendered_value(monkeypatch):
+    # every power of ten of a value's scale is formed in _divide, and
+    # format_scientific calls it once per value: it used to call it for each
+    # step of normalized_exponent and again for each of two mantissas, up to
+    # five powers of some 7.8 million bits for a T3 end near 10^-2361314
+    calls = []
+    divide = cli._divide
+
+    def counted(man, exp, k):
+        calls.append(k)
+        return divide(man, exp, k)
+
+    monkeypatch.setattr(cli, "_divide", counted)
+    mp = PrecisionContext(30).mp
+    values = (mp.mpf((1, -(10**5))), -mp.pi, mp.mpf("0.99999999996"), mp.mpf(10) ** 300, mp.mpf(3) / 2**15)
+    for x in values:
+        for sig in (1, 10, 30):
+            calls.clear()
+            format_scientific(x, sig)
+            assert len(calls) == 1, (x, sig)
+    calls.clear()
+    assert format_scientific(mp.mpf(0), 3) == "0.000e0" and calls == []
+    # the one triple, rescaled by a small 10^d, rounds as the exact value does
+    for x in values:
+        _, man, exp, _ = x._mpf_
+        for k, d in ((5, -3), (5, 2), (-4, -1), (0, 1)):
+            assert cli._rounded(divide(man, exp, k), d) == _rounded(x, k + d), (x, k, d)
 
 
 def test_coeff_row_is_the_exact_value_rounded_once():

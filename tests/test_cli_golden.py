@@ -56,6 +56,8 @@ def _commands():
         ["nu", "4", "1/0"],
         ["nu", "4", "-1"],
         ["bounds", "1", "1", "--theorem", "t3", "--constant", "3.474"],
+        ["--digits", "29", "partition", "5"],
+        ["--cache", "/nonexistent/dir/x", "partition", "5"],
     ]
     return commands
 

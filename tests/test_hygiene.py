@@ -19,14 +19,12 @@ def _tree(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _exported(tree):
-    """The strings listed in a module-level ``__all__``."""
+def _assigned(tree, name):
+    """The literal value of a module-level ``name = <literal>``."""
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            return {element.value for element in node.value.elts}
-    return set()
+        if isinstance(node, ast.Assign) and any(isinstance(target, ast.Name) and target.id == name for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no module-level literal {name}")
 
 
 def _imports(tree):
@@ -48,25 +46,27 @@ def _loaded(tree):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     tree = _tree(path)
-    used = _loaded(tree) | _exported(tree)
+    used = _loaded(tree)
     unused = [f"{name} (line {line})" for name, line in _imports(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
-def _private_definitions(tree):
-    """(name, line) of every private function, class or variable defined at module level."""
+def _definitions(tree):
+    """(name, line) of every function, class or variable defined at module level."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            targets = [(node.name, node.lineno)]
+            yield node.name, node.lineno
         elif isinstance(node, ast.Assign):
-            targets = [(target.id, node.lineno) for target in node.targets if isinstance(target, ast.Name)]
+            yield from ((target.id, node.lineno) for target in node.targets if isinstance(target, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            targets = [(node.target.id, node.lineno)]
-        else:
-            continue
-        for name, line in targets:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, line
+            yield node.target.id, node.lineno
+
+
+def _private_definitions(tree):
+    """(name, line) of every private function, class or variable defined at module level."""
+    for name, line in _definitions(tree):
+        if name.startswith("_") and not name.startswith("__"):
+            yield name, line
 
 
 def test_every_private_name_is_referenced():
@@ -97,26 +97,29 @@ def _taken(tree, home):
 
 def test_every_public_function_has_a_caller_outside_the_tests():
     # a function in __all__ must be imported by another module of the package
-    # (not the one that defines it, not __init__), or be named as
-    # ``<module>.<function>`` in the benchmark, whose harness binds some of
-    # them inside code strings that it runs in a fresh interpreter, so that
-    # is a text search; classes, exceptions and constants are exempt
+    # (not the one that defines it, not __init__), be one of the bound
+    # families that cli looks up in ``bounds`` by the names in its THEOREMS
+    # table, or be named as ``<module>.<function>`` in the benchmark, whose
+    # harness binds some of them inside code strings that it runs in a fresh
+    # interpreter, so that is a text search; classes, exceptions and
+    # constants are exempt.  Each public name's home is the module that
+    # __init__'s table _HOMES lists for it.
     trees = {path.stem: _tree(path) for path in MODULES}
-    home = {
-        alias.name: node.module
-        for node in trees["__init__"].body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    home = _assigned(trees["__init__"], "_HOMES")
+    misplaced = sorted(f"{stem}.{name}" for name, stem in home.items() if name not in dict(_definitions(trees[stem])))
+    assert not misplaced, f"_HOMES names a module that does not define the name: {', '.join(misplaced)}"
     functions = {
         name
-        for name in _exported(trees["__init__"])
+        for name in home
         if any(isinstance(node, ast.FunctionDef) and node.name == name for node in trees[home[name]].body)
     }
+    by_name = {("bounds", name) for name in _assigned(trees["cli"], "THEOREMS").values()}
     benchmark = "\n".join(path.read_text(encoding="utf-8") for path in PERFBENCH)
 
     def called(name):
         if any(name in set(_taken(tree, home[name])) for stem, tree in trees.items() if stem != "__init__"):
+            return True
+        if (home[name], name) in by_name:
             return True
         return re.search(rf"\b{home[name]}\.{name}\b", benchmark) is not None
 
