@@ -12,27 +12,31 @@ The comparison family restates an earlier published result on the same
 remainder ("Banerjee" tag); its validity threshold is not computable here, so
 those reports always carry valid=False and exist for width comparisons only.
 
-Each end of T1, T2 and T3 takes one route: an integer ball (the ``_ball_*``
+Each end of every family takes one route: an integer ball (the ``_ball_*``
 forms, which the sweeps decide on) rounded once to the context by
-``_ball_round``, from the scale that fits the end.  The comparison family
-has no sweep and stays in context arithmetic: its n-dependent factor is one
-correctly rounded integer root by ``_sqrt_ratio``.
+``_ball_round``, from the scale that fits the end.  Only T3's threshold nu
+needs context arithmetic (mpmath's Lambert W); the other families, the
+comparison family too, accept any context ``_ball_round`` does.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .coefficients import _ball_envelope, _sqrt_ratio
+from .coefficients import _ball_envelope
 from .errors import DomainError, PrecisionError
 from .expansion import _ball_error_term, _ball_term, _check, _per_n_bits
 from .precision import (
+    _BALL_GUARD,
     PrecisionContext,
     _ball_add,
     _ball_bits,
+    _ball_div,
+    _ball_mul,
+    _ball_pi,
     _ball_round,
+    _ball_scale,
     _ball_sqrt,
     lambert_w_minus1,
 )
@@ -136,6 +140,8 @@ def thm3_bounds(n: int, N: int, C, ctx: PrecisionContext) -> BoundsReport:
     Holds once n >= nu_N(C); below the threshold the report is returned with
     valid=False rather than raising, so sweeps can cross the boundary.
     """
+    from fractions import Fraction  # here, as T3 alone takes a constant
+
     _check(n, N)
     if N < 1:
         raise DomainError(f"T3 bounds need N >= 1, got N={N}")
@@ -151,6 +157,8 @@ def _ball_thm3(n: int, N: int, C, bits: int) -> tuple:
     The algebraic part C sqrt((N+1)/(24n)^N) is one root ball of
     C^2 (N+1) / (24n)^N, and the envelope shares the integer (24n)^N.
     """
+    from fractions import Fraction
+
     power, C = (24 * n) ** N, Fraction(C)
     algebraic = _ball_sqrt(C.numerator**2 * (N + 1), bits, C.denominator**2 * power)
     return _ball_enclosure(N, algebraic, _ball_add(algebraic, _ball_envelope(N, power, bits)))
@@ -166,10 +174,34 @@ def banerjee_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
 
     Its validity threshold is not computable from the inputs available here,
     so valid is always False; the report exists for width comparisons.
+    Both ends start where sqrt(k/(24n)^N), k = j+1 or j+2, keeps the context's precision.
     """
     _check(n, N)
     if N < 2:
         raise DomainError(f"comparison bounds are stated for N >= 2, got N={N}")
-    factor = (6 / ctx.mp.pi) ** N * _sqrt_ratio(N // 2 + 1 + N % 2, (24 * n) ** N, ctx)
-    lower, upper = (-13 * factor, 16 * factor) if N % 2 == 0 else (-21 * factor, 11 * factor)
-    return BoundsReport(n=n, N=N, lower=lower, upper=upper, theorem="Banerjee", valid=False)
+    bits = _ball_bits(ctx, N // 2 + 1 + N % 2, (24 * n) ** N)
+    return _report("Banerjee", n, N, functools.partial(_ball_comparison, n, N), bits, ctx, valid=False)
+
+
+def _ball_comparison(n: int, N: int, bits: int) -> tuple:
+    """The balls (lower, upper) of the comparison enclosure at scale 2^-bits: its constants times (6/pi)^N sqrt(k/(24n)^N).
+
+    The root is one ball at 2^-bits.  (6/pi)^N is 6 over ``_ball_pi``
+    (``_ball_div``) raised to the N-th power by squaring (``_ball_mul``), at
+    the scale 2^-c, c = bits less about the bits the root sits below 1 (at
+    least _BALL_GUARD), plus bitlen(N) for the N-fold relative error of the
+    power: as wide relative to its value as the root.  ``_ball_mul`` of the
+    two lands at the root's scale, and each step is a ball helper that proves
+    its radius.
+    """
+    k, power = N // 2 + 1 + N % 2, (24 * n) ** N
+    coarse = max(bits - (power.bit_length() - k.bit_length()) // 2, _BALL_GUARD) + N.bit_length()
+    ratio = _ball_div((6 << coarse, 0), _ball_pi(coarse), coarse)
+    scaled = ratio
+    for bit in bin(N)[3:]:
+        scaled = _ball_mul(scaled, scaled, coarse)
+        if bit == "1":
+            scaled = _ball_mul(scaled, ratio, coarse)
+    factor = _ball_mul(scaled, _ball_sqrt(k, bits, power), coarse)
+    low, high = (-13, 16) if N % 2 == 0 else (-21, 11)
+    return _ball_scale(factor, low), _ball_scale(factor, high)

@@ -146,16 +146,18 @@ def _obtain_table(n_needed: int, cache_path: str | None):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each imports the modules it uses, and all but partition build a
-# precision context, so exact p(n) loads no mpmath
+# subcommands: each imports the modules it uses.  Only those that call nu or
+# run_suite build a precision context, and so load mpmath; the others print
+# balls rounded once, through the renderer's context
 # ---------------------------------------------------------------------------
 
 
-def _context(args):
-    """The command's ``PrecisionContext``; ``run`` has already checked its digits."""
-    from .precision import PrecisionContext
+def _context(args, real: bool):
+    """The command's context at ``--digits``, which ``run`` has checked: a ``PrecisionContext``
+    when the command computes in context arithmetic (``real``), else the renderer's, which loads no mpmath."""
+    from .precision import PrecisionContext, _Rendering
 
-    return PrecisionContext(args.digits)
+    return (PrecisionContext if real else _Rendering)(args.digits)
 
 
 def _bound_family(name: str):
@@ -175,7 +177,7 @@ def cmd_partition(args) -> list:
 def cmd_coeff(args) -> list:
     from .coefficients import coeff_asymptotic, coeff_bound, coeff_c
 
-    ctx = _context(args)
+    ctx = _context(args, real=False)
     coeff_c(args.max_m, ctx)  # the last index first: it checks max_m and grows the source once
     return [
         {
@@ -191,7 +193,7 @@ def cmd_coeff(args) -> list:
 def cmd_remainder(args) -> list:
     from .expansion import _check, remainder_exact
 
-    ctx = _context(args)
+    ctx = _context(args, real=False)
     _check(args.n, args.N)  # before the cache, so that the error does not depend on it
     table = _obtain_table(args.n, _resolve_cache_path(args.cache))
     result = remainder_exact(args.n, args.N, table, ctx, include_theta=args.theta)
@@ -208,7 +210,7 @@ def cmd_remainder(args) -> list:
 
 
 def cmd_bounds(args) -> list:
-    ctx = _context(args)
+    ctx = _context(args, real=args.theorem == "t3")  # thm3_bounds calls nu
     constant = ()
     if args.theorem == "t3":
         if args.constant is None:
@@ -237,12 +239,12 @@ def cmd_bounds(args) -> list:
 def cmd_nu(args) -> list:
     from .bounds import nu
 
-    value = nu(args.N, args.C, _context(args))
+    value = nu(args.N, args.C, _context(args, real=True))
     return [{"N": str(args.N), "C": args.C, "nu": str(value)}]
 
 
 def _table_block(report, exact) -> dict:
-    e10 = max(normalized_exponent(v) for v in (exact, report.lower, report.upper) if v != 0)
+    e10 = max(normalized_exponent(v) for v in (exact, report.lower, report.upper) if v._mpf_[1])
     return {
         "exact": format_at_exponent(exact, e10),
         "lower": format_at_exponent(report.lower, e10),
@@ -253,10 +255,11 @@ def _table_block(report, exact) -> dict:
 def cmd_table(args) -> list:
     from .expansion import remainder_exact
 
-    ctx = _context(args)
+    family = TABLE_BOUNDS[args.command]
+    ctx = _context(args, real=family == THEOREMS["t3"])  # thm3_bounds calls nu
     if ctx.digits < TABLE_MIN_DIGITS:
         raise DomainError(f"table commands need --digits >= {TABLE_MIN_DIGITS}")
-    cases, bound = TABLE_CASES[args.command], _bound_family(TABLE_BOUNDS[args.command])
+    cases, bound = TABLE_CASES[args.command], _bound_family(family)
     table = _obtain_table(max(case[0] for case in cases), _resolve_cache_path(args.cache))
     records = []
     for n, N, *constant in cases:
@@ -271,7 +274,7 @@ def cmd_table(args) -> list:
 def cmd_verify(args) -> tuple[list, int]:
     from .verify import run_suite
 
-    result = run_suite(args.suite, n_max=args.n_max, m_max=args.m_max, ctx=_context(args))
+    result = run_suite(args.suite, n_max=args.n_max, m_max=args.m_max, ctx=_context(args, real=True))
     record = {
         "suite": result.suite,
         "checked": str(result.checked),

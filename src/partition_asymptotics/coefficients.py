@@ -62,19 +62,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from fractions import Fraction
 from math import comb
-
-from mpmath.libmp import (
-    from_int,
-    from_man_exp,
-    mpf_cosh_sinh,
-    mpf_div,
-    mpf_mul,
-    mpf_pi,
-    mpf_sqrt,
-    round_nearest,
-)
 
 from .errors import MIN_DIGITS, DomainError, PrecisionError, ResourceError
 from .precision import (
@@ -83,13 +71,16 @@ from .precision import (
     _ball_add,
     _ball_bits,
     _ball_digits,
+    _ball_div,
+    _ball_exp,
     _ball_mul,
     _ball_pi,
     _ball_round,
     _ball_scale,
     _ball_sign,
     _ball_sqrt,
-    _width,
+    _held,
+    _rounded_float,
 )
 
 
@@ -256,7 +247,7 @@ def coeff_c(m: int, ctx: PrecisionContext):
     if m < 0:
         raise DomainError(f"m must be nonnegative, got {m}")
     _, bits, values, _ = _coefficients(m, ctx.digits)
-    return ctx.mp.make_mpf(from_man_exp(values[m], -bits, ctx.mp.prec, round_nearest))
+    return ctx.value(_rounded_float(values[m], bits, ctx.prec))
 
 
 def _ball_c(m: int, bits: int) -> tuple:
@@ -272,60 +263,50 @@ def _ball_c(m: int, bits: int) -> tuple:
     return _ball_scale((values[m], radii[m]), 1, 1 << source_bits - bits)
 
 
-# Bits beyond the precision at which the envelope amplitudes are formed.
-_AMPLITUDE_GUARD = 32
+# Bits of the scale finer than the one asked at which ``_amplitude`` forms its ball.
+_AMPLITUDE_GUARD = 8
 
 
-@functools.lru_cache(maxsize=None)
-def _even_odd_prefactor(prec: int) -> tuple:
-    """(even, odd): 6 sqrt(2) / pi^(3/2) times sinh(pi/6) and cosh(pi/6), raw mpfs of prec bits.
+def _amplitude(sign: int, bits: int) -> int:
+    """For ``_held``: L with L <= 2^bits A < L + 2 for the envelope amplitude A = 6 sqrt(2) / pi^(3/2) times
+    sinh(pi/6) (sign -1) or cosh(pi/6) (sign 1), from 2A = sqrt(72 / pi^3) (e^a + sign e^-a), a = pi/6.
 
-    Formed from mpmath's low-level functions at w = prec + _AMPLITUDE_GUARD
-    bits, with 6 sqrt(2) = sqrt(72) and pi^(3/2) = pi sqrt(pi).  Each of the
-    seven operations before the last errs by under two units in the last
-    place at w bits, so the exact product of the last multiplication is
-    within 2^-(prec+27) relative of the amplitude, and that multiplication
-    rounds it once to nearest at prec bits: the result is within
-    (1/2 + 2^-25) ulp of the amplitude.  Memoized per width, so every
-    context of the same precision shares them, and no context is built.
+    At the finer scale 2^-w, w = bits + g with g = _AMPLITUDE_GUARD and bits
+    >= 16, each ball encloses its value by the helper that forms it:
+    (Pi, 1) = ``_ball_pi(w)``; a = (Pi, 1) / 6 has radius 2 (``_ball_scale``);
+    D = e^-a has radius at most 4 + 2 * 2 = 8 (``_ball_exp``); and E = e^a =
+    1 / D (``_ball_div``) has radius at most ceil(4^w 8 / ((M_D - 8) M_D)) + 1
+    <= 33, as 2^w e^-a > 0.59 2^w keeps M_D - 8 > 2^(w-1).  The sum
+    T = E + sign D has radius at most 41 and |M_T| < 2^(w+2), as
+    e^a + e^-a < 2.3.  The root R = isqrt(floor(72 2^(5w) / Pi^3)), by
+    ``_ball_sqrt``, is within 1 of 2^w sqrt(72 / p^3) at p = Pi / 2^w; as
+    |p - pi| <= 2^-w and the derivative of sqrt(72 / x^3) is at most
+    (3/2) sqrt(72) 3^(-5/2) < 1 in size for x >= 3, R is within 2 of
+    2^w sqrt(72 / pi^3), and R < 2^(w+1), as sqrt(72 / pi^3) < 1.53.  The
+    product R T / 2^(w+1) (``_ball_mul`` at 2^-(w+1)) has radius at most
+    floor((2^(w+1) 41 + 2^(w+2) 2 + 82) / 2^(w+1)) + 2 <= 47 < 2^(g-1).  So
+    with (M, e) that ball, L = floor((M - e) / 2^g) is at most 2^bits A, and
+    2^bits A <= (M + e) / 2^g < L + 1 + 2e / 2^g < L + 2.
     """
-    wide = prec + _AMPLITUDE_GUARD
-    pi = mpf_pi(wide)
-    base = mpf_div(mpf_sqrt(from_int(72), wide), mpf_mul(pi, mpf_sqrt(pi, wide), wide), wide)
-    cosh, sinh = mpf_cosh_sinh(mpf_div(pi, from_int(6), wide), wide)
-    return mpf_mul(base, sinh, prec, round_nearest), mpf_mul(base, cosh, prec, round_nearest)
+    wide = bits + _AMPLITUDE_GUARD
+    half_turn = _ball_pi(wide)
+    decay = _ball_exp(_ball_scale(half_turn, 1, 6), wide)
+    hyperbolic = _ball_add(_ball_div((1 << wide, 0), decay, wide), _ball_scale(decay, sign))
+    root = _ball_sqrt(72 << 3 * wide, wide, half_turn[0] ** 3)
+    middle, radius = _ball_mul((root[0], root[1] + 1), hyperbolic, wide + 1)
+    return middle - radius >> _AMPLITUDE_GUARD
+
+
+# the envelope amplitudes of even and odd m, held at the widest scale asked
+_AMPLITUDES = tuple(_held(functools.partial(_amplitude, sign)) for sign in (-1, 1))
 
 
 def _ball_amplitude(m: int, bits: int) -> tuple:
-    """The envelope amplitude of c_m (even or odd m) at scale 2^-bits: (A >> (w - bits), 2), A = 2^w v.
+    """The envelope amplitude of c_m at scale 2^-bits, sinh (even m) or cosh (odd m): radius 1, by ``_held``.
 
-    v = ``_even_odd_prefactor(w)[m % 2]`` at w = ``_width(bits)`` >= bits.  The
-    amplitudes, 0.835... and 1.737..., lie in [1/2, 2), and so does v: its
-    ulp is 2^-w or 2^(1-w), so A is an integer, under (1/2 + 2^-25) 2 < 2
-    units from 2^w times the amplitude; a shift by k = w - bits >= 1 leaves
-    under 2^(1-k) + 1 <= 2, and k = 0 (w = bits) none.
+    The amplitudes are 0.835... and 1.737...
     """
-    width = _width(bits)
-    _, mantissa, exponent, _ = _even_odd_prefactor(width)[m % 2]
-    return mantissa << exponent + width >> width - bits, 2
-
-
-def _sqrt_ratio(num: int, den: int, ctx: PrecisionContext):
-    """sqrt(num / den) for positive integers, correctly rounded to nearest at context precision.
-
-    With s = max(0, prec + 3 - floor((bits(num) - bits(den)) / 2)), the
-    integer r = isqrt(floor(4^s num / den)) = floor(2^s sqrt(num / den)) is
-    at least 2^(prec+2).  The root is exactly r when r^2 den = 4^s num, and
-    lies strictly inside (r, r + 1) otherwise.  Every rounding boundary of a
-    prec-bit number is then an even multiple of 2^-s, so none falls inside
-    that interval, and r + 1/2 (r with a sticky bit) rounds the same way as
-    the root: the result is correctly rounded, from one rounding.
-    """
-    prec = ctx.mp.prec
-    shift = max(0, prec + 3 - (num.bit_length() - den.bit_length()) // 2)
-    scaled = num << 2 * shift
-    root = math.isqrt(scaled // den)
-    return ctx.mp.make_mpf(from_man_exp(2 * root + (root * root * den != scaled), -shift - 1, prec, round_nearest))
+    return _AMPLITUDES[m % 2](bits)
 
 
 def _ball_amplitude_root(m: int, num: int, den: int, bits: int) -> tuple:
@@ -386,9 +367,8 @@ def darboux_approximant(m: int, ctx: PrecisionContext):
     if m < 0:
         raise DomainError(f"m must be nonnegative, got {m}")
     mp = ctx.mp
-    half_binom = Fraction((2 * m + 1) * comb(2 * m, m), 4**m)  # binom(m+1/2, m)
     amplitude = 3 / (mp.sqrt(2) * mp.pi) * ((-1) ** m * mp.exp(mp.pi / 6) - mp.exp(-mp.pi / 6))
-    return amplitude * mp.mpf(half_binom.numerator) / half_binom.denominator / _sqrt_ratio(24, 1, ctx) ** m
+    return amplitude * mp.mpf((2 * m + 1) * comb(2 * m, m)) / 4**m / mp.sqrt(24) ** m  # binom(m+1/2, m) = (2m+1) binom(2m, m) / 4^m
 
 
 # The most digits a certified comparison rebuilds the source at.

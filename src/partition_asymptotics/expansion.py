@@ -31,9 +31,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from mpmath.libmp import round_nearest, to_float
-
-from .coefficients import _ball_c, _even_odd_prefactor, _horner
+from .coefficients import _ball_amplitude, _ball_c, _horner
 from .errors import DomainError
 from .precision import (
     PrecisionContext,
@@ -91,19 +89,18 @@ def recommended_digits(n: int) -> int:
 def _series_length(n: int, digits: int) -> int:
     """The first M whose proven tail bound is below 10^-(digits+5).
 
-    With q = sqrt(24n) and A the odd (cosh) amplitude of ``_ball_envelope``,
-    read from ``_even_odd_prefactor``, the envelope gives
+    With q = sqrt(24n) and A at least the odd (cosh) amplitude of
+    ``_ball_envelope``, the upper end of its ball at 2^-64, the envelope gives
     |c_m| / n^(m/2) <= A sqrt(2(m+1)) q^(-m) for every m,
     so the tail after M terms is at most A sqrt(2(M+1)) q^(-M) / (1 - 1/q)^2.
     The terms alternate in sign and shrink, so every partial sum after S_0
     lies in (0, 1] and the cutoff is also relative to the sum.  The bound is
     compared in double-precision logarithms, whose rounding the 1e-6 margin
-    dwarfs, and so is A's, read at 64 bits.  The log bound falls with M and exceeds
+    dwarfs, and so is A's.  The log bound falls with M and exceeds
     log A' - M log q, A' = A / (1 - 1/q)^2, so the search starts below (log A' - goal) / log q.
     """
     log_q = math.log(24 * n) / 2
-    amplitude = to_float(_even_odd_prefactor(64)[1], rnd=round_nearest)
-    log_scale = math.log(amplitude) - 2 * math.log(1 - math.exp(-log_q))
+    log_scale = math.log(sum(_ball_amplitude(1, 64)) / 2**64) - 2 * math.log(1 - math.exp(-log_q))
     goal = -(digits + 5) * math.log(10) - 1e-6
     M = max(0, math.floor((log_scale - goal) / log_q) - 1)
     while log_scale + math.log(2 * (M + 1)) / 2 - M * log_q >= goal:

@@ -1,9 +1,13 @@
 """Precision-context real arithmetic, the Lambert W branch -1 and integer balls.
 
 A :class:`PrecisionContext` fixes the number of decimal significant digits for
-all real arithmetic derived from it.  Values are mpmath floats bound to the
-context that produced them; there is one shared context per digit count, so
-two different precisions never interfere and nothing global is mutated.
+all real arithmetic derived from it.  Its values are mpmath floats bound to
+the context that produced them; there is one shared context per digit count,
+so two different precisions never interfere and nothing global is mutated.
+mpmath loads when the first context is built, not with this module: a value
+the toolkit rounds from a ball is the raw float ``(sign, man, exp, bc)`` of
+``_rounded_float``, and a caller that only prints it passes a ``_Rendering``,
+whose ``value`` holds that raw float and nothing else.
 
 Balls.  A ball (M, e) at scale 2^-P is a pair of integers, e >= 0, that
 stands for every real x with |2^P x - M| <= e.  The ``_ball_*`` helpers form
@@ -23,19 +27,45 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
-
-from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_man_exp, prec_to_dps, round_nearest
 
 from .errors import DomainError, PrecisionError, _check_digits
 
 # extra working digits used inside composite operations before rounding back
 _GUARD_DIGITS = 10
+# mpmath's log2(10), in its conversions between decimal digits and bits
+_BITS_PER_DIGIT = 3.3219280948873626
 
 
-class _LightContext(MPContext):
-    """An mpmath context that skips re-wrapping the special functions.
+def _digits_to_bits(digits: int) -> int:
+    """The precision in bits of ``digits`` decimal digits: mpmath's dps_to_prec."""
+    return max(1, round((digits + 1) * _BITS_PER_DIGIT))
+
+
+def _rounded_float(middle: int, bits: int, prec: int) -> tuple:
+    """middle / 2^bits rounded half to even to prec bits, as mpmath's raw float (sign, man, exp, bc).
+
+    It is what mpmath's from_man_exp(middle, -bits, prec, round_nearest)
+    returns: an odd mantissa (1 for a power of two), and (0, 0, 0, 0) for 0.
+    A mantissa of more than prec bits keeps its top prec, plus one when the
+    bits dropped are over half a unit, or exactly half of it and the kept
+    part is odd.
+    """
+    if not middle:
+        return 0, 0, 0, 0
+    man, exp = abs(middle), -bits
+    drop = man.bit_length() - prec
+    if drop > 0:
+        half = man >> drop - 1  # the kept bits and the first dropped one
+        man = (half >> 1) + (half & 1 and bool(half & 2 or man & (1 << drop - 1) - 1))
+        exp += drop
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return int(middle < 0), man, exp + zeros, man.bit_length()
+
+
+@functools.lru_cache(maxsize=None)
+def _light_context() -> type:
+    """An mpmath context class that skips re-wrapping the special functions; importing it imports mpmath.
 
     Importing mpmath builds its global context, which sets a wrapper for each
     of its ~200 special functions as an attribute of the ``MPContext`` class.
@@ -44,10 +74,14 @@ class _LightContext(MPContext):
     subclass inherits them as they stand, so a context here has the same
     attributes and gives the same results for about two thirds of the cost.
     """
+    from mpmath.ctx_mp import MPContext
 
-    @classmethod
-    def _wrap_specfun(cls, name, f, wrap):
-        pass
+    class LightContext(MPContext):
+        @classmethod
+        def _wrap_specfun(cls, name, f, wrap):
+            pass
+
+    return LightContext
 
 
 class PrecisionContext:
@@ -57,20 +91,21 @@ class PrecisionContext:
     run in a regime where its own guard margins are larger than the precision
     itself.
     ``PrecisionContext(d)`` returns one shared instance per ``d``, so equal
-    digits mean the same object.
+    digits mean the same object.  Building one imports mpmath; ``prec`` is
+    its precision in bits, and ``value`` makes the mpmath float of a raw one.
     """
 
-    __slots__ = ("digits", "_mp")
+    __slots__ = ("digits", "prec", "value", "_mp")
     _shared: dict = {}
 
     def __new__(cls, digits: int):
         _check_digits(digits)
         if digits not in cls._shared:
             self = object.__new__(cls)
-            object.__setattr__(self, "digits", digits)
-            mp = _LightContext()
+            mp = _light_context()()
             mp.dps = digits
-            object.__setattr__(self, "_mp", mp)
+            for name, value in (("digits", digits), ("prec", _digits_to_bits(digits)), ("value", mp.make_mpf), ("_mp", mp)):
+                object.__setattr__(self, name, value)
             cls._shared.setdefault(digits, self)
         return cls._shared[digits]
 
@@ -81,7 +116,7 @@ class PrecisionContext:
         return f"PrecisionContext(digits={self.digits})"
 
     @property
-    def mp(self) -> MPContext:
+    def mp(self):
         """The underlying mpmath context (dps == digits)."""
         return self._mp
 
@@ -92,6 +127,8 @@ class PrecisionContext:
         any context.  Decimal strings and Fractions are converted exactly and
         then rounded once, so e.g. "3.474" means exactly 3474/1000.
         """
+        from fractions import Fraction
+
         mp = self._mp
         if isinstance(value, Fraction):
             return mp.mpf(value.numerator) / value.denominator
@@ -106,6 +143,35 @@ class PrecisionContext:
         if raw is not None:
             return mp.mpf(raw)
         raise DomainError(f"cannot interpret {value!r} as a real number")
+
+
+class _Float:
+    """A raw float ``(sign, man, exp, bc)`` under the attribute an mpmath float keeps it in, and nothing else."""
+
+    __slots__ = ("_mpf_",)
+
+    def __init__(self, raw: tuple):
+        self._mpf_ = raw
+
+
+class _Rendering:
+    """The context of values that are only printed: ``digits``, ``prec`` and a ``value`` that holds a raw float.
+
+    It stands in for a ``PrecisionContext`` wherever every value is a ball
+    rounded once (``_ball_round``, ``coefficients.coeff_c``), and loads no
+    mpmath.  One shared instance per digit count; ``cli`` checks the digits.
+    """
+
+    __slots__ = ("digits", "prec")
+    _shared: dict = {}
+    value = staticmethod(_Float)
+
+    def __new__(cls, digits: int):
+        if digits not in cls._shared:
+            self = object.__new__(cls)
+            self.digits, self.prec = digits, _digits_to_bits(digits)
+            cls._shared.setdefault(digits, self)
+        return cls._shared[digits]
 
 
 def lambert_w_minus1(x, ctx: PrecisionContext):
@@ -169,17 +235,18 @@ _BALL_MAX_BITS = 1 << 14
 def _ball_bits(ctx: PrecisionContext, num: int = 1, den: int = 1) -> int:
     """The scale P of the balls for a context: its precision in bits plus _BALL_GUARD,
     plus about the bits sqrt(num / den) sits below 1, if it does, for a value of about that size."""
-    return ctx.mp.prec + _BALL_GUARD + max((den.bit_length() - num.bit_length()) // 2, 0)
+    return ctx.prec + _BALL_GUARD + max((den.bit_length() - num.bit_length()) // 2, 0)
 
 
 def _ball_digits(bits: int) -> int:
     """The digits of the context whose ball scale is ``bits``; about twice them at twice its scale.
 
-    mpmath's prec_to_dps inverts its dps_to_prec, so at P = ``_ball_bits(ctx)``
-    this is ctx.digits.  For every bits, d + 1 = round((bits - _BALL_GUARD) / log2 10),
-    so 2^(bits - _BALL_GUARD) <= 10^(d + 3/2).
+    It is mpmath's prec_to_dps of bits - _BALL_GUARD, which inverts
+    ``_digits_to_bits``, so at P = ``_ball_bits(ctx)`` this is ctx.digits.  For
+    every bits, d + 1 = round((bits - _BALL_GUARD) / log2 10), so
+    2^(bits - _BALL_GUARD) <= 10^(d + 3/2).
     """
-    return prec_to_dps(bits - _BALL_GUARD)
+    return max(1, round((bits - _BALL_GUARD) / _BITS_PER_DIGIT) - 1)
 
 
 def _ball_sqrt(num: int, bits: int, den: int = 1) -> tuple:
@@ -425,8 +492,10 @@ def _ball_decide(signs, bits: int) -> list:
         bits = min(2 * bits, _BALL_MAX_BITS)
 
 
-def _ball_round(balls, bits: int, ctx: PrecisionContext) -> list:
+def _ball_round(balls, bits: int, ctx) -> list:
     """The reals the balls (M, e) = ``balls(P)`` at scale 2^-P enclose, each rounded once to nearest at the context.
+
+    ``ctx`` is a ``PrecisionContext``, or a ``_Rendering``; each value is ``ctx.value`` of its raw float.
 
     Let r = s m 2^x, m odd of k bits, be M / 2^P rounded.  Every real within
     h = 2^(x + k - prec - 1), half an ulp of r, of |r| rounds to r, or within
@@ -435,13 +504,13 @@ def _ball_round(balls, bits: int, ctx: PrecisionContext) -> list:
     holds only reals that round to r; a radius 0 is exact.  From P = bits,
     ``_ball_decide`` redoes the group at twice the scale while any ball fails.
     """
-    prec, rounded = ctx.mp.prec, []
+    prec, rounded = ctx.prec, []
 
     def agree(P):
         rounded[:] = []
         decided = True
         for middle, radius in balls(P):
-            raw = from_man_exp(middle, -P, prec, round_nearest)
+            raw = _rounded_float(middle, P, prec)
             _, man, exponent, count = raw
             half = exponent + count - prec - 1 + P
             inside = man and half >= 2 and abs(abs(middle) - (man << exponent + P)) + radius < 1 << half - (man == 1)
@@ -450,4 +519,4 @@ def _ball_round(balls, bits: int, ctx: PrecisionContext) -> list:
         return [-1 if decided else 0]
 
     _ball_decide(agree, bits)
-    return [ctx.mp.make_mpf(raw) for raw in rounded]
+    return [ctx.value(raw) for raw in rounded]

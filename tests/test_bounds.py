@@ -251,9 +251,13 @@ def test_algebraic_factors_are_correctly_rounded():
                 factor = (-report.lower if N % 2 == 0 else report.upper) / ctx.real("0.5")
                 reference = wide.sqrt(wide.mpf(N + 1) / wide.mpf(24 * n) ** N)
                 assert abs(wide.mpf(factor) - reference) <= wide.mpf(ulp(factor, ctx)) / 2, (n, N, digits)
-    # the comparison factor is (6/pi)^N times the correctly rounded sqrt(k/(24n)^N), k = N//2 + 1 + N%2
-    ctx = PrecisionContext(80)
-    mp, wide = ctx.mp, PrecisionContext(260).mp
-    n, N = 499, 10
-    root = mp.mpf(wide.sqrt(wide.mpf(N // 2 + 1) / wide.mpf(24 * n) ** N))  # rounded once to nearest
-    assert (banerjee_bounds(n, N, ctx).upper / 16)._mpf_ == ((6 / mp.pi) ** N * root)._mpf_
+    # each comparison end is its constant times (6/pi)^N sqrt(k/(24n)^N), k = N//2 + 1 + N%2, rounded once
+    for digits in (30, 80):
+        ctx = PrecisionContext(digits)
+        wide = PrecisionContext(3 * digits + 20).mp
+        for n in (1, 7, 499, 20000):
+            for N in range(2, 15):
+                report = banerjee_bounds(n, N, ctx)
+                factor = (6 / wide.pi) ** N * wide.sqrt(wide.mpf(N // 2 + 1 + N % 2) / wide.mpf(24 * n) ** N)
+                low, high = (-13, 16) if N % 2 == 0 else (-21, 11)
+                assert (report.lower._mpf_, report.upper._mpf_) == (ctx.real(low * factor)._mpf_, ctx.real(high * factor)._mpf_), (n, N, digits)

@@ -58,6 +58,12 @@ def _commands():
         ["bounds", "1", "1", "--theorem", "t3", "--constant", "3.474"],
         ["--digits", "29", "partition", "5"],
         ["--cache", "/nonexistent/dir/x", "partition", "5"],
+        # values rounded for the renderer at digit counts the rest lacks
+        ["--digits", "31", "bounds", "1000", "11", "--theorem", "banerjee"],
+        ["--digits", "300", "--format", "csv", "coeff", "40"],
+        ["--digits", "51", "--format", "json", "table1"],
+        ["--digits", "47", "--format", "csv", "remainder", "2200", "12", "--theta"],
+        ["--digits", "1000", "bounds", "9", "7", "--theorem", "t2"],
     ]
     return commands
 

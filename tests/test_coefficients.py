@@ -24,9 +24,7 @@ from partition_asymptotics import (
     coeff_c,
     darboux_approximant,
 )
-from partition_asymptotics import cli, coefficients, expansion, series, verify
-
-from helpers import ulp
+from partition_asymptotics import cli, coefficients, expansion, precision, series, verify
 
 
 def _exact_terms(m):
@@ -255,19 +253,33 @@ def _amplitudes(mp):
     return base * mp.sinh(mp.pi / 6), base * mp.cosh(mp.pi / 6)
 
 
-def _within_half_ulp(value, reference, ctx):
-    """|value - reference| <= ulp(value) / 2, decided in the reference's (wider) context."""
-    wide = reference.context
-    return abs(wide.mpf(value) - reference) <= wide.mpf(ulp(value, ctx)) / 2
-
-
 def test_envelope_pieces():
-    # the even and odd amplitudes within half an ulp of their values at twice the digits
+    # the even and odd amplitude balls at each context's ball scale enclose their values at twice the digits
     for digits in (30, 31, 80, 166, 1145):
-        ctx = PrecisionContext(digits)
-        references = _amplitudes(PrecisionContext(2 * digits).mp)
-        for amplitude, reference in zip(coefficients._even_odd_prefactor(ctx.mp.prec), references):
-            assert _within_half_ulp(ctx.mp.make_mpf(amplitude), reference, ctx), digits
+        bits = precision._ball_bits(PrecisionContext(digits))
+        wide = PrecisionContext(2 * digits).mp
+        for m, reference in enumerate(_amplitudes(wide)):
+            middle, radius = coefficients._ball_amplitude(m, bits)
+            assert radius == 1 and abs(middle - wide.ldexp(reference, bits)) <= radius, (m, digits)
+
+
+AMPLITUDE_WIDTHS = (16, 17, 24, 31, 53, 64, 100, 301, 1000, 4099, 1 << 14)
+
+
+def test_amplitude_balls_enclose_their_values_at_every_width():
+    # each amplitude form returns L <= 2^w A < L + 2, and the held ball at
+    # every width, asked up and then down, encloses A with radius 1; the
+    # references are taken at three times the digits of the widest scale
+    wide = PrecisionContext(3 * (math.ceil(max(AMPLITUDE_WIDTHS) * math.log10(2)) + 1)).mp
+    for m, reference in enumerate(_amplitudes(wide)):
+        form = coefficients._AMPLITUDES[m].__wrapped__
+        for width in AMPLITUDE_WIDTHS:
+            scaled = wide.ldexp(reference, width)
+            lower = form(width)
+            assert lower <= scaled < lower + 2, (m, width)
+        for width in (*AMPLITUDE_WIDTHS, *reversed(AMPLITUDE_WIDTHS)):
+            middle, radius = coefficients._ball_amplitude(m, width)
+            assert radius == 1 and abs(middle - wide.ldexp(reference, width)) <= radius, (m, width)
 
 
 @pytest.mark.parametrize("digits", (30, 31, 80, 166, 1145))
@@ -286,29 +298,18 @@ def test_envelope_against_twice_the_digits(digits):
         assert coeff_asymptotic(m, ctx)._mpf_ == ctx.real(asymptotic if m % 2 == 0 else -asymptotic)._mpf_, m
 
 
-def test_sqrt_ratio_is_correctly_rounded():
-    rng = random.Random(16)
-    exact = {(9, 4): Fraction(3, 2), (49, 64): Fraction(7, 8), (1, 2**60): Fraction(1, 2**30), (10**40, 1): 10**20}
-    pairs = [(k, 1) for k in range(1, 200)] + [(2**61, 1), (3, 10**40), *exact]
-    pairs += [(rng.randint(1, 10**12), rng.randint(1, 10**12)) for _ in range(200)]
-    for digits in (30, 31, 80, 166):
-        ctx = PrecisionContext(digits)
-        mp, wide = ctx.mp, PrecisionContext(2 * digits).mp
-        for num, den in pairs:
-            value = coefficients._sqrt_ratio(num, den, ctx)
-            if den == 1:
-                assert value._mpf_ == mp.sqrt(num)._mpf_, (num, digits)
-            if (num, den) in exact:
-                assert value == ctx.real(exact[num, den]), (num, den, digits)
-            assert _within_half_ulp(value, wide.sqrt(wide.mpf(num) / den), ctx), (num, den, digits)
-
-
-def test_amplitudes_do_not_depend_on_the_order_of_digit_counts():
+def test_amplitudes_do_not_depend_on_the_order_of_digit_counts(monkeypatch):
+    # the held amplitude balls depend on the widest scale asked so far; the
+    # envelope values rounded from them must not
     digit_counts = (30, 31, 57, 80, 142, 166, 188, 300, 1145)
 
     def visit(order):
-        coefficients._even_odd_prefactor.cache_clear()
-        return {d: coefficients._even_odd_prefactor(PrecisionContext(d).mp.prec) for d in order}
+        fresh = tuple(precision._held(held.__wrapped__) for held in coefficients._AMPLITUDES)
+        monkeypatch.setattr(coefficients, "_AMPLITUDES", fresh)
+        return {
+            d: [(coeff_bound(m, PrecisionContext(d))._mpf_, coeff_asymptotic(m, PrecisionContext(d))._mpf_) for m in (0, 1, 12, 13)]
+            for d in order
+        }
 
     ascending = visit(digit_counts)
     assert visit(reversed(digit_counts)) == ascending

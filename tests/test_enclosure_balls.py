@@ -73,7 +73,7 @@ def test_coefficient_root_and_amplitude_balls_enclose_their_values(digits):
     for m, amplitude in ((0, base * mp.sinh(mp.pi / 6)), (1, base * mp.cosh(mp.pi / 6)), (12, base * mp.sinh(mp.pi / 6))):
         ball = coefficients._ball_amplitude(m, bits)
         _assert_encloses(ball, bits, amplitude)
-        assert ball[1] == 2  # the docstring's radius
+        assert ball[1] == 1  # the held ball's radius
     for num, den in ((3, 1), (1, 1026**12), (13 * 26, 25 * (24 * 499) ** 12), (7, 6), (3474**2 * 5, 1000**2 * (24 * 141) ** 4)):
         ball = precision._ball_sqrt(num, bits, den)
         _assert_encloses(ball, bits, mp.sqrt(mp.mpf(num) / den))

@@ -179,7 +179,7 @@ def test_full_sum_stop_bounds_the_true_tail():
         wide = PrecisionContext(2 * digits)
         mp = wide.mp
         q = mp.sqrt(mp.mpf(24 * n))
-        amplitude = mp.make_mpf(coefficients._even_odd_prefactor(mp.prec)[1])
+        amplitude = mp.ldexp(sum(coefficients._ball_amplitude(1, mp.prec)), -mp.prec)  # the upper end of its ball
 
         def bound(M):
             return amplitude * mp.sqrt(2 * (M + 1)) / q**M / (1 - 1 / q) ** 2
@@ -189,6 +189,17 @@ def test_full_sum_stop_bounds_the_true_tail():
             partial = mp.fsum(coeff_c(m, wide) / mp.sqrt(n) ** m for m in range(M))
             assert abs(reference - partial) <= bound(M), (n, digits, M)
         assert bound(stop) < mp.mpf(10) ** (-(digits + 5)) <= bound(stop - 1)
+
+
+def test_full_sum_stop_reads_the_amplitude_as_its_exact_value(monkeypatch):
+    # the stop from the upper end of the cosh amplitude's ball at 2^-64 is
+    # the stop from the amplitude itself, taken at 60 digits
+    mp = PrecisionContext(60).mp
+    exact = 6 * mp.sqrt(2) / mp.pi ** mp.mpf("1.5") * mp.cosh(mp.pi / 6)
+    points = [(n, digits) for n in (1, 2, 7, 37, 200, 500, 2200, 12345, 20000) for digits in (30, 50, 80, 166, 301, 1145)]
+    stops = [expansion._series_length(n, digits) for n, digits in points]
+    monkeypatch.setattr(expansion, "_ball_amplitude", lambda m, bits: (int(mp.nint(mp.ldexp(exact, bits))), 0))
+    assert [expansion._series_length(n, digits) for n, digits in points] == stops
 
 
 def _assert_rounded_once(value, reference, ctx, where):
@@ -380,7 +391,7 @@ def _plain_values(n, p, ctx):
     powers = [mp.sqrt(24 * n) ** N for N in range(13)]
     envelopes = [shape / power for shape, power in zip(_plain_envelope_shapes(hi.digits), powers)]
     algebraic = [mp.sqrt(N + 1) / power for N, power in enumerate(powers)]
-    comparison = [(6 / ctx.mp.pi) ** N * coefficients._sqrt_ratio(N // 2 + 1 + N % 2, (24 * n) ** N, ctx) for N in range(13)]
+    comparison = [(6 / mp.pi) ** N * mp.sqrt(mp.mpf(N // 2 + 1 + N % 2) / mp.mpf(24 * n) ** N) for N in range(13)]
     M = expansion._series_length(n, 3 * ctx.digits)
     u, power, terms = 1 / mp.sqrt(n), mp.mpf(1), []
     for k in range(max(M, expansion._series_length(n, ctx.digits) + 2) + 1):
@@ -403,7 +414,6 @@ def _plain_values(n, p, ctx):
         "T1": [(E, abs(term) + E) for term in terms[:13]],
         "T2": [(E, envelope + E) for envelope in envelopes],
         "T3": [(half * f, half * f + envelope) for f, envelope in zip(algebraic, envelopes)],
-        # the comparison family stays in context arithmetic, so its plain values are at ctx
         "Banerjee": [(13 * f, 16 * f) if N % 2 == 0 else (11 * f, 21 * f) for N, f in enumerate(comparison)],
     }
 
@@ -518,10 +528,7 @@ def test_memo_is_bit_identical_to_the_plain_formulas():
                             continue
                         below, above = plain[family][N]
                         lower, upper = (-below, above) if N % 2 == 0 else (-above, below)
-                        if family == "Banerjee":
-                            assert (report.lower._mpf_, report.upper._mpf_) == (lower._mpf_, upper._mpf_), (family, N, where)
-                        else:
-                            assert (report.lower._mpf_, report.upper._mpf_) == (rounded(lower), rounded(upper)), (family, N, where)
+                        assert (report.lower._mpf_, report.upper._mpf_) == (rounded(lower), rounded(upper)), (family, N, where)
 
 
 def test_per_n_caches_are_bounded():

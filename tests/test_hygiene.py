@@ -128,11 +128,33 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     assert not uncalled, f"public functions only the tests call: {', '.join(uncalled)}"
 
 
+def _outside_functions(node):
+    """Every node under ``node`` that runs when the module is imported: all but the bodies of functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _outside_functions(child)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_mpmath_at_module_level(path):
+    # mpmath loads when a PrecisionContext is built, so that a command whose
+    # values are all balls never loads it: an import inside a function is
+    # allowed, one that runs on import (under an if, a try or a class too) is not
+    found = [
+        node.lineno
+        for node in _outside_functions(_tree(path))
+        if (isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "mpmath" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "mpmath")
+    ]
+    assert not found, f"{path.name} imports mpmath at module level (lines {found})"
+
+
 def test_ball_decisions_read_no_mpmath_reals():
     # the integer ball layer, the ball forms of the coefficients, sums and
-    # bounds, the lemma2, lemma3, thm1, thm2 and thm3 sweeps, and the
-    # functions that round the printed envelopes, remainders, sums and
-    # T1/T2/T3 ends from their balls work on balls alone: pi comes only from
+    # bounds, the envelope amplitudes, the lemma2, lemma3, thm1, thm2 and
+    # thm3 sweeps, and the functions that round the printed envelopes,
+    # remainders, sums and bound ends from their balls work on balls alone: pi comes only from
     # _pi_enclosure, roots and exp from integers, so no function among them
     # reads mp.pi, mp.exp, mp.sqrt or mp.cbrt (or a bare or other attribute
     # of those names)
@@ -140,8 +162,8 @@ def test_ball_decisions_read_no_mpmath_reals():
     sweeps = ("_lemma2", "_lemma3_chain", "_lemma3", "_thm1", "_thm2", "_thm3", "_inside")
     printed = {
         "expansion": ("remainder_exact", "r_hat", "full_sum", "exp_error_term"),
-        "bounds": ("thm1_bounds", "thm2_bounds", "thm3_bounds", "_report"),
-        "coefficients": ("_ratio_within_cap", "_within_envelope", "_round_envelope", "coeff_bound", "coeff_asymptotic"),
+        "bounds": ("thm1_bounds", "thm2_bounds", "thm3_bounds", "banerjee_bounds", "_report"),
+        "coefficients": ("_amplitude", "_ratio_within_cap", "_within_envelope", "_round_envelope", "coeff_bound", "coeff_asymptotic"),
     }
 
     def checked(stem, name):
@@ -157,7 +179,7 @@ def test_ball_decisions_read_no_mpmath_reals():
     ]
     names = {function.name for function in functions}
     assert {*sweeps, *(name for group in printed.values() for name in group), "_ball_exp", "_ball_pi", "_ball_sqrt", "_ball_decide", "_ball_round"} <= names, names
-    assert {"_ball_c", "_ball_amplitude", "_ball_amplitude_root", "_ball_envelope", "_ball_per_n", "_ball_sum", "_ball_term", "_ball_thm3", "_ball_remainder", "_ball_theta", "_ball_prefactor"} <= names
+    assert {"_ball_c", "_ball_amplitude", "_ball_amplitude_root", "_ball_envelope", "_ball_per_n", "_ball_sum", "_ball_term", "_ball_thm3", "_ball_comparison", "_ball_remainder", "_ball_theta", "_ball_prefactor"} <= names
     reads = [
         f"{function.name}: {getattr(node, 'attr', getattr(node, 'id', ''))} (line {node.lineno})"
         for function in functions

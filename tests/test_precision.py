@@ -8,16 +8,17 @@ import mpmath
 import pytest
 from mpmath.ctx_mp import MPContext
 from mpmath.functions.functions import SpecialFunctions
+from mpmath.libmp import from_man_exp, prec_to_dps, round_nearest
 
 from partition_asymptotics import (
     DomainError,
     PrecisionContext,
     PrecisionError,
+    coefficients,
     lambert_w_minus1,
     precision,
     verify,
 )
-from partition_asymptotics.coefficients import _even_odd_prefactor
 
 from helpers import ulp
 
@@ -189,12 +190,12 @@ def test_pi_enclosure_equals_fraction_series():
 
 
 def _hyperbolic_pi_over_six(ctx):
-    # sinh(pi/6) and cosh(pi/6) as src computes them: the even and odd
-    # amplitudes of the coefficient envelope over 6*sqrt(2)/pi^(3/2)
+    # sinh(pi/6) and cosh(pi/6) as src computes them: the midpoints of the
+    # even and odd amplitude balls of the coefficient envelope at the
+    # context's precision, over 6*sqrt(2)/pi^(3/2)
     mp = ctx.mp
     base = 6 * mp.sqrt(2) / mp.pi ** mp.mpf("1.5")
-    even, odd = _even_odd_prefactor(mp.prec)
-    return mp.make_mpf(even) / base, mp.make_mpf(odd) / base
+    return tuple(mp.ldexp(coefficients._ball_amplitude(m, ctx.prec)[0], -ctx.prec) / base for m in (0, 1))
 
 
 def test_sinh_pi_over_six_against_taylor(ctx80):
@@ -494,11 +495,73 @@ def test_ball_round_decides_only_when_both_ends_round_alike(digits):
             return [(middle, radius) if Q == P else (middle << Q - P, 0)]
 
         (value,) = precision._ball_round(balls, P, ctx)
-        exact = precision.from_man_exp(middle, -P, prec, precision.round_nearest)
+        exact = from_man_exp(middle, -P, prec, round_nearest)
         if scales == [P]:
             decided += 1
-            ends = {precision.from_man_exp(middle + side, -P, prec, precision.round_nearest) for side in (-radius, radius)}
+            ends = {from_man_exp(middle + side, -P, prec, round_nearest) for side in (-radius, radius)}
             assert ends == {value._mpf_}, (middle, radius)
         else:
             assert value._mpf_ == exact and scales == [P, 2 * P], (middle, radius)
     assert 1000 < decided < 4000
+
+
+# ---------------------------------------------------------------------------
+# the package's own float rounding and conversions, against mpmath's
+# ---------------------------------------------------------------------------
+
+
+def test_rounded_float_is_bit_identical_to_mpmath():
+    # exact ties above a kept part of either parity, a carry into the next
+    # power of two, the points next to them, zero, negative midpoints and
+    # negative scales, then random midpoints
+    rng = random.Random(25)
+    cases = []
+    for prec in (2, 3, 53, 103, 269, 1000):
+        for drop in (1, 2, 7, 65, 300):
+            for kept in (1 << prec - 1, (1 << prec - 1) + 1, (1 << prec) - 2, (1 << prec) - 1):
+                tie = (kept << drop) + (1 << drop - 1)
+                cases += [(middle, prec) for middle in (tie - 1, tie, tie + 1, kept << drop, (kept << drop) - 1)]
+    cases += [(0, prec) for prec in (1, 53, 269)]
+    for _ in range(3000):
+        prec = rng.choice((1, 2, 30, 53, 103, 269, 1000))
+        cases.append((rng.getrandbits(rng.randint(1, 3 * prec + 80)), prec))
+    for middle, prec in cases:
+        for bits in (-70, -1, 0, 1, 64, prec + 40, 3000):
+            for signed in {middle, -middle}:
+                assert precision._rounded_float(signed, bits, prec) == from_man_exp(signed, -bits, prec, round_nearest), (signed, bits, prec)
+
+
+def test_precision_in_bits_and_digits_are_mpmath_conversions():
+    # prec is what mpmath sets for dps = d, checked on one stock context
+    # (building a shared context per digit count would hold them all), and
+    # the contexts the tests build carry it too
+    stock = MPContext()
+    for digits in range(30, 5001):
+        stock.dps = digits
+        assert precision._digits_to_bits(digits) == stock.prec, digits
+    for digits in (30, 31, 50, 80, 166, 1145):
+        ctx = PrecisionContext(digits)
+        assert ctx.prec == ctx.mp.prec, digits
+    for bits in range((1 << 14) + 1):
+        assert precision._ball_digits(bits) == prec_to_dps(bits - precision._BALL_GUARD), bits
+
+
+def test_the_renderer_rounds_as_a_precision_context(table):
+    # every value a ball is rounded to is the same raw float in both contexts
+    from partition_asymptotics import banerjee_bounds, coeff_bound, coeff_c, remainder_exact, thm1_bounds, thm2_bounds
+
+    for digits in (30, 80, 301):
+        ctx, rendering = PrecisionContext(digits), precision._Rendering(digits)
+        assert rendering is precision._Rendering(digits) and (rendering.digits, rendering.prec) == (digits, ctx.prec)
+        for n, N in ((1, 2), (200, 4), (2200, 12)):
+            for values in (
+                lambda c: remainder_exact(n, N, table, c, include_theta=True),
+                lambda c: thm1_bounds(n, N, c)[2:4],
+                lambda c: thm2_bounds(n, N, c)[2:4],
+                lambda c: banerjee_bounds(n, N, c)[2:4],
+                lambda c: [coeff_c(N, c), coeff_bound(N, c)],
+            ):
+                expected = [value._mpf_ for value in values(ctx) if hasattr(value, "_mpf_")]
+                rendered = values(rendering)
+                assert [value._mpf_ for value in rendered if hasattr(value, "_mpf_")] == expected, (digits, n, N)
+                assert all(type(value) is precision._Float for value in rendered if hasattr(value, "_mpf_"))

@@ -1,4 +1,4 @@
-"""Fresh-process start-up: each CLI subcommand loads only the modules it uses.
+"""Fresh-process start-up: each CLI subcommand loads only the modules it uses, and mpmath only if it calls nu or run_suite.
 
 The in-process tests run with every module of the package already imported,
 so they cannot see a lazy import that is missing, or one that loads too much.
@@ -38,7 +38,10 @@ CASES = [
     ["partition", "100"],
     ["--digits", "30", "--format", "human", "coeff", "12"],
     ["--digits", "30", "--format", "human", "remainder", "1", "0", "--theta"],
+    ["--digits", "30", "--format", "json", "bounds", "7", "3", "--theorem", "t1"],
     ["--digits", "30", "--format", "csv", "bounds", "1", "0", "--theorem", "t2"],
+    ["--digits", "30", "--format", "human", "bounds", "200", "4", "--theorem", "t3", "--constant", "1/4"],
+    ["--digits", "30", "--format", "human", "bounds", "7", "3", "--theorem", "banerjee"],
     ["nu", "4", "3.474"],
     ["table1"],
     ["--format", "csv", "table2"],
@@ -84,6 +87,11 @@ def test_each_subcommand_loads_only_what_it_uses(tmp_path):
         assert "dataclasses" not in modules, argv
         if "partition" in argv:
             assert "mpmath" not in modules and "precision" not in ours, (argv, sorted(ours))
+        # only the commands that call nu or run_suite compute in context arithmetic;
+        # the others print balls, and T3 alone parses a rational constant
+        real = bool({"nu", "t3", "table2", "verify"} & set(argv))
+        assert ("mpmath" in modules) == real, (argv, real)
+        assert real or "fractions" not in modules, argv
         if {"bounds", "nu"} & set(argv):
             assert "partitions" not in ours, (argv, sorted(ours))
         assert ("verify" in argv) == ("verify" in ours) == ("series" in ours), (argv, sorted(ours))
