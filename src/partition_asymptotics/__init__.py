@@ -21,7 +21,6 @@ _HOMES = {
     "coeff_asymptotic": "coefficients",
     "coeff_bound": "coefficients",
     "coeff_c": "coefficients",
-    "darboux_approximant": "coefficients",
     "DomainError": "errors",
     "MIN_DIGITS": "errors",
     "PrecisionError": "errors",
@@ -39,8 +38,6 @@ _HOMES = {
     "save_table": "partitions",
     "PrecisionContext": "precision",
     "lambert_w_minus1": "precision",
-    "gf_coefficients": "series",
-    "gf_reference": "series",
     "SUITE_NAMES": "verify",
     "VerifyResult": "verify",
     "run_suite": "verify",

@@ -55,6 +55,8 @@ rebuilt at twice the digits until they separate.
 Envelope.  Lemma 2's bound on |c_m| is one ball, ``_ball_envelope``, which
 T2, T3, lemma2 and thm2 decide on; ``coeff_bound`` is it, and
 ``coeff_asymptotic`` it without the correction, rounded once to the context.
+The gf and asymptotics sweeps compare the source's ball of g_m, ``_ball_g``,
+with ``series``' and with the approximants ``_ball_asymptotic`` and ``_ball_darboux``.
 """
 
 from __future__ import annotations
@@ -263,6 +265,19 @@ def _ball_c(m: int, bits: int) -> tuple:
     return _ball_scale((values[m], radii[m]), 1, 1 << source_bits - bits)
 
 
+def _ball_g(m: int, bits: int) -> tuple:
+    """g_m = sqrt(24)^m c_m as a ball at scale 2^-bits: the source's (W_m, e_m) times 24^j, times sqrt(24) for m = 2j+1.
+
+    Both factors are taken at the source's scale 2^-Q, 24^j exactly and sqrt(24) as ``_ball_sqrt(24, Q)``,
+    and the product is floored to 2^-bits as in ``_ball_c``.
+    """
+    _, source_bits, values, radii = _coefficients(m, _ball_digits(bits))
+    ball = _ball_scale((values[m], radii[m]), 24 ** (m // 2))
+    if m % 2:
+        ball = _ball_mul(_ball_sqrt(24, source_bits), ball, source_bits)
+    return _ball_scale(ball, 1, 1 << source_bits - bits)
+
+
 # Bits of the scale finer than the one asked at which ``_amplitude`` forms its ball.
 _AMPLITUDE_GUARD = 8
 
@@ -349,26 +364,27 @@ def coeff_bound(m: int, ctx: PrecisionContext):
     return _round_envelope(m, ctx, functools.partial(_ball_envelope, m))
 
 
+def _ball_asymptotic(m: int, power: int, bits: int) -> tuple:
+    """(-1)^m amplitude sqrt((m+1) / power) as a ball at 2^-bits: the envelope without its correction, with the sign of c_m."""
+    return _ball_scale(_ball_amplitude_root(m, m + 1, power, bits), (-1) ** m)
+
+
 def coeff_asymptotic(m: int, ctx: PrecisionContext):
-    """Leading large-m approximation of c_m, (-1)^m amplitude sqrt(m+1) / sqrt(24)^m: the envelope
-    without its correction and with the sign of c_m, rounded once to the context."""
-    return _round_envelope(m, ctx, lambda power, P: _ball_scale(_ball_amplitude_root(m, m + 1, power, P), (-1) ** m))
+    """Leading large-m approximation of c_m, ``_ball_asymptotic`` at power 24^m, rounded once to the context."""
+    return _round_envelope(m, ctx, functools.partial(_ball_asymptotic, m))
 
 
-def darboux_approximant(m: int, ctx: PrecisionContext):
-    """m-th Maclaurin coefficient of the dominant-singularity approximant,
-    on the c_m scale.
+def _ball_darboux(m: int, bits: int) -> tuple:
+    """The m-th coefficient of the dominant-singularity approximant of the g_m = sqrt(24)^m c_m, as a ball at 2^-bits.
 
-    The approximant is (3/(sqrt(2)*pi)) * (e^(pi/6) (1+z)^(-3/2)
-    - e^(-pi/6) (1-z)^(-3/2)); its m-th coefficient is
-    (3/(sqrt(2)*pi)) * ((-1)^m e^(pi/6) - e^(-pi/6)) * binom(m+1/2, m),
-    divided here by sqrt(24)^m.
+    The approximant (3 / (sqrt(2) pi)) (e^a (1+z)^(-3/2) - e^(-a) (1-z)^(-3/2)), a = pi/6,
+    has m-th coefficient (-1)^m (sqrt(pi) / 2) A_m (2m+1) binom(2m, m) / 4^m, A_m the envelope
+    amplitude.  For (Pi, 1) = ``_ball_pi(bits)``, (S, e) = ``_ball_sqrt(Pi, bits, 2^bits)`` holds
+    sqrt(Pi / 2^bits), within 2^-bits / (2 sqrt(3)) of sqrt(pi), so (S, e + 1) holds sqrt(pi).
     """
-    if m < 0:
-        raise DomainError(f"m must be nonnegative, got {m}")
-    mp = ctx.mp
-    amplitude = 3 / (mp.sqrt(2) * mp.pi) * ((-1) ** m * mp.exp(mp.pi / 6) - mp.exp(-mp.pi / 6))
-    return amplitude * mp.mpf((2 * m + 1) * comb(2 * m, m)) / 4**m / mp.sqrt(24) ** m  # binom(m+1/2, m) = (2m+1) binom(2m, m) / 4^m
+    root = _ball_sqrt(_ball_pi(bits)[0], bits, 1 << bits)
+    ball = _ball_mul((root[0], root[1] + 1), _ball_amplitude(m, bits), bits)
+    return _ball_scale(ball, (-1) ** m * (2 * m + 1) * comb(2 * m, m), 2 << 2 * m)
 
 
 # The most digits a certified comparison rebuilds the source at.

@@ -1,94 +1,52 @@
-"""Truncated formal power series, enough to rebuild the coefficient generator.
+"""The Maclaurin coefficients g_m = sqrt(24)^m c_m of the coefficient generator as integer balls.
 
-A series is a dense list of Maclaurin coefficients 0..order, mpmath floats of
-one precision context.  Only the operations the generating-function check
-needs are here: Cauchy product, exp of a series with zero constant term, and
-real powers of a series with unit constant term; sums, scalings and shifts by
-z are written inline where they are used.
+With a = pi/6, g_m is the coefficient of z^m in F(z) = e^(-a u) (1/(1-z^2) -
+(z/a) (1-z^2)^(-3/2)), u = z/(1 + sqrt(1-z^2)) (see ``coefficients``).  As
+u = (z/2) C(z^2/4) for the Catalan generating function C, Lagrange inversion
+(Flajolet and Sedgewick, Analytic Combinatorics, 2009) makes each g_m an
+explicit element of Q[a, 1/a], with no series arithmetic.
 """
 
 from __future__ import annotations
 
-from .coefficients import coeff_c
-from .errors import DomainError
-from .precision import PrecisionContext
+import functools
+from math import comb
+
+from .precision import _ball_add, _ball_div, _ball_mul, _ball_pi, _ball_scale
 
 
-def _mul(a: list, b: list, mp) -> list:
-    """Cauchy product truncated at the shorter of the two orders."""
-    order = min(len(a), len(b)) - 1
-    out = [mp.mpf(0)] * (order + 1)
-    for i in range(order + 1):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(order + 1 - i):
-            out[i + j] += ai * b[j]
-    return out
+def _ball_gf(order: int, bits: int) -> list:
+    """[G_0, ..., G_order], balls of g_0, ..., g_order at scale 2^-bits: G_m = sum_{l<=m} E_l b_(m-l), where
 
+        E_l = [z^l] e^(-a u) = sum_{j = l (2)} (-a)^j / j! (j/l) binom(l, (l-j)/2) / 2^l  (E_0 = 1),
+        b_(2i) = 1 and b_(2i+1) = -(1/a) w_i, w_i = (2i+1) binom(2i, i) / 4^i, the bracket's coefficients,
 
-def _exp(a: list, mp) -> list:
-    """exp of a series with zero constant term, via (exp a)' = a' * exp a."""
-    if a[0] != 0:
-        raise DomainError("series exp needs a zero constant term")
-    out = [mp.mpf(1)] + [mp.mpf(0)] * (len(a) - 1)
-    for k in range(1, len(a)):
-        acc = mp.mpf(0)
-        for i in range(1, k + 1):
-            acc += i * a[i] * out[k - i]
-        out[k] = acc / k
-    return out
-
-
-def _power(base: list, alpha, mp) -> list:
-    """base^alpha for a series with unit constant term, via (f^a)' f = a f' f^a."""
-    if base[0] != 1:
-        raise DomainError("series power needs a unit constant term")
-    alpha_plus_1 = mp.mpf(alpha) + 1
-    support = [i for i in range(1, len(base)) if base[i] != 0]
-    out = [mp.mpf(1)] + [mp.mpf(0)] * (len(base) - 1)
-    for k in range(1, len(base)):
-        acc = mp.mpf(0)
-        for i in support:
-            if i > k:
-                break
-            acc += (alpha_plus_1 * i - k) * base[i] * out[k - i]
-        out[k] = acc / k
-    return out
-
-
-def gf_coefficients(order: int, ctx: PrecisionContext) -> list:
-    """Maclaurin coefficients of the coefficient generator, up to z^order.
-
-    Assembles exp(-(pi/6) * z/(sqrt(1-z^2)+1)) * (1/(1-z^2)
-    - (6/pi) * z/(1-z^2)^(3/2)) from the series primitives; coefficient m
-    equals sqrt(24)^m * c_m, which is what :func:`coefficients.coeff_c`
-    produces from its recurrence source, so comparing the two routes checks both.
+    and (j/l) binom(l, (l-j)/2) / 2^l is [z^l] u^j.  All terms of one E_l have the sign (-1)^l, so
+    nothing cancels within it.  Each ball encloses its value by the helper that forms it; for bits >= 16
+    the radii are these.  a = (Pi, 1) / 6 has radius 2 and midpoint below 0.53 * 2^bits.
+    F_j = F_(j-1) a / j, from F_0 = 1, has radius 4 at j = 1 and by induction at most 5 after: the
+    product's is at most 6, and dividing by j >= 2 leaves floor(6 / j) + 2.  E_l sums the F_j times the
+    integers j binom(l, (l-j)/2), which add up to at most l 2^(l-1), and is divided once by l 2^l:
+    radius at most 4, and |E_l| < e^a - 1 < 0.7.  1/a has radius at most 9 and midpoint below
+    1.91 * 2^bits, so b_(2i+1) has radius at most 9 w_i + 2, where w_i <= sqrt(2i+1) as
+    binom(2i, i) / 4^i <= 1/sqrt(3i+1), and E_l b_(2i+1) radius at most 14 w_i + 4.  With
+    E_l b_(2i) = E_l, G_m has radius at most 2m + 4(k + 1) + 14 k sqrt(m), k = ceil(m/2): below
+    16 (m+1)^(3/2) units.
     """
-    if order < 0:
-        raise DomainError("order must be nonnegative")
-    mp = ctx.mp
-    half = mp.mpf(1) / 2
-    one_minus_z2 = [mp.mpf(c) for c in ([1, 0, -1] + [0] * order)[: order + 1]]
-    root = _power(one_minus_z2, half, mp)  # sqrt(1-z^2)
-    # z / (sqrt(1-z^2) + 1): normalize the constant term to 1 before inverting
-    half_root_plus_1 = [(root[0] + 1) * half] + [c * half for c in root[1:]]
-    inverse = [c * half for c in _power(half_root_plus_1, -1, mp)]
-    inner = [mp.mpf(0)] + inverse[:order]
-    rate = -mp.pi / 6
-    exp_part = _exp([c * rate for c in inner], mp)
-    inv = _power(one_minus_z2, -1, mp)  # 1/(1-z^2)
-    inv_32 = _power(one_minus_z2, -mp.mpf(3) / 2, mp)  # (1-z^2)^(-3/2)
-    # 1/(1-z^2) - (6/pi) z (1-z^2)^(-3/2), the shift by z written as an offset
-    weight = -6 / mp.pi
-    bracket = inv[:1] + [c + d * weight for c, d in zip(inv[1:], inv_32)]
-    return _mul(exp_part, bracket, mp)
-
-
-def gf_reference(order: int, ctx: PrecisionContext) -> list:
-    """The same coefficients from :func:`coefficients.coeff_c`: sqrt(24)^m * c_m."""
-    if order < 0:
-        raise DomainError("order must be nonnegative")
-    root24 = ctx.mp.sqrt(24)
-    # the last index first, so the coefficient source grows once
-    return [root24**m * coeff_c(m, ctx) for m in reversed(range(order + 1))][::-1]
+    one = (1 << bits, 0)
+    a = _ball_scale(_ball_pi(bits), 1, 6)
+    falling = [one]  # F_j = a^j / j!
+    for j in range(1, order + 1):
+        falling.append(_ball_scale(_ball_mul(falling[-1], a, bits), 1, j))
+    E = [one]
+    for l in range(1, order + 1):
+        terms = (_ball_scale(falling[j], j * comb(l, (l - j) // 2)) for j in range(2 - l % 2, l + 1, 2))
+        E.append(_ball_scale(functools.reduce(_ball_add, terms), (-1) ** l, l << l))
+    inverse = _ball_div(one, a, bits)
+    # b_k for odd k = 2i+1 is -(1/a) k binom(k-1, i) / 2^(k-1); for even k, E_l b_k is E_l
+    b = {k: _ball_scale(inverse, -k * comb(k - 1, k // 2), 1 << k - 1) for k in range(1, order + 1, 2)}
+    balls = []
+    for m in range(order + 1):
+        products = (_ball_mul(E[l], b[m - l], bits) if (m - l) % 2 else E[l] for l in range(m + 1))
+        balls.append(functools.reduce(_ball_add, products))
+    return balls

@@ -11,8 +11,10 @@ The lemma3, thm1, thm2 and thm3 sweeps decide every claim on integer balls
 bounds and remainders are rounded from.  lemma1 decides its step ratios, and
 lemma2 each |c_m| against its envelope, on the coefficient source's
 integers; lemma2's central binomial inequality is decided on a ball of pi.
-gf and asymptotics are agreement checks against a tolerance, in context
-arithmetic.
+gf and asymptotics compare balls of g_m = sqrt(24)^m c_m: gf the source's
+with those of the explicit expansion in ``series`` (a consistency check of
+two enclosures, not a proof of equality), asymptotics the source's with the
+leading and the dominant-singularity approximants.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from typing import NamedTuple, Optional
 
 from .bounds import _ball_exponential, _ball_thm3, nu
 from .coefficients import (
+    _ball_asymptotic,
+    _ball_darboux,
     _ball_envelope,
+    _ball_g,
+    _coefficients,
     _ratio_within_cap,
     _within_envelope,
     certified_abs_less,
-    coeff_asymptotic,
-    coeff_c,
-    darboux_approximant,
 )
 from .errors import DomainError
 from .expansion import _ball_error_term, _ball_remainder, _ball_term
@@ -50,7 +53,7 @@ from .precision import (
     _ball_sqrt,
     _ball_sqrt2,
 )
-from .series import gf_coefficients, gf_reference
+from .series import _ball_gf
 
 # the enclosure sweeps check every N in 0..ENCLOSURE_N_MAX at each n
 ENCLOSURE_N_MAX = 12
@@ -67,12 +70,13 @@ def _lemma1(m_max: int, ctx: PrecisionContext):
     """|c_m| strictly decreasing and step ratios bounded (both certified), signs alternating.
 
     |c_1/c_0| is the odd cap itself, as g_0 = 1 and g_1 = -(a/2 + 1/a): an identity no rounding can decide.
+    The sign of c_m is that of the source's W_m, which is certified: |W_m| exceeds its radius.
     """
-    coeff_c(m_max, ctx)  # the last index first, so the coefficient source grows once
+    values = _coefficients(m_max, ctx.digits)[2]  # the last index first, so the coefficient source grows once
     for m in range(1, m_max + 1):
         if not certified_abs_less(m, m - 1):
             yield f"|c_{m}| >= |c_{m - 1}|"
-        elif (coeff_c(m, ctx) > 0) != (m % 2 == 0):
+        elif (values[m] > 0) != (m % 2 == 0):
             yield f"sign of c_{m} is not (-1)^{m}"
         elif m > 1 and not _ratio_within_cap(m):
             yield f"|c_{m}/c_{m - 1}| exceeds its cap"
@@ -98,7 +102,7 @@ def _lemma2(m_max: int, ctx: PrecisionContext):
     squared into binom(2m, m)^2 pi (4m+1) < 4 * 16^m, on one ``_ball_pi``.
     """
     bits, binom = _ball_bits(ctx), 1  # binom(2m, m), updated incrementally
-    coeff_c(m_max, ctx)  # the last index first, so the coefficient source grows once
+    _coefficients(m_max, ctx.digits)  # the last index first, so the coefficient source grows once
 
     def central(m, square, P):
         return [_ball_sign(_ball_scale(_ball_pi(P), square * (4 * m + 1)), (1 << 4 * m + 2 + P, 0))]
@@ -303,36 +307,53 @@ def _thm3(_size, ctx: PrecisionContext):
 
 
 def _gf(order: int, ctx: PrecisionContext):
-    """Series route equals closed-form route for the scaled coefficients."""
-    mp = ctx.mp
-    tolerance = mp.mpf(10) ** (-(ctx.digits - 15))
-    reference = gf_reference(order, ctx)  # first: it checks order against the coefficient cap
-    produced = gf_coefficients(order, ctx)
-    for m in range(order + 1):
-        deviation = abs(produced[m] - reference[m]) / abs(reference[m])
-        yield f"relative deviation {mp.nstr(deviation, 6)} at m={m}" if deviation > tolerance else None
+    """The explicit expansion's ball of each g_m = sqrt(24)^m c_m overlaps the coefficient source's.
+
+    Both balls hold g_m, so disjoint balls prove a defect in one of the two routes.
+    """
+    bits = _ball_bits(ctx)
+    # the last index first: it checks order against the coefficient cap, and the source grows once
+    source = [_ball_g(m, bits) for m in reversed(range(order + 1))][::-1]
+    for m, ball in enumerate(_ball_gf(order, bits)):
+        yield None if _ball_sign(ball, source[m]) == 0 else f"generating-function ball disjoint from the source's at m={m}"
 
 
 def _asymptotics(_size, ctx: PrecisionContext):
-    """Large-m behaviour: approximants converge onto c_m from both routes."""
-    small, tight = ctx.mp.mpf("0.05"), ctx.mp.mpf("0.01")
-    coeff_c(400, ctx)  # the last index first, so the coefficient source grows once
+    """Large-m behaviour: the leading and the dominant-singularity approximants converge onto g_m, decided on balls.
 
-    def leading_dev(m: int):
-        return abs(coeff_c(m, ctx) / coeff_asymptotic(m, ctx) - 1)
+    With s = (-1)^m and A_m = ``_ball_asymptotic(m, 1, .)``, the ball that
+    ``coeff_asymptotic`` rounds at power 24^m, |g_m - A_m| < |A_m| / k is
+    (k-1) sA < k sg < (k+1) sA.  A relative deviation |x_m - y_m| / |y_m|
+    smaller at m = 300 than at m = 50 is |x_300 - y_300| |y_50| < |x_50 - y_50| |y_300|.
+    """
+    bits = _ball_bits(ctx)
+    _ball_g(400, bits)  # the last index first, so the coefficient source grows once
 
-    def singularity_dev(m: int):
-        return abs(darboux_approximant(m, ctx) / coeff_c(m, ctx) - 1)
+    def leading(m, P):
+        return _ball_asymptotic(m, 1, P)
 
-    ok = leading_dev(300) < leading_dev(50)
-    yield None if ok else "leading-order deviation not smaller at m=300 than m=50"
-    yield None if leading_dev(300) < small else "leading-order deviation at m=300 not below 0.05"
-    ok = singularity_dev(300) < singularity_dev(50)
-    yield None if ok else "approximant deviation not smaller at m=300 than m=50"
+    def within(m, k, P):
+        A, g = (_ball_scale(ball, (-1) ** m) for ball in (leading(m, P), _ball_g(m, P)))
+        return [_ball_sign(_ball_scale(A, k - 1), _ball_scale(g, k)), _ball_sign(_ball_scale(g, k), _ball_scale(A, k + 1))]
+
+    def closer(x, y, P):
+        def pair(m):  # |x_m - y_m| and |y_m|
+            (u, d), (v, e) = x(m, P), y(m, P)
+            return (abs(u - v), d + e), (abs(v), e)
+
+        (gap300, size300), (gap50, size50) = pair(300), pair(50)
+        return [_ball_sign(_ball_mul(gap300, size50, P), _ball_mul(gap50, size300, P))]
+
+    def holds(signs, *args):
+        return max(_ball_decide(functools.partial(signs, *args), bits)) < 0
+
+    yield None if holds(closer, _ball_g, leading) else "leading-order deviation not smaller at m=300 than m=50"
+    yield None if holds(within, 300, 20) else "leading-order deviation at m=300 not below 0.05"
+    yield None if holds(closer, _ball_darboux, _ball_g) else "approximant deviation not smaller at m=300 than m=50"
     for m in range(100, 401, 2):
-        yield None if leading_dev(m) < small else f"deviation at even m={m} not below 0.05"
+        yield None if holds(within, m, 20) else f"deviation at even m={m} not below 0.05"
     for m in range(200, 401, 2):
-        yield None if leading_dev(m) < tight else f"deviation at even m={m} not below 0.01"
+        yield None if holds(within, m, 100) else f"deviation at even m={m} not below 0.01"
 
 
 def _oracle(n_max: int, _ctx):

@@ -176,7 +176,7 @@ def test_criterion_09_residual_envelope(ctx80):
 
 def test_criterion_10_generating_function(ctx60):
     result = run_suite("gf", m_max=100, ctx=ctx60)
-    # tolerance inside the sweep is 10^-(60-15) = 1e-45
+    # each m: the explicit expansion's ball of g_m overlaps the coefficient source's
     deviation_ok = result.ok and result.checked == 101
     assert _report("10 generating-function identity", deviation_ok, result.counterexample or "")
 

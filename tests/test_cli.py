@@ -344,11 +344,8 @@ PUBLIC_NAMES = [
     "coeff_asymptotic",
     "coeff_bound",
     "coeff_c",
-    "darboux_approximant",
     "exp_error_term",
     "full_sum",
-    "gf_coefficients",
-    "gf_reference",
     "lambert_w_minus1",
     "load_table",
     "nu",

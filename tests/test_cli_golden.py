@@ -50,6 +50,11 @@ def _commands():
         *(["--format", fmt, "verify", "lemma3", "--n-max", "20"] for fmt in FORMATS),
         ["--digits", "30", "verify", "lemma3", "--n-max", "20"],
         ["--format", "json", "verify", "oracle", "--n-max", "20"],
+        ["--digits", "30", "verify", "gf"],
+        ["--digits", "166", "--format", "json", "verify", "gf"],
+        ["--digits", "30", "verify", "asymptotics"],
+        ["--format", "csv", "verify", "asymptotics"],
+        ["verify", "gf", "--m-max", "3001"],
         ["coeff", "-1"],
         ["bounds", "0", "3"],
         ["bounds", "100", "4", "--theorem", "t3", "--constant", "1/0"],

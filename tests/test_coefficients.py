@@ -22,9 +22,8 @@ from partition_asymptotics import (
     coeff_asymptotic,
     coeff_bound,
     coeff_c,
-    darboux_approximant,
 )
-from partition_asymptotics import cli, coefficients, expansion, precision, series, verify
+from partition_asymptotics import cli, coefficients, expansion, precision, verify
 
 
 def _exact_terms(m):
@@ -333,17 +332,20 @@ def test_asymptotic_convergence(ctx80):
 
 
 def test_darboux_m0(ctx80):
-    mp = ctx80.mp
-    expected = 6 / (mp.sqrt(2) * mp.pi) * mp.sinh(mp.pi / 6)
-    assert mp.almosteq(darboux_approximant(0, ctx80), expected, rel_eps=mp.mpf(10) ** -70)
+    bits = precision._ball_bits(ctx80)
+    mp = PrecisionContext(3 * ctx80.digits).mp
+    middle, radius = coefficients._ball_darboux(0, bits)
+    assert abs(middle - mp.ldexp(6 / (mp.sqrt(2) * mp.pi) * mp.sinh(mp.pi / 6), bits)) <= radius
 
 
 def test_darboux_signs_and_convergence(ctx80):
-    mp = ctx80.mp
+    # on the g scale: D_m and g_m = sqrt(24)^m c_m
+    bits = precision._ball_bits(ctx80)
     for m in range(1, 40):
-        assert (darboux_approximant(m, ctx80) > 0) == (m % 2 == 0)
-    deviation = abs(darboux_approximant(300, ctx80) / coeff_c(300, ctx80) - 1)
-    assert deviation < mp.mpf("0.02")
+        middle, radius = coefficients._ball_darboux(m, bits)
+        assert abs(middle) > radius and (middle > 0) == (m % 2 == 0)
+    darboux, g = coefficients._ball_darboux(300, bits)[0], coefficients._ball_g(300, bits)[0]
+    assert abs(Fraction(darboux, g) - 1) < Fraction(2, 100)
 
 
 def test_memo_consistent_under_threads(ctx80):
@@ -419,7 +421,7 @@ def test_range_readers_grow_the_source_once(monkeypatch, builds, ctx80, table):
         lambda: verify.run_suite("lemma1", m_max=60),
         lambda: verify.run_suite("lemma2", m_max=60),
         lambda: verify.run_suite("asymptotics"),
-        lambda: series.gf_reference(60, ctx80),
+        lambda: verify.run_suite("gf", m_max=60),
         lambda: expansion.full_sum(10, ctx80),
         lambda: expansion.remainder_exact(10, 3, table, ctx80, include_theta=True),
     )
@@ -493,11 +495,10 @@ def test_negative_m_rejected(ctx80, monkeypatch):
     (
         lambda ctx: coeff_c(-1, ctx),
         lambda ctx: coeff_asymptotic(-1, ctx),
-        lambda ctx: darboux_approximant(-1, ctx),
         lambda ctx: certified_abs_less(-1, 0),
         lambda ctx: certified_abs_less(0, -1),
     ),
-    ids=("coeff_c", "coeff_asymptotic", "darboux_approximant", "certified_abs_less", "certified_abs_less_other"),
+    ids=("coeff_c", "coeff_asymptotic", "certified_abs_less", "certified_abs_less_other"),
 )
 def test_negative_m_is_a_domain_error(call, ctx80):
     with pytest.raises(DomainError, match="^m must be nonnegative, got -1$"):

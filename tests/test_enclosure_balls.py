@@ -25,7 +25,7 @@ from partition_asymptotics import (
     thm2_bounds,
     thm3_bounds,
 )
-from partition_asymptotics import bounds, coefficients, expansion, precision, verify
+from partition_asymptotics import bounds, coefficients, expansion, precision, series, verify
 
 DIGITS = (30, 80, 166)
 POINTS = (1, 7, 141, 499, 1026)
@@ -78,6 +78,22 @@ def test_coefficient_root_and_amplitude_balls_enclose_their_values(digits):
         ball = precision._ball_sqrt(num, bits, den)
         _assert_encloses(ball, bits, mp.sqrt(mp.mpf(num) / den))
         assert ball[1] == 1
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_generating_function_and_darboux_balls_enclose_their_values(digits):
+    # on the g scale, g_m = sqrt(24)^m c_m: the source's ball, the explicit expansion's and the Darboux approximant's
+    bits = precision._ball_bits(PrecisionContext(digits))
+    mp = _reference(bits)
+    values = _closed_form(40, bits)
+    expansion_balls = series._ball_gf(40, bits)
+    a = mp.pi / 6
+    for m in range(41):
+        g = mp.sqrt(24) ** m * values[m]
+        _assert_encloses(coefficients._ball_g(m, bits), bits, g)
+        _assert_encloses(expansion_balls[m], bits, g)
+        darboux = 3 / (mp.sqrt(2) * mp.pi) * ((-1) ** m * mp.exp(a) - mp.exp(-a)) * (2 * m + 1) * comb(2 * m, m) / mp.mpf(4) ** m
+        _assert_encloses(coefficients._ball_darboux(m, bits), bits, darboux)
 
 
 @pytest.mark.parametrize("digits", DIGITS)

@@ -1,14 +1,83 @@
-"""Truncated power series primitives and the generating-function cross-check."""
+"""The generating function's coefficients as balls of the explicit expansion, and the mpmath series oracle.
+
+``series._ball_gf`` forms g_m = sqrt(24)^m c_m from the Lagrange-inversion
+expansion in Q[a, 1/a].  The tests check that expansion exactly against the
+closed form of c_m, and its balls against the coefficient source and against
+the generating function rebuilt here from truncated mpmath power series
+(Cauchy product, exp and real powers) at three times the digits.
+"""
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
-from partition_asymptotics import DomainError, darboux_approximant, gf_coefficients, gf_reference
-from partition_asymptotics.series import _exp, _mul, _power
+from partition_asymptotics import DomainError, PrecisionContext
+from partition_asymptotics import coefficients, precision, verify
+from partition_asymptotics.series import _ball_gf
 
 from helpers import ulp
+
+
+def _mul(a: list, b: list, mp) -> list:
+    """Cauchy product truncated at the shorter of the two orders."""
+    order = min(len(a), len(b)) - 1
+    out = [mp.mpf(0)] * (order + 1)
+    for i in range(order + 1):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(order + 1 - i):
+            out[i + j] += ai * b[j]
+    return out
+
+
+def _exp(a: list, mp) -> list:
+    """exp of a series with zero constant term, via (exp a)' = a' * exp a."""
+    if a[0] != 0:
+        raise DomainError("series exp needs a zero constant term")
+    out = [mp.mpf(1)] + [mp.mpf(0)] * (len(a) - 1)
+    for k in range(1, len(a)):
+        acc = mp.mpf(0)
+        for i in range(1, k + 1):
+            acc += i * a[i] * out[k - i]
+        out[k] = acc / k
+    return out
+
+
+def _power(base: list, alpha, mp) -> list:
+    """base^alpha for a series with unit constant term, via (f^a)' f = a f' f^a."""
+    if base[0] != 1:
+        raise DomainError("series power needs a unit constant term")
+    alpha_plus_1 = mp.mpf(alpha) + 1
+    support = [i for i in range(1, len(base)) if base[i] != 0]
+    out = [mp.mpf(1)] + [mp.mpf(0)] * (len(base) - 1)
+    for k in range(1, len(base)):
+        acc = mp.mpf(0)
+        for i in support:
+            if i > k:
+                break
+            acc += (alpha_plus_1 * i - k) * base[i] * out[k - i]
+        out[k] = acc / k
+    return out
+
+
+def _series_gf(order: int, mp) -> list:
+    """g_0..g_order as the Maclaurin coefficients of e^(-(pi/6) z/(sqrt(1-z^2)+1)) (1/(1-z^2) - (6/pi) z (1-z^2)^(-3/2)),
+    from the series primitives in the context ``mp``."""
+    half = mp.mpf(1) / 2
+    one_minus_z2 = [mp.mpf(c) for c in ([1, 0, -1] + [0] * order)[: order + 1]]
+    root = _power(one_minus_z2, half, mp)  # sqrt(1-z^2)
+    # z / (sqrt(1-z^2) + 1): normalize the constant term to 1 before inverting
+    half_root_plus_1 = [(root[0] + 1) * half] + [c * half for c in root[1:]]
+    inverse = [c * half for c in _power(half_root_plus_1, -1, mp)]
+    exp_part = _exp([c * -mp.pi / 6 for c in [mp.mpf(0)] + inverse[:order]], mp)
+    inv = _power(one_minus_z2, -1, mp)  # 1/(1-z^2)
+    inv_32 = _power(one_minus_z2, -mp.mpf(3) / 2, mp)  # (1-z^2)^(-3/2)
+    # the shift by z written as an offset
+    bracket = inv[:1] + [c - d * 6 / mp.pi for c, d in zip(inv[1:], inv_32)]
+    return _mul(exp_part, bracket, mp)
 
 
 def power_series(values, ctx, order=None):
@@ -111,7 +180,7 @@ def test_power_matches_dense_recurrence_bit_for_bit(ctx60):
     rng = random.Random(11)
     dense = [1] + [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(30)]
     bases = (
-        power_series([1, 0, -1], ctx60, order=40),  # 1 - z^2, as gf_coefficients passes it
+        power_series([1, 0, -1], ctx60, order=40),  # 1 - z^2, as _series_gf passes it
         power_series([1, 0, 0, Fraction(2, 7), 0, -3], ctx60, order=25),
         power_series(dense, ctx60),
     )
@@ -126,43 +195,94 @@ def test_binomial_power_requires_unit_constant(ctx60):
         _power(power_series([2, 1], ctx60), 2, ctx60.mp)
 
 
-def test_gf_first_coefficients(ctx60):
-    from partition_asymptotics import coeff_c
+def _encloses(ball, bits, value) -> bool:
+    middle, radius = ball
+    return abs(middle - value.context.ldexp(value, bits)) <= radius
 
-    mp = ctx60.mp
-    coeffs = gf_coefficients(1, ctx60)
-    assert abs(coeffs[0] - 1) <= 8 * ulp(ctx60.real(1), ctx60)
-    expected_1 = mp.sqrt(24) * coeff_c(1, ctx60)
-    assert abs(coeffs[1] - expected_1) <= 8 * ulp(expected_1, ctx60)
+
+def _lagrange(m: int) -> dict:
+    """g_m from the Lagrange-inversion expansion, exactly: {exponent of a: Fraction}."""
+
+    def E(l):
+        if l == 0:
+            return {0: Fraction(1)}
+        return {j: Fraction((-1) ** j * j * comb(l, (l - j) // 2), factorial(j) * l * 2**l) for j in range(2 - l % 2, l + 1, 2)}
+
+    g = {}
+    for l in range(m + 1):
+        i, odd = divmod(m - l, 2)
+        for exponent, q in E(l).items():
+            if odd:
+                exponent, q = exponent - 1, -q * (2 * i + 1) * comb(2 * i, i) / 4**i
+            g[exponent] = g.get(exponent, 0) + q
+    return {exponent: q for exponent, q in g.items() if q}
+
+
+def _closed(m: int) -> dict:
+    """g_m = sqrt(24)^m c_m from the closed form of the ``coefficients`` docstring: {exponent of a: Fraction}."""
+    return {m - 2 * k: Fraction((-1) ** m * comb(m + 1, k) * (m + 1 - k), factorial(m + 1 - 2 * k) * 2**m) for k in range((m + 1) // 2 + 1)}
+
+
+def test_lagrange_inversion_equals_the_closed_form():
+    assert _lagrange(1) == {1: Fraction(-1, 2), -1: Fraction(-1)}  # g_1 = -(a/2 + 1/a)
+    for m in range(41):
+        assert _lagrange(m) == _closed(m), m
+
+
+def test_gf_first_coefficients(ctx60):
+    bits = precision._ball_bits(ctx60)
+    G = _ball_gf(2, bits)
+    assert G[0] == (1 << bits, 0)
+    mp = PrecisionContext(3 * ctx60.digits).mp
+    a = mp.pi / 6
+    assert _encloses(G[1], bits, -(a / 2 + 1 / a))
+    assert _encloses(G[2], bits, a**2 / 8 + mp.mpf(3) / 2)
 
 
 def test_gf_matches_closed_form(ctx60):
-    # the generating-function route reproduces sqrt(24)^m c_m through order 100
-    mp = ctx60.mp
-    produced = gf_coefficients(100, ctx60)
-    reference = gf_reference(100, ctx60)
-    worst = mp.mpf(0)
-    for got, want in zip(produced, reference):
-        worst = max(worst, abs(got - want) / abs(want))
-    assert worst < mp.mpf(10) ** (-(ctx60.digits - 15))
+    # the expansion's balls overlap the coefficient source's through order 100,
+    # and hold the series route at three times the digits
+    bits = precision._ball_bits(ctx60)
+    G = _ball_gf(100, bits)
+    series = _series_gf(100, PrecisionContext(3 * ctx60.digits).mp)
+    for m in range(101):
+        assert precision._ball_sign(G[m], coefficients._ball_g(m, bits)) == 0, m
+        assert _encloses(G[m], bits, series[m]), m
+
+
+@pytest.mark.parametrize("digits", (30, 60, 80, 166))
+def test_gf_radii_keep_the_check_sharp(digits):
+    # on the default grid every radius is far below the guard bits of the scale
+    G = _ball_gf(100, precision._ball_bits(PrecisionContext(digits)))
+    assert max(radius for _, radius in G) < 1 << precision._BALL_GUARD
+    assert all(radius < 16 * (m + 1) ** 1.5 for m, (_, radius) in enumerate(G))
 
 
 def test_gf_approaches_singularity_approximant(ctx60):
     # relative gap to the two-singularity approximant shrinks from m=50 to m=300
-    mp = ctx60.mp
-    produced = gf_coefficients(300, ctx60)
+    bits = precision._ball_bits(ctx60)
+    G = _ball_gf(300, bits)
 
     def deviation(m):
-        scaled = darboux_approximant(m, ctx60) * mp.sqrt(24) ** m
-        return abs(produced[m] - scaled) / abs(produced[m])
+        middle = coefficients._ball_darboux(m, bits)[0]
+        return abs(Fraction(G[m][0] - middle, G[m][0]))
 
     assert deviation(300) < deviation(50)
 
 
-def test_order_zero(ctx60):
-    coeffs = gf_coefficients(0, ctx60)
-    assert len(coeffs) == 1
-    with pytest.raises(DomainError):
-        gf_coefficients(-1, ctx60)
-    with pytest.raises(DomainError, match="order must be nonnegative"):
-        gf_reference(-1, ctx60)
+def test_order_zero():
+    assert _ball_gf(0, 64) == [(1 << 64, 0)]
+    assert len(_ball_gf(1, 64)) == 2
+
+
+def test_gf_suite_fails_on_a_wrong_expansion(monkeypatch):
+    # a ball moved off g_7 by a thousand radii is disjoint from the source's: the suite names m
+    def moved(order, bits):
+        balls = _ball_gf(order, bits)
+        middle, radius = balls[7]
+        balls[7] = middle + 1000 * radius + 1000, radius
+        return balls
+
+    monkeypatch.setattr(verify, "_ball_gf", moved)
+    result = verify.run_suite("gf", m_max=20)
+    assert (result.ok, result.checked, result.counterexample) == (False, 8, "generating-function ball disjoint from the source's at m=7")
