@@ -14,31 +14,35 @@ those reports always carry valid=False and exist for width comparisons only.
 
 Each end of every family takes one route: an integer ball (the ``_ball_*``
 forms, which the sweeps decide on) rounded once to the context by
-``_ball_round``, from the scale that fits the end.  Only T3's threshold nu
-needs context arithmetic (mpmath's Lambert W); the other families, the
-comparison family too, accept any context ``_ball_round`` does.
+``_ball_round``, from the scale that fits the end.  T3's threshold nu is an
+exact integer search decided on balls, so every family accepts any context
+``_ball_round`` does.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple, Optional
 
 from .coefficients import _ball_envelope
-from .errors import DomainError, PrecisionError
+from .errors import DomainError
 from .expansion import _ball_error_term, _ball_term, _check, _per_n_bits
 from .precision import (
     _BALL_GUARD,
     PrecisionContext,
     _ball_add,
     _ball_bits,
+    _ball_decide,
     _ball_div,
+    _ball_log,
     _ball_mul,
     _ball_pi,
     _ball_round,
     _ball_scale,
+    _ball_sign,
     _ball_sqrt,
-    lambert_w_minus1,
+    _iroot,
 )
 
 
@@ -94,38 +98,157 @@ def thm2_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     return _report("T2", n, N, lambda P: _ball_exponential(n, N, _ball_envelope(N, power, P), P), _per_n_bits(n, ctx), ctx)
 
 
+def _constant(C):
+    """C as an exact Fraction, from a decimal or fraction string, an int, a float or a Fraction."""
+    from fractions import Fraction  # here, as only nu and T3 take a constant
+
+    try:
+        return Fraction(C)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise DomainError(f"cannot interpret {C!r} as a real number") from None
+
+
 @functools.lru_cache(maxsize=None)
 def nu(N: int, C, ctx: PrecisionContext) -> int:
     """Smallest n from which the T3 bounds with constant C hold:
 
-        nu_N(C) = ceil( (3/2) * ( (2N/pi) * W_-1(-(pi/(12N)) (C sqrt(N+1))^(1/N)) )^2 )
+        nu_N(C) = ceil( (3/2) * ( (2N/pi) * W_-1(-(pi/(12N)) (C sqrt(N+1))^(1/N)) )^2 ),
 
-    Raises DomainError when the W_-1 argument falls below -1/e (no threshold
-    exists for that (N, C) pair), and PrecisionError when the value is within
-    10^-digits of an integer, where its ceiling is undecided.  Results are
-    cached per (N, C, digits), so C must be hashable.
+    found as an exact integer, with no Lambert W.  With x(n) = pi sqrt(2n/3)
+    and C = p/q, it is the smallest integer n with x(n) > 2N and
+    (24n)^N q^2 e^-x(n) < p^2 (N+1): the square of
+    x^N e^(-x/2) <= (pi/6)^N C sqrt(N+1) with the powers of pi cancelled,
+    whose left side decreases once x > 2N, on W_-1's branch.  Neither side
+    can equal the other (e^(pi sqrt(2n/3)) is transcendental), so each
+    comparison, taken in logarithms so that its balls stay narrow at any N,
+    is decided on balls by ``_ball_decide``; a double-precision root is the
+    first n tried, and the search steps from it to the n that holds where
+    n - 1 does not.
+
+    Raises DomainError when no threshold exists, that is when
+    p^2 (N+1) pi^(2N) > q^2 (12N)^(2N) e^(-2N) (W_-1's argument is below
+    -1/e), showing that argument as mpmath's nstr(x, 15) does.  The value
+    does not depend on the context; results are cached per (N, C, ctx), so C
+    must be hashable.
     """
     if N < 1:
         raise DomainError(f"N must be positive, got {N}")
-    work = PrecisionContext(2 * ctx.digits + 10)
-    mp = work.mp
-    c_val = work.real(C)
-    if not c_val > 0:
+    exact = _constant(C)
+    if exact <= 0:
         raise DomainError(f"C must be positive, got {C!r}")
-    argument = -(mp.pi / (12 * N)) * (c_val * mp.sqrt(N + 1)) ** (mp.mpf(1) / N)
-    try:
-        w = lambert_w_minus1(argument, work)
-    except DomainError as exc:
-        raise DomainError(f"nu(N={N}, C={C!r}): {exc}") from exc
-    value = mp.mpf(3) / 2 * ((2 * N / mp.pi) * w) ** 2
-    nearest = mp.nint(value)
-    if abs(value - nearest) < mp.mpf(10) ** (-ctx.digits):
-        # the true threshold may lie on either side of the integer
-        raise PrecisionError(
-            f"nu(N={N}, C={C!r}) is within 10^-{ctx.digits} of {int(nearest)}; "
-            "raise the precision to decide its ceiling"
-        )
-    return int(mp.ceil(value))
+    p, q = exact.numerator, exact.denominator
+    if _ball_decide(functools.partial(_ball_nu_exists, N, p, q), 64)[0] > 0:
+        argument = _ball_nstr(functools.partial(_ball_w_argument, N, p, q))
+        raise DomainError(f"nu(N={N}, C={C!r}): lambert_w_minus1 requires x >= -1/e, got -{argument}")
+
+    def holds(n):
+        return max(_ball_decide(functools.partial(_ball_nu_signs, N, p, q, n), 64)) < 0
+
+    n = _nu_guess(N, p, q)
+    if holds(n):
+        while holds(n - 1):
+            n -= 1
+        return n
+    n += 1
+    while not holds(n):
+        n += 1
+    return n
+
+
+def _nu_guess(N: int, p: int, q: int) -> int:
+    """nu_N(p/q) in double precision: x = 2N u with ln u - u = c, c = ln((pi/6)^N C sqrt(N+1)) / N - ln 2N.
+
+    ln u - u - c is concave and decreasing for u > 1 and negative at
+    u = 2(1 - c) when c <= -1, so Newton's method from there falls onto the
+    root from the right; it stops at u = 1 when rounding leaves no root.
+    """
+    c = (N * math.log(math.pi / 6) + math.log(p) - math.log(q) + math.log(N + 1) / 2) / N - math.log(2 * N)
+    u = 2 * (1 - c)
+    for _ in range(64):
+        step = (math.log(u) - u - c) / (1 / u - 1)
+        u = max(u - step, 1.0)
+        if u == 1.0 or step <= 1e-13 * u:
+            break
+    return max(math.ceil(6 * N * N * u * u / math.pi**2), 1)
+
+
+def _ball_nu_exists(N: int, p: int, q: int, bits: int) -> list:
+    """The sign of ln(p^2 (N+1)) + 2N (1 + ln pi) against ln(q^2) + 2N ln(12N), -1 when nu_N(p/q) exists.
+
+    It is the logarithm of p^2 (N+1) pi^(2N) < q^2 (12N)^(2N) e^(-2N); each
+    side's ball, at scale 2^-bits, is about 2N bitlen(12N) units wide.
+    """
+
+    def ln(z):
+        return _ball_log((z << bits, 0), bits)
+
+    left = _ball_add(ln(p * p * (N + 1)), _ball_scale(_ball_add((1 << bits, 0), _ball_log(_ball_pi(bits), bits)), 2 * N))
+    return [_ball_sign(left, _ball_add(ln(q * q), _ball_scale(ln(12 * N), 2 * N)))]
+
+
+def _ball_nu_signs(N: int, p: int, q: int, n: int, bits: int) -> list:
+    """The signs of 6 N^2 against pi^2 n (x(n) > 2N) and of ln((24n)^N q^2) against ln(p^2 (N+1)) + x(n), -1 each when it holds.
+
+    The second is the logarithm of (24n)^N q^2 e^-x(n) < p^2 (N+1).  Its balls,
+    at scale 2^-bits, are about N bitlen(24n) + sqrt(n) units wide.
+    """
+
+    def ln(z):
+        return _ball_log((z << bits, 0), bits)
+
+    x = _ball_mul(_ball_pi(bits), _ball_sqrt(2 * n, bits, 3), bits)
+    return [
+        _ball_sign((6 * N * N << bits, 0), _ball_scale(_ball_mul(_ball_pi(bits), _ball_pi(bits), bits), n)),
+        _ball_sign(_ball_add(_ball_scale(ln(24 * n), N), ln(q * q)), _ball_add(ln(p * p * (N + 1)), x)),
+    ]
+
+
+def _ball_w_argument(N: int, p: int, q: int, bits: int) -> tuple:
+    """|x| = (pi/(12N)) (C sqrt(N+1))^(1/N), W_-1's argument for C = p/q, at scale 2^-bits.
+
+    It is pi/(12N) times t^(1/(2N)), t = p^2 (N+1) / q^2, whose ball is
+    (R, 1) with R = ``_iroot`` of floor(2^(2N bits) t): for an integer
+    k >= 0, k^(2N) <= floor(T) exactly when k^(2N) <= T, so
+    R <= 2^bits t^(1/(2N)) < R + 1.
+    """
+    root = _iroot((p * p * (N + 1) << 2 * N * bits) // (q * q), 2 * N)
+    return _ball_scale(_ball_mul(_ball_pi(bits), (root, 1), bits), 1, 12 * N)
+
+
+def _ball_nstr(ball) -> str:
+    """mpmath's nstr(y, 15) of y > 1/e, the real that the balls ``ball(P)`` at scale 2^-P enclose.
+
+    nstr rounds y half up to 15 significant digits D 10^(E - 14), with
+    10^14 <= D < 10^15, and prints them in fixed point while -5 < E < 15,
+    else as D's digits times 10^E, trailing zeros stripped.  Each end of the ball is rounded
+    so; from P = 64, ``_ball_decide`` redoes it at twice the scale while the
+    two ends give different digits.  y is never a tie, as W_-1's argument
+    is transcendental.
+    """
+    found = []
+
+    def agree(P):
+        middle, radius = ball(P)
+        low, high = middle - radius, middle + radius
+        exponent = math.floor(math.log10(low) - P * math.log10(2))
+
+        def digits(end):  # floor(end 10^(14 - E) / 2^P + 1/2)
+            shift = 14 - exponent
+            return (2 * end * 10 ** max(shift, 0) + (10 ** max(-shift, 0) << P)) // (10 ** max(-shift, 0) << P + 1)
+
+        while not 10**14 <= digits(low) < 10**15:
+            exponent += 1 if digits(low) >= 10**15 else -1
+        found[:] = digits(low), exponent
+        return [-1 if digits(high) == found[0] else 0]
+
+    _ball_decide(agree, 64)
+    text, exponent = str(found[0]), found[1]
+    if -5 < exponent < 15:
+        text, split, suffix = "0" * -exponent + text, max(exponent, 0) + 1, ""
+    else:
+        split, suffix = 1, f"e{exponent:+d}"
+    body = (text[:split] + "." + text[split:]).rstrip("0")
+    return body + ("0" if body.endswith(".") else "") + suffix
 
 
 def thm3_bounds(n: int, N: int, C, ctx: PrecisionContext) -> BoundsReport:
@@ -140,15 +263,16 @@ def thm3_bounds(n: int, N: int, C, ctx: PrecisionContext) -> BoundsReport:
     Holds once n >= nu_N(C); below the threshold the report is returned with
     valid=False rather than raising, so sweeps can cross the boundary.
     """
-    from fractions import Fraction  # here, as T3 alone takes a constant
-
     _check(n, N)
     if N < 1:
         raise DomainError(f"T3 bounds need N >= 1, got N={N}")
     valid = n >= nu(N, C, ctx)  # nu also rejects C <= 0
-    exact = Fraction(C)
-    bits = _ball_bits(ctx, exact.numerator**2 * (N + 1), exact.denominator**2 * (24 * n) ** N)
-    return _report("T3", n, N, functools.partial(_ball_thm3, n, N, exact), bits, ctx, valid, ctx.real(C))
+    exact = _constant(C)
+    p, q = exact.numerator, exact.denominator
+    bits = _ball_bits(ctx, p * p * (N + 1), q * q * (24 * n) ** N)
+    # the reported C is the exact rational rounded once: the root of C^2, a ball of radius 0 when it is exact
+    (rounded,) = _ball_round(lambda P: [_ball_sqrt(p * p, P, q * q)], _ball_bits(ctx, p * p, q * q), ctx)
+    return _report("T3", n, N, functools.partial(_ball_thm3, n, N, exact), bits, ctx, valid, rounded)
 
 
 def _ball_thm3(n: int, N: int, C, bits: int) -> tuple:
@@ -157,9 +281,7 @@ def _ball_thm3(n: int, N: int, C, bits: int) -> tuple:
     The algebraic part C sqrt((N+1)/(24n)^N) is one root ball of
     C^2 (N+1) / (24n)^N, and the envelope shares the integer (24n)^N.
     """
-    from fractions import Fraction
-
-    power, C = (24 * n) ** N, Fraction(C)
+    power, C = (24 * n) ** N, _constant(C)
     algebraic = _ball_sqrt(C.numerator**2 * (N + 1), bits, C.denominator**2 * power)
     return _ball_enclosure(N, algebraic, _ball_add(algebraic, _ball_envelope(N, power, bits)))
 
@@ -205,3 +327,14 @@ def _ball_comparison(n: int, N: int, bits: int) -> tuple:
     factor = _ball_mul(scaled, _ball_sqrt(k, bits, power), coarse)
     low, high = (-13, 16) if N % 2 == 0 else (-21, 11)
     return _ball_scale(factor, low), _ball_scale(factor, high)
+
+
+def __getattr__(name: str):
+    # ``bounds.lambert_w_minus1`` resolves to ``precision.lambert_w_minus1``
+    # only because perfbench's tracer test reads it here; nu no longer calls
+    # it, and both go with ROADMAP item 9
+    if name == "lambert_w_minus1":
+        from .precision import lambert_w_minus1
+
+        return lambert_w_minus1
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -146,18 +146,10 @@ def _obtain_table(n_needed: int, cache_path: str | None):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each imports the modules it uses.  Only those that call nu or
-# run_suite build a precision context, and so load mpmath; the others print
-# balls rounded once, through the renderer's context
+# subcommands: each imports the modules it uses.  Every printed value is a
+# ball rounded once, so each command takes the renderer's context at
+# ``--digits``, which ``run`` has checked, and none loads mpmath
 # ---------------------------------------------------------------------------
-
-
-def _context(args, real: bool):
-    """The command's context at ``--digits``, which ``run`` has checked: a ``PrecisionContext``
-    when the command computes in context arithmetic (``real``), else the renderer's, which loads no mpmath."""
-    from .precision import PrecisionContext, _Rendering
-
-    return (PrecisionContext if real else _Rendering)(args.digits)
 
 
 def _bound_family(name: str):
@@ -176,8 +168,9 @@ def cmd_partition(args) -> list:
 
 def cmd_coeff(args) -> list:
     from .coefficients import coeff_asymptotic, coeff_bound, coeff_c
+    from .precision import _Rendering
 
-    ctx = _context(args, real=False)
+    ctx = _Rendering(args.digits)
     coeff_c(args.max_m, ctx)  # the last index first: it checks max_m and grows the source once
     return [
         {
@@ -192,8 +185,9 @@ def cmd_coeff(args) -> list:
 
 def cmd_remainder(args) -> list:
     from .expansion import _check, remainder_exact
+    from .precision import _Rendering
 
-    ctx = _context(args, real=False)
+    ctx = _Rendering(args.digits)
     _check(args.n, args.N)  # before the cache, so that the error does not depend on it
     table = _obtain_table(args.n, _resolve_cache_path(args.cache))
     result = remainder_exact(args.n, args.N, table, ctx, include_theta=args.theta)
@@ -210,7 +204,8 @@ def cmd_remainder(args) -> list:
 
 
 def cmd_bounds(args) -> list:
-    ctx = _context(args, real=args.theorem == "t3")  # thm3_bounds calls nu
+    from .precision import _Rendering
+
     constant = ()
     if args.theorem == "t3":
         if args.constant is None:
@@ -218,7 +213,7 @@ def cmd_bounds(args) -> list:
         constant = (args.constant,)
     elif args.constant is not None:
         raise DomainError("--constant applies only to --theorem t3")
-    report = _bound_family(THEOREMS[args.theorem])(args.n, args.N, *constant, ctx)
+    report = _bound_family(THEOREMS[args.theorem])(args.n, args.N, *constant, _Rendering(args.digits))
     payload = {
         "n": str(args.n),
         "N": str(args.N),
@@ -238,8 +233,9 @@ def cmd_bounds(args) -> list:
 
 def cmd_nu(args) -> list:
     from .bounds import nu
+    from .precision import _Rendering
 
-    value = nu(args.N, args.C, _context(args, real=True))
+    value = nu(args.N, args.C, _Rendering(args.digits))
     return [{"N": str(args.N), "C": args.C, "nu": str(value)}]
 
 
@@ -254,12 +250,12 @@ def _table_block(report, exact) -> dict:
 
 def cmd_table(args) -> list:
     from .expansion import remainder_exact
+    from .precision import _Rendering
 
-    family = TABLE_BOUNDS[args.command]
-    ctx = _context(args, real=family == THEOREMS["t3"])  # thm3_bounds calls nu
-    if ctx.digits < TABLE_MIN_DIGITS:
+    if args.digits < TABLE_MIN_DIGITS:
         raise DomainError(f"table commands need --digits >= {TABLE_MIN_DIGITS}")
-    cases, bound = TABLE_CASES[args.command], _bound_family(family)
+    ctx = _Rendering(args.digits)
+    cases, bound = TABLE_CASES[args.command], _bound_family(TABLE_BOUNDS[args.command])
     table = _obtain_table(max(case[0] for case in cases), _resolve_cache_path(args.cache))
     records = []
     for n, N, *constant in cases:
@@ -272,9 +268,10 @@ def cmd_table(args) -> list:
 
 
 def cmd_verify(args) -> tuple[list, int]:
+    from .precision import _Rendering
     from .verify import run_suite
 
-    result = run_suite(args.suite, n_max=args.n_max, m_max=args.m_max, ctx=_context(args, real=True))
+    result = run_suite(args.suite, n_max=args.n_max, m_max=args.m_max, ctx=_Rendering(args.digits))
     record = {
         "suite": result.suite,
         "checked": str(result.checked),

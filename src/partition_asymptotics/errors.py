@@ -18,9 +18,9 @@ class ResourceError(RuntimeError):
 def _check_digits(digits) -> None:
     """Refuse a working precision that is not an integer of at least ``MIN_DIGITS`` decimal digits.
 
-    It is the one gate, here beside the exception it raises, so that the CLI
-    checks ``--digits`` for a command that builds no ``PrecisionContext``, and
-    so imports no mpmath, as ``PrecisionContext`` checks it for every other.
+    It is the one gate, here beside the exception it raises, so that the CLI,
+    which builds no ``PrecisionContext`` and so imports no mpmath, checks
+    ``--digits`` as ``PrecisionContext`` checks it for a library caller.
     """
     if not isinstance(digits, int) or digits < MIN_DIGITS:
         raise DomainError(f"digits must be an integer >= {MIN_DIGITS}, got {digits!r}")

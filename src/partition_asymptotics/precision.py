@@ -11,7 +11,7 @@ whose ``value`` holds that raw float and nothing else.
 
 Balls.  A ball (M, e) at scale 2^-P is a pair of integers, e >= 0, that
 stands for every real x with |2^P x - M| <= e.  The ``_ball_*`` helpers form
-roots, pi, ln 2, 2^(1/3) and e^-y as balls from integer arithmetic alone,
+roots, pi, ln 2, 2^(1/3), e^-y and ln y as balls from integer arithmetic alone,
 and combine balls so that the result encloses every combination of the
 reals the operands enclose; each docstring proves its radius.  e^-y, about
 2^-k, runs its Taylor series (two terms per multiplication, split into
@@ -320,17 +320,23 @@ def _ball_ln2(bits: int) -> int:
     return total >> extra
 
 
-def _icbrt(k: int) -> int:
-    """floor(k^(1/3)) for an integer k >= 1, by Newton's method on integers.
+def _iroot(k: int, m: int) -> int:
+    """floor(k^(1/m)) for integers k >= 1 and m >= 1, by Newton's method on integers.
 
-    From x = 2^ceil(bits(k)/3) > k^(1/3), each step takes
-    y = floor((2x + floor(k/x^2)) / 3) = floor((2x + k/x^2) / 3), which is at
-    least floor(k^(1/3)) by the mean inequality.  While x > floor(k^(1/3)),
-    x^3 > k gives k/x^2 < x and so y < x; the loop stops at the first y >= x,
-    which is therefore at x = floor(k^(1/3)).
+    x starts from a double-precision estimate of the root, doubled until
+    x^m > k.  Each step takes
+    y = floor(((m-1) x + floor(k/x^(m-1))) / m) = floor(((m-1) x + k/x^(m-1)) / m),
+    which is at least floor(k^(1/m)) by the mean inequality.  While
+    x > floor(k^(1/m)), x^m > k gives k/x^(m-1) < x and so y < x; the loop
+    stops at the first y >= x, which is therefore at x = floor(k^(1/m)).
+    From a start that close, the steps converge quadratically at once, where
+    from a power of two they would first shrink x by a factor 1 - 1/m each.
     """
-    x = 1 << -(-k.bit_length() // 3)
-    while (y := (2 * x + k // (x * x)) // 3) < x:
+    shift = max(k.bit_length() // m - 52, 0)
+    x = int(2 ** (math.log2(k >> m * shift) / m) * (1 + 2**-30) + 2) << shift
+    while x**m <= k:
+        x <<= 1
+    while (y := ((m - 1) * x + k // x ** (m - 1)) // m) < x:
         x = y
     return x
 
@@ -338,7 +344,7 @@ def _icbrt(k: int) -> int:
 @functools.lru_cache(maxsize=16)
 def _ball_cbrt2(bits: int) -> tuple:
     """2^(1/3): (C, 1), C = floor(2^bits 2^(1/3)), the integer cube root of 2^(3 bits + 1)."""
-    return _icbrt(2 << 3 * bits), 1
+    return _iroot(2 << 3 * bits, 3), 1
 
 
 @functools.lru_cache(maxsize=16)
@@ -461,6 +467,43 @@ def _ball_exp(y: tuple, bits: int) -> tuple:
         total = total * total >> width
         error = 2 * error + (error * error >> width) + 2
     return total >> guard, (error >> guard) + 3 + far
+
+
+def _ball_log(y: tuple, bits: int) -> tuple:
+    """ln y for a ball y of positive reals (M > e) at scale 2^-bits, at that scale; else PrecisionError.
+
+    Reduction.  With D = 2^(bitlen(M) - 1) and k = bitlen(M) - 1 - bits,
+    ln(M / 2^bits) = k ln 2 + ln z, z = M / D in [1, 2), and ln z = 2 atanh(s),
+    s = (M - D) / (M + D) in [0, 1/3).  k ln 2 is k (L, 1) = ``_ball_ln2(bits)``,
+    of radius |k|.
+    Series, at the finer scale 2^-w, w = bits + g, g = bitlen(bits) + 4.
+    S = floor(2^w s) and Q = floor(S^2 / 2^w) have 2^w s^2 - 2 < Q <= 2^w s^2.
+    From t_0 = S, t_j = floor(t_(j-1) Q / 2^w) is under T_j = 2^w s^(2j+1), and
+    by less than 2: the shortfall d_j is under 2 T_(j-1) / 2^w + d_(j-1) / 9 + 1
+    < 2/3 + 2/9 + 1.  So floor(t_j / (2j+1)) is under T_j / (2j+1) by less than
+    3, and at the first t_J = 0, T_J < 2 and the rest of the series, with term
+    ratios s^2 < 1/9, is under 9/4: the sum V of the J floors has
+    0 <= 2^w atanh(s) - V < 3J + 9/4.  As T_j < 2^w / 3^(2j+1), J <= w/3 + 1,
+    so 2 (3J + 9/4) <= 2w + 11 < 2^g for bits >= 16: floor(2V / 2^g) is within
+    [0, 2) below 2^bits ln z, and the ball (floor(2V / 2^g) + 1, 1) holds it.
+    Radius.  ln is 1/t-Lipschitz, so every real of y has a logarithm within
+    e / (M - e) of ln(M / 2^bits): the radius is |k| + 1 + ceil(2^bits e / (M - e)).
+    """
+    middle, radius = y
+    if middle <= radius:
+        raise PrecisionError(f"the argument of log is not known to be positive at {bits} bits")
+    low = 1 << middle.bit_length() - 1
+    k = middle.bit_length() - 1 - bits
+    guard = bits.bit_length() + 4
+    width = bits + guard
+    term = ((middle - low) << width) // (middle + low)
+    square = term * term >> width
+    total, odd = 0, 1
+    while term:
+        total += term // odd
+        term, odd = term * square >> width, odd + 2
+    ln2 = _ball_scale(_ball_ln2(bits), k)
+    return ln2[0] + (total >> guard - 1) + 1, ln2[1] + 1 - (-(radius << bits) // (middle - radius))
 
 
 def _ball_sign(a: tuple, b: tuple) -> int:

@@ -40,8 +40,11 @@ def _ball_gf(order: int, bits: int) -> list:
         falling.append(_ball_scale(_ball_mul(falling[-1], a, bits), 1, j))
     E = [one]
     for l in range(1, order + 1):
-        terms = (_ball_scale(falling[j], j * comb(l, (l - j) // 2)) for j in range(2 - l % 2, l + 1, 2))
-        E.append(_ball_scale(functools.reduce(_ball_add, terms), (-1) ** l, l << l))
+        total, binom = (0, 0), 1  # binom(l, k) for k = (l - j)/2, from j = l down: one product per term
+        for k, j in enumerate(range(l, 0, -2)):
+            total = _ball_add(total, _ball_scale(falling[j], j * binom))
+            binom = binom * (l - k) // (k + 1)
+        E.append(_ball_scale(total, (-1) ** l, l << l))
     inverse = _ball_div(one, a, bits)
     # b_k for odd k = 2i+1 is -(1/a) k binom(k-1, i) / 2^(k-1); for even k, E_l b_k is E_l
     b = {k: _ball_scale(inverse, -k * comb(k - 1, k // 2), 1 << k - 1) for k in range(1, order + 1, 2)}

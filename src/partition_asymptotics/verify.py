@@ -321,10 +321,15 @@ def _gf(order: int, ctx: PrecisionContext):
 def _asymptotics(_size, ctx: PrecisionContext):
     """Large-m behaviour: the leading and the dominant-singularity approximants converge onto g_m, decided on balls.
 
-    With s = (-1)^m and A_m = ``_ball_asymptotic(m, 1, .)``, the ball that
-    ``coeff_asymptotic`` rounds at power 24^m, |g_m - A_m| < |A_m| / k is
-    (k-1) sA < k sg < (k+1) sA.  A relative deviation |x_m - y_m| / |y_m|
-    smaller at m = 300 than at m = 50 is |x_300 - y_300| |y_50| < |x_50 - y_50| |y_300|.
+    With s = (-1)^m, an approximant x_m within |x_m| / k of g_m is
+    (k-1) sx < k sg < (k+1) sx: for the leading one, A_m =
+    ``_ball_asymptotic(m, 1, .)``, the ball that ``coeff_asymptotic`` rounds
+    at power 24^m, at even m, and for the dominant-singularity one at m = 301.
+    A relative deviation |x_m - y_m| / |y_m| smaller at m = 300 than at
+    m = 50 is |x_300 - y_300| |y_50| < |x_50 - y_50| |y_300|, and the same
+    check holds for the odd pair 51 and 301.  An approximant of the wrong
+    sign at odd m deviates by about 2 at both, slightly less at 301, so the
+    bound at m = 301 is what sees it.
     """
     bits = _ball_bits(ctx)
     _ball_g(400, bits)  # the last index first, so the coefficient source grows once
@@ -332,8 +337,8 @@ def _asymptotics(_size, ctx: PrecisionContext):
     def leading(m, P):
         return _ball_asymptotic(m, 1, P)
 
-    def within(m, k, P):
-        A, g = (_ball_scale(ball, (-1) ** m) for ball in (leading(m, P), _ball_g(m, P)))
+    def within(x, m, k, P):
+        A, g = (_ball_scale(ball, (-1) ** m) for ball in (x(m, P), _ball_g(m, P)))
         return [_ball_sign(_ball_scale(A, k - 1), _ball_scale(g, k)), _ball_sign(_ball_scale(g, k), _ball_scale(A, k + 1))]
 
     def closer(x, y, P):
@@ -341,19 +346,23 @@ def _asymptotics(_size, ctx: PrecisionContext):
             (u, d), (v, e) = x(m, P), y(m, P)
             return (abs(u - v), d + e), (abs(v), e)
 
-        (gap300, size300), (gap50, size50) = pair(300), pair(50)
-        return [_ball_sign(_ball_mul(gap300, size50, P), _ball_mul(gap50, size300, P))]
+        signs = []
+        for low, high in ((50, 300), (51, 301)):  # one even and one odd pair
+            (gap_high, size_high), (gap_low, size_low) = pair(high), pair(low)
+            signs.append(_ball_sign(_ball_mul(gap_high, size_low, P), _ball_mul(gap_low, size_high, P)))
+        return signs
 
     def holds(signs, *args):
         return max(_ball_decide(functools.partial(signs, *args), bits)) < 0
 
-    yield None if holds(closer, _ball_g, leading) else "leading-order deviation not smaller at m=300 than m=50"
-    yield None if holds(within, 300, 20) else "leading-order deviation at m=300 not below 0.05"
-    yield None if holds(closer, _ball_darboux, _ball_g) else "approximant deviation not smaller at m=300 than m=50"
+    yield None if holds(closer, _ball_g, leading) else "leading-order deviation not smaller at m=300, 301 than m=50, 51"
+    yield None if holds(within, leading, 300, 20) else "leading-order deviation at m=300 not below 0.05"
+    approaches = holds(closer, _ball_darboux, _ball_g) and holds(within, _ball_darboux, 301, 20)
+    yield None if approaches else "approximant deviation not smaller at m=300, 301 than m=50, 51, or not below 0.05 at m=301"
     for m in range(100, 401, 2):
-        yield None if holds(within, m, 20) else f"deviation at even m={m} not below 0.05"
+        yield None if holds(within, leading, m, 20) else f"deviation at even m={m} not below 0.05"
     for m in range(200, 401, 2):
-        yield None if holds(within, m, 100) else f"deviation at even m={m} not below 0.01"
+        yield None if holds(within, leading, m, 100) else f"deviation at even m={m} not below 0.01"
 
 
 def _oracle(n_max: int, _ctx):

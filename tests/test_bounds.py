@@ -7,7 +7,6 @@ import pytest
 from partition_asymptotics import (
     DomainError,
     PrecisionContext,
-    PrecisionError,
     banerjee_bounds,
     coeff_bound,
     coeff_c,
@@ -88,16 +87,43 @@ def test_nu_reference_value(ctx80):
     assert nu(2, 1, ctx80) == 19
 
 
-def test_nu_near_an_integer_is_undecided(ctx80):
+def test_nu_near_an_integer_is_exact(ctx80):
     # the true nu_4(C) is 200 + epsilon with epsilon < 10^-80, so its ceiling
-    # is 201; at 80 digits that cannot be told from 200, and snapping to the
-    # nearest integer would certify T3 at n = 200, one below the threshold
+    # is 201; snapping to the nearest integer would certify T3 at n = 200, one
+    # below the threshold.  The search decides n = 200 on balls, at whatever
+    # scale that takes, so the context's digits do not matter
     C = near_tie_constant()
-    with pytest.raises(PrecisionError, match=r"^nu\(N=4, C='0\.1366994983"):
-        nu(4, C, ctx80)
-    with pytest.raises(PrecisionError):
-        thm3_bounds(200, 4, C, ctx80)
-    assert nu(4, C, PrecisionContext(400)) == 201
+    assert nu(4, C, ctx80) == nu(4, C, PrecisionContext(400)) == 201
+    assert not thm3_bounds(200, 4, C, ctx80).valid
+    assert thm3_bounds(201, 4, C, ctx80).valid
+    # a hair above that C, the threshold is 200 - epsilon, and nu is 200
+    assert nu(4, near_tie_constant(above=True), ctx80) == 200
+
+
+def test_nu_walks_to_the_threshold_from_any_first_guess(ctx80, monkeypatch):
+    # the double-precision root only saves steps: from a guess 7 below or 7
+    # above, the search walks up or down to the same threshold
+    from partition_asymptotics import bounds
+
+    guess = bounds._nu_guess
+    pairs = ((4, "3.474", 116), (2, "1", 19), (6, "1/4", 497), (4, near_tie_constant(), 201), (4, near_tie_constant(above=True), 200))
+    for shift in (-7, 7):
+        monkeypatch.setattr(bounds, "_nu_guess", lambda N, p, q: max(guess(N, p, q) + shift, 1))
+        bounds.nu.cache_clear()
+        assert [nu(N, C, ctx80) for N, C, _ in pairs] == [value for _, _, value in pairs], shift
+    bounds.nu.cache_clear()
+
+
+def test_nu_at_the_branch_point_is_decided(ctx80):
+    # C a hair below and above (24/(pi e))^2 / sqrt(3), where W_-1's argument is
+    # -1/e and nu_2 is ceil(24/pi^2) = 3: below it the threshold is 3, above it none
+    mp = PrecisionContext(300).mp
+    exact = int(mp.floor((24 / (mp.pi * mp.e)) ** 2 / mp.sqrt(3) * mp.mpf(10) ** 120))
+    below, above = (f"{digits // 10**120}.{digits % 10**120:0120d}" for digits in (exact, exact + 1))
+    assert nu(2, below, ctx80) == 3
+    with pytest.raises(DomainError) as caught:
+        nu(2, above, ctx80)
+    assert str(caught.value) == f"nu(N=2, C={above!r}): lambert_w_minus1 requires x >= -1/e, got -0.367879441171442"
 
 
 def test_nu_nonincreasing_in_constant(ctx80):
@@ -121,6 +147,62 @@ def test_nu_monotonic_toward_growth_rate(ctx80):
     assert mp.nstr(ratios[50], 8) == "3.3731634"
     assert mp.nstr(ratios[100], 8) == "3.0192659"
     assert mp.nstr(ratios[200], 8) == "2.7585955"
+
+
+# the (N, C) grid nu is pinned on: N = 1..18 times 17 constants from 10^-4 to 10^6
+NU_GRID_CONSTANTS = (
+    "0.0001", "0.001", "0.01", "0.1", "0.25", "0.5", "1", "2", "3.474", "5",
+    "10", "100", "1000", "5839", "10000", "100000", "1000000",
+)
+
+
+def _w_argument(N, C, mp):
+    """W_-1's argument -(pi/(12N)) (C sqrt(N+1))^(1/N) in plain mpmath."""
+    exact = Fraction(C)
+    return -(mp.pi / (12 * N)) * (mp.mpf(exact.numerator) / exact.denominator * mp.sqrt(N + 1)) ** (mp.mpf(1) / N)
+
+
+def _lambert_nu(N, C, mp):
+    """nu_N(C) by the Lambert W formula in plain mpmath, or None where W_-1's argument is below -1/e."""
+    argument = _w_argument(N, C, mp)
+    if argument < -1 / mp.e:
+        return None
+    return int(mp.ceil(mp.mpf(3) / 2 * ((2 * N / mp.pi) * mp.lambertw(argument, -1).real) ** 2))
+
+
+def test_nu_equals_the_lambert_formula_on_a_grid(ctx80):
+    # 306 pairs, 34 of them without a threshold; at 200 digits no value on the
+    # grid is near enough an integer for the formula's ceiling to be in doubt
+    mp = PrecisionContext(200).mp
+    missing = 0
+    for N in range(1, 19):
+        for C in NU_GRID_CONSTANTS:
+            expected = _lambert_nu(N, C, mp)
+            if expected is None:
+                missing += 1
+                with pytest.raises(DomainError, match=r"lambert_w_minus1 requires x >= -1/e"):
+                    nu(N, C, ctx80)
+            else:
+                assert nu(N, C, ctx80) == expected, (N, C)
+    assert missing == 34
+
+
+def test_nu_domain_error_shows_the_argument_as_nstr(ctx80):
+    # W_-1's argument -(pi/(12N)) (C sqrt(N+1))^(1/N) to 15 digits, as mpmath's
+    # nstr shows it, for pairs with no threshold: fixed point, and from 10^15
+    # on with an exponent
+    mp = PrecisionContext(200).mp
+    cases = [(N, C) for N in (1, 2, 3, 4, 7, 12, 18) for C in ("3.474", "10", "1e5", "866061", "1e12", "7/3", "1e40", "1e300")]
+    shown = 0
+    for N, C in cases:
+        argument = _w_argument(N, C, mp)
+        if argument >= -1 / mp.e:
+            continue
+        shown += 1
+        with pytest.raises(DomainError) as caught:
+            nu(N, C, ctx80)
+        assert str(caught.value) == f"nu(N={N}, C={C!r}): lambert_w_minus1 requires x >= -1/e, got {mp.nstr(argument, 15)}", (N, C)
+    assert shown >= 30
 
 
 def test_nu_domain_error(ctx80):
@@ -151,6 +233,23 @@ def test_t3_validity_flag(ctx80):
     at = thm3_bounds(116, 4, "3.474", ctx80)
     assert not below.valid
     assert at.valid
+
+
+def test_t3_reports_its_constant_rounded_once():
+    # the exact rational C rounded once, half to even: what mpmath's
+    # from_rational gives, and, where C's numerator fits the precision,
+    # bit for bit what the context's real(C) gives
+    from mpmath.libmp import from_rational, round_nearest
+
+    for digits in (30, 80, 166):
+        ctx = PrecisionContext(digits)
+        tie = Fraction((1 << ctx.prec) + 1, 1 << ctx.prec + 5)  # halfway between two floats
+        for C in ("3.474", "1/4", 24, 5839, 866061, "1e-30", "2/3", Fraction(10**40 + 7, 3 * 10**30), tie, near_tie_constant()):
+            exact = Fraction(C)
+            reported = thm3_bounds(500, 11, C, ctx).C._mpf_
+            assert reported == from_rational(exact.numerator, exact.denominator, ctx.prec, round_nearest), (C, digits)
+            if exact.numerator.bit_length() <= ctx.prec:
+                assert reported == ctx.real(C)._mpf_, (C, digits)
 
 
 def test_t3_rejects_bad_arguments(ctx80):

@@ -93,12 +93,11 @@ def test_nu_near_the_branch_point():
     assert "nu = 3" in out
 
 
-def test_nu_near_an_integer_is_an_error(capsys):
+def test_nu_near_an_integer_is_exact(capsys):
+    # the true nu_4(C) is 200 + epsilon, epsilon < 10^-80: its ceiling, at the default 80 digits
     C = near_tie_constant()
-    status, out = invoke("nu", "4", C)
-    assert (status, out) == (2, "")
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: nu(N=4, C='{C}') is within 10^-80 of 200; ")
+    assert invoke("nu", "4", C) == (0, f"N = 4\nC = {C}\nnu = 201\n\n")
+    assert capsys.readouterr().err == ""
 
 
 def _module(*argv):

@@ -466,16 +466,9 @@ def _memo_values(n, table, ctx, order):
 
 
 def test_a_fresh_digit_count_builds_one_context(table):
-    """Every bound, remainder and residual at a new digit count shares its one context.
-
-    The T3 threshold nu is solved at 2d + 10 digits, and its Lambert W at
-    twice that plus 10, by design; those two are made first, so that any
-    other context the pass built would show.
-    """
+    """Every bound, remainder and residual at a new digit count shares its one context, T3 and its threshold nu included."""
     shared = PrecisionContext._shared
-    digits = next(d for d in range(171, 1000) if not {d, 2 * d + 10, 4 * d + 30} & set(shared))
-    for wide in (2 * digits + 10, 4 * digits + 30):
-        PrecisionContext(wide)
+    digits = next(d for d in range(171, 1000) if d not in shared)
     before = set(shared)
     ctx = PrecisionContext(digits)
     n = 2000

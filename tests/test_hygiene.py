@@ -154,21 +154,23 @@ def test_ball_decisions_read_no_mpmath_reals():
     # the integer ball layer, the ball forms of the coefficients, sums,
     # bounds, the generating function and the Darboux approximant, the
     # envelope amplitudes, every sweep but the oracle's (which has no reals),
-    # and the functions that round the printed envelopes,
-    # remainders, sums and bound ends from their balls work on balls alone: pi comes only from
-    # _pi_enclosure, roots and exp from integers, so no function among them
+    # the threshold nu and the balls it decides on, and the functions that
+    # round the printed envelopes, remainders, sums, bound ends and T3's C
+    # from their balls work on balls alone: pi comes only from
+    # _pi_enclosure, roots, exp and log from integers, so no function among them
     # reads mp.pi, mp.exp, mp.sqrt or mp.cbrt (or a bare or other attribute
-    # of those names)
+    # of those names).  nu's double-precision first guess, _nu_guess, reads
+    # math.pi and decides nothing: the balls decide every n it proposes
     banned = {"pi", "exp", "sqrt", "cbrt"}
     sweeps = ("_lemma1", "_lemma2", "_lemma3_chain", "_lemma3", "_thm1", "_thm2", "_thm3", "_inside", "_gf", "_asymptotics")
     printed = {
         "expansion": ("remainder_exact", "r_hat", "full_sum", "exp_error_term"),
-        "bounds": ("thm1_bounds", "thm2_bounds", "thm3_bounds", "banerjee_bounds", "_report"),
+        "bounds": ("thm1_bounds", "thm2_bounds", "thm3_bounds", "banerjee_bounds", "_report", "nu", "_constant"),
         "coefficients": ("_amplitude", "_ratio_within_cap", "_within_envelope", "_round_envelope", "coeff_bound", "coeff_asymptotic"),
     }
 
     def checked(stem, name):
-        if name.startswith("_ball") or name in ("_icbrt", "_held"):
+        if name.startswith("_ball") or name in ("_iroot", "_held"):
             return stem in ("precision", "coefficients", "expansion", "bounds", "series")
         return name in (sweeps if stem == "verify" else printed.get(stem, ()))
 
@@ -182,6 +184,7 @@ def test_ball_decisions_read_no_mpmath_reals():
     assert {*sweeps, *(name for group in printed.values() for name in group), "_ball_exp", "_ball_pi", "_ball_sqrt", "_ball_decide", "_ball_round"} <= names, names
     assert {"_ball_c", "_ball_amplitude", "_ball_amplitude_root", "_ball_envelope", "_ball_per_n", "_ball_sum", "_ball_term", "_ball_thm3", "_ball_comparison", "_ball_remainder", "_ball_theta", "_ball_prefactor"} <= names
     assert {"_ball_gf", "_ball_g", "_ball_darboux", "_ball_asymptotic"} <= names
+    assert {"nu", "_constant", "_ball_nu_exists", "_ball_nu_signs", "_ball_w_argument", "_ball_nstr", "_ball_log", "_iroot"} <= names
     reads = [
         f"{function.name}: {getattr(node, 'attr', getattr(node, 'id', ''))} (line {node.lineno})"
         for function in functions

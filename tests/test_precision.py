@@ -353,8 +353,33 @@ def test_ball_constants_enclose_their_values(digits):
 
 def test_integer_cube_root():
     for k in (*range(1, 2000), 2 << 900, 10**300, 3**600 - 1, 3**600, 3**600 + 1):
-        root = precision._icbrt(k)
+        root = precision._iroot(k, 3)
         assert root**3 <= k < (root + 1) ** 3, k
+
+
+def test_integer_roots_of_every_order():
+    # nu's error text takes the 2N-th root; m = 1 is the identity
+    for m in (1, 2, 4, 5, 8, 13, 36, 2000):
+        for k in (*range(1, 300), 2 << 900, 10**300, 7**(m * 40) - 1, 7**(m * 40), 7**(m * 40) + 1, 3 << 70 * m):
+            root = precision._iroot(k, m)
+            assert root**m <= k < (root + 1) ** m, (k, m)
+
+
+@pytest.mark.parametrize("digits", (30, 80, 166, 500))
+def test_ball_log_encloses_every_point_of_its_argument(digits):
+    bits = precision._ball_bits(PrecisionContext(digits))
+    mp = _reference(bits)
+    # below 1, at 1 and powers of two (s = 0), near 2 (s near 1/3), pi, and integers far above 1
+    for y in (mp.mpf("0.001"), mp.mpf("0.75"), 1, mp.mpf(2) - mp.ldexp(1, -40), 2, mp.pi, 10**6 + 1, mp.mpf(10) ** 300):
+        for radius in (0, 1, 1000):
+            middle = int(mp.floor(mp.ldexp(y, bits)))
+            ball = precision._ball_log((middle, radius), bits)
+            for point in (middle - radius, middle, middle + radius):
+                assert _encloses(ball, bits, mp.log(mp.ldexp(point, -bits)), mp), (y, radius, point)
+            k = middle.bit_length() - 1 - bits
+            assert ball[1] == abs(k) + 1 + -(-(radius << bits) // (middle - radius)), (y, radius)  # the docstring's radius
+    with pytest.raises(PrecisionError):
+        precision._ball_log((5, 5), bits)  # not known to be positive
 
 
 @pytest.mark.parametrize("digits", (30, 80, 166, 500, 2000))

@@ -270,6 +270,31 @@ def test_gf_approaches_singularity_approximant(ctx60):
     assert deviation(300) < deviation(50)
 
 
+def _plain_ball_gf(order, bits):
+    """``_ball_gf`` with each binomial of E_l from math.comb: the reference its running binomials must equal."""
+    one = (1 << bits, 0)
+    a = precision._ball_scale(precision._ball_pi(bits), 1, 6)
+    falling = [one]
+    for j in range(1, order + 1):
+        falling.append(precision._ball_scale(precision._ball_mul(falling[-1], a, bits), 1, j))
+    E = [one]
+    for l in range(1, order + 1):
+        terms = [precision._ball_scale(falling[j], j * comb(l, (l - j) // 2)) for j in range(2 - l % 2, l + 1, 2)]
+        E.append(precision._ball_scale((sum(t[0] for t in terms), sum(t[1] for t in terms)), (-1) ** l, l << l))
+    inverse = precision._ball_div(one, a, bits)
+    b = {k: precision._ball_scale(inverse, -k * comb(k - 1, k // 2), 1 << k - 1) for k in range(1, order + 1, 2)}
+    balls = []
+    for m in range(order + 1):
+        products = [precision._ball_mul(E[l], b[m - l], bits) if (m - l) % 2 else E[l] for l in range(m + 1)]
+        balls.append((sum(p[0] for p in products), sum(p[1] for p in products)))
+    return balls
+
+
+@pytest.mark.parametrize("order, bits", ((100, 235), (100, 600), (160, 1000)))
+def test_running_binomials_leave_the_balls_bit_identical(order, bits):
+    assert _ball_gf(order, bits) == _plain_ball_gf(order, bits)
+
+
 def test_order_zero():
     assert _ball_gf(0, 64) == [(1 << 64, 0)]
     assert len(_ball_gf(1, 64)) == 2

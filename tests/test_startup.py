@@ -1,4 +1,4 @@
-"""Fresh-process start-up: each CLI subcommand loads only the modules it uses, and mpmath only if it calls nu or run_suite.
+"""Fresh-process start-up: each CLI subcommand loads only the modules it uses, and none loads mpmath.
 
 The in-process tests run with every module of the package already imported,
 so they cannot see a lazy import that is missing, or one that loads too much.
@@ -87,11 +87,10 @@ def test_each_subcommand_loads_only_what_it_uses(tmp_path):
         assert "dataclasses" not in modules, argv
         if "partition" in argv:
             assert "mpmath" not in modules and "precision" not in ours, (argv, sorted(ours))
-        # only the commands that call nu or run_suite compute in context arithmetic;
-        # the others print balls, and T3 alone parses a rational constant
-        real = bool({"nu", "t3", "table2", "verify"} & set(argv))
-        assert ("mpmath" in modules) == real, (argv, real)
-        assert real or "fractions" not in modules, argv
+        # every command prints balls rounded once, so none loads mpmath; only
+        # those that parse a constant C (nu, T3, table2's and verify's pairs) load fractions
+        assert "mpmath" not in modules, argv
+        assert "fractions" not in modules or bool({"nu", "t3", "table2", "verify"} & set(argv)), argv
         if {"bounds", "nu"} & set(argv):
             assert "partitions" not in ours, (argv, sorted(ours))
         assert ("verify" in argv) == ("verify" in ours) == ("series" in ours), (argv, sorted(ours))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from partition_asymptotics import DomainError, PrecisionContext, expansion, run_suite, verify
+from partition_asymptotics import DomainError, PrecisionContext, coefficients, expansion, run_suite, verify
 
 
 def test_lemma1_small():
@@ -41,6 +41,20 @@ def test_asymptotics(ctx80):
     result = run_suite("asymptotics", ctx=ctx80)
     assert result.ok
     assert result.checked == 255
+
+
+def test_asymptotics_suite_fails_on_an_odd_approximant_of_the_wrong_sign(monkeypatch):
+    # without its (-1)^m the dominant-singularity approximant has the wrong
+    # sign at odd m; its deviation is then about 2 at m = 51 and 301 alike,
+    # and the bound at m = 301 stops the suite at its third check
+    def unsigned(m, bits):
+        middle, radius = coefficients._ball_darboux(m, bits)
+        return (-1) ** m * middle, radius
+
+    monkeypatch.setattr(verify, "_ball_darboux", unsigned)
+    result = run_suite("asymptotics")
+    assert (result.ok, result.checked) == (False, 3)
+    assert result.counterexample == "approximant deviation not smaller at m=300, 301 than m=50, 51, or not below 0.05 at m=301"
 
 
 def test_oracle_small():
