@@ -35,6 +35,8 @@ from .precision import (
     _ball_bits,
     _ball_decide,
     _ball_div,
+    _ball_exp,
+    _ball_ln2,
     _ball_log,
     _ball_mul,
     _ball_pi,
@@ -42,7 +44,6 @@ from .precision import (
     _ball_scale,
     _ball_sign,
     _ball_sqrt,
-    _iroot,
 )
 
 
@@ -99,10 +100,13 @@ def thm2_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
 
 
 def _constant(C):
-    """C as an exact Fraction, from a decimal or fraction string, an int, a float or a Fraction."""
+    """C as an exact Fraction, from a decimal or fraction string, an int, a float, a Fraction or an mpmath float."""
     from fractions import Fraction  # here, as only nu and T3 take a constant
 
     try:
+        raw = getattr(C, "_mpf_", None)  # an mpmath float (sign, man, exp, bc) is exactly (-1)^sign man 2^exp
+        if raw is not None and (raw[1] or not raw[2]):  # but not inf or nan, which have man = 0 and exp != 0
+            return (-1) ** raw[0] * raw[1] * Fraction(2) ** raw[2]
         return Fraction(C)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise DomainError(f"cannot interpret {C!r} as a real number") from None
@@ -146,7 +150,7 @@ def nu(N: int, C, ctx: PrecisionContext) -> int:
 
     n = _nu_guess(N, p, q)
     if holds(n):
-        while holds(n - 1):
+        while n > 1 and holds(n - 1):  # n = 0 never holds (x(0) = 0), and ln 24n needs n >= 1
             n -= 1
         return n
     n += 1
@@ -172,18 +176,19 @@ def _nu_guess(N: int, p: int, q: int) -> int:
     return max(math.ceil(6 * N * N * u * u / math.pi**2), 1)
 
 
+def _ball_ln(z: int, bits: int) -> tuple:
+    """ln z for an integer z >= 1, at scale 2^-bits: ``_ball_log`` of the exact ball (2^bits z, 0)."""
+    return _ball_log((z << bits, 0), bits)
+
+
 def _ball_nu_exists(N: int, p: int, q: int, bits: int) -> list:
     """The sign of ln(p^2 (N+1)) + 2N (1 + ln pi) against ln(q^2) + 2N ln(12N), -1 when nu_N(p/q) exists.
 
     It is the logarithm of p^2 (N+1) pi^(2N) < q^2 (12N)^(2N) e^(-2N); each
     side's ball, at scale 2^-bits, is about 2N bitlen(12N) units wide.
     """
-
-    def ln(z):
-        return _ball_log((z << bits, 0), bits)
-
-    left = _ball_add(ln(p * p * (N + 1)), _ball_scale(_ball_add((1 << bits, 0), _ball_log(_ball_pi(bits), bits)), 2 * N))
-    return [_ball_sign(left, _ball_add(ln(q * q), _ball_scale(ln(12 * N), 2 * N)))]
+    left = _ball_add(_ball_ln(p * p * (N + 1), bits), _ball_scale(_ball_add((1 << bits, 0), _ball_log(_ball_pi(bits), bits)), 2 * N))
+    return [_ball_sign(left, _ball_add(_ball_ln(q * q, bits), _ball_scale(_ball_ln(12 * N, bits), 2 * N)))]
 
 
 def _ball_nu_signs(N: int, p: int, q: int, n: int, bits: int) -> list:
@@ -192,27 +197,26 @@ def _ball_nu_signs(N: int, p: int, q: int, n: int, bits: int) -> list:
     The second is the logarithm of (24n)^N q^2 e^-x(n) < p^2 (N+1).  Its balls,
     at scale 2^-bits, are about N bitlen(24n) + sqrt(n) units wide.
     """
-
-    def ln(z):
-        return _ball_log((z << bits, 0), bits)
-
     x = _ball_mul(_ball_pi(bits), _ball_sqrt(2 * n, bits, 3), bits)
     return [
         _ball_sign((6 * N * N << bits, 0), _ball_scale(_ball_mul(_ball_pi(bits), _ball_pi(bits), bits), n)),
-        _ball_sign(_ball_add(_ball_scale(ln(24 * n), N), ln(q * q)), _ball_add(ln(p * p * (N + 1)), x)),
+        _ball_sign(_ball_add(_ball_scale(_ball_ln(24 * n, bits), N), _ball_ln(q * q, bits)), _ball_add(_ball_ln(p * p * (N + 1), bits), x)),
     ]
 
 
 def _ball_w_argument(N: int, p: int, q: int, bits: int) -> tuple:
-    """|x| = (pi/(12N)) (C sqrt(N+1))^(1/N), W_-1's argument for C = p/q, at scale 2^-bits.
+    """|x| = (pi/(12N)) (C sqrt(N+1))^(1/N), W_-1's argument for C = p/q > the branch constant, at scale 2^-bits.
 
-    It is pi/(12N) times t^(1/(2N)), t = p^2 (N+1) / q^2, whose ball is
-    (R, 1) with R = ``_iroot`` of floor(2^(2N bits) t): for an integer
-    k >= 0, k^(2N) <= floor(T) exactly when k^(2N) <= T, so
-    R <= 2^bits t^(1/(2N)) < R + 1.
+    It is pi/(12N) e^y, y = (ln(p^2 (N+1)) - ln(q^2)) / (2N).  With
+    j = ceil(M_y / L) + 1 from y's midpoint and (L, 1) = ``_ball_ln2(bits)``,
+    e^y = 2^j e^-(j ln 2 - y), and j ln 2 - y >= 0 is ``_ball_exp``'s argument.
+    Where no threshold exists, |x| > 1/e gives y > ln(12N/(pi e)) > 0, so j >= 2.
     """
-    root = _iroot((p * p * (N + 1) << 2 * N * bits) // (q * q), 2 * N)
-    return _ball_scale(_ball_mul(_ball_pi(bits), (root, 1), bits), 1, 12 * N)
+    y = _ball_scale(_ball_add(_ball_ln(p * p * (N + 1), bits), _ball_scale(_ball_ln(q * q, bits), -1)), 1, 2 * N)
+    ln2 = _ball_ln2(bits)
+    j = -(-y[0] // ln2[0]) + 1
+    power = _ball_scale(_ball_exp(_ball_add(_ball_scale(ln2, j), _ball_scale(y, -1)), bits), 1 << j)
+    return _ball_scale(_ball_mul(_ball_pi(bits), power, bits), 1, 12 * N)
 
 
 def _ball_nstr(ball) -> str:
@@ -236,10 +240,10 @@ def _ball_nstr(ball) -> str:
             shift = 14 - exponent
             return (2 * end * 10 ** max(shift, 0) + (10 ** max(-shift, 0) << P)) // (10 ** max(-shift, 0) << P + 1)
 
-        while not 10**14 <= digits(low) < 10**15:
-            exponent += 1 if digits(low) >= 10**15 else -1
-        found[:] = digits(low), exponent
-        return [-1 if digits(high) == found[0] else 0]
+        while not 10**14 <= (rounded := digits(low)) < 10**15:
+            exponent += 1 if rounded >= 10**15 else -1
+        found[:] = rounded, exponent
+        return [-1 if digits(high) == rounded else 0]
 
     _ball_decide(agree, 64)
     text, exponent = str(found[0]), found[1]
@@ -330,9 +334,7 @@ def _ball_comparison(n: int, N: int, bits: int) -> tuple:
 
 
 def __getattr__(name: str):
-    # ``bounds.lambert_w_minus1`` resolves to ``precision.lambert_w_minus1``
-    # only because perfbench's tracer test reads it here; nu no longer calls
-    # it, and both go with ROADMAP item 9
+    # nu no longer calls lambert_w_minus1; perfbench's tracer test reads its binding here (ROADMAP item 9)
     if name == "lambert_w_minus1":
         from .precision import lambert_w_minus1
 

@@ -320,23 +320,17 @@ def _ball_ln2(bits: int) -> int:
     return total >> extra
 
 
-def _iroot(k: int, m: int) -> int:
-    """floor(k^(1/m)) for integers k >= 1 and m >= 1, by Newton's method on integers.
+def _icbrt(k: int) -> int:
+    """floor(k^(1/3)) for an integer k >= 1, by Newton's method on integers.
 
-    x starts from a double-precision estimate of the root, doubled until
-    x^m > k.  Each step takes
-    y = floor(((m-1) x + floor(k/x^(m-1))) / m) = floor(((m-1) x + k/x^(m-1)) / m),
-    which is at least floor(k^(1/m)) by the mean inequality.  While
-    x > floor(k^(1/m)), x^m > k gives k/x^(m-1) < x and so y < x; the loop
-    stops at the first y >= x, which is therefore at x = floor(k^(1/m)).
-    From a start that close, the steps converge quadratically at once, where
-    from a power of two they would first shrink x by a factor 1 - 1/m each.
+    From x = 2^ceil(bits(k)/3) > k^(1/3), each step takes
+    y = floor((2x + floor(k/x^2)) / 3) = floor((2x + k/x^2) / 3), which is at
+    least floor(k^(1/3)) by the mean inequality.  While x > floor(k^(1/3)),
+    x^3 > k gives k/x^2 < x and so y < x; the loop stops at the first y >= x,
+    which is therefore at x = floor(k^(1/3)).
     """
-    shift = max(k.bit_length() // m - 52, 0)
-    x = int(2 ** (math.log2(k >> m * shift) / m) * (1 + 2**-30) + 2) << shift
-    while x**m <= k:
-        x <<= 1
-    while (y := ((m - 1) * x + k // x ** (m - 1)) // m) < x:
+    x = 1 << -(-k.bit_length() // 3)
+    while (y := (2 * x + k // (x * x)) // 3) < x:
         x = y
     return x
 
@@ -344,7 +338,7 @@ def _iroot(k: int, m: int) -> int:
 @functools.lru_cache(maxsize=16)
 def _ball_cbrt2(bits: int) -> tuple:
     """2^(1/3): (C, 1), C = floor(2^bits 2^(1/3)), the integer cube root of 2^(3 bits + 1)."""
-    return _iroot(2 << 3 * bits, 3), 1
+    return _icbrt(2 << 3 * bits), 1
 
 
 @functools.lru_cache(maxsize=16)

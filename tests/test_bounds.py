@@ -106,12 +106,31 @@ def test_nu_walks_to_the_threshold_from_any_first_guess(ctx80, monkeypatch):
     from partition_asymptotics import bounds
 
     guess = bounds._nu_guess
-    pairs = ((4, "3.474", 116), (2, "1", 19), (6, "1/4", 497), (4, near_tie_constant(), 201), (4, near_tie_constant(above=True), 200))
+    pairs = ((4, "3.474", 116), (2, "1", 19), (6, "1/4", 497), (4, near_tie_constant(), 201), (4, near_tie_constant(above=True), 200), (1, "0.98", 1))
     for shift in (-7, 7):
         monkeypatch.setattr(bounds, "_nu_guess", lambda N, p, q: max(guess(N, p, q) + shift, 1))
         bounds.nu.cache_clear()
         assert [nu(N, C, ctx80) for N, C, _ in pairs] == [value for _, _, value in pairs], shift
     bounds.nu.cache_clear()
+
+
+def test_nu_can_be_one(ctx80):
+    # for N = 1 and C in about (0.9607, 0.9936] the threshold is n = 1, where
+    # the search stops without asking about n = 0
+    mp = PrecisionContext(200).mp
+    for C, value in (("0.96", 2), ("0.9608", 1), ("0.98", 1), ("0.9936", 1)):
+        assert nu(1, C, ctx80) == _lambert_nu(1, C, mp) == value, C
+
+
+def test_nu_and_t3_take_an_mpmath_float(ctx80):
+    # an mpf stands for the exact binary rational man 2^exp it holds
+    mp = ctx80.mp
+    C = mp.mpf("3.474")
+    assert nu(4, C, ctx80) == nu(4, C.man * Fraction(2) ** C.exp, ctx80) == 116
+    assert thm3_bounds(500, 4, C, ctx80).C._mpf_ == C._mpf_
+    for bad in (mp.inf, mp.nan, mp.mpf(0), -C):
+        with pytest.raises(DomainError):
+            nu(4, bad, ctx80)
 
 
 def test_nu_at_the_branch_point_is_decided(ctx80):
