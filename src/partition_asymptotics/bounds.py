@@ -15,8 +15,8 @@ those reports always carry valid=False and exist for width comparisons only.
 Each end of every family takes one route: an integer ball (the ``_ball_*``
 forms, which the sweeps decide on) rounded once to the context by
 ``_ball_round``, from the scale that fits the end.  T3's threshold nu is an
-exact integer search decided on balls, so every family accepts any context
-``_ball_round`` does.
+exact integer search on balls that takes no context, so every family accepts
+any context ``_ball_round`` does.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .precision import (
     _ball_scale,
     _ball_sign,
     _ball_sqrt,
+    _root_below,
 )
 
 
@@ -89,14 +90,14 @@ def thm1_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     with E = exp(-(pi/2) sqrt(2n/3)).
     """
     _check(n, N)
-    return _report("T1", n, N, lambda P: _ball_exponential(n, N, _ball_term(n, N, P), P), _per_n_bits(n, ctx), ctx)
+    return _report("T1", n, N, lambda P: _ball_exponential(n, N, _ball_term(n, N, P), P), _per_n_bits(n, ctx.digits), ctx)
 
 
 def thm2_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     """Coefficient-free enclosure: T1 with c_N relaxed to its proven envelope."""
     _check(n, N)
     power = (24 * n) ** N
-    return _report("T2", n, N, lambda P: _ball_exponential(n, N, _ball_envelope(N, power, P), P), _per_n_bits(n, ctx), ctx)
+    return _report("T2", n, N, lambda P: _ball_exponential(n, N, _ball_envelope(N, power, P), P), _per_n_bits(n, ctx.digits), ctx)
 
 
 def _constant(C):
@@ -113,7 +114,7 @@ def _constant(C):
 
 
 @functools.lru_cache(maxsize=None)
-def nu(N: int, C, ctx: PrecisionContext) -> int:
+def nu(N: int, C) -> int:
     """Smallest n from which the T3 bounds with constant C hold:
 
         nu_N(C) = ceil( (3/2) * ( (2N/pi) * W_-1(-(pi/(12N)) (C sqrt(N+1))^(1/N)) )^2 ),
@@ -131,9 +132,8 @@ def nu(N: int, C, ctx: PrecisionContext) -> int:
 
     Raises DomainError when no threshold exists, that is when
     p^2 (N+1) pi^(2N) > q^2 (12N)^(2N) e^(-2N) (W_-1's argument is below
-    -1/e), showing that argument as mpmath's nstr(x, 15) does.  The value
-    does not depend on the context; results are cached per (N, C, ctx), so C
-    must be hashable.
+    -1/e), showing that argument as mpmath's nstr(x, 15) does.  It returns an
+    integer and takes no context; results are cached per (N, C), so C must be hashable.
     """
     if N < 1:
         raise DomainError(f"N must be positive, got {N}")
@@ -270,12 +270,12 @@ def thm3_bounds(n: int, N: int, C, ctx: PrecisionContext) -> BoundsReport:
     _check(n, N)
     if N < 1:
         raise DomainError(f"T3 bounds need N >= 1, got N={N}")
-    valid = n >= nu(N, C, ctx)  # nu also rejects C <= 0
+    valid = n >= nu(N, C)  # nu also rejects C <= 0
     exact = _constant(C)
     p, q = exact.numerator, exact.denominator
-    bits = _ball_bits(ctx, p * p * (N + 1), q * q * (24 * n) ** N)
+    bits = _ball_bits(ctx.digits, p * p * (N + 1), q * q * (24 * n) ** N)
     # the reported C is the exact rational rounded once: the root of C^2, a ball of radius 0 when it is exact
-    (rounded,) = _ball_round(lambda P: [_ball_sqrt(p * p, P, q * q)], _ball_bits(ctx, p * p, q * q), ctx)
+    (rounded,) = _ball_round(lambda P: [_ball_sqrt(p * p, P, q * q)], _ball_bits(ctx.digits, p * p, q * q), ctx)
     return _report("T3", n, N, functools.partial(_ball_thm3, n, N, exact), bits, ctx, valid, rounded)
 
 
@@ -305,7 +305,7 @@ def banerjee_bounds(n: int, N: int, ctx: PrecisionContext) -> BoundsReport:
     _check(n, N)
     if N < 2:
         raise DomainError(f"comparison bounds are stated for N >= 2, got N={N}")
-    bits = _ball_bits(ctx, N // 2 + 1 + N % 2, (24 * n) ** N)
+    bits = _ball_bits(ctx.digits, N // 2 + 1 + N % 2, (24 * n) ** N)
     return _report("Banerjee", n, N, functools.partial(_ball_comparison, n, N), bits, ctx, valid=False)
 
 
@@ -321,7 +321,7 @@ def _ball_comparison(n: int, N: int, bits: int) -> tuple:
     its radius.
     """
     k, power = N // 2 + 1 + N % 2, (24 * n) ** N
-    coarse = max(bits - (power.bit_length() - k.bit_length()) // 2, _BALL_GUARD) + N.bit_length()
+    coarse = max(bits - _root_below(k, power), _BALL_GUARD) + N.bit_length()
     ratio = _ball_div((6 << coarse, 0), _ball_pi(coarse), coarse)
     scaled = ratio
     for bit in bin(N)[3:]:

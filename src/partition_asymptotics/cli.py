@@ -146,9 +146,10 @@ def _obtain_table(n_needed: int, cache_path: str | None):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each imports the modules it uses.  Every printed value is a
-# ball rounded once, so each command takes the renderer's context at
-# ``--digits``, which ``run`` has checked, and none loads mpmath
+# subcommands: each imports the modules it uses.  Every printed real is a
+# ball rounded once, so each command that prints one takes the renderer's
+# context at ``--digits``, which ``run`` has checked; nu and verify print
+# integers and verdicts, and take the digit count alone.  None loads mpmath
 # ---------------------------------------------------------------------------
 
 
@@ -233,10 +234,8 @@ def cmd_bounds(args) -> list:
 
 def cmd_nu(args) -> list:
     from .bounds import nu
-    from .precision import _Rendering
 
-    value = nu(args.N, args.C, _Rendering(args.digits))
-    return [{"N": str(args.N), "C": args.C, "nu": str(value)}]
+    return [{"N": str(args.N), "C": args.C, "nu": str(nu(args.N, args.C))}]
 
 
 def _table_block(report, exact) -> dict:
@@ -268,10 +267,9 @@ def cmd_table(args) -> list:
 
 
 def cmd_verify(args) -> tuple[list, int]:
-    from .precision import _Rendering
     from .verify import run_suite
 
-    result = run_suite(args.suite, n_max=args.n_max, m_max=args.m_max, ctx=_Rendering(args.digits))
+    result = run_suite(args.suite, n_max=args.n_max, m_max=args.m_max, digits=args.digits)
     record = {
         "suite": result.suite,
         "checked": str(result.checked),

@@ -38,8 +38,8 @@ log2 10, and carries with each g_m an integer radius that bounds its error: ever
 floor and the errors of the fixed-point a and 1/a are counted, and the
 radius recurrence is written in ``_attempt``.  It divides g_m by 24^j once
 to give W_m and checks |W_m| > (10^(D+10) + 1) e_m, so that W_m / 2^P is
-within 10^-(D+10) of c_m relative to its size.  ``coeff_c`` rounds W_m / 2^P
-once to the context's digits.  ``_horner`` sums the W_m, floored to a
+within 10^-(D+10) of c_m relative to its size.  ``coeff_c`` rounds c_m's ball
+(``_ball_c``) once, by ``_ball_round``.  ``_horner`` sums the W_m, floored to a
 coarser scale, against the powers of a u in (0, 1] by Horner on integers,
 and its result is proved to lie within 3N units of the sum of the first N
 terms at that scale.
@@ -49,8 +49,8 @@ same integers: |c_m| lies in the ball |W_m| +- e_m at scale 2^-P, and two
 balls are compared exactly; ``_ratio_within_cap`` decides lemma 1's step
 ratio |c_m / c_(m-1)| against its cap on the same balls, and
 ``_within_envelope`` lemma 2's |c_m| < envelope, with the envelope's ball at
-the source's scale.  Balls that overlap are undecided, and the source is
-rebuilt at twice the digits until they separate.
+the source's scale.  Each is one ``_ball_decide`` group (``_certified``): while
+the balls overlap, the source is rebuilt for the digits of twice the scale.
 
 Envelope.  Lemma 2's bound on |c_m| is one ball, ``_ball_envelope``, which
 T2, T3, lemma2 and thm2 decide on; ``coeff_bound`` is it, and
@@ -66,12 +66,13 @@ import math
 import threading
 from math import comb
 
-from .errors import MIN_DIGITS, DomainError, PrecisionError, ResourceError
+from .errors import MIN_DIGITS, DomainError, ResourceError
 from .precision import (
     _BALL_GUARD,
     PrecisionContext,
     _ball_add,
     _ball_bits,
+    _ball_decide,
     _ball_digits,
     _ball_div,
     _ball_exp,
@@ -82,7 +83,7 @@ from .precision import (
     _ball_sign,
     _ball_sqrt,
     _held,
-    _rounded_float,
+    _root_below,
 )
 
 
@@ -241,27 +242,27 @@ def _horner(N: int, P: int, U: int, digits: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def coeff_c(m: int, ctx: PrecisionContext):
-    """c_m at context precision: the source's W_m / 2^P, rounded once to nearest.
+    """c_m at context precision: its ball (``_ball_c``) rounded once to nearest, by ``_round_envelope``.
 
     Memoized per (m, context), that is per (m, digits).  A caller that will
     read a range asks for its last index first, so the source grows once.
     """
-    if m < 0:
-        raise DomainError(f"m must be nonnegative, got {m}")
-    _, bits, values, _ = _coefficients(m, ctx.digits)
-    return ctx.value(_rounded_float(values[m], bits, ctx.prec))
+    return _round_envelope(m, ctx, lambda _, bits: _ball_c(m, bits))
 
 
 def _ball_c(m: int, bits: int) -> tuple:
     """c_m as a ball at scale 2^-bits: the source's (W_m, e_m), floored from its scale 2^-Q by ``_ball_scale``.
 
-    The source holds D >= d = ``_ball_digits(bits)`` digits, so
-    Q >= (d + 16) log2 10 + 4 (see ``_horner``), and as
-    bits <= (d + 3/2) log2 10 + _BALL_GUARD, Q > bits.  Flooring by 2^(Q-bits)
-    moves the midpoint by under 1 and divides the radius: the radius is
-    floor(e_m / 2^(Q-bits)) + 2.
+    The source is asked for the digits that c_m (about sqrt(m+1) / sqrt(24)^m) needs relative to its size,
+    d = ``_ball_digits(bits - s)``, s = ``_root_below(m + 1, 24^m)``: the context's digits at the scale
+    ``_round_envelope`` starts from.  Q > bits: the source holds D >= d digits at Q >= (d + 10 + G) log2 10 + 4,
+    G >= ``_guard_digits(M)`` its guard digits, M >= m (see ``_attempt``), and bits - s - _BALL_GUARD <=
+    (d + 3/2) log2 10 (``_ball_digits``), so Q - bits >= (G + 17/2) log2 10 - 28 - s > G log2 10 - s.  Each
+    ``_growth`` bound on rho_k exceeds sqrt(24) (the least, at k = 0, is about 4.99), so G log2 10 >=
+    (m - 2) log2 sqrt(24) + 6 log2 10 > s + 15, as s <= m log2 sqrt(24).  Flooring by 2^(Q-bits) moves the
+    midpoint by under 1 and divides the radius: the radius is floor(e_m / 2^(Q-bits)) + 2.
     """
-    _, source_bits, values, radii = _coefficients(m, _ball_digits(bits))
+    _, source_bits, values, radii = _coefficients(m, _ball_digits(bits - _root_below(m + 1, 24**m)))
     return _ball_scale((values[m], radii[m]), 1, 1 << source_bits - bits)
 
 
@@ -332,7 +333,7 @@ def _ball_amplitude_root(m: int, num: int, den: int, bits: int) -> tuple:
     as wide relative to its value as the root, and ``_ball_mul`` of the two
     lands at the root's scale.
     """
-    coarse = max(bits - (den.bit_length() - num.bit_length()) // 2, _BALL_GUARD)
+    coarse = max(bits - _root_below(num, den), _BALL_GUARD)
     return _ball_mul(_ball_amplitude(m, coarse), _ball_sqrt(num, bits, den), coarse)
 
 
@@ -352,11 +353,11 @@ def _ball_envelope(m: int, power: int, bits: int) -> tuple:
 
 
 def _round_envelope(m: int, ctx: PrecisionContext, ball):
-    """The real of ball(24^m, P) rounded once to the context, from the scale where sqrt((m+1) / 24^m) keeps its precision."""
+    """The real of ball(24^m, P) rounded once to the context, from the scale where sqrt((m+1) / 24^m), about |c_m|, keeps its precision."""
     if m < 0:
         raise DomainError(f"m must be nonnegative, got {m}")
     power = 24**m
-    return _ball_round(lambda P: [ball(power, P)], _ball_bits(ctx, m + 1, power), ctx)[0]
+    return _ball_round(lambda P: [ball(power, P)], _ball_bits(ctx.digits, m + 1, power), ctx)[0]
 
 
 def coeff_bound(m: int, ctx: PrecisionContext):
@@ -387,26 +388,18 @@ def _ball_darboux(m: int, bits: int) -> tuple:
     return _ball_scale(ball, (-1) ** m * (2 * m + 1) * comb(2 * m, m), 2 << 2 * m)
 
 
-# The most digits a certified comparison rebuilds the source at.
-_CERTIFY_MAX_DIGITS = 1 << 12
-
-
 def _certified(top: int, balls, what: str) -> bool:
-    """Whether lhs < rhs for the balls (lhs, rhs) = balls(P, W, e) from the source's integers for c_0..c_top.
+    """Whether lhs < rhs for the balls (lhs, rhs) = balls(Q, W, e) from the source's integers for c_0..c_top at its scale 2^-Q.
 
-    While they overlap, the source is rebuilt at twice the digits, up to _CERTIFY_MAX_DIGITS, then PrecisionError.
+    One ``_ball_decide`` group: at P it reads the source for ``_ball_digits(P)`` digits, from P = ``_ball_bits``
+    of the digits the source holds (at least MIN_DIGITS), so the source is rebuilt only while the balls overlap.
     """
-    held, bits, values, radii = _source
-    digits = max(held, MIN_DIGITS)
-    while True:
-        if top >= len(values) or digits > held:
-            held, bits, values, radii = _coefficients(top, digits)
-        sign = _ball_sign(*balls(bits, values, radii))
-        if sign:
-            return sign < 0
-        if digits >= _CERTIFY_MAX_DIGITS:
-            raise PrecisionError(f"could not {what} at {held} digits")
-        digits = min(2 * digits, _CERTIFY_MAX_DIGITS)
+
+    def signs(P):
+        _, bits, values, radii = _coefficients(top, _ball_digits(P))
+        return [_ball_sign(*balls(bits, values, radii))]
+
+    return _ball_decide(signs, _ball_bits(max(_source[0], MIN_DIGITS)), what)[0] < 0
 
 
 def certified_abs_less(m: int, other: int) -> bool:
@@ -415,7 +408,7 @@ def certified_abs_less(m: int, other: int) -> bool:
         raise DomainError(f"m must be nonnegative, got {m if m < 0 else other}")
     if m == other:
         return False
-    what = f"separate |c_{m}| and |c_{other}|"
+    what = f"the comparison of |c_{m}| and |c_{other}|"
     return _certified(max(m, other), lambda _, W, e: ((abs(W[m]), e[m]), (abs(W[other]), e[other])), what)
 
 
@@ -433,7 +426,7 @@ def _ratio_within_cap(m: int) -> bool:
         lhs = _ball_scale(_ball_mul(half_turn, _ball_mul(root6, c, bits), bits), 24)
         return lhs, _ball_mul(_ball_add(_ball_mul(half_turn, half_turn, bits), (72 << bits, 0)), previous, bits)
 
-    return _certified(m, balls, f"bound |c_{m}/c_{m - 1}|")
+    return _certified(m, balls, f"the cap on |c_{m}/c_{m - 1}|")
 
 
 def _within_envelope(m: int) -> bool:
@@ -451,4 +444,4 @@ def _within_envelope(m: int) -> bool:
         shift = max(abs(W[m]).bit_length() - abs(W[-1]).bit_length() + e[-1].bit_length(), 0)
         return _ball_scale((abs(W[m]), e[m]), 1, 1 << shift), _ball_envelope(m, power, bits - shift)
 
-    return _certified(m, balls, f"bound |c_{m}| by its envelope")
+    return _certified(m, balls, f"the envelope bound on |c_{m}|")

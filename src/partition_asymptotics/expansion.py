@@ -128,14 +128,14 @@ def _decay_bits(n: int) -> int:
     return math.ceil(math.pi * math.sqrt(2 * n / 3) / (2 * math.log(2)))
 
 
-def _per_n_bits(n: int, ctx: PrecisionContext) -> int:
-    """The scale every value at n starts from, ``_ball_bits(ctx)`` + ``_decay_bits(n)``.
+def _per_n_bits(n: int, digits: int) -> int:
+    """The scale every value at n starts from, ``_ball_bits(digits)`` + ``_decay_bits(n)``.
 
     E(n) is the smallest of the values at n but the remainders, which lie
     within E(n) of a term, so each but a cancelled one keeps the context's
     precision here, and all share one exp.
     """
-    return _ball_bits(ctx) + _decay_bits(n)
+    return _ball_bits(digits) + _decay_bits(n)
 
 
 @functools.lru_cache(maxsize=4)
@@ -235,9 +235,9 @@ def remainder_exact(
     remainder that cancels is formed at finer scales until it rounds.
     """
     _check(n, N)
-    p, bits = table.p(n), _per_n_bits(n, ctx)
+    p, bits = table.p(n), _per_n_bits(n, ctx.digits)
     if include_theta:
-        bits = max(bits, _ball_bits(ctx) + N * (24 * n).bit_length() // 2)
+        bits = max(bits, _ball_bits(ctx.digits) + N * (24 * n).bit_length() // 2)
 
     def balls(P):
         # theta first: its full sum asks for the last coefficient, so the source grows once
@@ -251,14 +251,14 @@ def remainder_exact(
 def full_sum(n: int, ctx: PrecisionContext):
     """sum_{m=0}^{inf} c_m / n^(m/2), rounded once to the context from its ball."""
     _check(n)
-    return _ball_round(lambda P: [_ball_sum(n, None, P)], _per_n_bits(n, ctx), ctx)[0]
+    return _ball_round(lambda P: [_ball_sum(n, None, P)], _per_n_bits(n, ctx.digits), ctx)[0]
 
 
 def r_hat(n: int, table: PartitionTable, ctx: PrecisionContext):
     """Residual of the full convergent series against the normalized p(n), rounded once to the context."""
     _check(n)
     p = table.p(n)
-    return _ball_round(lambda P: [_ball_remainder(n, None, p, P)], _per_n_bits(n, ctx), ctx)[0]
+    return _ball_round(lambda P: [_ball_remainder(n, None, p, P)], _per_n_bits(n, ctx.digits), ctx)[0]
 
 
 def exp_error_term(n: int, ctx: PrecisionContext):
@@ -268,4 +268,4 @@ def exp_error_term(n: int, ctx: PrecisionContext):
     at the same n share its one exp.
     """
     _check(n)
-    return _ball_round(lambda P: [_ball_error_term(n, P)], _per_n_bits(n, ctx), ctx)[0]
+    return _ball_round(lambda P: [_ball_error_term(n, P)], _per_n_bits(n, ctx.digits), ctx)[0]

@@ -157,9 +157,8 @@ class _Float:
 class _Rendering:
     """The context of values that are only printed: ``digits``, ``prec`` and a ``value`` that holds a raw float.
 
-    It stands in for a ``PrecisionContext`` wherever every value is a ball
-    rounded once (``_ball_round``, ``coefficients.coeff_c``), and loads no
-    mpmath.  One shared instance per digit count; ``cli`` checks the digits.
+    It stands in for a ``PrecisionContext`` wherever every value is a ball rounded
+    once by ``_ball_round``, and loads no mpmath.  One shared instance per digit count; ``cli`` checks the digits.
     """
 
     __slots__ = ("digits", "prec")
@@ -232,17 +231,22 @@ _BALL_GUARD = 32
 _BALL_MAX_BITS = 1 << 14
 
 
-def _ball_bits(ctx: PrecisionContext, num: int = 1, den: int = 1) -> int:
-    """The scale P of the balls for a context: its precision in bits plus _BALL_GUARD,
-    plus about the bits sqrt(num / den) sits below 1, if it does, for a value of about that size."""
-    return ctx.prec + _BALL_GUARD + max((den.bit_length() - num.bit_length()) // 2, 0)
+def _root_below(num: int, den: int) -> int:
+    """About how many bits sqrt(num / den) sits below 1, negative when it sits above: (bitlen(den) - bitlen(num)) // 2."""
+    return (den.bit_length() - num.bit_length()) // 2
+
+
+def _ball_bits(digits: int, num: int = 1, den: int = 1) -> int:
+    """The scale P of the balls for ``digits`` digits: their precision in bits plus _BALL_GUARD,
+    plus the ``_root_below`` of sqrt(num / den), if it sits below 1, for a value of about that size."""
+    return _digits_to_bits(digits) + _BALL_GUARD + max(_root_below(num, den), 0)
 
 
 def _ball_digits(bits: int) -> int:
     """The digits of the context whose ball scale is ``bits``; about twice them at twice its scale.
 
     It is mpmath's prec_to_dps of bits - _BALL_GUARD, which inverts
-    ``_digits_to_bits``, so at P = ``_ball_bits(ctx)`` this is ctx.digits.  For
+    ``_digits_to_bits``, so at P = ``_ball_bits(d)`` this is d.  For
     every bits, d + 1 = round((bits - _BALL_GUARD) / log2 10), so
     2^(bits - _BALL_GUARD) <= 10^(d + 3/2).
     """
@@ -335,16 +339,16 @@ def _icbrt(k: int) -> int:
     return x
 
 
-@functools.lru_cache(maxsize=16)
-def _ball_cbrt2(bits: int) -> tuple:
-    """2^(1/3): (C, 1), C = floor(2^bits 2^(1/3)), the integer cube root of 2^(3 bits + 1)."""
-    return _icbrt(2 << 3 * bits), 1
+@_held
+def _ball_cbrt2(bits: int) -> int:
+    """2^(1/3): L = floor(2^bits 2^(1/3)), the integer cube root of 2^(3 bits + 1), so L <= 2^bits 2^(1/3) < L + 1."""
+    return _icbrt(2 << 3 * bits)
 
 
-@functools.lru_cache(maxsize=16)
-def _ball_sqrt2(bits: int) -> tuple:
-    """sqrt(2): ``_ball_sqrt(2, bits)``, held per scale."""
-    return _ball_sqrt(2, bits)
+@_held
+def _ball_sqrt2(bits: int) -> int:
+    """sqrt(2): L = floor(2^bits sqrt(2)), the integer square root of 2^(2 bits + 1), so L <= 2^bits sqrt(2) < L + 1."""
+    return math.isqrt(2 << 2 * bits)
 
 
 def _ball_scale(a: tuple, num: int, den: int = 1) -> tuple:
@@ -512,20 +516,20 @@ def _ball_sign(a: tuple, b: tuple) -> int:
     return 0
 
 
-def _ball_decide(signs, bits: int) -> list:
+def _ball_decide(signs, bits: int, what: str = "a ball comparison") -> list:
     """signs(P) at P = bits, then at twice the scale while the first nonnegative sign is 0.
 
     ``signs(P)`` returns the ``_ball_sign`` of each comparison of a group,
     from balls at scale 2^-P; the group's verdict is read off its first sign
     that is not -1, so only that one needs deciding.  Past _BALL_MAX_BITS it
-    raises PrecisionError, so an undecided comparison never passes.
+    raises PrecisionError naming ``what``, so an undecided comparison never passes.
     """
     while True:
         found = signs(bits)
-        if next((sign for sign in found if sign != -1), -1):
+        if 0 not in found or next(sign for sign in found if sign != -1):  # the first that is not -1
             return found
         if bits >= _BALL_MAX_BITS:
-            raise PrecisionError(f"a ball comparison is undecided at {bits} bits")
+            raise PrecisionError(f"{what} is undecided at {bits} bits")
         bits = min(2 * bits, _BALL_MAX_BITS)
 
 

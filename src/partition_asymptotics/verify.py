@@ -35,11 +35,10 @@ from .coefficients import (
     _within_envelope,
     certified_abs_less,
 )
-from .errors import DomainError
+from .errors import DomainError, _check_digits
 from .expansion import _ball_error_term, _ball_remainder, _ball_term
 from .partitions import partition_dp_row, partition_pentagonal
 from .precision import (
-    PrecisionContext,
     _ball_add,
     _ball_bits,
     _ball_cbrt2,
@@ -66,13 +65,13 @@ class VerifyResult(NamedTuple):
     counterexample: Optional[str] = None
 
 
-def _lemma1(m_max: int, ctx: PrecisionContext):
+def _lemma1(m_max: int, digits: int):
     """|c_m| strictly decreasing and step ratios bounded (both certified), signs alternating.
 
     |c_1/c_0| is the odd cap itself, as g_0 = 1 and g_1 = -(a/2 + 1/a): an identity no rounding can decide.
     The sign of c_m is that of the source's W_m, which is certified: |W_m| exceeds its radius.
     """
-    values = _coefficients(m_max, ctx.digits)[2]  # the last index first, so the coefficient source grows once
+    values = _coefficients(m_max, digits)[2]  # the last index first, so the coefficient source grows once
     for m in range(1, m_max + 1):
         if not certified_abs_less(m, m - 1):
             yield f"|c_{m}| >= |c_{m - 1}|"
@@ -95,14 +94,14 @@ def _weierstrass_holds(m: int, k: int) -> bool:
     return lhs >= rhs
 
 
-def _lemma2(m_max: int, ctx: PrecisionContext):
+def _lemma2(m_max: int, digits: int):
     """|c_m| below its envelope, plus the two inequalities its proof rests on, each decided on balls or integers.
 
     The central binomial inequality binom(2m, m) sqrt(pi (m + 1/4)) < 4^m is
     squared into binom(2m, m)^2 pi (4m+1) < 4 * 16^m, on one ``_ball_pi``.
     """
-    bits, binom = _ball_bits(ctx), 1  # binom(2m, m), updated incrementally
-    _coefficients(m_max, ctx.digits)  # the last index first, so the coefficient source grows once
+    bits, binom = _ball_bits(digits), 1  # binom(2m, m), updated incrementally
+    _coefficients(m_max, digits)  # the last index first, so the coefficient source grows once
 
     def central(m, square, P):
         return [_ball_sign(_ball_scale(_ball_pi(P), square * (4 * m + 1)), (1 << 4 * m + 2 + P, 0))]
@@ -162,7 +161,7 @@ def _lemma3_chain(n: int, bits: int, full: bool = True) -> tuple:
     return r, mu, decay, simple, bracket
 
 
-def _lemma3(n_max: int, ctx: PrecisionContext):
+def _lemma3(n_max: int, digits: int):
     """|r_hat(n)| <= exp(-(pi/2) sqrt(2n/3)), envelope shape, and proof chain.
 
     Every claim is decided on integer balls from the ``precision`` helpers:
@@ -170,7 +169,7 @@ def _lemma3(n_max: int, ctx: PrecisionContext):
     redone at twice the scale, and raises PrecisionError past the widest.
     A sign of -1 means the claim holds.
     """
-    bits, table = _ball_bits(ctx), partition_pentagonal(n_max)
+    bits, table = _ball_bits(digits), partition_pentagonal(n_max)
 
     def residual(n, P):
         middle, radius = _ball_remainder(n, None, table.p(n), P)
@@ -239,9 +238,9 @@ def _inside(remainder: tuple, lower: tuple, upper: tuple) -> list:
     return [_ball_sign(lower, remainder), _ball_sign(remainder, upper)]
 
 
-def _thm1(n_max: int, ctx: PrecisionContext):
+def _thm1(n_max: int, digits: int):
     """Strict enclosure of the exact remainder by the T1 interval, decided on balls."""
-    bits, table = _ball_bits(ctx), partition_pentagonal(n_max)
+    bits, table = _ball_bits(digits), partition_pentagonal(n_max)
 
     def signs(n, N, P):
         return _inside(_ball_remainder(n, N, table.p(n), P), *_ball_exponential(n, N, _ball_term(n, N, P), P))
@@ -252,13 +251,13 @@ def _thm1(n_max: int, ctx: PrecisionContext):
             yield None if enclosed else f"T1 enclosure fails at n={n}, N={N}"
 
 
-def _thm2(n_max: int, ctx: PrecisionContext):
+def _thm2(n_max: int, digits: int):
     """Strict T2 enclosure plus nesting, decided on balls.
 
     The T1 and T2 intervals share their E(n) parts, so T1 sits inside T2
     exactly when |c_N| / n^(N/2) is below its envelope.
     """
-    bits, table = _ball_bits(ctx), partition_pentagonal(n_max)
+    bits, table = _ball_bits(digits), partition_pentagonal(n_max)
 
     def signs(n, N, P):
         envelope = _ball_envelope(N, (24 * n) ** N, P)
@@ -286,15 +285,15 @@ THM3_REFERENCE_PAIRS = (
 THM3_SPAN = 200
 
 
-def _thm3(_size, ctx: PrecisionContext):
+def _thm3(_size, digits: int):
     """T3 enclosure from each reference threshold up through threshold + THM3_SPAN, decided on balls.
 
     The sweep visits each n once and checks there every pair whose range covers it.
     """
-    thresholds = [(N, C, max(nu(N, C, ctx), 1)) for N, C in THM3_REFERENCE_PAIRS]
+    thresholds = [(N, C, max(nu(N, C), 1)) for N, C in THM3_REFERENCE_PAIRS]
     first = min(start for _, _, start in thresholds)
     last = max(start for _, _, start in thresholds) + THM3_SPAN
-    bits, table = _ball_bits(ctx), partition_pentagonal(last)
+    bits, table = _ball_bits(digits), partition_pentagonal(last)
 
     def signs(n, N, C, P):
         return _inside(_ball_remainder(n, N, table.p(n), P), *_ball_thm3(n, N, C, P))
@@ -306,19 +305,19 @@ def _thm3(_size, ctx: PrecisionContext):
                 yield None if enclosed else f"T3 enclosure fails at n={n}, N={N}, C={C}"
 
 
-def _gf(order: int, ctx: PrecisionContext):
+def _gf(order: int, digits: int):
     """The explicit expansion's ball of each g_m = sqrt(24)^m c_m overlaps the coefficient source's.
 
     Both balls hold g_m, so disjoint balls prove a defect in one of the two routes.
     """
-    bits = _ball_bits(ctx)
+    bits = _ball_bits(digits)
     # the last index first: it checks order against the coefficient cap, and the source grows once
     source = [_ball_g(m, bits) for m in reversed(range(order + 1))][::-1]
     for m, ball in enumerate(_ball_gf(order, bits)):
         yield None if _ball_sign(ball, source[m]) == 0 else f"generating-function ball disjoint from the source's at m={m}"
 
 
-def _asymptotics(_size, ctx: PrecisionContext):
+def _asymptotics(_size, digits: int):
     """Large-m behaviour: the leading and the dominant-singularity approximants converge onto g_m, decided on balls.
 
     With s = (-1)^m, an approximant x_m within |x_m| / k of g_m is
@@ -331,7 +330,7 @@ def _asymptotics(_size, ctx: PrecisionContext):
     sign at odd m deviates by about 2 at both, slightly less at 301, so the
     bound at m = 301 is what sees it.
     """
-    bits = _ball_bits(ctx)
+    bits = _ball_bits(digits)
     _ball_g(400, bits)  # the last index first, so the coefficient source grows once
 
     def leading(m, P):
@@ -365,7 +364,7 @@ def _asymptotics(_size, ctx: PrecisionContext):
         yield None if holds(within, leading, m, 100) else f"deviation at even m={m} not below 0.01"
 
 
-def _oracle(n_max: int, _ctx):
+def _oracle(n_max: int, _digits):
     """Pentagonal-recurrence values equal part-counting DP values."""
     table = partition_pentagonal(n_max)
     oracle = partition_dp_row(n_max)
@@ -392,25 +391,27 @@ def run_suite(
     name: str,
     n_max: Optional[int] = None,
     m_max: Optional[int] = None,
-    ctx: Optional[PrecisionContext] = None,
+    digits: Optional[int] = None,
 ) -> VerifyResult:
     """Run a named suite at its default grid size and digits unless overridden.
 
     ``n_max`` or ``m_max`` resizes the suites whose grid it names and is
     ignored by the others; only ``None`` selects the default.  A negative
-    size or an unknown name raises DomainError.  The result counts every
-    check made, up to and including the first that fails.
+    size, an unknown name or digits that ``_check_digits`` refuses raise
+    DomainError.  The result counts every check made, up to and including the first that fails.
     """
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}")
-    sweep, grid, default, digits = SUITES[name]
+    sweep, grid, default, default_digits = SUITES[name]
+    digits = default_digits if digits is None else digits
+    _check_digits(digits)
     size = {"n_max": n_max, "m_max": m_max}.get(grid)
     if size is None:
         size = default
     elif size < 0:
         raise DomainError(f"{grid} must be nonnegative, got {size}")
     checked = 0
-    for checked, counterexample in enumerate(sweep(size, ctx or PrecisionContext(digits)), 1):
+    for checked, counterexample in enumerate(sweep(size, digits), 1):
         if counterexample is not None:
             return VerifyResult(name, checked, False, counterexample)
     return VerifyResult(name, checked, True)

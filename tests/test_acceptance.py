@@ -115,8 +115,8 @@ def test_criterion_02_table2_strings_recomputed(ctx80, table):
     )
 
 
-def test_criterion_03_threshold_value(ctx80):
-    value = nu(4, "3.474", ctx80)
+def test_criterion_03_threshold_value():
+    value = nu(4, "3.474")
     assert _report("3 threshold nu_4(3.474)", value == 116, f"nu = {value}")
 
 
@@ -139,9 +139,9 @@ def test_criterion_04_quartic_corollary(ctx80, table):
     assert _report("4 quartic remainder corollary", constants_ok and enclosed)
 
 
-def test_criterion_05_t1_enclosure_sweep(ctx80):
+def test_criterion_05_t1_enclosure_sweep():
     started = time.monotonic()
-    result = run_suite("thm1", n_max=500, ctx=ctx80)
+    result = run_suite("thm1", n_max=500, digits=80)
     elapsed = time.monotonic() - started
     ok = result.ok and result.checked == 6500 and elapsed < 120
     detail = f"{result.checked} cases, {elapsed:.1f}s"
@@ -150,8 +150,8 @@ def test_criterion_05_t1_enclosure_sweep(ctx80):
     assert _report("5 T1 enclosure sweep", ok, detail)
 
 
-def test_criterion_06_t2_enclosure_and_nesting(ctx80):
-    result = run_suite("thm2", n_max=500, ctx=ctx80)
+def test_criterion_06_t2_enclosure_and_nesting():
+    result = run_suite("thm2", n_max=500, digits=80)
     ok = result.ok and result.checked == 6500
     assert _report("6 T2 enclosure and nesting", ok, result.counterexample or "")
 
@@ -162,20 +162,20 @@ def test_criterion_07_coefficients_decreasing_certified():
     assert _report("7 |c_m| strictly decreasing (certified)", ok, result.counterexample or "")
 
 
-def test_criterion_08_coefficient_bound(ctx80):
-    result = run_suite("lemma2", m_max=400, ctx=ctx80)
+def test_criterion_08_coefficient_bound():
+    result = run_suite("lemma2", m_max=400, digits=80)
     ok = result.ok and result.checked == 20702
     assert _report("8 coefficient envelope", ok, result.counterexample or "")
 
 
-def test_criterion_09_residual_envelope(ctx80):
-    result = run_suite("lemma3", n_max=500, ctx=ctx80)
+def test_criterion_09_residual_envelope():
+    result = run_suite("lemma3", n_max=500, digits=80)
     ok = result.ok and result.checked == 7492
     assert _report("9 residual envelope and brackets", ok, result.counterexample or "")
 
 
-def test_criterion_10_generating_function(ctx60):
-    result = run_suite("gf", m_max=100, ctx=ctx60)
+def test_criterion_10_generating_function():
+    result = run_suite("gf", m_max=100, digits=60)
     # each m: the explicit expansion's ball of g_m overlaps the coefficient source's
     deviation_ok = result.ok and result.checked == 101
     assert _report("10 generating-function identity", deviation_ok, result.counterexample or "")
@@ -230,8 +230,8 @@ def test_criterion_13_tail_mediant_identity(ctx80, table):
     assert _report("13 tail mediant identity", ok, detail)
 
 
-def test_criterion_bonus_t3_threshold_sweeps(ctx80):
+def test_criterion_bonus_t3_threshold_sweeps():
     # T3 enclosure from each reference threshold upward (supports criteria 2-4)
-    result = run_suite("thm3", ctx=ctx80)
+    result = run_suite("thm3", digits=80)
     ok = result.ok and result.checked == 1005
     assert _report("T3 threshold sweeps", ok, result.counterexample or "")

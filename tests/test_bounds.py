@@ -80,27 +80,27 @@ def test_t2_width_approaches_t1_width(ctx80):
     assert near < far
 
 
-def test_nu_reference_value(ctx80):
-    assert nu(4, "3.474", ctx80) == 116
-    assert nu(4, Fraction(3474, 1000), ctx80) == 116
-    assert nu(4, "0.0001", ctx80) > 116  # smaller constants push the threshold up
-    assert nu(2, 1, ctx80) == 19
+def test_nu_reference_value():
+    assert nu(4, "3.474") == 116
+    assert nu(4, Fraction(3474, 1000)) == 116
+    assert nu(4, "0.0001") > 116  # smaller constants push the threshold up
+    assert nu(2, 1) == 19
 
 
 def test_nu_near_an_integer_is_exact(ctx80):
     # the true nu_4(C) is 200 + epsilon with epsilon < 10^-80, so its ceiling
     # is 201; snapping to the nearest integer would certify T3 at n = 200, one
     # below the threshold.  The search decides n = 200 on balls, at whatever
-    # scale that takes, so the context's digits do not matter
+    # scale that takes, so nu needs no context
     C = near_tie_constant()
-    assert nu(4, C, ctx80) == nu(4, C, PrecisionContext(400)) == 201
+    assert nu(4, C) == 201
     assert not thm3_bounds(200, 4, C, ctx80).valid
     assert thm3_bounds(201, 4, C, ctx80).valid
     # a hair above that C, the threshold is 200 - epsilon, and nu is 200
-    assert nu(4, near_tie_constant(above=True), ctx80) == 200
+    assert nu(4, near_tie_constant(above=True)) == 200
 
 
-def test_nu_walks_to_the_threshold_from_any_first_guess(ctx80, monkeypatch):
+def test_nu_walks_to_the_threshold_from_any_first_guess(monkeypatch):
     # the double-precision root only saves steps: from a guess 7 below or 7
     # above, the search walks up or down to the same threshold
     from partition_asymptotics import bounds
@@ -110,49 +110,49 @@ def test_nu_walks_to_the_threshold_from_any_first_guess(ctx80, monkeypatch):
     for shift in (-7, 7):
         monkeypatch.setattr(bounds, "_nu_guess", lambda N, p, q: max(guess(N, p, q) + shift, 1))
         bounds.nu.cache_clear()
-        assert [nu(N, C, ctx80) for N, C, _ in pairs] == [value for _, _, value in pairs], shift
+        assert [nu(N, C) for N, C, _ in pairs] == [value for _, _, value in pairs], shift
     bounds.nu.cache_clear()
 
 
-def test_nu_can_be_one(ctx80):
+def test_nu_can_be_one():
     # for N = 1 and C in about (0.9607, 0.9936] the threshold is n = 1, where
     # the search stops without asking about n = 0
     mp = PrecisionContext(200).mp
     for C, value in (("0.96", 2), ("0.9608", 1), ("0.98", 1), ("0.9936", 1)):
-        assert nu(1, C, ctx80) == _lambert_nu(1, C, mp) == value, C
+        assert nu(1, C) == _lambert_nu(1, C, mp) == value, C
 
 
 def test_nu_and_t3_take_an_mpmath_float(ctx80):
     # an mpf stands for the exact binary rational man 2^exp it holds
     mp = ctx80.mp
     C = mp.mpf("3.474")
-    assert nu(4, C, ctx80) == nu(4, C.man * Fraction(2) ** C.exp, ctx80) == 116
+    assert nu(4, C) == nu(4, C.man * Fraction(2) ** C.exp) == 116
     assert thm3_bounds(500, 4, C, ctx80).C._mpf_ == C._mpf_
     for bad in (mp.inf, mp.nan, mp.mpf(0), -C):
         with pytest.raises(DomainError):
-            nu(4, bad, ctx80)
+            nu(4, bad)
 
 
-def test_nu_at_the_branch_point_is_decided(ctx80):
+def test_nu_at_the_branch_point_is_decided():
     # C a hair below and above (24/(pi e))^2 / sqrt(3), where W_-1's argument is
     # -1/e and nu_2 is ceil(24/pi^2) = 3: below it the threshold is 3, above it none
     mp = PrecisionContext(300).mp
     exact = int(mp.floor((24 / (mp.pi * mp.e)) ** 2 / mp.sqrt(3) * mp.mpf(10) ** 120))
     below, above = (f"{digits // 10**120}.{digits % 10**120:0120d}" for digits in (exact, exact + 1))
-    assert nu(2, below, ctx80) == 3
+    assert nu(2, below) == 3
     with pytest.raises(DomainError) as caught:
-        nu(2, above, ctx80)
+        nu(2, above)
     assert str(caught.value) == f"nu(N=2, C={above!r}): lambert_w_minus1 requires x >= -1/e, got -0.367879441171442"
 
 
-def test_nu_nonincreasing_in_constant(ctx80):
+def test_nu_nonincreasing_in_constant():
     grids = {
         2: ["0.1", "0.5", "1", "2", "4"],
         5: ["0.1", "1", "10", "100", "1000"],
         11: ["0.1", "1", "100", "10000", "1000000"],
     }
     for N, constants in grids.items():
-        values = [nu(N, C, ctx80) for C in constants]
+        values = [nu(N, C) for C in constants]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -161,7 +161,7 @@ def test_nu_monotonic_toward_growth_rate(ctx80):
     mp = ctx80.mp
     ratios = {}
     for N in (50, 100, 200):
-        ratios[N] = nu(N, 1, ctx80) / (6 / mp.pi**2 * (N * mp.log(N)) ** 2)
+        ratios[N] = nu(N, 1) / (6 / mp.pi**2 * (N * mp.log(N)) ** 2)
     assert ratios[50] > ratios[100] > ratios[200] > 1
     assert mp.nstr(ratios[50], 8) == "3.3731634"
     assert mp.nstr(ratios[100], 8) == "3.0192659"
@@ -189,7 +189,7 @@ def _lambert_nu(N, C, mp):
     return int(mp.ceil(mp.mpf(3) / 2 * ((2 * N / mp.pi) * mp.lambertw(argument, -1).real) ** 2))
 
 
-def test_nu_equals_the_lambert_formula_on_a_grid(ctx80):
+def test_nu_equals_the_lambert_formula_on_a_grid():
     # 306 pairs, 34 of them without a threshold; at 200 digits no value on the
     # grid is near enough an integer for the formula's ceiling to be in doubt
     mp = PrecisionContext(200).mp
@@ -200,13 +200,13 @@ def test_nu_equals_the_lambert_formula_on_a_grid(ctx80):
             if expected is None:
                 missing += 1
                 with pytest.raises(DomainError, match=r"lambert_w_minus1 requires x >= -1/e"):
-                    nu(N, C, ctx80)
+                    nu(N, C)
             else:
-                assert nu(N, C, ctx80) == expected, (N, C)
+                assert nu(N, C) == expected, (N, C)
     assert missing == 34
 
 
-def test_nu_domain_error_shows_the_argument_as_nstr(ctx80):
+def test_nu_domain_error_shows_the_argument_as_nstr():
     # W_-1's argument -(pi/(12N)) (C sqrt(N+1))^(1/N) to 15 digits, as mpmath's
     # nstr shows it, for pairs with no threshold: fixed point, and from 10^15
     # on with an exponent
@@ -219,18 +219,18 @@ def test_nu_domain_error_shows_the_argument_as_nstr(ctx80):
             continue
         shown += 1
         with pytest.raises(DomainError) as caught:
-            nu(N, C, ctx80)
+            nu(N, C)
         assert str(caught.value) == f"nu(N={N}, C={C!r}): lambert_w_minus1 requires x >= -1/e, got {mp.nstr(argument, 15)}", (N, C)
     assert shown >= 30
 
 
-def test_nu_domain_error(ctx80):
+def test_nu_domain_error():
     with pytest.raises(DomainError):
-        nu(2, 10, ctx80)  # W argument below -1/e
+        nu(2, 10)  # W argument below -1/e
     with pytest.raises(DomainError):
-        nu(0, 1, ctx80)
+        nu(0, 1)
     with pytest.raises(DomainError):
-        nu(4, "-1", ctx80)
+        nu(4, "-1")
 
 
 def test_t3_reference_strings(ctx80):

@@ -69,6 +69,11 @@ def _commands():
         ["--digits", "51", "--format", "json", "table1"],
         ["--digits", "47", "--format", "csv", "remainder", "2200", "12", "--theta"],
         ["--digits", "1000", "bounds", "9", "7", "--theorem", "t2"],
+        # coefficients rounded once from their balls, and the certified lemmas past the default grid
+        ["--digits", "50", "coeff", "60"],
+        ["--digits", "160", "--format", "json", "coeff", "60"],
+        ["verify", "lemma1", "--m-max", "300"],
+        ["verify", "lemma2", "--m-max", "300"],
     ]
     return commands
 

@@ -212,12 +212,12 @@ def test_recurrence_proven_symbolically():
 
 
 def test_values_within_one_ulp_of_closed_form():
-    contexts = [PrecisionContext(digits) for digits in (50, 80, 160)]
-    for m, oracle in enumerate(_closed_forms(400, 2 * 160)):
-        for ctx in contexts:
-            value = coeff_c(m, ctx)
-            ulp = ctx.mp.ldexp(1, ctx.mp.mag(value) - ctx.mp.prec)
-            assert abs(oracle - value) <= ulp, (m, ctx.digits)
+    # each value is correctly rounded: bit-identical to the closed form at
+    # three times the digits, rounded once to the context
+    for digits in (50, 80, 160):
+        ctx = PrecisionContext(digits)
+        for m, oracle in enumerate(_closed_forms(400, 3 * digits)):
+            assert coeff_c(m, ctx)._mpf_ == ctx.mp.mpf(oracle)._mpf_, (m, digits)
 
 
 def test_step_ratio_bounds(ctx80):
@@ -255,7 +255,7 @@ def _amplitudes(mp):
 def test_envelope_pieces():
     # the even and odd amplitude balls at each context's ball scale enclose their values at twice the digits
     for digits in (30, 31, 80, 166, 1145):
-        bits = precision._ball_bits(PrecisionContext(digits))
+        bits = precision._ball_bits(digits)
         wide = PrecisionContext(2 * digits).mp
         for m, reference in enumerate(_amplitudes(wide)):
             middle, radius = coefficients._ball_amplitude(m, bits)
@@ -332,15 +332,15 @@ def test_asymptotic_convergence(ctx80):
 
 
 def test_darboux_m0(ctx80):
-    bits = precision._ball_bits(ctx80)
+    bits = precision._ball_bits(80)
     mp = PrecisionContext(3 * ctx80.digits).mp
     middle, radius = coefficients._ball_darboux(0, bits)
     assert abs(middle - mp.ldexp(6 / (mp.sqrt(2) * mp.pi) * mp.sinh(mp.pi / 6), bits)) <= radius
 
 
-def test_darboux_signs_and_convergence(ctx80):
+def test_darboux_signs_and_convergence():
     # on the g scale: D_m and g_m = sqrt(24)^m c_m
-    bits = precision._ball_bits(ctx80)
+    bits = precision._ball_bits(80)
     for m in range(1, 40):
         middle, radius = coefficients._ball_darboux(m, bits)
         assert abs(middle) > radius and (middle > 0) == (m % 2 == 0)
@@ -472,7 +472,7 @@ def test_lemma2_decides_on_the_source_as_built(monkeypatch, builds, digits, scal
     # every bound and central binomial check decides on the source built for
     # lemma2's digits, at the first scale: one build, and no rebuild
     _cold_source(monkeypatch)
-    assert verify.run_suite("lemma2", ctx=PrecisionContext(digits)) == verify.VerifyResult("lemma2", 20702, True)
+    assert verify.run_suite("lemma2", digits=digits) == verify.VerifyResult("lemma2", 20702, True)
     assert builds == [(400, digits, coefficients._guard_digits(400))]
     assert coefficients._source[:2] == (digits, scale)
 
@@ -527,7 +527,36 @@ def test_certified_comparison_escalates(monkeypatch, builds):
         monkeypatch.setattr(coefficients, "_source", (held, bits, tuple(tied), radii))
         builds.clear()
         assert certified_abs_less(m, other) == _oracle_abs_less(m, other), (m, other)
-        assert [digits for _, digits, _ in builds] == [2 * held], (m, other)
+        # one _ball_decide group: the rebuild is for the digits of twice the scale of the digits held
+        rebuilt = precision._ball_digits(2 * precision._ball_bits(held))
+        assert [digits for _, digits, _ in builds] == [rebuilt] and rebuilt > 2 * held, (m, other)
+
+
+def test_coeff_c_escalates_when_the_source_sits_past_a_rounding_boundary(monkeypatch, builds):
+    # a source entry moved just past the rounding boundary half an ulp from
+    # the correctly rounded c_m, its radius widened so that its ball still
+    # holds c_m: the midpoint rounds to the neighbouring float, the ball
+    # straddles the boundary, so coeff_c escalates, the source is rebuilt for
+    # more digits, and the value is the correctly rounded one again
+    ctx = PrecisionContext(50)
+    for m in (7, 40):
+        _cold_source(monkeypatch)
+        held, bits, values, radii = coefficients._coefficients(60, 50)
+        expected = coeff_c(m, ctx)._mpf_
+        _, man, exp, count = expected
+        assert man != 1  # a power of two has a nearer boundary below it
+        nearest = man << exp + bits  # |c_m| rounded, at the source's scale 2^-bits
+        side = 1 if abs(values[m]) > nearest else -1
+        moved = nearest + side * ((1 << exp + count - ctx.prec + bits - 1) + 4)
+        assert precision._rounded_float(moved, bits, ctx.prec)[1:] != expected[1:]
+        tampered = list(values), list(radii)
+        tampered[0][m] = -moved if m % 2 else moved
+        tampered[1][m] = abs(moved - abs(values[m])) + radii[m]
+        monkeypatch.setattr(coefficients, "_source", (held, bits, *map(tuple, tampered)))
+        coeff_c.cache_clear()
+        builds.clear()
+        assert coeff_c(m, ctx)._mpf_ == expected, m
+        assert len(builds) == 1 and builds[0][1] > held, (m, builds)
 
 
 def test_certified_comparison_undecided_raises(monkeypatch):
@@ -539,11 +568,12 @@ def test_certified_comparison_undecided_raises(monkeypatch):
         return 0, (1,) * (size + 1), (1,) * (size + 1)
 
     monkeypatch.setattr(coefficients, "_attempt", tied)
-    monkeypatch.setattr(coefficients, "_CERTIFY_MAX_DIGITS", 200)
+    monkeypatch.setattr(precision, "_BALL_MAX_BITS", 700)
     _cold_source(monkeypatch)
-    with pytest.raises(PrecisionError, match=r"\|c_3\| and \|c_2\|"):
+    with pytest.raises(PrecisionError, match=r"^the comparison of \|c_3\| and \|c_2\| is undecided at 700 bits$"):
         certified_abs_less(3, 2)
-    assert built == [30, 60, 120, 200]
+    # from the 135-bit scale of 30 digits, doubled up to the widest scale
+    assert built == [precision._ball_digits(bits) for bits in (135, 270, 540, 700)] == [30, 71, 152, 200]
 
 
 def test_source_values_within_their_radius(monkeypatch):

@@ -64,7 +64,7 @@ def _assert_encloses(ball, bits, value):
 
 @pytest.mark.parametrize("digits", DIGITS)
 def test_coefficient_root_and_amplitude_balls_enclose_their_values(digits):
-    bits = precision._ball_bits(PrecisionContext(digits))
+    bits = precision._ball_bits(digits)
     mp = _reference(bits)
     values = _closed_form(40, bits)
     for m in (*ORDERS, 25, 40):
@@ -83,7 +83,7 @@ def test_coefficient_root_and_amplitude_balls_enclose_their_values(digits):
 @pytest.mark.parametrize("digits", DIGITS)
 def test_generating_function_and_darboux_balls_enclose_their_values(digits):
     # on the g scale, g_m = sqrt(24)^m c_m: the source's ball, the explicit expansion's and the Darboux approximant's
-    bits = precision._ball_bits(PrecisionContext(digits))
+    bits = precision._ball_bits(digits)
     mp = _reference(bits)
     values = _closed_form(40, bits)
     expansion_balls = series._ball_gf(40, bits)
@@ -99,7 +99,7 @@ def test_generating_function_and_darboux_balls_enclose_their_values(digits):
 @pytest.mark.parametrize("digits", DIGITS)
 def test_per_n_and_sum_balls_enclose_their_values(digits):
     ctx = PrecisionContext(digits)
-    bits = precision._ball_bits(ctx)
+    bits = precision._ball_bits(ctx.digits)
     mp = _reference(bits)
     values = _closed_form(max(ORDERS), bits)
     for n in POINTS:
@@ -143,7 +143,7 @@ def _sinh_cosh_envelope(n, N, mp):
 @pytest.mark.parametrize("digits", DIGITS)
 def test_bound_balls_enclose_their_values(digits):
     ctx = PrecisionContext(digits)
-    bits = precision._ball_bits(ctx)
+    bits = precision._ball_bits(ctx.digits)
     mp = _reference(bits)
     values = _closed_form(max(ORDERS), bits)
     for n in POINTS:
@@ -167,14 +167,14 @@ def test_bound_balls_enclose_their_values(digits):
                     _assert_encloses(upper, bits, ends[1])
 
 
-def test_remainder_near_tie_is_decided_after_one_escalation(ctx80):
+def test_remainder_near_tie_is_decided_after_one_escalation():
     """R_7(1026) < Q / 2^(2P), with the integer Q halfway between the midpoint of its ball at 2^-P and its true value.
 
     The midpoints answer wrongly at P, and the balls overlap (the target
     floored to 2^-P has radius 2); at 2P the true verdict comes out.
     """
     n, N = 1026, 7
-    bits = precision._ball_bits(ctx80)
+    bits = precision._ball_bits(80)
     mp = _reference(bits)
     values = _closed_form(N, bits)
     normalized = 4 * mp.sqrt(3) * n * _table().p(n) * mp.exp(-mp.pi * mp.sqrt(mp.mpf(2 * n) / 3))
@@ -216,7 +216,7 @@ def test_printed_route_agrees_with_the_balls(digits):
     """
     ctx = PrecisionContext(digits)
     for n in POINTS:
-        bits, p = expansion._per_n_bits(n, ctx), _table().p(n)
+        bits, p = expansion._per_n_bits(n, ctx.digits), _table().p(n)
         E = expansion._ball_error_term(n, bits)
         assert _inside(exp_error_term(n, ctx), E, bits, ctx)
         assert _inside(full_sum(n, ctx), expansion._ball_sum(n, None, bits), bits, ctx)
@@ -227,14 +227,14 @@ def test_printed_route_agrees_with_the_balls(digits):
                 lower, upper = bounds._ball_exponential(n, N, above, bits)
                 assert _inside(report.lower, lower, bits, ctx) and _inside(report.upper, upper, bits, ctx), (n, N)
             for pair_N, C in verify.THM3_REFERENCE_PAIRS:
-                if pair_N == N and n >= nu(N, C, ctx):
+                if pair_N == N and n >= nu(N, C):
                     report, (lower, upper) = thm3_bounds(n, N, C, ctx), bounds._ball_thm3(n, N, C, bits)
                     assert _inside(report.lower, lower, bits, ctx) and _inside(report.upper, upper, bits, ctx), (n, N)
             row = remainder_exact(n, N, _table(), ctx, include_theta=True)
             assert _inside(row.remainder, expansion._ball_remainder(n, N, p, bits), bits, ctx), (n, N)
             assert _inside(row.partial_sum, expansion._ball_sum(n, N, bits), bits, ctx), (n, N)
             assert _inside(row.prefactor, expansion._ball_prefactor(n, bits), bits, ctx), (n, N)
-            scale = precision._ball_bits(ctx) + max(expansion._decay_bits(n), N * (24 * n).bit_length() // 2)
+            scale = precision._ball_bits(ctx.digits) + max(expansion._decay_bits(n), N * (24 * n).bit_length() // 2)
             assert _inside(row.theta, expansion._ball_theta(n, N, scale), scale, ctx), (n, N)
 
 
@@ -247,7 +247,7 @@ def test_printed_values_are_rounded_once(digits, table):
     """
     ctx = PrecisionContext(digits)
     hi = PrecisionContext(3 * digits + 20).mp
-    values = _closed_form(12, precision._ball_bits(PrecisionContext(3 * digits + 20)))
+    values = _closed_form(12, precision._ball_bits(3 * digits + 20))
 
     def rounded(value):
         return ctx.real(value)._mpf_

@@ -32,7 +32,7 @@ from helpers import ulp
 
 def _lemma3_balls(n, ctx):
     """(P, chain): the lemma3 sweep's balls at n, at the context's scale 2^-P."""
-    bits = precision._ball_bits(ctx)
+    bits = precision._ball_bits(ctx.digits)
     return bits, verify._lemma3_chain(n, bits)
 
 
@@ -439,7 +439,7 @@ def _memo_values(n, table, ctx, order):
         out["Banerjee"] = [None, None] + [banerjee_bounds(n, N, ctx) for N in range(2, 13)]
 
     def scalars():
-        bits = precision._ball_bits(ctx)
+        bits = precision._ball_bits(ctx.digits)
         r, m, decay, simple_bracket, full = verify._lemma3_chain(n, bits)
         out.update(
             r=r,
@@ -505,7 +505,7 @@ def test_memo_is_bit_identical_to_the_plain_formulas():
                 memo = _memo_values(n, table, ctx, order)
                 where = (n, digits, order)
                 for key, value in lemma3.items():
-                    _assert_encloses(memo[key], precision._ball_bits(ctx), value)
+                    _assert_encloses(memo[key], precision._ball_bits(ctx.digits), value)
                 for key in ("E", "full", "r_hat"):
                     assert memo[key]._mpf_ == rounded(plain[key]), (key, where)
                 assert memo["beyond"]._mpf_ == rounded(plain["sums"][expansion._series_length(n, digits) + 2]), where

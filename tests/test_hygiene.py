@@ -192,3 +192,42 @@ def test_ball_decisions_read_no_mpmath_reals():
         if (isinstance(node, ast.Attribute) and node.attr in banned) or (isinstance(node, ast.Name) and node.id in banned)
     ]
     assert not reads, f"ball decisions read an mpmath real: {', '.join(reads)}"
+
+
+def _annotations(tree):
+    """The ids of every node inside an annotation: of an argument, a return or an annotated assignment."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            roots.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            roots.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+    return {id(inner) for root in roots for inner in ast.walk(root)}
+
+
+def test_only_precision_makes_a_returned_real():
+    # a ball becomes a real in one place, precision._ball_round: no other
+    # module reads _rounded_float or calls a context's value; and the sweeps
+    # and nu, which return verdicts and integers, build no context, so verify
+    # and bounds name PrecisionContext only to annotate an argument
+    reads = [
+        f"{path.name}: line {node.lineno}"
+        for path in MODULES
+        if path.stem != "precision"
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Name) and node.id == "_rounded_float")
+        or (isinstance(node, ast.alias) and node.name == "_rounded_float")
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "value")
+    ]
+    assert not reads, f"a real is made outside precision: {', '.join(reads)}"
+    for stem in ("verify", "bounds"):
+        tree = _tree(PACKAGE / f"{stem}.py")
+        annotated = _annotations(tree)
+        named = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "PrecisionContext" and id(node) not in annotated
+        ]
+        assert not named, f"{stem} names PrecisionContext outside annotations (lines {named})"

@@ -338,7 +338,7 @@ def _encloses(ball, bits, value, mp):
 
 @pytest.mark.parametrize("digits", BALL_DIGITS)
 def test_ball_constants_enclose_their_values(digits):
-    bits = precision._ball_bits(PrecisionContext(digits))
+    bits = precision._ball_bits(digits)
     mp = _reference(bits)
     for ball, value, radius in (
         (precision._ball_pi(bits), mp.pi, 1),
@@ -359,7 +359,7 @@ def test_integer_cube_root():
 
 @pytest.mark.parametrize("digits", (30, 80, 166, 500))
 def test_ball_log_encloses_every_point_of_its_argument(digits):
-    bits = precision._ball_bits(PrecisionContext(digits))
+    bits = precision._ball_bits(digits)
     mp = _reference(bits)
     # below 1, at 1 and powers of two (s = 0), near 2 (s near 1/3), pi, and integers far above 1
     for y in (mp.mpf("0.001"), mp.mpf("0.75"), 1, mp.mpf(2) - mp.ldexp(1, -40), 2, mp.pi, 10**6 + 1, mp.mpf(10) ** 300):
@@ -376,7 +376,7 @@ def test_ball_log_encloses_every_point_of_its_argument(digits):
 
 @pytest.mark.parametrize("digits", (30, 80, 166, 500, 2000))
 def test_ball_exp_encloses_every_point_of_its_argument(digits):
-    bits = precision._ball_bits(PrecisionContext(digits))
+    bits = precision._ball_bits(digits)
     mp = _reference(bits)
     tiny = mp.ldexp(1, -bits)
     ln2 = precision._ball_ln2(bits)[0]
@@ -436,13 +436,13 @@ def test_ball_sign_is_undecided_while_balls_overlap():
     assert sign((7, 0), (7, 0)) == 0  # an exact tie is never decided
 
 
-def test_near_tie_is_decided_after_one_escalation(ctx80):
+def test_near_tie_is_decided_after_one_escalation():
     """simple bracket(432) < Q / 2^P, with the integer Q between its midpoint and its true value.
 
     The midpoints answer wrongly at P, and the balls overlap; at 2P the true
     verdict comes out.  With every radius of the layer set to 0 this fails.
     """
-    bits = precision._ball_bits(ctx80)
+    bits = precision._ball_bits(80)
     mp = _reference(bits)
     m = mp.pi / 6 * mp.sqrt(24 * 432 - 1)
     true = mp.ldexp(1 / mp.sqrt(2) + 14 / m + (2 * m**2 / 3 - 13) * mp.exp(-m / 2), bits)
@@ -461,7 +461,7 @@ def test_near_tie_is_decided_after_one_escalation(ctx80):
     assert scales == [bits, 2 * bits]
 
 
-def test_exact_tie_raises_at_the_cap(ctx80):
+def test_exact_tie_raises_at_the_cap():
     scales = []
 
     def signs(P):
@@ -470,7 +470,7 @@ def test_exact_tie_raises_at_the_cap(ctx80):
         return [precision._ball_sign(precision._ball_mul(precision._ball_sqrt(2, P), precision._ball_sqrt(8, P), P), (4 << P, 0))]
 
     with pytest.raises(PrecisionError):
-        precision._ball_decide(signs, precision._ball_bits(ctx80))
+        precision._ball_decide(signs, precision._ball_bits(80))
     assert scales[-1] == precision._BALL_MAX_BITS
     assert all(later == min(2 * earlier, precision._BALL_MAX_BITS) for earlier, later in zip(scales, scales[1:]))
 

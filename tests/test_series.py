@@ -230,7 +230,7 @@ def test_lagrange_inversion_equals_the_closed_form():
 
 
 def test_gf_first_coefficients(ctx60):
-    bits = precision._ball_bits(ctx60)
+    bits = precision._ball_bits(60)
     G = _ball_gf(2, bits)
     assert G[0] == (1 << bits, 0)
     mp = PrecisionContext(3 * ctx60.digits).mp
@@ -242,7 +242,7 @@ def test_gf_first_coefficients(ctx60):
 def test_gf_matches_closed_form(ctx60):
     # the expansion's balls overlap the coefficient source's through order 100,
     # and hold the series route at three times the digits
-    bits = precision._ball_bits(ctx60)
+    bits = precision._ball_bits(60)
     G = _ball_gf(100, bits)
     series = _series_gf(100, PrecisionContext(3 * ctx60.digits).mp)
     for m in range(101):
@@ -253,14 +253,14 @@ def test_gf_matches_closed_form(ctx60):
 @pytest.mark.parametrize("digits", (30, 60, 80, 166))
 def test_gf_radii_keep_the_check_sharp(digits):
     # on the default grid every radius is far below the guard bits of the scale
-    G = _ball_gf(100, precision._ball_bits(PrecisionContext(digits)))
+    G = _ball_gf(100, precision._ball_bits(digits))
     assert max(radius for _, radius in G) < 1 << precision._BALL_GUARD
     assert all(radius < 16 * (m + 1) ** 1.5 for m, (_, radius) in enumerate(G))
 
 
-def test_gf_approaches_singularity_approximant(ctx60):
+def test_gf_approaches_singularity_approximant():
     # relative gap to the two-singularity approximant shrinks from m=50 to m=300
-    bits = precision._ball_bits(ctx60)
+    bits = precision._ball_bits(60)
     G = _ball_gf(300, bits)
 
     def deviation(m):

@@ -94,3 +94,19 @@ def test_each_subcommand_loads_only_what_it_uses(tmp_path):
         if {"bounds", "nu"} & set(argv):
             assert "partitions" not in ours, (argv, sorted(ours))
         assert ("verify" in argv) == ("verify" in ours) == ("series" in ours), (argv, sorted(ours))
+
+
+# a library caller who runs a sweep passes no context, and gets a verdict, not a real
+LIBRARY = """
+import sys
+from partition_asymptotics import run_suite
+results = [run_suite("oracle", n_max=10), run_suite("thm1", n_max=5)]
+print([(result.checked, result.ok) for result in results], "mpmath" in sys.modules)
+"""
+
+
+def test_a_library_sweep_loads_no_mpmath():
+    env = {key: value for key, value in os.environ.items() if key != CACHE_ENV_VAR}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", LIBRARY], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[(11, True), (65, True)] False\n", "")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from partition_asymptotics import DomainError, PrecisionContext, coefficients, expansion, run_suite, verify
+from partition_asymptotics import DomainError, coefficients, expansion, run_suite, verify
 
 
 def test_lemma1_small():
@@ -15,30 +15,30 @@ def test_lemma1_settles_the_equal_first_ratio_at_every_digit_count():
     # |c_1/c_0| is the odd cap itself, so rounded values decided it by a coin
     # flip: they failed it at 30, 32 and 81 digits and passed it at 50
     for digits in (30, 32, 50, 81):
-        assert run_suite("lemma1", ctx=PrecisionContext(digits)) == verify.VerifyResult("lemma1", 400, True)
+        assert run_suite("lemma1", digits=digits) == verify.VerifyResult("lemma1", 400, True)
 
 
-def test_lemma2_small(ctx80):
-    result = run_suite("lemma2", m_max=60, ctx=ctx80)
+def test_lemma2_small():
+    result = run_suite("lemma2", m_max=60, digits=80)
     assert result.ok
 
 
-def test_thm1_small(ctx80):
-    result = run_suite("thm1", n_max=60, ctx=ctx80)
+def test_thm1_small():
+    result = run_suite("thm1", n_max=60, digits=80)
     assert result.ok
     assert result.checked == 60 * 13
 
 
-def test_thm2_small(ctx80):
-    assert run_suite("thm2", n_max=60, ctx=ctx80).ok
+def test_thm2_small():
+    assert run_suite("thm2", n_max=60, digits=80).ok
 
 
-def test_gf_small(ctx60):
-    assert run_suite("gf", m_max=40, ctx=ctx60).ok
+def test_gf_small():
+    assert run_suite("gf", m_max=40, digits=60).ok
 
 
-def test_asymptotics(ctx80):
-    result = run_suite("asymptotics", ctx=ctx80)
+def test_asymptotics():
+    result = run_suite("asymptotics", digits=80)
     assert result.ok
     assert result.checked == 255
 
@@ -63,11 +63,14 @@ def test_oracle_small():
     assert result.checked == 401
 
 
-def test_run_suite_dispatch(ctx80):
+def test_run_suite_dispatch():
     result = run_suite("oracle", n_max=100)
     assert result.suite == "oracle" and result.ok
     with pytest.raises(DomainError):
         run_suite("nonsense")
+    for digits in (29, 80.0):  # the one digits gate, as PrecisionContext and the CLI apply it
+        with pytest.raises(DomainError, match="digits must be an integer >= 30"):
+            run_suite("oracle", n_max=10, digits=digits)
 
 
 def test_driver_stops_at_first_counterexample(monkeypatch):
@@ -85,15 +88,15 @@ def test_driver_stops_at_first_counterexample(monkeypatch):
     assert result.counterexample == "T1 enclosure fails at n=3, N=5"
 
 
-def test_grid_overrides_apply_only_to_their_suites(ctx80):
+def test_grid_overrides_apply_only_to_their_suites():
     # n_max does not resize an m_max suite, nor m_max an n_max suite
-    assert run_suite("gf", n_max=5, ctx=ctx80).checked == 101
+    assert run_suite("gf", n_max=5, digits=80).checked == 101
     assert run_suite("oracle", m_max=5).checked == 2001
 
 
-def test_grid_size_zero_is_honoured_and_negative_rejected(ctx80):
+def test_grid_size_zero_is_honoured_and_negative_rejected():
     assert run_suite("oracle", n_max=0).checked == 1
-    assert run_suite("thm1", n_max=0, ctx=ctx80) == verify.VerifyResult("thm1", 0, True)
+    assert run_suite("thm1", n_max=0, digits=80) == verify.VerifyResult("thm1", 0, True)
     with pytest.raises(DomainError):
         run_suite("oracle", n_max=-1)
     with pytest.raises(DomainError):
@@ -107,7 +110,7 @@ def test_grid_size_zero_is_honoured_and_negative_rejected(ctx80):
 def test_low_digit_enclosure_sweeps_decide(digits, suite, checked):
     # at 30 digits the mpf remainder kept under 10 digits at n=141, N=4, and
     # at 40 digits at n=1026, N=10; the balls decide every check
-    assert run_suite(suite, ctx=PrecisionContext(digits)) == verify.VerifyResult(suite, checked, True)
+    assert run_suite(suite, digits=digits) == verify.VerifyResult(suite, checked, True)
 
 
 def test_perfbench_grids_decide_without_escalation(monkeypatch):
@@ -148,5 +151,5 @@ def test_lemma3_exp_count(monkeypatch):
     for module in (verify, expansion):
         monkeypatch.setattr(module, "_ball_exp", counting)
     expansion._ball_per_n.cache_clear()
-    assert run_suite("lemma3", n_max=150, ctx=PrecisionContext(80)) == verify.VerifyResult("lemma3", 7142, True)
+    assert run_suite("lemma3", n_max=150, digits=80) == verify.VerifyResult("lemma3", 7142, True)
     assert calls == 5000 + 1 + 1000 + 1 + 150
