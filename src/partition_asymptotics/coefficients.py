@@ -388,18 +388,27 @@ def _ball_darboux(m: int, bits: int) -> tuple:
     return _ball_scale(ball, (-1) ** m * (2 * m + 1) * comb(2 * m, m), 2 << 2 * m)
 
 
+@functools.lru_cache(maxsize=None)
+def _certified_start(held: int) -> tuple:
+    """(d, P) for a source that holds ``held`` digits: d = max(held, MIN_DIGITS), and P = ``_ball_bits(d)``."""
+    digits = max(held, MIN_DIGITS)
+    return digits, _ball_bits(digits)
+
+
 def _certified(top: int, balls, what: str) -> bool:
     """Whether lhs < rhs for the balls (lhs, rhs) = balls(Q, W, e) from the source's integers for c_0..c_top at its scale 2^-Q.
 
-    One ``_ball_decide`` group: at P it reads the source for ``_ball_digits(P)`` digits, from P = ``_ball_bits``
-    of the digits the source holds (at least MIN_DIGITS), so the source is rebuilt only while the balls overlap.
+    One ``_ball_decide`` group from (d, P) = ``_certified_start``, formed once per digit count the source
+    holds: at P it reads the source for d digits, and at each doubled scale for ``_ball_digits`` of it, so the
+    source is rebuilt only while the balls overlap.
     """
+    digits, start = _certified_start(_source[0])
 
     def signs(P):
-        _, bits, values, radii = _coefficients(top, _ball_digits(P))
+        _, bits, values, radii = _coefficients(top, digits if P == start else _ball_digits(P))
         return [_ball_sign(*balls(bits, values, radii))]
 
-    return _ball_decide(signs, _ball_bits(max(_source[0], MIN_DIGITS)), what)[0] < 0
+    return _ball_decide(signs, start, what)[0] < 0
 
 
 def certified_abs_less(m: int, other: int) -> bool:

@@ -8,6 +8,7 @@ algorithm that shares no code or ideas with it.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import zlib
 from typing import NamedTuple
@@ -49,16 +50,16 @@ def partition_pentagonal(n_max: int) -> PartitionTable:
     The table grows as a list, so while p(n) is formed ``values[-g]`` is
     p(n - g).  Each generalized pentagonal number g = k(3k-1)/2, k(3k+1)/2
     joins the offsets of its sign, ``-g`` in ``plus`` for odd k and in
-    ``minus`` for even k, once n reaches it, and every entry is the gather
-    ``sum(values[-g] for g in plus) - sum(values[-g] for g in minus)``, run
-    by ``map`` and ``sum`` without a Python-level step per term.
+    ``minus`` for even k, once n reaches it, and every entry is
+    ``sum(values[-g] for g in plus) - sum(values[-g] for g in minus)``.  Each
+    sum runs over the tuple a ``_gather`` of its offsets takes in one call,
+    rebuilt when an offset joins, without a Python-level step per term.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
     if n_max > PENTAGONAL_CAP:
         raise ResourceError(f"n_max={n_max} exceeds cap {PENTAGONAL_CAP}")
     values = [1]
-    get = values.__getitem__
     plus, minus = [], []
     k = 0
     while len(values) <= n_max:
@@ -68,9 +69,19 @@ def partition_pentagonal(n_max: int) -> PartitionTable:
         low, high, following = k * (3 * k - 1) // 2, k * (3 * k + 1) // 2, (k + 1) * (3 * k + 2) // 2
         for g, end in ((low, high), (high, following)):
             offsets.append(-g)
+            added, subtracted = _gather(plus), _gather(minus)
             for _ in range(g, min(end, n_max + 1)):
-                values.append(sum(map(get, plus)) - sum(map(get, minus)))
+                values.append(sum(added(values)) - sum(subtracted(values)))
     return PartitionTable(values=tuple(values), n_max=n_max)
+
+
+def _gather(offsets: list):
+    """The function that takes a list's entries at ``offsets``, as a tuple: an ``itemgetter``, but for
+    fewer than two offsets, where ``itemgetter`` returns the one entry itself or cannot be built."""
+    if len(offsets) > 1:
+        return operator.itemgetter(*offsets)
+    fixed = tuple(offsets)
+    return lambda values: tuple(values[g] for g in fixed)
 
 
 def partition_dp_row(n: int) -> list:

@@ -8,7 +8,10 @@ the test suite runs the same sweeps through pytest.
 
 The lemma3, thm1, thm2 and thm3 sweeps decide every claim on integer balls
 (see ``precision``), formed per n from one exp: the same balls the printed
-bounds and remainders are rounded from.  lemma1 decides its step ratios, and
+bounds and remainders are rounded from.  thm1, thm2 and thm3 start each
+group at the context's ball scale; lemma3, whose claims are about fixed
+reals, at _LEMMA3_BITS whatever the digits, and ``_ball_decide`` doubles
+the scale of any group still undecided.  lemma1 decides its step ratios, and
 lemma2 each |c_m| against its envelope, on the coefficient source's
 integers; lemma2's central binomial inequality is decided on a ball of pi.
 gf and asymptotics compare balls of g_m = sqrt(24)^m c_m: gf the source's
@@ -36,7 +39,7 @@ from .coefficients import (
     certified_abs_less,
 )
 from .errors import DomainError, _check_digits
-from .expansion import _ball_error_term, _ball_remainder, _ball_term
+from .expansion import _ball_error_term, _ball_remainder, _ball_term, _decay_bits
 from .partitions import partition_dp_row, partition_pentagonal
 from .precision import (
     _ball_add,
@@ -56,6 +59,10 @@ from .series import _ball_gf
 
 # the enclosure sweeps check every N in 0..ENCLOSURE_N_MAX at each n
 ENCLOSURE_N_MAX = 12
+# The scale lemma 3's groups start at, whatever the digits.  Its claims are
+# about fixed reals whose relative margins are far wider than 2^-64: the
+# narrowest, the decrease of the simple bracket at n = 5000, is about 1e-5.
+_LEMMA3_BITS = 64
 
 
 class VerifyResult(NamedTuple):
@@ -161,22 +168,23 @@ def _lemma3_chain(n: int, bits: int, full: bool = True) -> tuple:
     return r, mu, decay, simple, bracket
 
 
-def _lemma3(n_max: int, digits: int):
+def _lemma3(n_max: int, _digits):
     """|r_hat(n)| <= exp(-(pi/2) sqrt(2n/3)), envelope shape, and proof chain.
 
-    Every claim is decided on integer balls from the ``precision`` helpers:
-    each group of comparisons that is undecided at the context's scale is
-    redone at twice the scale, and raises PrecisionError past the widest.
-    A sign of -1 means the claim holds.
+    Every claim is decided on integer balls from the ``precision`` helpers,
+    whatever the digits: each group of comparisons starts at _LEMMA3_BITS, or
+    at that many bits below E(n) for r_hat(n), is redone at twice the scale
+    while undecided, and raises PrecisionError past the widest.  A sign of -1
+    means the claim holds.
     """
-    bits, table = _ball_bits(digits), partition_pentagonal(n_max)
+    bits, table = _LEMMA3_BITS, partition_pentagonal(n_max)
 
     def residual(n, P):
         middle, radius = _ball_remainder(n, None, table.p(n), P)
         return [_ball_sign((abs(middle), radius), _ball_error_term(n, P))]
 
     for n in range(1, n_max + 1):
-        bad = _ball_decide(functools.partial(residual, n), bits)[0] > 0
+        bad = _ball_decide(functools.partial(residual, n), bits + _decay_bits(n))[0] > 0
         yield f"|r_hat({n})| exceeds the exponential envelope" if bad else None
 
     @functools.lru_cache(maxsize=4)  # n - 1 and n, at one or two scales

@@ -74,6 +74,8 @@ def _commands():
         ["--digits", "160", "--format", "json", "coeff", "60"],
         ["verify", "lemma1", "--m-max", "300"],
         ["verify", "lemma2", "--m-max", "300"],
+        # lemma 3 starts at one scale whatever the digits
+        ["--digits", "300", "verify", "lemma3", "--n-max", "40"],
     ]
     return commands
 

@@ -326,6 +326,12 @@ def test_lambert_domain_errors_show_x_to_15_digits(ctx80):
 BALL_DIGITS = (30, 80, 500)
 
 
+def _ball_scales(digits):
+    """The ball scales of these digit counts, each with its digits as id, and lemma 3's coarser start scale."""
+    lemma3 = verify._LEMMA3_BITS
+    return [*(pytest.param(precision._ball_bits(d), id=str(d)) for d in digits), pytest.param(lemma3, id=f"{lemma3}-bits")]
+
+
 def _reference(bits):
     """An mpmath context at three times the decimal digits of a ball scale."""
     return PrecisionContext(3 * (int(bits * 0.30103) + 1)).mp
@@ -336,9 +342,8 @@ def _encloses(ball, bits, value, mp):
     return radius >= 0 and abs(middle - mp.ldexp(value, bits)) <= radius
 
 
-@pytest.mark.parametrize("digits", BALL_DIGITS)
-def test_ball_constants_enclose_their_values(digits):
-    bits = precision._ball_bits(digits)
+@pytest.mark.parametrize("bits", _ball_scales(BALL_DIGITS))
+def test_ball_constants_enclose_their_values(bits):
     mp = _reference(bits)
     for ball, value, radius in (
         (precision._ball_pi(bits), mp.pi, 1),
@@ -374,9 +379,8 @@ def test_ball_log_encloses_every_point_of_its_argument(digits):
         precision._ball_log((5, 5), bits)  # not known to be positive
 
 
-@pytest.mark.parametrize("digits", (30, 80, 166, 500, 2000))
-def test_ball_exp_encloses_every_point_of_its_argument(digits):
-    bits = precision._ball_bits(digits)
+@pytest.mark.parametrize("bits", _ball_scales((30, 80, 166, 500, 2000)))
+def test_ball_exp_encloses_every_point_of_its_argument(bits):
     mp = _reference(bits)
     tiny = mp.ldexp(1, -bits)
     ln2 = precision._ball_ln2(bits)[0]
@@ -401,19 +405,19 @@ def test_ball_exp_encloses_every_point_of_its_argument(digits):
 
 
 def test_ball_arithmetic_encloses_every_combination():
-    bits = 301
-    mp = _reference(bits)
-    a, b = (7 << bits, 5), (-(3 << bits) + 12345, 9)
-    c = (math.isqrt(2 << 2 * bits), 1)
-    for x in (a[0] - a[1], a[0] + a[1]):
-        for y in (b[0] - b[1], b[0] + b[1]):
-            for z in (c[0] - c[1], c[0] + c[1]):
-                X, Y, Z = (mp.ldexp(v, -bits) for v in (x, y, z))
-                assert _encloses(precision._ball_add(a, b), bits, X + Y, mp)
-                assert _encloses(precision._ball_mul(a, b, bits), bits, X * Y, mp)
-                assert _encloses(precision._ball_div(b, c, bits), bits, Y / Z, mp)
-                assert _encloses(precision._ball_scale(b, -13, 6), bits, Y * -13 / 6, mp)
-                assert _encloses(precision._ball_scale(b, -13), bits, Y * -13, mp)
+    for bits in (verify._LEMMA3_BITS, 301):
+        mp = _reference(bits)
+        a, b = (7 << bits, 5), (-(3 << bits) + 12345, 9)
+        c = (math.isqrt(2 << 2 * bits), 1)
+        for x in (a[0] - a[1], a[0] + a[1]):
+            for y in (b[0] - b[1], b[0] + b[1]):
+                for z in (c[0] - c[1], c[0] + c[1]):
+                    X, Y, Z = (mp.ldexp(v, -bits) for v in (x, y, z))
+                    assert _encloses(precision._ball_add(a, b), bits, X + Y, mp)
+                    assert _encloses(precision._ball_mul(a, b, bits), bits, X * Y, mp)
+                    assert _encloses(precision._ball_div(b, c, bits), bits, Y / Z, mp)
+                    assert _encloses(precision._ball_scale(b, -13, 6), bits, Y * -13 / 6, mp)
+                    assert _encloses(precision._ball_scale(b, -13), bits, Y * -13, mp)
 
 
 def test_ball_div_refuses_a_divisor_not_known_to_be_positive():

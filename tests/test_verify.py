@@ -153,3 +153,28 @@ def test_lemma3_exp_count(monkeypatch):
     expansion._ball_per_n.cache_clear()
     assert run_suite("lemma3", n_max=150, digits=80) == verify.VerifyResult("lemma3", 7142, True)
     assert calls == 5000 + 1 + 1000 + 1 + 150
+
+
+def test_lemma3_starts_at_one_scale_whatever_the_digits(monkeypatch):
+    # every group starts at _LEMMA3_BITS, the r_hat group at n that many bits
+    # below E(n), at every digit count, and none is redone at twice the scale
+    groups = []
+    original = verify._ball_decide
+
+    def recording(signs, bits):
+        groups.append([])
+
+        def at(P):
+            groups[-1].append(P)
+            return signs(P)
+
+        return original(at, bits)
+
+    monkeypatch.setattr(verify, "_ball_decide", recording)
+    for n_max, checked in ((150, 7142), (500, 7492), (2000, 8992)):
+        residuals = [verify._LEMMA3_BITS + expansion._decay_bits(n) for n in range(1, n_max + 1)]
+        for digits in (30, 80, 300):
+            groups.clear()
+            assert run_suite("lemma3", n_max=n_max, digits=digits) == verify.VerifyResult("lemma3", checked, True)
+            assert [scales[0] for scales in groups] == residuals + [verify._LEMMA3_BITS] * (len(groups) - n_max)
+            assert all(len(scales) == 1 for scales in groups), (n_max, digits)
