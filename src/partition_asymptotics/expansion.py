@@ -15,14 +15,15 @@ and the tail mediant theta_N(n) = (full tail) / (first omitted term).
 
 Every value takes one route: an integer ball (the ``_ball_*`` forms, see
 ``precision``).  P(n), E(n) = exp(-x/2) with x = pi*sqrt(2n/3), and the
-prefactor come from one exp per n and scale; S_N and the full sum from one
-integer Horner pass over the coefficient source with its proven radius; a
-single term c_m/n^(m/2) is the ball of c_m times the root ball of 1/n^m.
-The sweeps decide on these balls, and a returned value is the real its ball
-encloses, rounded once to the context by ``_ball_round``.  A ball starts at
-the scale that fits its value, the context's ball scale plus about the bits
-the value sits below 1, and is formed again at twice the scale while it
-straddles a rounding boundary, so cancellation costs time, never digits.
+prefactor come from one exp per n and scale; the terms c_m/n^(m/2) and the
+partial sums S_N up to a K from one integer pass per (n, K, scale) over the
+coefficient source, and the full sum from one Horner pass, each with its
+proven radius.  The sweeps decide on these balls, and a returned value is
+the real its ball encloses, rounded once to the context by ``_ball_round``.
+A ball starts at the scale that fits its value, the context's ball scale
+plus about the bits the value sits below 1, and is formed again at twice
+the scale while it straddles a rounding boundary, so cancellation costs
+time, never digits.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .coefficients import _ball_amplitude, _ball_c, _horner
+from .coefficients import _SOURCE_FLOOR, _ball_amplitude, _coefficients, _horner
 from .errors import DomainError
 from .precision import (
     PrecisionContext,
@@ -108,21 +109,6 @@ def _series_length(n: int, digits: int) -> int:
     return M
 
 
-@functools.lru_cache(maxsize=16)
-def _ball_context(bits: int) -> tuple:
-    """(d, source) for sums at scale 2^-bits, with d = ``_ball_digits(bits)`` digits.
-
-    source = ceil(2^(bits+1) / 10^(d+10)) bounds, in units of 2^-bits, the
-    source's share of the error of any S_N or full sum: each of its values
-    x_m is within 10^-(d+10) |c_m| of c_m (see ``_horner``), and
-    sum_m |c_m| n^(-m/2) <= 1 + 0.67 < 2.  The tail after the
-    ``_series_length(n, d + 5)`` terms of a full sum, under 10^-(d+10), is
-    under source / 2 units too.
-    """
-    digits = _ball_digits(bits)
-    return digits, -(-(2 << bits) // 10 ** (digits + 10))
-
-
 def _decay_bits(n: int) -> int:
     """About how many bits E(n) = e^(-x/2) sits below 1, x / (2 ln 2) rounded up in doubles: it only sets a start scale."""
     return math.ceil(math.pi * math.sqrt(2 * n / 3) / (2 * math.log(2)))
@@ -174,40 +160,65 @@ def _ball_prefactor(n: int, bits: int) -> tuple:
     return _ball_div((1 << 2 * wide, 0), _ball_scale(square, 4 * n), bits)
 
 
+@functools.lru_cache(maxsize=4)
+def _ball_pass(n: int, K: int, bits: int) -> tuple:
+    """(terms, sums) at n and scale 2^-bits: balls of |c_m| / n^(m/2) for m < K and of S_0..S_K, K >= 1, memoized per (n, K, scale).
+
+    One loop on integers, with u = 1/sqrt(n) <= 1 and U = floor(2^bits u).
+    The powers V_0 = 2^bits, V_m = floor(V_(m-1) U / 2^bits) lie in
+    (v_m - 2m, v_m], v_m = 2^bits u^m: as V_(m-1) <= 2^bits, the gap is u
+    times the last one, plus V_(m-1) (u - U / 2^bits) < 1, plus a floor's
+    fraction.  The source holds (W_m, e_m) at 2^-Q, Q > bits (see
+    ``_horner``), so C_m = floor(W_m / 2^(Q-bits)) is within r = floor(e_m /
+    2^(Q-bits)) + 2 of 2^bits c_m (``_ball_scale``), and T_m = floor(C_m V_m
+    / 2^bits) within r + (|C_m| + r) 2m / 2^bits + 1 of 2^bits c_m u^m: the
+    radius is that with its middle part floored, plus 1.  T_0 = 2^bits and
+    S_0 = 0 are exact, S_(m+1) = S_m + T_m adds the radii (``_ball_add``),
+    and dropping a term's sign moves no point farther from its midpoint.
+    """
+    _, source_bits, values, radii = _coefficients(K - 1, _ball_digits(bits))
+    U, shift, power = _ball_sqrt(1, bits, n)[0], source_bits - bits, 1 << bits
+    terms, sums = [(power, 0)], [(0, 0), (power, 0)]
+    for m in range(1, K):
+        power = power * U >> bits
+        c, r = values[m] >> shift, (radii[m] >> shift) + 2
+        term, radius = c * power >> bits, r + ((abs(c) + r) * 2 * m >> bits) + 2
+        terms.append((abs(term), radius))
+        sums.append((sums[-1][0] + term, sums[-1][1] + radius))
+    return tuple(terms), tuple(sums)
+
+
 @functools.lru_cache(maxsize=32)
 def _ball_sum(n: int, N: Optional[int], bits: int) -> tuple:
-    """S_N at scale 2^-bits, or for N None the full sum.
+    """S_N at scale 2^-bits, read from ``_ball_pass``, or for N None the full sum.
 
-    The midpoint is ``_horner`` at d = ``_ball_digits(bits)`` digits with
-    U of ``_ball_per_n``, within 3N units of
-    2^bits times the sum of the source's values, which is within ``source``
-    units of 2^bits S_N (see ``_ball_context``).  The full sum is S_M for
-    M = ``_series_length(n, d + 5)``, whose tail adds under ``source`` units,
-    so a full sum keeps the precision of a partial one.  So the radius is
-    3N + source, or 3M + 2 source for the full sum; S_0 = 0 is exact.
+    A pass read here or by ``_ball_term`` holds at least the _SOURCE_FLOOR
+    terms the source always holds, so every N below that at one (n, scale)
+    reads one pass.
+
+    The full sum is ``_horner`` over the M = ``_series_length(n, d + 5)``
+    terms at d = ``_ball_digits(bits)`` digits, with U of ``_ball_per_n``:
+    within 3M units of 2^bits times the sum of the source's values x_m.
+    Each x_m is within 10^-(d+10) |c_m| of c_m (see ``_horner``) and
+    sum_m |c_m| n^(-m/2) < 1 + 0.67 < 2, so that is within s =
+    ceil(2^(bits+1) / 10^(d+10)) units of 2^bits S_M, and the tail after
+    S_M, under 10^-(d+10), adds under s more: the radius is 3M + 2s.
     """
-    digits, source = _ball_context(bits)
-    if N is None:
-        N, source = _series_length(n, digits + 5), 2 * source
-    elif N == 0:
-        return 0, 0
-    return _horner(N, bits, _ball_per_n(n, bits)[3], digits), 3 * N + source
+    if N is not None:
+        return _ball_pass(n, max(N, _SOURCE_FLOOR), bits)[1][N]
+    digits = _ball_digits(bits)
+    M = _series_length(n, digits + 5)
+    return _horner(M, bits, _ball_per_n(n, bits)[3], digits), 3 * M - 2 * (-(2 << bits) // 10 ** (digits + 10))
 
 
-@functools.lru_cache(maxsize=32)
 def _ball_term(n: int, N: int, bits: int) -> tuple:
-    """|c_N| / n^(N/2) at scale 2^-bits: |c_N| times the root ball of 1 / n^N.
-
-    |c_N| is ``_ball_c`` with its midpoint's sign dropped, which moves no
-    point farther from it than the radius.
-    """
-    middle, radius = _ball_c(N, bits)
-    return _ball_mul((abs(middle), radius), _ball_sqrt(1, bits, n**N), bits)
+    """|c_N| / n^(N/2) at scale 2^-bits, from ``_ball_pass`` as ``_ball_sum`` reads it."""
+    return _ball_pass(n, max(N + 1, _SOURCE_FLOOR), bits)[0][N]
 
 
-def _ball_remainder(n: int, N: Optional[int], p: int, bits: int) -> tuple:
-    """R_N(n) = P(n) - S_N, or r_hat(n) for N None, as a ball at scale 2^-bits for p = p(n)."""
-    return _ball_add(_ball_normalized(n, p, bits), _ball_scale(_ball_sum(n, N, bits), -1))
+def _ball_remainder(n: int, total: tuple, p: int, bits: int) -> tuple:
+    """P(n) minus the ball ``total`` of a sum at scale 2^-bits, for p = p(n): R_N(n) for S_N, r_hat(n) for the full sum."""
+    return _ball_add(_ball_normalized(n, p, bits), _ball_scale(total, -1))
 
 
 def _ball_theta(n: int, N: int, bits: int) -> tuple:
@@ -242,7 +253,8 @@ def remainder_exact(
     def balls(P):
         # theta first: its full sum asks for the last coefficient, so the source grows once
         theta = [_ball_theta(n, N, P)] if include_theta else []
-        return [*theta, _ball_remainder(n, N, p, P), _ball_sum(n, N, P), _ball_prefactor(n, P)]
+        partial = _ball_sum(n, N, P)
+        return [*theta, _ball_remainder(n, partial, p, P), partial, _ball_prefactor(n, P)]
 
     *theta, remainder, partial_sum, prefactor = _ball_round(balls, bits, ctx)
     return RemainderResult(n, N, remainder, partial_sum, prefactor, theta[0] if theta else None)
@@ -258,7 +270,7 @@ def r_hat(n: int, table: PartitionTable, ctx: PrecisionContext):
     """Residual of the full convergent series against the normalized p(n), rounded once to the context."""
     _check(n)
     p = table.p(n)
-    return _ball_round(lambda P: [_ball_remainder(n, None, p, P)], _per_n_bits(n, ctx.digits), ctx)[0]
+    return _ball_round(lambda P: [_ball_remainder(n, _ball_sum(n, None, P), p, P)], _per_n_bits(n, ctx.digits), ctx)[0]
 
 
 def exp_error_term(n: int, ctx: PrecisionContext):

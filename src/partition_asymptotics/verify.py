@@ -8,10 +8,12 @@ the test suite runs the same sweeps through pytest.
 
 The lemma3, thm1, thm2 and thm3 sweeps decide every claim on integer balls
 (see ``precision``), formed per n from one exp: the same balls the printed
-bounds and remainders are rounded from.  thm1, thm2 and thm3 start each
-group at the context's ball scale; lemma3, whose claims are about fixed
-reals, at _LEMMA3_BITS whatever the digits, and ``_ball_decide`` doubles
-the scale of any group still undecided.  lemma1 decides its step ratios, and
+bounds and remainders are rounded from.  Their claims are about fixed reals,
+so each group starts _START_BITS below its values' size whatever the digits:
+lemma3's at _START_BITS, thm1's, thm2's and thm3's at n that many bits below
+the smallest term checked there, all of whose terms and partial sums come
+from one ``_ball_pass``.  ``_ball_decide`` doubles the scale of any group
+still undecided.  lemma1 decides its step ratios, and
 lemma2 each |c_m| against its envelope, on the coefficient source's
 integers; lemma2's central binomial inequality is decided on a ball of pi.
 gf and asymptotics compare balls of g_m = sqrt(24)^m c_m: gf the source's
@@ -23,8 +25,9 @@ leading and the dominant-singularity approximants.
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .bounds import _ball_exponential, _ball_thm3, nu
@@ -39,7 +42,7 @@ from .coefficients import (
     certified_abs_less,
 )
 from .errors import DomainError, _check_digits
-from .expansion import _ball_error_term, _ball_remainder, _ball_term, _decay_bits
+from .expansion import _ball_error_term, _ball_pass, _ball_remainder, _ball_sum, _decay_bits
 from .partitions import partition_dp_row, partition_pentagonal
 from .precision import (
     _ball_add,
@@ -54,15 +57,17 @@ from .precision import (
     _ball_sign,
     _ball_sqrt,
     _ball_sqrt2,
+    _root_below,
 )
 from .series import _ball_gf
 
 # the enclosure sweeps check every N in 0..ENCLOSURE_N_MAX at each n
 ENCLOSURE_N_MAX = 12
-# The scale lemma 3's groups start at, whatever the digits.  Its claims are
-# about fixed reals whose relative margins are far wider than 2^-64: the
-# narrowest, the decrease of the simple bracket at n = 5000, is about 1e-5.
-_LEMMA3_BITS = 64
+# The bits below their values' size at which the lemma3, thm1, thm2 and thm3
+# groups start, whatever the digits.  Their claims are about fixed reals whose
+# relative margins are far wider than 2^-64: the narrowest in lemma 3, the
+# decrease of the simple bracket at n = 5000, is about 1e-5.
+_START_BITS = 64
 
 
 class VerifyResult(NamedTuple):
@@ -90,15 +95,13 @@ def _lemma1(m_max: int, digits: int):
             yield None
 
 
-def _weierstrass_holds(m: int, k: int) -> bool:
+def _weierstrass_holds(factorials: list, m: int, k: int) -> bool:
     # product_{j=1..k} (1 - k/(m+j)) = m!^2 / ((m-k)! (m+k)!)  >=  1 - k^2/(m+1),
-    # compared in exact integer arithmetic
+    # compared in exact integer arithmetic on the list of j! for j <= 2m
     rhs_numerator = m + 1 - k * k
     if rhs_numerator <= 0:
         return True
-    lhs = factorial(m) ** 2 * (m + 1)
-    rhs = rhs_numerator * factorial(m - k) * factorial(m + k)
-    return lhs >= rhs
+    return factorials[m] ** 2 * (m + 1) >= rhs_numerator * factorials[m - k] * factorials[m + k]
 
 
 def _lemma2(m_max: int, digits: int):
@@ -122,9 +125,11 @@ def _lemma2(m_max: int, digits: int):
             yield f"central binomial inequality fails at m={m}"
         else:
             yield None
-    for m in range(0, min(m_max, 200) + 1):
+    top = min(m_max, 200)
+    factorials = list(accumulate(range(1, 2 * top + 1), operator.mul, initial=1))
+    for m in range(0, top + 1):
         for k in range(0, m + 1):
-            yield None if _weierstrass_holds(m, k) else f"product inequality fails at m={m}, k={k}"
+            yield None if _weierstrass_holds(factorials, m, k) else f"product inequality fails at m={m}, k={k}"
 
 
 def _lemma3_chain(n: int, bits: int, full: bool = True) -> tuple:
@@ -172,15 +177,15 @@ def _lemma3(n_max: int, _digits):
     """|r_hat(n)| <= exp(-(pi/2) sqrt(2n/3)), envelope shape, and proof chain.
 
     Every claim is decided on integer balls from the ``precision`` helpers,
-    whatever the digits: each group of comparisons starts at _LEMMA3_BITS, or
+    whatever the digits: each group of comparisons starts at _START_BITS, or
     at that many bits below E(n) for r_hat(n), is redone at twice the scale
     while undecided, and raises PrecisionError past the widest.  A sign of -1
     means the claim holds.
     """
-    bits, table = _LEMMA3_BITS, partition_pentagonal(n_max)
+    bits, table = _START_BITS, partition_pentagonal(n_max)
 
     def residual(n, P):
-        middle, radius = _ball_remainder(n, None, table.p(n), P)
+        middle, radius = _ball_remainder(n, _ball_sum(n, None, P), table.p(n), P)
         return [_ball_sign((abs(middle), radius), _ball_error_term(n, P))]
 
     for n in range(1, n_max + 1):
@@ -246,33 +251,45 @@ def _inside(remainder: tuple, lower: tuple, upper: tuple) -> list:
     return [_ball_sign(lower, remainder), _ball_sign(remainder, upper)]
 
 
-def _thm1(n_max: int, digits: int):
+def _start(n: int, N: int) -> int:
+    """The scale of the checks at n up to N: _START_BITS below c_N / n^(N/2), about 2^-``_root_below(N + 1, (24n)^N)``.
+
+    R_N(n) lies within E(n) of a term of about that size, and so do the margins of its enclosures.
+    """
+    return _START_BITS + _root_below(N + 1, (24 * n) ** N)
+
+
+def _thm1(n_max: int, _digits):
     """Strict enclosure of the exact remainder by the T1 interval, decided on balls."""
-    bits, table = _ball_bits(digits), partition_pentagonal(n_max)
+    table = partition_pentagonal(n_max)
 
     def signs(n, N, P):
-        return _inside(_ball_remainder(n, N, table.p(n), P), *_ball_exponential(n, N, _ball_term(n, N, P), P))
+        terms, sums = _ball_pass(n, ENCLOSURE_N_MAX + 1, P)
+        return _inside(_ball_remainder(n, sums[N], table.p(n), P), *_ball_exponential(n, N, terms[N], P))
 
     for n in range(1, n_max + 1):
+        bits = _start(n, ENCLOSURE_N_MAX)
         for N in range(ENCLOSURE_N_MAX + 1):
             enclosed = max(_ball_decide(functools.partial(signs, n, N), bits)) < 0
             yield None if enclosed else f"T1 enclosure fails at n={n}, N={N}"
 
 
-def _thm2(n_max: int, digits: int):
+def _thm2(n_max: int, _digits):
     """Strict T2 enclosure plus nesting, decided on balls.
 
     The T1 and T2 intervals share their E(n) parts, so T1 sits inside T2
     exactly when |c_N| / n^(N/2) is below its envelope.
     """
-    bits, table = _ball_bits(digits), partition_pentagonal(n_max)
+    table = partition_pentagonal(n_max)
 
     def signs(n, N, P):
+        terms, sums = _ball_pass(n, ENCLOSURE_N_MAX + 1, P)
         envelope = _ball_envelope(N, (24 * n) ** N, P)
         lower, upper = _ball_exponential(n, N, envelope, P)
-        return [*_inside(_ball_remainder(n, N, table.p(n), P), lower, upper), _ball_sign(_ball_term(n, N, P), envelope)]
+        return [*_inside(_ball_remainder(n, sums[N], table.p(n), P), lower, upper), _ball_sign(terms[N], envelope)]
 
     for n in range(1, n_max + 1):
+        bits = _start(n, ENCLOSURE_N_MAX)
         for N in range(ENCLOSURE_N_MAX + 1):
             found = _ball_decide(functools.partial(signs, n, N), bits)
             if max(found[:2]) > 0:
@@ -293,24 +310,27 @@ THM3_REFERENCE_PAIRS = (
 THM3_SPAN = 200
 
 
-def _thm3(_size, digits: int):
+def _thm3(_size, _digits):
     """T3 enclosure from each reference threshold up through threshold + THM3_SPAN, decided on balls.
 
-    The sweep visits each n once and checks there every pair whose range covers it.
+    The sweep visits each n once and checks there every pair whose range
+    covers it, on one pass of sums up to the largest N among them.
     """
     thresholds = [(N, C, max(nu(N, C), 1)) for N, C in THM3_REFERENCE_PAIRS]
     first = min(start for _, _, start in thresholds)
     last = max(start for _, _, start in thresholds) + THM3_SPAN
-    bits, table = _ball_bits(digits), partition_pentagonal(last)
+    table = partition_pentagonal(last)
 
-    def signs(n, N, C, P):
-        return _inside(_ball_remainder(n, N, table.p(n), P), *_ball_thm3(n, N, C, P))
+    def signs(n, N, C, top, P):
+        return _inside(_ball_remainder(n, _ball_pass(n, top, P)[1][N], table.p(n), P), *_ball_thm3(n, N, C, P))
 
     for n in range(first, last + 1):
-        for N, C, start in thresholds:
-            if start <= n <= start + THM3_SPAN:
-                enclosed = max(_ball_decide(functools.partial(signs, n, N, C), bits)) < 0
-                yield None if enclosed else f"T3 enclosure fails at n={n}, N={N}, C={C}"
+        pairs = [(N, C) for N, C, start in thresholds if start <= n <= start + THM3_SPAN]
+        top = max((N for N, _ in pairs), default=0)
+        bits = _start(n, top)
+        for N, C in pairs:
+            enclosed = max(_ball_decide(functools.partial(signs, n, N, C, top), bits)) < 0
+            yield None if enclosed else f"T3 enclosure fails at n={n}, N={N}, C={C}"
 
 
 def _gf(order: int, digits: int):

@@ -180,7 +180,7 @@ def test_remainder_near_tie_is_decided_after_one_escalation():
     normalized = 4 * mp.sqrt(3) * n * _table().p(n) * mp.exp(-mp.pi * mp.sqrt(mp.mpf(2 * n) / 3))
     true = mp.ldexp(normalized - mp.fsum(values[m] / mp.mpf(n) ** (mp.mpf(m) / 2) for m in range(N)), bits)
     p = _table().p(n)
-    middle, radius = expansion._ball_remainder(n, N, p, bits)
+    middle, radius = expansion._ball_remainder(n, expansion._ball_sum(n, N, bits), p, bits)
     target = int(mp.nint(mp.ldexp(middle + true, bits - 1)))  # at 2^-2P
     assert abs(true - middle) > 0.25 and middle << bits != target
     holds = true < mp.ldexp(target, -bits)
@@ -189,7 +189,7 @@ def test_remainder_near_tie_is_decided_after_one_escalation():
 
     def signs(P):
         scales.append(P)
-        return [precision._ball_sign(expansion._ball_remainder(n, N, p, P), precision._ball_scale((target, 0), 1, 1 << 2 * bits - P))]
+        return [precision._ball_sign(expansion._ball_remainder(n, expansion._ball_sum(n, N, P), p, P), precision._ball_scale((target, 0), 1, 1 << 2 * bits - P))]
 
     assert precision._ball_decide(signs, bits) == [-1 if holds else 1]
     assert scales == [bits, 2 * bits]
@@ -220,7 +220,7 @@ def test_printed_route_agrees_with_the_balls(digits):
         E = expansion._ball_error_term(n, bits)
         assert _inside(exp_error_term(n, ctx), E, bits, ctx)
         assert _inside(full_sum(n, ctx), expansion._ball_sum(n, None, bits), bits, ctx)
-        assert _inside(r_hat(n, _table(), ctx), expansion._ball_remainder(n, None, p, bits), bits, ctx)
+        assert _inside(r_hat(n, _table(), ctx), expansion._ball_remainder(n, expansion._ball_sum(n, None, bits), p, bits), bits, ctx)
         for N in ORDERS:
             term, envelope = expansion._ball_term(n, N, bits), coefficients._ball_envelope(N, (24 * n) ** N, bits)
             for report, above in ((thm1_bounds(n, N, ctx), term), (thm2_bounds(n, N, ctx), envelope)):
@@ -231,7 +231,7 @@ def test_printed_route_agrees_with_the_balls(digits):
                     report, (lower, upper) = thm3_bounds(n, N, C, ctx), bounds._ball_thm3(n, N, C, bits)
                     assert _inside(report.lower, lower, bits, ctx) and _inside(report.upper, upper, bits, ctx), (n, N)
             row = remainder_exact(n, N, _table(), ctx, include_theta=True)
-            assert _inside(row.remainder, expansion._ball_remainder(n, N, p, bits), bits, ctx), (n, N)
+            assert _inside(row.remainder, expansion._ball_remainder(n, expansion._ball_sum(n, N, bits), p, bits), bits, ctx), (n, N)
             assert _inside(row.partial_sum, expansion._ball_sum(n, N, bits), bits, ctx), (n, N)
             assert _inside(row.prefactor, expansion._ball_prefactor(n, bits), bits, ctx), (n, N)
             scale = precision._ball_bits(ctx.digits) + max(expansion._decay_bits(n), N * (24 * n).bit_length() // 2)

@@ -419,7 +419,7 @@ def _plain_values(n, p, ctx):
 
 
 def _clear_memo():
-    for cache in (expansion._ball_per_n, expansion._ball_normalized, expansion._ball_prefactor, expansion._ball_sum, expansion._ball_term):
+    for cache in (expansion._ball_per_n, expansion._ball_normalized, expansion._ball_prefactor, expansion._ball_sum, expansion._ball_pass):
         cache.cache_clear()
 
 
@@ -526,14 +526,14 @@ def test_memo_is_bit_identical_to_the_plain_formulas():
 
 def test_per_n_caches_are_bounded():
     # every cache the module defines is bounded: the one exp per n and
-    # scale, P(n) and the prefactor formed from it, the Horner passes and
-    # the terms per (n, N, scale), and the sums' constants per scale
+    # scale, P(n) and the prefactor formed from it, the sums per (n, N,
+    # scale) and the passes of terms and partial sums per (n, K, scale)
     cached = {
         name: value.cache_info().maxsize
         for name, value in vars(expansion).items()
         if hasattr(value, "cache_info") and value.__module__ == expansion.__name__
     }
-    assert cached == {"_ball_per_n": 4, "_ball_normalized": 4, "_ball_prefactor": 4, "_ball_sum": 32, "_ball_term": 32, "_ball_context": 16}
+    assert cached == {"_ball_per_n": 4, "_ball_normalized": 4, "_ball_prefactor": 4, "_ball_sum": 32, "_ball_pass": 4}
 
 
 def test_invalid_n_is_not_memoized(ctx80, table):
@@ -564,13 +564,13 @@ def test_invalid_n_is_not_memoized(ctx80, table):
                 text = f"n must be positive, got {n}"
             else:
                 continue  # a function of n alone has no N to reject
-            before = [cache.cache_info() for cache in (expansion._ball_per_n, expansion._ball_sum, expansion._ball_term)]
+            before = [cache.cache_info() for cache in (expansion._ball_per_n, expansion._ball_sum, expansion._ball_pass)]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DomainError) as caught:
                     function(**{key: arguments[key] for key in params if key in arguments})
             assert str(caught.value) == text, (name, n, N)
-            assert [cache.cache_info() for cache in (expansion._ball_per_n, expansion._ball_sum, expansion._ball_term)] == before, (name, n, N)
+            assert [cache.cache_info() for cache in (expansion._ball_per_n, expansion._ball_sum, expansion._ball_pass)] == before, (name, n, N)
 
 
 def test_normalized_partition_is_kept_per_p(ctx80, table):

@@ -182,7 +182,7 @@ def test_ball_decisions_read_no_mpmath_reals():
     ]
     names = {function.name for function in functions}
     assert {*sweeps, *(name for group in printed.values() for name in group), "_ball_exp", "_ball_pi", "_ball_sqrt", "_ball_decide", "_ball_round"} <= names, names
-    assert {"_ball_c", "_ball_amplitude", "_ball_amplitude_root", "_ball_envelope", "_ball_per_n", "_ball_sum", "_ball_term", "_ball_thm3", "_ball_comparison", "_ball_remainder", "_ball_theta", "_ball_prefactor"} <= names
+    assert {"_ball_c", "_ball_amplitude", "_ball_amplitude_root", "_ball_envelope", "_ball_per_n", "_ball_pass", "_ball_sum", "_ball_term", "_ball_thm3", "_ball_comparison", "_ball_remainder", "_ball_theta", "_ball_prefactor"} <= names
     assert {"_ball_gf", "_ball_g", "_ball_darboux", "_ball_asymptotic"} <= names
     assert {"nu", "_constant", "_ball_nu_exists", "_ball_nu_signs", "_ball_ln", "_ball_w_argument", "_ball_nstr", "_ball_log", "_icbrt"} <= names
     reads = [

@@ -328,7 +328,7 @@ BALL_DIGITS = (30, 80, 500)
 
 def _ball_scales(digits):
     """The ball scales of these digit counts, each with its digits as id, and lemma 3's coarser start scale."""
-    lemma3 = verify._LEMMA3_BITS
+    lemma3 = verify._START_BITS
     return [*(pytest.param(precision._ball_bits(d), id=str(d)) for d in digits), pytest.param(lemma3, id=f"{lemma3}-bits")]
 
 
@@ -405,7 +405,7 @@ def test_ball_exp_encloses_every_point_of_its_argument(bits):
 
 
 def test_ball_arithmetic_encloses_every_combination():
-    for bits in (verify._LEMMA3_BITS, 301):
+    for bits in (verify._START_BITS, 301):
         mp = _reference(bits)
         a, b = (7 << bits, 5), (-(3 << bits) + 12345, 9)
         c = (math.isqrt(2 << 2 * bits), 1)

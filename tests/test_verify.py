@@ -74,14 +74,15 @@ def test_run_suite_dispatch():
 
 
 def test_driver_stops_at_first_counterexample(monkeypatch):
-    original = verify._ball_term
+    original = verify._ball_pass
 
-    def broken(n, N, bits):
-        if (n, N) == (3, 5):
-            return (-1 << bits, 0)  # a first omitted term of -1 lifts the odd-N lower end to 1 - E(3)
-        return original(n, N, bits)
+    def broken(n, K, bits):
+        terms, sums = original(n, K, bits)
+        if n == 3:  # a first omitted term of -1 at N = 5 lifts the odd-N lower end to 1 - E(3)
+            terms = (*terms[:5], (-1 << bits, 0), *terms[6:])
+        return terms, sums
 
-    monkeypatch.setattr(verify, "_ball_term", broken)
+    monkeypatch.setattr(verify, "_ball_pass", broken)
     result = run_suite("thm1", n_max=5)
     assert not result.ok
     assert result.checked == 2 * 13 + 6  # n = 1, 2 in full, then N = 0..5 at n = 3
@@ -156,7 +157,7 @@ def test_lemma3_exp_count(monkeypatch):
 
 
 def test_lemma3_starts_at_one_scale_whatever_the_digits(monkeypatch):
-    # every group starts at _LEMMA3_BITS, the r_hat group at n that many bits
+    # every group starts at _START_BITS, the r_hat group at n that many bits
     # below E(n), at every digit count, and none is redone at twice the scale
     groups = []
     original = verify._ball_decide
@@ -172,9 +173,38 @@ def test_lemma3_starts_at_one_scale_whatever_the_digits(monkeypatch):
 
     monkeypatch.setattr(verify, "_ball_decide", recording)
     for n_max, checked in ((150, 7142), (500, 7492), (2000, 8992)):
-        residuals = [verify._LEMMA3_BITS + expansion._decay_bits(n) for n in range(1, n_max + 1)]
+        residuals = [verify._START_BITS + expansion._decay_bits(n) for n in range(1, n_max + 1)]
         for digits in (30, 80, 300):
             groups.clear()
             assert run_suite("lemma3", n_max=n_max, digits=digits) == verify.VerifyResult("lemma3", checked, True)
-            assert [scales[0] for scales in groups] == residuals + [verify._LEMMA3_BITS] * (len(groups) - n_max)
+            assert [scales[0] for scales in groups] == residuals + [verify._START_BITS] * (len(groups) - n_max)
             assert all(len(scales) == 1 for scales in groups), (n_max, digits)
+
+
+def test_enclosure_sweeps_start_at_the_remainders_size_whatever_the_digits(monkeypatch):
+    # thm1, thm2 and thm3 start every group at n _START_BITS below the
+    # smallest term checked there, not at the digits' scale: the same
+    # verdicts, counts and start scales at 30, 80 and 300 digits, and at
+    # their default grids no group is formed past its start scale
+    groups = []
+    original = verify._ball_decide
+
+    def recording(signs, bits):
+        groups.append([])
+
+        def at(P):
+            groups[-1].append(P)
+            return signs(P)
+
+        return original(at, bits)
+
+    monkeypatch.setattr(verify, "_ball_decide", recording)
+    starts = {"thm1": [verify._start(n, verify.ENCLOSURE_N_MAX) for n in range(1, 501) for _ in range(13)]}
+    starts["thm2"] = starts["thm1"]
+    for digits in (30, 80, 300):
+        for suite, checked in (("thm1", 6500), ("thm2", 6500), ("thm3", 1005)):
+            groups.clear()
+            assert run_suite(suite, digits=digits) == verify.VerifyResult(suite, checked, True)
+            assert all(len(scales) == 1 for scales in groups), (suite, digits)
+            assert [scales[0] for scales in groups] == starts.setdefault(suite, [scales[0] for scales in groups]), (suite, digits)
+    assert min(starts["thm3"]) > verify._START_BITS and len(starts["thm3"]) == 1005
