@@ -280,12 +280,12 @@ def thm3_bounds(n: int, N: int, C, ctx: PrecisionContext) -> BoundsReport:
 
 
 def _ball_thm3(n: int, N: int, C, bits: int) -> tuple:
-    """The balls (lower, upper) of the T3 enclosure at scale 2^-bits, for a rational C > 0.
+    """The balls (lower, upper) of the T3 enclosure at scale 2^-bits, for a Fraction C > 0 (see ``_constant``).
 
     The algebraic part C sqrt((N+1)/(24n)^N) is one root ball of
     C^2 (N+1) / (24n)^N, and the envelope shares the integer (24n)^N.
     """
-    power, C = (24 * n) ** N, _constant(C)
+    power = (24 * n) ** N
     algebraic = _ball_sqrt(C.numerator**2 * (N + 1), bits, C.denominator**2 * power)
     return _ball_enclosure(N, algebraic, _ball_add(algebraic, _ball_envelope(N, power, bits)))
 

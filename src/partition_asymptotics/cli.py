@@ -149,7 +149,7 @@ def _obtain_table(n_needed: int, cache_path: str | None):
 # subcommands: each imports the modules it uses.  Every printed real is a
 # ball rounded once, so each command that prints one takes the renderer's
 # context at ``--digits``, which ``run`` has checked; nu and verify print
-# integers and verdicts, and take the digit count alone.  None loads mpmath
+# integers and verdicts, which no digit count changes.  None loads mpmath
 # ---------------------------------------------------------------------------
 
 
@@ -269,7 +269,7 @@ def cmd_table(args) -> list:
 def cmd_verify(args) -> tuple[list, int]:
     from .verify import run_suite
 
-    result = run_suite(args.suite, n_max=args.n_max, m_max=args.m_max, digits=args.digits)
+    result = run_suite(args.suite, n_max=args.n_max, m_max=args.m_max)
     record = {
         "suite": result.suite,
         "checked": str(result.checked),

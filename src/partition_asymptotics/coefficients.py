@@ -44,13 +44,13 @@ coarser scale, against the powers of a u in (0, 1] by Horner on integers,
 and its result is proved to lie within 3N units of the sum of the first N
 terms at that scale.
 
-Comparisons.  ``certified_abs_less`` decides |c_m| < |c_other| from the
-same integers: |c_m| lies in the ball |W_m| +- e_m at scale 2^-P, and two
-balls are compared exactly; ``_ratio_within_cap`` decides lemma 1's step
-ratio |c_m / c_(m-1)| against its cap on the same balls, and
+Comparisons.  ``certified_abs_less`` decides |c_m| < |c_other| on the
+balls of ``_ball_c``, compared exactly; ``_ratio_within_cap`` decides lemma
+1's step ratio |c_m / c_(m-1)| against its cap on the same balls, and
 ``_within_envelope`` lemma 2's |c_m| < envelope, with the envelope's ball at
-the source's scale.  Each is one ``_ball_decide`` group (``_certified``): while
-the balls overlap, the source is rebuilt for the digits of twice the scale.
+their scale.  Each is one ``_ball_decide`` group (``_certified``) that starts
+_START_BITS below the size of the last |c_k| it reads, whatever the source
+holds; only ``_coefficients`` reads the source itself.
 
 Envelope.  Lemma 2's bound on |c_m| is one ball, ``_ball_envelope``, which
 T2, T3, lemma2 and thm2 decide on; ``coeff_bound`` is it, and
@@ -66,9 +66,10 @@ import math
 import threading
 from math import comb
 
-from .errors import MIN_DIGITS, DomainError, ResourceError
+from .errors import DomainError, ResourceError
 from .precision import (
     _BALL_GUARD,
+    _START_BITS,
     PrecisionContext,
     _ball_add,
     _ball_bits,
@@ -250,19 +251,21 @@ def coeff_c(m: int, ctx: PrecisionContext):
     return _round_envelope(m, ctx, lambda _, bits: _ball_c(m, bits))
 
 
-def _ball_c(m: int, bits: int) -> tuple:
+def _ball_c(m: int, bits: int, top: int | None = None) -> tuple:
     """c_m as a ball at scale 2^-bits: the source's (W_m, e_m), floored from its scale 2^-Q by ``_ball_scale``.
 
-    The source is asked for the digits that c_m (about sqrt(m+1) / sqrt(24)^m) needs relative to its size,
-    d = ``_ball_digits(bits - s)``, s = ``_root_below(m + 1, 24^m)``: the context's digits at the scale
-    ``_round_envelope`` starts from.  Q > bits: the source holds D >= d digits at Q >= (d + 10 + G) log2 10 + 4,
-    G >= ``_guard_digits(M)`` its guard digits, M >= m (see ``_attempt``), and bits - s - _BALL_GUARD <=
-    (d + 3/2) log2 10 (``_ball_digits``), so Q - bits >= (G + 17/2) log2 10 - 28 - s > G log2 10 - s.  Each
-    ``_growth`` bound on rho_k exceeds sqrt(24) (the least, at k = 0, is about 4.99), so G log2 10 >=
-    (m - 2) log2 sqrt(24) + 6 log2 10 > s + 15, as s <= m log2 sqrt(24).  Flooring by 2^(Q-bits) moves the
-    midpoint by under 1 and divides the radius: the radius is floor(e_m / 2^(Q-bits)) + 2.
+    The source is asked for c_0..c_t, t = top (m when None, else at least m), and for the digits that c_t
+    (about sqrt(t+1) / sqrt(24)^t) needs relative to its size, d = ``_ball_digits(bits - s)``, s =
+    ``_root_below(t + 1, 24^t)``: the context's digits at the scale ``_round_envelope`` starts from.  Q > bits:
+    the source holds D >= d digits at Q >= (d + 10 + G) log2 10 + 4, G >= ``_guard_digits(M)`` its guard digits,
+    M >= t (see ``_attempt``), and bits - s - _BALL_GUARD <= (d + 3/2) log2 10 (``_ball_digits``), so Q - bits >=
+    (G + 17/2) log2 10 - 28 - s > G log2 10 - s.  Each ``_growth`` bound on rho_k exceeds sqrt(24) (the least, at
+    k = 0, is about 4.99), so G log2 10 >= (t - 2) log2 sqrt(24) + 6 log2 10 > s + 15, as s <= t log2 sqrt(24).
+    Flooring by 2^(Q-bits) moves the midpoint by under 1 and divides the radius: the radius is
+    floor(e_m / 2^(Q-bits)) + 2.  Every c_k with k <= t is read from the one request for c_t's digits.
     """
-    _, source_bits, values, radii = _coefficients(m, _ball_digits(bits - _root_below(m + 1, 24**m)))
+    top = m if top is None else top
+    _, source_bits, values, radii = _coefficients(top, _ball_digits(bits - _root_below(top + 1, 24**top)))
     return _ball_scale((values[m], radii[m]), 1, 1 << source_bits - bits)
 
 
@@ -388,69 +391,54 @@ def _ball_darboux(m: int, bits: int) -> tuple:
     return _ball_scale(ball, (-1) ** m * (2 * m + 1) * comb(2 * m, m), 2 << 2 * m)
 
 
-@functools.lru_cache(maxsize=None)
-def _certified_start(held: int) -> tuple:
-    """(d, P) for a source that holds ``held`` digits: d = max(held, MIN_DIGITS), and P = ``_ball_bits(d)``."""
-    digits = max(held, MIN_DIGITS)
-    return digits, _ball_bits(digits)
-
-
 def _certified(top: int, balls, what: str) -> bool:
-    """Whether lhs < rhs for the balls (lhs, rhs) = balls(Q, W, e) from the source's integers for c_0..c_top at its scale 2^-Q.
+    """Whether lhs < rhs for the balls (lhs, rhs) = balls(P, c) at scale 2^-P, c(k) the ball of |c_k| for k <= top.
 
-    One ``_ball_decide`` group from (d, P) = ``_certified_start``, formed once per digit count the source
-    holds: at P it reads the source for d digits, and at each doubled scale for ``_ball_digits`` of it, so the
-    source is rebuilt only while the balls overlap.
+    One ``_ball_decide`` group from P = _START_BITS + ``_root_below(top + 1, 24^top)``, _START_BITS below
+    the size of c_top, whatever the source holds.  c(k) is the absolute value of ``_ball_c(k, P, top)``, so
+    each scale reads the source for c_top's digits once, and the source is rebuilt only while the balls overlap.
     """
-    digits, start = _certified_start(_source[0])
 
     def signs(P):
-        _, bits, values, radii = _coefficients(top, digits if P == start else _ball_digits(P))
-        return [_ball_sign(*balls(bits, values, radii))]
+        def c(k):
+            middle, radius = _ball_c(k, P, top)
+            return abs(middle), radius
 
-    return _ball_decide(signs, start, what)[0] < 0
+        return [_ball_sign(*balls(P, c))]
+
+    return _ball_decide(signs, _START_BITS + _root_below(top + 1, 24**top), what)[0] < 0
 
 
 def certified_abs_less(m: int, other: int) -> bool:
-    """Decide |c_m| < |c_other| exactly: 2^P |c_k| lies in the ball (|W_k|, e_k) of the source's integers at scale 2^-P."""
+    """Decide |c_m| < |c_other| exactly, on the balls of |c_m| and |c_other| that ``_certified`` reads."""
     if min(m, other) < 0:
         raise DomainError(f"m must be nonnegative, got {m if m < 0 else other}")
     if m == other:
         return False
     what = f"the comparison of |c_{m}| and |c_{other}|"
-    return _certified(max(m, other), lambda _, W, e: ((abs(W[m]), e[m]), (abs(W[other]), e[other])), what)
+    return _certified(max(m, other), lambda _, c: (c(m), c(other)), what)
 
 
 def _ratio_within_cap(m: int) -> bool:
     """Decide |c_m / c_(m-1)| < cap for m >= 2: pi / (8 sqrt(6)) for even m, (pi/6 + 12/pi) / (4 sqrt(6)) for odd m.
 
     Cleared of denominators, 8 sqrt(6) |c_m| < pi |c_(m-1)| and 24 sqrt(6) pi |c_m| < (pi^2 + 72) |c_(m-1)|,
-    on the balls (|W_k|, e_k), ``_ball_pi(P)`` and ``_ball_sqrt(6, P)`` at the source's scale 2^-P.
+    on the balls of |c_m| and |c_(m-1)| that ``_certified`` reads, ``_ball_pi(P)`` and ``_ball_sqrt(6, P)``,
+    all at one scale 2^-P.
     """
 
-    def balls(bits, W, e):
-        half_turn, root6, c, previous = _ball_pi(bits), _ball_sqrt(6, bits), (abs(W[m]), e[m]), (abs(W[m - 1]), e[m - 1])
+    def balls(bits, c):
+        half_turn, root6, current, previous = _ball_pi(bits), _ball_sqrt(6, bits), c(m), c(m - 1)
         if m % 2 == 0:
-            return _ball_scale(_ball_mul(root6, c, bits), 8), _ball_mul(half_turn, previous, bits)
-        lhs = _ball_scale(_ball_mul(half_turn, _ball_mul(root6, c, bits), bits), 24)
+            return _ball_scale(_ball_mul(root6, current, bits), 8), _ball_mul(half_turn, previous, bits)
+        lhs = _ball_scale(_ball_mul(half_turn, _ball_mul(root6, current, bits), bits), 24)
         return lhs, _ball_mul(_ball_add(_ball_mul(half_turn, half_turn, bits), (72 << bits, 0)), previous, bits)
 
     return _certified(m, balls, f"the cap on |c_{m}/c_{m - 1}|")
 
 
 def _within_envelope(m: int) -> bool:
-    """Decide |c_m| < its envelope, lemma 2's bound, on the source's ball (|W_m|, e_m) and ``_ball_envelope(m, 24^m, .)``.
-
-    Both are taken at the scale 2^-(P-s), s = max(bitlen(W_m) - K, 0) with
-    K = bitlen(W_M) - bitlen(e_M) for the source's last entry M: the ball
-    of |c_m|, floored there by ``_ball_scale``, keeps about the K bits
-    relative to its size that W_M holds, at least (D + 10) log2 10 (see
-    ``_attempt``), and the envelope's root is formed no finer.
-    """
+    """Decide |c_m| < its envelope, lemma 2's bound, on the ball of |c_m| that ``_certified`` reads and
+    ``_ball_envelope(m, 24^m, .)``, both at one scale 2^-P."""
     power = 24**m
-
-    def balls(bits, W, e):
-        shift = max(abs(W[m]).bit_length() - abs(W[-1]).bit_length() + e[-1].bit_length(), 0)
-        return _ball_scale((abs(W[m]), e[m]), 1, 1 << shift), _ball_envelope(m, power, bits - shift)
-
-    return _certified(m, balls, f"the envelope bound on |c_{m}|")
+    return _certified(m, lambda bits, c: (c(m), _ball_envelope(m, power, bits)), f"the envelope bound on |c_{m}|")

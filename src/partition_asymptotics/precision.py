@@ -229,6 +229,11 @@ def _pi_enclosure(digits: int) -> tuple[int, int, int]:
 # an undecided comparison is redone at.
 _BALL_GUARD = 32
 _BALL_MAX_BITS = 1 << 14
+# The bits below their values' size at which the sweeps' groups start, whatever
+# the digits.  Their claims are about fixed reals whose relative margins are far
+# wider than 2^-64: the narrowest in lemmas 1 to 3, lemma 2's central binomial
+# inequality at m = 3000, is about 3.5e-9.
+_START_BITS = 64
 
 
 def _root_below(num: int, den: int) -> int:

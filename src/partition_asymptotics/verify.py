@@ -8,18 +8,19 @@ the test suite runs the same sweeps through pytest.
 
 The lemma3, thm1, thm2 and thm3 sweeps decide every claim on integer balls
 (see ``precision``), formed per n from one exp: the same balls the printed
-bounds and remainders are rounded from.  Their claims are about fixed reals,
-so each group starts _START_BITS below its values' size whatever the digits:
-lemma3's at _START_BITS, thm1's, thm2's and thm3's at n that many bits below
-the smallest term checked there, all of whose terms and partial sums come
-from one ``_ball_pass``.  ``_ball_decide`` doubles the scale of any group
-still undecided.  lemma1 decides its step ratios, and
+bounds and remainders are rounded from.  lemma1 decides its step ratios, and
 lemma2 each |c_m| against its envelope, on the coefficient source's
 integers; lemma2's central binomial inequality is decided on a ball of pi.
 gf and asymptotics compare balls of g_m = sqrt(24)^m c_m: gf the source's
 with those of the explicit expansion in ``series`` (a consistency check of
 two enclosures, not a proof of equality), asymptotics the source's with the
-leading and the dominant-singularity approximants.
+leading and the dominant-singularity approximants.  The claims are about
+fixed reals, so no sweep takes digits: each group starts _START_BITS below
+its values' size (thm1's, thm2's and thm3's at n below the smallest term
+checked there, read from one ``_ball_pass``; lemma1's and lemma2's below
+|c_m|, see ``coefficients._certified``), and ``_ball_decide`` doubles the
+scale of any still undecided.  gf, an overlap test that a coarser scale
+weakens, forms its balls at one fixed scale, _GF_BITS.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
-from .bounds import _ball_exponential, _ball_thm3, nu
+from .bounds import _ball_exponential, _ball_thm3, _constant, nu
 from .coefficients import (
     _ball_asymptotic,
     _ball_darboux,
@@ -41,14 +42,16 @@ from .coefficients import (
     _within_envelope,
     certified_abs_less,
 )
-from .errors import DomainError, _check_digits
+from .errors import DomainError
 from .expansion import _ball_error_term, _ball_pass, _ball_remainder, _ball_sum, _decay_bits
 from .partitions import partition_dp_row, partition_pentagonal
 from .precision import (
+    _START_BITS,
     _ball_add,
     _ball_bits,
     _ball_cbrt2,
     _ball_decide,
+    _ball_digits,
     _ball_div,
     _ball_exp,
     _ball_mul,
@@ -63,11 +66,8 @@ from .series import _ball_gf
 
 # the enclosure sweeps check every N in 0..ENCLOSURE_N_MAX at each n
 ENCLOSURE_N_MAX = 12
-# The bits below their values' size at which the lemma3, thm1, thm2 and thm3
-# groups start, whatever the digits.  Their claims are about fixed reals whose
-# relative margins are far wider than 2^-64: the narrowest in lemma 3, the
-# decrease of the simple bracket at n = 5000, is about 1e-5.
-_START_BITS = 64
+# the one scale of the gf sweep's balls, the ball scale of 60 digits
+_GF_BITS = _ball_bits(60)
 
 
 class VerifyResult(NamedTuple):
@@ -77,13 +77,13 @@ class VerifyResult(NamedTuple):
     counterexample: Optional[str] = None
 
 
-def _lemma1(m_max: int, digits: int):
+def _lemma1(m_max: int):
     """|c_m| strictly decreasing and step ratios bounded (both certified), signs alternating.
 
     |c_1/c_0| is the odd cap itself, as g_0 = 1 and g_1 = -(a/2 + 1/a): an identity no rounding can decide.
     The sign of c_m is that of the source's W_m, which is certified: |W_m| exceeds its radius.
     """
-    values = _coefficients(m_max, digits)[2]  # the last index first, so the coefficient source grows once
+    values = _coefficients(m_max, _ball_digits(_START_BITS))[2]  # the last index first, at the start's digits
     for m in range(1, m_max + 1):
         if not certified_abs_less(m, m - 1):
             yield f"|c_{m}| >= |c_{m - 1}|"
@@ -104,14 +104,15 @@ def _weierstrass_holds(factorials: list, m: int, k: int) -> bool:
     return factorials[m] ** 2 * (m + 1) >= rhs_numerator * factorials[m - k] * factorials[m + k]
 
 
-def _lemma2(m_max: int, digits: int):
+def _lemma2(m_max: int):
     """|c_m| below its envelope, plus the two inequalities its proof rests on, each decided on balls or integers.
 
     The central binomial inequality binom(2m, m) sqrt(pi (m + 1/4)) < 4^m is
-    squared into binom(2m, m)^2 pi (4m+1) < 4 * 16^m, on one ``_ball_pi``.
+    squared into binom(2m, m)^2 pi (4m+1) < 4 * 16^m, on one ``_ball_pi``
+    from _START_BITS below 1.
     """
-    bits, binom = _ball_bits(digits), 1  # binom(2m, m), updated incrementally
-    _coefficients(m_max, digits)  # the last index first, so the coefficient source grows once
+    binom = 1  # binom(2m, m), updated incrementally
+    _coefficients(m_max, _ball_digits(_START_BITS))  # the last index first, at the start's digits
 
     def central(m, square, P):
         return [_ball_sign(_ball_scale(_ball_pi(P), square * (4 * m + 1)), (1 << 4 * m + 2 + P, 0))]
@@ -121,7 +122,7 @@ def _lemma2(m_max: int, digits: int):
             binom = binom * (2 * m) * (2 * m - 1) // (m * m)
         if not _within_envelope(m):
             yield f"|c_{m}| exceeds its bound"
-        elif _ball_decide(functools.partial(central, m, binom * binom), bits)[0] > 0:
+        elif _ball_decide(functools.partial(central, m, binom * binom), _START_BITS)[0] > 0:
             yield f"central binomial inequality fails at m={m}"
         else:
             yield None
@@ -173,11 +174,11 @@ def _lemma3_chain(n: int, bits: int, full: bool = True) -> tuple:
     return r, mu, decay, simple, bracket
 
 
-def _lemma3(n_max: int, _digits):
+def _lemma3(n_max: int):
     """|r_hat(n)| <= exp(-(pi/2) sqrt(2n/3)), envelope shape, and proof chain.
 
-    Every claim is decided on integer balls from the ``precision`` helpers,
-    whatever the digits: each group of comparisons starts at _START_BITS, or
+    Every claim is decided on integer balls from the ``precision`` helpers:
+    each group of comparisons starts at _START_BITS, or
     at that many bits below E(n) for r_hat(n), is redone at twice the scale
     while undecided, and raises PrecisionError past the widest.  A sign of -1
     means the claim holds.
@@ -259,7 +260,7 @@ def _start(n: int, N: int) -> int:
     return _START_BITS + _root_below(N + 1, (24 * n) ** N)
 
 
-def _thm1(n_max: int, _digits):
+def _thm1(n_max: int):
     """Strict enclosure of the exact remainder by the T1 interval, decided on balls."""
     table = partition_pentagonal(n_max)
 
@@ -274,7 +275,7 @@ def _thm1(n_max: int, _digits):
             yield None if enclosed else f"T1 enclosure fails at n={n}, N={N}"
 
 
-def _thm2(n_max: int, _digits):
+def _thm2(n_max: int):
     """Strict T2 enclosure plus nesting, decided on balls.
 
     The T1 and T2 intervals share their E(n) parts, so T1 sits inside T2
@@ -310,42 +311,42 @@ THM3_REFERENCE_PAIRS = (
 THM3_SPAN = 200
 
 
-def _thm3(_size, _digits):
+def _thm3(_size):
     """T3 enclosure from each reference threshold up through threshold + THM3_SPAN, decided on balls.
 
     The sweep visits each n once and checks there every pair whose range
-    covers it, on one pass of sums up to the largest N among them.
+    covers it, on one pass of sums up to the largest N among them.  Each
+    reference constant is parsed once, into the Fraction the balls take.
     """
-    thresholds = [(N, C, max(nu(N, C), 1)) for N, C in THM3_REFERENCE_PAIRS]
-    first = min(start for _, _, start in thresholds)
-    last = max(start for _, _, start in thresholds) + THM3_SPAN
+    thresholds = [(N, C, _constant(C), max(nu(N, C), 1)) for N, C in THM3_REFERENCE_PAIRS]
+    first = min(start for *_, start in thresholds)
+    last = max(start for *_, start in thresholds) + THM3_SPAN
     table = partition_pentagonal(last)
 
-    def signs(n, N, C, top, P):
-        return _inside(_ball_remainder(n, _ball_pass(n, top, P)[1][N], table.p(n), P), *_ball_thm3(n, N, C, P))
+    def signs(n, N, exact, top, P):
+        return _inside(_ball_remainder(n, _ball_pass(n, top, P)[1][N], table.p(n), P), *_ball_thm3(n, N, exact, P))
 
     for n in range(first, last + 1):
-        pairs = [(N, C) for N, C, start in thresholds if start <= n <= start + THM3_SPAN]
-        top = max((N for N, _ in pairs), default=0)
+        pairs = [(N, C, exact) for N, C, exact, start in thresholds if start <= n <= start + THM3_SPAN]
+        top = max((N for N, *_ in pairs), default=0)
         bits = _start(n, top)
-        for N, C in pairs:
-            enclosed = max(_ball_decide(functools.partial(signs, n, N, C, top), bits)) < 0
+        for N, C, exact in pairs:
+            enclosed = max(_ball_decide(functools.partial(signs, n, N, exact, top), bits)) < 0
             yield None if enclosed else f"T3 enclosure fails at n={n}, N={N}, C={C}"
 
 
-def _gf(order: int, digits: int):
-    """The explicit expansion's ball of each g_m = sqrt(24)^m c_m overlaps the coefficient source's.
+def _gf(order: int):
+    """The explicit expansion's ball of each g_m = sqrt(24)^m c_m overlaps the coefficient source's, both at 2^-_GF_BITS.
 
     Both balls hold g_m, so disjoint balls prove a defect in one of the two routes.
     """
-    bits = _ball_bits(digits)
     # the last index first: it checks order against the coefficient cap, and the source grows once
-    source = [_ball_g(m, bits) for m in reversed(range(order + 1))][::-1]
-    for m, ball in enumerate(_ball_gf(order, bits)):
+    source = [_ball_g(m, _GF_BITS) for m in reversed(range(order + 1))][::-1]
+    for m, ball in enumerate(_ball_gf(order, _GF_BITS)):
         yield None if _ball_sign(ball, source[m]) == 0 else f"generating-function ball disjoint from the source's at m={m}"
 
 
-def _asymptotics(_size, digits: int):
+def _asymptotics(_size):
     """Large-m behaviour: the leading and the dominant-singularity approximants converge onto g_m, decided on balls.
 
     With s = (-1)^m, an approximant x_m within |x_m| / k of g_m is
@@ -356,10 +357,10 @@ def _asymptotics(_size, digits: int):
     m = 50 is |x_300 - y_300| |y_50| < |x_50 - y_50| |y_300|, and the same
     check holds for the odd pair 51 and 301.  An approximant of the wrong
     sign at odd m deviates by about 2 at both, slightly less at 301, so the
-    bound at m = 301 is what sees it.
+    bound at m = 301 is what sees it.  Every group starts at _START_BITS:
+    the g_m compared are of size about 1 to 35.
     """
-    bits = _ball_bits(digits)
-    _ball_g(400, bits)  # the last index first, so the coefficient source grows once
+    _ball_g(400, _START_BITS)  # the last index first, so the coefficient source grows once
 
     def leading(m, P):
         return _ball_asymptotic(m, 1, P)
@@ -380,7 +381,7 @@ def _asymptotics(_size, digits: int):
         return signs
 
     def holds(signs, *args):
-        return max(_ball_decide(functools.partial(signs, *args), bits)) < 0
+        return max(_ball_decide(functools.partial(signs, *args), _START_BITS)) < 0
 
     yield None if holds(closer, _ball_g, leading) else "leading-order deviation not smaller at m=300, 301 than m=50, 51"
     yield None if holds(within, leading, 300, 20) else "leading-order deviation at m=300 not below 0.05"
@@ -392,7 +393,7 @@ def _asymptotics(_size, digits: int):
         yield None if holds(within, leading, m, 100) else f"deviation at even m={m} not below 0.01"
 
 
-def _oracle(n_max: int, _digits):
+def _oracle(n_max: int):
     """Pentagonal-recurrence values equal part-counting DP values."""
     table = partition_pentagonal(n_max)
     oracle = partition_dp_row(n_max)
@@ -400,46 +401,39 @@ def _oracle(n_max: int, _digits):
         yield None if table.p(n) == oracle[n] else f"p({n}) differs between the two algorithms"
 
 
-# name -> (sweep, grid argument of run_suite or None, default grid size, default digits)
+# name -> (sweep, grid argument of run_suite or None, default grid size)
 SUITES = {
-    "lemma1": (_lemma1, "m_max", 400, 50),
-    "lemma2": (_lemma2, "m_max", 400, 80),
-    "lemma3": (_lemma3, "n_max", 500, 80),
-    "thm1": (_thm1, "n_max", 500, 80),
-    "thm2": (_thm2, "n_max", 500, 80),
-    "thm3": (_thm3, None, None, 80),
-    "gf": (_gf, "m_max", 100, 60),
-    "asymptotics": (_asymptotics, None, None, 80),
-    "oracle": (_oracle, "n_max", 2000, 80),
+    "lemma1": (_lemma1, "m_max", 400),
+    "lemma2": (_lemma2, "m_max", 400),
+    "lemma3": (_lemma3, "n_max", 500),
+    "thm1": (_thm1, "n_max", 500),
+    "thm2": (_thm2, "n_max", 500),
+    "thm3": (_thm3, None, None),
+    "gf": (_gf, "m_max", 100),
+    "asymptotics": (_asymptotics, None, None),
+    "oracle": (_oracle, "n_max", 2000),
 }
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(
-    name: str,
-    n_max: Optional[int] = None,
-    m_max: Optional[int] = None,
-    digits: Optional[int] = None,
-) -> VerifyResult:
-    """Run a named suite at its default grid size and digits unless overridden.
+def run_suite(name: str, n_max: Optional[int] = None, m_max: Optional[int] = None) -> VerifyResult:
+    """Run a named suite at its default grid size unless overridden.
 
     ``n_max`` or ``m_max`` resizes the suites whose grid it names and is
     ignored by the others; only ``None`` selects the default.  A negative
-    size, an unknown name or digits that ``_check_digits`` refuses raise
-    DomainError.  The result counts every check made, up to and including the first that fails.
+    size or an unknown name raises DomainError.  The verdict depends on the
+    grid alone.  The result counts every check made, up to and including the first that fails.
     """
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}")
-    sweep, grid, default, default_digits = SUITES[name]
-    digits = default_digits if digits is None else digits
-    _check_digits(digits)
+    sweep, grid, default = SUITES[name]
     size = {"n_max": n_max, "m_max": m_max}.get(grid)
     if size is None:
         size = default
     elif size < 0:
         raise DomainError(f"{grid} must be nonnegative, got {size}")
     checked = 0
-    for checked, counterexample in enumerate(sweep(size, digits), 1):
+    for checked, counterexample in enumerate(sweep(size), 1):
         if counterexample is not None:
             return VerifyResult(name, checked, False, counterexample)
     return VerifyResult(name, checked, True)

@@ -141,7 +141,7 @@ def test_criterion_04_quartic_corollary(ctx80, table):
 
 def test_criterion_05_t1_enclosure_sweep():
     started = time.monotonic()
-    result = run_suite("thm1", n_max=500, digits=80)
+    result = run_suite("thm1", n_max=500)
     elapsed = time.monotonic() - started
     ok = result.ok and result.checked == 6500 and elapsed < 120
     detail = f"{result.checked} cases, {elapsed:.1f}s"
@@ -151,7 +151,7 @@ def test_criterion_05_t1_enclosure_sweep():
 
 
 def test_criterion_06_t2_enclosure_and_nesting():
-    result = run_suite("thm2", n_max=500, digits=80)
+    result = run_suite("thm2", n_max=500)
     ok = result.ok and result.checked == 6500
     assert _report("6 T2 enclosure and nesting", ok, result.counterexample or "")
 
@@ -163,19 +163,19 @@ def test_criterion_07_coefficients_decreasing_certified():
 
 
 def test_criterion_08_coefficient_bound():
-    result = run_suite("lemma2", m_max=400, digits=80)
+    result = run_suite("lemma2", m_max=400)
     ok = result.ok and result.checked == 20702
     assert _report("8 coefficient envelope", ok, result.counterexample or "")
 
 
 def test_criterion_09_residual_envelope():
-    result = run_suite("lemma3", n_max=500, digits=80)
+    result = run_suite("lemma3", n_max=500)
     ok = result.ok and result.checked == 7492
     assert _report("9 residual envelope and brackets", ok, result.counterexample or "")
 
 
 def test_criterion_10_generating_function():
-    result = run_suite("gf", m_max=100, digits=60)
+    result = run_suite("gf", m_max=100)
     # each m: the explicit expansion's ball of g_m overlaps the coefficient source's
     deviation_ok = result.ok and result.checked == 101
     assert _report("10 generating-function identity", deviation_ok, result.counterexample or "")
@@ -232,6 +232,6 @@ def test_criterion_13_tail_mediant_identity(ctx80, table):
 
 def test_criterion_bonus_t3_threshold_sweeps():
     # T3 enclosure from each reference threshold upward (supports criteria 2-4)
-    result = run_suite("thm3", digits=80)
+    result = run_suite("thm3")
     ok = result.ok and result.checked == 1005
     assert _report("T3 threshold sweeps", ok, result.counterexample or "")

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -237,9 +238,13 @@ def test_verify_exit_code():
     assert "ok = true" in out
 
 
-def test_digits_gates():
+def test_digits_gates(capsys):
     status, _ = invoke("--digits", "29", "partition", "5")
     assert status == 2
+    # verify's verdicts do not read the digits, but the one gate still refuses them
+    status, out = invoke("--digits", "29", "verify", "oracle", "--n-max", "10")
+    assert (status, out) == (2, "")
+    assert "error: digits must be an integer >= 30, got 29" in capsys.readouterr().err
     status, _ = invoke("--digits", "45", "table1")
     assert status == 2
     status, _ = invoke("--digits", "45", "table2")
@@ -368,6 +373,8 @@ def test_public_surface():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
     assert tuple(suite.choices) == verify.SUITE_NAMES
+    # a sweep's verdict depends on its grid alone, so run_suite takes no digits
+    assert list(inspect.signature(partition_asymptotics.run_suite).parameters) == ["name", "n_max", "m_max"]
 
 
 def _rounded(x, k):

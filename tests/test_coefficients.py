@@ -434,11 +434,15 @@ def test_range_readers_grow_the_source_once(monkeypatch, builds, ctx80, table):
 
 
 def test_lemma1_decides_its_ratios_on_the_source_as_built(monkeypatch, builds):
-    # at lemma1's 50 digits the source is built once, for 50 digits at 2^-1655, and no ratio escalates
-    _cold_source(monkeypatch)
-    assert verify.run_suite("lemma1", m_max=200).ok
-    assert builds == [(200, 50, coefficients._guard_digits(200))]
-    assert coefficients._source[:2] == (50, 1655)
+    # at any --digits the source is built once, for the 9 digits of every
+    # comparison's start scale, at 2^-1519, and no ratio escalates
+    assert precision._ball_digits(precision._START_BITS) == 9
+    for digits in ("30", "50"):
+        _cold_source(monkeypatch)
+        builds.clear()
+        assert cli.run(["--digits", digits, "verify", "lemma1", "--m-max", "200"], stream=io.StringIO()) == 0
+        assert builds == [(200, 9, coefficients._guard_digits(200))]
+        assert coefficients._source[:2] == (9, 1519)
 
 
 def test_step_ratio_decided_on_the_source(monkeypatch):
@@ -467,14 +471,17 @@ def test_envelope_decided_on_the_source(monkeypatch):
         assert not coefficients._within_envelope(m), m
 
 
-@pytest.mark.parametrize("digits, scale", ((30, 3416), (31, 3419), (80, 3582)))
-def test_lemma2_decides_on_the_source_as_built(monkeypatch, builds, digits, scale):
+@pytest.mark.parametrize("digits", (30, 31, 80))
+def test_lemma2_decides_on_the_source_as_built(monkeypatch, builds, digits):
     # every bound and central binomial check decides on the source built for
-    # lemma2's digits, at the first scale: one build, and no rebuild
+    # the digits of the bounds' start scale, whatever --digits, at the first
+    # scale: one build, and no rebuild
     _cold_source(monkeypatch)
-    assert verify.run_suite("lemma2", digits=digits) == verify.VerifyResult("lemma2", 20702, True)
-    assert builds == [(400, digits, coefficients._guard_digits(400))]
-    assert coefficients._source[:2] == (digits, scale)
+    stream = io.StringIO()
+    assert cli.run(["--digits", str(digits), "verify", "lemma2"], stream=stream) == 0
+    assert "checked = 20702" in stream.getvalue()
+    assert builds == [(400, 9, coefficients._guard_digits(400))]
+    assert coefficients._source[:2] == (9, 3346)
 
 
 def test_negative_m_rejected(ctx80, monkeypatch):
@@ -510,7 +517,8 @@ def test_certified_comparison_consecutive_without_escalation(monkeypatch, builds
     assert certified_abs_less(400, 399)  # the last index first, as lemma1 asks for it
     for m in range(1, 400):
         assert certified_abs_less(m, m - 1), m
-    assert builds == [(400, 30, coefficients._guard_digits(400))]
+    # every comparison starts _START_BITS below |c_m|, where 9 digits serve
+    assert builds == [(400, 9, coefficients._guard_digits(400))]
 
 
 def test_certified_comparison_escalates(monkeypatch, builds):
@@ -527,9 +535,16 @@ def test_certified_comparison_escalates(monkeypatch, builds):
         monkeypatch.setattr(coefficients, "_source", (held, bits, tuple(tied), radii))
         builds.clear()
         assert certified_abs_less(m, other) == _oracle_abs_less(m, other), (m, other)
-        # one _ball_decide group: the rebuild is for the digits of twice the scale of the digits held
-        rebuilt = precision._ball_digits(2 * precision._ball_bits(held))
-        assert [digits for _, digits, _ in builds] == [rebuilt] and rebuilt > 2 * held, (m, other)
+        # one _ball_decide group from _START_BITS below |c_top|, top = max(m, other): the tampered balls,
+        # floored, overlap at every doubled scale that the digits held serve, and the one rebuild is for
+        # the digits of the first scale past them, grown by the source's factor
+        top = max(m, other)
+        below = precision._root_below(top + 1, 24**top)
+        scale = precision._START_BITS + below
+        while precision._ball_digits(scale - below) <= held:
+            scale *= 2
+        rebuilt = max(precision._ball_digits(scale - below), math.ceil(coefficients._SOURCE_GROWTH * held))
+        assert [digits for _, digits, _ in builds] == [rebuilt] and rebuilt > held, (m, other)
 
 
 def test_coeff_c_escalates_when_the_source_sits_past_a_rounding_boundary(monkeypatch, builds):
@@ -563,17 +578,19 @@ def test_certified_comparison_undecided_raises(monkeypatch):
     built = []
 
     def tied(size, digits, guard):
-        # every value is the ball 1 +- 1, so no two of them separate
+        # every value is the ball 1 +- 1, at a scale finer than any asked, so no two of them separate
         built.append(digits)
-        return 0, (1,) * (size + 1), (1,) * (size + 1)
+        return 2048, (1 << 2048,) * (size + 1), (1 << 2048,) * (size + 1)
 
     monkeypatch.setattr(coefficients, "_attempt", tied)
     monkeypatch.setattr(precision, "_BALL_MAX_BITS", 700)
     _cold_source(monkeypatch)
     with pytest.raises(PrecisionError, match=r"^the comparison of \|c_3\| and \|c_2\| is undecided at 700 bits$"):
         certified_abs_less(3, 2)
-    # from the 135-bit scale of 30 digits, doubled up to the widest scale
-    assert built == [precision._ball_digits(bits) for bits in (135, 270, 540, 700)] == [30, 71, 152, 200]
+    # from _START_BITS below |c_3|, 2^-69, doubled up to the widest scale; each scale asks for the digits
+    # _START_BITS past its root_below(4, 24^3) = 5 bits
+    assert precision._START_BITS + precision._root_below(4, 24**3) == 69
+    assert built == [precision._ball_digits(bits - 5) for bits in (69, 138, 276, 552, 700)] == [9, 29, 71, 154, 199]
 
 
 def test_source_values_within_their_radius(monkeypatch):

@@ -69,6 +69,7 @@ def test_coefficient_root_and_amplitude_balls_enclose_their_values(digits):
     values = _closed_form(40, bits)
     for m in (*ORDERS, 25, 40):
         _assert_encloses(coefficients._ball_c(m, bits), bits, values[m])
+        _assert_encloses(coefficients._ball_c(m, bits, 40), bits, values[m])  # read for c_40's digits
     base = 6 * mp.sqrt(2) / mp.pi ** mp.mpf(1.5)
     for m, amplitude in ((0, base * mp.sinh(mp.pi / 6)), (1, base * mp.cosh(mp.pi / 6)), (12, base * mp.sinh(mp.pi / 6))):
         ball = coefficients._ball_amplitude(m, bits)
@@ -228,7 +229,7 @@ def test_printed_route_agrees_with_the_balls(digits):
                 assert _inside(report.lower, lower, bits, ctx) and _inside(report.upper, upper, bits, ctx), (n, N)
             for pair_N, C in verify.THM3_REFERENCE_PAIRS:
                 if pair_N == N and n >= nu(N, C):
-                    report, (lower, upper) = thm3_bounds(n, N, C, ctx), bounds._ball_thm3(n, N, C, bits)
+                    report, (lower, upper) = thm3_bounds(n, N, C, ctx), bounds._ball_thm3(n, N, Fraction(C), bits)
                     assert _inside(report.lower, lower, bits, ctx) and _inside(report.upper, upper, bits, ctx), (n, N)
             row = remainder_exact(n, N, _table(), ctx, include_theta=True)
             assert _inside(row.remainder, expansion._ball_remainder(n, expansion._ball_sum(n, N, bits), p, bits), bits, ctx), (n, N)

@@ -231,3 +231,20 @@ def test_only_precision_makes_a_returned_real():
             if isinstance(node, ast.Name) and node.id == "PrecisionContext" and id(node) not in annotated
         ]
         assert not named, f"{stem} names PrecisionContext outside annotations (lines {named})"
+
+
+def test_only_the_source_builder_reads_the_coefficient_source():
+    # every reader asks coefficients._coefficients for the terms and digits it
+    # needs, and nothing else reads the process-wide coefficients._source: so
+    # no verdict depends on what an earlier call happened to build
+    reads = []
+    for path in MODULES:
+        tree = _tree(path)
+        builder = next((node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_coefficients"), None)
+        allowed = {id(node) for node in ast.walk(builder)} if path.stem == "coefficients" and builder else set()
+        for node in ast.walk(tree):
+            bare = path.stem == "coefficients" and isinstance(node, ast.Name) and node.id == "_source" and not isinstance(node.ctx, ast.Store)
+            named = (isinstance(node, ast.Attribute) and node.attr == "_source") or (isinstance(node, ast.alias) and node.name == "_source")
+            if (bare or named) and id(node) not in allowed:
+                reads.append(f"{path.name}: line {node.lineno}")
+    assert not reads, f"the coefficient source is read outside _coefficients: {', '.join(reads)}"

@@ -1,8 +1,40 @@
 """Smoke runs of the verification sweeps at reduced sizes, and the sweep driver."""
 
+import io
+import json
+
 import pytest
 
-from partition_asymptotics import DomainError, coefficients, expansion, run_suite, verify
+from partition_asymptotics import DomainError, bounds, cli, coefficients, expansion, run_suite, verify
+
+
+def _verify_at(digits, suite, *grid):
+    """The result that ``verify suite`` prints at ``--digits``, through the CLI, as a VerifyResult."""
+    stream = io.StringIO()
+    status = cli.run(["--digits", str(digits), "--format", "json", "verify", suite, *grid], stream=stream)
+    record = json.loads(stream.getvalue())
+    result = verify.VerifyResult(record["suite"], int(record["checked"]), record["ok"] == "true", record["counterexample"] or None)
+    assert status == (0 if result.ok else 1)
+    return result
+
+
+def _recording(monkeypatch, *modules):
+    """The scales of every ``_ball_decide`` group the modules form, one list per group, in order."""
+    groups = []
+    original = verify._ball_decide
+
+    def recording(signs, bits, *what):
+        groups.append([])
+
+        def at(P):
+            groups[-1].append(P)
+            return signs(P)
+
+        return original(at, bits, *what)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_ball_decide", recording)
+    return groups
 
 
 def test_lemma1_small():
@@ -15,30 +47,30 @@ def test_lemma1_settles_the_equal_first_ratio_at_every_digit_count():
     # |c_1/c_0| is the odd cap itself, so rounded values decided it by a coin
     # flip: they failed it at 30, 32 and 81 digits and passed it at 50
     for digits in (30, 32, 50, 81):
-        assert run_suite("lemma1", digits=digits) == verify.VerifyResult("lemma1", 400, True)
+        assert _verify_at(digits, "lemma1") == verify.VerifyResult("lemma1", 400, True)
 
 
 def test_lemma2_small():
-    result = run_suite("lemma2", m_max=60, digits=80)
+    result = run_suite("lemma2", m_max=60)
     assert result.ok
 
 
 def test_thm1_small():
-    result = run_suite("thm1", n_max=60, digits=80)
+    result = run_suite("thm1", n_max=60)
     assert result.ok
     assert result.checked == 60 * 13
 
 
 def test_thm2_small():
-    assert run_suite("thm2", n_max=60, digits=80).ok
+    assert run_suite("thm2", n_max=60).ok
 
 
 def test_gf_small():
-    assert run_suite("gf", m_max=40, digits=60).ok
+    assert run_suite("gf", m_max=40).ok
 
 
 def test_asymptotics():
-    result = run_suite("asymptotics", digits=80)
+    result = run_suite("asymptotics")
     assert result.ok
     assert result.checked == 255
 
@@ -57,6 +89,24 @@ def test_asymptotics_suite_fails_on_an_odd_approximant_of_the_wrong_sign(monkeyp
     assert result.counterexample == "approximant deviation not smaller at m=300, 301 than m=50, 51, or not below 0.05 at m=301"
 
 
+def test_thm3_parses_each_reference_constant_once(monkeypatch):
+    # nu parses its constant once per pair, and the sweep once per pair when
+    # it builds its thresholds; the balls take the Fraction
+    calls = 0
+    original = bounds._constant
+
+    def counting(C):
+        nonlocal calls
+        calls += 1
+        return original(C)
+
+    for module in (bounds, verify):
+        monkeypatch.setattr(module, "_constant", counting)
+    bounds.nu.cache_clear()
+    assert run_suite("thm3") == verify.VerifyResult("thm3", 1005, True)
+    assert calls <= 2 * len(verify.THM3_REFERENCE_PAIRS) == 10
+
+
 def test_oracle_small():
     result = run_suite("oracle", n_max=400)
     assert result.ok
@@ -68,9 +118,6 @@ def test_run_suite_dispatch():
     assert result.suite == "oracle" and result.ok
     with pytest.raises(DomainError):
         run_suite("nonsense")
-    for digits in (29, 80.0):  # the one digits gate, as PrecisionContext and the CLI apply it
-        with pytest.raises(DomainError, match="digits must be an integer >= 30"):
-            run_suite("oracle", n_max=10, digits=digits)
 
 
 def test_driver_stops_at_first_counterexample(monkeypatch):
@@ -91,13 +138,13 @@ def test_driver_stops_at_first_counterexample(monkeypatch):
 
 def test_grid_overrides_apply_only_to_their_suites():
     # n_max does not resize an m_max suite, nor m_max an n_max suite
-    assert run_suite("gf", n_max=5, digits=80).checked == 101
+    assert run_suite("gf", n_max=5).checked == 101
     assert run_suite("oracle", m_max=5).checked == 2001
 
 
 def test_grid_size_zero_is_honoured_and_negative_rejected():
     assert run_suite("oracle", n_max=0).checked == 1
-    assert run_suite("thm1", n_max=0, digits=80) == verify.VerifyResult("thm1", 0, True)
+    assert run_suite("thm1", n_max=0) == verify.VerifyResult("thm1", 0, True)
     with pytest.raises(DomainError):
         run_suite("oracle", n_max=-1)
     with pytest.raises(DomainError):
@@ -111,7 +158,7 @@ def test_grid_size_zero_is_honoured_and_negative_rejected():
 def test_low_digit_enclosure_sweeps_decide(digits, suite, checked):
     # at 30 digits the mpf remainder kept under 10 digits at n=141, N=4, and
     # at 40 digits at n=1026, N=10; the balls decide every check
-    assert run_suite(suite, digits=digits) == verify.VerifyResult(suite, checked, True)
+    assert _verify_at(digits, suite) == verify.VerifyResult(suite, checked, True)
 
 
 def test_perfbench_grids_decide_without_escalation(monkeypatch):
@@ -152,31 +199,19 @@ def test_lemma3_exp_count(monkeypatch):
     for module in (verify, expansion):
         monkeypatch.setattr(module, "_ball_exp", counting)
     expansion._ball_per_n.cache_clear()
-    assert run_suite("lemma3", n_max=150, digits=80) == verify.VerifyResult("lemma3", 7142, True)
+    assert run_suite("lemma3", n_max=150) == verify.VerifyResult("lemma3", 7142, True)
     assert calls == 5000 + 1 + 1000 + 1 + 150
 
 
 def test_lemma3_starts_at_one_scale_whatever_the_digits(monkeypatch):
     # every group starts at _START_BITS, the r_hat group at n that many bits
     # below E(n), at every digit count, and none is redone at twice the scale
-    groups = []
-    original = verify._ball_decide
-
-    def recording(signs, bits):
-        groups.append([])
-
-        def at(P):
-            groups[-1].append(P)
-            return signs(P)
-
-        return original(at, bits)
-
-    monkeypatch.setattr(verify, "_ball_decide", recording)
+    groups = _recording(monkeypatch, verify)
     for n_max, checked in ((150, 7142), (500, 7492), (2000, 8992)):
         residuals = [verify._START_BITS + expansion._decay_bits(n) for n in range(1, n_max + 1)]
         for digits in (30, 80, 300):
             groups.clear()
-            assert run_suite("lemma3", n_max=n_max, digits=digits) == verify.VerifyResult("lemma3", checked, True)
+            assert _verify_at(digits, "lemma3", "--n-max", str(n_max)) == verify.VerifyResult("lemma3", checked, True)
             assert [scales[0] for scales in groups] == residuals + [verify._START_BITS] * (len(groups) - n_max)
             assert all(len(scales) == 1 for scales in groups), (n_max, digits)
 
@@ -186,25 +221,43 @@ def test_enclosure_sweeps_start_at_the_remainders_size_whatever_the_digits(monke
     # smallest term checked there, not at the digits' scale: the same
     # verdicts, counts and start scales at 30, 80 and 300 digits, and at
     # their default grids no group is formed past its start scale
-    groups = []
-    original = verify._ball_decide
-
-    def recording(signs, bits):
-        groups.append([])
-
-        def at(P):
-            groups[-1].append(P)
-            return signs(P)
-
-        return original(at, bits)
-
-    monkeypatch.setattr(verify, "_ball_decide", recording)
+    groups = _recording(monkeypatch, verify)
     starts = {"thm1": [verify._start(n, verify.ENCLOSURE_N_MAX) for n in range(1, 501) for _ in range(13)]}
     starts["thm2"] = starts["thm1"]
     for digits in (30, 80, 300):
         for suite, checked in (("thm1", 6500), ("thm2", 6500), ("thm3", 1005)):
             groups.clear()
-            assert run_suite(suite, digits=digits) == verify.VerifyResult(suite, checked, True)
+            assert _verify_at(digits, suite) == verify.VerifyResult(suite, checked, True)
             assert all(len(scales) == 1 for scales in groups), (suite, digits)
             assert [scales[0] for scales in groups] == starts.setdefault(suite, [scales[0] for scales in groups]), (suite, digits)
     assert min(starts["thm3"]) > verify._START_BITS and len(starts["thm3"]) == 1005
+
+
+def test_coefficient_sweeps_start_at_their_values_size_whatever_the_source_holds(monkeypatch):
+    # lemma1 and lemma2 start every comparison _START_BITS below the size of
+    # the last |c_m| it reads, lemma2's central binomial and asymptotics'
+    # groups at _START_BITS, and gf forms its balls at one fixed scale: the
+    # same verdicts, counts and scales at 30, 80 and 300 digits and after the
+    # source was built for 1500 digits, and no group formed past its start
+    groups = _recording(monkeypatch, verify, coefficients)
+    gf_scales = []
+    for name in ("_ball_gf", "_ball_g"):
+        original = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda m, bits, original=original: gf_scales.append(bits) or original(m, bits))
+    monkeypatch.setattr(coefficients, "_source", coefficients._source)  # restored after the test
+    results = (("lemma1", 400), ("lemma2", 20702), ("gf", 101), ("asymptotics", 255))
+    starts = {}
+    for run in (30, 80, 300, "built"):
+        if run == "built":
+            coefficients._coefficients(400, 1500)
+        for suite, checked in results:
+            groups.clear()
+            gf_scales.clear()
+            assert _verify_at(80 if run == "built" else run, suite) == verify.VerifyResult(suite, checked, True)
+            assert all(len(scales) == 1 for scales in groups), (suite, run)
+            seen = [scales[0] for scales in groups] + gf_scales
+            assert seen == starts.setdefault(suite, seen), (suite, run)
+    sizes = [verify._START_BITS + verify._root_below(m + 1, 24**m) for m in range(1, 401)]
+    assert starts["lemma1"] == [sizes[0], *(size for size in sizes[1:] for _ in range(2))]
+    assert starts["lemma2"] == [scale for size in [verify._START_BITS, *sizes] for scale in (size, verify._START_BITS)]
+    assert starts["gf"] == [verify._GF_BITS] * 102 and set(starts["asymptotics"]) == {verify._START_BITS}
