@@ -334,7 +334,7 @@ def _ball_comparison(n: int, N: int, bits: int) -> tuple:
 
 
 def __getattr__(name: str):
-    # nu no longer calls lambert_w_minus1; perfbench's tracer test reads its binding here (ROADMAP item 9)
+    # nu no longer calls lambert_w_minus1; perfbench's tracer test reads its binding here (ROADMAP item 1)
     if name == "lambert_w_minus1":
         from .precision import lambert_w_minus1
 

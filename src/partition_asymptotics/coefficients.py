@@ -252,7 +252,7 @@ def coeff_c(m: int, ctx: PrecisionContext):
 
 
 def _ball_c(m: int, bits: int, top: int | None = None) -> tuple:
-    """c_m as a ball at scale 2^-bits: the source's (W_m, e_m), floored from its scale 2^-Q by ``_ball_scale``.
+    """c_m as a ball at scale 2^-bits: the source's (W_m, e_m), floored from its scale 2^-Q by a right shift.
 
     The source is asked for c_0..c_t, t = top (m when None, else at least m), and for the digits that c_t
     (about sqrt(t+1) / sqrt(24)^t) needs relative to its size, d = ``_ball_digits(bits - s)``, s =
@@ -262,24 +262,29 @@ def _ball_c(m: int, bits: int, top: int | None = None) -> tuple:
     (G + 17/2) log2 10 - 28 - s > G log2 10 - s.  Each ``_growth`` bound on rho_k exceeds sqrt(24) (the least, at
     k = 0, is about 4.99), so G log2 10 >= (t - 2) log2 sqrt(24) + 6 log2 10 > s + 15, as s <= t log2 sqrt(24).
     Flooring by 2^(Q-bits) moves the midpoint by under 1 and divides the radius: the radius is
-    floor(e_m / 2^(Q-bits)) + 2.  Every c_k with k <= t is read from the one request for c_t's digits.
+    floor(e_m / 2^(Q-bits)) + 2, as in ``_ball_scale``.  Every c_k with k <= t is read from the one request for
+    c_t's digits.
     """
     top = m if top is None else top
     _, source_bits, values, radii = _coefficients(top, _ball_digits(bits - _root_below(top + 1, 24**top)))
-    return _ball_scale((values[m], radii[m]), 1, 1 << source_bits - bits)
+    shift = source_bits - bits
+    return values[m] >> shift, (radii[m] >> shift) + 2
 
 
 def _ball_g(m: int, bits: int) -> tuple:
-    """g_m = sqrt(24)^m c_m as a ball at scale 2^-bits: the source's (W_m, e_m) times 24^j, times sqrt(24) for m = 2j+1.
+    """g_m = sqrt(24)^m c_m as a ball at scale 2^-bits, formed at the finer scale 2^-w, w = bits + bitlen(24^j) + 3.
 
-    Both factors are taken at the source's scale 2^-Q, 24^j exactly and sqrt(24) as ``_ball_sqrt(24, Q)``,
-    and the product is floored to 2^-bits as in ``_ball_c``.
+    c_m is ``_ball_c(m, w)``, times 24^j exactly (``_ball_scale``) and, for m = 2j+1, times ``_ball_sqrt(24, w)``
+    (``_ball_mul``); the product is floored to 2^-bits by ``_ball_scale``, and each helper proves its radius.  As
+    2^(w-bits) > 8 * 24^j, the floor takes c_m's radius, grown by 24^j (and sqrt(24)), below 5/8 of what it was.
+    Nothing depends on the source's scale.
     """
-    _, source_bits, values, radii = _coefficients(m, _ball_digits(bits))
-    ball = _ball_scale((values[m], radii[m]), 24 ** (m // 2))
+    power = 24 ** (m // 2)
+    width = bits + power.bit_length() + 3
+    ball = _ball_scale(_ball_c(m, width), power)
     if m % 2:
-        ball = _ball_mul(_ball_sqrt(24, source_bits), ball, source_bits)
-    return _ball_scale(ball, 1, 1 << source_bits - bits)
+        ball = _ball_mul(_ball_sqrt(24, width), ball, width)
+    return _ball_scale(ball, 1, 1 << width - bits)
 
 
 # Bits of the scale finer than the one asked at which ``_amplitude`` forms its ball.

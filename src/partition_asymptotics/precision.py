@@ -11,12 +11,13 @@ whose ``value`` holds that raw float and nothing else.
 
 Balls.  A ball (M, e) at scale 2^-P is a pair of integers, e >= 0, that
 stands for every real x with |2^P x - M| <= e.  The ``_ball_*`` helpers form
-roots, pi, ln 2, 2^(1/3), e^-y and ln y as balls from integer arithmetic alone,
-and combine balls so that the result encloses every combination of the
-reals the operands enclose; each docstring proves its radius.  e^-y, about
-2^-k, runs its Taylor series (two terms per multiplication, split into
-even and odd powers) and its squarings only at the scale 2^-(P - k) its
-result needs, plus guard bits, and needs no series below 2^-P.  A comparison
+roots, pi, ln 2, 2^(1/3), e^-y and ln y as balls from integer arithmetic alone
+(pi by Machin's arctangents and ln 2 as 2 atanh(1/3), both from one series of
+exact floors, ``_odd_series``), and combine balls so that the result encloses
+every combination of the reals the operands enclose; each docstring proves
+its radius.  e^-y, about 2^-k, runs its Taylor series (two terms per
+multiplication, split into even and odd powers) and its squarings only at the
+scale 2^-(P - k) its result needs, plus guard bits, and needs no series below 2^-P.  A comparison
 of two balls holds, fails or is undecided, and ``_ball_decide`` redoes an
 undecided one at twice the scale, up to _BALL_MAX_BITS, so rounding never
 decides a near-tie the wrong way.  Every value the toolkit prints from a
@@ -193,38 +194,6 @@ def lambert_w_minus1(x, ctx: PrecisionContext):
     return ctx.real(hi.lambertw(x, -1))
 
 
-def _pi_enclosure(digits: int) -> tuple[int, int, int]:
-    """Rational enclosure lo / den < pi < hi / den with (hi - lo) / den < 10^-digits, as integers (lo, hi, den).
-
-    Machin's identity pi = 16*arctan(1/5) - 4*arctan(1/239), with each arctan
-    bracketed by consecutive partial sums of its alternating series.  Entirely
-    integer arithmetic, so the enclosure is independent of any float library;
-    the fractions are left unreduced, as their one reader takes a floor.
-    """
-
-    def arctan_inv_bounds(q: int) -> tuple[int, int, int]:
-        # partial sums of sum_k (-1)^k / ((2k+1) q^(2k+1)) alternate around the
-        # limit; stop at the first even k whose term is below 10^-(digits+4)
-        # from below the stop: with t = log_q(target), 2k+1 <= t - log_q(t + 2) has (2k+1) q^(2k+1) <= target
-        target, t = 10 ** (digits + 4), (digits + 4) * math.log(10) / math.log(q)
-        k = max(0, int((t - math.log(t + 2) / math.log(q) - 1) / 2) - 1)  # one k lower for the doubles
-        power = q ** (2 * k + 1)
-        while k % 2 or (2 * k + 1) * power <= target:
-            k, power = k + 1, power * q * q
-        # over the common denominator lcm(1, 3, ..., 2k+1) * q^(2k+1) the first
-        # k terms sum to s (Horner in q^2), and the pending term k is lcm / (2k+1);
-        # it is positive, so s undershoots and s + term overshoots
-        lcm, square = math.lcm(*range(1, 2 * k + 2, 2)), q * q
-        s = 0
-        for j in range(k):
-            s = (s + (lcm // (2 * j + 1) if j % 2 == 0 else -(lcm // (2 * j + 1)))) * square
-        return s, s + lcm // (2 * k + 1), lcm * power
-
-    a_lo, a_hi, a_den = arctan_inv_bounds(5)
-    b_lo, b_hi, b_den = arctan_inv_bounds(239)
-    return 16 * a_lo * b_den - 4 * b_hi * a_den, 16 * a_hi * b_den - 4 * b_lo * a_den, a_den * b_den
-
-
 # Bits of a ball's scale beyond the context's precision, and the widest scale
 # an undecided comparison is redone at.
 _BALL_GUARD = 32
@@ -297,36 +266,60 @@ def _held(form):
     return ball
 
 
+def _odd_series(width: int, q: int, sign: int) -> tuple:
+    """(S, J): S = sum_{j<J} sign^j floor(t_j / (2j+1)), t_0 = floor(2^width / q), t_j = floor(t_(j-1) / q^2),
+    J the first j with t_j = 0, for an integer q >= 3 and sign 1 or -1.
+
+    As floor(floor(x / a) / b) = floor(x / (a b)) for integers a, b >= 1,
+    t_j = floor(2^width / q^(2j+1)) and each summand is the floor of its true
+    term T_j = 2^width / ((2j+1) q^(2j+1)), so under it by less than 1.  J is
+    the first j with q^(2j+1) > 2^width, so T_J < 1, and the terms decrease
+    with ratios under 1/q^2 <= 1/9.  With sign 1 the series is
+    2^width atanh(1/q): every floor and the tail from J on, under (9/8) T_J,
+    fall short of it, so 0 <= 2^width atanh(1/q) - S < J + 9/8.  With sign -1
+    it is 2^width arctan(1/q): the ceil(J/2) floors of even j fall short, the
+    floor(J/2) of odd j overshoot, each by less than 1, and the alternating
+    tail is under T_J < 1 in size, so |2^width arctan(1/q) - S| < ceil(J/2) + 1.
+    """
+    total, odd, term, square, factor = 0, 1, (1 << width) // q, q * q, 1
+    while term:
+        total += factor * (term // odd)
+        odd, term, factor = odd + 2, term // square, factor * sign
+    return total, odd // 2
+
+
 @_held
 def _ball_pi(bits: int) -> int:
-    """pi: L = floor(2^bits lo) for the enclosure lo < pi < hi of ``_pi_enclosure``.
+    """pi: L, from Machin's pi = 16 arctan(1/5) - 4 arctan(1/239) by ``_odd_series``.
 
-    Its digit count d = ceil(bits log10 2) + 1 gives hi - lo < 10^-d < 2^-bits,
-    so L <= 2^bits lo < 2^bits pi < 2^bits hi < 2^bits lo + 1 < L + 2.
+    At the finer scale 2^-w, w = bits + g with g = bits.bit_length(), the
+    sum A at width w + 4 with q = 5, of J_a terms, is within ceil(J_a/2) + 1
+    of 2^w 16 arctan(1/5), and B at width w + 2 with q = 239, of J_b terms,
+    within ceil(J_b/2) + 1 of 2^w 4 arctan(1/239): D = A - B has
+    |D - 2^w pi| < E = ceil(J_a/2) + ceil(J_b/2) + 2.  As q^(2J-1) <= 2^width,
+    J_a <= (w+4)/(2 log2 5) + 1/2 and J_b <= (w+2)/(2 log2 239) + 1/2, so
+    2E <= J_a + J_b + 6 < (w+2)/3.5 + 8 <= bits + 1 <= 2^g for bits >= 16.
+    L = floor((D - E) / 2^g) has 2^g L <= D - E < 2^w pi, and
+    2^w pi < D + E < 2^g (L + 1) + 2E <= 2^g (L + 2): L <= 2^bits pi < L + 2.
     """
-    lo, _, den = _pi_enclosure(math.ceil(bits * math.log10(2)) + 1)
-    return (lo << bits) // den
+    extra = bits.bit_length()
+    width = bits + extra
+    (a, terms_a), (b, terms_b) = _odd_series(width + 4, 5, -1), _odd_series(width + 2, 239, -1)
+    return a - b - (-(-terms_a // 2) - (-terms_b // 2) + 2) >> extra
 
 
 @_held
 def _ball_ln2(bits: int) -> int:
-    """ln 2: L, from ln 2 = 2 atanh(1/3) = sum_{j>=0} 2 / ((2j+1) 3^(2j+1)).
+    """ln 2: L, from ln 2 = 2 atanh(1/3) by ``_odd_series``.
 
-    At the finer scale 2^-w, w = bits + g with g = bits.bit_length(), the sum
-    S of the J floors floor(2^(w+1) / ((2j+1) 3^(2j+1))) over j < J, J the
-    first j with 3^(2j+1) > 2^(w+1) (so J >= 1), loses under 1 per floor, and
-    the tail from J on is below (9/8) 2^(w+1) / ((2J+1) 3^(2J+1)) < 3/8: so
-    S <= 2^w ln 2 < S + J + 1.  J < (w+1)/3 + 1 <= bits < 2^g for bits >= 16,
-    so L = floor(S / 2^g) <= 2^bits ln 2 < (S + J + 1) / 2^g < L + 2.  Each
-    floor is taken as floor(t_j / (2j+1)) with t_j = floor(2^(w+1) / 3^(2j+1))
-    = floor(t_(j-1) / 9), the same integer, by divisions by small integers.
+    At the finer scale 2^-w, w = bits + g with g = bits.bit_length(), the
+    sum S at width w + 1 with q = 3, of J terms, has
+    S <= 2^w ln 2 < S + J + 9/8.  J is the first j with 3^(2j+1) > 2^(w+1),
+    so J < (w+1)/3 + 1 <= bits - 1 < 2^g - 9/8 for bits >= 16, and
+    L = floor(S / 2^g) <= 2^bits ln 2 < (S + J + 9/8) / 2^g < L + 2.
     """
     extra = bits.bit_length()
-    total, odd, term = 0, 1, (1 << bits + extra + 1) // 3  # term = t_j, odd = 2j + 1
-    while term:
-        total += term // odd
-        odd, term = odd + 2, term // 9
-    return total >> extra
+    return _odd_series(bits + extra + 1, 3, 1)[0] >> extra
 
 
 def _icbrt(k: int) -> int:
@@ -348,12 +341,6 @@ def _icbrt(k: int) -> int:
 def _ball_cbrt2(bits: int) -> int:
     """2^(1/3): L = floor(2^bits 2^(1/3)), the integer cube root of 2^(3 bits + 1), so L <= 2^bits 2^(1/3) < L + 1."""
     return _icbrt(2 << 3 * bits)
-
-
-@_held
-def _ball_sqrt2(bits: int) -> int:
-    """sqrt(2): L = floor(2^bits sqrt(2)), the integer square root of 2^(2 bits + 1), so L <= 2^bits sqrt(2) < L + 1."""
-    return math.isqrt(2 << 2 * bits)
 
 
 def _ball_scale(a: tuple, num: int, den: int = 1) -> tuple:

@@ -59,7 +59,6 @@ from .precision import (
     _ball_scale,
     _ball_sign,
     _ball_sqrt,
-    _ball_sqrt2,
     _root_below,
 )
 from .series import _ball_gf
@@ -153,7 +152,7 @@ def _lemma3_chain(n: int, bits: int, full: bool = True) -> tuple:
     inverse = _ball_div(one, mu, bits)
     decay = _ball_exp(_ball_scale(mu, 1, 2), bits)
     square = _ball_mul(mu, mu, bits)
-    sqrt2 = _ball_sqrt2(bits)
+    sqrt2 = _ball_sqrt(2, bits)
     root_half = _ball_scale(sqrt2, 1, 2)
     simple = _ball_add(
         _ball_add(root_half, _ball_scale(inverse, 14)),

@@ -433,6 +433,26 @@ def test_range_readers_grow_the_source_once(monkeypatch, builds, ctx80, table):
         assert len(builds) == 1, read
 
 
+def test_ball_g_is_formed_at_its_own_scale_whatever_the_source_holds(monkeypatch):
+    # g_m's ball reads c_m at 2^-(bits + bitlen(24^j) + 3) and multiplies
+    # there, not at the source's scale: the same balls, with sqrt(24) formed
+    # at that scale, from a cold source and after a 1500-digit build
+    bits = verify._GF_BITS
+    scales = []
+    root = coefficients._ball_sqrt
+    monkeypatch.setattr(coefficients, "_ball_sqrt", lambda num, P, den=1: scales.append(P) or root(num, P, den))
+    expected = [bits + (24 ** (m // 2)).bit_length() + 3 for m in range(1, 101, 2)]
+    balls = []
+    for built in (False, True):
+        _cold_source(monkeypatch)
+        if built:
+            coefficients._coefficients(400, 1500)
+        scales.clear()
+        balls.append([coefficients._ball_g(m, bits) for m in range(100, -1, -1)])
+        assert sorted(scales) == expected, built
+    assert balls[0] == balls[1]
+
+
 def test_lemma1_decides_its_ratios_on_the_source_as_built(monkeypatch, builds):
     # at any --digits the source is built once, for the 9 digits of every
     # comparison's start scale, at 2^-1519, and no ratio escalates

@@ -1,4 +1,4 @@
-"""Context arithmetic, the rational pi enclosure, the Lambert W branch and the integer ball layer."""
+"""Context arithmetic, the pi and ln 2 balls, the Lambert W branch and the integer ball layer."""
 
 import math
 import random
@@ -22,10 +22,10 @@ from partition_asymptotics import (
 
 from helpers import ulp
 
-def pi_enclosure(digits):
-    """The ball layer's rational enclosure of pi as two Fractions."""
-    lo, hi, den = precision._pi_enclosure(digits)
-    return Fraction(lo, den), Fraction(hi, den)
+def pi_enclosure(bits):
+    """The ball (L' + 1, 1) = ``_ball_pi(bits)`` as the enclosure [L', L' + 2] / 2^bits, two Fractions."""
+    middle, radius = precision._ball_pi(bits)
+    return Fraction(middle - radius, 1 << bits), Fraction(middle + radius, 1 << bits)
 
 
 # pi truncated after 50 decimal places (published digits; the next ones are 582...)
@@ -135,26 +135,27 @@ def test_real_rejects_strings_that_are_not_numbers(ctx80):
 
 def test_pi_thirty_digits():
     ctx = PrecisionContext(30)
-    lo, hi = pi_enclosure(30)
+    lo, hi = pi_enclosure(110)
     assert ctx.mp.nstr(ctx.real((lo + hi) / 2), 30) == "3.14159265358979323846264338328"
 
 
 def test_pi_refinement_consistency():
-    # a finer enclosure sits inside a coarser one
-    lo30, hi30 = pi_enclosure(30)
-    lo60, hi60 = pi_enclosure(60)
+    # a finer enclosure sits inside a coarser one: the finer is asked first,
+    # so both are shifts of the one integer held at its width
+    lo60, hi60 = pi_enclosure(201)
+    lo30, hi30 = pi_enclosure(101)
     assert lo30 <= lo60 < hi60 <= hi30
 
 
 def test_pi_sin_is_zero():
     # sin changes sign across the enclosure, so pi lies inside it
     ctx = PrecisionContext(80)
-    lo, hi = pi_enclosure(60)
+    lo, hi = pi_enclosure(201)
     assert ctx.mp.sin(ctx.real(lo)) > 0 > ctx.mp.sin(ctx.real(hi))
 
 
 def test_pi_against_rational_enclosure(ctx80):
-    lo, hi = pi_enclosure(60)
+    lo, hi = pi_enclosure(201)
     assert hi - lo < Fraction(1, 10**60)
     # the enclosure sits inside the window pinned by the known 50-digit prefix
     assert PI_TRUNCATED < lo < hi < PI_TRUNCATED + Fraction(1, 10**50)
@@ -162,31 +163,50 @@ def test_pi_against_rational_enclosure(ctx80):
     assert ctx80.real(lo) <= pi_val <= ctx80.real(hi)
 
 
-def _fraction_pi_enclosure(digits):
-    """Machin's enclosure summed term by term in Fractions, stopping at the
-    first even k whose arctan term is below 10^-(digits+4)."""
-
-    def arctan_inv_bounds(q):
-        target = Fraction(1, 10 ** (digits + 4))
-        s, k, power = Fraction(0), 0, Fraction(1, q)
-        while True:
-            term = power / (2 * k + 1)
-            if term < target and k % 2 == 0:
-                return s, s + term
-            s += term if k % 2 == 0 else -term
-            power /= q * q
-            k += 1
-
-    a_lo, a_hi = arctan_inv_bounds(5)
-    b_lo, b_hi = arctan_inv_bounds(239)
-    return 16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo
-
-
 def test_pi_enclosure_equals_fraction_series():
-    for digits in (3, 30, 86, 122, 230, 1200):
-        lo, hi = pi_enclosure(digits)
-        assert (lo, hi) == _fraction_pi_enclosure(digits), digits
-        assert hi - lo < Fraction(1, 10**digits)
+    # each sum of the kernel is the sum of the floors of its true terms
+    # floor(2^w / ((2j+1) q^(2j+1))), each formed by one division, over the
+    # j with q^(2j+1) <= 2^w.  At 33453 bits only q = 239 is formed so: the
+    # divisions of q = 5 and 3 take seconds there, and the enclosure test
+    # below checks both sums at that width through pi and ln 2
+    for width in (16, 400, 4000, 33453):
+        for q, sign in ((239, -1), *(((5, -1), (3, 1)) if width < 33453 else ())):
+            total, power, j = 0, q, 0
+            while power <= 1 << width:
+                total += sign**j * ((1 << width) // ((2 * j + 1) * power))
+                power, j = power * q * q, j + 1
+            assert precision._odd_series(width, q, sign) == (total, j), (width, q)
+
+
+def test_pi_and_ln2_enclose_their_values_at_every_width():
+    # each form, unheld, gives L <= 2^b c < L + 2 for b in 16..3000 and at
+    # 33453 bits, so ``_held`` makes a ball of radius 1; c irrational, that is
+    # L = floor(2^b c) or one below it.  At every seventh width and at 33453,
+    # pi's L is the docstring's floor((A - B - E) / 2^g)
+    mp = PrecisionContext(10200).mp
+    top = 33600
+    pi, ln2 = (int(mp.floor(mp.ldexp(value, top))) for value in (mp.pi, mp.log(2)))
+    for bits in (*range(16, 3001), 33453):
+        for form, value in ((precision._ball_pi, pi), (precision._ball_ln2, ln2)):
+            assert form.__wrapped__(bits) in (value >> top - bits, (value >> top - bits) - 1), (form.__name__, bits)
+        if bits % 7 != 2 and bits < 33453:
+            continue
+        extra = bits.bit_length()
+        (a, terms_a), (b, terms_b) = (precision._odd_series(bits + extra + lift, q, -1) for lift, q in ((4, 5), (2, 239)))
+        assert precision._ball_pi.__wrapped__(bits) == (a - b - (math.ceil(terms_a / 2) + math.ceil(terms_b / 2) + 2)) >> extra
+
+
+def test_odd_series_is_within_its_proven_error():
+    # 0 <= 2^w atanh(1/q) - S < J + 9/8, and |2^w arctan(1/q) - S| < ceil(J/2) + 1
+    mp = PrecisionContext(1300).mp
+    for width in (16, 17, 100, 1000, 4000):
+        for q in (3, 5, 7, 239):
+            exact = mp.ldexp(mp.atanh(mp.mpf(1) / q), width)
+            total, terms = precision._odd_series(width, q, 1)
+            assert 0 <= exact - total < terms + mp.mpf(9) / 8, (width, q)
+            exact = mp.ldexp(mp.atan(mp.mpf(1) / q), width)
+            total, terms = precision._odd_series(width, q, -1)
+            assert abs(exact - total) < math.ceil(terms / 2) + 1, (width, q)
 
 
 def _hyperbolic_pi_over_six(ctx):
@@ -349,7 +369,6 @@ def test_ball_constants_enclose_their_values(bits):
         (precision._ball_pi(bits), mp.pi, 1),
         (precision._ball_ln2(bits), mp.log(2), 1),
         (precision._ball_cbrt2(bits), mp.cbrt(2), 1),
-        (precision._ball_sqrt2(bits), mp.sqrt(2), 1),
         *((precision._ball_sqrt(k, bits), mp.sqrt(k), int(math.isqrt(k) ** 2 != k)) for k in (0, 1, 2, 23, 24 * 5000, 10**40 + 1, 4**40)),
     ):
         assert _encloses(ball, bits, value, mp), value

@@ -233,6 +233,27 @@ def test_enclosure_sweeps_start_at_the_remainders_size_whatever_the_digits(monke
     assert min(starts["thm3"]) > verify._START_BITS and len(starts["thm3"]) == 1005
 
 
+def test_gf_sees_a_defect_of_two_to_the_minus_100(monkeypatch):
+    # a ball of the explicit expansion moved by about 2^-100 of its value is
+    # disjoint from the source's at gf's scale, so gf fails there: a coarser
+    # _GF_BITS, such as 64, would let it pass
+    balls = verify._ball_gf
+
+    def moved(at):
+        def gf(order, bits):
+            found = balls(order, bits)
+            middle, radius = found[at]
+            found[at] = middle + (abs(middle) >> 100) + 1, radius
+            return found
+
+        return gf
+
+    for at in (0, 57, 100):
+        monkeypatch.setattr(verify, "_ball_gf", moved(at))
+        result = run_suite("gf")
+        assert not result.ok and result.counterexample == f"generating-function ball disjoint from the source's at m={at}", at
+
+
 def test_coefficient_sweeps_start_at_their_values_size_whatever_the_source_holds(monkeypatch):
     # lemma1 and lemma2 start every comparison _START_BITS below the size of
     # the last |c_m| it reads, lemma2's central binomial and asymptotics'
