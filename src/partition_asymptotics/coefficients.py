@@ -29,20 +29,23 @@ the closed form for m <= 400.
 Run forward, the recurrence is unstable: an error in g_m, g_{m+1}, g_{m+2}
 reaches g_{m+3} multiplied by at most rho_m = (|(m+1)(m+4) - a^2| + a(2m+7)
 + (m+2)(m+4)) / (a(2m+6)), which grows like m.  One process-wide source holds
-c_0..c_M as integers W_m at scale 2^-P, each with an integer radius e_m,
-|W_m - 2^P c_m| <= e_m.  It is built for D digits, the largest digit count
-asked for so far, and grows by a factor 1.25 in M or D when a request goes
-past it, up to M = COEFF_CAP.  A build runs the recurrence on integers
-scaled by 2^P, with P a few bits above (D + 10 + ceil(log10 prod rho_m) + 6)
-log2 10, and carries with each g_m an integer radius that bounds its error: every
-floor and the errors of the fixed-point a and 1/a are counted, and the
-radius recurrence is written in ``_attempt``.  It divides g_m by 24^j once
-to give W_m and checks |W_m| > (10^(D+10) + 1) e_m, so that W_m / 2^P is
-within 10^-(D+10) of c_m relative to its size.  ``coeff_c`` rounds c_m's ball
-(``_ball_c``) once, by ``_ball_round``.  ``_horner`` sums the W_m, floored to a
-coarser scale, against the powers of a u in (0, 1] by Horner on integers,
-and its result is proved to lie within 3N units of the sum of the first N
-terms at that scale.
+c_0..c_M as entries (W_m, e_m, Q_m), each an integer W_m at its own scale
+2^-Q_m with an integer radius e_m, |W_m - 2^Q_m c_m| <= e_m.  It is built for
+D digits, the largest digit count asked for so far, and grows by a factor
+1.25 in M or D when a request goes past it, up to M = COEFF_CAP.  A build
+runs the recurrence on integers scaled by 2^w, and carries with each g_m an
+integer radius that bounds its error: every floor and the errors of the
+fixed-point a and 1/a are counted, and the radius recurrence is written in
+``_attempt``.  An error made at step m is amplified only by the rho_j after
+it, so step m runs at a width w_m a few bits above (D + 16) log2 10 + log2
+prod_{j>=m} rho_j, which falls as m grows.  Entry m keeps the bits of its own
+width: W_m is g_m at 2^-w_m divided once by 24^j, whose 8^j goes into Q_m, and
+|W_m| > (10^(D+10) + 1) e_m is checked, so that W_m / 2^Q_m is within
+10^-(D+10) of c_m relative to its size.  ``coeff_c`` rounds c_m's ball (``_ball_c``) once, by
+``_ball_round``.  ``_horner`` sums the W_m, each floored from its own scale
+to one coarser scale, against the powers of a u in (0, 1] by Horner on
+integers, and its result is proved to lie within 3N units of the sum of the
+first N terms at that scale.
 
 Comparisons.  ``certified_abs_less`` decides |c_m| < |c_other| on the
 balls of ``_ball_c``, compared exactly; ``_ratio_within_cap`` decides lemma
@@ -64,6 +67,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from itertools import accumulate
 from math import comb
 
 from .errors import DomainError, ResourceError
@@ -90,23 +94,26 @@ from .precision import (
 
 # a = pi/6 = 0.52359877... lies between _A_LO / _A_SCALE and _A_HI / _A_SCALE.
 _A_LO, _A_HI, _A_SCALE = 5235, 5236, 10000
-# Digits beyond log10 of the error growth, for the rounding and the size of g_m.
+# The first guard digits of a build's base width, beyond digits + 10: for the
+# errors the steps add and the size of g_m; doubled while a build fails its check.
 _GUARD_MARGIN = 6
-# Bits of the fixed-point scale beyond (digits + 10 + guard) * log2(10),
-# about one more digit.
+# Bits of the base width beyond (digits + 10 + guard) * log2(10), about one more digit.
 _SCALE_MARGIN = 4
+# The fewest bits a build narrows its working width by.
+_NARROW_STEP = 64
 # The fewest terms the source holds, and its growth factor in terms and digits.
 _SOURCE_FLOOR = 16
 _SOURCE_GROWTH = 1.25
 # The largest index the source serves: enough for the full sum at n = 1 and
 # 2000 digits (2909 terms).  The build to c_3000 at 2000 digits takes about
-# 8 s on a 2-core machine, in a process that peaks at 42 MB resident;
-# c_(10^5) would take about 20 GB.
+# 2.2 s on a 2-core machine, in a process that peaks at 24 MB resident;
+# c_(10^5) would take about 11 GB.
 COEFF_CAP = 3000
 
-# (D, P, (W_0, ..., W_M), (e_0, ..., e_M)): |W_m - 2^P c_m| <= e_m, built for D digits.
-# A build is published by assigning a new tuple, so a reader sees one whole build.
-_source = (0, 0, (), ())
+# (D, ((W_0, e_0, Q_0), ..., (W_M, e_M, Q_M))): |W_m - 2^Q_m c_m| <= e_m, each entry at its
+# own scale, built for D digits.  A build is published by assigning a new tuple, so a
+# reader sees one whole build.
+_source = (0, ())
 _source_lock = threading.Lock()
 
 
@@ -117,109 +124,144 @@ def _growth(m: int) -> tuple:
     return numerator, _A_LO * (2 * m + 6)
 
 
-def _guard_digits(size: int) -> int:
-    """ceil(log10 of the product of rho_m over the steps to g_size) + _GUARD_MARGIN.
+def _headroom(size: int) -> list:
+    """L_0..L_(size-2): L_i = ceil(log2 of the product of the ``_growth`` bounds on rho_j for i <= j < size - 2).
 
     The doubles round each logarithm by under 1e-15 relative; the 1e-6 added
-    before the ceiling dwarfs their sum for any size this toolkit reaches.
+    before the ceiling dwarfs their sum for any size this toolkit reaches, so
+    L_i is at least the logarithm of the product, and L_(size-2) = 0.
     """
-    growth = sum(math.log10(top) - math.log10(bottom) for top, bottom in map(_growth, range(size - 2)))
-    return math.ceil(growth + 1e-6) + _GUARD_MARGIN
+    logs = [math.log2(top) - math.log2(bottom) for top, bottom in map(_growth, range(size - 2))]
+    return [math.ceil(total + 1e-6) for total in accumulate(reversed(logs), initial=0.0)][::-1]
 
 
 def _attempt(size: int, digits: int, guard: int):
-    """(P, W, e): c_0..c_size as integers W_m within e_m of 2^P c_m, from the recurrence in fixed point.
+    """((W_m, e_m, Q_m) for m = 0..size): c_0..c_size as integers W_m within e_m of 2^Q_m c_m, from the recurrence in fixed point.
 
-    With P = ceil((digits + 10 + guard) log2 10) + _SCALE_MARGIN and the ball
-    (Pi, 1) = ``_ball_pi(P)``, so |2^P pi - Pi| <= 1, the integers
-    A = floor((Pi - 1) / 6) and B = floor(6 * 4^P / Pi) satisfy
-    |A - 2^P a| < 1 + 2/6 < 2 and, as 2^P / a = 6 * 4^P / (2^P pi) is within
-    6 * 4^P / (Pi (Pi - 1)) < 1 of 6 * 4^P / Pi, |B - 2^P / a| < 2.  Each
-    step forms, with G_m the integer standing for 2^P g_m,
+    Widths.  With base = ceil((digits + 10 + guard) log2 10) + _SCALE_MARGIN
+    and L_i from ``_headroom``, step m runs at a width w of at least
+    base + L_m bits: an error made there reaches the last entry multiplied by
+    at most the product of rho_j over the steps after it, which L_m covers.
+    The build starts at w = base + L_0 and narrows before step m to
+    base + L_m once that is _NARROW_STEP or more bits below w, so the widths
+    never rise.
+
+    A step.  With the ball (Pi, 1) = ``_ball_pi(w)``, so |2^w pi - Pi| <= 1,
+    the integers A = floor((Pi - 1) / 6) and B = floor(6 * 4^w / Pi) satisfy
+    |A - 2^w a| < 1 + 2/6 < 2 and, as 2^w / a = 6 * 4^w / (2^w pi) is within
+    6 * 4^w / (Pi (Pi - 1)) < 1 of 6 * 4^w / Pi, |B - 2^w / a| < 2.  Each
+    step forms, with G_m the integer standing for 2^w g_m,
 
         S = (m+1)(m+4) G_{m+2} - (m+2)(m+4) G_m                  (exact)
-        G_{m+3} = floor((floor(S B / 2^P) - floor(A G_{m+2} / 2^P) + (2m+7) G_{m+1}) / (2m+6)).
+        G_{m+3} = floor((floor(S B / 2^w) - floor(A G_{m+2} / 2^w) + (2m+7) G_{m+1}) / (2m+6)).
 
-    If |2^P g_k - G_k| <= E_k for k = m, m+1, m+2, the three errors reach
+    If |2^w g_k - G_k| <= E_k for k = m, m+1, m+2, the three errors reach
     G_{m+3} multiplied by at most rho_m in all, the errors of A and B add under
-    2 (|S| + |G_{m+2}|) / 2^P, the two inner floors under 1 and the outer floor
+    2 (|S| + |G_{m+2}|) / 2^w, the two inner floors under 1 and the outer floor
     under 1 more, so
 
         E_{m+3} = ceil((top * max(E_m, E_{m+1}, E_{m+2}) + _A_LO * F) / bottom) + 1,
-        F = floor((|S| + |G_{m+2}|) / 2^(P-1)) + 2,
+        F = floor((|S| + |G_{m+2}|) / 2^(w-1)) + 2,
 
     with (top, bottom) from ``_growth`` and E_0, E_1, E_2 = 0, 4, 2 for the
-    seeds 2^P, -(floor(A/2) + B) and floor(A^2 / 2^(P+3)) + 3 * 2^(P-1).
-    Then W_m = floor(G_m / 24^j) for m = 2j and W_m = floor(floor(G_m R / 2^P)
-    / 24^j) for m = 2j+1, with R = floor(2^P / sqrt(24)) from ``math.isqrt``,
-    is within e_m = floor((E_m + floor(|G_m| / 2^P) + 2) / 24^j) + 2 of
-    2^P c_m.  W_m and e_m overwrite G_m and E_m in place, so a build holds
-    one integer pair per m.  Returns None unless
-    |W_m| > (10^(digits+10) + 1) e_m for every m, so that each W_m / 2^P is
+    seeds 2^w, -(floor(A/2) + B) and floor(A^2 / 2^(w+3)) + 3 * 2^(w-1).
+
+    Narrowing by c >= 1 bits floors G_m, G_{m+1}, G_{m+2}, A and B by 2^c.
+    A floor adds at most one unit to each value: floor(X / 2^c) lies in
+    (X / 2^c - 1, X / 2^c].  So |floor(G_k / 2^c) - 2^(w-c) g_k| < E_k / 2^c + 1
+    <= floor(E_k / 2^c) + 2, the new E_k: the three balls (G_k, E_k) are
+    floored by ``_ball_scale``.  A and B stay within 2 / 2^c + 1 <= 2 of
+    2^(w-c) a and 2^(w-c) / a, as the step needs.
+
+    Entries.  Entry m keeps the G_m and E_m of the width w_m it was formed at
+    (the start width for m < 3), not a narrowed copy.  With j = floor(m/2),
+    24^j = 8^j 3^j and k = bitlen(3^j), W_m = floor(2^k X / 3^j) at
+    Q_m = w_m + 3j + k, where X = G_m for m = 2j and X = floor(G_m R / 2^w_m)
+    for m = 2j+1, with R = floor(2^w_m / sqrt(24)): the start width's
+    floor(2^w_0 / sqrt(24)) from ``math.isqrt``, shifted right by w_0 - w_m, as
+    a floor of a floor by 2^c is the floor.  As R < 2^w_m / 4 and
+    |R - 2^w_m / sqrt(24)| < 1, X is within E_m + floor(|G_m| / 2^w_m) + 2 of
+    2^w_m g_m / sqrt(24)^(m-2j), and 2^Q_m c_m is 2^k / 3^j times that, so with
+    the last floor W_m is within e_m = floor(2^k (E_m + floor(|G_m| / 2^w_m) + 2)
+    / 3^j) + 2 of 2^Q_m c_m.  Each entry replaces its G_m in place, so a build
+    holds one integer triple per m.  Returns None unless
+    |W_m| > (10^(digits+10) + 1) e_m for every m, so that each W_m / 2^Q_m is
     within 10^-(digits+10) |c_m| of c_m.
     """
-    bits = math.ceil((digits + 10 + guard) * math.log2(10)) + _SCALE_MARGIN
-    pi = _ball_pi(bits)[0]
-    a, inverse_a = (pi - 1) // 6, (6 << 2 * bits) // pi
-    g = [1 << bits, -((a >> 1) + inverse_a), (a * a >> bits + 3) + (3 << bits - 1)]
-    radii = [0, 4, 2]
+    base = math.ceil((digits + 10 + guard) * math.log2(10)) + _SCALE_MARGIN
+    headroom = _headroom(size)
+    start = width = base + headroom[0]
+    pi = _ball_pi(width)[0]
+    a, inverse_a = (pi - 1) // 6, (6 << 2 * width) // pi
+    live = (1 << width, 0), (-((a >> 1) + inverse_a), 4), ((a * a >> width + 3) + (3 << width - 1), 2)
+    entries = [(*ball, width) for ball in live]
+    (g0, e0), (g1, e1), (g2, e2) = live
     for m in range(size - 2):
-        g0, g1, g2 = g[-3:]
+        cut = width - base - headroom[m]
+        if cut >= _NARROW_STEP:
+            width -= cut
+            (g0, e0), (g1, e1), (g2, e2) = (_ball_scale(ball, 1, 1 << cut) for ball in ((g0, e0), (g1, e1), (g2, e2)))
+            a, inverse_a = a >> cut, inverse_a >> cut
         step = (m + 1) * (m + 4) * g2 - (m + 2) * (m + 4) * g0
-        g.append(((step * inverse_a >> bits) - (a * g2 >> bits) + (2 * m + 7) * g1) // (2 * m + 6))
+        value = ((step * inverse_a >> width) - (a * g2 >> width) + (2 * m + 7) * g1) // (2 * m + 6)
         top, bottom = _growth(m)
-        floors = (abs(step) + abs(g2) >> bits - 1) + 2
-        radii.append(-(-(top * max(radii[-3:]) + _A_LO * floors) // bottom) + 1)
+        floors = (abs(step) + abs(g2) >> width - 1) + 2
+        radius = -(-(top * max(e0, e1, e2) + _A_LO * floors) // bottom) + 1
+        g0, g1, g2, e0, e1, e2 = g1, g2, value, e1, e2, radius
+        entries.append((value, radius, width))
     target = 10 ** (digits + 10) + 1
-    inverse_root = math.isqrt((1 << 2 * bits) // 24)
-    power = 1  # power = 24^j
-    for m, (value, radius) in enumerate(zip(g, radii)):
-        g[m] = (value * inverse_root >> bits if m % 2 else value) // power
-        radii[m] = (radius + (abs(value) >> bits) + 2) // power + 2
-        if abs(g[m]) <= target * radii[m]:
+    inverse_root = math.isqrt((1 << 2 * start) // 24)
+    power = 1  # power = 3^j
+    for m, (value, radius, width) in enumerate(entries):
+        shift = power.bit_length()
+        converted = value * (inverse_root >> start - width) >> width if m % 2 else value
+        converted, radius = (converted << shift) // power, ((radius + (abs(value) >> width) + 2) << shift) // power + 2
+        if abs(converted) <= target * radius:
             return None
-        power *= 24 if m % 2 else 1
-    return bits, tuple(g), tuple(radii)
+        entries[m] = converted, radius, width + 3 * (m // 2) + shift
+        power *= 3 if m % 2 else 1
+    return tuple(entries)
 
 
 def _coefficients(m: int, digits: int) -> tuple:
-    """The source (D, P, W, e) with M >= m and D >= digits.
+    """The source (D, entries), entries[k] = (W_k, e_k, Q_k) for k <= M, with M >= m and D >= digits.
 
     A request past the source rebuilds it, with M and D each raised to at
     least _SOURCE_GROWTH times what was held if it is exceeded, and M to at
-    least _SOURCE_FLOOR but at most COEFF_CAP; a build whose error check fails
-    is repeated with twice the guard digits.  An m past COEFF_CAP raises
-    ResourceError before any build.
+    least _SOURCE_FLOOR but at most COEFF_CAP; a build starts at _GUARD_MARGIN
+    guard digits, and one whose error check fails is repeated with twice
+    them.  An m past COEFF_CAP raises ResourceError before any build.
     """
     global _source
     source = _source
-    if m < len(source[2]) and digits <= source[0]:
+    if m < len(source[1]) and digits <= source[0]:
         return source
     if m > COEFF_CAP:
         raise ResourceError(f"m={m} exceeds cap {COEFF_CAP}")
     with _source_lock:
         source = _source
-        held, _, values, _ = source
-        if m < len(values) and digits <= held:
+        held, entries = source
+        if m < len(entries) and digits <= held:
             return source
-        size = len(values) - 1
+        size = len(entries) - 1
         if m > size:
             size = min(max(m, _SOURCE_FLOOR, math.ceil(_SOURCE_GROWTH * size)), COEFF_CAP)
         if digits > held:
             held = max(digits, math.ceil(_SOURCE_GROWTH * held))
-        guard = _guard_digits(size)
+        guard = _GUARD_MARGIN
         while (built := _attempt(size, held, guard)) is None:
             guard *= 2
-        _source = source = (held, *built)
+        _source = source = (held, built)
     return source
 
 
 def _horner(N: int, P: int, U: int, digits: int) -> int:
     """An integer within 3N of 2^P sum_{m<N} x_m u^m, for U = floor(2^P u), 0 < u <= 1.
 
-    The x_m = W_m / 2^bits are the source's values at ``digits`` or more;
-    bits >= (digits + 16) log2 10 + 4 is more than 53 past the precision of
-    ``digits``, so for P up to that, C_m = floor(2^P x_m) is W_m >> (bits - P).
+    The x_m = W_m / 2^Q_m are the source's values at ``digits`` or more;
+    each Q_m >= (digits + 16) log2 10 + 4 (see ``_attempt``: Q_m >= w_m and
+    guard >= 6) is more than 53 past the precision of ``digits``, so for P up
+    to that, C_m = floor(2^P x_m) is W_m >> (Q_m - P).
     Horner runs acc = floor(acc U / 2^P) + C_m over m = N-1, ..., 0 from
     acc = 0.  Write T_k = sum_{k<=m<N} x_m u^(m-k) and e_k = acc_k - 2^P T_k,
     so e_N = 0, and U = 2^P u - d with 0 <= d < 1.  With f, f' in [0, 1) the
@@ -235,9 +277,8 @@ def _horner(N: int, P: int, U: int, digits: int) -> int:
     """
     acc = 0
     if N:
-        _, bits, values, _ = _coefficients(N - 1, digits)
-        for value in reversed(values[:N]):
-            acc = (acc * U >> P) + (value >> bits - P)
+        for value, _, scale in reversed(_coefficients(N - 1, digits)[1][:N]):
+            acc = (acc * U >> P) + (value >> scale - P)
     return acc
 
 
@@ -252,23 +293,24 @@ def coeff_c(m: int, ctx: PrecisionContext):
 
 
 def _ball_c(m: int, bits: int, top: int | None = None) -> tuple:
-    """c_m as a ball at scale 2^-bits: the source's (W_m, e_m), floored from its scale 2^-Q by a right shift.
+    """c_m as a ball at scale 2^-bits: the source's entry (W_m, e_m, Q_m), floored from its own scale 2^-Q_m by a right shift.
 
     The source is asked for c_0..c_t, t = top (m when None, else at least m), and for the digits that c_t
     (about sqrt(t+1) / sqrt(24)^t) needs relative to its size, d = ``_ball_digits(bits - s)``, s =
-    ``_root_below(t + 1, 24^t)``: the context's digits at the scale ``_round_envelope`` starts from.  Q > bits:
-    the source holds D >= d digits at Q >= (d + 10 + G) log2 10 + 4, G >= ``_guard_digits(M)`` its guard digits,
-    M >= t (see ``_attempt``), and bits - s - _BALL_GUARD <= (d + 3/2) log2 10 (``_ball_digits``), so Q - bits >=
-    (G + 17/2) log2 10 - 28 - s > G log2 10 - s.  Each ``_growth`` bound on rho_k exceeds sqrt(24) (the least, at
-    k = 0, is about 4.99), so G log2 10 >= (t - 2) log2 sqrt(24) + 6 log2 10 > s + 15, as s <= t log2 sqrt(24).
-    Flooring by 2^(Q-bits) moves the midpoint by under 1 and divides the radius: the radius is
-    floor(e_m / 2^(Q-bits)) + 2, as in ``_ball_scale``.  Every c_k with k <= t is read from the one request for
-    c_t's digits.
+    ``_root_below(t + 1, 24^t)``: the context's digits at the scale ``_round_envelope`` starts from.  Q_m > bits
+    for every m <= t: the source holds D >= d digits for M >= t entries, built at guard G >= 6 (see
+    ``_attempt``).  Entry m was formed at a width w_m >= base + L_i, base = ceil((D + 10 + G) log2 10) + 4 and
+    i = max(m - 3, 0); each ``_growth`` bound on rho_k exceeds sqrt(24) (the least, at k = 0, is about 4.99), so
+    L_i >= (M - 2 - i) log2 sqrt(24) >= (M - m - 2) log2 sqrt(24).  And Q_m = w_m + 3j + bitlen(3^j) >=
+    w_m + j log2 24 >= w_m + (m - 1) log2 sqrt(24), j = floor(m/2), so Q_m >= base + (M - 3) log2 sqrt(24) >=
+    base + s - 7, as s <= t log2 sqrt(24).  With bits - s - _BALL_GUARD <= (d + 3/2) log2 10 (``_ball_digits``),
+    Q_m - bits >= (G + 17/2) log2 10 - 35 > 13.  Flooring by 2^(Q_m-bits) moves the midpoint by under 1 and
+    divides the radius: the radius is floor(e_m / 2^(Q_m-bits)) + 2, as in ``_ball_scale``.  Every c_k with
+    k <= t is read from the one request for c_t's digits.
     """
     top = m if top is None else top
-    _, source_bits, values, radii = _coefficients(top, _ball_digits(bits - _root_below(top + 1, 24**top)))
-    shift = source_bits - bits
-    return values[m] >> shift, (radii[m] >> shift) + 2
+    value, radius, scale = _coefficients(top, _ball_digits(bits - _root_below(top + 1, 24**top)))[1][m]
+    return value >> scale - bits, (radius >> scale - bits) + 2
 
 
 def _ball_g(m: int, bits: int) -> tuple:

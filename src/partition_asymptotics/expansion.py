@@ -168,20 +168,22 @@ def _ball_pass(n: int, K: int, bits: int) -> tuple:
     The powers V_0 = 2^bits, V_m = floor(V_(m-1) U / 2^bits) lie in
     (v_m - 2m, v_m], v_m = 2^bits u^m: as V_(m-1) <= 2^bits, the gap is u
     times the last one, plus V_(m-1) (u - U / 2^bits) < 1, plus a floor's
-    fraction.  The source holds (W_m, e_m) at 2^-Q, Q > bits (see
-    ``_horner``), so C_m = floor(W_m / 2^(Q-bits)) is within r = floor(e_m /
-    2^(Q-bits)) + 2 of 2^bits c_m (``_ball_scale``), and T_m = floor(C_m V_m
-    / 2^bits) within r + (|C_m| + r) 2m / 2^bits + 1 of 2^bits c_m u^m: the
+    fraction.  The source holds each (W_m, e_m) at its own scale 2^-Q_m,
+    Q_m > bits (see ``_horner``), so C_m = floor(W_m / 2^(Q_m-bits)) is
+    within r = floor(e_m / 2^(Q_m-bits)) + 2 of 2^bits c_m (``_ball_scale``),
+    and T_m = floor(C_m V_m / 2^bits) within r + (|C_m| + r) 2m / 2^bits + 1
+    of 2^bits c_m u^m: the
     radius is that with its middle part floored, plus 1.  T_0 = 2^bits and
     S_0 = 0 are exact, S_(m+1) = S_m + T_m adds the radii (``_ball_add``),
     and dropping a term's sign moves no point farther from its midpoint.
     """
-    _, source_bits, values, radii = _coefficients(K - 1, _ball_digits(bits))
-    U, shift, power = _ball_sqrt(1, bits, n)[0], source_bits - bits, 1 << bits
+    entries = _coefficients(K - 1, _ball_digits(bits))[1]
+    U, power = _ball_sqrt(1, bits, n)[0], 1 << bits
     terms, sums = [(power, 0)], [(0, 0), (power, 0)]
     for m in range(1, K):
         power = power * U >> bits
-        c, r = values[m] >> shift, (radii[m] >> shift) + 2
+        value, radius, scale = entries[m]
+        c, r = value >> scale - bits, (radius >> scale - bits) + 2
         term, radius = c * power >> bits, r + ((abs(c) + r) * 2 * m >> bits) + 2
         terms.append((abs(term), radius))
         sums.append((sums[-1][0] + term, sums[-1][1] + radius))

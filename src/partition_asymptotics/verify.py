@@ -82,11 +82,11 @@ def _lemma1(m_max: int):
     |c_1/c_0| is the odd cap itself, as g_0 = 1 and g_1 = -(a/2 + 1/a): an identity no rounding can decide.
     The sign of c_m is that of the source's W_m, which is certified: |W_m| exceeds its radius.
     """
-    values = _coefficients(m_max, _ball_digits(_START_BITS))[2]  # the last index first, at the start's digits
+    entries = _coefficients(m_max, _ball_digits(_START_BITS))[1]  # the last index first, at the start's digits
     for m in range(1, m_max + 1):
         if not certified_abs_less(m, m - 1):
             yield f"|c_{m}| >= |c_{m - 1}|"
-        elif (values[m] > 0) != (m % 2 == 0):
+        elif (entries[m][0] > 0) != (m % 2 == 0):
             yield f"sign of c_{m} is not (-1)^{m}"
         elif m > 1 and not _ratio_within_cap(m):
             yield f"|c_{m}/c_{m - 1}| exceeds its cap"
@@ -132,6 +132,22 @@ def _lemma2(m_max: int):
             yield None if _weierstrass_holds(factorials, m, k) else f"product inequality fails at m={m}, k={k}"
 
 
+@functools.lru_cache(maxsize=4)
+def _lemma3_constants(bits: int) -> tuple:
+    """The n-independent balls of ``_lemma3_chain`` at scale 2^-bits, formed once per scale.
+
+    They are 1, -13, 1/sqrt(2) and, with c = 2^(1/3), c, a = 12c - sqrt(2),
+    -12c and 2 - 12c, each by the ``precision`` helper that proves its radius.
+    """
+    one = (1 << bits, 0)
+    sqrt2 = _ball_sqrt(2, bits)
+    cbrt2 = _ball_cbrt2(bits)
+    minus_twelve_cbrt2 = _ball_scale(cbrt2, -12)
+    a = _ball_add(_ball_scale(cbrt2, 12), _ball_scale(sqrt2, -1))
+    two_minus_twelve_cbrt2 = _ball_add(_ball_scale(one, 2), minus_twelve_cbrt2)
+    return one, _ball_scale(one, -13), _ball_scale(sqrt2, 1, 2), cbrt2, a, minus_twelve_cbrt2, two_minus_twelve_cbrt2
+
+
 def _lemma3_chain(n: int, bits: int, full: bool = True) -> tuple:
     """Balls at scale 2^-bits for (sqrt(24n-1), mu, e^(-mu/2), simple bracket, full bracket) at one n.
 
@@ -144,29 +160,25 @@ def _lemma3_chain(n: int, bits: int, full: bool = True) -> tuple:
       + (1/sqrt(2) + (2 - 12*2^(1/3))/mu) e^(-mu) + (1 + 1/mu) e^(-3mu/2),
 
     is formed by Horner in D = e^(-mu/2) only when ``full`` is true, and is
-    None otherwise.  One exp per n: e^(-mu) = D^2 and e^(-3mu/2) = D^3.
+    None otherwise.  One exp per n: e^(-mu) = D^2 and e^(-3mu/2) = D^3.  The
+    balls that do not depend on n come from ``_lemma3_constants``.
     """
-    one = (1 << bits, 0)
+    one, minus_thirteen, root_half, cbrt2, a, minus_twelve_cbrt2, two_minus_twelve_cbrt2 = _lemma3_constants(bits)
     r = _ball_sqrt(24 * n - 1, bits)
     mu = _ball_scale(_ball_mul(_ball_pi(bits), r, bits), 1, 6)
     inverse = _ball_div(one, mu, bits)
     decay = _ball_exp(_ball_scale(mu, 1, 2), bits)
     square = _ball_mul(mu, mu, bits)
-    sqrt2 = _ball_sqrt(2, bits)
-    root_half = _ball_scale(sqrt2, 1, 2)
     simple = _ball_add(
         _ball_add(root_half, _ball_scale(inverse, 14)),
-        _ball_mul(_ball_add(_ball_scale(square, 2, 3), _ball_scale(one, -13)), decay, bits),
+        _ball_mul(_ball_add(_ball_scale(square, 2, 3), minus_thirteen), decay, bits),
     )
     if not full:
         return r, mu, decay, simple, None
     # bracket = 1/sqrt(2) + a/mu + D (k1 + D (k2 + D k3)), with c = 2^(1/3),
     # a = 12c - sqrt(2), k1 = mu^2 c/2 - 12c, k2 = 1/sqrt(2) + (2 - 12c)/mu, k3 = 1 + 1/mu
-    cbrt2 = _ball_cbrt2(bits)
-    minus_twelve_cbrt2 = _ball_scale(cbrt2, -12)
-    a = _ball_add(_ball_scale(cbrt2, 12), _ball_scale(sqrt2, -1))
     k1 = _ball_add(_ball_scale(_ball_mul(square, cbrt2, bits), 1, 2), minus_twelve_cbrt2)
-    k2 = _ball_add(root_half, _ball_mul(_ball_add(_ball_scale(one, 2), minus_twelve_cbrt2), inverse, bits))
+    k2 = _ball_add(root_half, _ball_mul(two_minus_twelve_cbrt2, inverse, bits))
     k3 = _ball_add(one, inverse)
     horner = _ball_add(k1, _ball_mul(decay, _ball_add(k2, _ball_mul(decay, k3, bits)), bits))
     bracket = _ball_add(_ball_add(root_half, _ball_mul(a, inverse, bits)), _ball_mul(decay, horner, bits))

@@ -357,7 +357,7 @@ def test_memo_consistent_under_threads(ctx80):
 
 def _cold_source(monkeypatch):
     """Empty the recurrence source and the coeff_c memo; the old source returns after the test."""
-    monkeypatch.setattr(coefficients, "_source", (0, 0, (), ()))
+    monkeypatch.setattr(coefficients, "_source", (0, ()))
     coeff_c.cache_clear()
 
 
@@ -381,8 +381,8 @@ def test_cold_source_grows_consistently_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    held, _, values, radii = coefficients._source
-    assert held >= 160 and len(values) == len(radii) > 120
+    held, entries = coefficients._source
+    assert held >= 160 and len(entries) > 120 and {len(entry) for entry in entries} == {3}
 
 
 @pytest.fixture
@@ -404,15 +404,16 @@ def test_source_guard_passes_its_check_first_time(monkeypatch, builds):
         _cold_source(monkeypatch)
         builds.clear()
         coeff_c(size, PrecisionContext(digits))
-        assert builds == [(size, digits, coefficients._guard_digits(size))]
+        assert builds == [(size, digits, coefficients._GUARD_MARGIN)]
     expected = [coeff_c(m, PrecisionContext(80)) for m in range(121)]
-    # a guard too small for the error bound fails the check and is doubled until it passes
-    monkeypatch.setattr(coefficients, "_guard_digits", lambda size: 8)
+    # widths too narrow for the error growth fail the check, and the guard is doubled until it passes
+    headroom = coefficients._headroom
+    monkeypatch.setattr(coefficients, "_headroom", lambda size: [bits // 2 for bits in headroom(size)])
     _cold_source(monkeypatch)
     builds.clear()
     assert [coeff_c(m, PrecisionContext(80)) for m in range(120, -1, -1)][::-1] == expected
     guards = [guard for _, _, guard in builds]
-    assert guards[:3] == [8, 16, 32] and len(guards) > 3
+    assert guards[:3] == [6, 12, 24] and len(guards) > 3
 
 
 def test_range_readers_grow_the_source_once(monkeypatch, builds, ctx80, table):
@@ -455,14 +456,16 @@ def test_ball_g_is_formed_at_its_own_scale_whatever_the_source_holds(monkeypatch
 
 def test_lemma1_decides_its_ratios_on_the_source_as_built(monkeypatch, builds):
     # at any --digits the source is built once, for the 9 digits of every
-    # comparison's start scale, at 2^-1519, and no ratio escalates
+    # comparison's start scale, its entries from 2^-1518 down to 2^-573, and
+    # no ratio escalates
     assert precision._ball_digits(precision._START_BITS) == 9
     for digits in ("30", "50"):
         _cold_source(monkeypatch)
         builds.clear()
         assert cli.run(["--digits", digits, "verify", "lemma1", "--m-max", "200"], stream=io.StringIO()) == 0
-        assert builds == [(200, 9, coefficients._guard_digits(200))]
-        assert coefficients._source[:2] == (9, 1519)
+        assert builds == [(200, 9, coefficients._GUARD_MARGIN)]
+        held, entries = coefficients._source
+        assert (held, len(entries), entries[0][2], entries[-1][2]) == (9, 201, 1518, 573)
 
 
 def test_step_ratio_decided_on_the_source(monkeypatch):
@@ -471,10 +474,11 @@ def test_step_ratio_decided_on_the_source(monkeypatch):
     # |c_2/c_1| is 10% and |c_3/c_2| 2.1% below its cap: lifted past them, the checks fail
     for m, percent in ((2, 115), (3, 105)):
         _cold_source(monkeypatch)
-        held, bits, values, radii = coefficients._coefficients(40, 40)
-        lifted = list(values)
-        lifted[m] = values[m] * percent // 100
-        monkeypatch.setattr(coefficients, "_source", (held, bits, tuple(lifted), radii))
+        held, entries = coefficients._coefficients(40, 40)
+        lifted = list(entries)
+        value, radius, scale = entries[m]
+        lifted[m] = value * percent // 100, radius, scale
+        monkeypatch.setattr(coefficients, "_source", (held, tuple(lifted)))
         assert not coefficients._ratio_within_cap(m), m
 
 
@@ -484,10 +488,11 @@ def test_envelope_decided_on_the_source(monkeypatch):
     # |c_0| is 15% and |c_399| 2.8e-5 below its envelope: lifted past them, the checks fail
     for m, lift in ((0, Fraction(6, 5)), (399, 1 + Fraction(3, 10**5))):
         _cold_source(monkeypatch)
-        held, bits, values, radii = coefficients._coefficients(400, 40)
-        lifted = list(values)
-        lifted[m] = values[m] * lift.numerator // lift.denominator
-        monkeypatch.setattr(coefficients, "_source", (held, bits, tuple(lifted), radii))
+        held, entries = coefficients._coefficients(400, 40)
+        lifted = list(entries)
+        value, radius, scale = entries[m]
+        lifted[m] = value * lift.numerator // lift.denominator, radius, scale
+        monkeypatch.setattr(coefficients, "_source", (held, tuple(lifted)))
         assert not coefficients._within_envelope(m), m
 
 
@@ -495,13 +500,14 @@ def test_envelope_decided_on_the_source(monkeypatch):
 def test_lemma2_decides_on_the_source_as_built(monkeypatch, builds, digits):
     # every bound and central binomial check decides on the source built for
     # the digits of the bounds' start scale, whatever --digits, at the first
-    # scale: one build, and no rebuild
+    # scale: one build, its entries from 2^-3346 down to 2^-1025, and no rebuild
     _cold_source(monkeypatch)
     stream = io.StringIO()
     assert cli.run(["--digits", str(digits), "verify", "lemma2"], stream=stream) == 0
     assert "checked = 20702" in stream.getvalue()
-    assert builds == [(400, 9, coefficients._guard_digits(400))]
-    assert coefficients._source[:2] == (9, 3346)
+    assert builds == [(400, 9, coefficients._GUARD_MARGIN)]
+    held, entries = coefficients._source
+    assert (held, len(entries), entries[0][2], entries[-1][2]) == (9, 401, 3346, 1025)
 
 
 def test_negative_m_rejected(ctx80, monkeypatch):
@@ -538,21 +544,22 @@ def test_certified_comparison_consecutive_without_escalation(monkeypatch, builds
     for m in range(1, 400):
         assert certified_abs_less(m, m - 1), m
     # every comparison starts _START_BITS below |c_m|, where 9 digits serve
-    assert builds == [(400, 9, coefficients._guard_digits(400))]
+    assert builds == [(400, 9, coefficients._GUARD_MARGIN)]
 
 
 def test_certified_comparison_escalates(monkeypatch, builds):
     for m, other in CERTIFY_PAIRS + ((100, 99),):
         _cold_source(monkeypatch)
-        held, bits, values, radii = coefficients._coefficients(max(m, other), 40)
-        # |W_m| moved past |W_other| to the wrong side, by a quarter of the two radii:
-        # the midpoints now give the wrong answer, and the balls overlap
+        held, entries = coefficients._coefficients(max(m, other), 40)
+        # entry m replaced by |W_other| moved to the wrong side at c_other's scale, by a quarter of
+        # twice its radius, with that radius: the midpoints now give the wrong answer, and the balls overlap
+        value, radius, scale = entries[other]
         step = 1 if _oracle_abs_less(m, other) else -1
-        moved = abs(values[other]) + step * ((radii[m] + radii[other]) // 4)
-        assert 0 < abs(moved - abs(values[other])) < radii[m] + radii[other]
-        tied = list(values)
-        tied[m] = -moved if m % 2 else moved
-        monkeypatch.setattr(coefficients, "_source", (held, bits, tuple(tied), radii))
+        moved = abs(value) + step * (2 * radius // 4)
+        assert 0 < abs(moved - abs(value)) < 2 * radius
+        tied = list(entries)
+        tied[m] = -moved if m % 2 else moved, radius, scale
+        monkeypatch.setattr(coefficients, "_source", (held, tuple(tied)))
         builds.clear()
         assert certified_abs_less(m, other) == _oracle_abs_less(m, other), (m, other)
         # one _ball_decide group from _START_BITS below |c_top|, top = max(m, other): the tampered balls,
@@ -576,18 +583,18 @@ def test_coeff_c_escalates_when_the_source_sits_past_a_rounding_boundary(monkeyp
     ctx = PrecisionContext(50)
     for m in (7, 40):
         _cold_source(monkeypatch)
-        held, bits, values, radii = coefficients._coefficients(60, 50)
+        held, entries = coefficients._coefficients(60, 50)
         expected = coeff_c(m, ctx)._mpf_
         _, man, exp, count = expected
         assert man != 1  # a power of two has a nearer boundary below it
-        nearest = man << exp + bits  # |c_m| rounded, at the source's scale 2^-bits
-        side = 1 if abs(values[m]) > nearest else -1
+        value, radius, bits = entries[m]
+        nearest = man << exp + bits  # |c_m| rounded, at the entry's scale 2^-bits
+        side = 1 if abs(value) > nearest else -1
         moved = nearest + side * ((1 << exp + count - ctx.prec + bits - 1) + 4)
         assert precision._rounded_float(moved, bits, ctx.prec)[1:] != expected[1:]
-        tampered = list(values), list(radii)
-        tampered[0][m] = -moved if m % 2 else moved
-        tampered[1][m] = abs(moved - abs(values[m])) + radii[m]
-        monkeypatch.setattr(coefficients, "_source", (held, bits, *map(tuple, tampered)))
+        tampered = list(entries)
+        tampered[m] = -moved if m % 2 else moved, abs(moved - abs(value)) + radius, bits
+        monkeypatch.setattr(coefficients, "_source", (held, tuple(tampered)))
         coeff_c.cache_clear()
         builds.clear()
         assert coeff_c(m, ctx)._mpf_ == expected, m
@@ -600,7 +607,7 @@ def test_certified_comparison_undecided_raises(monkeypatch):
     def tied(size, digits, guard):
         # every value is the ball 1 +- 1, at a scale finer than any asked, so no two of them separate
         built.append(digits)
-        return 2048, (1 << 2048,) * (size + 1), (1 << 2048,) * (size + 1)
+        return ((1 << 2048, 1 << 2048, 2048),) * (size + 1)
 
     monkeypatch.setattr(coefficients, "_attempt", tied)
     monkeypatch.setattr(precision, "_BALL_MAX_BITS", 700)
@@ -613,19 +620,86 @@ def test_certified_comparison_undecided_raises(monkeypatch):
     assert built == [precision._ball_digits(bits - 5) for bits in (69, 138, 276, 552, 700)] == [9, 29, 71, 154, 199]
 
 
+def _working_width(m, scale):
+    """The width w_m of the step that formed entry m, read off its scale Q_m = w_m + 3j + bitlen(3^j), j = floor(m/2)."""
+    j = m // 2
+    return scale - 3 * j - (3**j).bit_length()
+
+
+def _closed_forms_at(entries, guard=80):
+    """c_m from the closed form for each source entry (W_m, e_m, Q_m), to far below one unit of 2^-Q_m, in one mpmath context.
+
+    With w = ``_working_width(m, Q_m)``, (4 sqrt(6))^m |c_m| = sum_k
+    binom(m+1, k) (m+1-k) w_{m+1-2k} is summed on integers at 2^-(w + guard),
+    the w_j = (pi/6)^(j-1) / j! floored from one scale finer than every
+    entry's, with pi from mpmath; each floor costs under m units of
+    2^-(w + guard), and the division by (4 sqrt(6))^m > 2^(Q_m - w) in mpmath
+    at w + guard + 20 bits leaves c_m within 2^-(Q_m + guard - 12) of its value.
+    """
+    fine = max(scale for *_, scale in entries) + guard
+    mp = MPContext()
+    mp.prec = fine + 20
+    sixth = int(mp.ldexp(mp.pi / 6, fine))
+    weights = [int(mp.ldexp(6 / mp.pi, fine))]  # w_j at 2^-fine
+    for j in range(1, len(entries) + 1):
+        weights.append(weights[-1] * sixth // (j << fine))
+    values = []
+    for m, (_, _, scale) in enumerate(entries):
+        width = _working_width(m, scale) + guard
+        total, binom = 0, 1  # binom = binom(m+1, k)
+        for k in range((m + 1) // 2 + 1):
+            total += binom * (m + 1 - k) * (weights[m + 1 - 2 * k] >> fine - width)
+            binom = binom * (m + 1 - k) // (k + 1)
+        mp.prec = width + 20
+        magnitude = mp.ldexp(total, -width) / mp.sqrt(96) ** m
+        values.append(-magnitude if m % 2 else magnitude)
+    return values
+
+
 def test_source_values_within_their_radius(monkeypatch):
-    for size, digits in ((200, 50), (400, 80), (120, 187)):
+    # every entry's ball holds c_m at its own scale, and the build's check
+    # still means what it says: W_m / 2^Q_m is within 10^-(digits+10) of
+    # c_m, relative
+    for size, digits in ((200, 50), (400, 80), (120, 187), (400, 9), (400, 62), (1000, 30)):
         _cold_source(monkeypatch)
-        held, bits, values, radii = coefficients._coefficients(size, digits)
-        assert (held, len(values), len(radii)) == (digits, size + 1, size + 1)
-        # the closed form at more than bits + 64 bits leaves an error far below one unit of 2^-bits
-        dps = math.ceil((bits + 65) / math.log2(10)) + 1
-        mp = MPContext()
-        mp.dps = dps
-        assert mp.prec > bits + 64
-        for m, (value, radius, exact) in enumerate(zip(values, radii, _closed_forms(size, dps))):
-            assert abs(mp.mpf(value) - mp.ldexp(exact, bits)) <= radius, (size, digits, m)
+        held, entries = coefficients._coefficients(size, digits)
+        assert (held, len(entries)) == (digits, size + 1)
+        for m, ((value, radius, scale), exact) in enumerate(zip(entries, _closed_forms_at(entries))):
+            mp = exact.context
+            mp.prec = scale + 200  # the differences below are exact: their bits lie in (2^-(scale+120), 2^(scale+2))
+            assert abs(mp.mpf(value) - mp.ldexp(exact, scale)) <= radius, (size, digits, m)
             assert abs(value) > (10 ** (digits + 10) + 1) * radius, (size, digits, m)
+            assert abs(mp.ldexp(value, -scale) - exact) * 10 ** (digits + 10) <= abs(exact), (size, digits, m)
+
+
+@pytest.mark.parametrize("size, digits, flat", ((400, 62, 3522), (3000, 9, 33217)))
+def test_source_widths_shrink_with_m(size, digits, flat):
+    # the cost of a build, without timing it: the widths of its steps, read
+    # off the entries they formed, never rise, and they sum to at most 62% of
+    # as many steps at the one flat width that covers the whole build's
+    # error growth, ceil((digits + 10 + G) log2 10) + 4 with G = ceil(log10
+    # prod rho_m) + 6 guard digits
+    growth = sum(math.log10(top) - math.log10(bottom) for top, bottom in map(coefficients._growth, range(size - 2)))
+    assert math.ceil((digits + 10 + math.ceil(growth + 1e-6) + 6) * math.log2(10)) + 4 == flat
+    entries = coefficients._attempt(size, digits, coefficients._GUARD_MARGIN)
+    widths = [_working_width(m, scale) for m, (_, _, scale) in enumerate(entries)][3:]
+    assert len(widths) == size - 2
+    assert all(width >= narrower for width, narrower in zip(widths, widths[1:]))
+    assert sum(widths) <= 0.62 * len(widths) * flat
+
+
+def test_narrowing_floors_the_live_balls_by_ball_scale(monkeypatch):
+    # each narrowing floors the three live balls (G_k, E_k) by 2^c through
+    # the proven _ball_scale, c the drop in width between the entries formed
+    # before and after it, and c >= _NARROW_STEP
+    floors = []
+    original = coefficients._ball_scale
+    monkeypatch.setattr(coefficients, "_ball_scale", lambda ball, num, den=1: floors.append((num, den)) or original(ball, num, den))
+    entries = coefficients._attempt(400, 62, coefficients._GUARD_MARGIN)
+    widths = [_working_width(m, scale) for m, (_, _, scale) in enumerate(entries)][2:]
+    drops = [width - narrower for width, narrower in zip(widths, widths[1:]) if width != narrower]
+    assert drops and min(drops) >= coefficients._NARROW_STEP
+    assert floors == [(1, 1 << drop) for drop in drops for _ in range(3)]
 
 
 def test_source_request_past_the_cap_raises_before_any_build(monkeypatch, capsys):

@@ -162,7 +162,7 @@ def test_ball_decisions_read_no_mpmath_reals():
     # of those names).  nu's double-precision first guess, _nu_guess, reads
     # math.pi and decides nothing: the balls decide every n it proposes
     banned = {"pi", "exp", "sqrt", "cbrt"}
-    sweeps = ("_lemma1", "_lemma2", "_lemma3_chain", "_lemma3", "_thm1", "_thm2", "_thm3", "_inside", "_gf", "_asymptotics")
+    sweeps = ("_lemma1", "_lemma2", "_lemma3_constants", "_lemma3_chain", "_lemma3", "_thm1", "_thm2", "_thm3", "_inside", "_gf", "_asymptotics")
     printed = {
         "expansion": ("remainder_exact", "r_hat", "full_sum", "exp_error_term"),
         "bounds": ("thm1_bounds", "thm2_bounds", "thm3_bounds", "banerjee_bounds", "_report", "nu", "_constant"),
