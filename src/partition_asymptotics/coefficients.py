@@ -29,31 +29,31 @@ the closed form for m <= 400.
 Run forward, the recurrence is unstable: an error in g_m, g_{m+1}, g_{m+2}
 reaches g_{m+3} multiplied by at most rho_m = (|(m+1)(m+4) - a^2| + a(2m+7)
 + (m+2)(m+4)) / (a(2m+6)), which grows like m.  One process-wide source holds
-c_0..c_M as entries (W_m, e_m, Q_m), each an integer W_m at its own scale
-2^-Q_m with an integer radius e_m, |W_m - 2^Q_m c_m| <= e_m.  It is built for
-D digits, the largest digit count asked for so far, and grows by a factor
-1.25 in M or D when a request goes past it, up to M = COEFF_CAP.  A build
-runs the recurrence on integers scaled by 2^w, and carries with each g_m an
-integer radius that bounds its error: every floor and the errors of the
+g_0..g_M as entries (G_m, E_m, w_m): the integer G_m that the recurrence forms
+at width w_m, with an integer radius E_m, |G_m - 2^w_m g_m| <= E_m.  It is
+built for D digits, the largest digit count asked for so far, and grows by a
+factor 1.25 in M or D when a request goes past it, up to M = COEFF_CAP.  A
+build runs the recurrence on integers scaled by 2^w, and carries with each g_m
+an integer radius that bounds its error: every floor and the errors of the
 fixed-point a and 1/a are counted, and the radius recurrence is written in
 ``_attempt``.  An error made at step m is amplified only by the rho_j after
 it, so step m runs at a width w_m a few bits above (D + 16) log2 10 + log2
-prod_{j>=m} rho_j, which falls as m grows.  Entry m keeps the bits of its own
-width: W_m is g_m at 2^-w_m divided once by 24^j, whose 8^j goes into Q_m, and
-|W_m| > (10^(D+10) + 1) e_m is checked, so that W_m / 2^Q_m is within
-10^-(D+10) of c_m relative to its size.  ``coeff_c`` rounds c_m's ball (``_ball_c``) once, by
-``_ball_round``.  ``_horner`` sums the W_m, each floored from its own scale
-to one coarser scale, against the powers of a u in (0, 1] by Horner on
-integers, and its result is proved to lie within 3N units of the sum of the
-first N terms at that scale.
+prod_{j>=m} rho_j, which falls as m grows.  |G_m| > (10^(D+10) + 1) E_m is
+checked, so that G_m / 2^w_m is within 10^-(D+10) of g_m, and of c_m too,
+relative to its size.  Every reader floors the entries to its scale:
+``_ball_g`` one of them, ``_horner`` and ``expansion._ball_pass`` those they
+sum against the powers of u = 1/sqrt(24n), as c_m n^(-m/2) = g_m u^m.
+``coeff_c`` rounds c_m's ball (``_ball_c``, g_m over sqrt(24)^m) once, by
+``_ball_round``.
 
-Comparisons.  ``certified_abs_less`` decides |c_m| < |c_other| on the
-balls of ``_ball_c``, compared exactly; ``_ratio_within_cap`` decides lemma
-1's step ratio |c_m / c_(m-1)| against its cap on the same balls, and
-``_within_envelope`` lemma 2's |c_m| < envelope, with the envelope's ball at
-their scale.  Each is one ``_ball_decide`` group (``_certified``) that starts
-_START_BITS below the size of the last |c_k| it reads, whatever the source
-holds; only ``_coefficients`` reads the source itself.
+Comparisons.  ``certified_abs_less`` decides |c_m| < |c_other| on the balls
+of |g_m| and |g_other|, the one of the smaller index times sqrt(24) to the
+difference; ``_ratio_within_cap`` decides lemma 1's step ratio against its
+cap, and ``_within_envelope`` lemma 2's |c_m| < envelope, on the same balls
+and with the envelope's ball times sqrt(24)^m.  Each is one ``_ball_decide``
+group (``_certified``) that starts at _START_BITS, below the size of every
+|g_m| >= 1, whatever the source holds; only ``_coefficients`` reads the
+source itself.
 
 Envelope.  Lemma 2's bound on |c_m| is one ball, ``_ball_envelope``, which
 T2, T3, lemma2 and thm2 decide on; ``coeff_bound`` is it, and
@@ -106,12 +106,12 @@ _SOURCE_FLOOR = 16
 _SOURCE_GROWTH = 1.25
 # The largest index the source serves: enough for the full sum at n = 1 and
 # 2000 digits (2909 terms).  The build to c_3000 at 2000 digits takes about
-# 2.2 s on a 2-core machine, in a process that peaks at 24 MB resident;
+# 2.3 s on a 2-core machine, in a process that peaks at 23 MB resident;
 # c_(10^5) would take about 11 GB.
 COEFF_CAP = 3000
 
-# (D, ((W_0, e_0, Q_0), ..., (W_M, e_M, Q_M))): |W_m - 2^Q_m c_m| <= e_m, each entry at its
-# own scale, built for D digits.  A build is published by assigning a new tuple, so a
+# (D, ((G_0, E_0, w_0), ..., (G_M, E_M, w_M))): |G_m - 2^w_m g_m| <= E_m, each entry at the
+# width it was formed at, built for D digits.  A build is published by assigning a new tuple, so a
 # reader sees one whole build.
 _source = (0, ())
 _source_lock = threading.Lock()
@@ -136,7 +136,7 @@ def _headroom(size: int) -> list:
 
 
 def _attempt(size: int, digits: int, guard: int):
-    """((W_m, e_m, Q_m) for m = 0..size): c_0..c_size as integers W_m within e_m of 2^Q_m c_m, from the recurrence in fixed point.
+    """((G_m, E_m, w_m) for m = 0..size): g_0..g_size as integers G_m within E_m of 2^w_m g_m, from the recurrence in fixed point.
 
     Widths.  With base = ceil((digits + 10 + guard) log2 10) + _SCALE_MARGIN
     and L_i from ``_headroom``, step m runs at a width w of at least
@@ -173,24 +173,15 @@ def _attempt(size: int, digits: int, guard: int):
     floored by ``_ball_scale``.  A and B stay within 2 / 2^c + 1 <= 2 of
     2^(w-c) a and 2^(w-c) / a, as the step needs.
 
-    Entries.  Entry m keeps the G_m and E_m of the width w_m it was formed at
-    (the start width for m < 3), not a narrowed copy.  With j = floor(m/2),
-    24^j = 8^j 3^j and k = bitlen(3^j), W_m = floor(2^k X / 3^j) at
-    Q_m = w_m + 3j + k, where X = G_m for m = 2j and X = floor(G_m R / 2^w_m)
-    for m = 2j+1, with R = floor(2^w_m / sqrt(24)): the start width's
-    floor(2^w_0 / sqrt(24)) from ``math.isqrt``, shifted right by w_0 - w_m, as
-    a floor of a floor by 2^c is the floor.  As R < 2^w_m / 4 and
-    |R - 2^w_m / sqrt(24)| < 1, X is within E_m + floor(|G_m| / 2^w_m) + 2 of
-    2^w_m g_m / sqrt(24)^(m-2j), and 2^Q_m c_m is 2^k / 3^j times that, so with
-    the last floor W_m is within e_m = floor(2^k (E_m + floor(|G_m| / 2^w_m) + 2)
-    / 3^j) + 2 of 2^Q_m c_m.  Each entry replaces its G_m in place, so a build
-    holds one integer triple per m.  Returns None unless
-    |W_m| > (10^(digits+10) + 1) e_m for every m, so that each W_m / 2^Q_m is
-    within 10^-(digits+10) |c_m| of c_m.
+    Entry m is the (G_m, E_m) of the width w_m it was formed at (the start
+    width for m < 3), not a narrowed copy.  Returns None unless
+    |G_m| > (10^(digits+10) + 1) E_m for every m: then E_m 10^(digits+10) <
+    |G_m| - E_m <= 2^w_m |g_m|, so each G_m / 2^w_m is within
+    10^-(digits+10) |g_m| of g_m.
     """
     base = math.ceil((digits + 10 + guard) * math.log2(10)) + _SCALE_MARGIN
     headroom = _headroom(size)
-    start = width = base + headroom[0]
+    width = base + headroom[0]
     pi = _ball_pi(width)[0]
     a, inverse_a = (pi - 1) // 6, (6 << 2 * width) // pi
     live = (1 << width, 0), (-((a >> 1) + inverse_a), 4), ((a * a >> width + 3) + (3 << width - 1), 2)
@@ -210,21 +201,13 @@ def _attempt(size: int, digits: int, guard: int):
         g0, g1, g2, e0, e1, e2 = g1, g2, value, e1, e2, radius
         entries.append((value, radius, width))
     target = 10 ** (digits + 10) + 1
-    inverse_root = math.isqrt((1 << 2 * start) // 24)
-    power = 1  # power = 3^j
-    for m, (value, radius, width) in enumerate(entries):
-        shift = power.bit_length()
-        converted = value * (inverse_root >> start - width) >> width if m % 2 else value
-        converted, radius = (converted << shift) // power, ((radius + (abs(value) >> width) + 2) << shift) // power + 2
-        if abs(converted) <= target * radius:
-            return None
-        entries[m] = converted, radius, width + 3 * (m // 2) + shift
-        power *= 3 if m % 2 else 1
+    if any(abs(value) <= target * radius for value, radius, _ in entries):
+        return None
     return tuple(entries)
 
 
 def _coefficients(m: int, digits: int) -> tuple:
-    """The source (D, entries), entries[k] = (W_k, e_k, Q_k) for k <= M, with M >= m and D >= digits.
+    """The source (D, entries), entries[k] = (G_k, E_k, w_k) for k <= M, with M >= m and D >= digits.
 
     A request past the source rebuilds it, with M and D each raised to at
     least _SOURCE_GROWTH times what was held if it is exceeded, and M to at
@@ -256,29 +239,31 @@ def _coefficients(m: int, digits: int) -> tuple:
 
 
 def _horner(N: int, P: int, U: int, digits: int) -> int:
-    """An integer within 3N of 2^P sum_{m<N} x_m u^m, for U = floor(2^P u), 0 < u <= 1.
+    """An integer within 7 of 2^P sum_{m<N} x_m u^m, for U = floor(2^P u), 0 < u <= 1/sqrt(24).
 
-    The x_m = W_m / 2^Q_m are the source's values at ``digits`` or more;
-    each Q_m >= (digits + 16) log2 10 + 4 (see ``_attempt``: Q_m >= w_m and
-    guard >= 6) is more than 53 past the precision of ``digits``, so for P up
-    to that, C_m = floor(2^P x_m) is W_m >> (Q_m - P).
-    Horner runs acc = floor(acc U / 2^P) + C_m over m = N-1, ..., 0 from
-    acc = 0.  Write T_k = sum_{k<=m<N} x_m u^(m-k) and e_k = acc_k - 2^P T_k,
-    so e_N = 0, and U = 2^P u - d with 0 <= d < 1.  With f, f' in [0, 1) the
-    two floors of step k,
+    The x_m = G_m / 2^w_m are the source's values of g_m at ``digits`` or
+    more, and w_m > P for P up to the ball scale of ``digits`` (see
+    ``_ball_g``), so C_m = floor(2^P x_m) is G_m >> (w_m - P).  Horner runs
+    acc = floor(acc U / 2^P) + C_m over m = N-1, ..., 0 from acc = 0.  Write
+    T_k = sum_{k<=m<N} x_m u^(m-k), X_k the same sum of the |x_m|, and
+    e_k = acc_k - 2^P T_k, so e_N = 0, and U = 2^P u - d with 0 <= d < 1.
+    With f, f' in [0, 1) the two floors of step k,
 
-        e_k = u e_{k+1} - d acc_{k+1} / 2^P - f - f'.
+        e_k = u e_{k+1} + delta_k,  delta_k = -d acc_{k+1} / 2^P - f - f',
 
-    ``_ball_envelope`` gives |c_m| <= 1.7376 sqrt(m+1) / sqrt(24)^m for every
-    m >= 1, so sum_{m>=1} |c_m| < 0.67; each x_m is within a relative
-    10^-(digits+10) of c_m (see ``_attempt``), so |T_k| < 0.7 for k >= 1 and
-    |acc_{k+1}| < 0.7 * 2^P + |e_{k+1}|.  Hence |e_k| < |e_{k+1}| (1 + 2^-P)
-    + 2.7, and by induction |e_k| < 3(N - k) whenever 10N <= 2^P.
+    so e_0 = sum_{k<N} u^k delta_k: an error shrinks by a factor u at each
+    later step.  A floor adds under 1 to a size, so |acc_k| < u |acc_{k+1}|
+    + 2^P |x_k| + 2 and |acc_k| < 2^P X_k + 2 / (1 - u) < 2^P X_k + 3; hence
+    |delta_k| < X_{k+1} + 2 + 3 / 2^P.  Summed, sum_k u^k X_{k+1} =
+    sum_{1<=m<N} m |x_m| u^(m-1).  ``_ball_envelope`` gives |g_m| <=
+    1.7376 sqrt(m+1) for every m, and x_m is within a relative 10^-(digits+10)
+    of g_m (see ``_attempt``), so with u <= 1/sqrt(24) that sum is under
+    1.7377 * 2.477 < 4.31, and |e_0| < 4.31 + (2 + 3 / 2^P) / (1 - u) < 7.
     """
     acc = 0
     if N:
-        for value, _, scale in reversed(_coefficients(N - 1, digits)[1][:N]):
-            acc = (acc * U >> P) + (value >> scale - P)
+        for value, _, width in reversed(_coefficients(N - 1, digits)[1][:N]):
+            acc = (acc * U >> P) + (value >> width - P)
     return acc
 
 
@@ -292,41 +277,36 @@ def coeff_c(m: int, ctx: PrecisionContext):
     return _round_envelope(m, ctx, lambda _, bits: _ball_c(m, bits))
 
 
-def _ball_c(m: int, bits: int, top: int | None = None) -> tuple:
-    """c_m as a ball at scale 2^-bits: the source's entry (W_m, e_m, Q_m), floored from its own scale 2^-Q_m by a right shift.
+def _ball_c(m: int, bits: int) -> tuple:
+    """c_m = g_m / sqrt(24)^m as a ball at scale 2^-bits, for ``coeff_c``.
 
-    The source is asked for c_0..c_t, t = top (m when None, else at least m), and for the digits that c_t
-    (about sqrt(t+1) / sqrt(24)^t) needs relative to its size, d = ``_ball_digits(bits - s)``, s =
-    ``_root_below(t + 1, 24^t)``: the context's digits at the scale ``_round_envelope`` starts from.  Q_m > bits
-    for every m <= t: the source holds D >= d digits for M >= t entries, built at guard G >= 6 (see
-    ``_attempt``).  Entry m was formed at a width w_m >= base + L_i, base = ceil((D + 10 + G) log2 10) + 4 and
-    i = max(m - 3, 0); each ``_growth`` bound on rho_k exceeds sqrt(24) (the least, at k = 0, is about 4.99), so
-    L_i >= (M - 2 - i) log2 sqrt(24) >= (M - m - 2) log2 sqrt(24).  And Q_m = w_m + 3j + bitlen(3^j) >=
-    w_m + j log2 24 >= w_m + (m - 1) log2 sqrt(24), j = floor(m/2), so Q_m >= base + (M - 3) log2 sqrt(24) >=
-    base + s - 7, as s <= t log2 sqrt(24).  With bits - s - _BALL_GUARD <= (d + 3/2) log2 10 (``_ball_digits``),
-    Q_m - bits >= (G + 17/2) log2 10 - 35 > 13.  Flooring by 2^(Q_m-bits) moves the midpoint by under 1 and
-    divides the radius: the radius is floor(e_m / 2^(Q_m-bits)) + 2, as in ``_ball_scale``.  Every c_k with
-    k <= t is read from the one request for c_t's digits.
+    c_m sits about s = ``_root_below(m + 1, 24^m)`` bits below g_m, so g_m is
+    read at the coarser scale 2^-(bits - s) (``_ball_g``) and scaled by
+    2^s / 24^j, j = floor(m/2), to g_m / 24^j at 2^-bits (``_ball_scale``);
+    for odd m that is multiplied by 1 / sqrt(24), ``_ball_sqrt(1, bits, 24)``
+    (``_ball_mul``).  Each helper proves its radius.  The source is asked for
+    the digits of scale 2^-(bits - s): the context's digits at the scale
+    ``_round_envelope`` starts from.
     """
-    top = m if top is None else top
-    value, radius, scale = _coefficients(top, _ball_digits(bits - _root_below(top + 1, 24**top)))[1][m]
-    return value >> scale - bits, (radius >> scale - bits) + 2
+    shift = _root_below(m + 1, 24**m)
+    ball = _ball_scale(_ball_g(m, bits - shift), 1 << shift, 24 ** (m // 2))
+    return _ball_mul(_ball_sqrt(1, bits, 24), ball, bits) if m % 2 else ball
 
 
 def _ball_g(m: int, bits: int) -> tuple:
-    """g_m = sqrt(24)^m c_m as a ball at scale 2^-bits, formed at the finer scale 2^-w, w = bits + bitlen(24^j) + 3.
+    """g_m = sqrt(24)^m c_m as a ball at scale 2^-bits: the source's entry (G_m, E_m, w_m), floored from 2^-w_m by a right shift.
 
-    c_m is ``_ball_c(m, w)``, times 24^j exactly (``_ball_scale``) and, for m = 2j+1, times ``_ball_sqrt(24, w)``
-    (``_ball_mul``); the product is floored to 2^-bits by ``_ball_scale``, and each helper proves its radius.  As
-    2^(w-bits) > 8 * 24^j, the floor takes c_m's radius, grown by 24^j (and sqrt(24)), below 5/8 of what it was.
-    Nothing depends on the source's scale.
+    The source is asked for g_0..g_m at d = ``_ball_digits(bits)`` digits.
+    It holds D >= d digits, built at guard G >= 6, and every width w_m is at
+    least base = ceil((D + 10 + G) log2 10) + 4 (see ``_attempt``), while
+    bits - _BALL_GUARD <= (d + 3/2) log2 10 (``_ball_digits``), so
+    w_m - bits >= (G + 17/2) log2 10 + 4 - 32 > 20.  Flooring by
+    2^(w_m - bits) moves the midpoint by under 1 and divides the radius: the
+    radius is floor(E_m / 2^(w_m - bits)) + 2, as in ``_ball_scale``.  The
+    scale is the one asked, whatever the source holds.
     """
-    power = 24 ** (m // 2)
-    width = bits + power.bit_length() + 3
-    ball = _ball_scale(_ball_c(m, width), power)
-    if m % 2:
-        ball = _ball_mul(_ball_sqrt(24, width), ball, width)
-    return _ball_scale(ball, 1, 1 << width - bits)
+    value, radius, width = _coefficients(m, _ball_digits(bits))[1][m]
+    return value >> width - bits, (radius >> width - bits) + 2
 
 
 # Bits of the scale finer than the one asked at which ``_amplitude`` forms its ball.
@@ -438,54 +418,68 @@ def _ball_darboux(m: int, bits: int) -> tuple:
     return _ball_scale(ball, (-1) ** m * (2 * m + 1) * comb(2 * m, m), 2 << 2 * m)
 
 
-def _certified(top: int, balls, what: str) -> bool:
-    """Whether lhs < rhs for the balls (lhs, rhs) = balls(P, c) at scale 2^-P, c(k) the ball of |c_k| for k <= top.
+def _certified(balls, what: str) -> bool:
+    """Whether lhs < rhs for the balls (lhs, rhs) = balls(P, g) at scale 2^-P, g(k) the ball of |g_k|.
 
-    One ``_ball_decide`` group from P = _START_BITS + ``_root_below(top + 1, 24^top)``, _START_BITS below
-    the size of c_top, whatever the source holds.  c(k) is the absolute value of ``_ball_c(k, P, top)``, so
-    each scale reads the source for c_top's digits once, and the source is rebuilt only while the balls overlap.
+    One ``_ball_decide`` group from P = _START_BITS: every |g_k| the source
+    serves is at least 1, so that is _START_BITS below its size, whatever the
+    source holds.  g(k) is the absolute value of ``_ball_g(k, P)``, and the
+    source is rebuilt only while the balls overlap.
     """
 
     def signs(P):
-        def c(k):
-            middle, radius = _ball_c(k, P, top)
+        def g(k):
+            middle, radius = _ball_g(k, P)
             return abs(middle), radius
 
-        return [_ball_sign(*balls(P, c))]
+        return [_ball_sign(*balls(P, g))]
 
-    return _ball_decide(signs, _START_BITS + _root_below(top + 1, 24**top), what)[0] < 0
+    return _ball_decide(signs, _START_BITS, what)[0] < 0
 
 
 def certified_abs_less(m: int, other: int) -> bool:
-    """Decide |c_m| < |c_other| exactly, on the balls of |c_m| and |c_other| that ``_certified`` reads."""
+    """Decide |c_m| < |c_other| exactly, on the balls of |g_m| and |g_other| that ``_certified`` reads.
+
+    Times sqrt(24)^k for the larger index k, the claim is |g_m| sqrt(24)^(k-m) < |g_other| sqrt(24)^(k-other):
+    the ball of the smaller index is multiplied by 24^floor(d/2) exactly and, for an odd difference d, by
+    ``_ball_sqrt(24, P)`` (``_ball_mul``).
+    """
     if min(m, other) < 0:
         raise DomainError(f"m must be nonnegative, got {m if m < 0 else other}")
     if m == other:
         return False
-    what = f"the comparison of |c_{m}| and |c_{other}|"
-    return _certified(max(m, other), lambda _, c: (c(m), c(other)), what)
+    low, high = sorted((m, other))
+    power = 24 ** ((high - low) // 2)
+
+    def balls(bits, g):
+        top = g(high)  # the last index first, so the source grows once
+        bottom = _ball_scale(g(low), power)
+        if (high - low) % 2:
+            bottom = _ball_mul(_ball_sqrt(24, bits), bottom, bits)
+        return (top, bottom) if m == high else (bottom, top)
+
+    return _certified(balls, f"the comparison of |c_{m}| and |c_{other}|")
 
 
 def _ratio_within_cap(m: int) -> bool:
     """Decide |c_m / c_(m-1)| < cap for m >= 2: pi / (8 sqrt(6)) for even m, (pi/6 + 12/pi) / (4 sqrt(6)) for odd m.
 
-    Cleared of denominators, 8 sqrt(6) |c_m| < pi |c_(m-1)| and 24 sqrt(6) pi |c_m| < (pi^2 + 72) |c_(m-1)|,
-    on the balls of |c_m| and |c_(m-1)| that ``_certified`` reads, ``_ball_pi(P)`` and ``_ball_sqrt(6, P)``,
-    all at one scale 2^-P.
+    As c_m / c_(m-1) = g_m / (sqrt(24) g_(m-1)) and sqrt(24) = 2 sqrt(6), cleared of denominators the caps are
+    4 |g_m| < pi |g_(m-1)| and 12 pi |g_m| < (pi^2 + 72) |g_(m-1)|, on the balls of |g_m| and |g_(m-1)| that
+    ``_certified`` reads and ``_ball_pi(P)``, all at one scale 2^-P.
     """
 
-    def balls(bits, c):
-        half_turn, root6, current, previous = _ball_pi(bits), _ball_sqrt(6, bits), c(m), c(m - 1)
+    def balls(bits, g):
+        current, previous, half_turn = g(m), g(m - 1), _ball_pi(bits)
         if m % 2 == 0:
-            return _ball_scale(_ball_mul(root6, current, bits), 8), _ball_mul(half_turn, previous, bits)
-        lhs = _ball_scale(_ball_mul(half_turn, _ball_mul(root6, current, bits), bits), 24)
+            return _ball_scale(current, 4), _ball_mul(half_turn, previous, bits)
+        lhs = _ball_scale(_ball_mul(half_turn, current, bits), 12)
         return lhs, _ball_mul(_ball_add(_ball_mul(half_turn, half_turn, bits), (72 << bits, 0)), previous, bits)
 
-    return _certified(m, balls, f"the cap on |c_{m}/c_{m - 1}|")
+    return _certified(balls, f"the cap on |c_{m}/c_{m - 1}|")
 
 
 def _within_envelope(m: int) -> bool:
-    """Decide |c_m| < its envelope, lemma 2's bound, on the ball of |c_m| that ``_certified`` reads and
-    ``_ball_envelope(m, 24^m, .)``, both at one scale 2^-P."""
-    power = 24**m
-    return _certified(m, lambda bits, c: (c(m), _ball_envelope(m, power, bits)), f"the envelope bound on |c_{m}|")
+    """Decide |c_m| < its envelope, lemma 2's bound, as |g_m| < ``_ball_envelope(m, 1, .)``, the envelope times
+    sqrt(24)^m, on the ball of |g_m| that ``_certified`` reads, both at one scale 2^-P."""
+    return _certified(lambda bits, g: (g(m), _ball_envelope(m, 1, bits)), f"the envelope bound on |c_{m}|")

@@ -15,10 +15,10 @@ and the tail mediant theta_N(n) = (full tail) / (first omitted term).
 
 Every value takes one route: an integer ball (the ``_ball_*`` forms, see
 ``precision``).  P(n), E(n) = exp(-x/2) with x = pi*sqrt(2n/3), and the
-prefactor come from one exp per n and scale; the terms c_m/n^(m/2) and the
-partial sums S_N up to a K from one integer pass per (n, K, scale) over the
-coefficient source, and the full sum from one Horner pass, each with its
-proven radius.  The sweeps decide on these balls, and a returned value is
+prefactor come from one exp per n and scale; the terms c_m/n^(m/2) =
+g_m u^m, u = 1/sqrt(24n), and the partial sums S_N up to a K from one
+integer pass per (n, K, scale) over the coefficient source's g_m, and the
+full sum from one Horner pass, each with its proven radius.  The sweeps decide on these balls, and a returned value is
 the real its ball encloses, rounded once to the context by ``_ball_round``.
 A ball starts at the scale that fits its value, the context's ball scale
 plus about the bits the value sits below 1, and is formed again at twice
@@ -126,7 +126,7 @@ def _per_n_bits(n: int, digits: int) -> int:
 
 @functools.lru_cache(maxsize=4)
 def _ball_per_n(n: int, bits: int) -> tuple:
-    """(w, E, Q, U) at n and 2^-bits: E(n) = e^(-x/2), Q = sqrt(3) e^-x at 2^-2w and U = floor(2^bits / sqrt(n)).
+    """(w, E, Q, U) at n and 2^-bits: E(n) = e^(-x/2), Q = sqrt(3) e^-x at 2^-2w and U = floor(2^bits / sqrt(24n)).
 
     One exp gives D = e^-y, y = pi sqrt(n/6) = x/2, at 2^-w, w = bits + ``_decay_bits(n)`` + bitlen(n) + 8;
     E is D floored to 2^-bits, and Q is D^2, exact at 2^-2w, times ``_ball_sqrt(3, w)``, each step a ball
@@ -138,7 +138,7 @@ def _ball_per_n(n: int, bits: int) -> tuple:
     wide = bits + _decay_bits(n) + n.bit_length() + 8
     decay = _ball_exp(_ball_mul(_ball_pi(wide), _ball_sqrt(n, wide, 6), wide), wide)
     square = _ball_mul(_ball_sqrt(3, wide), _ball_mul(decay, decay, 0), wide)
-    return wide, _ball_scale(decay, 1, 1 << wide - bits), square, _ball_sqrt(1, bits, n)[0]
+    return wide, _ball_scale(decay, 1, 1 << wide - bits), square, _ball_sqrt(1, bits, 24 * n)[0]
 
 
 def _ball_error_term(n: int, bits: int) -> tuple:
@@ -164,27 +164,28 @@ def _ball_prefactor(n: int, bits: int) -> tuple:
 def _ball_pass(n: int, K: int, bits: int) -> tuple:
     """(terms, sums) at n and scale 2^-bits: balls of |c_m| / n^(m/2) for m < K and of S_0..S_K, K >= 1, memoized per (n, K, scale).
 
-    One loop on integers, with u = 1/sqrt(n) <= 1 and U = floor(2^bits u).
-    The powers V_0 = 2^bits, V_m = floor(V_(m-1) U / 2^bits) lie in
-    (v_m - 2m, v_m], v_m = 2^bits u^m: as V_(m-1) <= 2^bits, the gap is u
-    times the last one, plus V_(m-1) (u - U / 2^bits) < 1, plus a floor's
-    fraction.  The source holds each (W_m, e_m) at its own scale 2^-Q_m,
-    Q_m > bits (see ``_horner``), so C_m = floor(W_m / 2^(Q_m-bits)) is
-    within r = floor(e_m / 2^(Q_m-bits)) + 2 of 2^bits c_m (``_ball_scale``),
-    and T_m = floor(C_m V_m / 2^bits) within r + (|C_m| + r) 2m / 2^bits + 1
-    of 2^bits c_m u^m: the
-    radius is that with its middle part floored, plus 1.  T_0 = 2^bits and
-    S_0 = 0 are exact, S_(m+1) = S_m + T_m adds the radii (``_ball_add``),
-    and dropping a term's sign moves no point farther from its midpoint.
+    One loop on integers, as c_m / n^(m/2) = g_m u^m with u = 1/sqrt(24n) and
+    U = floor(2^bits u).  The powers V_0 = 2^bits, V_m = floor(V_(m-1) U / 2^bits)
+    lie in (v_m - 3, v_m], v_m = 2^bits u^m: as V_(m-1) <= 2^bits, the gap is
+    u times the last one, plus V_(m-1) (u - U / 2^bits) < 1, plus a floor's
+    fraction, so under 2 / (1 - u) < 3 for u <= 1/sqrt(24).  The source
+    holds each (G_m, E_m) at its width w_m > bits (see ``coefficients._ball_g``),
+    so C_m = floor(G_m / 2^(w_m-bits)) is within
+    r = floor(E_m / 2^(w_m-bits)) + 2 of 2^bits g_m (``_ball_scale``), and
+    T_m = floor(C_m V_m / 2^bits) within r + 3 (|C_m| + r) / 2^bits + 1 of
+    2^bits g_m u^m: the radius is that with its middle part floored, plus 1.
+    T_0 = 2^bits and S_0 = 0 are exact, S_(m+1) = S_m + T_m adds the radii
+    (``_ball_add``), and dropping a term's sign moves no point farther from
+    its midpoint.
     """
     entries = _coefficients(K - 1, _ball_digits(bits))[1]
-    U, power = _ball_sqrt(1, bits, n)[0], 1 << bits
+    U, power = _ball_sqrt(1, bits, 24 * n)[0], 1 << bits
     terms, sums = [(power, 0)], [(0, 0), (power, 0)]
     for m in range(1, K):
         power = power * U >> bits
-        value, radius, scale = entries[m]
-        c, r = value >> scale - bits, (radius >> scale - bits) + 2
-        term, radius = c * power >> bits, r + ((abs(c) + r) * 2 * m >> bits) + 2
+        value, radius, width = entries[m]
+        g, r = value >> width - bits, (radius >> width - bits) + 2
+        term, radius = g * power >> bits, r + ((abs(g) + r) * 3 >> bits) + 2
         terms.append((abs(term), radius))
         sums.append((sums[-1][0] + term, sums[-1][1] + radius))
     return tuple(terms), tuple(sums)
@@ -200,17 +201,17 @@ def _ball_sum(n: int, N: Optional[int], bits: int) -> tuple:
 
     The full sum is ``_horner`` over the M = ``_series_length(n, d + 5)``
     terms at d = ``_ball_digits(bits)`` digits, with U of ``_ball_per_n``:
-    within 3M units of 2^bits times the sum of the source's values x_m.
-    Each x_m is within 10^-(d+10) |c_m| of c_m (see ``_horner``) and
-    sum_m |c_m| n^(-m/2) < 1 + 0.67 < 2, so that is within s =
-    ceil(2^(bits+1) / 10^(d+10)) units of 2^bits S_M, and the tail after
-    S_M, under 10^-(d+10), adds under s more: the radius is 3M + 2s.
+    within 7 units of 2^bits sum_m x_m u^m for the source's values x_m.
+    Each x_m is within 10^-(d+10) |g_m| of g_m (see ``_horner``) and
+    sum_m |g_m| u^m = sum_m |c_m| n^(-m/2) < 1 + 0.67 < 2, so that is within
+    s = ceil(2^(bits+1) / 10^(d+10)) units of 2^bits S_M, and the tail after
+    S_M, under 10^-(d+10), adds under s more: the radius is 7 + 2s.
     """
     if N is not None:
         return _ball_pass(n, max(N, _SOURCE_FLOOR), bits)[1][N]
     digits = _ball_digits(bits)
     M = _series_length(n, digits + 5)
-    return _horner(M, bits, _ball_per_n(n, bits)[3], digits), 3 * M - 2 * (-(2 << bits) // 10 ** (digits + 10))
+    return _horner(M, bits, _ball_per_n(n, bits)[3], digits), 7 - 2 * (-(2 << bits) // 10 ** (digits + 10))
 
 
 def _ball_term(n: int, N: int, bits: int) -> tuple:

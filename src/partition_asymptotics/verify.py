@@ -8,19 +8,20 @@ the test suite runs the same sweeps through pytest.
 
 The lemma3, thm1, thm2 and thm3 sweeps decide every claim on integer balls
 (see ``precision``), formed per n from one exp: the same balls the printed
-bounds and remainders are rounded from.  lemma1 decides its step ratios, and
-lemma2 each |c_m| against its envelope, on the coefficient source's
-integers; lemma2's central binomial inequality is decided on a ball of pi.
-gf and asymptotics compare balls of g_m = sqrt(24)^m c_m: gf the source's
-with those of the explicit expansion in ``series`` (a consistency check of
-two enclosures, not a proof of equality), asymptotics the source's with the
-leading and the dominant-singularity approximants.  The claims are about
-fixed reals, so no sweep takes digits: each group starts _START_BITS below
-its values' size (thm1's, thm2's and thm3's at n below the smallest term
-checked there, read from one ``_ball_pass``; lemma1's and lemma2's below
-|c_m|, see ``coefficients._certified``), and ``_ball_decide`` doubles the
-scale of any still undecided.  gf, an overlap test that a coarser scale
-weakens, forms its balls at one fixed scale, _GF_BITS.
+bounds and remainders are rounded from.  The coefficient sweeps read the
+coefficient source only through its balls of g_m = sqrt(24)^m c_m,
+``_ball_g``: lemma1 decides its step ratios and signs, and lemma2 each |c_m|
+against its envelope, on them; lemma2's central binomial inequality is
+decided on a ball of pi.  gf compares the source's balls with those of the
+explicit expansion in ``series`` (a consistency check of two enclosures, not
+a proof of equality), asymptotics with the leading and the
+dominant-singularity approximants.  The claims are about fixed reals, so no
+sweep takes digits: each group starts _START_BITS below its values' size
+(thm1's, thm2's and thm3's at n below the smallest term checked there, read
+from one ``_ball_pass``; the coefficient sweeps' at _START_BITS, below every
+|g_m| >= 1), and ``_ball_decide`` doubles the scale of any still undecided.
+gf, an overlap test that a coarser scale weakens, forms its balls at one
+fixed scale, _GF_BITS.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .coefficients import (
     _ball_darboux,
     _ball_envelope,
     _ball_g,
-    _coefficients,
     _ratio_within_cap,
     _within_envelope,
     certified_abs_less,
@@ -51,7 +51,6 @@ from .precision import (
     _ball_bits,
     _ball_cbrt2,
     _ball_decide,
-    _ball_digits,
     _ball_div,
     _ball_exp,
     _ball_mul,
@@ -80,13 +79,14 @@ def _lemma1(m_max: int):
     """|c_m| strictly decreasing and step ratios bounded (both certified), signs alternating.
 
     |c_1/c_0| is the odd cap itself, as g_0 = 1 and g_1 = -(a/2 + 1/a): an identity no rounding can decide.
-    The sign of c_m is that of the source's W_m, which is certified: |W_m| exceeds its radius.
+    The sign of c_m is that of g_m, read off its ball at 2^-_START_BITS when the ball excludes 0.
     """
-    entries = _coefficients(m_max, _ball_digits(_START_BITS))[1]  # the last index first, at the start's digits
+    _ball_g(m_max, _START_BITS)  # the last index first, so the coefficient source grows once
     for m in range(1, m_max + 1):
+        middle, radius = _ball_g(m, _START_BITS)
         if not certified_abs_less(m, m - 1):
             yield f"|c_{m}| >= |c_{m - 1}|"
-        elif (entries[m][0] > 0) != (m % 2 == 0):
+        elif (-1) ** m * middle <= radius:
             yield f"sign of c_{m} is not (-1)^{m}"
         elif m > 1 and not _ratio_within_cap(m):
             yield f"|c_{m}/c_{m - 1}| exceeds its cap"
@@ -111,7 +111,7 @@ def _lemma2(m_max: int):
     from _START_BITS below 1.
     """
     binom = 1  # binom(2m, m), updated incrementally
-    _coefficients(m_max, _ball_digits(_START_BITS))  # the last index first, at the start's digits
+    _ball_g(m_max, _START_BITS)  # the last index first, so the coefficient source grows once
 
     def central(m, square, P):
         return [_ball_sign(_ball_scale(_ball_pi(P), square * (4 * m + 1)), (1 << 4 * m + 2 + P, 0))]

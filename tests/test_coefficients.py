@@ -123,7 +123,7 @@ def test_certified_comparison_direction():
     assert certified_abs_less(100, 99)
 
 
-CERTIFY_PAIRS = ((0, 2), (2, 0), (3, 1), (1, 3), (7, 2), (401, 400))
+CERTIFY_PAIRS = ((0, 2), (2, 0), (3, 1), (1, 3), (7, 2), (401, 400), (2, 7), (10, 3), (0, 9), (400, 3))
 
 
 def _oracle_abs_less(m, other):
@@ -435,29 +435,29 @@ def test_range_readers_grow_the_source_once(monkeypatch, builds, ctx80, table):
 
 
 def test_ball_g_is_formed_at_its_own_scale_whatever_the_source_holds(monkeypatch):
-    # g_m's ball reads c_m at 2^-(bits + bitlen(24^j) + 3) and multiplies
-    # there, not at the source's scale: the same balls, with sqrt(24) formed
-    # at that scale, from a cold source and after a 1500-digit build
+    # g_m's ball is the source's entry (G_m, E_m, w_m) floored from 2^-w_m to
+    # the scale asked, with no sqrt(24) or other ball formed: the same balls
+    # from a cold source and after a 1500-digit build
     bits = verify._GF_BITS
     scales = []
     root = coefficients._ball_sqrt
     monkeypatch.setattr(coefficients, "_ball_sqrt", lambda num, P, den=1: scales.append(P) or root(num, P, den))
-    expected = [bits + (24 ** (m // 2)).bit_length() + 3 for m in range(1, 101, 2)]
     balls = []
     for built in (False, True):
         _cold_source(monkeypatch)
         if built:
             coefficients._coefficients(400, 1500)
-        scales.clear()
-        balls.append([coefficients._ball_g(m, bits) for m in range(100, -1, -1)])
-        assert sorted(scales) == expected, built
+        balls.append([coefficients._ball_g(m, bits) for m in range(100, -1, -1)][::-1])
+        entries = coefficients._coefficients(100, precision._ball_digits(bits))[1]
+        assert balls[-1] == [(value >> width - bits, (radius >> width - bits) + 2) for value, radius, width in entries[:101]], built
+        assert min(width for *_, width in entries) > bits + 20 and not scales, built
     assert balls[0] == balls[1]
 
 
 def test_lemma1_decides_its_ratios_on_the_source_as_built(monkeypatch, builds):
     # at any --digits the source is built once, for the 9 digits of every
-    # comparison's start scale, its entries from 2^-1518 down to 2^-573, and
-    # no ratio escalates
+    # comparison's start scale, its entries at widths from 2^-1517 down to
+    # 2^-114, and no ratio escalates
     assert precision._ball_digits(precision._START_BITS) == 9
     for digits in ("30", "50"):
         _cold_source(monkeypatch)
@@ -465,7 +465,7 @@ def test_lemma1_decides_its_ratios_on_the_source_as_built(monkeypatch, builds):
         assert cli.run(["--digits", digits, "verify", "lemma1", "--m-max", "200"], stream=io.StringIO()) == 0
         assert builds == [(200, 9, coefficients._GUARD_MARGIN)]
         held, entries = coefficients._source
-        assert (held, len(entries), entries[0][2], entries[-1][2]) == (9, 201, 1518, 573)
+        assert (held, len(entries), entries[0][2], entries[-1][2]) == (9, 201, 1517, 114)
 
 
 def test_step_ratio_decided_on_the_source(monkeypatch):
@@ -500,14 +500,14 @@ def test_envelope_decided_on_the_source(monkeypatch):
 def test_lemma2_decides_on_the_source_as_built(monkeypatch, builds, digits):
     # every bound and central binomial check decides on the source built for
     # the digits of the bounds' start scale, whatever --digits, at the first
-    # scale: one build, its entries from 2^-3346 down to 2^-1025, and no rebuild
+    # scale: one build, its entries at widths from 2^-3345 down to 2^-108, and no rebuild
     _cold_source(monkeypatch)
     stream = io.StringIO()
     assert cli.run(["--digits", str(digits), "verify", "lemma2"], stream=stream) == 0
     assert "checked = 20702" in stream.getvalue()
     assert builds == [(400, 9, coefficients._GUARD_MARGIN)]
     held, entries = coefficients._source
-    assert (held, len(entries), entries[0][2], entries[-1][2]) == (9, 401, 3346, 1025)
+    assert (held, len(entries), entries[0][2], entries[-1][2]) == (9, 401, 3345, 108)
 
 
 def test_negative_m_rejected(ctx80, monkeypatch):
@@ -543,43 +543,52 @@ def test_certified_comparison_consecutive_without_escalation(monkeypatch, builds
     assert certified_abs_less(400, 399)  # the last index first, as lemma1 asks for it
     for m in range(1, 400):
         assert certified_abs_less(m, m - 1), m
-    # every comparison starts _START_BITS below |c_m|, where 9 digits serve
+    # every comparison starts at _START_BITS, below every |g_m| >= 1, where 9 digits serve
     assert builds == [(400, 9, coefficients._GUARD_MARGIN)]
+
+
+def _tie(entry, width, shift):
+    """floor(2^width |G| sqrt(24)^shift / 2^w) for an entry (G, E, w): |g| times sqrt(24)^shift, at 2^-width."""
+    value, _, scale = entry
+    square = value * value << 2 * width
+    return math.isqrt(square * 24**shift >> 2 * scale if shift >= 0 else (square >> 2 * scale) // 24**-shift)
 
 
 def test_certified_comparison_escalates(monkeypatch, builds):
     for m, other in CERTIFY_PAIRS + ((100, 99),):
         _cold_source(monkeypatch)
         held, entries = coefficients._coefficients(max(m, other), 40)
-        # entry m replaced by |W_other| moved to the wrong side at c_other's scale, by a quarter of
-        # twice its radius, with that radius: the midpoints now give the wrong answer, and the balls overlap
-        value, radius, scale = entries[other]
+        # entry m replaced at its own width by the |g_m| that ties |c_m| with |c_other|, |g_other| sqrt(24)^(m-other),
+        # moved to the wrong side by half of R = E_m + 4 and with radius R: the midpoints now give the wrong answer,
+        # and the balls overlap
+        value, radius, width = entries[m]
+        radius += 4
         step = 1 if _oracle_abs_less(m, other) else -1
-        moved = abs(value) + step * (2 * radius // 4)
-        assert 0 < abs(moved - abs(value)) < 2 * radius
+        tie = _tie(entries[other], width, m - other)
+        moved = tie + step * (radius // 2)
+        assert 0 < abs(moved - tie) < radius
         tied = list(entries)
-        tied[m] = -moved if m % 2 else moved, radius, scale
+        tied[m] = -moved if m % 2 else moved, radius, width
         monkeypatch.setattr(coefficients, "_source", (held, tuple(tied)))
         builds.clear()
         assert certified_abs_less(m, other) == _oracle_abs_less(m, other), (m, other)
-        # one _ball_decide group from _START_BITS below |c_top|, top = max(m, other): the tampered balls,
-        # floored, overlap at every doubled scale that the digits held serve, and the one rebuild is for
-        # the digits of the first scale past them, grown by the source's factor
-        top = max(m, other)
-        below = precision._root_below(top + 1, 24**top)
-        scale = precision._START_BITS + below
-        while precision._ball_digits(scale - below) <= held:
+        # one _ball_decide group from _START_BITS: the tampered balls, floored, overlap at every doubled scale
+        # that the digits held serve, and the one rebuild is for the digits of the first scale past them,
+        # grown by the source's factor
+        scale = precision._START_BITS
+        while precision._ball_digits(scale) <= held:
             scale *= 2
-        rebuilt = max(precision._ball_digits(scale - below), math.ceil(coefficients._SOURCE_GROWTH * held))
+        rebuilt = max(precision._ball_digits(scale), math.ceil(coefficients._SOURCE_GROWTH * held))
         assert [digits for _, digits, _ in builds] == [rebuilt] and rebuilt > held, (m, other)
 
 
 def test_coeff_c_escalates_when_the_source_sits_past_a_rounding_boundary(monkeypatch, builds):
-    # a source entry moved just past the rounding boundary half an ulp from
-    # the correctly rounded c_m, its radius widened so that its ball still
-    # holds c_m: the midpoint rounds to the neighbouring float, the ball
-    # straddles the boundary, so coeff_c escalates, the source is rebuilt for
-    # more digits, and the value is the correctly rounded one again
+    # a source entry moved so that c_m's ball at coeff_c's first scale has
+    # its midpoint just past the rounding boundary half an ulp from the
+    # correctly rounded c_m, its radius widened so that its ball still holds
+    # g_m: the midpoint rounds to the neighbouring float, the ball straddles
+    # the boundary, so coeff_c escalates, the source is rebuilt for more
+    # digits, and the value is the correctly rounded one again
     ctx = PrecisionContext(50)
     for m in (7, 40):
         _cold_source(monkeypatch)
@@ -587,14 +596,17 @@ def test_coeff_c_escalates_when_the_source_sits_past_a_rounding_boundary(monkeyp
         expected = coeff_c(m, ctx)._mpf_
         _, man, exp, count = expected
         assert man != 1  # a power of two has a nearer boundary below it
-        value, radius, bits = entries[m]
-        nearest = man << exp + bits  # |c_m| rounded, at the entry's scale 2^-bits
-        side = 1 if abs(value) > nearest else -1
-        moved = nearest + side * ((1 << exp + count - ctx.prec + bits - 1) + 4)
-        assert precision._rounded_float(moved, bits, ctx.prec)[1:] != expected[1:]
+        first = precision._ball_bits(ctx.digits, m + 1, 24**m)  # the scale coeff_c starts from
+        fine = first + 64
+        nearest = man << exp + fine  # |c_m| rounded, at 2^-fine
+        side = 1 if abs(coefficients._ball_c(m, first)[0]) << 64 > nearest else -1
+        moved = nearest + side * ((1 << exp + count - ctx.prec + fine - 1) + (64 << 64))  # 64 units of 2^-first past the boundary
+        value, radius, width = entries[m]
+        lifted = math.isqrt(moved * moved * 24**m << 2 * width >> 2 * fine)  # sqrt(24)^m moved, at the entry's width
         tampered = list(entries)
-        tampered[m] = -moved if m % 2 else moved, abs(moved - abs(value)) + radius, bits
+        tampered[m] = -lifted if m % 2 else lifted, abs(lifted - abs(value)) + radius, width
         monkeypatch.setattr(coefficients, "_source", (held, tuple(tampered)))
+        assert precision._rounded_float(coefficients._ball_c(m, first)[0], first, ctx.prec)[1:] != expected[1:]
         coeff_c.cache_clear()
         builds.clear()
         assert coeff_c(m, ctx)._mpf_ == expected, m
@@ -614,62 +626,53 @@ def test_certified_comparison_undecided_raises(monkeypatch):
     _cold_source(monkeypatch)
     with pytest.raises(PrecisionError, match=r"^the comparison of \|c_3\| and \|c_2\| is undecided at 700 bits$"):
         certified_abs_less(3, 2)
-    # from _START_BITS below |c_3|, 2^-69, doubled up to the widest scale; each scale asks for the digits
-    # _START_BITS past its root_below(4, 24^3) = 5 bits
-    assert precision._START_BITS + precision._root_below(4, 24**3) == 69
-    assert built == [precision._ball_digits(bits - 5) for bits in (69, 138, 276, 552, 700)] == [9, 29, 71, 154, 199]
-
-
-def _working_width(m, scale):
-    """The width w_m of the step that formed entry m, read off its scale Q_m = w_m + 3j + bitlen(3^j), j = floor(m/2)."""
-    j = m // 2
-    return scale - 3 * j - (3**j).bit_length()
+    # from _START_BITS, 2^-64, doubled up to the widest scale; each scale asks for its own digits
+    assert precision._START_BITS == 64
+    assert built == [precision._ball_digits(bits) for bits in (64, 128, 256, 512, 700)] == [9, 28, 66, 143, 200]
 
 
 def _closed_forms_at(entries, guard=80):
-    """c_m from the closed form for each source entry (W_m, e_m, Q_m), to far below one unit of 2^-Q_m, in one mpmath context.
+    """g_m from the closed form for each source entry (G_m, E_m, w_m), to far below one unit of 2^-w_m, in one mpmath context.
 
-    With w = ``_working_width(m, Q_m)``, (4 sqrt(6))^m |c_m| = sum_k
-    binom(m+1, k) (m+1-k) w_{m+1-2k} is summed on integers at 2^-(w + guard),
-    the w_j = (pi/6)^(j-1) / j! floored from one scale finer than every
-    entry's, with pi from mpmath; each floor costs under m units of
-    2^-(w + guard), and the division by (4 sqrt(6))^m > 2^(Q_m - w) in mpmath
-    at w + guard + 20 bits leaves c_m within 2^-(Q_m + guard - 12) of its value.
+    As sqrt(24)^m = (4 sqrt(6))^m / 2^m, |g_m| = sum_k binom(m+1, k) (m+1-k)
+    w_{m+1-2k} / 2^m, summed on integers at 2^-(w_m + guard), the
+    w_j = (pi/6)^(j-1) / j! floored from one scale finer than every entry's,
+    with pi from mpmath and w_1 = 1 exact.  The floors cost under the sum of
+    the integer factors, (m+1) 2^m units of 2^-(w_m + guard), so g_m is
+    within (m+1) 2^-(w_m + guard) of its value.
     """
-    fine = max(scale for *_, scale in entries) + guard
+    fine = max(width for *_, width in entries) + guard
     mp = MPContext()
     mp.prec = fine + 20
     sixth = int(mp.ldexp(mp.pi / 6, fine))
-    weights = [int(mp.ldexp(6 / mp.pi, fine))]  # w_j at 2^-fine
-    for j in range(1, len(entries) + 1):
+    weights = [int(mp.ldexp(6 / mp.pi, fine)), 1 << fine]  # w_j at 2^-fine; w_1 = 1 is exact, and so is g_0
+    for j in range(2, len(entries) + 1):
         weights.append(weights[-1] * sixth // (j << fine))
     values = []
-    for m, (_, _, scale) in enumerate(entries):
-        width = _working_width(m, scale) + guard
+    for m, (_, _, width) in enumerate(entries):
         total, binom = 0, 1  # binom = binom(m+1, k)
         for k in range((m + 1) // 2 + 1):
-            total += binom * (m + 1 - k) * (weights[m + 1 - 2 * k] >> fine - width)
+            total += binom * (m + 1 - k) * (weights[m + 1 - 2 * k] >> fine - width - guard)
             binom = binom * (m + 1 - k) // (k + 1)
-        mp.prec = width + 20
-        magnitude = mp.ldexp(total, -width) / mp.sqrt(96) ** m
+        magnitude = mp.ldexp(total, -(width + guard + m))
         values.append(-magnitude if m % 2 else magnitude)
     return values
 
 
 def test_source_values_within_their_radius(monkeypatch):
-    # every entry's ball holds c_m at its own scale, and the build's check
-    # still means what it says: W_m / 2^Q_m is within 10^-(digits+10) of
-    # c_m, relative
+    # every entry's ball holds g_m at its own width, and the build's check
+    # means what it says: G_m / 2^w_m is within 10^-(digits+10) of g_m,
+    # relative
     for size, digits in ((200, 50), (400, 80), (120, 187), (400, 9), (400, 62), (1000, 30)):
         _cold_source(monkeypatch)
         held, entries = coefficients._coefficients(size, digits)
         assert (held, len(entries)) == (digits, size + 1)
-        for m, ((value, radius, scale), exact) in enumerate(zip(entries, _closed_forms_at(entries))):
+        for m, ((value, radius, width), exact) in enumerate(zip(entries, _closed_forms_at(entries))):
             mp = exact.context
-            mp.prec = scale + 200  # the differences below are exact: their bits lie in (2^-(scale+120), 2^(scale+2))
-            assert abs(mp.mpf(value) - mp.ldexp(exact, scale)) <= radius, (size, digits, m)
+            mp.prec = width + 200  # the differences below are exact: their bits lie in (2^-(width+120), 2^(width+8))
+            assert abs(mp.mpf(value) - mp.ldexp(exact, width)) <= radius, (size, digits, m)
             assert abs(value) > (10 ** (digits + 10) + 1) * radius, (size, digits, m)
-            assert abs(mp.ldexp(value, -scale) - exact) * 10 ** (digits + 10) <= abs(exact), (size, digits, m)
+            assert abs(mp.ldexp(value, -width) - exact) * 10 ** (digits + 10) <= abs(exact), (size, digits, m)
 
 
 @pytest.mark.parametrize("size, digits, flat", ((400, 62, 3522), (3000, 9, 33217)))
@@ -682,7 +685,7 @@ def test_source_widths_shrink_with_m(size, digits, flat):
     growth = sum(math.log10(top) - math.log10(bottom) for top, bottom in map(coefficients._growth, range(size - 2)))
     assert math.ceil((digits + 10 + math.ceil(growth + 1e-6) + 6) * math.log2(10)) + 4 == flat
     entries = coefficients._attempt(size, digits, coefficients._GUARD_MARGIN)
-    widths = [_working_width(m, scale) for m, (_, _, scale) in enumerate(entries)][3:]
+    widths = [width for *_, width in entries][3:]
     assert len(widths) == size - 2
     assert all(width >= narrower for width, narrower in zip(widths, widths[1:]))
     assert sum(widths) <= 0.62 * len(widths) * flat
@@ -696,7 +699,7 @@ def test_narrowing_floors_the_live_balls_by_ball_scale(monkeypatch):
     original = coefficients._ball_scale
     monkeypatch.setattr(coefficients, "_ball_scale", lambda ball, num, den=1: floors.append((num, den)) or original(ball, num, den))
     entries = coefficients._attempt(400, 62, coefficients._GUARD_MARGIN)
-    widths = [_working_width(m, scale) for m, (_, _, scale) in enumerate(entries)][2:]
+    widths = [width for *_, width in entries][2:]
     drops = [width - narrower for width, narrower in zip(widths, widths[1:]) if width != narrower]
     assert drops and min(drops) >= coefficients._NARROW_STEP
     assert floors == [(1, 1 << drop) for drop in drops for _ in range(3)]

@@ -69,7 +69,7 @@ def test_coefficient_root_and_amplitude_balls_enclose_their_values(digits):
     values = _closed_form(40, bits)
     for m in (*ORDERS, 25, 40):
         _assert_encloses(coefficients._ball_c(m, bits), bits, values[m])
-        _assert_encloses(coefficients._ball_c(m, bits, 40), bits, values[m])  # read for c_40's digits
+        _assert_encloses(coefficients._ball_c(m, bits + 40), bits + 40, values[m])  # g_m read at a finer scale
     base = 6 * mp.sqrt(2) / mp.pi ** mp.mpf(1.5)
     for m, amplitude in ((0, base * mp.sinh(mp.pi / 6)), (1, base * mp.cosh(mp.pi / 6)), (12, base * mp.sinh(mp.pi / 6))):
         ball = coefficients._ball_amplitude(m, bits)
@@ -105,9 +105,9 @@ def test_per_n_and_sum_balls_enclose_their_values(digits):
     values = _closed_form(max(ORDERS), bits)
     for n in POINTS:
         x = mp.pi * mp.sqrt(mp.mpf(2 * n) / 3)
-        # the one exp of n gives sqrt(3) e^-x at its own, finer scale 2^-2w, and floor(2^P / sqrt(n))
+        # the one exp of n gives sqrt(3) e^-x at its own, finer scale 2^-2w, and floor(2^P / sqrt(24n))
         wide, _, Q, U = expansion._ball_per_n(n, bits)
-        assert U == precision._ball_sqrt(1, bits, n)[0]
+        assert U == precision._ball_sqrt(1, bits, 24 * n)[0]
         fine = _reference(2 * wide)
         middle, radius = Q
         assert abs(middle - fine.ldexp(fine.sqrt(3) * fine.exp(-2 * fine.pi * fine.sqrt(fine.mpf(n) / 6)), 2 * wide)) <= radius <= middle >> bits

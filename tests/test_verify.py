@@ -255,11 +255,12 @@ def test_gf_sees_a_defect_of_two_to_the_minus_100(monkeypatch):
 
 
 def test_coefficient_sweeps_start_at_their_values_size_whatever_the_source_holds(monkeypatch):
-    # lemma1 and lemma2 start every comparison _START_BITS below the size of
-    # the last |c_m| it reads, lemma2's central binomial and asymptotics'
-    # groups at _START_BITS, and gf forms its balls at one fixed scale: the
-    # same verdicts, counts and scales at 30, 80 and 300 digits and after the
-    # source was built for 1500 digits, and no group formed past its start
+    # lemma1 and lemma2 start every comparison, lemma2's central binomial and
+    # asymptotics' groups at _START_BITS, below every |g_m| >= 1, lemma1 reads
+    # each sign off the ball of g_m there, and gf forms its balls at one fixed
+    # scale: the same verdicts, counts and scales at 30, 80 and 300 digits and
+    # after the source was built for 1500 digits, and no group formed past its
+    # start
     groups = _recording(monkeypatch, verify, coefficients)
     gf_scales = []
     for name in ("_ball_gf", "_ball_g"):
@@ -278,7 +279,7 @@ def test_coefficient_sweeps_start_at_their_values_size_whatever_the_source_holds
             assert all(len(scales) == 1 for scales in groups), (suite, run)
             seen = [scales[0] for scales in groups] + gf_scales
             assert seen == starts.setdefault(suite, seen), (suite, run)
-    sizes = [verify._START_BITS + verify._root_below(m + 1, 24**m) for m in range(1, 401)]
-    assert starts["lemma1"] == [sizes[0], *(size for size in sizes[1:] for _ in range(2))]
-    assert starts["lemma2"] == [scale for size in [verify._START_BITS, *sizes] for scale in (size, verify._START_BITS)]
+    # lemma1: one ratio-free group at m = 1, two per m after it, then its 401 reads of g_m; lemma2: two groups per m and one read
+    assert starts["lemma1"] == [verify._START_BITS] * (1 + 2 * 399 + 401)
+    assert starts["lemma2"] == [verify._START_BITS] * (2 * 401 + 1)
     assert starts["gf"] == [verify._GF_BITS] * 102 and set(starts["asymptotics"]) == {verify._START_BITS}
